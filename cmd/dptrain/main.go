@@ -120,12 +120,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The resolved plan already applied the worker-defaulting rules
-	// (GemmWorkers follows Workers); the training evaluator itself stays
-	// serial — parameter gradients require it.
 	tr, err := train.NewTrainer(model, train.Config{
 		LR: *lr, BatchSize: *batch, DecayRate: 0.97, DecaySteps: *steps / 20, Seed: *seed,
-		NeighborWorkers: plan.Workers, GemmWorkers: plan.GemmWorkers,
+		Workers: plan.Workers,
 	})
 	if err != nil {
 		log.Fatal(err)

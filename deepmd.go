@@ -99,8 +99,7 @@ func TinyConfig(ntypes int) Config { return core.TinyConfig(ntypes) }
 // strategy and precision.
 
 // Potential is anything that can compute energies and forces for the MD
-// engine: the Engine, raw DP evaluators, the baseline evaluator, and the
-// reference potentials all implement it.
+// engine: the Engine and the reference potentials implement it.
 type Potential = md.Potential
 
 // Precision selects the numeric execution of the pipeline: Double or
@@ -158,10 +157,6 @@ func WithStrategy(s Strategy) Option { return func(pl *Plan) { pl.Strategy = s }
 // the engine.
 func WithWorkers(n int) Option { return func(pl *Plan) { pl.Workers = n } }
 
-// WithGemmWorkers overrides the goroutine count inside each blocked GEMM
-// call when the chunk loop is serial (default: WithWorkers' value).
-func WithGemmWorkers(n int) Option { return func(pl *Plan) { pl.GemmWorkers = n } }
-
 // WithMaxConcurrency bounds how many concurrent evaluations the engine
 // serves — the size of its pooled-evaluator free list (default:
 // GOMAXPROCS). Evaluators are built lazily, so an over-provisioned bound
@@ -199,36 +194,6 @@ func Open(model *Model, opts ...Option) (*Engine, error) {
 // Replica trajectories are bit-identical to running each serially.
 func (e *Engine) Ensemble(systems []*System, opt SimOptions, steps int) ([]*Simulation, error) {
 	return md.RunEnsemble(e, systems, opt, steps, e.Plan().MaxConcurrency)
-}
-
-// Legacy evaluator constructors. They predate Open and remain as thin
-// shims so existing callers keep compiling; the returned raw evaluators
-// are single-goroutine (see core.Evaluator) and expose the post-hoc
-// setters Open's options replaced.
-
-// NewDoubleEvaluator runs the optimized pipeline in double precision.
-//
-// Deprecated: use Open(m) (or Open(m, WithPrecision(Double),
-// WithStrategy(Batched))) — the Engine is goroutine-safe and validates
-// its configuration once.
-func NewDoubleEvaluator(m *Model) *core.Evaluator[float64] {
-	return core.NewEvaluator[float64](m)
-}
-
-// NewMixedEvaluator runs the optimized pipeline with single-precision
-// network math between double-precision boundaries (Sec. 5.2.3).
-//
-// Deprecated: use Open(m, WithPrecision(Mixed)).
-func NewMixedEvaluator(m *Model) *core.Evaluator[float32] {
-	return core.NewEvaluator[float32](m)
-}
-
-// NewBaselineEvaluator runs the 2018 serial DeePMD-kit execution strategy
-// (unfused ops, AoS neighbor handling, per-call allocation).
-//
-// Deprecated: use Open(m, WithStrategy(Baseline)).
-func NewBaselineEvaluator(m *Model) *core.BaselineEvaluator {
-	return core.NewBaselineEvaluator(m)
 }
 
 // MD engine.
@@ -288,22 +253,17 @@ type ParallelOptions = domain.Options
 // ParallelStats is the result of a parallel run.
 type ParallelStats = domain.Stats
 
-// RunParallel executes a domain-decomposed simulation (Sec. 5.4) with a
-// per-rank potential built by newPot. Ranks sharing one Engine should use
-// RunParallelShared instead.
+// RunParallel executes a domain-decomposed simulation (Sec. 5.4) over
+// in-process ranks. newPot is called once per rank: build a per-rank
+// potential, or return one shared goroutine-safe Engine every time — its
+// pool then serves the ranks' concurrent force calls and supplies the
+// per-rank neighbor worker budget when opt.Workers is unset. Because
+// every rank evaluates concurrently with the engine's full
+// per-evaluation Workers, open a shared engine with
+// WithWorkers(budget / Ranks) and WithMaxConcurrency(>= Ranks); see
+// domain.Run.
 func RunParallel(sys *System, newPot func() Potential, opt ParallelOptions) (*ParallelStats, error) {
 	return domain.Run(sys, newPot, opt)
-}
-
-// RunParallelShared executes a domain-decomposed simulation whose ranks
-// all evaluate through one goroutine-safe potential — an Engine, whose
-// pool serves the ranks' concurrent force calls and supplies the per-rank
-// neighbor worker budget when opt.Workers is unset. Because every rank
-// evaluates concurrently with the engine's full per-evaluation Workers,
-// open the engine with WithWorkers(budget / Ranks) and
-// WithMaxConcurrency(>= Ranks); see domain.RunShared.
-func RunParallelShared(sys *System, pot Potential, opt ParallelOptions) (*ParallelStats, error) {
-	return domain.RunShared(sys, pot, opt)
 }
 
 // RunParallelOn executes this process's rank of a distributed simulation

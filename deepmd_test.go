@@ -2,7 +2,13 @@ package deepmd
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"deepmd-go/internal/compress"
@@ -35,11 +41,11 @@ func waterTestSetup(t *testing.T) (*Model, *System, *NeighborList) {
 func requireBitIdentical(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if got.Energy != want.Energy {
-		t.Fatalf("%s: energy %.17g != legacy %.17g", label, got.Energy, want.Energy)
+		t.Fatalf("%s: energy %.17g != raw %.17g", label, got.Energy, want.Energy)
 	}
 	for i := range want.Force {
 		if math.Float64bits(got.Force[i]) != math.Float64bits(want.Force[i]) {
-			t.Fatalf("%s: force[%d] = %g != legacy %g", label, i, got.Force[i], want.Force[i])
+			t.Fatalf("%s: force[%d] = %g != raw %g", label, i, got.Force[i], want.Force[i])
 		}
 	}
 	for i := range want.AtomEnergy {
@@ -52,13 +58,13 @@ func requireBitIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestOpenMatchesLegacySurface is the facade back-compat differential
-// suite: every legacy constructor/setter combination must produce
-// bit-identical energies, per-atom energies, forces and virials to the
-// equivalent Open(...) options, across all strategy x precision
-// combinations. This is what lets the legacy surface be deprecated
-// without a behavior cliff.
-func TestOpenMatchesLegacySurface(t *testing.T) {
+// TestOpenMatchesRawEvaluator is the facade differential suite: every
+// Open(...) option combination must produce bit-identical energies,
+// per-atom energies, forces and virials to the raw single-goroutine
+// evaluator configured the same way through core's constructors and
+// setters, across all strategy x precision combinations — the Engine adds
+// pooling and validation, never arithmetic.
+func TestOpenMatchesRawEvaluator(t *testing.T) {
 	model, sys, list := waterTestSetup(t)
 	n := sys.N()
 	eval := func(t *testing.T, pot Potential) *Result {
@@ -71,48 +77,43 @@ func TestOpenMatchesLegacySurface(t *testing.T) {
 	}
 
 	cases := []struct {
-		name   string
-		legacy func() Potential
-		opts   []Option
+		name string
+		raw  func() Potential
+		opts []Option
 	}{
-		{"double-batched", func() Potential { return NewDoubleEvaluator(model) },
+		{"double-batched", func() Potential { return core.NewEvaluator[float64](model) },
 			[]Option{WithPrecision(Double), WithStrategy(Batched)}},
 		{"double-peratom", func() Potential {
-			ev := NewDoubleEvaluator(model)
+			ev := core.NewEvaluator[float64](model)
 			ev.SetPerAtomDescriptors(true)
 			return ev
 		}, []Option{WithStrategy(PerAtom)}},
 		{"double-compressed", func() Potential {
-			ev := NewDoubleEvaluator(model)
+			ev := core.NewEvaluator[float64](model)
 			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
 				t.Fatal(err)
 			}
 			return ev
 		}, []Option{WithStrategy(Compressed)}},
-		{"mixed-batched", func() Potential { return NewMixedEvaluator(model) },
+		{"mixed-batched", func() Potential { return core.NewEvaluator[float32](model) },
 			[]Option{WithPrecision(Mixed), WithStrategy(Batched)}},
 		{"mixed-peratom", func() Potential {
-			ev := NewMixedEvaluator(model)
+			ev := core.NewEvaluator[float32](model)
 			ev.SetPerAtomDescriptors(true)
 			return ev
 		}, []Option{WithPrecision(Mixed), WithStrategy(PerAtom)}},
 		{"mixed-compressed", func() Potential {
-			ev := NewMixedEvaluator(model)
+			ev := core.NewEvaluator[float32](model)
 			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
 				t.Fatal(err)
 			}
 			return ev
 		}, []Option{WithPrecision(Mixed), WithStrategy(Compressed)}},
-		{"baseline", func() Potential { return NewBaselineEvaluator(model) },
+		{"baseline", func() Potential { return core.NewBaselineEvaluator(model) },
 			[]Option{WithStrategy(Baseline)}},
-		{"double-gemmworkers2", func() Potential {
-			ev := NewDoubleEvaluator(model)
-			ev.SetGemmWorkers(2)
-			return ev
-		}, []Option{WithStrategy(Batched), WithGemmWorkers(2)}},
 		{"double-setter-roundtrip", func() Potential {
 			// Toggling strategies post hoc must land back on batched.
-			ev := NewDoubleEvaluator(model)
+			ev := core.NewEvaluator[float64](model)
 			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +124,7 @@ func TestOpenMatchesLegacySurface(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := eval(t, tc.legacy())
+			want := eval(t, tc.raw())
 			eng, err := Open(model, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -132,12 +133,12 @@ func TestOpenMatchesLegacySurface(t *testing.T) {
 		})
 	}
 
-	// Workers: a model configured with Workers = 2 (legacy plumbing) must
-	// match WithWorkers(2) over the Workers = 1 model.
+	// Workers: a model configured with Workers = 2 must match
+	// WithWorkers(2) over the Workers = 1 model.
 	t.Run("workers2", func(t *testing.T) {
 		m2 := *model
 		m2.Cfg.Workers = 2
-		want := eval(t, NewDoubleEvaluator(&m2))
+		want := eval(t, core.NewEvaluator[float64](&m2))
 		eng, err := Open(model, WithStrategy(Batched), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +184,7 @@ func TestOpenValidation(t *testing.T) {
 }
 
 // The Ensemble helper runs k replicas over one engine and must agree with
-// serial per-replica simulations driven by the legacy constructors.
+// serial per-replica simulations driven by raw evaluators.
 func TestEngineEnsemble(t *testing.T) {
 	model, _, _ := waterTestSetup(t)
 	cfg := model.Cfg
@@ -199,8 +200,8 @@ func TestEngineEnsemble(t *testing.T) {
 		refs[i].InitVelocities(300, int64(20+i))
 	}
 
-	// Batched explicitly: the reference runs legacy double evaluators,
-	// and Auto would pick the attached tables instead.
+	// Batched explicitly: the reference runs raw double evaluators, and
+	// Auto would pick the attached tables instead.
 	eng, err := Open(model, WithStrategy(Batched), WithMaxConcurrency(k))
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestEngineEnsemble(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range refs {
-		ref, err := NewSimulation(refs[i], NewDoubleEvaluator(model), opt)
+		ref, err := NewSimulation(refs[i], core.NewEvaluator[float64](model), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,8 +230,8 @@ func TestEngineEnsemble(t *testing.T) {
 }
 
 // The engine plugs into the domain-decomposed runner as one shared
-// potential for all ranks.
-func TestRunParallelSharedEngine(t *testing.T) {
+// potential for all ranks: newPot hands every rank the same Engine.
+func TestRunParallelWithSharedEngine(t *testing.T) {
 	model, _, _ := waterTestSetup(t)
 	sys := BuildWater(4, 4, 4, 1)
 	sys.InitVelocities(300, 4)
@@ -238,7 +239,7 @@ func TestRunParallelSharedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := RunParallelShared(sys, eng, ParallelOptions{
+	stats, err := RunParallel(sys, func() Potential { return eng }, ParallelOptions{
 		Ranks: 2, Dt: 0.0005, Steps: 10, Spec: SpecFor(model.Cfg),
 		RebuildEvery: 5, ThermoEvery: 5,
 	})
@@ -259,6 +260,69 @@ func TestRunParallelSharedEngine(t *testing.T) {
 
 var _ core.Strategy = Auto // the facade aliases stay in sync with core
 
+// TestFacadeSurface pins the public API: the sorted exported identifiers
+// of deepmd.go must equal testdata/api.golden, so the surface cannot
+// regrow (or lose a name) without the golden file changing in the same
+// diff.
+func TestFacadeSurface(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "deepmd.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	add := func(kind string, id *ast.Ident) {
+		if id.IsExported() {
+			got = append(got, kind+" "+id.Name)
+		}
+	}
+	for _, decl := range file.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add("func", d.Name)
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+				add("method "+id.Name, d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					add("type", sp.Name)
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						add(strings.ToLower(d.Tok.String()), id)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(got)
+	golden, err := os.ReadFile("testdata/api.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(golden)), "\n")
+	for _, name := range got {
+		if !slices.Contains(want, name) {
+			t.Errorf("exported but not in testdata/api.golden: %s", name)
+		}
+	}
+	for _, name := range want {
+		if !slices.Contains(got, name) {
+			t.Errorf("in testdata/api.golden but no longer exported: %s", name)
+		}
+	}
+	if !t.Failed() && !slices.Equal(got, want) {
+		t.Error("testdata/api.golden is not sorted or has duplicates")
+	}
+}
+
 // The facade must expose a complete, working workflow end to end.
 func TestFacadeWorkflow(t *testing.T) {
 	cfg := TinyConfig(2)
@@ -274,7 +338,11 @@ func TestFacadeWorkflow(t *testing.T) {
 	}
 	sys.InitVelocities(300, 2)
 
-	sim, err := NewSimulation(sys, NewDoubleEvaluator(model), SimOptions{
+	double, err := Open(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSimulation(sys, double, SimOptions{
 		Dt: 0.0005, Spec: SpecFor(cfg), RebuildEvery: 20, ThermoEvery: 10,
 	})
 	if err != nil {
@@ -287,16 +355,20 @@ func TestFacadeWorkflow(t *testing.T) {
 		t.Fatalf("thermo samples = %d", len(sim.Log))
 	}
 
-	// Mixed evaluator agrees with double on the same configuration.
+	// The mixed engine agrees with double on the same configuration.
+	mixed, err := Open(model, WithPrecision(Mixed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	list, err := BuildNeighborList(sys, SpecFor(cfg), cfg.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rd, rm Result
-	if err := NewDoubleEvaluator(model).Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rd); err != nil {
+	if err := double.Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rd); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewMixedEvaluator(model).Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rm); err != nil {
+	if err := mixed.Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rm); err != nil {
 		t.Fatal(err)
 	}
 	if d := math.Abs(rd.Energy - rm.Energy); d > 1e-3*float64(sys.N()) {

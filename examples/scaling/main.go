@@ -51,7 +51,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stats, err := deepmd.RunParallelShared(sys, eng, deepmd.ParallelOptions{
+		stats, err := deepmd.RunParallel(sys, func() deepmd.Potential { return eng }, deepmd.ParallelOptions{
 			Ranks: r, Dt: 0.0005, Steps: 20, Spec: deepmd.SpecFor(cfg),
 			RebuildEvery: 10, ThermoEvery: 10, UseIallreduce: true,
 		})

@@ -1,8 +1,8 @@
 // Package cliopt is the shared flag surface of the cmd/ binaries: one
 // table of engine-related flags (-precision, -strategy, -workers,
-// -gemm-workers, -concurrency) and one translation into deepmd.Open
-// options, so every binary resolves the same spelling the same way
-// instead of growing divergent per-binary strategy flags.
+// -concurrency) and one translation into deepmd.Open options, so every
+// binary resolves the same spelling the same way instead of growing
+// divergent per-binary strategy flags.
 package cliopt
 
 import (
@@ -13,12 +13,9 @@ import (
 )
 
 // Set holds the raw values of the shared engine flags bound by Bind.
-// After flag parsing, Options translates them (plus any deprecated
-// aliases folded in by the binary) into Open options.
+// After flag parsing, Options translates them into Open options.
 type Set struct {
-	// Precision is "double" or "mixed". The historical dpmd spelling
-	// "-precision baseline" is accepted as a deprecated alias for
-	// "-strategy baseline" at double precision.
+	// Precision is "double" or "mixed".
 	Precision string
 	// Strategy is "auto", "baseline", "peratom", "batched" or
 	// "compressed".
@@ -26,9 +23,6 @@ type Set struct {
 	// Workers is the per-evaluation goroutine budget; it also feeds
 	// neighbor-list builds through the engine's worker hint.
 	Workers int
-	// GemmWorkers is the intra-GEMM row-block goroutine count (0 follows
-	// Workers).
-	GemmWorkers int
 	// MaxConcurrency is the engine's pooled-evaluator bound (0 means
 	// GOMAXPROCS).
 	MaxConcurrency int
@@ -38,10 +32,9 @@ type Set struct {
 // worker budget and returns the Set the parsed values land in.
 func Bind(fs *flag.FlagSet, defaultWorkers int) *Set {
 	s := &Set{}
-	fs.StringVar(&s.Precision, "precision", "double", "double | mixed network math (baseline is a deprecated alias for -strategy baseline)")
+	fs.StringVar(&s.Precision, "precision", "double", "double | mixed network math")
 	fs.StringVar(&s.Strategy, "strategy", "auto", "descriptor execution strategy: auto | baseline | peratom | batched | compressed (auto picks the fastest legal one)")
 	fs.IntVar(&s.Workers, "workers", defaultWorkers, "goroutines per evaluation (chunk fan-out / intra-GEMM row blocks) and neighbor-list builds")
-	fs.IntVar(&s.GemmWorkers, "gemm-workers", 0, "goroutines inside each blocked GEMM call when the chunk loop is serial (0: follow -workers)")
 	fs.IntVar(&s.MaxConcurrency, "concurrency", 0, "concurrent evaluations the engine serves from its evaluator pool (0: GOMAXPROCS)")
 	return s
 }
@@ -54,7 +47,7 @@ func ParsePrecision(s string) (deepmd.Precision, error) {
 	case "mixed":
 		return deepmd.Mixed, nil
 	}
-	return 0, fmt.Errorf("cliopt: unknown precision %q (want double or mixed)", s)
+	return 0, fmt.Errorf("cliopt: unknown precision %q (want double or mixed; the 2018 execution is -strategy baseline)", s)
 }
 
 // ParseStrategy translates a -strategy spelling.
@@ -74,25 +67,16 @@ func ParseStrategy(s string) (deepmd.Strategy, error) {
 	return 0, fmt.Errorf("cliopt: unknown strategy %q (want auto, baseline, peratom, batched or compressed)", s)
 }
 
-// Options translates the parsed flags into deepmd.Open options, resolving
-// the deprecated "-precision baseline" alias. Combination validation
-// (e.g. Compressed without tables, Baseline with Mixed) stays in Open,
-// which sees the model; only spelling errors surface here.
+// Options translates the parsed flags into deepmd.Open options.
+// Combination validation (e.g. Compressed without tables, Baseline with
+// Mixed) stays in Open, which sees the model; only spelling errors
+// surface here.
 func (s *Set) Options() ([]deepmd.Option, error) {
-	precision, strategy := s.Precision, s.Strategy
-	if precision == "baseline" {
-		// The pre-Engine dpmd spelled the 2018 execution strategy as a
-		// precision. Keep it working, but refuse a contradictory pair.
-		if strategy != "" && strategy != "auto" && strategy != "baseline" {
-			return nil, fmt.Errorf("cliopt: -precision baseline (deprecated alias for -strategy baseline) conflicts with -strategy %s", strategy)
-		}
-		precision, strategy = "double", "baseline"
-	}
-	p, err := ParsePrecision(precision)
+	p, err := ParsePrecision(s.Precision)
 	if err != nil {
 		return nil, err
 	}
-	st, err := ParseStrategy(strategy)
+	st, err := ParseStrategy(s.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +84,6 @@ func (s *Set) Options() ([]deepmd.Option, error) {
 		deepmd.WithPrecision(p),
 		deepmd.WithStrategy(st),
 		deepmd.WithWorkers(s.Workers),
-		deepmd.WithGemmWorkers(s.GemmWorkers),
 		deepmd.WithMaxConcurrency(s.MaxConcurrency),
 	}, nil
 }

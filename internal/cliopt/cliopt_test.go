@@ -2,6 +2,7 @@ package cliopt
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	deepmd "deepmd-go"
@@ -36,32 +37,16 @@ func TestFlagTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Precision != deepmd.Double || p.Strategy != deepmd.Batched || p.Workers != 2 || p.GemmWorkers != 2 {
+	if p.Precision != deepmd.Double || p.Strategy != deepmd.Batched || p.Workers != 2 {
 		t.Fatalf("default plan %+v", p)
 	}
 
-	_, p, err = parse(t, "-precision", "mixed", "-strategy", "peratom", "-workers", "4", "-gemm-workers", "3", "-concurrency", "5")
+	_, p, err = parse(t, "-precision", "mixed", "-strategy", "peratom", "-workers", "4", "-concurrency", "5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Precision != deepmd.Mixed || p.Strategy != deepmd.PerAtom || p.Workers != 4 || p.GemmWorkers != 3 || p.MaxConcurrency != 5 {
+	if p.Precision != deepmd.Mixed || p.Strategy != deepmd.PerAtom || p.Workers != 4 || p.MaxConcurrency != 5 {
 		t.Fatalf("explicit plan %+v", p)
-	}
-}
-
-// The historical dpmd spelling "-precision baseline" folds into the
-// baseline strategy at double precision; pairing it with a contradictory
-// -strategy is refused.
-func TestBaselinePrecisionAlias(t *testing.T) {
-	_, p, err := parse(t, "-precision", "baseline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Precision != deepmd.Double || p.Strategy != deepmd.Baseline {
-		t.Fatalf("alias plan %+v, want double/baseline", p)
-	}
-	if _, _, err := parse(t, "-precision", "baseline", "-strategy", "compressed"); err == nil {
-		t.Fatal("contradictory -precision baseline + -strategy compressed accepted")
 	}
 }
 
@@ -71,5 +56,11 @@ func TestSpellingErrors(t *testing.T) {
 	}
 	if _, _, err := parse(t, "-strategy", "turbo"); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+	// The pre-Engine dpmd spelled the 2018 execution as a precision; it is
+	// an ordinary spelling error now, and the message names the strategy.
+	_, _, err := parse(t, "-precision", "baseline")
+	if err == nil || !strings.Contains(err.Error(), "-strategy baseline") {
+		t.Fatalf("-precision baseline: err = %v, want a spelling error naming -strategy baseline", err)
 	}
 }

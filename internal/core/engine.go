@@ -119,7 +119,6 @@ func (e *Engine) newComputer() (computer, error) {
 // precision T per the plan.
 func buildEvaluator[T tensor.Float](m *Model, plan Plan) (computer, error) {
 	ev := NewEvaluator[T](m)
-	ev.SetGemmWorkers(plan.GemmWorkers)
 	switch plan.Strategy {
 	case StrategyPerAtom:
 		ev.SetPerAtomDescriptors(true)

@@ -58,7 +58,7 @@ func TestResolvePlan(t *testing.T) {
 			if got.Precision != tc.want.Precision || got.Strategy != tc.want.Strategy {
 				t.Fatalf("resolved %s/%s, want %s/%s", got.Precision, got.Strategy, tc.want.Precision, tc.want.Strategy)
 			}
-			if got.Workers < 1 || got.GemmWorkers < 1 || got.MaxConcurrency < 1 {
+			if got.Workers < 1 || got.MaxConcurrency < 1 {
 				t.Fatalf("unresolved defaults in %+v", got)
 			}
 			if got.Strategy == StrategyBaseline && tc.req.Workers > 0 && got.Workers != tc.req.Workers {
@@ -67,8 +67,8 @@ func TestResolvePlan(t *testing.T) {
 		})
 	}
 
-	// Worker/concurrency defaulting chain: explicit workers flow into
-	// gemm workers; the model's configured Workers is the fallback.
+	// Worker/concurrency defaulting: the model's configured Workers is the
+	// fallback, explicit budgets are preserved.
 	wcfg := TinyConfig(2)
 	wcfg.Workers = 3
 	wm, err := New(wcfg)
@@ -79,14 +79,14 @@ func TestResolvePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers != 3 || p.GemmWorkers != 3 {
-		t.Fatalf("model-default workers: got %d/%d, want 3/3", p.Workers, p.GemmWorkers)
+	if p.Workers != 3 {
+		t.Fatalf("model-default workers: got %d, want 3", p.Workers)
 	}
-	p, err = ResolvePlan(wm, Plan{Workers: 2, GemmWorkers: 5, MaxConcurrency: 7})
+	p, err = ResolvePlan(wm, Plan{Workers: 2, MaxConcurrency: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Workers != 2 || p.GemmWorkers != 5 || p.MaxConcurrency != 7 {
+	if p.Workers != 2 || p.MaxConcurrency != 7 {
 		t.Fatalf("explicit budgets not preserved: %+v", p)
 	}
 }

@@ -58,12 +58,12 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 			g := traces[tj].Out()
 			gA := tensor.MatrixFrom(sel, m, g.Data[a*sel*m:(a+1)*sel*m])
 			rA := tensor.MatrixFrom(sel, 4, rT[(atom*stride+off)*4:(atom*stride+off+sel)*4])
-			tensor.GemmTN(ctr, invN, gA, rA, 1, ti)
+			tensor.GemmTNOpt(tensor.Opts{}, ctr, invN, gA, rA, 1, ti)
 		}
 		tis[a] = ti
 		tsub := tensor.MatrixFrom(ax, 4, ti.Data[:ax*4])
 		di := tensor.MatrixFrom(m, ax, dChunk.Data[a*dim:(a+1)*dim])
-		tensor.GemmNT(ctr, 1, ti, tsub, 0, di)
+		tensor.GemmNTOpt(tensor.Opts{}, ctr, 1, ti, tsub, 0, di)
 	}
 
 	// Fitting net forward/backward over the chunk batch.
@@ -92,9 +92,9 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 		tsub := tensor.MatrixFrom(ax, 4, ti.Data[:ax*4])
 		dDa := tensor.MatrixFrom(m, ax, dD.Data[a*dim:(a+1)*dim])
 		dT := ar.TakeMatrix(m, 4)
-		tensor.Gemm(ctr, 1, dDa, tsub, 0, dT)
+		tensor.GemmOpt(tensor.Opts{}, ctr, 1, dDa, tsub, 0, dT)
 		dTsub := ar.TakeMatrix(ax, 4)
-		tensor.GemmTN(ctr, 1, dDa, ti, 0, dTsub)
+		tensor.GemmTNOpt(tensor.Opts{}, ctr, 1, dDa, ti, 0, dTsub)
 		for i := range dTsub.Data {
 			dT.Data[i] += dTsub.Data[i]
 		}
@@ -105,9 +105,9 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 			gA := tensor.MatrixFrom(sel, m, g.Data[a*sel*m:(a+1)*sel*m])
 			rA := tensor.MatrixFrom(sel, 4, rT[(atom*stride+off)*4:(atom*stride+off+sel)*4])
 			dgA := tensor.MatrixFrom(sel, m, dGsec[tj].Data[a*sel*m:(a+1)*sel*m])
-			tensor.GemmNT(ctr, invN, rA, dT, 0, dgA)
+			tensor.GemmNTOpt(tensor.Opts{}, ctr, invN, rA, dT, 0, dgA)
 			ndA := tensor.MatrixFrom(sel, 4, ndT[(atom*stride+off)*4:(atom*stride+off+sel)*4])
-			tensor.Gemm(ctr, invN, gA, dT, 1, ndA)
+			tensor.GemmOpt(tensor.Opts{}, ctr, invN, gA, dT, 1, ndA)
 		}
 	}
 

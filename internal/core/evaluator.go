@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,16 +55,9 @@ type Evaluator[T tensor.Float] struct {
 	// allowed.
 	Counter *perf.Counter
 
-	sc      descriptor.Scratch
 	grads   *ModelGrads
 	arenas  []*tensor.Arena[T]
 	scratch []*evalScratch[T]
-	rT      []T
-	ndT     []T
-	nd64    []float64
-	byType  [][]int
-	jobs    []chunkJob
-	chunkE  []float64
 	// strat is the resolved descriptor execution strategy (never Auto or
 	// Baseline here; the BaselineEvaluator is a separate type).
 	strat Strategy
@@ -74,16 +65,14 @@ type Evaluator[T tensor.Float] struct {
 	// type pair, populated by SetCompressedEmbedding.
 	comp [][]*compress.Table[T]
 
-	// gemmWorkers is the row-block goroutine count handed to the blocked
-	// GEMM kernels when the chunk loop runs serially (defaults to
-	// cfg.Workers; see Compute).
-	gemmWorkers int
-
-	// frames and batchJobs are the persistent state of ComputeBatch: one
-	// buffer slot per frame of the largest batch served so far, plus the
-	// flattened (frame, chunk) job list of the cross-frame sweep.
+	// frames, batchJobs and cursor are the persistent state of the frame
+	// sweep (frames.go): one buffer slot per frame of the largest batch
+	// served so far — a plain Compute call lives in slot 0 — plus the
+	// flattened (frame, chunk) job list and the claim cursor the sweep
+	// workers share.
 	frames    []*frameState[T]
 	batchJobs []batchJob
+	cursor    atomic.Int64
 }
 
 // chunkJob is one same-type atom chunk of an evaluation.
@@ -135,7 +124,6 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 		master: m,
 		embed:  make([][]*nn.Net[T], nt),
 		fit:    make([]*nn.Net[T], nt),
-		byType: make([][]int, nt),
 	}
 	for ci := 0; ci < nt; ci++ {
 		ev.embed[ci] = make([]*nn.Net[T], nt)
@@ -148,19 +136,8 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 		ev.arenas = append(ev.arenas, tensor.NewArena[T](1<<14))
 		ev.scratch = append(ev.scratch, newEvalScratch[T](nt))
 	}
-	ev.gemmWorkers = max(1, cfg.Workers)
 	ev.strat = StrategyBatched
 	return ev
-}
-
-// SetGemmWorkers overrides the goroutine count the blocked GEMM kernels
-// use when the chunk loop is serial. The trainer uses this: parameter
-// gradients require a serial evaluator (Workers = 1), but row-block
-// parallelism inside each GEMM call is safe — every C element is written
-// by exactly one goroutine and results are bit-identical across worker
-// counts — so training still spreads the dominant matrix math over cores.
-func (ev *Evaluator[T]) SetGemmWorkers(n int) {
-	ev.gemmWorkers = max(1, n)
 }
 
 // SetPerAtomDescriptors switches the descriptor stage between the default
@@ -199,100 +176,12 @@ func (ev *Evaluator[T]) ArenaBytes() int {
 // ghosts carry the periodic images). The result buffers are reused if
 // adequately sized; after the first call has warmed the arenas and
 // scratch, a steady-state serial Compute performs no heap allocation.
+//
+// It is the one-frame case of ComputeBatch — the same sweep, in frame
+// slot 0.
 func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
-	ctr := ev.Counter
-	nall := len(pos) / 3
-	env, err := ev.sc.Environment(ctr, ev.dcfg, pos, types, list, box)
-	if err != nil {
-		return err
-	}
-	stride := ev.cfg.Stride()
-
-	ev.rT = descriptor.ConvertR(ctr, env, ev.rT)
-	ev.ndT = tensor.Resize(ev.ndT, nloc*stride*4)
-	clear(ev.ndT)
-
-	// Group local atoms by type.
-	for t := range ev.byType {
-		ev.byType[t] = ev.byType[t][:0]
-	}
-	for i := 0; i < nloc; i++ {
-		t := types[i]
-		if t < 0 || t >= len(ev.byType) {
-			return fmt.Errorf("core: atom %d has type %d outside model", i, t)
-		}
-		ev.byType[t] = append(ev.byType[t], i)
-	}
-
-	out.AtomEnergy = tensor.Resize(out.AtomEnergy, nloc)
-	out.Force = tensor.Resize(out.Force, 3*nall)
-	clear(out.Force)
-
-	// Assemble chunk jobs into the persistent list.
-	ev.jobs = ev.jobs[:0]
-	for ci, atoms := range ev.byType {
-		for lo := 0; lo < len(atoms); lo += ev.cfg.ChunkSize {
-			hi := min(lo+ev.cfg.ChunkSize, len(atoms))
-			ev.jobs = append(ev.jobs, chunkJob{ci, atoms[lo:hi]})
-		}
-	}
-	ev.chunkE = tensor.Resize(ev.chunkE, len(ev.jobs))
-
-	// Parallelism budget: when there are enough chunks, fan the chunk jobs
-	// out over the worker arenas and keep each GEMM serial; when the chunk
-	// loop degenerates to serial (Workers = 1, or a system too small to
-	// fill the pool), hand the worker budget to the blocked GEMM kernels
-	// instead, which partition (batch x row-block) units across goroutines.
-	workers := min(len(ev.arenas), len(ev.jobs))
-	if workers <= 1 {
-		opts := tensor.Opts{Workers: ev.gemmWorkers}
-		for ji, j := range ev.jobs {
-			ev.chunkE[ji] = ev.evalChunk(ctr, opts, ev.scratch[0], ev.arenas[0], env, ev.rT, ev.ndT, j.ci, j.atoms, out.AtomEnergy)
-		}
-	} else {
-		// Fewer chunks than budget: split the remainder as intra-GEMM
-		// workers so e.g. Workers=8 over 2 chunks still uses 8 cores
-		// (2 chunk goroutines x 4 GEMM row-block goroutines each). Chunks
-		// are claimed from an atomic cursor; every chunk's computation is
-		// self-contained and deterministic, so results do not depend on
-		// which worker claims it.
-		opts := tensor.Opts{Workers: ev.gemmWorkers / workers}
-		var wg sync.WaitGroup
-		var cursor atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(ws *evalScratch[T], ar *tensor.Arena[T]) {
-				defer wg.Done()
-				for {
-					ji := int(cursor.Add(1)) - 1
-					if ji >= len(ev.jobs) {
-						return
-					}
-					j := ev.jobs[ji]
-					ev.chunkE[ji] = ev.evalChunk(ctr, opts, ws, ar, env, ev.rT, ev.ndT, j.ci, j.atoms, out.AtomEnergy)
-				}
-			}(ev.scratch[w], ev.arenas[w])
-		}
-		wg.Wait()
-	}
-
-	// Deterministic energy reduction in double precision.
-	out.Energy = 0
-	for _, e := range ev.chunkE[:len(ev.jobs)] {
-		out.Energy += e
-	}
-
-	// Convert the network gradient back to double precision and run the
-	// customized force/virial operators.
-	ev.nd64 = tensor.Resize(ev.nd64, len(ev.ndT))
-	for i, v := range ev.ndT {
-		ev.nd64[i] = float64(v)
-	}
-	descriptor.ProdForce(ctr, ev.nd64, env, out.Force)
-	out.Virial = descriptor.ProdVirial(ctr, ev.nd64, env)
-	repulsionEnergy(ctr, ev.cfg.RepA, ev.cfg.RepRcut, pos, nloc, list, box, out)
-	ev.growArenas()
-	return nil
+	frame := [1]Frame{{Pos: pos, Types: types, Nloc: nloc, List: list, Box: box, Out: out}}
+	return ev.ComputeBatch(frame[:])
 }
 
 // evalChunk runs embedding, descriptor, fitting and their backward passes
@@ -300,10 +189,8 @@ func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neig
 // precision and filling atomEnergy and ndT rows for those atoms. opts
 // carries the GEMM worker budget (serial when chunk-level parallelism is
 // already using the cores). rT and ndT are the environment matrix and
-// network-derivative buffers of the frame the chunk belongs to: one
-// Compute call passes the evaluator's own, a ComputeBatch sweep passes
-// each frame's, so chunks of different frames can share one worker sweep
-// without sharing state.
+// network-derivative buffers of the frame the chunk belongs to, so chunks
+// of different frames share one worker sweep without sharing state.
 //
 //dp:noalloc
 func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
@@ -427,7 +314,7 @@ func (ev *Evaluator[T]) evalChunkBatched(ctr *perf.Counter, opts tensor.Opts, ws
 
 	// Per-section backward: batched dG and dR~ contractions, embedding net
 	// backward over the section batch, then one scatter into the network
-	// derivative ev.ndT (rows disjoint across chunks and sections).
+	// derivative ndT (rows disjoint across chunks and sections).
 	for tj := 0; tj < nt; tj++ {
 		sel := cfg.Sel[tj]
 		off := fmtd.SelOff[tj]

@@ -3,17 +3,15 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"deepmd-go/internal/descriptor"
 	"deepmd-go/internal/neighbor"
 	"deepmd-go/internal/tensor"
 )
 
-// Frame describes one independent system inside a batch-of-frames
-// evaluation: the same arguments one Compute call takes, plus the Result
-// the frame's energies, forces and virial land in. Frames in one batch
-// share nothing but the model.
+// Frame describes one independent system of an evaluation: the arguments
+// of one Compute call, plus the Result the frame's energies, forces and
+// virial land in. Frames in one batch share nothing but the model.
 type Frame struct {
 	Pos   []float64
 	Types []int
@@ -23,12 +21,12 @@ type Frame struct {
 	Out   *Result
 }
 
-// frameState is the persistent per-frame-slot state of ComputeBatch: the
-// buffers Compute keeps once per evaluator, kept once per frame slot so
-// every frame of a batch has its environment, precision-converted rows and
-// network derivative alive through the shared chunk sweep. Slots are
-// reused across calls (slot i serves frame i), so a steady stream of
-// equally-shaped batches allocates nothing after warmup.
+// frameState is the persistent per-frame-slot state of the sweep: every
+// frame of a batch keeps its environment, precision-converted rows,
+// network derivative and chunk list alive through the shared chunk sweep.
+// Slots are reused across calls (slot i serves frame i; a plain Compute
+// is frame 0), so a steady stream of equally-shaped batches allocates
+// nothing after warmup.
 type frameState[T tensor.Float] struct {
 	sc     descriptor.Scratch
 	env    *descriptor.EnvOut
@@ -38,6 +36,8 @@ type frameState[T tensor.Float] struct {
 	byType [][]int
 	jobs   []chunkJob
 	chunkE []float64
+	// atomEnergy aliases the frame's Out.AtomEnergy for the sweep workers.
+	atomEnergy []float64
 }
 
 func newFrameState[T tensor.Float](nt int) *frameState[T] {
@@ -51,34 +51,22 @@ type batchJob struct {
 
 // ComputeBatch evaluates every frame in one call, fanning the chunks of
 // ALL frames over the evaluator's worker budget as a single sweep — the
-// serving-path entry point that lets concurrent small requests share the
-// strided-batch pipeline (ISSUE 7) instead of each paying its own
-// under-filled sweep.
+// one evaluation path: Compute is its one-frame case, and the serving
+// path coalesces concurrent small requests into it (ISSUE 7) so they share
+// the strided-batch pipeline instead of each paying its own under-filled
+// sweep.
 //
-// Results are bit-identical to evaluating each frame with its own serial
-// Compute call, at every batch size: chunks never straddle frames (each
-// frame is grouped, chunked and reduced exactly as Compute does it, in its
+// Results are bit-identical at every batch size and worker count: chunks
+// never straddle frames (each frame is grouped, chunked and reduced in its
 // own buffers), every chunk's computation is self-contained and
-// deterministic at any worker count, and each frame's energy reduction and
-// force/virial operators run serially per frame in Compute's order. Only
-// the scheduling of chunks across workers changes — the same invariant
-// the chunk-parallel Compute path already relies on.
+// deterministic, and each frame's energy reduction and force/virial
+// operators run serially per frame in a fixed order. Only the scheduling
+// of chunks across workers changes.
 //
 // On error, the frames' Result buffers are in an unspecified intermediate
-// state. Like Compute, ComputeBatch is single-goroutine; concurrent
-// batches go through an Engine.
+// state. ComputeBatch is single-goroutine; concurrent batches go through
+// an Engine.
 func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
-	if len(frames) == 0 {
-		return nil
-	}
-	if len(frames) == 1 {
-		f := &frames[0]
-		if f.Out == nil {
-			return fmt.Errorf("core: batch frame 0 has no Result")
-		}
-		return ev.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, f.Out)
-	}
-
 	ctr := ev.Counter
 	nt := ev.cfg.NumTypes()
 	stride := ev.cfg.Stride()
@@ -86,18 +74,19 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		ev.frames = append(ev.frames, newFrameState[T](nt))
 	}
 
-	// Stage 1 — per-frame preamble, exactly Compute's, into each frame
-	// slot's own buffers: environment, precision conversion, grouping by
-	// type, chunk-job assembly, output sizing.
+	// Stage 1 — per-frame preamble into each frame slot's own buffers:
+	// environment, precision conversion, grouping by type, chunk-job
+	// assembly, output sizing.
+	ev.batchJobs = ev.batchJobs[:0]
 	for fi := range frames {
 		f := &frames[fi]
 		if f.Out == nil {
-			return fmt.Errorf("core: batch frame %d has no Result", fi)
+			return fmt.Errorf("core: frame %d has no Result", fi)
 		}
 		fs := ev.frames[fi]
 		env, err := fs.sc.Environment(ctr, ev.dcfg, f.Pos, f.Types, f.List, f.Box)
 		if err != nil {
-			return fmt.Errorf("core: batch frame %d: %w", fi, err)
+			return fmt.Errorf("core: frame %d: %w", fi, err)
 		}
 		fs.env = env
 		fs.rT = descriptor.ConvertR(ctr, env, fs.rT)
@@ -109,7 +98,7 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		for i := 0; i < f.Nloc; i++ {
 			t := f.Types[i]
 			if t < 0 || t >= nt {
-				return fmt.Errorf("core: batch frame %d: atom %d has type %d outside model", fi, i, t)
+				return fmt.Errorf("core: frame %d: atom %d has type %d outside model", fi, i, t)
 			}
 			fs.byType[t] = append(fs.byType[t], i)
 		}
@@ -117,10 +106,12 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		f.Out.AtomEnergy = tensor.Resize(f.Out.AtomEnergy, f.Nloc)
 		f.Out.Force = tensor.Resize(f.Out.Force, 3*nall)
 		clear(f.Out.Force)
+		fs.atomEnergy = f.Out.AtomEnergy
 		fs.jobs = fs.jobs[:0]
 		for ci, atoms := range fs.byType {
 			for lo := 0; lo < len(atoms); lo += ev.cfg.ChunkSize {
 				hi := min(lo+ev.cfg.ChunkSize, len(atoms))
+				ev.batchJobs = append(ev.batchJobs, batchJob{fi, len(fs.jobs)})
 				fs.jobs = append(fs.jobs, chunkJob{ci, atoms[lo:hi]})
 			}
 		}
@@ -130,53 +121,35 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 	// Stage 2 — one sweep over every frame's chunks. This is where the
 	// cross-request amortization happens: a handful of small frames fill
 	// the worker pool (and one evaluator's caches) the way one large
-	// system would, instead of each frame paying an under-filled sweep.
-	ev.batchJobs = ev.batchJobs[:0]
-	for fi := range frames {
-		for ji := range ev.frames[fi].jobs {
-			ev.batchJobs = append(ev.batchJobs, batchJob{fi, ji})
-		}
-	}
-	run := func(opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], bj batchJob) {
-		fs := ev.frames[bj.fi]
-		j := fs.jobs[bj.ji]
-		fs.chunkE[bj.ji] = ev.evalChunk(ctr, opts, ws, ar, fs.env, fs.rT, fs.ndT, j.ci, j.atoms, frames[bj.fi].Out.AtomEnergy)
-	}
-	workers := min(len(ev.arenas), len(ev.batchJobs))
-	if workers <= 1 {
-		opts := tensor.Opts{Workers: ev.gemmWorkers}
-		for _, bj := range ev.batchJobs {
-			run(opts, ev.scratch[0], ev.arenas[0], bj)
-		}
+	// system would. Chunks are claimed from an atomic cursor; every
+	// chunk's computation is self-contained and deterministic, so results
+	// do not depend on which worker claims it.
+	workers, opts := ev.splitBudget(len(ev.batchJobs))
+	ev.cursor.Store(0)
+	if workers == 1 {
+		ev.sweep(opts, 0)
 	} else {
-		opts := tensor.Opts{Workers: ev.gemmWorkers / workers}
 		var wg sync.WaitGroup
-		var cursor atomic.Int64
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(ws *evalScratch[T], ar *tensor.Arena[T]) {
+			go func(w int) {
 				defer wg.Done()
-				for {
-					bi := int(cursor.Add(1)) - 1
-					if bi >= len(ev.batchJobs) {
-						return
-					}
-					run(opts, ws, ar, ev.batchJobs[bi])
-				}
-			}(ev.scratch[w], ev.arenas[w])
+				ev.sweep(opts, w)
+			}(w)
 		}
 		wg.Wait()
 	}
 
 	// Stage 3 — per-frame reductions and customized operators, serial and
-	// in Compute's order so the double-precision sums associate the same
-	// way they do per-request.
+	// in a fixed order so the double-precision sums associate the same way
+	// at every batch size: deterministic energy reduction, then the network
+	// gradient converted back to double precision for ProdForce/ProdVirial.
 	for fi := range frames {
 		f := &frames[fi]
 		fs := ev.frames[fi]
 		out := f.Out
 		out.Energy = 0
-		for _, e := range fs.chunkE[:len(fs.jobs)] {
+		for _, e := range fs.chunkE {
 			out.Energy += e
 		}
 		fs.nd64 = tensor.Resize(fs.nd64, len(fs.ndT))
@@ -189,6 +162,39 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 	}
 	ev.growArenas()
 	return nil
+}
+
+// splitBudget divides the evaluator's one parallelism budget (Workers, one
+// arena each) for a sweep of njobs chunks: as many sweep goroutines as
+// there are chunks to keep busy, and the remainder as row-block goroutines
+// inside each chunk's GEMMs — Workers=8 over 2 chunks runs 2 sweepers x 4
+// GEMM workers, and a sweep that degenerates to serial hands the whole
+// budget to the GEMM kernels. Parameter gradients accumulate into one
+// shared ModelGrads, so ComputeWithGrads always sweeps serially.
+func (ev *Evaluator[T]) splitBudget(njobs int) (workers int, opts tensor.Opts) {
+	budget := len(ev.arenas)
+	workers = max(1, min(budget, njobs))
+	if ev.grads != nil {
+		workers = 1
+	}
+	return workers, tensor.Opts{Workers: budget / workers}
+}
+
+// sweep is the body of sweep worker w: claim (frame, chunk) jobs from the
+// shared cursor until none are left, evaluating each in worker w's arena
+// and scratch.
+func (ev *Evaluator[T]) sweep(opts tensor.Opts, w int) {
+	ws, ar := ev.scratch[w], ev.arenas[w]
+	for {
+		bi := int(ev.cursor.Add(1)) - 1
+		if bi >= len(ev.batchJobs) {
+			return
+		}
+		bj := ev.batchJobs[bi]
+		fs := ev.frames[bj.fi]
+		j := fs.jobs[bj.ji]
+		fs.chunkE[bj.ji] = ev.evalChunk(ev.Counter, opts, ws, ar, fs.env, fs.rT, fs.ndT, j.ci, j.atoms, fs.atomEnergy)
+	}
 }
 
 // frameComputer is implemented by pooled computers that can evaluate a

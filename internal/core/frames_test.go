@@ -149,6 +149,68 @@ func TestComputeBatchBitIdentical(t *testing.T) {
 	}
 }
 
+// Compute is the one-frame case of ComputeBatch and lives in frame slot 0
+// of the same evaluator: interleaving plain calls with batches of 1, 3 and
+// 1 frames of differently-sized systems must leave no state behind in the
+// shared slot. Every result is compared with a fresh evaluator's.
+func TestComputeInterleavedWithBatchesBitIdentical(t *testing.T) {
+	cfg := batchTestConfig(true)
+	cfg.ChunkSize = 16
+	cfg.Workers = 2
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []Frame
+	for _, v := range []struct {
+		nx   int
+		seed int64
+	}{{4, 7}, {5, 11}, {4, 13}} {
+		p, ty, l, b := latticeVariant(t, true, &cfg, v.nx, v.seed)
+		frames = append(frames, Frame{Pos: p, Types: ty, Nloc: len(ty), List: l, Box: b})
+	}
+	refs := make([]Result, len(frames))
+	for i, f := range frames {
+		if err := NewEvaluator[float64](m).Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, &refs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ev := NewEvaluator[float64](m)
+	// Each step lists the systems it evaluates; plain marks a Compute call.
+	for step, tc := range []struct {
+		plain   bool
+		systems []int
+	}{
+		{true, []int{1}},
+		{false, []int{0}},
+		{true, []int{2}},
+		{false, []int{2, 0, 1}},
+		{true, []int{0}},
+		{false, []int{1}},
+		{true, []int{1}},
+	} {
+		outs := make([]Result, len(tc.systems))
+		if tc.plain {
+			f := frames[tc.systems[0]]
+			err = ev.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, &outs[0])
+		} else {
+			batch := make([]Frame, len(tc.systems))
+			for k, si := range tc.systems {
+				batch[k] = frames[si]
+				batch[k].Out = &outs[k]
+			}
+			err = ev.ComputeBatch(batch)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, si := range tc.systems {
+			requireSameResult(t, fmt.Sprintf("step %d frame %d (system %d)", step, k, si), &outs[k], &refs[si])
+		}
+	}
+}
+
 // A baseline-strategy engine has no batched sweep; ComputeBatch must fall
 // back to evaluating the frames sequentially on the one borrowed
 // evaluator, matching per-frame calls exactly.

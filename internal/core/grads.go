@@ -49,14 +49,14 @@ func (g *ModelGrads) Zero() {
 // ComputeWithGrads evaluates energy/forces like Compute and additionally
 // accumulates dE/dtheta into grads (scaled by 1, i.e. the raw energy
 // gradient; the trainer chain-rules its loss factor on top). Only the
-// double-precision evaluator supports this, and only in serial mode:
-// training batches are parallelized over frames, not chunks.
+// double-precision evaluator supports this. The gradients of every chunk
+// accumulate into the one grads, so the chunk sweep runs serially and the
+// evaluator's whole worker budget goes to the row blocks inside each GEMM
+// (splitBudget) — every output element is written by exactly one
+// goroutine, so results are bit-identical at any Workers.
 func (ev *Evaluator[T]) ComputeWithGrads(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result, grads *ModelGrads) error {
 	if _, ok := any(ev).(*Evaluator[float64]); !ok {
 		return fmt.Errorf("core: parameter gradients require the double-precision evaluator")
-	}
-	if len(ev.arenas) > 1 {
-		return fmt.Errorf("core: parameter gradients require Workers = 1")
 	}
 	if ev.strat == StrategyCompressed {
 		// The tabulated embedding has no weights in the graph; training

@@ -75,19 +75,6 @@ type Stats struct {
 	LoopTime time.Duration
 }
 
-// applyDefaults fills the cadence defaults in place.
-func applyDefaults(opt *Options) {
-	if opt.Ranks < 1 {
-		opt.Ranks = 1
-	}
-	if opt.RebuildEvery <= 0 {
-		opt.RebuildEvery = 50
-	}
-	if opt.ThermoEvery <= 0 {
-		opt.ThermoEvery = 20
-	}
-}
-
 // resolveGrid selects and validates the process grid for the options.
 func resolveGrid(opt Options, box neighbor.Box) ([3]int, error) {
 	grid := opt.Grid
@@ -103,44 +90,25 @@ func resolveGrid(opt Options, box neighbor.Box) ([3]int, error) {
 	return grid, nil
 }
 
-// RunShared executes a domain-decomposed simulation in which every rank
-// shares one goroutine-safe potential — a core.Engine, whose evaluator
-// pool serves the ranks' concurrent force calls — instead of building a
-// per-rank evaluator. The engine also supplies the per-rank neighbor
-// worker budget when opt.Workers is unset, dropping the ad-hoc plumbing
-// the per-rank constructors needed.
-//
-// Budgeting contract: the engine's per-evaluation Workers applies to
-// EVERY rank's concurrent force call (and, via the hint, to its
-// neighbor builds), so an engine serving R ranks should be opened with
-// Workers ≈ machine budget / R and MaxConcurrency >= R — exactly what
-// cmd/dpmd does. Opening with the full machine budget and then running
-// many ranks oversubscribes the cores R-fold.
-func RunShared(sys *md.System, pot md.Potential, opt Options) (*Stats, error) {
-	if opt.Workers <= 0 {
-		if wh, ok := pot.(md.WorkerHinter); ok {
-			opt.Workers = wh.EvalWorkers()
-		}
-	}
-	return Run(sys, func() md.Potential { return pot }, opt)
-}
-
 // Run executes a domain-decomposed simulation of the given full system on
-// the in-process transport. Every rank receives the complete initial
+// the in-process transport: it makes a world of opt.Ranks goroutine ranks
+// and calls RunOn on every one. Every rank receives the complete initial
 // system (the replicated-setup strategy of Sec. 7.3) and keeps only the
-// atoms it owns. newPot builds a per-rank potential evaluator; ranks
-// calling a shared goroutine-safe potential instead should use RunShared.
+// atoms it owns. newPot is called once per rank: return a fresh
+// single-goroutine evaluator per call, or the same goroutine-safe
+// potential — a core.Engine, whose evaluator pool serves the ranks'
+// concurrent force calls — every time.
+//
+// Budgeting contract for a shared engine: its per-evaluation Workers
+// applies to EVERY rank's concurrent force call (and, via the RunOn
+// worker hint, to its neighbor builds), so an engine serving R ranks
+// should be opened with Workers ≈ machine budget / R and
+// MaxConcurrency >= R — exactly what cmd/dpmd does. Opening with the full
+// machine budget and then running many ranks oversubscribes the cores
+// R-fold.
 func Run(sys *md.System, newPot func() md.Potential, opt Options) (*Stats, error) {
-	applyDefaults(&opt)
-	grid, err := resolveGrid(opt, sys.Box)
-	if err != nil {
-		return nil, err
-	}
-
-	world := mpi.NewWorld(opt.Ranks)
-	stats := &Stats{}
-	start := time.Now()
-
+	world := mpi.NewWorld(max(1, opt.Ranks))
+	var stats *Stats
 	var runErr error
 	func() {
 		// A rank error becomes a panic so the world aborts (unblocking
@@ -151,27 +119,37 @@ func Run(sys *md.System, newPot func() md.Potential, opt Options) (*Stats, error
 			}
 		}()
 		world.Run(func(c *mpi.Comm) {
-			if err := runRank(c, sys, newPot(), opt, grid, stats); err != nil {
+			st, err := RunOn(c, sys, newPot(), opt)
+			if err != nil {
 				panic(err)
+			}
+			if c.Rank() == 0 {
+				stats = st
 			}
 		})
 	}()
 	if runErr != nil {
 		return nil, runErr
 	}
-	stats.LoopTime = time.Since(start)
 	return stats, nil
 }
 
-// RunOn executes the same SPMD body on an externally created
-// communicator: one OS process per rank over the TCP transport (the
-// cmd/dpmd worker mode), or one rank of a caller-managed in-process
-// world. Every rank must call it with the same full system and options.
-// The returned Stats is fully populated on rank 0 only — other ranks get
-// their LoopTime and nothing else, exactly as a real MPI program would.
+// RunOn executes the SPMD body on one rank's communicator: one OS process
+// per rank over the TCP transport (the cmd/dpmd worker mode), or one rank
+// of an in-process world (Run). Every rank must call it with the same full
+// system and options. opt.Workers, when unset, defaults from the
+// potential's own budget when it reports one (md.WorkerHinter, i.e. a
+// core.Engine). The returned Stats is fully populated on rank 0 only —
+// other ranks get their LoopTime and nothing else, exactly as a real MPI
+// program would.
 func RunOn(c *mpi.Comm, sys *md.System, pot md.Potential, opt Options) (*Stats, error) {
 	opt.Ranks = c.Size()
-	applyDefaults(&opt)
+	if opt.RebuildEvery <= 0 {
+		opt.RebuildEvery = 50
+	}
+	if opt.ThermoEvery <= 0 {
+		opt.ThermoEvery = 20
+	}
 	if opt.Workers <= 0 {
 		if wh, ok := pot.(md.WorkerHinter); ok {
 			opt.Workers = wh.EvalWorkers()

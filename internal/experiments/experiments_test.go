@@ -1,120 +1,205 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"deepmd-go/internal/analysis"
+	"deepmd-go/internal/core"
+	"deepmd-go/internal/md"
+	"deepmd-go/internal/neighbor"
+	"deepmd-go/internal/perf"
 )
 
-// Every custom operator must be faster in its optimized form, with
-// Environment (containing the sort) the largest win — the Table 3 shape.
+// These are shape tests: they assert what an experiment must produce on any
+// machine under any load — the rows and their names, positive durations,
+// FLOP counts and Fig. 3 attribution against the analytic model, accuracy
+// and memory bounds. No test here compares two wall-clock measurements:
+// which side of a contrast is faster, and by how much, is a measurement,
+// and measurements are judged by `go run ./bench -compare old.json
+// new.json` on quiet, paired runs — not by `go test` on a shared box
+// (ROADMAP aim 3).
+
+// Table 3: one row per customized operator, baseline and optimized both
+// measured.
 func TestTable3Shape(t *testing.T) {
 	res, err := Table3(Quick, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if res.Atoms != 3*5*5*5 {
+		t.Fatalf("atoms = %d, want 375 (5^3 molecules)", res.Atoms)
 	}
-	for _, row := range res.Rows {
-		if row.Speedup() <= 1.0 {
-			t.Errorf("%s: optimized not faster (%.2fx)", row.Op, row.Speedup())
+	wantOps := []string{"Environment", "ProdVirial", "ProdForce"}
+	if len(res.Rows) != len(wantOps) {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), len(wantOps))
+	}
+	for i, row := range res.Rows {
+		if row.Op != wantOps[i] {
+			t.Errorf("row %d is %q, want %q", i, row.Op, wantOps[i])
 		}
-	}
-	if !strings.Contains(res.String(), "Environment") {
-		t.Fatal("table text missing Environment row")
+		if row.Baseline <= 0 || row.Optimized <= 0 {
+			t.Errorf("%s: non-positive timing %+v", row.Op, row)
+		}
+		if !strings.Contains(res.String(), row.Op) {
+			t.Errorf("table text missing the %s row", row.Op)
+		}
 	}
 }
 
-// Each fusion must beat its unfused counterpart — the Sec. 7.1.2 shape.
-// The per-row margins are load-sensitive on a busy single-core box
-// (best-of-3 reps still flakes under full-suite load), so a failed
-// ordering gets a bounded retry before counting as a real regression.
+// Sec. 7.1.2: the three fusions, each on the analytic matrix shape of the
+// Quick batch (376,832/64 rows of the 50 -> 100 embedding layer).
 func TestFusionShape(t *testing.T) {
-	const attempts = 3
-	var bad []string
-	for i := 0; i < attempts; i++ {
-		res := Fusion(Quick, 3)
-		if len(res.Rows) != 3 {
-			t.Fatalf("rows = %d", len(res.Rows))
-		}
-		bad = bad[:0]
-		for _, row := range res.Rows {
-			if row.Speedup() <= 1.0 {
-				bad = append(bad, fmt.Sprintf("%s: fused not faster (%.2fx)", row.Name, row.Speedup()))
-			}
-		}
-		if len(bad) == 0 {
-			return
-		}
-		t.Logf("attempt %d: %s; retrying", i+1, strings.Join(bad, "; "))
+	res := Fusion(Quick, 3)
+	want := []struct{ name, shape string }{
+		{"MATMUL+SUM -> GEMM", "5888x50x100"},
+		{"CONCAT+SUM -> skip add", "5888x100"},
+		{"TANH+TANHGrad -> fused", "5888x100"},
 	}
-	t.Errorf("fusion rows still losing after %d attempts: %s", attempts, strings.Join(bad, "; "))
+	if len(res.Rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), len(want))
+	}
+	for i, row := range res.Rows {
+		if row.Name != want[i].name || row.RowsShape != want[i].shape {
+			t.Errorf("row %d is %q on %s, want %q on %s", i, row.Name, row.RowsShape, want[i].name, want[i].shape)
+		}
+		if row.Unfused <= 0 || row.Fused <= 0 {
+			t.Errorf("%s: non-positive timing %+v", row.Name, row)
+		}
+	}
 }
 
-// The compressed radix sort must beat the struct comparison sort
-// (Sec. 5.2.2 ablation).
+// Sec. 5.2.2 ablation: both sorts run on real neighbor data.
 func TestAblationSortShape(t *testing.T) {
 	structT, radixT, err := AblationSort(Quick, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if radixT >= structT {
-		t.Errorf("radix format %.2fms not faster than struct sort %.2fms",
-			radixT.Seconds()*1000, structT.Seconds()*1000)
+	if structT <= 0 || radixT <= 0 {
+		t.Errorf("non-positive timing: struct sort %v, radix format %v", structT, radixT)
 	}
 }
 
-// GEMM must dominate the operator breakdown, with a larger share for
-// copper than for water — the Fig. 3 shape. The SIMD kernels compressed
-// GEMM time enough that at Quick scale the copper-vs-water margin sits
-// within single-core scheduling noise (a few tenths of a percent on a
-// loaded box), so the cross-system ordering gets step-averaging and a
-// bounded retry; the dominance check is robust and asserted every run.
-func TestFig3Shape(t *testing.T) {
-	const attempts = 3
-	var cu, h2o float64
-	for i := 0; i < attempts; i++ {
-		res, err := Fig3(Quick, 8)
-		if err != nil {
+// countedFLOPs runs steps force evaluations of the Quick water or copper
+// system with a counter attached and returns the atom count and the FLOPs
+// the operators charged.
+func countedFLOPs(t *testing.T, water, mixed bool, steps int) (atoms int, flops int64) {
+	t.Helper()
+	var (
+		pos   []float64
+		types []int
+		list  *neighbor.List
+		box   *neighbor.Box
+		err   error
+	)
+	cfg := copperModelConfig(Quick)
+	if water {
+		cfg = waterModelConfig(Quick)
+		pos, types, list, box, err = waterBox(&cfg, waterNX(Quick), 1)
+	} else {
+		pos, types, list, box, err = copperBox(&cfg, copperNX(Quick))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := perf.NewCounter()
+	var pot md.Potential
+	if mixed {
+		ev := core.NewEvaluator[float32](model)
+		ev.Counter = ctr
+		pot = ev
+	} else {
+		ev := core.NewEvaluator[float64](model)
+		ev.Counter = ctr
+		pot = ev
+	}
+	var out core.Result
+	for s := 0; s < steps; s++ {
+		if err := pot.Compute(pos, types, len(types), list, box, &out); err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Columns) != 4 {
-			t.Fatalf("columns = %d", len(res.Columns))
-		}
-		byLabel := map[string]map[string]float64{}
-		for _, c := range res.Columns {
-			byLabel[c.Label] = c.Breakdown
-			top := ""
-			topV := 0.0
-			for k, v := range c.Breakdown {
-				if v > topV {
-					top, topV = k, v
-				}
-			}
-			if top != "GEMM" {
-				t.Errorf("%s: dominant category %s (%.1f%%), want GEMM", c.Label, top, topV)
-			}
-		}
-		cu, h2o = byLabel["Cu-Double"]["GEMM"], byLabel["H2O-Double"]["GEMM"]
-		if cu > h2o {
-			return
-		}
-		t.Logf("attempt %d: copper GEMM share %.1f%% not above water %.1f%%; retrying", i+1, cu, h2o)
 	}
-	t.Errorf("copper GEMM share %.1f%% not above water %.1f%% in %d attempts (paper: 74%% vs 63%%)",
-		cu, h2o, attempts)
+	return len(types), ctr.FLOPs()
 }
 
-// Mixed precision: small deviations, faster than double, about half the
-// network memory — the Sec. 7.1.3 shape.
+// Fig. 3: four bars, each a complete percent-stacked breakdown over the
+// five operator categories; and the quantity behind the paper's ordering
+// (GEMM share larger for copper than water) checked where it is
+// deterministic — the FLOPs the operators charge equal the analytic model
+// (core.Config.FLOPsPerAtomStep) to a few percent, are the same in both
+// precisions and every step, and are several times larger per atom for
+// copper's padded neighbor count than for water's.
+func TestFig3Shape(t *testing.T) {
+	res, err := Fig3(Quick, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLabels := []string{"Cu-Double", "Cu-Mixed", "H2O-Double", "H2O-Mixed"}
+	if len(res.Columns) != len(wantLabels) {
+		t.Fatalf("columns = %d, want %d", len(res.Columns), len(wantLabels))
+	}
+	for i, c := range res.Columns {
+		if c.Label != wantLabels[i] {
+			t.Errorf("column %d is %q, want %q", i, c.Label, wantLabels[i])
+		}
+		var sum float64
+		for _, cat := range []string{"GEMM", "TANH", "SLICE", "CUSTOM", "Others"} {
+			v, ok := c.Breakdown[cat]
+			if !ok || v < 0 || v > 100 {
+				t.Errorf("%s: category %s share %v (present %v)", c.Label, cat, v, ok)
+			}
+			sum += v
+		}
+		if len(c.Breakdown) != 5 || math.Abs(sum-100) > 1e-6 {
+			t.Errorf("%s: %d categories summing to %.6f%%, want 5 summing to 100%%", c.Label, len(c.Breakdown), sum)
+		}
+		if c.Breakdown["GEMM"] <= 0 || c.Breakdown["CUSTOM"] <= 0 {
+			t.Errorf("%s: GEMM %.1f%% / CUSTOM %.1f%% — an operator family went unattributed", c.Label, c.Breakdown["GEMM"], c.Breakdown["CUSTOM"])
+		}
+	}
+
+	perAtom := map[bool]float64{}
+	for _, water := range []bool{false, true} {
+		typeFrac, cfg := []float64{1}, copperModelConfig(Quick)
+		if water {
+			typeFrac, cfg = []float64{1.0 / 3, 2.0 / 3}, waterModelConfig(Quick)
+		}
+		n, one := countedFLOPs(t, water, false, 1)
+		if _, three := countedFLOPs(t, water, false, 3); three != 3*one {
+			t.Errorf("water=%v: 3 steps charged %d FLOPs, want 3 x %d", water, three, one)
+		}
+		if _, mixed := countedFLOPs(t, water, true, 1); mixed != one {
+			t.Errorf("water=%v: mixed charged %d FLOPs, double %d — precision must not change the count", water, mixed, one)
+		}
+		perAtom[water] = float64(one) / float64(n)
+		model := cfg.FLOPsPerAtomStep(typeFrac)
+		if dev := math.Abs(perAtom[water]/model - 1); dev > 0.05 {
+			t.Errorf("water=%v: counted %.0f FLOPs/atom/step vs analytic %.0f (%.1f%% apart, want < 5%%)", water, perAtom[water], model, 100*dev)
+		}
+	}
+	if ratio := perAtom[false] / perAtom[true]; ratio < 2 {
+		t.Errorf("copper/water FLOPs per atom = %.2f, want > 2 (paper Sec. 6.1: 64.9 vs 19.8 MFLOPs, ~3.3x)", ratio)
+	}
+}
+
+// Mixed precision: small deviations and about half the network memory —
+// the deterministic half of the Sec. 7.1.3 shape. On scalar CPU Go,
+// float32 math has the same per-op throughput as float64 (the GPU's 2x
+// single-precision peak is a hardware property; see DESIGN.md); the 1.5x
+// GPU speedup is reproduced by the calibrated performance model
+// (internal/perfmodel, Fig. 5 mixed curves).
 func TestMixedShape(t *testing.T) {
 	res, err := Mixed(Quick, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Atoms != 192 {
+		t.Errorf("atoms = %d, want 192", res.Atoms)
 	}
 	if res.EnergyDevPerMol > 5e-3 {
 		t.Errorf("energy deviation %.2e eV/molecule too large", res.EnergyDevPerMol)
@@ -122,39 +207,29 @@ func TestMixedShape(t *testing.T) {
 	if res.ForceRMSD > 0.05 {
 		t.Errorf("force RMSD %.2e too large", res.ForceRMSD)
 	}
-	// On scalar CPU Go, float32 math has the same per-op throughput as
-	// float64 (the GPU's 2x single-precision peak is a hardware property;
-	// see DESIGN.md), so the robust assertions are "no slowdown" plus the
-	// halved memory; the 1.5x GPU speedup is reproduced by the calibrated
-	// performance model (internal/perfmodel, Fig. 5 mixed curves). The
-	// no-slowdown margin is load-sensitive under full-suite contention,
-	// so it gets a bounded retry before counting as a regression.
-	for i := 0; res.SpeedupVsDouble < 0.9 && i < 2; i++ {
-		t.Logf("attempt %d: mixed %.2fx vs double; retrying", i+1, res.SpeedupVsDouble)
-		if res, err = Mixed(Quick, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res.SpeedupVsDouble < 0.9 {
-		t.Errorf("mixed much slower than double: %.2fx", res.SpeedupVsDouble)
+	if res.DoubleTimePerEval <= 0 || res.MixedTimePerEval <= 0 {
+		t.Errorf("non-positive timing: double %v, mixed %v", res.DoubleTimePerEval, res.MixedTimePerEval)
 	}
 	if res.MemoryRatio < 0.4 || res.MemoryRatio > 0.6 {
 		t.Errorf("memory ratio %.2f, want ~0.5", res.MemoryRatio)
 	}
 }
 
-// Baseline < optimized double < optimized mixed in speed — the Sec. 7.1.1
-// ordering.
+// Sec. 7.1.1: all three whole-evaluation strategies measured on the same
+// system.
 func TestSingleShape(t *testing.T) {
 	res, err := Single(Quick, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Double >= res.Baseline {
-		t.Errorf("optimized double (%v) not faster than baseline (%v)", res.Double, res.Baseline)
+	if res.Atoms != 192 {
+		t.Errorf("atoms = %d, want 192", res.Atoms)
 	}
-	if res.Mixed >= res.Baseline {
-		t.Errorf("mixed (%v) not faster than baseline (%v)", res.Mixed, res.Baseline)
+	if res.Baseline <= 0 || res.Double <= 0 || res.Mixed <= 0 {
+		t.Errorf("non-positive timing %+v", res)
+	}
+	if s := res.String(); !strings.Contains(s, "baseline") || !strings.Contains(s, "optimized mixed") {
+		t.Error("summary missing a strategy line")
 	}
 }
 
@@ -232,8 +307,8 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
-// Table 1 must include local measurements with optimized faster than
-// baseline.
+// Table 1 must include the literature rows and one local measurement per
+// strategy.
 func TestTable1Shape(t *testing.T) {
 	res, err := Table1(Quick)
 	if err != nil {
@@ -242,8 +317,10 @@ func TestTable1Shape(t *testing.T) {
 	if len(res.Published) != 8 || len(res.ThisWork) != 2 || len(res.LocalRows) != 3 {
 		t.Fatalf("row counts %d/%d/%d", len(res.Published), len(res.ThisWork), len(res.LocalRows))
 	}
-	if res.LocalRows[1].TtS >= res.LocalRows[0].TtS {
-		t.Errorf("optimized TtS %.2e not below baseline %.2e", res.LocalRows[1].TtS, res.LocalRows[0].TtS)
+	for i, want := range []string{"baseline strategy", "optimized double", "optimized mixed"} {
+		if row := res.LocalRows[i]; !strings.Contains(row.Work, want) || row.TtS <= 0 {
+			t.Errorf("local row %d: %q with TtS %.2e, want a measured %s row", i, row.Work, row.TtS, want)
+		}
 	}
 	if !strings.Contains(res.String(), "Qbox") {
 		t.Fatal("table text missing literature rows")
@@ -427,8 +504,11 @@ func TestServeShape(t *testing.T) {
 		t.Fatalf("conc = %d, rows = %d, want 2 and water+copper", res.Conc, len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		if r.Serial <= 0 || r.Concurrent <= 0 || r.Speedup <= 0 {
+		if r.Serial <= 0 || r.Concurrent <= 0 {
 			t.Fatalf("%s: non-positive measurement %+v", r.Label, r)
+		}
+		if r.Speedup != float64(r.Serial)/float64(r.Concurrent) {
+			t.Fatalf("%s: speedup %v is not serial/concurrent of %+v", r.Label, r.Speedup, r)
 		}
 	}
 	if s := res.String(); !strings.Contains(s, "water") || !strings.Contains(s, "conc x2") {
@@ -438,9 +518,12 @@ func TestServeShape(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("records = %d, want 2 per system", len(recs))
 	}
-	for _, rec := range recs {
-		if rec.Experiment != "serve" || rec.NsPerOp <= 0 || rec.Speedup <= 0 {
+	for i, rec := range recs {
+		if rec.Experiment != "serve" || rec.NsPerOp <= 0 {
 			t.Fatalf("bad record %+v", rec)
+		}
+		if i%2 == 0 && rec.Speedup != 1 {
+			t.Fatalf("reference leg %s has speedup %v, want 1", rec.Shape, rec.Speedup)
 		}
 	}
 }

@@ -67,7 +67,7 @@ func Fusion(sc Scale, reps int) *FusionResult {
 	// MATMUL + SUM vs fused GEMM-with-bias.
 	un := timeIt(func() { tensor.BiasAdd(nil, tensor.MatMul(nil, x, w), bias) })
 	dst := tensor.NewMatrix[float64](rows, out)
-	fu := timeIt(func() { tensor.GemmBias(nil, x, w, bias, dst) })
+	fu := timeIt(func() { tensor.GemmBiasOpt(tensor.Opts{}, nil, x, w, bias, dst) })
 	res.Rows = append(res.Rows, FusionRow{"MATMUL+SUM -> GEMM", un, fu, fmt.Sprintf("%dx%dx%d", rows, in, out)})
 
 	// CONCAT + SUM vs in-place skip add.

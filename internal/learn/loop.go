@@ -170,8 +170,8 @@ func (l *Loop) labelFrame(pos []float64, box neighbor.Box) (train.Frame, error) 
 // the full grown dataset for every replica (the DP-GEN scheme): as the
 // data covers the explored region, replicas can actually converge to
 // agreement, which is what the candidate fraction measures. Replicas
-// train sequentially (determinism; the training evaluator is serial
-// anyway).
+// train sequentially (determinism; each trainer already spends the
+// plan's worker budget inside its GEMMs).
 func (l *Loop) trainReplicas(round, steps int) error {
 	for r, m := range l.models {
 		view := l.data
@@ -179,14 +179,13 @@ func (l *Loop) trainReplicas(round, steps int) error {
 			view = l.bootstrap(l.cfg.Seed + seedBootstrap*(int64(r)+1))
 		}
 		tr, err := train.NewTrainer(m, train.Config{
-			LR:              l.cfg.LR,
-			BatchSize:       l.cfg.BatchSize,
-			DecayRate:       l.cfg.DecayRate,
-			DecaySteps:      l.cfg.DecaySteps,
-			Seed:            int64(round)*roundStride + l.cfg.Seed + seedShuffle*(int64(r)+1),
-			StartStep:       l.steps[r],
-			NeighborWorkers: l.cfg.Plan.Workers,
-			GemmWorkers:     l.cfg.Plan.GemmWorkers,
+			LR:         l.cfg.LR,
+			BatchSize:  l.cfg.BatchSize,
+			DecayRate:  l.cfg.DecayRate,
+			DecaySteps: l.cfg.DecaySteps,
+			Seed:       int64(round)*roundStride + l.cfg.Seed + seedShuffle*(int64(r)+1),
+			StartStep:  l.steps[r],
+			Workers:    l.cfg.Plan.Workers,
 		})
 		if err != nil {
 			return err

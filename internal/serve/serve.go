@@ -311,9 +311,11 @@ func (b *Batcher) dispatch() {
 				break
 			}
 		}
+		// Count before waking the caller, so a caller that reads Stats
+		// right after its Evaluate returns sees itself completed.
+		b.completed.Add(uint64(len(live)))
 		for _, r := range live {
 			r.done <- err
-			b.completed.Add(1)
 		}
 	}
 }

@@ -42,15 +42,9 @@ import (
 // still selects the strictly serial per-item reference loops (the
 // differential oracle).
 
-// GemmBatch computes C_g = alpha*A_g*B_g + beta*C_g for g in [0, batch),
-// where A_g is the m x k row-major matrix at a[g*as:], B_g the k x n matrix
-// at b[g*bs:] and C_g the m x n matrix at c[g*cs:]. Equivalent to
-// GemmBatchOpt with the default Opts (blocked kernel, serial).
-func GemmBatch[T Float](ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
-	GemmBatchOpt(Opts{}, ctr, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
-}
-
-// GemmBatchOpt is GemmBatch with an explicit kernel/parallelism selection.
+// GemmBatchOpt computes C_g = alpha*A_g*B_g + beta*C_g for g in
+// [0, batch), where A_g is the m x k row-major matrix at a[g*as:], B_g the
+// k x n matrix at b[g*bs:] and C_g the m x n matrix at c[g*cs:].
 func GemmBatchOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
 	checkBatch("GemmBatch", batch, m*k, as, len(a), k*n, bs, len(b), m*n, cs, len(c))
 	start := time.Now()
@@ -65,16 +59,10 @@ func GemmBatchOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha 
 	ctr.Observe(perf.CatGEMM, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
 }
 
-// GemmBatchNT computes C_g = alpha*A_g*B_g^T + beta*C_g, A_g: m x k at
+// GemmBatchNTOpt computes C_g = alpha*A_g*B_g^T + beta*C_g, A_g: m x k at
 // a[g*as:], B_g: n x k at b[g*bs:], C_g: m x n at c[g*cs:]. Used by the
 // batched descriptor outer product D = T (T[:ax])^T and the backward
 // contraction dG = R~ dT^T.
-func GemmBatchNT[T Float](ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
-	GemmBatchNTOpt(Opts{}, ctr, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
-}
-
-// GemmBatchNTOpt is GemmBatchNT with an explicit kernel/parallelism
-// selection.
 func GemmBatchNTOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
 	checkBatch("GemmBatchNT", batch, m*k, as, len(a), n*k, bs, len(b), m*n, cs, len(c))
 	start := time.Now()
@@ -89,15 +77,9 @@ func GemmBatchNTOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alph
 	ctr.Observe(perf.CatGEMM, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
 }
 
-// GemmBatchTN computes C_g = alpha*A_g^T*B_g + beta*C_g, A_g: m x k at
+// GemmBatchTNOpt computes C_g = alpha*A_g^T*B_g + beta*C_g, A_g: m x k at
 // a[g*as:], B_g: m x n at b[g*bs:], C_g: k x n at c[g*cs:]. Used by the
 // batched forward descriptor contraction T = G^T R~ / N.
-func GemmBatchTN[T Float](ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
-	GemmBatchTNOpt(Opts{}, ctr, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
-}
-
-// GemmBatchTNOpt is GemmBatchTN with an explicit kernel/parallelism
-// selection.
 func GemmBatchTNOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
 	checkBatch("GemmBatchTN", batch, m*k, as, len(a), m*n, bs, len(b), k*n, cs, len(c))
 	start := time.Now()

@@ -257,12 +257,12 @@ func TestGemmBatchRejectsOverlapAndShortSlices(t *testing.T) {
 	b := make([]float64, 100)
 	c := make([]float64, 100)
 	expectPanic("overlapping C", func() {
-		GemmBatch(nil, 2, 4, 2, 4, 1, a, 8, b, 8, 0, c, 8) // item 16 > stride 8
+		GemmBatchOpt(Opts{}, nil, 2, 4, 2, 4, 1, a, 8, b, 8, 0, c, 8) // item 16 > stride 8
 	})
 	expectPanic("short A", func() {
-		GemmBatch(nil, 4, 8, 8, 1, 1, a, 64, b, 8, 0, c, 8)
+		GemmBatchOpt(Opts{}, nil, 4, 8, 8, 1, 1, a, 64, b, 8, 0, c, 8)
 	})
 	expectPanic("negative stride", func() {
-		GemmBatch(nil, 2, 2, 2, 2, 1, a, -4, b, 4, 0, c, 4)
+		GemmBatchOpt(Opts{}, nil, 2, 2, 2, 2, 1, a, -4, b, 4, 0, c, 4)
 	})
 }

@@ -21,15 +21,9 @@ import (
 //     concatenated (x, x) never materializes; the skip connection is an
 //     in-place strided add into the activation output.
 
-// GemmBias computes C = A*B + bias broadcast over rows, in one fused pass.
-// Equivalent to GemmBiasOpt with the default Opts.
-func GemmBias[T Float](ctr *perf.Counter, a, b Matrix[T], bias []T, c Matrix[T]) {
-	GemmBiasOpt(Opts{}, ctr, a, b, bias, c)
-}
-
-// GemmBiasOpt is GemmBias with an explicit kernel/parallelism selection.
-// The blocked path writes the bias row into C first and accumulates the
-// blocked GEMM on top (the beta = 1 trick of the CUBLAS call).
+// GemmBiasOpt computes C = A*B + bias broadcast over rows, in one fused
+// pass. The blocked path writes the bias row into C first and accumulates
+// the blocked GEMM on top (the beta = 1 trick of the CUBLAS call).
 func GemmBiasOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, c Matrix[T]) {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols || len(bias) != c.Cols {
 		panic("tensor: GemmBias dimension mismatch")
@@ -69,17 +63,11 @@ func gemmBiasNaive[T Float](a, b Matrix[T], bias []T, c Matrix[T]) {
 	}
 }
 
-// GemmBiasTanhGrad computes y = tanh(A*B + bias) and grad = 1 - y*y in one
-// fused kernel. grad may be a zero-sized matrix (Rows == 0) to skip the
-// gradient, in which case only the activation is produced. Equivalent to
-// GemmBiasTanhGradOpt with the default Opts.
-func GemmBiasTanhGrad[T Float](ctr *perf.Counter, a, b Matrix[T], bias []T, y, grad Matrix[T]) {
-	GemmBiasTanhGradOpt(Opts{}, ctr, a, b, bias, y, grad)
-}
-
-// GemmBiasTanhGradOpt is GemmBiasTanhGrad with an explicit
-// kernel/parallelism selection; the elementwise tanh pass is partitioned
-// over the same workers as the GEMM when large enough.
+// GemmBiasTanhGradOpt computes y = tanh(A*B + bias) and grad = 1 - y*y in
+// one fused kernel. grad may be a zero-sized matrix (Rows == 0) to skip the
+// gradient, in which case only the activation is produced. The elementwise
+// tanh pass is partitioned over the same workers as the GEMM when large
+// enough.
 func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, y, grad Matrix[T]) {
 	wantGrad := grad.Rows > 0
 	if wantGrad && (grad.Rows != y.Rows || grad.Cols != y.Cols) {

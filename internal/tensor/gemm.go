@@ -21,23 +21,17 @@ const (
 )
 
 // Opts selects the kernel family and intra-op parallelism for one GEMM
-// call. The zero value (Blocked, serial) is what the plain Gemm/GemmNT/...
-// wrappers use. Workers partitions C row blocks across goroutines; results
-// are bit-identical for every worker count.
+// call; the zero value is the blocked family, serial. Workers partitions C
+// row blocks across goroutines; results are bit-identical for every worker
+// count.
 type Opts struct {
 	Kernel  Kernel
 	Workers int
 }
 
-// Gemm computes C = alpha*A*B + beta*C for row-major matrices,
+// GemmOpt computes C = alpha*A*B + beta*C for row-major matrices,
 // A: m x k, B: k x n, C: m x n — the CPU stand-in for the single CUBLAS
-// GEMM call the optimized DeePMD-kit uses (Sec. 5.3.1). Equivalent to
-// GemmOpt with the default Opts (blocked kernel, serial).
-func Gemm[T Float](ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
-	GemmOpt(Opts{}, ctr, alpha, a, b, beta, c)
-}
-
-// GemmOpt is Gemm with an explicit kernel/parallelism selection.
+// GEMM call the optimized DeePMD-kit uses (Sec. 5.3.1).
 func GemmOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
 		panic("tensor: Gemm dimension mismatch")
@@ -57,13 +51,8 @@ func GemmOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T
 	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k))
 }
 
-// GemmNT computes C = alpha*A*B^T + beta*C, A: m x k, B: n x k, C: m x n.
-// Used by the backward passes (dX = dY * W^T).
-func GemmNT[T Float](ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
-	GemmNTOpt(Opts{}, ctr, alpha, a, b, beta, c)
-}
-
-// GemmNTOpt is GemmNT with an explicit kernel/parallelism selection.
+// GemmNTOpt computes C = alpha*A*B^T + beta*C, A: m x k, B: n x k,
+// C: m x n. Used by the backward passes (dX = dY * W^T).
 func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
 	if a.Cols != b.Cols || a.Rows != c.Rows || b.Rows != c.Cols {
 		panic("tensor: GemmNT dimension mismatch")
@@ -83,14 +72,9 @@ func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k))
 }
 
-// GemmTN computes C = alpha*A^T*B + beta*C, A: m x k, B: m x n, C: k x n.
-// Used by the training backward pass (dW = X^T * dY) and the descriptor
-// contraction G^T * R~.
-func GemmTN[T Float](ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
-	GemmTNOpt(Opts{}, ctr, alpha, a, b, beta, c)
-}
-
-// GemmTNOpt is GemmTN with an explicit kernel/parallelism selection.
+// GemmTNOpt computes C = alpha*A^T*B + beta*C, A: m x k, B: m x n,
+// C: k x n. Used by the training backward pass (dW = X^T * dY) and the
+// descriptor contraction G^T * R~.
 func GemmTNOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
 	if a.Rows != b.Rows || a.Cols != c.Rows || b.Cols != c.Cols {
 		panic("tensor: GemmTN dimension mismatch")

@@ -49,7 +49,7 @@ func TestGemmMatchesNaive(t *testing.T) {
 		m, k, n := dims[0], dims[1], dims[2]
 		a, b := randMat(rng, m, k), randMat(rng, k, n)
 		c := NewMatrix[float64](m, n)
-		Gemm(nil, 1, a, b, 0, c)
+		GemmOpt(Opts{}, nil, 1, a, b, 0, c)
 		matsClose(t, c, naiveMul(a, b), 1e-12)
 	}
 }
@@ -59,7 +59,7 @@ func TestGemmAlphaBeta(t *testing.T) {
 	a, b := randMat(rng, 5, 6), randMat(rng, 6, 7)
 	c0 := randMat(rng, 5, 7)
 	c := c0.Clone()
-	Gemm(nil, 2.5, a, b, -0.5, c)
+	GemmOpt(Opts{}, nil, 2.5, a, b, -0.5, c)
 	ref := naiveMul(a, b)
 	for i := range ref.Data {
 		ref.Data[i] = 2.5*ref.Data[i] - 0.5*c0.Data[i]
@@ -71,7 +71,7 @@ func TestGemmNT(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, bT := randMat(rng, 4, 6), randMat(rng, 5, 6) // B^T stored: 5x6 means B is 6x5
 	c := NewMatrix[float64](4, 5)
-	GemmNT(nil, 1, a, bT, 0, c)
+	GemmNTOpt(Opts{}, nil, 1, a, bT, 0, c)
 	// reference: transpose bT and multiply
 	b := NewMatrix[float64](6, 5)
 	for i := 0; i < 5; i++ {
@@ -86,7 +86,7 @@ func TestGemmTN(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	aT, b := randMat(rng, 6, 4), randMat(rng, 6, 5) // A^T stored as 6x4 means A is 4x6
 	c := NewMatrix[float64](4, 5)
-	GemmTN(nil, 1, aT, b, 0, c)
+	GemmTNOpt(Opts{}, nil, 1, aT, b, 0, c)
 	a := NewMatrix[float64](4, 6)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 4; j++ {
@@ -100,9 +100,9 @@ func TestGemmAccumulatesWithBetaOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a, b := randMat(rng, 3, 3), randMat(rng, 3, 3)
 	c := NewMatrix[float64](3, 3)
-	Gemm(nil, 1, a, b, 0, c)
+	GemmOpt(Opts{}, nil, 1, a, b, 0, c)
 	first := c.Clone()
-	Gemm(nil, 1, a, b, 1, c)
+	GemmOpt(Opts{}, nil, 1, a, b, 1, c)
 	for i := range c.Data {
 		if math.Abs(c.Data[i]-2*first.Data[i]) > 1e-12 {
 			t.Fatalf("beta=1 accumulation failed at %d", i)
@@ -124,10 +124,10 @@ func TestGemmLinearityProperty(t *testing.T) {
 		c1 := NewMatrix[float64](m, n)
 		c2 := NewMatrix[float64](m, n)
 		cs := NewMatrix[float64](m, n)
-		Gemm(nil, 1, a1, b, 0, c1)
-		Gemm(nil, 1, a2, b, 1, c1) // accumulate
-		Gemm(nil, 1, sum, b, 0, cs)
-		Gemm(nil, 1, a1, b, 0, c2)
+		GemmOpt(Opts{}, nil, 1, a1, b, 0, c1)
+		GemmOpt(Opts{}, nil, 1, a2, b, 1, c1) // accumulate
+		GemmOpt(Opts{}, nil, 1, sum, b, 0, cs)
+		GemmOpt(Opts{}, nil, 1, a1, b, 0, c2)
 		_ = c2
 		for i := range cs.Data {
 			if math.Abs(cs.Data[i]-c1.Data[i]) > 1e-10 {
@@ -160,7 +160,7 @@ func TestGemmFLOPAccounting(t *testing.T) {
 	ctr := newTestCounter()
 	a, b := NewMatrix[float64](3, 4), NewMatrix[float64](4, 5)
 	c := NewMatrix[float64](3, 5)
-	Gemm(ctr, 1, a, b, 0, c)
+	GemmOpt(Opts{}, ctr, 1, a, b, 0, c)
 	if got, want := ctr.FLOPs(), int64(2*3*4*5); got != want {
 		t.Fatalf("FLOPs = %d, want %d", got, want)
 	}
@@ -174,5 +174,5 @@ func TestGemmPanicsOnShapeMismatch(t *testing.T) {
 	}()
 	a, b := NewMatrix[float64](3, 4), NewMatrix[float64](5, 6)
 	c := NewMatrix[float64](3, 6)
-	Gemm(nil, 1, a, b, 0, c)
+	GemmOpt(Opts{}, nil, 1, a, b, 0, c)
 }

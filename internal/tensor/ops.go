@@ -15,7 +15,7 @@ import (
 // MatMul allocates and returns A*B (the standard MATMUL operator).
 func MatMul[T Float](ctr *perf.Counter, a, b Matrix[T]) Matrix[T] {
 	c := NewMatrix[T](a.Rows, b.Cols)
-	Gemm(ctr, 1, a, b, 0, c)
+	GemmOpt(Opts{}, ctr, 1, a, b, 0, c)
 	return c
 }
 

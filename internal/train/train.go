@@ -15,7 +15,6 @@
 package train
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -225,18 +224,13 @@ type Config struct {
 	// gradients and Adam's bias correction restarts at t = 0. Only the LR
 	// schedule resumes.
 	StartStep int
-	// NeighborWorkers is the goroutine count for neighbor-list builds of
-	// uncached frames; the evaluator itself must stay serial (parameter
-	// gradients require Workers = 1) but list construction need not.
-	NeighborWorkers int
-	// GemmWorkers is the goroutine count inside each blocked GEMM call of
-	// the training evaluator (row-block parallelism). Chunk-level
-	// parallelism is unavailable during training — parameter gradients
-	// require a serial evaluator — but intra-GEMM parallelism is safe:
-	// every output element is written by exactly one goroutine and results
-	// are bit-identical across worker counts, so the dominant matrix math
-	// still spreads over cores. <= 1 runs serial.
-	GemmWorkers int
+	// Workers is the trainer's one parallelism budget: the goroutine count
+	// for neighbor-list builds of uncached frames and for the row blocks
+	// inside each GEMM of the training evaluator (core.ComputeWithGrads
+	// sweeps chunks serially and hands its whole budget to the GEMMs).
+	// Results are bit-identical at any count. Zero defaults to the model's
+	// configured Workers; <= 1 runs serial.
+	Workers int
 }
 
 // Trainer minimizes the per-atom energy loss over a dataset. A Trainer
@@ -259,9 +253,6 @@ type Trainer struct {
 
 // NewTrainer prepares a trainer for the model.
 func NewTrainer(model *core.Model, cfg Config) (*Trainer, error) {
-	if model.Cfg.Workers > 1 {
-		return nil, fmt.Errorf("train: model must be configured with Workers = 1")
-	}
 	if cfg.LR <= 0 {
 		cfg.LR = 1e-3
 	}
@@ -274,22 +265,22 @@ func NewTrainer(model *core.Model, cfg Config) (*Trainer, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 4
 	}
-	if cfg.NeighborWorkers <= 0 {
-		cfg.NeighborWorkers = 1
-	}
-	if cfg.GemmWorkers <= 0 {
-		cfg.GemmWorkers = 1
+	if cfg.Workers <= 0 {
+		cfg.Workers = max(1, model.Cfg.Workers)
 	}
 	if cfg.StartStep < 0 {
 		cfg.StartStep = 0
 	}
-	ev := core.NewEvaluator[float64](model)
-	ev.SetGemmWorkers(cfg.GemmWorkers)
+	// The evaluator runs on a shallow snapshot carrying the trainer's
+	// budget; the float64 networks stay aliased with model, so weight
+	// updates are visible to it.
+	snap := *model
+	snap.Cfg.Workers = cfg.Workers
 	return &Trainer{
 		step:    cfg.StartStep,
 		Model:   model,
 		Cfg:     cfg,
-		ev:      ev,
+		ev:      core.NewEvaluator[float64](&snap),
 		grads:   core.NewModelGrads(model),
 		scratch: core.NewModelGrads(model),
 		adam:    newAdam(model),
@@ -319,7 +310,7 @@ func (t *Trainer) Step(frames []Frame) (float64, error) {
 	b := t.Cfg.BatchSize
 	for k := 0; k < b; k++ {
 		f := &frames[t.rng.Intn(len(frames))]
-		list, err := f.List(t.spec, t.Cfg.NeighborWorkers)
+		list, err := f.List(t.spec, t.Cfg.Workers)
 		if err != nil {
 			return 0, err
 		}

@@ -7,6 +7,7 @@ import (
 	"deepmd-go/internal/core"
 	"deepmd-go/internal/lattice"
 	"deepmd-go/internal/neighbor"
+	"deepmd-go/internal/nn"
 	"deepmd-go/internal/refpot"
 )
 
@@ -236,15 +237,60 @@ func TestForceRMSEFinite(t *testing.T) {
 	}
 }
 
-func TestTrainerRejectsParallelModel(t *testing.T) {
-	cfg := core.TinyConfig(1)
-	cfg.Workers = 4
-	model, err := core.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// The trainer has one worker budget and every value of it executes the
+// same arithmetic: ComputeWithGrads sweeps chunks serially (the gradient
+// accumulators are shared) and spends the budget on GEMM row blocks, which
+// write every output element from exactly one goroutine. Loss trajectory
+// and final weights must be bit-identical at any Workers, on a model that
+// is itself configured parallel and split into several chunks per frame.
+func TestTrainerWorkersBitIdentical(t *testing.T) {
+	base, frames := tinyModelAndData(t, 6)
+	run := func(workers int) (losses []float64, weights []float64) {
+		cfg := base.Cfg
+		cfg.Workers = workers
+		cfg.ChunkSize = 8 // 32 atoms: four chunks per frame
+		model, err := core.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTrainer(model, Config{LR: 3e-3, BatchSize: 3, Seed: 5})
+		if err != nil {
+			t.Fatalf("Workers=%d: %v", workers, err)
+		}
+		if tr.Cfg.Workers != workers {
+			t.Fatalf("trainer budget %d, want the model's %d", tr.Cfg.Workers, workers)
+		}
+		for i := 0; i < 12; i++ {
+			loss, err := tr.Step(frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			losses = append(losses, loss)
+		}
+		nets := append([]*nn.Net[float64]{}, model.Fit...)
+		for _, row := range model.Embed {
+			nets = append(nets, row...)
+		}
+		for _, n := range nets {
+			for _, l := range n.Layers {
+				weights = append(append(weights, l.W.Data...), l.B...)
+			}
+		}
+		return losses, weights
 	}
-	if _, err := NewTrainer(model, Config{}); err == nil {
-		t.Fatal("parallel model accepted for training")
+	wantLoss, wantW := run(1)
+	for _, workers := range []int{2, 7} {
+		loss, w := run(workers)
+		for i := range wantLoss {
+			if math.Float64bits(loss[i]) != math.Float64bits(wantLoss[i]) {
+				t.Fatalf("Workers=%d: loss[%d] = %.17g, serial %.17g", workers, i, loss[i], wantLoss[i])
+			}
+		}
+		for i := range wantW {
+			if math.Float64bits(w[i]) != math.Float64bits(wantW[i]) {
+				t.Fatalf("Workers=%d: weight %d = %.17g, serial %.17g", workers, i, w[i], wantW[i])
+			}
+		}
 	}
 }
 
