@@ -24,7 +24,7 @@ func hornerFamilies() []cpufeat.Family {
 
 // buildTestTable fits a small random net with m output channels so the
 // coefficients exercise all six slabs with non-trivial values.
-func buildTestTable(t *testing.T, m int) *Table[float64] {
+func buildTestTable(t testing.TB, m int) *Table[float64] {
 	t.Helper()
 	net := nn.NewEmbeddingNet[float64](rand.New(rand.NewSource(7)), []int{4, m})
 	tb, err := Build(net, Spec{SMin: 0, SMax: 2, NSeg: 64})

@@ -10,6 +10,7 @@ import (
 	"deepmd-go/internal/compress"
 	"deepmd-go/internal/lattice"
 	"deepmd-go/internal/neighbor"
+	"deepmd-go/internal/perf"
 )
 
 // latticeSystem builds a physically-spaced system for the compression
@@ -267,5 +268,56 @@ func TestComputeWithGradsRejectsCompressed(t *testing.T) {
 	err = ev.ComputeWithGrads(pos, types, 8, list, box, &out, NewModelGrads(m))
 	if err == nil || !strings.Contains(err.Error(), "compressed") {
 		t.Fatalf("ComputeWithGrads on compressed path: err = %v, want compressed rejection", err)
+	}
+}
+
+// The fused compressed path keeps no embedding matrix: after two warm
+// Compute calls on the paper's copper model (5x5x5 cells, sel 500, mixed
+// precision, chunk 256) every worker's arena stays below 32 MB — it holds
+// the chunk's descriptors, the fitting traces and one tile of scratch.
+// The materialise-then-contract pipeline this replaced needed about
+// 200 MB per worker for the three 256 x 500 x 100 operands.
+func TestCompressedArenaFootprint(t *testing.T) {
+	cfg := CopperConfig()
+	cfg.Skin = 1.0 // 18.075 A box >= 2*(8+1) A
+	cfg.ChunkSize = 256
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator[float32](m)
+	ctr := perf.NewCounter()
+	ev.Counter = ctr
+	if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	cell := lattice.FCC(5, 5, 5, 3.615)
+	lattice.Perturb(cell, 0.05, 3)
+	n := cell.N()
+	list, err := neighbor.Build(neighbor.Spec{Rcut: cfg.Rcut, Skin: cfg.Skin, Sel: cfg.Sel}, cell.Pos, cell.Types, n, &cell.Box, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Result
+	for i := 0; i < 2; i++ {
+		ctr.Reset()
+		if err := ev.Compute(cell.Pos, cell.Types, n, list, &cell.Box, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const limit = 32 << 20
+	if got := ev.ArenaBytes(); got >= limit*len(ev.arenas) {
+		t.Fatalf("compressed arenas hold %d bytes over %d worker(s), want < %d each", got, len(ev.arenas), limit)
+	}
+
+	// The counter charges the fused operator for the neighbors it visited,
+	// not for the padded stride: one step stays well under the full-stride
+	// analytic count of the table path, and CUSTOM time was recorded for it.
+	fullStride := float64(n) * (cfg.FLOPsPerAtomStep([]float64{1}) - cfg.EmbedFLOPsPerAtomStep() + cfg.CompressedEmbedFLOPsPerAtomStep())
+	if got := float64(ctr.FLOPs()); got <= 0 || got > 0.75*fullStride {
+		t.Fatalf("one compressed step charged %.3g FLOPs, want executed work well under the full-stride %.3g (about 180 of 500 slots are real)", got, fullStride)
+	}
+	if ctr.CategoryTime(perf.CatCUSTOM) <= 0 {
+		t.Fatal("no CUSTOM time recorded for the fused operator")
 	}
 }

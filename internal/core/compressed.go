@@ -4,18 +4,22 @@ import (
 	"fmt"
 
 	"deepmd-go/internal/compress"
+	"deepmd-go/internal/descriptor"
 	"deepmd-go/internal/perf"
 	"deepmd-go/internal/tensor"
 )
 
 // This file wires the tabulated embedding net (internal/compress) into
 // the evaluator as its third execution strategy, after the chunk-batched
-// exact pipeline and the per-atom reference loops. The descriptor
-// contraction, fitting net and customized operators are untouched; only
-// the embedding stage changes:
+// exact pipeline and the per-atom reference loops. The fitting net and
+// the customized operators are untouched; the embedding stage and the
+// descriptor contractions around it become one fused operator per (atom,
+// neighbor-type section), run over the section's real neighbors only:
 //
-//	forward:  G = embed(s)        ->  one Horner sweep per neighbor row
-//	backward: ds = embed'ᵀ dG     ->  ds_i = <dG_i, tabulated dG/ds_i>
+//	forward:  T_a += Σ_k g(s_k) ⊗ R~_k / N     one Horner sweep per row,
+//	                                            contracted on the spot
+//	backward: dR~_k = g(s_k)·dT_a / N, ds_k = <R~_k dT_a^T / N, g'(s_k)>
+//	                                            the sweep recomputed
 //
 // Because the table's derivative is the exact analytic derivative of the
 // table's value, forces stay exact gradients of the (tabulated) energy
@@ -119,14 +123,71 @@ func convertTable[T tensor.Float](tb *compress.Table[float64]) *compress.Table[T
 	return compress.Convert[T](tb)
 }
 
-// tableBackward computes the compressed embedding backward pass: the
-// gradient w.r.t. the scalar table input of every neighbor row is the dot
-// product of that row's output gradient with its tabulated derivative,
-// ds_i = Σ_c dG[i,c]·dGds[i,c]. One row-dot sweep (tensor.DotRows, which
-// reports under GEMM — the work it replaces, Fig. 3) stands in for the
-// embedding net's three backward GEMMs.
-func tableBackward[T tensor.Float](ctr *perf.Counter, ar *tensor.Arena[T], dG, dGds []T, rows, m int) []T {
-	ds := ar.TakeUninit(rows)
-	tensor.DotRows(ctr, dG, dGds, ds, m)
-	return ds
+// evalChunkCompressed is the compressed strategy's chunk body: the fused
+// table-lookup/contraction operator of internal/compress runs per (atom,
+// section) over the section's real neighbors, straight from the frame's
+// environment rows into the descriptor items and straight back into ndT.
+// No embedding matrix, no gathered copy of R~ and no padding row exists at
+// any point; the arena holds the chunk's descriptors, the fitting-net
+// traces and one tile of scratch.
+//
+//	T_a  = sum_tj sum_{k<n} g(s_k) (x) R~_k / N   ContractForward, section
+//	                                              then slot order
+//	D_a, E, dT_a                                  fitChunk
+//	ndT_k = (G dT/N, + ds_k on column 0)          ContractBackward
+//
+// The operator works on 4 x m channel-minor items; the transposes to and
+// from fitChunk's m x 4 layout carry the 1/N scale.
+func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
+	defer ar.Reset()
+	cfg := &ev.cfg
+	stride := cfg.Stride()
+	m := cfg.M()
+	nt := cfg.NumTypes()
+	selOff := env.Fmt.SelOff
+	invN := T(1.0 / float64(stride))
+	tabs := ev.comp[ci]
+
+	tis := ar.TakeUninit(len(atoms) * m * 4)
+	item := ar.TakeUninit(4 * m)
+	buf := ar.TakeUninit(compress.FusedScratchLen(m))
+	t0, t1, t2, t3 := item[:m], item[m:2*m], item[2*m:3*m], item[3*m:4*m]
+
+	start := timeIf(ctr)
+	var rows int64
+	for a, atom := range atoms {
+		clear(item)
+		for tj := 0; tj < nt; tj++ {
+			n := int(env.Count[atom*nt+tj])
+			tabs[tj].ContractForward(rT[(atom*stride+selOff[tj])*4:], n, item, buf)
+			rows += int64(n)
+		}
+		ti := tis[a*m*4 : (a+1)*m*4]
+		for c := 0; c < m; c++ {
+			ti[c*4] = t0[c] * invN
+			ti[c*4+1] = t1[c] * invN
+			ti[c*4+2] = t2[c] * invN
+			ti[c*4+3] = t3[c] * invN
+		}
+	}
+	ctr.Observe(perf.CatCUSTOM, start, rows*int64(m)*compress.FusedForwardFLOPsPerChannel)
+
+	chunkE, dT := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, tis, atomEnergy)
+
+	start = timeIf(ctr)
+	for a, atom := range atoms {
+		di := dT[a*m*4 : (a+1)*m*4]
+		for c := 0; c < m; c++ {
+			t0[c] = di[c*4] * invN
+			t1[c] = di[c*4+1] * invN
+			t2[c] = di[c*4+2] * invN
+			t3[c] = di[c*4+3] * invN
+		}
+		for tj := 0; tj < nt; tj++ {
+			base := (atom*stride + selOff[tj]) * 4
+			tabs[tj].ContractBackward(rT[base:], int(env.Count[atom*nt+tj]), item, ndT[base:], buf)
+		}
+	}
+	ctr.Observe(perf.CatCUSTOM, start, rows*int64(m)*compress.FusedBackwardFLOPsPerChannel)
+	return chunkE
 }

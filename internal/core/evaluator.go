@@ -34,7 +34,8 @@ type Result struct {
 // tiny products. SetPerAtomDescriptors restores the per-atom loops — the
 // differential oracle and the 2018-granularity reference — and
 // SetCompressedEmbedding replaces the embedding networks with tabulated
-// piecewise quintics (internal/compress), the third execution strategy.
+// piecewise quintics fused into the descriptor contraction
+// (internal/compress), the third execution strategy.
 //
 // Concurrency contract: a raw Evaluator is SINGLE-GOROUTINE. It owns
 // persistent arenas, traces and result staging buffers (the zero-alloc
@@ -92,16 +93,18 @@ type evalScratch[T tensor.Float] struct {
 	secR  [][]T              // gathered environment rows per section, arena-backed
 	secS  []tensor.Matrix[T] // gathered s-inputs per section, arena-backed
 	secG  [][]T              // embedding outputs per section (trace views)
-	secDG [][]T              // tabulated dG/ds per section (compressed path), arena-backed
+	// secSel is the chunk's effective section length: the largest
+	// real-neighbor count of its atoms, in place of cfg.Sel.
+	secSel []int
 }
 
 func newEvalScratch[T tensor.Float](nt int) *evalScratch[T] {
 	ws := &evalScratch[T]{
-		embTr: make([]*nn.Trace[T], nt),
-		secR:  make([][]T, nt),
-		secS:  make([]tensor.Matrix[T], nt),
-		secG:  make([][]T, nt),
-		secDG: make([][]T, nt),
+		embTr:  make([]*nn.Trace[T], nt),
+		secR:   make([][]T, nt),
+		secS:   make([]tensor.Matrix[T], nt),
+		secG:   make([][]T, nt),
+		secSel: make([]int, nt),
 	}
 	for tj := range ws.embTr {
 		ws.embTr[tj] = new(nn.Trace[T])
@@ -194,9 +197,12 @@ func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neig
 //
 //dp:noalloc
 func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
-	if ev.strat == StrategyPerAtom {
+	switch ev.strat {
+	case StrategyPerAtom:
 		//dp:allow noalloc the per-atom oracle keeps 2018 granularity and allocates by design
 		return ev.evalChunkPerAtom(ctr, opts, ar, env, rT, ndT, ci, atoms, atomEnergy)
+	case StrategyCompressed:
+		return ev.evalChunkCompressed(ctr, opts, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
 	}
 	return ev.evalChunkBatched(ctr, opts, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
 }
@@ -206,22 +212,26 @@ func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalS
 // in the arena (Sec. 5.3.1's "merge matrices of multiple atoms into one
 // bigger matrix", Fig. 3's GEMM consolidation).
 //
-// Notation per atom a of the chunk (all nA atoms share type ci):
+// Notation per atom a of the chunk (all nA atoms share type ci); sel_tj is
+// the chunk's effective section length, see below:
 //
 //	G_tj = embed(s)        nA*sel_tj x m   (one net forward per section)
 //	T_a  = sum_tj G^T R~/N      m x 4      GemmBatchTN, accumulated over tj
-//	D_a  = T_a (T_a[:ax])^T     m x ax     GemmBatchNT, B = head of T buffer
-//	E    = fit(D)               nA x 1
-//	dT_a = dD_a T_a[:ax] (+ head += dD_a^T T_a)   GemmBatch + GemmBatchTN
+//	D_a, E, dT_a                           fitChunk
 //	dG_a = R~ dT^T / N     sel x m         GemmBatchNT
 //	dR_a = G dT / N        sel x 4         GemmBatch, scattered into ndT
+//
+// No work on padding: every section is gathered, embedded and contracted
+// at the chunk's largest real-neighbor count (env.Count, at least 1)
+// instead of cfg.Sel[tj]. Rows beyond an atom's count have R~ = 0 exactly
+// — they add nothing to T_a, and whatever gradient they would receive is
+// multiplied by dR~/dd = 0 in ProdForce/ProdVirial — so dropping the rows
+// no atom of the chunk fills changes no energy, force or virial.
 func (ev *Evaluator[T]) evalChunkBatched(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
 	stride := cfg.Stride()
 	m := cfg.M()
-	ax := cfg.MAxis
-	dim := cfg.DescriptorDim()
 	nA := len(atoms)
 	fmtd := env.Fmt
 	invN := T(1.0 / float64(stride))
@@ -234,7 +244,11 @@ func (ev *Evaluator[T]) evalChunkBatched(ctr *perf.Counter, opts tensor.Opts, ws
 	// stays honest (the batched GEMMs themselves report under GEMM).
 	gatherStart := timeIf(ctr)
 	for tj := 0; tj < nt; tj++ {
-		sel := cfg.Sel[tj]
+		sel := 1
+		for _, atom := range atoms {
+			sel = max(sel, int(env.Count[atom*nt+tj]))
+		}
+		ws.secSel[tj] = sel
 		off := fmtd.SelOff[tj]
 		sIn := ar.TakeMatrixUninit(nA*sel, 1)
 		rSec := ar.TakeUninit(nA * sel * 4)
@@ -249,36 +263,71 @@ func (ev *Evaluator[T]) evalChunkBatched(ctr *perf.Counter, opts tensor.Opts, ws
 		ws.secS[tj] = sIn
 	}
 	observeSlice(ctr, gatherStart)
-	compressed := ev.strat == StrategyCompressed
 	for tj := 0; tj < nt; tj++ {
-		if compressed {
-			// Tabulated embedding: one Horner sweep yields the section's
-			// values AND its s-derivatives — the latter are the whole
-			// embedding backward pass (see the dot product below).
-			sel := cfg.Sel[tj]
-			g := ar.TakeUninit(nA * sel * m)
-			dg := ar.TakeUninit(nA * sel * m)
-			ev.comp[ci][tj].EvalBatch(ctr, ws.secS[tj].Data, g, dg)
-			ws.secG[tj], ws.secDG[tj] = g, dg
-			continue
-		}
 		ws.secG[tj] = ev.embed[ci][tj].ForwardInto(ws.embTr[tj], ctr, opts, ar, ws.secS[tj], true).Out().Data
 	}
 
 	// Forward descriptor contraction T_a = sum_tj G_a^T R~_a / N as one
 	// batched GEMM per section, accumulating across sections (beta = 1
-	// after the first), then the batched outer product
-	// D_a = T_a (T_a[:ax])^T — B is the ax x 4 head of each T item, an
-	// under-full stride into the same buffer.
+	// after the first).
 	tis := ar.TakeUninit(nA * m * 4)
 	for tj := 0; tj < nt; tj++ {
-		sel := cfg.Sel[tj]
+		sel := ws.secSel[tj]
 		beta := T(1)
 		if tj == 0 {
 			beta = 0
 		}
 		tensor.GemmBatchTNOpt(opts, ctr, nA, sel, m, 4, invN, ws.secG[tj], sel*m, ws.secR[tj], sel*4, beta, tis, m*4)
 	}
+	chunkE, dT := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, tis, atomEnergy)
+
+	// Per-section backward: batched dG and dR~ contractions, embedding net
+	// backward over the section batch, then one scatter into the network
+	// derivative ndT (rows disjoint across chunks and sections).
+	for tj := 0; tj < nt; tj++ {
+		sel := ws.secSel[tj]
+		off := fmtd.SelOff[tj]
+		dG := ar.TakeMatrixUninit(nA*sel, m)
+		tensor.GemmBatchNTOpt(opts, ctr, nA, sel, 4, m, invN, ws.secR[tj], sel*4, dT, m*4, 0, dG.Data, sel*m)
+		ndSec := ar.TakeUninit(nA * sel * 4)
+		tensor.GemmBatchOpt(opts, ctr, nA, sel, m, 4, invN, ws.secG[tj], sel*m, dT, m*4, 0, ndSec, sel*4)
+		embGr, _ := ev.gradsFor(ci, tj)
+		ds := ev.embed[ci][tj].Backward(ctr, opts, ar, ws.embTr[tj], dG, embGr).Data
+		scatterStart := timeIf(ctr)
+		for a, atom := range atoms {
+			base := (atom*stride + off) * 4
+			nd := ndT[base : base+sel*4]
+			src := ndSec[a*sel*4 : (a+1)*sel*4]
+			for i, v := range src {
+				nd[i] += v
+			}
+			for k := 0; k < sel; k++ {
+				nd[k*4] += ds[a*sel+k]
+			}
+		}
+		observeSlice(ctr, scatterStart)
+	}
+	return chunkE
+}
+
+// fitChunk is the part of a chunk every batched strategy shares, from the
+// descriptor items T_a (tis, nA x m x 4) to their gradient:
+//
+//	D_a  = T_a (T_a[:ax])^T     m x ax     GemmBatchNT, B = head of T buffer
+//	E    = fit(D)               nA x 1
+//	dT_a = dD_a T_a[:ax] (+ head += dD_a^T T_a)   GemmBatch + GemmBatchTN
+//
+// It fills atomEnergy for the chunk's atoms and returns the chunk energy
+// and dT (nA x m x 4, arena-backed).
+func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], ci int, atoms []int, tis []T, atomEnergy []float64) (float64, []T) {
+	cfg := &ev.cfg
+	m := cfg.M()
+	ax := cfg.MAxis
+	dim := cfg.DescriptorDim()
+	nA := len(atoms)
+
+	// Batched outer product D_a = T_a (T_a[:ax])^T — B is the ax x 4 head
+	// of each T item, an under-full stride into the same buffer.
 	dChunk := ar.TakeMatrixUninit(nA, dim)
 	tensor.GemmBatchNTOpt(opts, ctr, nA, m, 4, ax, 1, tis, m*4, tis, m*4, 0, dChunk.Data, dim)
 
@@ -311,39 +360,7 @@ func (ev *Evaluator[T]) evalChunkBatched(ctr *perf.Counter, opts tensor.Opts, ws
 			dst[i] += v
 		}
 	}
-
-	// Per-section backward: batched dG and dR~ contractions, embedding net
-	// backward over the section batch, then one scatter into the network
-	// derivative ndT (rows disjoint across chunks and sections).
-	for tj := 0; tj < nt; tj++ {
-		sel := cfg.Sel[tj]
-		off := fmtd.SelOff[tj]
-		dG := ar.TakeMatrixUninit(nA*sel, m)
-		tensor.GemmBatchNTOpt(opts, ctr, nA, sel, 4, m, invN, ws.secR[tj], sel*4, dT, m*4, 0, dG.Data, sel*m)
-		ndSec := ar.TakeUninit(nA * sel * 4)
-		tensor.GemmBatchOpt(opts, ctr, nA, sel, m, 4, invN, ws.secG[tj], sel*m, dT, m*4, 0, ndSec, sel*4)
-		var ds []T
-		if compressed {
-			ds = tableBackward(ctr, ar, dG.Data, ws.secDG[tj], nA*sel, m)
-		} else {
-			embGr, _ := ev.gradsFor(ci, tj)
-			ds = ev.embed[ci][tj].Backward(ctr, opts, ar, ws.embTr[tj], dG, embGr).Data
-		}
-		scatterStart := timeIf(ctr)
-		for a, atom := range atoms {
-			base := (atom*stride + off) * 4
-			nd := ndT[base : base+sel*4]
-			src := ndSec[a*sel*4 : (a+1)*sel*4]
-			for i, v := range src {
-				nd[i] += v
-			}
-			for k := 0; k < sel; k++ {
-				nd[k*4] += ds[a*sel+k]
-			}
-		}
-		observeSlice(ctr, scatterStart)
-	}
-	return chunkE
+	return chunkE, dT
 }
 
 // timeIf stamps the clock only when a counter is attached, so the

@@ -18,6 +18,14 @@ import (
 // (Sec. 6.1: 19.8 MFLOPs/atom/step for water, 64.9 for copper, a ratio of
 // ~3.3) are reproduced in shape by this model: the embedding work scales
 // with the padded neighbor count, which is what makes copper ~3.5x water.
+//
+// The count is full-stride on purpose — the paper's convention: NVPROF
+// measured the branch-free padded layout, where every one of the Stride()
+// slots is computed. It is NOT what the evaluator executes any more: the
+// batched path runs each section at its chunk's largest real-neighbor
+// count and the compressed path's fused operator visits real neighbors
+// only, and perf.Counter charges that executed work (the model evaluated
+// at the executed section lengths reproduces the counter; TestFig3Shape).
 func (c *Config) FLOPsPerAtomStep(typeFrac []float64) float64 {
 	rng := rand.New(rand.NewSource(1))
 	stride := c.Stride()
@@ -90,7 +98,11 @@ func (c *Config) EmbedFLOPsPerAtomStep() float64 {
 // (compress.EvalFLOPsPerChannel per channel, value + derivative) plus the
 // collapsed backward dot (2 FLOPs per channel). The ratio against
 // EmbedFLOPsPerAtomStep is the compression factor the Summit projection
-// uses (internal/perfmodel).
+// uses (internal/perfmodel). Full-stride like FLOPsPerAtomStep — the
+// paper's convention; the fused operator the evaluator runs charges
+// compress.FusedForwardFLOPsPerChannel + FusedBackwardFLOPsPerChannel per
+// (real neighbor, channel) under CUSTOM instead, recomputed Horner sweep
+// included.
 func (c *Config) CompressedEmbedFLOPsPerAtomStep() float64 {
 	return float64(c.Stride()) * float64(c.M()) * (compress.EvalFLOPsPerChannel + 2)
 }

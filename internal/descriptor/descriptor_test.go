@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"deepmd-go/internal/lattice"
 	"deepmd-go/internal/neighbor"
 )
 
@@ -110,6 +111,148 @@ func TestEnvironmentMatchesBaseline(t *testing.T) {
 	for i := range opt.Fmt.Idx {
 		if opt.Fmt.Idx[i] != base.Fmt.Idx[i] {
 			t.Fatalf("Idx[%d]: optimized %d, baseline %d", i, opt.Fmt.Idx[i], base.Fmt.Idx[i])
+		}
+	}
+	if len(opt.Count) != len(base.Count) {
+		t.Fatalf("Count: optimized %d entries, baseline %d", len(opt.Count), len(base.Count))
+	}
+	for i := range opt.Count {
+		if opt.Count[i] != base.Count[i] {
+			t.Fatalf("Count[%d]: optimized %d, baseline %d", i, opt.Count[i], base.Count[i])
+		}
+	}
+}
+
+// checkCountInvariant asserts the property the fused compressed operator
+// and the batched path's padding trim rely on: for every (atom, section),
+// Count is the index after the last non-zero R~ row, and R, DR and Rij are
+// all-zero at and beyond it.
+func checkCountInvariant(t *testing.T, label string, cfg Config, env *EnvOut) {
+	t.Helper()
+	nt := len(cfg.Sel)
+	if len(env.Count) != env.Nloc*nt {
+		t.Fatalf("%s: %d counts for %d atoms x %d sections", label, len(env.Count), env.Nloc, nt)
+	}
+	nonZero := func(v []float64) bool {
+		for _, x := range v {
+			if x != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < env.Nloc; i++ {
+		for tj := 0; tj < nt; tj++ {
+			off := i*env.Stride + env.Fmt.SelOff[tj]
+			n := int(env.Count[i*nt+tj])
+			if n < 0 || n > cfg.Sel[tj] {
+				t.Fatalf("%s atom %d section %d: count %d outside [0, %d]", label, i, tj, n, cfg.Sel[tj])
+			}
+			last := 0
+			for k := 0; k < cfg.Sel[tj]; k++ {
+				if nonZero(env.R[(off+k)*4 : (off+k)*4+4]) {
+					last = k + 1
+				}
+				if k >= n && (nonZero(env.R[(off+k)*4:(off+k)*4+4]) || nonZero(env.DR[(off+k)*12:(off+k)*12+12]) || nonZero(env.Rij[(off+k)*3:(off+k)*3+3])) {
+					t.Fatalf("%s atom %d section %d: slot %d at or beyond count %d is not zero", label, i, tj, k, n)
+				}
+			}
+			if last != n {
+				t.Fatalf("%s atom %d section %d: count %d, last non-zero R~ row ends at %d", label, i, tj, n, last)
+			}
+		}
+	}
+}
+
+// TestEnvironmentCountInvariant checks Count on both operators over the
+// shapes that stress it: the paper's two systems, a list carrying skin
+// entries (in the list, outside the cutoff), a section that overflows
+// sel, an empty section, and a coincident pair (r = 0: the slot stays
+// zero in front of real neighbors).
+func TestEnvironmentCountInvariant(t *testing.T) {
+	type system struct {
+		name  string
+		cfg   Config
+		skin  float64
+		pos   []float64
+		types []int
+		box   *neighbor.Box
+		// check inspects the optimized output for the feature the case
+		// exists for.
+		check func(t *testing.T, env *EnvOut)
+	}
+	water := lattice.Water(3, 3, 3, lattice.WaterSpacing, 7)
+	copper := lattice.FCC(4, 4, 4, 3.615)
+	lattice.Perturb(copper, 0.05, 3)
+	skinBox := &neighbor.Box{L: [3]float64{14, 14, 14}}
+	skinPos, skinTypes, _ := buildTestSystem(t, 11, 150, testCfg, skinBox)
+	open := &neighbor.Box{L: [3]float64{40, 40, 40}}
+	systems := []system{
+		{name: "water", cfg: Config{Rcut: 4.5, RcutSmth: 0.5, Sel: []int{16, 32}}, skin: 0, pos: water.Pos, types: water.Types, box: &water.Box},
+		{name: "copper", cfg: Config{Rcut: 5.0, RcutSmth: 2.0, Sel: []int{80}}, skin: 1.0, pos: copper.Pos, types: copper.Types, box: &copper.Box},
+		{name: "skin", cfg: testCfg, skin: 1.0, pos: skinPos, types: skinTypes, box: skinBox,
+			check: func(t *testing.T, env *EnvOut) {
+				// Some list entry must sit in a slot beyond its count.
+				nt := len(testCfg.Sel)
+				for i := 0; i < env.Nloc; i++ {
+					for tj := 0; tj < nt; tj++ {
+						k := env.Fmt.SelOff[tj] + int(env.Count[i*nt+tj])
+						if k < env.Fmt.SelOff[tj+1] && env.Fmt.Idx[i*env.Stride+k] >= 0 {
+							return
+						}
+					}
+				}
+				t.Fatal("no skin entry beyond a count: the case does not exercise what it is for")
+			}},
+		{name: "overflow", cfg: Config{Rcut: 4.0, RcutSmth: 3.0, Sel: []int{3, 3}}, skin: 0, pos: skinPos, types: skinTypes, box: skinBox,
+			check: func(t *testing.T, env *EnvOut) {
+				if env.Fmt.Overflow == 0 {
+					t.Fatal("no section overflowed")
+				}
+			}},
+		{name: "empty-section", cfg: Config{Rcut: 4.0, RcutSmth: 3.0, Sel: []int{6, 6}}, skin: 0,
+			pos: []float64{10, 10, 10, 12, 10, 10, 10, 12.5, 10}, types: []int{0, 0, 0}, box: open,
+			check: func(t *testing.T, env *EnvOut) {
+				for i := 0; i < env.Nloc; i++ {
+					if env.Count[i*2] != 2 || env.Count[i*2+1] != 0 {
+						t.Fatalf("atom %d: counts %v, want [2 0]", i, env.Count[i*2:i*2+2])
+					}
+				}
+			}},
+		{name: "coincident", cfg: Config{Rcut: 4.0, RcutSmth: 3.0, Sel: []int{6}}, skin: 0,
+			pos: []float64{10, 10, 10, 10, 10, 10, 12, 10, 10}, types: []int{0, 0, 0}, box: open,
+			check: func(t *testing.T, env *EnvOut) {
+				// Atom 0: the coincident atom 1 sorts first and stays
+				// zero, atom 2 fills slot 1 — the count covers both.
+				if env.Count[0] != 2 || env.R[0] != 0 || env.R[4] == 0 {
+					t.Fatalf("atom 0: count %d, s of slots 0/1 = %g/%g, want 2, 0, non-zero", env.Count[0], env.R[0], env.R[4])
+				}
+			}},
+	}
+	for _, sys := range systems {
+		n := len(sys.types)
+		list, err := neighbor.Build(neighbor.Spec{Rcut: sys.cfg.Rcut, Skin: sys.skin, Sel: sys.cfg.Sel}, sys.pos, sys.types, n, sys.box, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		var sc Scratch
+		opt, err := sc.Environment(nil, sys.cfg, sys.pos, sys.types, list, sys.box)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		checkCountInvariant(t, sys.name+"/optimized", sys.cfg, opt)
+		if sys.check != nil {
+			sys.check(t, opt)
+		}
+		base, err := EnvironmentBaseline(nil, sys.cfg, sys.pos, sys.types, list, sys.box)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		checkCountInvariant(t, sys.name+"/baseline", sys.cfg, base)
+		for i := range opt.Count {
+			if opt.Count[i] != base.Count[i] {
+				t.Fatalf("%s: Count[%d] optimized %d, baseline %d", sys.name, i, opt.Count[i], base.Count[i])
+			}
 		}
 	}
 }

@@ -29,6 +29,15 @@ type EnvOut struct {
 	DR []float64
 	// Rij is the displacement d for each slot: Nloc x Stride x 3.
 	Rij []float64
+	// Count is the real-neighbor prefix length of every (atom, type
+	// section): Nloc x len(Sel), entry i*len(Sel)+t for section t of atom
+	// i. Slots are sorted by current distance, so the neighbors inside the
+	// cutoff are a prefix of their section; Count is the index, within the
+	// section, after the last slot the operator filled, and R, DR and Rij
+	// are all-zero at and beyond it (skin entries that sit outside the
+	// cutoff, and -1 padding). Downstream stages stop there: padding
+	// costs them nothing.
+	Count []int32
 }
 
 // Scratch holds the reusable state of the optimized operators, mirroring
@@ -76,16 +85,19 @@ func (sc *Scratch) Environment(ctr *perf.Counter, cfg Config, pos []float64, typ
 	out.R = tensor.Resize(out.R, nloc*stride*4)
 	out.DR = tensor.Resize(out.DR, nloc*stride*12)
 	out.Rij = tensor.Resize(out.Rij, nloc*stride*3)
+	nt := len(cfg.Sel)
+	out.Count = tensor.Resize(out.Count, nloc*nt)
 	clear(out.R)
 	clear(out.DR)
 	clear(out.Rij)
 
 	for i := 0; i < nloc; i++ {
 		rowIdx := fmtd.Idx[i*stride : (i+1)*stride]
-		fillEnvRow(cfg, pos, i, rowIdx, box,
+		fillEnvRow(cfg, pos, i, rowIdx, fmtd.SelOff, box,
 			out.R[i*stride*4:(i+1)*stride*4],
 			out.DR[i*stride*12:(i+1)*stride*12],
-			out.Rij[i*stride*3:(i+1)*stride*3])
+			out.Rij[i*stride*3:(i+1)*stride*3],
+			out.Count[i*nt:(i+1)*nt])
 	}
 	flops += int64(nloc) * int64(stride) * envFLOPsPerSlot
 	ctr.Observe(perf.CatCUSTOM, start, flops)
@@ -116,9 +128,10 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 
 	out := &EnvOut{
 		Nloc: nloc, Stride: stride, Fmt: fmtd,
-		R:   make([]float64, nloc*stride*4),
-		DR:  make([]float64, nloc*stride*12),
-		Rij: make([]float64, nloc*stride*3),
+		R:     make([]float64, nloc*stride*4),
+		DR:    make([]float64, nloc*stride*12),
+		Rij:   make([]float64, nloc*stride*3),
+		Count: make([]int32, nloc*len(cfg.Sel)),
 	}
 	// The baseline walks the *raw* AoS entries and branches on the type of
 	// every neighbor to locate its slot, the access pattern Sec. 5.2.1
@@ -150,7 +163,9 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 			slot := make([]float64, 4)   // per-neighbor temporary (AoS style)
 			dslot := make([]float64, 12) // allocated afresh each neighbor
 			rij := make([]float64, 3)    //
-			fillEnvSlot(cfg, pos, i, e.Index, box, slot, dslot, rij)
+			if fillEnvSlot(cfg, pos, i, e.Index, box, slot, dslot, rij) {
+				out.Count[i*len(cfg.Sel)+e.Type] = int32(fill[e.Type])
+			}
 			copy(out.R[(i*stride+k)*4:], slot)
 			copy(out.DR[(i*stride+k)*12:], dslot)
 			copy(out.Rij[(i*stride+k)*3:], rij)
@@ -166,29 +181,36 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 const envFLOPsPerSlot = 45
 
 // fillEnvRow computes R~, dR~/dd and rij for one atom over its formatted
-// slot row, branch-free: padding slots (-1) are the only conditional and
-// they leave zeros behind.
-func fillEnvRow(cfg Config, pos []float64, i int, rowIdx []int32, box *neighbor.Box, r, dr, rij []float64) {
-	for k, j32 := range rowIdx {
-		if j32 < 0 {
-			continue
+// slot row, section by section: padding (-1) is the tail of every section
+// and leaves zeros behind. count[t] receives the index, within section t,
+// after the last slot that was filled.
+func fillEnvRow(cfg Config, pos []float64, i int, rowIdx []int32, selOff []int, box *neighbor.Box, r, dr, rij []float64, count []int32) {
+	for t := range count {
+		n := 0
+		for k := selOff[t]; k < selOff[t+1] && rowIdx[k] >= 0; k++ {
+			if fillEnvSlot(cfg, pos, i, int(rowIdx[k]), box, r[k*4:k*4+4], dr[k*12:k*12+12], rij[k*3:k*3+3]) {
+				n = k - selOff[t] + 1
+			}
 		}
-		fillEnvSlot(cfg, pos, i, int(j32), box, r[k*4:k*4+4], dr[k*12:k*12+12], rij[k*3:k*3+3])
+		count[t] = int32(n)
 	}
 }
 
-// fillEnvSlot computes one slot's environment row and derivative.
+// fillEnvSlot computes one slot's environment row and derivative and
+// reports whether it wrote anything: a neighbor that moved outside the
+// cutoff since the last rebuild, or that coincides with the center, leaves
+// its slot zero.
 //
 // With d = r_j - r_i, r = |d|, s = Smooth(r) and q = s/r:
 //
 //	R~ = (s, q*dx, q*dy, q*dz)
 //	dR~[0]/dd_a   = s'(r) * d_a / r
 //	dR~[b]/dd_a   = q*delta(ab) + d_b * (s'/r - s/r^2) * d_a / r
-func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, dr, rij []float64) {
+func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, dr, rij []float64) bool {
 	d := disp(pos, i, j, box)
 	rr := vecNorm(d)
 	if rr >= cfg.Rcut || rr == 0 {
-		return // moved outside the cutoff since the last rebuild
+		return false
 	}
 	s, ds := Smooth(rr, cfg.RcutSmth, cfg.Rcut)
 	inv := 1 / rr
@@ -212,6 +234,7 @@ func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, dr, 
 			dr[(b+1)*3+a] = v
 		}
 	}
+	return true
 }
 
 // entriesFor returns nloc per-atom entry slices, reusing the capacity of

@@ -19,6 +19,12 @@ import "time"
 // from the analytic operator counts in internal/core
 // (Config.FLOPsPerAtomStep / EmbedFLOPsPerAtomStep /
 // CompressedEmbedFLOPsPerAtomStep); this package stays calibration-only.
+// Those counts are full-stride — every padded neighbor slot is charged,
+// the paper's NVPROF convention on the branch-free padded layout. The
+// evaluator's fused table operator and its trimmed batched path execute
+// (and perf.Counter charges) real neighbors only; the projection keeps
+// the paper's convention on purpose, so it stays comparable with the
+// published per-atom FLOP figures.
 
 // CompressedTtS predicts the per-step wall time of one GPU holding n
 // atoms when the embedding net is tabulated: the compute term scales by

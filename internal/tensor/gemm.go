@@ -211,16 +211,3 @@ func Dot[T Float](ctr *perf.Counter, a, b []T) T {
 	ctr.Observe(perf.CatOther, start, 2*int64(len(a)))
 	return s
 }
-
-// DotRows computes out[i] = <row i of a, row i of b> for len(out) rows
-// of two row-major matrices with m columns. This is a strided-batched
-// GEMM whose items are 1 x 1 — the shape the compressed embedding
-// backward collapses to — so one timer covers the whole batch and, like
-// the batched family, it records under GEMM.
-func DotRows[T Float](ctr *perf.Counter, a, b, out []T, m int) {
-	start := time.Now()
-	for i := range out {
-		out[i] = dot(a[i*m:(i+1)*m], b[i*m:(i+1)*m])
-	}
-	ctr.Observe(perf.CatGEMM, start, 2*int64(len(out))*int64(m))
-}

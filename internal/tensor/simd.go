@@ -24,11 +24,17 @@ import (
 // SIMD kernels skip packing entirely: an R-row strip of A is held as
 // broadcast scalars while B streams row by row through vector registers,
 // every (row, column-chunk) accumulator living in its own register chain.
-// K stays resident in one loop (k <= simdMaxK covers every network shape
-// in the repo, 240 included), so each strip makes exactly one pass over
+// K stays resident in one loop, so each strip makes exactly one pass over
 // C: the epilogue — alpha/beta, bias add, tanh, tanh gradient — is applied
 // in the store loop, and GemmBias/GemmBiasTanhGrad stop making a second
-// pass over the output.
+// pass over the output. k <= simdMaxK covers the embedding layers and the
+// 240-wide hidden layers, but NOT the fitting net's first layer at paper
+// geometry: its reduction depth is the descriptor width M·M_axis = 1600,
+// so that layer (forward and both backward GEMMs) bypasses this tier on
+// both precisions and runs on the packed blocked engine — whose float32
+// microkernel is scalar, non-FMA Go (microKernelMulAdd: 44 % of the
+// copper_f32_compressed CPU profile once the descriptor contractions are
+// fused). K-panelled strips for it are an open ROADMAP item.
 //
 // Bit-exactness contract. Worker fan-out partitions rows in multiples of
 // the strip height from row 0, so every row is computed by the same code
