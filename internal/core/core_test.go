@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"deepmd-go/internal/descriptor"
 	"deepmd-go/internal/neighbor"
+	"deepmd-go/internal/perf"
 )
 
 // testSystem builds a random two-type configuration with a periodic box
@@ -432,6 +434,44 @@ func TestFLOPModelCopperWaterRatio(t *testing.T) {
 	// water; the analytic model must land within a factor of ~3.
 	if fw < 5e6 || fw > 6e7 {
 		t.Fatalf("water FLOPs/atom/step = %g, out of plausible range", fw)
+	}
+}
+
+// ExecutedFLOPs is the same model at the shapes the batched evaluator runs:
+// it must follow the counter at every chunk size (smaller chunks run
+// shorter sections) and never exceed the full-stride count.
+func TestExecutedFLOPsTracksCounter(t *testing.T) {
+	for _, chunk := range []int{1, 7, 256} {
+		cfg := TinyConfig(2)
+		cfg.ChunkSize = chunk
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 48
+		pos, types, list, box := testSystem(t, 3, n, &m.Cfg)
+		ev := NewEvaluator[float64](m)
+		ev.Counter = perf.NewCounter()
+		var res Result
+		if err := ev.Compute(pos, types, n, list, box, &res); err != nil {
+			t.Fatal(err)
+		}
+		var sc descriptor.Scratch
+		env, err := sc.Environment(nil, ev.dcfg, pos, types, list, box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		executed, err := m.Cfg.ExecutedFLOPs(types, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := float64(ev.Counter.FLOPs())
+		if dev := math.Abs(counted/executed - 1); dev > 0.05 {
+			t.Errorf("chunk %d: counted %.0f FLOPs vs executed-shape model %.0f (%.1f%% apart, want < 5%%)", chunk, counted, executed, 100*dev)
+		}
+		if full := n * m.Cfg.FLOPsPerAtomStep([]float64{0.5, 0.5}); executed > full {
+			t.Errorf("chunk %d: executed-shape model %.0f exceeds the full-stride count %.0f", chunk, executed, full)
+		}
 	}
 }
 

@@ -243,12 +243,9 @@ func (ev *Evaluator[T]) evalChunkBatched(ctr *perf.Counter, opts tensor.Opts, ws
 	// count under SLICE so the Fig. 3 attribution of the batched pipeline
 	// stays honest (the batched GEMMs themselves report under GEMM).
 	gatherStart := timeIf(ctr)
+	chunkSel(ws.secSel, env, atoms)
 	for tj := 0; tj < nt; tj++ {
-		sel := 1
-		for _, atom := range atoms {
-			sel = max(sel, int(env.Count[atom*nt+tj]))
-		}
-		ws.secSel[tj] = sel
+		sel := ws.secSel[tj]
 		off := fmtd.SelOff[tj]
 		sIn := ar.TakeMatrixUninit(nA*sel, 1)
 		rSec := ar.TakeUninit(nA * sel * 4)
@@ -308,6 +305,19 @@ func (ev *Evaluator[T]) evalChunkBatched(ctr *perf.Counter, opts tensor.Opts, ws
 		observeSlice(ctr, scatterStart)
 	}
 	return chunkE
+}
+
+// chunkSel fills sel with the section lengths a chunk of the exact batched
+// pipeline runs at: per neighbor type, the largest real-neighbor count
+// among the chunk's atoms, at least 1 so every GEMM keeps a row.
+func chunkSel(sel []int, env *descriptor.EnvOut, atoms []int) {
+	nt := len(sel)
+	for tj := range sel {
+		sel[tj] = 1
+		for _, atom := range atoms {
+			sel[tj] = max(sel[tj], int(env.Count[atom*nt+tj]))
+		}
+	}
 }
 
 // fitChunk is the part of a chunk every batched strategy shares, from the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"deepmd-go/internal/compress"
+	"deepmd-go/internal/descriptor"
 	"deepmd-go/internal/nn"
 )
 
@@ -24,57 +25,106 @@ import (
 // slots is computed. It is NOT what the evaluator executes any more: the
 // batched path runs each section at its chunk's largest real-neighbor
 // count and the compressed path's fused operator visits real neighbors
-// only, and perf.Counter charges that executed work (the model evaluated
-// at the executed section lengths reproduces the counter; TestFig3Shape).
+// only, and perf.Counter charges that executed work — ExecutedFLOPs is
+// this same model at the executed shapes (TestFig3Shape holds the counter
+// to it).
 func (c *Config) FLOPsPerAtomStep(typeFrac []float64) float64 {
-	rng := rand.New(rand.NewSource(1))
-	stride := c.Stride()
-	m := c.M()
-	ax := c.MAxis
-
-	// Representative networks for counting (weights irrelevant).
-	emb := nn.NewEmbeddingNet[float64](rng, c.EmbedWidths)
-	fit := nn.NewFittingNet[float64](rng, c.DescriptorDim(), c.FitWidths, 0)
-
+	// Every center type runs the same network shapes over the same padded
+	// sections, so the composition only weights one number.
+	const custom = descriptor.EnvFLOPsPerSlot + descriptor.ProdForceFLOPsPerEntry + descriptor.ProdVirialFLOPsPerEntry
+	per := c.newFLOPModel().pipeline(c.Sel) + float64(c.Stride())*custom
 	var total float64
-	for ci, frac := range typeFrac {
-		if frac == 0 {
-			continue
-		}
-		// Embedding: every padded slot is processed (branch-free layout).
-		per := embedFLOPsPerAtom(c, emb)
-		// Descriptor contractions per atom:
-		//   T = G^T R~ / N        2*m*4*stride
-		//   D = T Tsub^T          2*m*ax*4
-		//   dT = dD Tsub          2*m*ax*4
-		//   dTsub = dD^T T        2*m*ax*4
-		//   dG = R~ dT^T / N      2*stride*m*4
-		//   dR~ = G dT / N        2*stride*m*4
-		per += float64(2*m*4*stride) + float64(3*2*m*ax*4) + float64(2*2*stride*m*4)
-		// Fitting net, batch of one atom.
-		per += float64(fit.ForwardFLOPs(1, true))
-		per += float64(fit.BackwardFLOPs(1))
-		// Customized operators.
-		per += float64(stride) * 45 // Environment
-		per += float64(stride) * 30 // ProdForce
-		per += float64(stride) * 42 // ProdVirial
+	for _, frac := range typeFrac {
 		total += frac * per
-		_ = ci
 	}
 	return total
 }
 
+// flopModel walks the evaluator's pipeline on representative networks
+// (weights irrelevant, only the shapes are counted).
+type flopModel struct {
+	c        *Config
+	emb, fit *nn.Net[float64]
+}
+
+func (c *Config) newFLOPModel() flopModel {
+	rng := rand.New(rand.NewSource(1))
+	return flopModel{
+		c:   c,
+		emb: nn.NewEmbeddingNet[float64](rng, c.EmbedWidths),
+		fit: nn.NewFittingNet[float64](rng, c.DescriptorDim(), c.FitWidths, 0),
+	}
+}
+
+// pipeline charges everything between Environment and ProdForce for one
+// atom whose neighbor-type sections run at the lengths sel: embedding
+// forward+backward over every row, the descriptor contractions and the
+// fitting net on a batch of one.
+//
+//	T = G^T R~ / N        2*m*4*rows
+//	D = T Tsub^T          2*m*ax*4
+//	dT = dD Tsub          2*m*ax*4
+//	dTsub = dD^T T        2*m*ax*4
+//	dG = R~ dT^T / N      2*rows*m*4
+//	dR~ = G dT / N        2*rows*m*4
+func (fm flopModel) pipeline(sel []int) float64 {
+	m, ax := fm.c.M(), fm.c.MAxis
+	rows := 0
+	for _, n := range sel {
+		rows += n
+	}
+	per := embedFLOPsPerAtom(sel, fm.emb)
+	per += float64(2*m*4*rows) + float64(3*2*m*ax*4) + float64(2*2*rows*m*4)
+	per += float64(fm.fit.ForwardFLOPs(1, true))
+	per += float64(fm.fit.BackwardFLOPs(1))
+	return per
+}
+
+// ExecutedFLOPs returns what the model charges ONE evaluation of a frame
+// at the shapes the exact batched strategy executes — the number
+// perf.Counter accumulates, where FLOPsPerAtomStep is the paper's padded
+// convention. env is the frame's Environment output. The frame is grouped
+// and chunked exactly as ComputeBatch does it (chunkJobs), every chunk
+// runs its sections at chunkSel, and the customized operators are charged
+// the way they charge themselves: Environment per padded slot plus the
+// distance refresh, ProdForce and ProdVirial per list entry, skin entries
+// included. (The compressed strategy replaces the embedding and
+// contraction terms by compress.Fused*FLOPsPerChannel per real neighbor
+// and is not modelled here.)
+func (c *Config) ExecutedFLOPs(types []int, env *descriptor.EnvOut) (float64, error) {
+	jobs, err := chunkJobs(nil, make([][]int, c.NumTypes()), types, env.Nloc, c.ChunkSize)
+	if err != nil {
+		return 0, err
+	}
+	fm := c.newFLOPModel()
+	sel := make([]int, c.NumTypes())
+	var total float64
+	for _, j := range jobs {
+		chunkSel(sel, env, j.atoms)
+		total += float64(len(j.atoms)) * fm.pipeline(sel)
+	}
+	entries := 0
+	for _, idx := range env.Fmt.Idx {
+		if idx >= 0 {
+			entries++
+		}
+	}
+	const perEntry = descriptor.RefreshFLOPsPerEntry + descriptor.ProdForceFLOPsPerEntry + descriptor.ProdVirialFLOPsPerEntry
+	total += float64(env.Nloc)*float64(env.Stride)*descriptor.EnvFLOPsPerSlot + float64(entries)*perEntry
+	return total, nil
+}
+
 // embedFLOPsPerAtom charges the embedding forward+backward work for one
-// atom: every padded neighbor slot of every section runs through the
-// net. All (center, neighbor) embedding nets share the same widths, so
-// the charge is identical for every center type and composition averages
-// are the value itself — the single source both FLOPsPerAtomStep and
-// EmbedFLOPsPerAtomStep draw from, so the compression factor
-// (total - embed + table)/total cannot drift out of sync with the total.
-func embedFLOPsPerAtom(c *Config, emb *nn.Net[float64]) float64 {
+// atom: every row of every section (sel[tj] rows; the padded c.Sel in the
+// full-stride convention) runs through the net. All (center, neighbor)
+// embedding nets share the same widths, so the charge is identical for
+// every center type and composition averages are the value itself — the
+// single source both FLOPsPerAtomStep and EmbedFLOPsPerAtomStep draw from,
+// so the compression factor (total - embed + table)/total cannot drift out
+// of sync with the total.
+func embedFLOPsPerAtom(sel []int, emb *nn.Net[float64]) float64 {
 	var per float64
-	for tj := range c.Sel {
-		rows := c.Sel[tj]
+	for _, rows := range sel {
 		per += float64(emb.ForwardFLOPs(rows, true))
 		per += float64(emb.BackwardFLOPs(rows))
 	}
@@ -90,7 +140,7 @@ func embedFLOPsPerAtom(c *Config, emb *nn.Net[float64]) float64 {
 // no composition argument is needed.
 func (c *Config) EmbedFLOPsPerAtomStep() float64 {
 	rng := rand.New(rand.NewSource(1))
-	return embedFLOPsPerAtom(c, nn.NewEmbeddingNet[float64](rng, c.EmbedWidths))
+	return embedFLOPsPerAtom(c.Sel, nn.NewEmbeddingNet[float64](rng, c.EmbedWidths))
 }
 
 // CompressedEmbedFLOPsPerAtomStep returns the tabulated replacement's

@@ -92,29 +92,17 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		fs.rT = descriptor.ConvertR(ctr, env, fs.rT)
 		fs.ndT = tensor.Resize(fs.ndT, f.Nloc*stride*4)
 		clear(fs.ndT)
-		for t := range fs.byType {
-			fs.byType[t] = fs.byType[t][:0]
+		if fs.jobs, err = chunkJobs(fs.jobs[:0], fs.byType, f.Types, f.Nloc, ev.cfg.ChunkSize); err != nil {
+			return fmt.Errorf("core: frame %d: %w", fi, err)
 		}
-		for i := 0; i < f.Nloc; i++ {
-			t := f.Types[i]
-			if t < 0 || t >= nt {
-				return fmt.Errorf("core: frame %d: atom %d has type %d outside model", fi, i, t)
-			}
-			fs.byType[t] = append(fs.byType[t], i)
+		for ji := range fs.jobs {
+			ev.batchJobs = append(ev.batchJobs, batchJob{fi, ji})
 		}
 		nall := len(f.Pos) / 3
 		f.Out.AtomEnergy = tensor.Resize(f.Out.AtomEnergy, f.Nloc)
 		f.Out.Force = tensor.Resize(f.Out.Force, 3*nall)
 		clear(f.Out.Force)
 		fs.atomEnergy = f.Out.AtomEnergy
-		fs.jobs = fs.jobs[:0]
-		for ci, atoms := range fs.byType {
-			for lo := 0; lo < len(atoms); lo += ev.cfg.ChunkSize {
-				hi := min(lo+ev.cfg.ChunkSize, len(atoms))
-				ev.batchJobs = append(ev.batchJobs, batchJob{fi, len(fs.jobs)})
-				fs.jobs = append(fs.jobs, chunkJob{ci, atoms[lo:hi]})
-			}
-		}
 		fs.chunkE = tensor.Resize(fs.chunkE, len(fs.jobs))
 	}
 
@@ -162,6 +150,30 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 	}
 	ev.growArenas()
 	return nil
+}
+
+// chunkJobs groups the first nloc atoms by type into byType (one reusable
+// index slice per type) and appends their chunks to jobs: runs of at most
+// chunkSize same-type atoms in index order, type by type. This is the one
+// place chunk composition is decided — the evaluation sweep and the
+// executed-shape FLOP model (Config.ExecutedFLOPs) both start here.
+func chunkJobs(jobs []chunkJob, byType [][]int, types []int, nloc, chunkSize int) ([]chunkJob, error) {
+	for t := range byType {
+		byType[t] = byType[t][:0]
+	}
+	for i := 0; i < nloc; i++ {
+		t := types[i]
+		if t < 0 || t >= len(byType) {
+			return nil, fmt.Errorf("atom %d has type %d outside model", i, t)
+		}
+		byType[t] = append(byType[t], i)
+	}
+	for ci, atoms := range byType {
+		for lo := 0; lo < len(atoms); lo += chunkSize {
+			jobs = append(jobs, chunkJob{ci, atoms[lo:min(lo+chunkSize, len(atoms))]})
+		}
+	}
+	return jobs, nil
 }
 
 // splitBudget divides the evaluator's one parallelism budget (Workers, one

@@ -29,14 +29,14 @@ type EnvOut struct {
 	DR []float64
 	// Rij is the displacement d for each slot: Nloc x Stride x 3.
 	Rij []float64
-	// Count is the real-neighbor prefix length of every (atom, type
-	// section): Nloc x len(Sel), entry i*len(Sel)+t for section t of atom
-	// i. Slots are sorted by current distance, so the neighbors inside the
-	// cutoff are a prefix of their section; Count is the index, within the
-	// section, after the last slot the operator filled, and R, DR and Rij
-	// are all-zero at and beyond it (skin entries that sit outside the
-	// cutoff, and -1 padding). Downstream stages stop there: padding
-	// costs them nothing.
+	// Count bounds the non-zero rows of every (atom, type section): Nloc x
+	// len(Sel), entry i*len(Sel)+t for section t of atom i. The one
+	// invariant: R, DR and Rij are exactly zero at and beyond slot Count of
+	// the section (skin entries outside the cutoff, -1 padding); slots
+	// before it may be zero too (a neighbor coincident with the center).
+	// Count is the index after the last slot the operator filled, so it is
+	// the tightest such bound. Downstream stages stop there: padding costs
+	// them nothing.
 	Count []int32
 }
 
@@ -73,7 +73,7 @@ func (sc *Scratch) Environment(ctr *perf.Counter, cfg Config, pos []float64, typ
 			row = append(row, neighbor.Entry{Type: e.Type, Dist: r, Index: e.Index})
 		}
 		upd.Entries[i] = row
-		flops += int64(len(nbrs)) * 9
+		flops += int64(len(nbrs)) * RefreshFLOPsPerEntry
 	}
 	fmtd, err := sc.fm.Format(neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}, &upd)
 	if err != nil {
@@ -99,7 +99,7 @@ func (sc *Scratch) Environment(ctr *perf.Counter, cfg Config, pos []float64, typ
 			out.Rij[i*stride*3:(i+1)*stride*3],
 			out.Count[i*nt:(i+1)*nt])
 	}
-	flops += int64(nloc) * int64(stride) * envFLOPsPerSlot
+	flops += int64(nloc) * int64(stride) * EnvFLOPsPerSlot
 	ctr.Observe(perf.CatCUSTOM, start, flops)
 	return out, nil
 }
@@ -171,14 +171,25 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 			copy(out.Rij[(i*stride+k)*3:], rij)
 		}
 	}
-	ctr.Observe(perf.CatCUSTOM, start, int64(nloc)*int64(stride)*envFLOPsPerSlot)
+	ctr.Observe(perf.CatCUSTOM, start, int64(nloc)*int64(stride)*EnvFLOPsPerSlot)
 	return out, nil
 }
 
-// envFLOPsPerSlot is the analytic FLOP charge per neighbor slot of the
-// environment computation (distance, switching function, 4 matrix entries
-// and their 12 derivatives).
-const envFLOPsPerSlot = 45
+// The customized operators' analytic FLOP charges, exported so the FLOP
+// model in internal/core counts with the numbers the operators report.
+const (
+	// EnvFLOPsPerSlot is charged per padded slot of the environment
+	// computation (distance, switching function, 4 matrix entries and
+	// their 12 derivatives).
+	EnvFLOPsPerSlot = 45
+	// RefreshFLOPsPerEntry is charged per raw list entry for the
+	// current-step distance the re-sort needs.
+	RefreshFLOPsPerEntry = 9
+	// ProdForceFLOPsPerEntry and ProdVirialFLOPsPerEntry are charged per
+	// formatted list entry (skin entries included, padding not).
+	ProdForceFLOPsPerEntry  = 30
+	ProdVirialFLOPsPerEntry = 24 + 18
+)
 
 // fillEnvRow computes R~, dR~/dd and rij for one atom over its formatted
 // slot row, section by section: padding (-1) is the tail of every section

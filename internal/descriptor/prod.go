@@ -45,7 +45,7 @@ func ProdForce(ctr *perf.Counter, netDeriv []float64, env *EnvOut, force []float
 			fi0 += d0
 			fi1 += d1
 			fi2 += d2
-			flops += 30
+			flops += ProdForceFLOPsPerEntry
 		}
 		force[3*i] += fi0
 		force[3*i+1] += fi1
@@ -83,7 +83,7 @@ func ProdForceBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut, nall 
 			}
 		}
 	}
-	ctr.Observe(perf.CatCUSTOM, start, int64(env.Nloc)*int64(stride)*30)
+	ctr.Observe(perf.CatCUSTOM, start, int64(env.Nloc)*int64(stride)*ProdForceFLOPsPerEntry)
 	return force
 }
 
@@ -118,7 +118,7 @@ func ProdVirial(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]float64 {
 					w[a*3+b] -= rij[a] * dd[b]
 				}
 			}
-			flops += 24 + 18
+			flops += ProdVirialFLOPsPerEntry
 		}
 	}
 	ctr.Observe(perf.CatCUSTOM, start, flops)
@@ -158,6 +158,6 @@ func ProdVirialBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]f
 			}
 		}
 	}
-	ctr.Observe(perf.CatCUSTOM, start, int64(env.Nloc)*int64(stride)*42)
+	ctr.Observe(perf.CatCUSTOM, start, int64(env.Nloc)*int64(stride)*ProdVirialFLOPsPerEntry)
 	return w
 }

@@ -84,9 +84,9 @@ func TestAblationSortShape(t *testing.T) {
 
 // countedFLOPs runs steps force evaluations of the Quick water or copper
 // system with a counter attached and returns the atom count, the FLOPs the
-// operators charged, and what the analytic model charges one step at the
-// section lengths its chunks ran at.
-func countedFLOPs(t *testing.T, water, mixed bool, steps int) (atoms int, flops int64, ran float64) {
+// operators charged, and what the analytic model charges one evaluation at
+// the shapes the evaluator executes (core.Config.ExecutedFLOPs).
+func countedFLOPs(t *testing.T, water, mixed bool, steps int) (atoms int, flops int64, executed float64) {
 	t.Helper()
 	var (
 		pos   []float64
@@ -126,53 +126,26 @@ func countedFLOPs(t *testing.T, water, mixed bool, steps int) (atoms int, flops 
 			t.Fatal(err)
 		}
 	}
-	return len(types), ctr.FLOPs(), analyticAtRunLengths(t, model.Cfg, pos, types, list, box)
-}
-
-// analyticAtRunLengths sums Config.FLOPsPerAtomStep over the evaluator's
-// chunks with every neighbor-type section at the length the chunk runs it
-// at: its largest real-neighbor count, not the padded Sel (the batched
-// pipeline does no work on padding). The full-stride model is the paper's
-// convention; this is the same model at the executed shapes.
-func analyticAtRunLengths(t *testing.T, cfg core.Config, pos []float64, types []int, list *neighbor.List, box *neighbor.Box) float64 {
-	t.Helper()
 	var sc descriptor.Scratch
 	env, err := sc.Environment(nil, descriptor.Config{Rcut: cfg.Rcut, RcutSmth: cfg.RcutSmth, Sel: cfg.Sel}, pos, types, list, box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt := len(cfg.Sel)
-	byType := make([][]int, nt)
-	for i, ty := range types {
-		byType[ty] = append(byType[ty], i)
+	if executed, err = model.Cfg.ExecutedFLOPs(types, env); err != nil {
+		t.Fatal(err)
 	}
-	var total float64
-	for ci, atoms := range byType {
-		frac := make([]float64, nt)
-		frac[ci] = 1
-		for lo := 0; lo < len(atoms); lo += cfg.ChunkSize {
-			chunk := atoms[lo:min(lo+cfg.ChunkSize, len(atoms))]
-			eff := cfg
-			eff.Sel = make([]int, nt)
-			for tj := range eff.Sel {
-				eff.Sel[tj] = 1
-				for _, a := range chunk {
-					eff.Sel[tj] = max(eff.Sel[tj], int(env.Count[a*nt+tj]))
-				}
-			}
-			total += float64(len(chunk)) * eff.FLOPsPerAtomStep(frac)
-		}
-	}
-	return total
+	return len(types), ctr.FLOPs(), executed
 }
 
 // Fig. 3: four bars, each a complete percent-stacked breakdown over the
 // five operator categories; and the quantity behind the paper's ordering
 // (GEMM share larger for copper than water) checked where it is
 // deterministic — the FLOPs the operators charge equal the analytic model
-// (core.Config.FLOPsPerAtomStep) to a few percent, are the same in both
-// precisions and every step, and are several times larger per atom for
-// copper's padded neighbor count than for water's.
+// at the executed shapes (core.Config.ExecutedFLOPs) to a few percent, are
+// the same in both precisions and every step, never exceed the paper's
+// full-stride count (core.Config.FLOPsPerAtomStep), and are larger per
+// atom for copper than for water, several times so in the padded
+// convention.
 func TestFig3Shape(t *testing.T) {
 	res, err := Fig3(Quick, 2)
 	if err != nil {
@@ -202,37 +175,38 @@ func TestFig3Shape(t *testing.T) {
 		}
 	}
 
-	full := map[bool]float64{}
+	perAtom, full := map[bool]float64{}, map[bool]float64{}
 	for _, water := range []bool{false, true} {
 		typeFrac, cfg := []float64{1}, copperModelConfig(Quick)
 		if water {
 			typeFrac, cfg = []float64{1.0 / 3, 2.0 / 3}, waterModelConfig(Quick)
 		}
-		n, one, ran := countedFLOPs(t, water, false, 1)
+		n, one, executed := countedFLOPs(t, water, false, 1)
 		if _, three, _ := countedFLOPs(t, water, false, 3); three != 3*one {
 			t.Errorf("water=%v: 3 steps charged %d FLOPs, want 3 x %d", water, three, one)
 		}
 		if _, mixed, _ := countedFLOPs(t, water, true, 1); mixed != one {
 			t.Errorf("water=%v: mixed charged %d FLOPs, double %d — precision must not change the count", water, mixed, one)
 		}
-		// The counter charges executed work: the analytic model at the
-		// section lengths the chunks ran at, never more than the paper's
-		// full-stride count. The band is 10 %, not the 5 % the full-stride
-		// comparison had: the customized operators still charge per padded
-		// slot (Environment) and per list entry, skin included
-		// (ProdForce, ProdVirial), which the model at the executed lengths
-		// does not see — 7 % of the Quick copper count, whose sel is 2.6x
-		// its real neighbor count.
-		if dev := math.Abs(float64(one)/ran - 1); dev > 0.10 {
-			t.Errorf("water=%v: counted %.0f FLOPs/atom/step vs analytic %.0f at the executed section lengths (%.1f%% apart, want < 10%%)", water, float64(one)/float64(n), ran/float64(n), 100*dev)
+		perAtom[water] = float64(one) / float64(n)
+		if dev := math.Abs(float64(one)/executed - 1); dev > 0.05 {
+			t.Errorf("water=%v: counted %.0f FLOPs/atom/step vs analytic %.0f at the executed shapes (%.1f%% apart, want < 5%%)", water, perAtom[water], executed/float64(n), 100*dev)
 		}
+		// No work on padding: executed work never exceeds the padded count.
 		full[water] = cfg.FLOPsPerAtomStep(typeFrac)
-		if perAtom := float64(one) / float64(n); perAtom > 1.05*full[water] {
-			t.Errorf("water=%v: counted %.0f FLOPs/atom/step exceeds the full-stride model %.0f", water, perAtom, full[water])
+		if perAtom[water] > 1.05*full[water] {
+			t.Errorf("water=%v: counted %.0f FLOPs/atom/step exceeds the full-stride model %.0f", water, perAtom[water], full[water])
 		}
 	}
+	// The paper's 3.3x (Sec. 6.1: 64.9 vs 19.8 MFLOPs) is an NVPROF count of
+	// the padded layout, so > 2 is asserted on the full-stride model. The
+	// counted ratio is the executed one: Quick copper fills 42 of its 110
+	// padded slots and Quick water 27 of its 36, which leaves 1.4x.
 	if ratio := full[false] / full[true]; ratio < 2 {
-		t.Errorf("copper/water full-stride FLOPs per atom = %.2f, want > 2 (paper Sec. 6.1: 64.9 vs 19.8 MFLOPs, ~3.3x)", ratio)
+		t.Errorf("copper/water full-stride FLOPs per atom = %.2f, want > 2 (paper Sec. 6.1: ~3.3x)", ratio)
+	}
+	if ratio := perAtom[false] / perAtom[true]; ratio < 1.25 {
+		t.Errorf("copper/water counted FLOPs per atom = %.2f, want > 1.25 (executed work, real neighbors only)", ratio)
 	}
 }
 
