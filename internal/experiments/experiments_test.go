@@ -173,6 +173,17 @@ func TestFig3Shape(t *testing.T) {
 		if c.Breakdown["GEMM"] <= 0 || c.Breakdown["CUSTOM"] <= 0 {
 			t.Errorf("%s: GEMM %.1f%% / CUSTOM %.1f%% — an operator family went unattributed", c.Label, c.Breakdown["GEMM"], c.Breakdown["CUSTOM"])
 		}
+		var tierSum float64
+		for _, tier := range []string{"strip", "dot", "packed", "naive"} {
+			v, ok := c.Tiers[tier]
+			if !ok || v < 0 || v > 1 {
+				t.Errorf("%s: tier %s serves %v of the GEMM FLOPs (present %v)", c.Label, tier, v, ok)
+			}
+			tierSum += v
+		}
+		if len(c.Tiers) != 4 || math.Abs(tierSum-1) > 1e-9 {
+			t.Errorf("%s: %d kernel tiers serving %.9f of the GEMM FLOPs, want 4 serving all of them", c.Label, len(c.Tiers), tierSum)
+		}
 	}
 
 	perAtom, full := map[bool]float64{}, map[bool]float64{}
@@ -395,10 +406,10 @@ func TestGemmKernelsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Quick scale: two M tiers x three embedding shapes, plus the fitting
-	// layer.
-	if len(res.Rows) != 7 {
-		t.Fatalf("rows = %d, want 7", len(res.Rows))
+	// Quick scale: two M tiers x three embedding shapes, plus the two
+	// fitting layers.
+	if len(res.Rows) != 8 {
+		t.Fatalf("rows = %d, want 8", len(res.Rows))
 	}
 	for _, r := range res.Rows {
 		if r.Naive <= 0 || r.Blocked <= 0 || r.SIMD <= 0 || r.Par <= 0 || r.Fused2P <= 0 || r.Fused <= 0 {
@@ -414,8 +425,8 @@ func TestGemmKernelsShape(t *testing.T) {
 	if res.Kernel == "" {
 		t.Fatal("missing kernel attribution")
 	}
-	if !strings.Contains(res.String(), "fitting 240x240") {
-		t.Fatal("gemm table missing fitting row")
+	if s := res.String(); !strings.Contains(s, "fitting 240x240") || !strings.Contains(s, "fitting 1600->240") {
+		t.Fatal("gemm table missing a fitting row")
 	}
 }
 

@@ -32,8 +32,8 @@ type GemmRow struct {
 // per-step cost. Shapes follow the paper's layers — the tall-skinny
 // embedding GEMMs M x 1 x 25, M x 25 x 50, M x 50 x 100 at neighbor-row
 // counts M in {1e3, 1e4, 1e5} (the 1e5 tier under -full) — plus the
-// fitting net's 240 x 240 hidden layer. Kernel names which SIMD family
-// executed the SIMD/Par/Fused columns.
+// fitting net's 240 x 240 hidden layer and its 1600 -> 240 first layer.
+// Kernel names which SIMD family executed the SIMD/Par/Fused columns.
 type GemmResult struct {
 	Workers int
 	Kernel  string
@@ -70,7 +70,14 @@ func GemmKernels(sc Scale, workers int) (*GemmResult, error) {
 			shape{fmt.Sprintf("embed 50->100 M=%d", mt), mt, 50, 100},
 		)
 	}
-	shapes = append(shapes, shape{"fitting 240x240", fitRows, 240, 240})
+	shapes = append(shapes,
+		shape{"fitting 240x240", fitRows, 240, 240},
+		// The first fitting layer at paper geometry: reduction depth
+		// M*M_axis = 1600, seven K panels of the strip tier, and no fused
+		// tanh epilogue (the fused column is the panelled GemmBias plus the
+		// separate tanh pass on both sides).
+		shape{"fitting 1600->240", fitRows, 1600, 240},
+	)
 
 	res := &GemmResult{Workers: workers, Kernel: tensor.KernelInfo().Family}
 	for si, s := range shapes {

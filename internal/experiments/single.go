@@ -18,10 +18,13 @@ type Fig3Result struct {
 	Columns []Fig3Column
 }
 
-// Fig3Column is one bar of the chart.
+// Fig3Column is one bar of the chart, plus the kernel-family attribution
+// of its GEMM share: the fraction of GEMM FLOPs each internal/tensor tier
+// served (strip / dot / packed / naive) — a count, not a timing.
 type Fig3Column struct {
 	Label     string
 	Breakdown map[string]float64
+	Tiers     map[string]float64
 }
 
 // Fig3 measures the breakdown by running a few force evaluations of each
@@ -81,7 +84,7 @@ func Fig3(sc Scale, steps int) (*Fig3Result, error) {
 				}
 			}
 		}
-		res.Columns = append(res.Columns, Fig3Column{Label: v.label, Breakdown: ctr.Breakdown()})
+		res.Columns = append(res.Columns, Fig3Column{Label: v.label, Breakdown: ctr.Breakdown(), Tiers: ctr.TierShares()})
 	}
 	return res, nil
 }
@@ -89,16 +92,24 @@ func Fig3(sc Scale, steps int) (*Fig3Result, error) {
 // String prints the stacked percentages.
 func (r *Fig3Result) String() string {
 	cats := []string{"GEMM", "TANH", "SLICE", "CUSTOM", "Others"}
+	tiers := []perf.Tier{perf.TierStrip, perf.TierDot, perf.TierPacked, perf.TierNaive}
 	rows := make([][]string, 0, len(r.Columns))
 	for _, c := range r.Columns {
 		row := []string{c.Label}
 		for _, cat := range cats {
 			row = append(row, fmt.Sprintf("%.1f%%", c.Breakdown[cat]))
 		}
+		for _, tier := range tiers {
+			row = append(row, fmt.Sprintf("%.1f%%", 100*c.Tiers[tier.String()]))
+		}
 		rows = append(rows, row)
 	}
-	return "Fig 3: operator time breakdown (paper: GEMM 74/72/63/62% for Cu-D/Cu-M/H2O-D/H2O-M)\n" +
-		table(append([]string{"Config"}, cats...), rows)
+	header := append([]string{"Config"}, cats...)
+	for _, tier := range tiers {
+		header = append(header, "GEMM FLOPs "+tier.String())
+	}
+	return "Fig 3: operator time breakdown (paper: GEMM 74/72/63/62% for Cu-D/Cu-M/H2O-D/H2O-M) and the kernel tier serving the GEMM FLOPs\n" +
+		table(header, rows)
 }
 
 // MixedResult reproduces Sec. 7.1.3 / Sec. 5.2.3: accuracy and resource

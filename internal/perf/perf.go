@@ -56,12 +56,45 @@ func (c Category) String() string {
 	}
 }
 
-// Counter accumulates FLOPs and per-category wall time. It is safe for
-// concurrent use; all fields are updated atomically so rank goroutines can
-// share one counter.
+// Tier names the GEMM engine of internal/tensor that served a call — the
+// kernel-family attribution of a step's GEMM FLOPs.
+type Tier int
+
+const (
+	// TierStrip is the tall-skinny SIMD strip kernels (K-panelled).
+	TierStrip Tier = iota
+	// TierDot is the SIMD dot-product tile of the A*B^T variant.
+	TierDot
+	// TierPacked is the packed cache-blocked engine.
+	TierPacked
+	// TierNaive is the reference loops: Kernel = Naive, or a shape below
+	// the other tiers' size cutoffs.
+	TierNaive
+
+	numTiers
+)
+
+// String returns the tier's report label.
+func (t Tier) String() string {
+	switch t {
+	case TierStrip:
+		return "strip"
+	case TierDot:
+		return "dot"
+	case TierPacked:
+		return "packed"
+	default:
+		return "naive"
+	}
+}
+
+// Counter accumulates FLOPs, per-category wall time and per-tier GEMM
+// FLOPs. It is safe for concurrent use; all fields are updated atomically
+// so rank goroutines can share one counter.
 type Counter struct {
-	flops   atomic.Int64
-	catTime [numCategories]atomic.Int64 // nanoseconds
+	flops     atomic.Int64
+	catTime   [numCategories]atomic.Int64 // nanoseconds
+	tierFLOPs [numTiers]atomic.Int64
 }
 
 // NewCounter returns a zeroed Counter.
@@ -88,6 +121,42 @@ func (c *Counter) Observe(cat Category, start time.Time, flops int64) {
 	}
 	c.catTime[cat].Add(int64(time.Since(start)))
 	c.flops.Add(flops)
+}
+
+// ObserveGEMM is Observe(CatGEMM, ...) that also credits the call's FLOPs
+// to the tier that served it.
+func (c *Counter) ObserveGEMM(tier Tier, start time.Time, flops int64) {
+	if c == nil {
+		return
+	}
+	c.Observe(CatGEMM, start, flops)
+	c.tierFLOPs[tier].Add(flops)
+}
+
+// TierFLOPs returns the GEMM FLOPs served by one tier.
+func (c *Counter) TierFLOPs(t Tier) int64 {
+	if c == nil {
+		return 0
+	}
+	return c.tierFLOPs[t].Load()
+}
+
+// TierShares returns each tier's fraction of the recorded GEMM FLOPs,
+// keyed by Tier.String(); all zero when no GEMM was recorded.
+func (c *Counter) TierShares() map[string]float64 {
+	out := make(map[string]float64, numTiers)
+	var total int64
+	for t := Tier(0); t < numTiers; t++ {
+		total += c.TierFLOPs(t)
+	}
+	for t := Tier(0); t < numTiers; t++ {
+		f := 0.0
+		if total > 0 {
+			f = float64(c.TierFLOPs(t)) / float64(total)
+		}
+		out[t.String()] = f
+	}
+	return out
 }
 
 // FLOPs returns the accumulated floating point operation count.
@@ -155,6 +224,9 @@ func (c *Counter) Reset() {
 	c.flops.Store(0)
 	for i := range c.catTime {
 		c.catTime[i].Store(0)
+	}
+	for i := range c.tierFLOPs {
+		c.tierFLOPs[i].Store(0)
 	}
 }
 

@@ -61,7 +61,8 @@ func TestNilCounterIsSafe(t *testing.T) {
 	c.AddFLOPs(1)
 	c.AddTime(CatGEMM, time.Second)
 	c.Observe(CatTANH, time.Now(), 5)
-	if c.FLOPs() != 0 || c.CategoryTime(CatGEMM) != 0 {
+	c.ObserveGEMM(TierStrip, time.Now(), 5)
+	if c.FLOPs() != 0 || c.CategoryTime(CatGEMM) != 0 || c.TierFLOPs(TierStrip) != 0 {
 		t.Fatal("nil counter should be inert")
 	}
 }
@@ -89,9 +90,34 @@ func TestCounterReset(t *testing.T) {
 	c := NewCounter()
 	c.AddFLOPs(5)
 	c.AddTime(CatSLICE, time.Second)
+	c.ObserveGEMM(TierPacked, time.Now(), 7)
 	c.Reset()
-	if c.FLOPs() != 0 || c.TotalTime() != 0 {
+	if c.FLOPs() != 0 || c.TotalTime() != 0 || c.TierFLOPs(TierPacked) != 0 {
 		t.Fatal("reset incomplete")
+	}
+}
+
+// ObserveGEMM credits one call's FLOPs three ways: the total, the GEMM
+// category's time, and the serving tier.
+func TestObserveGEMMTiers(t *testing.T) {
+	c := NewCounter()
+	for _, s := range c.TierShares() {
+		if s != 0 {
+			t.Fatalf("empty counter reports a tier share of %g", s)
+		}
+	}
+	c.ObserveGEMM(TierStrip, time.Now().Add(-time.Millisecond), 300)
+	c.ObserveGEMM(TierDot, time.Now(), 100)
+	c.Observe(CatCUSTOM, time.Now(), 1000) // not a GEMM: no tier
+	if c.FLOPs() != 1400 || c.CategoryTime(CatGEMM) < time.Millisecond {
+		t.Fatalf("FLOPs %d, GEMM time %v", c.FLOPs(), c.CategoryTime(CatGEMM))
+	}
+	if c.TierFLOPs(TierStrip) != 300 || c.TierFLOPs(TierDot) != 100 || c.TierFLOPs(TierPacked) != 0 || c.TierFLOPs(TierNaive) != 0 {
+		t.Fatalf("tier FLOPs strip %d dot %d packed %d naive %d", c.TierFLOPs(TierStrip), c.TierFLOPs(TierDot), c.TierFLOPs(TierPacked), c.TierFLOPs(TierNaive))
+	}
+	sh := c.TierShares()
+	if len(sh) != 4 || sh["strip"] != 0.75 || sh["dot"] != 0.25 || sh["packed"] != 0 || sh["naive"] != 0 {
+		t.Fatalf("tier shares %v", sh)
 	}
 }
 

@@ -48,15 +48,17 @@ import (
 func GemmBatchOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
 	checkBatch("GemmBatch", batch, m*k, as, len(a), k*n, bs, len(b), m*n, cs, len(c))
 	start := time.Now()
+	tier := perf.TierNaive
 	switch {
 	case o.Kernel == Naive:
 		runBatchNaive(1, batchVarN, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	case !batchItemWorthIt(m, n, k):
 		runBatchNaive(o.Workers, batchVarN, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	default:
+		tier = perf.TierPacked
 		gemmBatchBlocked(o.Workers, batch, m, n, k, alpha, a, as, k, 1, b, bs, n, 1, beta, c, cs, n)
 	}
-	ctr.Observe(perf.CatGEMM, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
+	ctr.ObserveGEMM(tier, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
 }
 
 // GemmBatchNTOpt computes C_g = alpha*A_g*B_g^T + beta*C_g, A_g: m x k at
@@ -66,15 +68,17 @@ func GemmBatchOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha 
 func GemmBatchNTOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
 	checkBatch("GemmBatchNT", batch, m*k, as, len(a), n*k, bs, len(b), m*n, cs, len(c))
 	start := time.Now()
+	tier := perf.TierNaive
 	switch {
 	case o.Kernel == Naive:
 		runBatchNaive(1, batchVarNT, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	case !batchItemWorthIt(m, n, k):
 		runBatchNaive(o.Workers, batchVarNT, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	default:
+		tier = perf.TierPacked
 		gemmBatchBlocked(o.Workers, batch, m, n, k, alpha, a, as, k, 1, b, bs, 1, k, beta, c, cs, n)
 	}
-	ctr.Observe(perf.CatGEMM, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
+	ctr.ObserveGEMM(tier, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
 }
 
 // GemmBatchTNOpt computes C_g = alpha*A_g^T*B_g + beta*C_g, A_g: m x k at
@@ -84,15 +88,17 @@ func GemmBatchTNOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alph
 	checkBatch("GemmBatchTN", batch, m*k, as, len(a), m*n, bs, len(b), k*n, cs, len(c))
 	start := time.Now()
 	// Output is k x n with reduction over m.
+	tier := perf.TierNaive
 	switch {
 	case o.Kernel == Naive:
 		runBatchNaive(1, batchVarTN, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	case !batchItemWorthIt(k, n, m):
 		runBatchNaive(o.Workers, batchVarTN, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	default:
+		tier = perf.TierPacked
 		gemmBatchBlocked(o.Workers, batch, k, n, m, alpha, a, as, 1, k, b, bs, n, 1, beta, c, cs, n)
 	}
-	ctr.Observe(perf.CatGEMM, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
+	ctr.ObserveGEMM(tier, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
 }
 
 // batchItem wraps item g's storage as a matrix view.

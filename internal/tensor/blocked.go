@@ -44,8 +44,10 @@ const (
 	nr = 4
 	// mcBlock x kcBlock is the packed A block (per worker, ~256 KB f64);
 	// kcBlock x ncBlock is the packed B panel. kcBlock exceeds the paper's
-	// largest layer width (240), so the K loop is a single panel for every
-	// network shape in the repo.
+	// hidden-layer width (240) but not its deepest reduction: the first
+	// fitting layer's K = M*M_axis = 1600 is seven panels, here as in the
+	// strip tier (simdMaxK), which serves that layer where a SIMD family is
+	// active.
 	mcBlock = 128
 	kcBlock = 256
 	ncBlock = 512

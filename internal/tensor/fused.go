@@ -30,20 +30,23 @@ func GemmBiasOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, c
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
+	tier := perf.TierNaive
 	switch {
 	case o.Kernel == Naive:
 		gemmBiasNaive(a, b, bias, c)
 	case gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, c.Data, n, bias, epiBias, nil, 0):
-		// bias seeded into the accumulators: one fused pass over C
+		// bias seeded into the accumulators: one fused pass over C per K panel
+		tier = perf.TierStrip
 	case !blockedWorthIt(m, k, n):
 		gemmBiasNaive(a, b, bias, c)
 	default:
+		tier = perf.TierPacked
 		for i := 0; i < m; i++ {
 			copy(c.Data[i*n:i*n+n], bias)
 		}
 		gemmBlocked(o.Workers, m, n, k, 1, a.Data, k, 1, b.Data, n, 1, 1, c.Data, n)
 	}
-	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
+	ctr.ObserveGEMM(tier, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
 }
 
 // gemmBiasNaive is the reference fused bias GEMM: bias copied into each C
@@ -88,7 +91,7 @@ func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bia
 		}
 		start := time.Now()
 		if gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, y.Data, n, bias, mode, g, ldg) {
-			ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
+			ctr.ObserveGEMM(perf.TierStrip, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
 			flops := tanhFLOPs * int64(len(y.Data))
 			if wantGrad {
 				flops += 2 * int64(len(y.Data))

@@ -16,14 +16,24 @@ import (
 //
 //	go test -fuzz=FuzzGemm -fuzztime=30s ./internal/tensor/
 func FuzzGemm(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(8), uint8(4), 1.0, 0.0, uint8(0), uint8(1), false)
-	f.Add(int64(2), uint8(33), uint8(65), uint8(9), 2.5, -0.5, uint8(1), uint8(2), true)
-	f.Add(int64(3), uint8(0), uint8(1), uint8(129), 0.0, 1.0, uint8(2), uint8(7), false)
-	f.Add(int64(4), uint8(130), uint8(240), uint8(17), -1.0, 0.3, uint8(3), uint8(3), true)
-	f.Add(int64(5), uint8(64), uint8(50), uint8(100), 1.0, 1.0, uint8(4), uint8(5), false)
-	f.Add(int64(6), uint8(255), uint8(255), uint8(255), 0.5, 1.0, uint8(0), uint8(7), true)
-	f.Fuzz(func(t *testing.T, seed int64, um, uk, un uint8, alpha, beta float64, variant, famSel uint8, single bool) {
-		m, k, n := int(um), int(uk), int(un)
+	f.Add(int64(1), uint8(4), uint16(8), uint8(4), 1.0, 0.0, uint8(0), uint8(1), false)
+	f.Add(int64(2), uint8(33), uint16(65), uint8(9), 2.5, -0.5, uint8(1), uint8(2), true)
+	f.Add(int64(3), uint8(0), uint16(1), uint8(129), 0.0, 1.0, uint8(2), uint8(7), false)
+	f.Add(int64(4), uint8(130), uint16(240), uint8(17), -1.0, 0.3, uint8(3), uint8(3), true)
+	f.Add(int64(5), uint8(64), uint16(50), uint8(100), 1.0, 1.0, uint8(4), uint8(5), false)
+	f.Add(int64(6), uint8(255), uint16(255), uint8(255), 0.5, 1.0, uint8(0), uint8(7), true)
+	// Beyond one K panel of the strip tier (simdMaxK = 256): the paper's
+	// first fitting layer with copper's 244-row chunk (30 strips + a
+	// 4-row tail strip) under every variant that reaches the strips, and
+	// panel-boundary depths with row and column remainders.
+	f.Add(int64(7), uint8(244), uint16(1600), uint8(240), 1.0, 0.0, uint8(3), uint8(2), true)
+	f.Add(int64(8), uint8(244), uint16(1600), uint8(240), 1.0, 0.0, uint8(4), uint8(1), false)
+	f.Add(int64(9), uint8(13), uint16(513), uint8(31), 2.5, -0.5, uint8(0), uint8(1), false)
+	f.Add(int64(10), uint8(9), uint16(257), uint8(17), 1.0, 1.0, uint8(0), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, um uint8, uk uint16, un uint8, alpha, beta float64, variant, famSel uint8, single bool) {
+		// k reaches 2047: eight K panels of the strip tier, well past
+		// 2*simdMaxK+1.
+		m, k, n := int(um), int(uk)%2048, int(un)
 		v := int(variant) % numVariants
 		// Saturated scale factors only probe overflow, not kernel logic;
 		// clamp to a range where the tolerance bound stays meaningful.

@@ -38,17 +38,19 @@ func GemmOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
+	tier := perf.TierNaive
 	switch {
 	case o.Kernel == Naive:
 		gemmNaive(alpha, a, b, beta, c)
 	case gemmSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, n, beta, c.Data, n, nil, epiNone, nil, 0):
-		// handled by the tall-skinny SIMD kernels
+		tier = perf.TierStrip
 	case !blockedWorthIt(m, k, n):
 		gemmNaive(alpha, a, b, beta, c)
 	default:
+		tier = perf.TierPacked
 		gemmBlocked(o.Workers, m, n, k, alpha, a.Data, k, 1, b.Data, n, 1, beta, c.Data, n)
 	}
-	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k))
+	ctr.ObserveGEMM(tier, start, 2*int64(m)*int64(n)*int64(k))
 }
 
 // GemmNTOpt computes C = alpha*A*B^T + beta*C, A: m x k, B: n x k,
@@ -59,17 +61,19 @@ func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Rows
+	tier := perf.TierNaive
 	switch {
 	case o.Kernel == Naive:
 		gemmNTNaive(alpha, a, b, beta, c)
 	case gemmNTSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n):
-		// handled by the SIMD dot tile
+		tier = perf.TierDot
 	case !blockedWorthIt(m, k, n):
 		gemmNTNaive(alpha, a, b, beta, c)
 	default:
+		tier = perf.TierPacked
 		gemmBlocked(o.Workers, m, n, k, alpha, a.Data, k, 1, b.Data, 1, k, beta, c.Data, n)
 	}
-	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k))
+	ctr.ObserveGEMM(tier, start, 2*int64(m)*int64(n)*int64(k))
 }
 
 // GemmTNOpt computes C = alpha*A^T*B + beta*C, A: m x k, B: m x n,
@@ -82,12 +86,14 @@ func GemmTNOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
 	// Output is k x n with reduction over m.
+	tier := perf.TierNaive
 	if o.Kernel == Naive || !blockedWorthIt(k, m, n) {
 		gemmTNNaive(alpha, a, b, beta, c)
 	} else {
+		tier = perf.TierPacked
 		gemmBlocked(o.Workers, k, n, m, alpha, a.Data, 1, k, b.Data, n, 1, beta, c.Data, n)
 	}
-	ctr.Observe(perf.CatGEMM, start, 2*int64(m)*int64(n)*int64(k))
+	ctr.ObserveGEMM(tier, start, 2*int64(m)*int64(n)*int64(k))
 }
 
 // gemmNaive is the reference C = alpha*A*B + beta*C: an i-k-j loop order so

@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the portable half of the SIMD microkernel engine: shape
-// eligibility, worker fan-out, and the scalar Go model that finishes the
-// M/N remainders the assembly strips do not cover. The per-ISA halves
+// eligibility, worker fan-out, the K-panel / tail-strip driver, and the
+// scalar Go model that finishes the column tails the unmasked families do
+// not cover. The per-ISA halves
 // (simd_amd64.go + simd_*_amd64.s, simd_arm64.go + simd_arm64.s) provide
 // the register-tiled kernels; simd_off.go turns the whole path off under
 // `purego` or on other architectures, which is the mandatory fallback
@@ -24,27 +25,35 @@ import (
 // SIMD kernels skip packing entirely: an R-row strip of A is held as
 // broadcast scalars while B streams row by row through vector registers,
 // every (row, column-chunk) accumulator living in its own register chain.
-// K stays resident in one loop, so each strip makes exactly one pass over
-// C: the epilogue — alpha/beta, bias add, tanh, tanh gradient — is applied
-// in the store loop, and GemmBias/GemmBiasTanhGrad stop making a second
-// pass over the output. k <= simdMaxK covers the embedding layers and the
-// 240-wide hidden layers, but NOT the fitting net's first layer at paper
-// geometry: its reduction depth is the descriptor width M·M_axis = 1600,
-// so that layer (forward and both backward GEMMs) bypasses this tier on
-// both precisions and runs on the packed blocked engine — whose float32
-// microkernel is scalar, non-FMA Go (microKernelMulAdd: 44 % of the
-// copper_f32_compressed CPU profile once the descriptor contractions are
-// fused). K-panelled strips for it are an open ROADMAP item.
+// Up to simdMaxK the reduction stays resident in one loop, so each strip
+// makes exactly one pass over C: the epilogue — alpha/beta, bias add,
+// tanh, tanh gradient — is applied in the store loop, and
+// GemmBias/GemmBiasTanhGrad stop making a second pass over the output.
+// That covers the embedding layers and the 240-wide hidden layers. Deeper
+// reductions — the fitting net's first layer at paper geometry, depth
+// M·M_axis = 1600, 38 % of that net's FLOPs — run the same kernels over
+// simdMaxK-deep K panels (see simdRowRange): bias seeded on the first
+// panel, the rest accumulated through the beta = 1 store. Only the fused
+// tanh epilogues stay single-panel; GemmBiasTanhGradOpt beyond simdMaxK is
+// the panelled GemmBias plus the separate tanh pass. What still bypasses
+// this tier is the NT/TN storage variants the dot tile does not take and
+// the strided-batched descriptor contractions, which the packed engine
+// serves.
 //
 // Bit-exactness contract. Worker fan-out partitions rows in multiples of
-// the strip height from row 0, so every row is computed by the same code
-// path (same strip, same lane, or the same scalar model) at any worker
-// count. The float64 scalar model reproduces the asm lanes operation for
+// the strip height from row 0, every row's K panels are visited in the
+// same order, and a lane's result does not depend on the other rows of
+// its strip, so every element is computed by the same instruction sequence
+// at any worker count. Remainder rows (m mod R) are computed by the lanes
+// too, as a zero-padded tail strip, so in both precisions a remainder row
+// is bit-identical to a strip row holding the same data. The scalar model
+// is left with the column tails of the unmasked families (AVX2, NEON);
+// there the float64 model reproduces the asm lanes operation for
 // operation (math.FMA accumulation, the same epilogue arithmetic,
-// tanhApprox64), so float64 results are bit-identical between a lane and
-// a remainder cell; float32 remainders agree to within the documented
+// tanhApprox64), and the float32 model agrees to within the documented
 // differential tolerance (the f32 FMA double-rounding caveat in
-// DESIGN.md).
+// DESIGN.md) — a column is served by one or the other for all rows, so
+// neither is ever compared against the other inside one result.
 
 // Epilogue modes of the tall-skinny kernels (tileArgs.mode).
 const (
@@ -55,12 +64,12 @@ const (
 )
 
 const (
-	// simdMaxK is the deepest reduction the kernels keep in one loop; the
-	// packed blocked engine takes over beyond it (its kcBlock panels exist
-	// for exactly that regime).
+	// simdMaxK is the K-panel depth: the deepest reduction one kernel call
+	// keeps in its loop. Deeper reductions accumulate over panels of this
+	// depth (simdRowRange).
 	simdMaxK = 256
-	// simdNC is the column-chunk width: B chunks of k x simdNC stay hot
-	// across row strips (<= 1 MB f64 at k = simdMaxK).
+	// simdNC is the column-chunk width: a B panel of simdMaxK x simdNC stays
+	// hot across row strips (<= 1 MB f64).
 	simdNC = 512
 	// simdParMin matches the blocked engine's serial threshold: below this
 	// many FLOPs goroutine fan-out costs more than it saves.
@@ -115,10 +124,10 @@ func simdActive(es int) (cpufeat.Family, simdKernelCaps, bool) {
 func gemmSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) bool {
 	var z T
 	fam, caps, ok := simdActive(sizeofT(z))
-	if !ok || k < 1 || k > simdMaxK || alpha == 0 {
+	if !ok || k < 1 || alpha == 0 {
 		return false
 	}
-	if mode >= epiTanh && !caps.fusedTanh {
+	if mode >= epiTanh && (!caps.fusedTanh || k > simdMaxK) {
 		return false
 	}
 	if m < caps.rows || n < caps.cover {
@@ -159,51 +168,99 @@ func simdRowsParallel[T Float](fam cpufeat.Family, caps simdKernelCaps, workers,
 	wg.Wait()
 }
 
-// simdRowRange processes C rows [lo, hi), lo a multiple of caps.rows.
-// Full strips go to the asm kernel (column chunks of simdNC so the B chunk
-// stays cache-hot across strips); remainder rows and uncovered column
-// tails go to the scalar model.
+// simdRowRange processes C rows [lo, hi), lo a multiple of caps.rows, in
+// three nested loops: column chunks of simdNC, K panels of simdMaxK, row
+// strips. With the panel loop outside the strip loop one
+// simdMaxK x simdNC slice of B stays cache-hot across every strip of the
+// range and an R-row A panel stays in L1; a strip accumulates into C
+// across panels — the caller's epilogue (bias seed, alpha/beta) on the
+// first panel, C += alpha*acc through the beta = 1 store on the rest — so
+// k <= simdMaxK is the one-panel case of the same loop. The fused tanh
+// epilogues need the finished sum and are single-panel only (gemmSIMD
+// declines them beyond simdMaxK).
+//
+// The (hi-lo) mod R remainder rows run through the same kernel as one
+// more strip: their A rows are staged zero-padded to R rows in a pooled
+// slab, with an R-row staging block for C and one for grad behind them, so
+// every row of every column the asm covers is computed by the lanes. Only
+// the column tail of the unmasked families (AVX2, NEON) is left to the
+// scalar model, panel by panel in the same order.
 func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
 	R := caps.rows
 	full := lo + (hi-lo)/R*R
+	rem := hi - full
+	// simdNC is a multiple of every family's cover, so the uncovered
+	// columns are the last n-nCov of the matrix, not of each chunk.
+	nCov := n
+	if !caps.masked {
+		nCov = n &^ (caps.cover - 1)
+	}
+	var tail *packSlab[T]
+	var ta, tc, tg []T
+	if rem > 0 {
+		tail = getSlab[T](R * (k + 2*nCov))
+		ta, tc, tg = tail.buf[:R*k], tail.buf[R*k:R*(k+nCov)], tail.buf[R*(k+nCov):]
+		for r := 0; r < rem; r++ {
+			copy(ta[r*k:(r+1)*k], a[(full+r)*lda:])
+			if beta != 0 {
+				copy(tc[r*nCov:(r+1)*nCov], c[(full+r)*ldc:])
+			}
+		}
+		clear(ta[rem*k:])
+	}
 	var args tileArgs
-	args.lda = uintptr(lda)
 	args.ldb = uintptr(ldb)
-	args.ldc = uintptr(ldc)
-	args.ldg = uintptr(ldg)
-	args.k = uintptr(k)
 	args.alpha = float64(alpha)
-	args.beta = float64(beta)
-	args.mode = uintptr(mode)
 	for j0 := 0; j0 < n; j0 += simdNC {
 		jb := min(simdNC, n-j0)
-		jCov := jb
-		if !caps.masked {
-			jCov = jb &^ (caps.cover - 1)
-		}
-		if jCov > 0 && full > lo {
-			args.n = uintptr(jCov)
-			args.b = unsafe.Pointer(&b[j0])
-			if mode != epiNone {
-				args.bias = unsafe.Pointer(&bias[j0])
+		jCov := max(0, min(jb, nCov-j0))
+		for p0 := 0; p0 < k; p0 += simdMaxK {
+			kb := min(simdMaxK, k-p0)
+			pMode, pBeta := mode, beta
+			if p0 > 0 {
+				pMode, pBeta = epiNone, 1
 			}
-			for i := lo; i < full; i += R {
-				args.a = unsafe.Pointer(&a[i*lda])
-				args.c = unsafe.Pointer(&c[i*ldc+j0])
-				if mode == epiTanhGrad {
-					args.grad = unsafe.Pointer(&grad[i*ldg+j0])
+			if jCov > 0 {
+				args.b = unsafe.Pointer(&b[p0*ldb+j0])
+				if pMode != epiNone {
+					args.bias = unsafe.Pointer(&bias[j0])
 				}
-				tsTile[T](fam, &args)
+				args.k = uintptr(kb)
+				args.n = uintptr(jCov)
+				args.beta = float64(pBeta)
+				args.mode = uintptr(pMode)
+				args.lda, args.ldc, args.ldg = uintptr(lda), uintptr(ldc), uintptr(ldg)
+				for i := lo; i < full; i += R {
+					args.a = unsafe.Pointer(&a[i*lda+p0])
+					args.c = unsafe.Pointer(&c[i*ldc+j0])
+					if pMode == epiTanhGrad {
+						args.grad = unsafe.Pointer(&grad[i*ldg+j0])
+					}
+					tsTile[T](fam, &args)
+				}
+				if rem > 0 {
+					args.a = unsafe.Pointer(&ta[p0])
+					args.c = unsafe.Pointer(&tc[j0])
+					args.grad = unsafe.Pointer(&tg[j0])
+					args.lda, args.ldc, args.ldg = uintptr(k), uintptr(nCov), uintptr(nCov)
+					tsTile[T](fam, &args)
+				}
 			}
-		}
-		if jCov < jb {
-			for i := lo; i < full; i++ {
-				simdScalarRow(a[i*lda:i*lda+k], k, b, ldb, j0+jCov, j0+jb, c[i*ldc:], bias, mode, alpha, beta, gradRow(grad, i, ldg, mode))
+			if jCov < jb {
+				for i := lo; i < hi; i++ {
+					simdScalarRow(a[i*lda+p0:i*lda+p0+kb], kb, b[p0*ldb:], ldb, j0+jCov, j0+jb, c[i*ldc:], bias, pMode, alpha, pBeta, gradRow(grad, i, ldg, pMode))
+				}
 			}
 		}
 	}
-	for i := full; i < hi; i++ {
-		simdScalarRow(a[i*lda:i*lda+k], k, b, ldb, 0, n, c[i*ldc:], bias, mode, alpha, beta, gradRow(grad, i, ldg, mode))
+	if rem > 0 {
+		for r := 0; r < rem; r++ {
+			copy(c[(full+r)*ldc:(full+r)*ldc+nCov], tc[r*nCov:])
+			if mode == epiTanhGrad {
+				copy(grad[(full+r)*ldg:(full+r)*ldg+nCov], tg[r*nCov:])
+			}
+		}
+		putSlab(tail)
 	}
 }
 
@@ -214,8 +271,8 @@ func gradRow[T Float](grad []T, i, ldg, mode int) []T {
 	return grad[i*ldg:]
 }
 
-// simdScalarRow finishes one output row over columns [jlo, jhi) with the
-// scalar model of the kernel lanes.
+// simdScalarRow finishes one K panel of one output row over the column
+// tail [jlo, jhi) with the scalar model of the kernel lanes.
 func simdScalarRow[T Float](ai []T, k int, b []T, ldb, jlo, jhi int, ci []T, bias []T, mode int, alpha, beta T, gi []T) {
 	if a64, ok := any(ai).([]float64); ok {
 		simdScalarRow64(a64, k, any(b).([]float64), ldb, jlo, jhi, any(ci).([]float64), any(bias).([]float64), mode, float64(alpha), float64(beta), any(gi).([]float64))
@@ -260,7 +317,7 @@ func simdScalarRow64(ai []float64, k int, b []float64, ldb, jlo, jhi int, ci []f
 // simdScalarRow32 is the float32 lane model. The asm lanes use true
 // single-rounded f32 FMA; emulating that exactly in Go is not possible
 // (float32(math.FMA(...)) double-rounds in rare cases), so float32
-// remainders agree with lanes to <= 1 ulp per operation — covered by the
+// column tails agree with lanes to <= 1 ulp per operation — covered by the
 // differential tolerance, never compared bitwise.
 func simdScalarRow32(ai []float32, k int, b []float32, ldb, jlo, jhi int, ci []float32, bias []float32, mode int, alpha, beta float64, gi []float32) {
 	a32, b32 := float32(alpha), float32(beta)

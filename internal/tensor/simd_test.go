@@ -20,10 +20,13 @@ import (
 //     holds it to the differential tolerance policy plus worker-count
 //     bit-identity.
 //  3. The lane-vs-model tests exploit the strip layout: with every A row
-//     identical, rows computed by asm lanes and the row computed by the
-//     scalar Go model must be bit-identical for float64 — the strongest
-//     statement of the "scalar model reproduces the asm" contract,
-//     including NaN and Inf propagation through the fused tanh epilogue.
+//     identical, every output row must be bit-identical to every other —
+//     strip rows against the zero-padded tail strip in both precisions
+//     (all lanes), and in float64 across the scalar-model column tail too,
+//     the strongest statement of the "scalar model reproduces the asm"
+//     contract — at one K panel and at the paper's 1600-deep reduction,
+//     including NaN and Inf propagation through the fused tanh epilogue
+//     and through the panel accumulation.
 
 func TestTileArgsLayout(t *testing.T) {
 	var ta tileArgs
@@ -54,6 +57,19 @@ func TestTileArgsLayout(t *testing.T) {
 	}
 	if s := unsafe.Sizeof(ta); s != 112 {
 		t.Errorf("tileArgs size %d, want 112", s)
+	}
+}
+
+// simdRowRange takes the uncovered columns of an unmasked family to be the
+// last n mod cover of the matrix, which holds only while every column
+// chunk boundary is a multiple of the cover.
+func TestColumnChunkIsMultipleOfCover(t *testing.T) {
+	for _, fam := range simdTestFamilies() {
+		for _, es := range []int{4, 8} {
+			if caps, ok := simdCaps(fam, es); ok && simdNC%caps.cover != 0 {
+				t.Errorf("%s es=%d: simdNC %d is not a multiple of cover %d", fam, es, simdNC, caps.cover)
+			}
+		}
 	}
 }
 
@@ -88,15 +104,22 @@ func sweepFamilies(t *testing.T, fn func(t *testing.T, fam cpufeat.Family)) {
 
 // TestGemmDifferentialPerFamily is the differential suite of
 // differential_test.go focused on the SIMD-eligible regime (tall-skinny
-// embedding shapes, K in {1, 25, 50}, the 240-wide fitting shape, and
-// unaligned M/N remainders below every tile width), forced through every
-// kernel family. Each cell also sweeps worker counts 1/2/7 with the
-// bit-identity contract.
+// embedding shapes, K in {1, 25, 50}, the 240-wide fitting shape,
+// unaligned M/N remainders below every tile width, and reductions of two
+// to seven K panels up to the paper's 244 x 1600 x 240 first fitting
+// layer), forced through every kernel family. Each cell also sweeps worker
+// counts 1/2/7 with the bit-identity contract.
 func TestGemmDifferentialPerFamily(t *testing.T) {
 	shapes := [][3]int{
 		{5, 1, 9}, {8, 3, 8}, {9, 25, 26}, {12, 50, 33},
 		{17, 50, 24}, {23, 25, 100}, {64, 1, 25}, {100, 25, 50},
 		{64, 50, 100}, {40, 240, 240},
+		{8, 257, 16}, {9, 512, 17}, {13, 513, 31}, {244, 1600, 240},
+	}
+	if raceEnabled {
+		// Same seven panels, same 4-row tail strip, still above the
+		// goroutine fan-out threshold — a twelfth of the reference work.
+		shapes[len(shapes)-1] = [3]int{20, 1600, 240}
 	}
 	alphaBeta := [][2]float64{{1, 0}, {2.5, -0.5}, {1, 1}}
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
@@ -117,86 +140,102 @@ func TestGemmDifferentialPerFamily(t *testing.T) {
 	})
 }
 
-// fillRepeatedRows builds an m-row matrix whose rows are all the given
-// row, so asm-strip rows and scalar-model remainder rows compute the same
-// mathematical quantity and can be compared bitwise.
-func repeatedRows(row []float64, m int) Matrix[float64] {
-	a := NewMatrix[float64](m, len(row))
+// repeatedRows builds an m-row matrix whose rows are all the given row, so
+// every output row of a GEMM on it computes the same mathematical quantity
+// and rows served by different code (strip, tail strip, scalar model) can
+// be compared bitwise.
+func repeatedRows[T Float](row []T, m int) Matrix[T] {
+	a := NewMatrix[T](m, len(row))
 	for i := 0; i < m; i++ {
 		copy(a.Data[i*len(row):(i+1)*len(row)], row)
 	}
 	return a
 }
 
-func checkRowsBitEqual(t *testing.T, label string, c Matrix[float64], lastRow int) {
+func randRow[T Float](rng *rand.Rand, n int) []T {
+	row := make([]T, n)
+	for i := range row {
+		row[i] = T(rng.NormFloat64())
+	}
+	return row
+}
+
+// checkRowsBitEqual compares columns [0, cols) of every row against the
+// last row.
+func checkRowsBitEqual[T Float](t *testing.T, label string, c Matrix[T], cols int) {
 	t.Helper()
 	n := c.Cols
-	want := c.Data[lastRow*n : (lastRow+1)*n]
-	for i := 0; i < lastRow; i++ {
-		got := c.Data[i*n : (i+1)*n]
+	last := c.Rows - 1
+	want := c.Data[last*n : last*n+cols]
+	for i := 0; i < last; i++ {
+		got := c.Data[i*n : i*n+cols]
 		for j := range got {
-			if math.IsNaN(got[j]) && math.IsNaN(want[j]) {
+			if got[j] != got[j] && want[j] != want[j] {
 				// NaN payloads are not part of the contract: hardware FMA
 				// propagates the payload of a different operand slot than
 				// math.FMA in the gradient's 1 - y*y.
 				continue
 			}
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("%s: row %d col %d: lane %x (%g) != scalar model %x (%g)",
-					label, i, j, math.Float64bits(got[j]), got[j], math.Float64bits(want[j]), want[j])
+			if math.Float64bits(float64(got[j])) != math.Float64bits(float64(want[j])) {
+				t.Fatalf("%s: row %d col %d: %g != last row's %g (diff %g)",
+					label, i, j, float64(got[j]), float64(want[j]), float64(got[j])-float64(want[j]))
 			}
 		}
 	}
 }
 
-// TestSIMDLaneVsScalarModel checks the float64 bit-exactness contract
-// directly: an (R+1)-row problem with identical A rows must produce R
-// asm-lane rows bit-identical to the scalar-model remainder row, for every
-// epilogue mode, with a column tail below the chunk width in every shape.
+// testLaneVsTailRow runs every epilogue on a (2R+1)-row problem with
+// identical A rows: two asm strips plus a one-row tail strip, two asm
+// column chunks plus a column tail below the chunk width. Columns the
+// lanes cover must be bit-identical down all rows in both precisions;
+// float64 extends that to the scalar-model column tail.
+func testLaneVsTailRow[T Float](t *testing.T, fam cpufeat.Family) {
+	var z T
+	es := sizeofT(z)
+	caps, ok := simdCaps(fam, es)
+	if !ok {
+		t.Skip("no kernel of this precision in this family")
+	}
+	m := 2*caps.rows + 1
+	n := 2*caps.cover + 3
+	cols := n
+	if es == 4 && !caps.masked {
+		cols = n &^ (caps.cover - 1)
+	}
+	rng := rand.New(rand.NewSource(77))
+	for _, k := range []int{1, 25, 50, 240, simdMaxK + 1, 1600} {
+		a := repeatedRows(randRow[T](rng, k), m)
+		b := randMatT[T](rng, k, n)
+		bias := randRow[T](rng, n)
+		label := fmt.Sprintf("%s %T k=%d", fam, z, k)
+
+		c := repeatedRows(randRow[T](rng, n), m)
+		GemmOpt(Opts{}, nil, 2.5, a, b, -0.5, c)
+		checkRowsBitEqual(t, label+" epiNone", c, cols)
+
+		c = NewMatrix[T](m, n)
+		GemmBiasOpt(Opts{}, nil, a, b, bias, c)
+		checkRowsBitEqual(t, label+" epiBias", c, cols)
+
+		// Beyond one panel this is the panelled GemmBias plus the separate
+		// tanh pass, which is elementwise and keeps equal rows equal.
+		y := NewMatrix[T](m, n)
+		grad := NewMatrix[T](m, n)
+		GemmBiasTanhGradOpt(Opts{}, nil, a, b, bias, y, grad)
+		checkRowsBitEqual(t, label+" epiTanh y", y, cols)
+		checkRowsBitEqual(t, label+" epiTanhGrad", grad, cols)
+	}
+}
+
+// TestSIMDLaneVsScalarModel checks the bit-exactness contract directly, at
+// one K panel and beyond (k = 1600 is the paper's first fitting layer).
 func TestSIMDLaneVsScalarModel(t *testing.T) {
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
 		if fam == cpufeat.Generic {
 			t.Skip("no lanes in the generic family")
 		}
-		caps, ok := simdCaps(fam, 8)
-		if !ok {
-			t.Skip("no float64 kernel in this family")
-		}
-		R := caps.rows
-		m := R + 1
-		rng := rand.New(rand.NewSource(77))
-		for _, k := range []int{1, 25, 50, 240} {
-			n := 2*caps.cover + 3 // two asm chunks plus a scalar column tail
-			row := make([]float64, k)
-			for i := range row {
-				row[i] = rng.NormFloat64()
-			}
-			a := repeatedRows(row, m)
-			b := randMatT[float64](rng, k, n)
-			bias := make([]float64, n)
-			for i := range bias {
-				bias[i] = rng.NormFloat64()
-			}
-			label := fmt.Sprintf("%s k=%d", fam, k)
-
-			c0row := make([]float64, n)
-			for i := range c0row {
-				c0row[i] = rng.NormFloat64()
-			}
-			c := repeatedRows(c0row, m)
-			GemmOpt(Opts{}, nil, 2.5, a, b, -0.5, c)
-			checkRowsBitEqual(t, label+" epiNone", c, R)
-
-			c = NewMatrix[float64](m, n)
-			GemmBiasOpt(Opts{}, nil, a, b, bias, c)
-			checkRowsBitEqual(t, label+" epiBias", c, R)
-
-			y := NewMatrix[float64](m, n)
-			grad := NewMatrix[float64](m, n)
-			GemmBiasTanhGradOpt(Opts{}, nil, a, b, bias, y, grad)
-			checkRowsBitEqual(t, label+" epiTanh y", y, R)
-			checkRowsBitEqual(t, label+" epiTanhGrad", grad, R)
-		}
+		t.Run("float64", func(t *testing.T) { testLaneVsTailRow[float64](t, fam) })
+		t.Run("float32", func(t *testing.T) { testLaneVsTailRow[float32](t, fam) })
 	})
 }
 
@@ -218,16 +257,9 @@ func TestSIMDNaNInfPropagation(t *testing.T) {
 		k := 25
 		n := caps.cover + 3
 		rng := rand.New(rand.NewSource(99))
-		row := make([]float64, k)
-		for i := range row {
-			row[i] = rng.NormFloat64()
-		}
-		a := repeatedRows(row, m)
+		a := repeatedRows(randRow[float64](rng, k), m)
 		b := randMatT[float64](rng, k, n)
-		bias := make([]float64, n)
-		for i := range bias {
-			bias[i] = rng.NormFloat64()
-		}
+		bias := randRow[float64](rng, n)
 		// Column 0: NaN via a NaN bias. Column 1: +Inf bias. Column 2: -Inf
 		// bias. Column 3: huge positive pre-activation (saturated tanh).
 		bias[0] = math.NaN()
@@ -238,8 +270,8 @@ func TestSIMDNaNInfPropagation(t *testing.T) {
 		y := NewMatrix[float64](m, n)
 		grad := NewMatrix[float64](m, n)
 		GemmBiasTanhGradOpt(Opts{}, nil, a, b, bias, y, grad)
-		checkRowsBitEqual(t, fam.String()+" nonfinite y", y, R)
-		checkRowsBitEqual(t, fam.String()+" nonfinite grad", grad, R)
+		checkRowsBitEqual(t, fam.String()+" nonfinite y", y, n)
+		checkRowsBitEqual(t, fam.String()+" nonfinite grad", grad, n)
 		for i := 0; i < m; i++ {
 			if !math.IsNaN(y.At(i, 0)) {
 				t.Errorf("row %d: tanh(NaN) = %g, want NaN", i, y.At(i, 0))
@@ -253,6 +285,78 @@ func TestSIMDNaNInfPropagation(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSIMDNaNInfAcrossPanels places a NaN, a +Inf and a -Inf in K panel 0
+// of single A rows — one in the first strip, one in the zero-padded tail
+// strip — of a five-panel GemmBias. Each must survive the four beta = 1
+// accumulation passes that follow, reach every column of its own row, and
+// leave every other row (its strip neighbours included) bit-identical to
+// the same product without it. The padded tail rows multiply the
+// non-finite-free B by zeros and are dropped; the output has no room for
+// them to land in, which the clean-row comparison covers.
+func TestSIMDNaNInfAcrossPanels(t *testing.T) {
+	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
+		if fam == cpufeat.Generic {
+			t.Skip("no lanes in the generic family")
+		}
+		t.Run("float64", func(t *testing.T) { testNonFiniteAcrossPanels[float64](t, fam) })
+		t.Run("float32", func(t *testing.T) { testNonFiniteAcrossPanels[float32](t, fam) })
+	})
+}
+
+func testNonFiniteAcrossPanels[T Float](t *testing.T, fam cpufeat.Family) {
+	var z T
+	caps, ok := simdCaps(fam, sizeofT(z))
+	if !ok {
+		t.Skip("no kernel of this precision in this family")
+	}
+	R := caps.rows
+	m := 2*R + 3 // two strips and a three-row tail strip
+	k := 4*simdMaxK + 7
+	n := caps.cover + 3
+	rng := rand.New(rand.NewSource(101))
+	a := randMatT[T](rng, m, k)
+	b := randMatT[T](rng, k, n)
+	for j := 0; j < n; j++ {
+		// Strictly positive B row 5, so +/-Inf in A[., 5] cannot meet an
+		// Inf of the other sign and the expected outcome is unambiguous.
+		b.Data[5*n+j] = T(math.Abs(float64(b.Data[5*n+j])) + 0.5)
+	}
+	bias := randRow[T](rng, n)
+	clean := NewMatrix[T](m, n)
+	GemmBiasOpt(Opts{}, nil, a, b, bias, clean)
+
+	nanRow, posRow, negRow := 1, R+2, m-2 // strip 0, strip 1, tail strip
+	a.Data[nanRow*k+5] = T(math.NaN())
+	a.Data[posRow*k+5] = T(math.Inf(1))
+	a.Data[negRow*k+5] = T(math.Inf(-1))
+	got := NewMatrix[T](m, n)
+	GemmBiasOpt(Opts{}, nil, a, b, bias, got)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			v := float64(got.At(i, j))
+			switch i {
+			case nanRow:
+				if !math.IsNaN(v) {
+					t.Fatalf("%s %T: NaN row %d col %d = %g, want NaN", fam, z, i, j, v)
+				}
+			case posRow:
+				if !math.IsInf(v, 1) {
+					t.Fatalf("%s %T: +Inf row %d col %d = %g, want +Inf", fam, z, i, j, v)
+				}
+			case negRow:
+				if !math.IsInf(v, -1) {
+					t.Fatalf("%s %T: -Inf row %d col %d = %g, want -Inf", fam, z, i, j, v)
+				}
+			default:
+				if got.At(i, j) != clean.At(i, j) {
+					t.Fatalf("%s %T: clean row %d col %d = %g, was %g without the non-finite rows",
+						fam, z, i, j, v, float64(clean.At(i, j)))
+				}
+			}
+		}
+	}
 }
 
 // TestSIMDNTLaneVsScalarModel is the same bitwise lane-vs-model check for
@@ -270,19 +374,11 @@ func TestSIMDNTLaneVsScalarModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(123))
 		for _, k := range []int{8, 25, 50, 51} {
 			m, n := 3, 7 // one asm row pair + scalar odd row; 4 asm cols + 3 tail
-			row := make([]float64, k)
-			for i := range row {
-				row[i] = rng.NormFloat64()
-			}
-			a := repeatedRows(row, m)
+			a := repeatedRows(randRow[float64](rng, k), m)
 			b := randMatT[float64](rng, n, k)
-			c0row := make([]float64, n)
-			for i := range c0row {
-				c0row[i] = rng.NormFloat64()
-			}
-			c := repeatedRows(c0row, m)
+			c := repeatedRows(randRow[float64](rng, n), m)
 			ntRowRange(fam, 0, m, k, n, 1.5, a.Data, k, b.Data, k, -0.5, c.Data, n)
-			checkRowsBitEqual(t, fmt.Sprintf("%s NT k=%d", fam, k), c, 2)
+			checkRowsBitEqual(t, fmt.Sprintf("%s NT k=%d", fam, k), c, n)
 		}
 	})
 }
