@@ -108,9 +108,10 @@ type Precision = core.Precision
 
 // Strategy selects the descriptor execution strategy: Auto picks the
 // fastest legal one for the model, Baseline is the 2018 serial execution,
-// PerAtom the retained per-atom reference loops, Batched the chunk-batched
-// strided-GEMM pipeline (Sec. 5.3.1), Compressed the tabulated-embedding
-// pipeline of the successor papers (requires attached tables).
+// PerAtom the retained per-atom reference loops, Batched the exact nets
+// run chunk by chunk as one fused tile operator (Sec. 5.3), Compressed the
+// tabulated-embedding pipeline of the successor papers (requires attached
+// tables).
 type Strategy = core.Strategy
 
 // Precision and strategy values accepted by the Open options.

@@ -90,21 +90,29 @@ func compareBatchedToPerAtom[T interface{ float32 | float64 }](t *testing.T, m *
 	if err := evR.Compute(pos, types, nloc, list, box, &rr); err != nil {
 		t.Fatal(err)
 	}
+	requireResultsClose(t, "batched", &rb, &rr, relTol)
+}
+
+// requireResultsClose asserts energy, per-atom energies, forces and virial
+// of got agree with the per-atom oracle's within relTol*(1 + |value|) per
+// element.
+func requireResultsClose(t *testing.T, what string, got, want *Result, relTol float64) {
+	t.Helper()
 	close := func(label string, got, want float64) {
 		t.Helper()
-		if d := math.Abs(got - want); d > relTol*(1+math.Abs(want)) {
-			t.Fatalf("%s: batched %g vs per-atom %g (|diff| %g > tol %g)", label, got, want, d, relTol*(1+math.Abs(want)))
+		if d := math.Abs(got - want); !(d <= relTol*(1+math.Abs(want))) {
+			t.Fatalf("%s: %s %g vs per-atom %g (|diff| %g > tol %g)", label, what, got, want, d, relTol*(1+math.Abs(want)))
 		}
 	}
-	close("energy", rb.Energy, rr.Energy)
-	for i := range rr.AtomEnergy {
-		close(fmt.Sprintf("atomEnergy[%d]", i), rb.AtomEnergy[i], rr.AtomEnergy[i])
+	close("energy", got.Energy, want.Energy)
+	for i := range want.AtomEnergy {
+		close(fmt.Sprintf("atomEnergy[%d]", i), got.AtomEnergy[i], want.AtomEnergy[i])
 	}
-	for i := range rr.Force {
-		close(fmt.Sprintf("force[%d]", i), rb.Force[i], rr.Force[i])
+	for i := range want.Force {
+		close(fmt.Sprintf("force[%d]", i), got.Force[i], want.Force[i])
 	}
-	for i := range rr.Virial {
-		close(fmt.Sprintf("virial[%d]", i), rb.Virial[i], rr.Virial[i])
+	for i := range want.Virial {
+		close(fmt.Sprintf("virial[%d]", i), got.Virial[i], want.Virial[i])
 	}
 }
 

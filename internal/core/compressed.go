@@ -10,8 +10,8 @@ import (
 )
 
 // This file wires the tabulated embedding net (internal/compress) into
-// the evaluator as its third execution strategy, after the chunk-batched
-// exact pipeline and the per-atom reference loops. The fitting net and
+// the evaluator as its third execution strategy, after the exact fused
+// operator and the per-atom reference loops. The fitting net and
 // the customized operators are untouched; the embedding stage and the
 // descriptor contractions around it become one fused operator per (atom,
 // neighbor-type section), run over the section's real neighbors only:
@@ -151,7 +151,6 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 	tis := ar.TakeUninit(len(atoms) * m * 4)
 	item := ar.TakeUninit(4 * m)
 	buf := ar.TakeUninit(compress.FusedScratchLen(m))
-	t0, t1, t2, t3 := item[:m], item[m:2*m], item[2*m:3*m], item[3*m:4*m]
 
 	start := timeIf(ctr)
 	var rows int64
@@ -162,13 +161,7 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 			tabs[tj].ContractForward(rT[(atom*stride+selOff[tj])*4:], n, item, buf)
 			rows += int64(n)
 		}
-		ti := tis[a*m*4 : (a+1)*m*4]
-		for c := 0; c < m; c++ {
-			ti[c*4] = t0[c] * invN
-			ti[c*4+1] = t1[c] * invN
-			ti[c*4+2] = t2[c] * invN
-			ti[c*4+3] = t3[c] * invN
-		}
+		itemToT(item, tis[a*m*4:(a+1)*m*4], invN)
 	}
 	ctr.Observe(perf.CatCUSTOM, start, rows*int64(m)*compress.FusedForwardFLOPsPerChannel)
 
@@ -176,13 +169,7 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 
 	start = timeIf(ctr)
 	for a, atom := range atoms {
-		di := dT[a*m*4 : (a+1)*m*4]
-		for c := 0; c < m; c++ {
-			t0[c] = di[c*4] * invN
-			t1[c] = di[c*4+1] * invN
-			t2[c] = di[c*4+2] * invN
-			t3[c] = di[c*4+3] * invN
-		}
+		tToItem(dT[a*m*4:(a+1)*m*4], item, invN)
 		for tj := 0; tj < nt; tj++ {
 			base := (atom*stride + selOff[tj]) * 4
 			tabs[tj].ContractBackward(rT[base:], int(env.Count[atom*nt+tj]), item, ndT[base:], buf)

@@ -27,15 +27,19 @@ type Result struct {
 // model (network math in single precision between the double-precision
 // Environment and ProdForce boundaries, Sec. 5.2.3).
 //
-// The descriptor stage runs chunk-batched (Sec. 5.3.1): the embedding
-// outputs, environment rows and descriptor matrices of every atom in a
-// chunk are laid out contiguously in the arena and contracted with a
-// handful of strided-batched GEMM calls, instead of four per-atom loops of
-// tiny products. SetPerAtomDescriptors restores the per-atom loops — the
-// differential oracle and the 2018-granularity reference — and
-// SetCompressedEmbedding replaces the embedding networks with tabulated
-// piecewise quintics fused into the descriptor contraction
-// (internal/compress), the third execution strategy.
+// The descriptor stage runs as one fused operator per chunk of same-type
+// atoms (evalChunkExact): the chunk's real neighbor rows go through the
+// embedding nets in cache-resident row tiles that span atoms, and every
+// tile is contracted with its environment rows into the per-atom
+// descriptor items before the next tile overwrites it — no embedding
+// matrix exists in memory, the backward pass recomputes the tiles (the
+// operator fusion of Sec. 5.3, taken as far as its successors take it).
+// Only the fitting net still runs as one chunk-tall GEMM batch (Sec.
+// 5.3.1). SetPerAtomDescriptors restores the per-atom loops over
+// materialised full-sel matrices — the differential oracle and the
+// 2018-granularity reference — and SetCompressedEmbedding replaces the
+// embedding networks with tabulated piecewise quintics behind the same
+// contractions (internal/compress), the third execution strategy.
 //
 // Concurrency contract: a raw Evaluator is SINGLE-GOROUTINE. It owns
 // persistent arenas, traces and result staging buffers (the zero-alloc
@@ -82,34 +86,15 @@ type chunkJob struct {
 	atoms []int
 }
 
-// evalScratch is the per-worker reusable state of evalChunk: network
-// traces and per-section buffer views live here instead of being
-// re-allocated every chunk, so the steady-state MD step performs no heap
-// allocation (the paper's init-time memory-trunk strategy, Sec. 5.2.2;
-// asserted by TestComputeZeroAllocSteadyState).
+// evalScratch is the per-worker reusable state of evalChunk: the network
+// traces and the segment list of the current row tile live here instead of
+// being re-allocated every chunk, so the steady-state MD step performs no
+// heap allocation (the paper's init-time memory-trunk strategy, Sec.
+// 5.2.2; asserted by TestComputeZeroAllocSteadyState).
 type evalScratch[T tensor.Float] struct {
-	embTr []*nn.Trace[T] // one per neighbor-type section
+	embTr nn.Trace[T] // the current row tile's embedding pass
 	fitTr nn.Trace[T]
-	secR  [][]T              // gathered environment rows per section, arena-backed
-	secS  []tensor.Matrix[T] // gathered s-inputs per section, arena-backed
-	secG  [][]T              // embedding outputs per section (trace views)
-	// secSel is the chunk's effective section length: the largest
-	// real-neighbor count of its atoms, in place of cfg.Sel.
-	secSel []int
-}
-
-func newEvalScratch[T tensor.Float](nt int) *evalScratch[T] {
-	ws := &evalScratch[T]{
-		embTr:  make([]*nn.Trace[T], nt),
-		secR:   make([][]T, nt),
-		secS:   make([]tensor.Matrix[T], nt),
-		secG:   make([][]T, nt),
-		secSel: make([]int, nt),
-	}
-	for tj := range ws.embTr {
-		ws.embTr[tj] = new(nn.Trace[T])
-	}
-	return ws
+	segs  []tileSeg // at most one per tile row
 }
 
 // NewEvaluator builds an evaluator for the model in precision T, converting
@@ -136,20 +121,44 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 		ev.fit[ci] = shareOrConvert[T](m.Fit[ci])
 	}
 	for w := 0; w < max(1, cfg.Workers); w++ {
-		ev.arenas = append(ev.arenas, tensor.NewArena[T](1<<14))
-		ev.scratch = append(ev.scratch, newEvalScratch[T](nt))
+		ev.arenas = append(ev.arenas, tensor.NewArena[T](ev.arenaLen()))
+		ev.scratch = append(ev.scratch, &evalScratch[T]{segs: make([]tileSeg, 0, embedTileRows)})
 	}
 	ev.strat = StrategyBatched
 	return ev
 }
 
+// arenaLen is one worker's arena demand, a closed form of the Config now
+// that no operand scales with the neighbor count: a ChunkSize-row chunk's
+// descriptor items and fitting-net passes (fitChunk) plus the larger of
+// the two fused operators' scratch — the exact one's per-atom accumulators
+// and one row tile, or the tabulated one's single item and Horner tile.
+// Sized at construction, the first force call already runs inside the slab
+// (TestArenaSizedAtConstruction); growArenas stays as the guard for the
+// per-atom oracle, which materialises full-sel matrices.
+func (ev *Evaluator[T]) arenaLen() int {
+	cfg := &ev.cfg
+	nA, m, ax, dim := cfg.ChunkSize, cfg.M(), cfg.MAxis, cfg.DescriptorDim()
+	// fitChunk: tis and dT (m x 4 items), dTsub, D, the ones column and the
+	// fitting net's traced pass.
+	fit := nA * (2*m*4 + ax*4 + dim + 1)
+	fit += ev.fit[0].ArenaLen(nA)
+	// evalChunkExact: the 4 x m accumulators; per tile s, dG, the
+	// contraction scratch and the embedding net's traced pass.
+	exact := nA*4*m + embedTileRows*(1+m) + max(4*m, embedTileRows/2*8)
+	exact += ev.embed[0][0].ArenaLen(embedTileRows)
+	// evalChunkCompressed: one item and the Horner tile.
+	tabulated := 4*m + compress.FusedScratchLen(m)
+	return fit + max(exact, tabulated)
+}
+
 // SetPerAtomDescriptors switches the descriptor stage between the default
-// chunk-batched GEMMs and the retained per-atom reference loops (the
+// fused exact operator and the retained per-atom reference loops (the
 // computational granularity the 2018 DeePMD-kit used, and the differential
 // oracle the equivalence tests compare against). The mathematics is
 // identical; only the execution strategy changes. Turning the per-atom
-// path off restores the exact chunk-batched pipeline, also when the
-// evaluator was previously compressed.
+// path off restores the exact operator, also when the evaluator was
+// previously compressed.
 func (ev *Evaluator[T]) SetPerAtomDescriptors(on bool) {
 	if on {
 		ev.strat = StrategyPerAtom
@@ -204,119 +213,217 @@ func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalS
 	case StrategyCompressed:
 		return ev.evalChunkCompressed(ctr, opts, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
 	}
-	return ev.evalChunkBatched(ctr, opts, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
+	return ev.evalChunkExact(ctr, opts, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
 }
 
-// evalChunkBatched is the chunk-batched descriptor pipeline: one strided-
-// batched GEMM per contraction over the whole chunk, operands contiguous
-// in the arena (Sec. 5.3.1's "merge matrices of multiple atoms into one
-// bigger matrix", Fig. 3's GEMM consolidation).
+// embedTileRows is the height of the exact operator's row tiles. A tile
+// holds every layer's output and activation gradient plus the backward
+// pass's gradients, about 4·Σwidths elements a row — 0.7 MB in float64 at
+// the paper's 25-50-100, inside L2 — and has to be tall enough to keep the
+// strip kernels' per-call costs small on narrow nets. One constant serves
+// both: the sweep in DESIGN.md ("Fused exact operator") is flat from 64 to
+// 256 rows at paper widths and still falling at 64 on the 4-8-16 nets of
+// the rank and serving workloads.
+const embedTileRows = 128
+
+// tileSeg is one atom's share of a row tile: n consecutive real rows of
+// the atom's neighbor-type section starting at slot k0. a indexes the
+// chunk's atom list.
+type tileSeg struct{ a, k0, n int }
+
+// rowWalk enumerates the real neighbor rows of one (chunk, neighbor-type
+// section) in atom-major slot order, a tile at a time. Rows at and beyond
+// an atom's env.Count are never visited: they have R~ = 0 exactly, add
+// nothing to the descriptor, and whatever gradient they would receive is
+// multiplied by dR~/dd = 0 in ProdForce/ProdVirial.
+type rowWalk[T tensor.Float] struct {
+	env   *descriptor.EnvOut
+	atoms []int
+	tj    int
+	a, k  int // cursor: the next row is slot k of atoms[a]
+}
+
+// section restarts the walk at the first row of section tj.
+func (w *rowWalk[T]) section(tj int) { w.tj, w.a, w.k = tj, 0, 0 }
+
+// rows returns the segment's rows of a frame buffer laid out like the
+// environment matrix (nloc x stride x 4): rT or ndT.
+func (w *rowWalk[T]) rows(frame []T, sg tileSeg) []T {
+	base := (w.atoms[sg.a]*w.env.Stride + w.env.Fmt.SelOff[w.tj] + sg.k0) * 4
+	return frame[base : base+4*sg.n]
+}
+
+// next gathers the s-inputs of the next len(s) rows from the environment
+// rows rT (fewer at the end of the section, none once it is exhausted) and
+// appends the atom segments they belong to to segs[:0].
+func (w *rowWalk[T]) next(rT, s []T, segs []tileSeg) (int, []tileSeg) {
+	segs = segs[:0]
+	rows := 0
+	nt := len(w.env.Fmt.Sel)
+	for rows < len(s) && w.a < len(w.atoms) {
+		left := int(w.env.Count[w.atoms[w.a]*nt+w.tj]) - w.k
+		if left == 0 {
+			w.a, w.k = w.a+1, 0
+			continue
+		}
+		sg := tileSeg{w.a, w.k, min(left, len(s)-rows)}
+		for i, r := 0, w.rows(rT, sg); i < sg.n; i++ {
+			s[rows+i] = r[4*i]
+		}
+		segs = append(segs, sg)
+		rows += sg.n
+		w.k += sg.n
+	}
+	return rows, segs
+}
+
+// evalChunkExact is the exact strategy's chunk body: one fused operator
+// from the frame's environment rows to the descriptor items and, after
+// the fitting net, straight back into ndT (Sec. 5.3's operator fusion, as
+// the paper's successors apply it to the embedding output — arXiv
+// 2004.11658 Sec. 3.2-3.3). Per neighbor-type section the chunk's real
+// rows are walked in atom-major slot order in tiles of embedTileRows that
+// span atoms; each tile runs the three embedding layers while it is
+// cache-resident and is contracted with its environment rows before the
+// next tile overwrites it. No embedding matrix, no gathered copy of R~ and
+// no padding row exists at any point; the backward pass recomputes the
+// tiles instead of reading a stored trace back (FLOPs for bytes):
 //
-// Notation per atom a of the chunk (all nA atoms share type ci); sel_tj is
-// the chunk's effective section length, see below:
+//	forward, per tile    G = embed(s)                  tile x m, no tanh gradient kept
+//	                     T_a += Σ_k G_k (x) R~_k       ContractForward per atom segment
+//	D_a, E, dT_a                                       fitChunk, one ChunkSize-row batch
+//	backward, per tile   G = embed(s)                  recomputed, traced
+//	                     dG_k = R~_k dT_a              ContractOuter
+//	                     ds = embed'(dG)               nn.Net.Backward; with parameter
+//	                                                   gradients under ComputeWithGrads
+//	                     ndT_k = (G_k dT_a, + ds_k on column 0)   ContractRows
 //
-//	G_tj = embed(s)        nA*sel_tj x m   (one net forward per section)
-//	T_a  = sum_tj G^T R~/N      m x 4      GemmBatchTN, accumulated over tj
-//	D_a, E, dT_a                           fitChunk
-//	dG_a = R~ dT^T / N     sel x m         GemmBatchNT
-//	dR_a = G dT / N        sel x 4         GemmBatch, scattered into ndT
-//
-// No work on padding: every section is gathered, embedded and contracted
-// at the chunk's largest real-neighbor count (env.Count, at least 1)
-// instead of cfg.Sel[tj]. Rows beyond an atom's count have R~ = 0 exactly
-// — they add nothing to T_a, and whatever gradient they would receive is
-// multiplied by dR~/dd = 0 in ProdForce/ProdVirial — so dropping the rows
-// no atom of the chunk fills changes no energy, force or virial.
-func (ev *Evaluator[T]) evalChunkBatched(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
+// The operator works on 4 x m channel-minor items, one per atom of the
+// chunk; the transposes to and from fitChunk's m x 4 layout carry the 1/N
+// scale. Every atom's rows accumulate in section-then-slot order wherever
+// a tile edge falls, and a row's path through the strip kernels does not
+// depend on the other rows of its tile, so results are bit-identical
+// across workers, batch sizes, ranks and coalesce sizes as before.
+func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
-	stride := cfg.Stride()
 	m := cfg.M()
-	nA := len(atoms)
-	fmtd := env.Fmt
-	invN := T(1.0 / float64(stride))
 	nt := cfg.NumTypes()
+	invN := T(1.0 / float64(cfg.Stride()))
+	walk := rowWalk[T]{env: env, atoms: atoms}
 
-	// Gather each section's environment rows and s-inputs into contiguous
-	// chunk-major buffers, then run the embedding net over the whole
-	// section batch. The gathers are bandwidth-bound data movement and
-	// count under SLICE so the Fig. 3 attribution of the batched pipeline
-	// stays honest (the batched GEMMs themselves report under GEMM).
-	gatherStart := timeIf(ctr)
-	chunkSel(ws.secSel, env, atoms)
+	items := ar.Take(len(atoms) * 4 * m)
 	for tj := 0; tj < nt; tj++ {
-		sel := ws.secSel[tj]
-		off := fmtd.SelOff[tj]
-		sIn := ar.TakeMatrixUninit(nA*sel, 1)
-		rSec := ar.TakeUninit(nA * sel * 4)
-		for a, atom := range atoms {
-			base := (atom*stride + off) * 4
-			copy(rSec[a*sel*4:(a+1)*sel*4], rT[base:base+sel*4])
-			for k := 0; k < sel; k++ {
-				sIn.Data[a*sel+k] = rT[base+k*4]
-			}
-		}
-		ws.secR[tj] = rSec
-		ws.secS[tj] = sIn
+		walk.section(tj)
+		ev.embedForward(ctr, opts, ws, ar, &walk, ev.embed[ci][tj], rT, items)
 	}
-	observeSlice(ctr, gatherStart)
-	for tj := 0; tj < nt; tj++ {
-		ws.secG[tj] = ev.embed[ci][tj].ForwardInto(ws.embTr[tj], ctr, opts, ar, ws.secS[tj], true).Out().Data
+	tis := ar.TakeUninit(len(atoms) * m * 4)
+	for a := range atoms {
+		itemToT(items[a*4*m:(a+1)*4*m], tis[a*m*4:(a+1)*m*4], invN)
 	}
 
-	// Forward descriptor contraction T_a = sum_tj G_a^T R~_a / N as one
-	// batched GEMM per section, accumulating across sections (beta = 1
-	// after the first).
-	tis := ar.TakeUninit(nA * m * 4)
-	for tj := 0; tj < nt; tj++ {
-		sel := ws.secSel[tj]
-		beta := T(1)
-		if tj == 0 {
-			beta = 0
-		}
-		tensor.GemmBatchTNOpt(opts, ctr, nA, sel, m, 4, invN, ws.secG[tj], sel*m, ws.secR[tj], sel*4, beta, tis, m*4)
-	}
 	chunkE, dT := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, tis, atomEnergy)
 
-	// Per-section backward: batched dG and dR~ contractions, embedding net
-	// backward over the section batch, then one scatter into the network
-	// derivative ndT (rows disjoint across chunks and sections).
+	for a := range atoms {
+		tToItem(dT[a*m*4:(a+1)*m*4], items[a*4*m:(a+1)*4*m], invN)
+	}
 	for tj := 0; tj < nt; tj++ {
-		sel := ws.secSel[tj]
-		off := fmtd.SelOff[tj]
-		dG := ar.TakeMatrixUninit(nA*sel, m)
-		tensor.GemmBatchNTOpt(opts, ctr, nA, sel, 4, m, invN, ws.secR[tj], sel*4, dT, m*4, 0, dG.Data, sel*m)
-		ndSec := ar.TakeUninit(nA * sel * 4)
-		tensor.GemmBatchOpt(opts, ctr, nA, sel, m, 4, invN, ws.secG[tj], sel*m, dT, m*4, 0, ndSec, sel*4)
+		walk.section(tj)
 		embGr, _ := ev.gradsFor(ci, tj)
-		ds := ev.embed[ci][tj].Backward(ctr, opts, ar, ws.embTr[tj], dG, embGr).Data
-		scatterStart := timeIf(ctr)
-		for a, atom := range atoms {
-			base := (atom*stride + off) * 4
-			nd := ndT[base : base+sel*4]
-			src := ndSec[a*sel*4 : (a+1)*sel*4]
-			for i, v := range src {
-				nd[i] += v
-			}
-			for k := 0; k < sel; k++ {
-				nd[k*4] += ds[a*sel+k]
-			}
-		}
-		observeSlice(ctr, scatterStart)
+		ev.embedBackward(ctr, opts, ws, ar, &walk, ev.embed[ci][tj], embGr, rT, items, ndT)
 	}
 	return chunkE
 }
 
-// chunkSel fills sel with the section lengths a chunk of the exact batched
-// pipeline runs at: per neighbor type, the largest real-neighbor count
-// among the chunk's atoms, at least 1 so every GEMM keeps a row.
-func chunkSel(sel []int, env *descriptor.EnvOut, atoms []int) {
-	nt := len(sel)
-	for tj := range sel {
-		sel[tj] = 1
-		for _, atom := range atoms {
-			sel[tj] = max(sel[tj], int(env.Count[atom*nt+tj]))
+// embedForward pushes one section's rows through the embedding net tile by
+// tile and contracts each tile into the chunk's descriptor items.
+func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], rT, items []T) {
+	m := ev.cfg.M()
+	section := ar.Mark()
+	s := ar.TakeUninit(embedTileRows)
+	tile := ar.Mark()
+	for {
+		var rows int
+		if rows, ws.segs = walk.next(rT, s, ws.segs); rows == 0 {
+			ar.Rewind(section)
+			return
 		}
+		g := net.ForwardInto(&ws.embTr, ctr, opts, ar, tensor.MatrixFrom(rows, 1, s[:rows]), false).Out().Data
+		start := timeIf(ctr)
+		r := 0
+		for _, sg := range ws.segs {
+			descriptor.ContractForward(g[r*m:(r+sg.n)*m], walk.rows(rT, sg), m, items[sg.a*4*m:(sg.a+1)*4*m])
+			r += sg.n
+		}
+		ctr.Observe(perf.CatCUSTOM, start, int64(rows)*int64(m)*embedContractForwardFLOPs)
+		ar.Rewind(tile)
+	}
+}
+
+// embedBackward recomputes one section's tiles, forms each tile's output
+// gradient from the chunk's dT items, runs the net's backward pass on it
+// (accumulating parameter gradients into grads when non-nil) and writes
+// the rows' environment gradient into ndT.
+func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], grads *nn.Grads[T], rT, items, ndT []T) {
+	m := ev.cfg.M()
+	section := ar.Mark()
+	s := ar.TakeUninit(embedTileRows)
+	dG := ar.TakeUninit(embedTileRows * m)
+	buf := ar.TakeUninit(max(4*m, embedTileRows/2*8))
+	tile := ar.Mark()
+	for {
+		var rows int
+		if rows, ws.segs = walk.next(rT, s, ws.segs); rows == 0 {
+			ar.Rewind(section)
+			return
+		}
+		tr := net.ForwardInto(&ws.embTr, ctr, opts, ar, tensor.MatrixFrom(rows, 1, s[:rows]), true)
+		g := tr.Out().Data
+		start := timeIf(ctr)
+		r := 0
+		for _, sg := range ws.segs {
+			dTa, gs := items[sg.a*4*m:(sg.a+1)*4*m], g[r*m:(r+sg.n)*m]
+			descriptor.ContractOuter(walk.rows(rT, sg), dTa, m, dG[r*m:(r+sg.n)*m], buf)
+			descriptor.ContractRows(gs, dTa, sg.n, m, walk.rows(ndT, sg), buf)
+			r += sg.n
+		}
+		ctr.Observe(perf.CatCUSTOM, start, int64(rows)*int64(m)*embedContractBackwardFLOPs)
+		ds := net.Backward(ctr, opts, ar, tr, tensor.MatrixFrom(rows, m, dG[:rows*m]), grads).Data
+		r = 0
+		for _, sg := range ws.segs {
+			nd := walk.rows(ndT, sg)
+			for i := 0; i < sg.n; i++ {
+				nd[4*i] += ds[r+i]
+			}
+			r += sg.n
+		}
+		ar.Rewind(tile)
+	}
+}
+
+// itemToT writes the m x 4 descriptor item fitChunk works on from the
+// fused operators' 4 x m channel-minor accumulator, scaled.
+func itemToT[T tensor.Float](item, ti []T, scale T) {
+	m := len(item) / 4
+	t0, t1, t2, t3 := item[:m], item[m:2*m], item[2*m:3*m], item[3*m:4*m]
+	for c := 0; c < m; c++ {
+		ti[c*4] = t0[c] * scale
+		ti[c*4+1] = t1[c] * scale
+		ti[c*4+2] = t2[c] * scale
+		ti[c*4+3] = t3[c] * scale
+	}
+}
+
+// tToItem is the way back: fitChunk's m x 4 gradient into the 4 x m
+// channel-minor item, scaled.
+func tToItem[T tensor.Float](di, item []T, scale T) {
+	m := len(item) / 4
+	t0, t1, t2, t3 := item[:m], item[m:2*m], item[2*m:3*m], item[3*m:4*m]
+	for c := 0; c < m; c++ {
+		t0[c] = di[c*4] * scale
+		t1[c] = di[c*4+1] * scale
+		t2[c] = di[c*4+2] * scale
+		t3[c] = di[c*4+3] * scale
 	}
 }
 
@@ -381,13 +488,6 @@ func timeIf(ctr *perf.Counter) time.Time {
 		return time.Time{}
 	}
 	return time.Now()
-}
-
-// observeSlice records gather/scatter time under the SLICE category.
-func observeSlice(ctr *perf.Counter, start time.Time) {
-	if ctr != nil {
-		ctr.AddTime(perf.CatSLICE, time.Since(start))
-	}
 }
 
 // growArenas resizes any arena whose last evaluation overflowed, so the

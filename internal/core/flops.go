@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"deepmd-go/internal/compress"
@@ -22,12 +23,12 @@ import (
 //
 // The count is full-stride on purpose — the paper's convention: NVPROF
 // measured the branch-free padded layout, where every one of the Stride()
-// slots is computed. It is NOT what the evaluator executes any more: the
-// batched path runs each section at its chunk's largest real-neighbor
-// count and the compressed path's fused operator visits real neighbors
-// only, and perf.Counter charges that executed work — ExecutedFLOPs is
-// this same model at the executed shapes (TestFig3Shape holds the counter
-// to it).
+// slots is computed, once forward and once backward. It is NOT what the
+// evaluator executes any more: the fused operators of the exact and the
+// compressed path visit real neighbors only and recompute their tiles in
+// the backward pass, and perf.Counter charges that executed work —
+// ExecutedFLOPs is the model of it (TestFig3Shape holds the counter to
+// it).
 func (c *Config) FLOPsPerAtomStep(typeFrac []float64) float64 {
 	// Every center type runs the same network shapes over the same padded
 	// sections, so the composition only weights one number.
@@ -57,52 +58,79 @@ func (c *Config) newFLOPModel() flopModel {
 }
 
 // pipeline charges everything between Environment and ProdForce for one
-// atom whose neighbor-type sections run at the lengths sel: embedding
-// forward+backward over every row, the descriptor contractions and the
-// fitting net on a batch of one.
+// atom in the paper's padded convention — the materialised pipeline NVPROF
+// measured: embedding forward+backward once over every slot of every
+// section, the descriptor contractions over the stored matrices, and the
+// per-atom tail.
 //
 //	T = G^T R~ / N        2*m*4*rows
-//	D = T Tsub^T          2*m*ax*4
-//	dT = dD Tsub          2*m*ax*4
-//	dTsub = dD^T T        2*m*ax*4
 //	dG = R~ dT^T / N      2*rows*m*4
 //	dR~ = G dT / N        2*rows*m*4
 func (fm flopModel) pipeline(sel []int) float64 {
-	m, ax := fm.c.M(), fm.c.MAxis
+	m := fm.c.M()
 	rows := 0
 	for _, n := range sel {
 		rows += n
 	}
-	per := embedFLOPsPerAtom(sel, fm.emb)
-	per += float64(2*m*4*rows) + float64(3*2*m*ax*4) + float64(2*2*rows*m*4)
-	per += float64(fm.fit.ForwardFLOPs(1, true))
-	per += float64(fm.fit.BackwardFLOPs(1))
-	return per
+	return embedFLOPsPerAtom(sel, fm.emb) + float64(3*2*m*4*rows) + fm.perAtom()
+}
+
+// perAtom charges the part of the pipeline that does not scale with the
+// neighbor count: fitChunk's descriptor items and the fitting net on a
+// batch of one.
+//
+//	D = T Tsub^T          2*m*ax*4
+//	dT = dD Tsub          2*m*ax*4
+//	dTsub = dD^T T        2*m*ax*4
+func (fm flopModel) perAtom() float64 {
+	m, ax := fm.c.M(), fm.c.MAxis
+	return float64(3*2*m*ax*4) + float64(fm.fit.ForwardFLOPs(1, true)) + float64(fm.fit.BackwardFLOPs(1))
+}
+
+// Executed FLOPs per (real neighbor row, channel) of the exact operator's
+// contractions (evalChunkExact), as it charges itself under CUSTOM: 4
+// multiply-adds forward; backward the 4 of the output gradient dG and the
+// 4 of the environment-row gradient dR~.
+const (
+	embedContractForwardFLOPs  = 8
+	embedContractBackwardFLOPs = 8 + 8
+)
+
+// fused charges the exact operator for the real neighbor rows it visits:
+// the embedding forward pass twice — once untraced for the descriptor,
+// once traced when the backward pass recomputes the tile — the net's
+// backward pass, and the contractions.
+func (fm flopModel) fused(rows int) float64 {
+	per := float64(fm.emb.ForwardFLOPs(rows, false)) + float64(fm.emb.ForwardFLOPs(rows, true)) + float64(fm.emb.BackwardFLOPs(rows))
+	return per + float64(rows)*float64(fm.c.M())*(embedContractForwardFLOPs+embedContractBackwardFLOPs)
 }
 
 // ExecutedFLOPs returns what the model charges ONE evaluation of a frame
-// at the shapes the exact batched strategy executes — the number
-// perf.Counter accumulates, where FLOPsPerAtomStep is the paper's padded
-// convention. env is the frame's Environment output. The frame is grouped
-// and chunked exactly as ComputeBatch does it (chunkJobs), every chunk
-// runs its sections at chunkSel, and the customized operators are charged
-// the way they charge themselves: Environment per padded slot plus the
-// distance refresh, ProdForce and ProdVirial per list entry, skin entries
-// included. (The compressed strategy replaces the embedding and
-// contraction terms by compress.Fused*FLOPsPerChannel per real neighbor
-// and is not modelled here.)
+// at the shapes the exact strategy executes — the number perf.Counter
+// accumulates, where FLOPsPerAtomStep is the paper's padded convention.
+// env is the frame's Environment output. The fused operator visits the
+// real neighbor rows only (the sum of env.Count) and runs the embedding
+// forward pass a second time in its backward half, so against the padded
+// model the count drops with the fill of the neighbor sections and rises
+// by the recomputation (about a fifth at the paper's widths). The
+// customized operators are charged the way they charge themselves:
+// Environment per padded slot plus the distance refresh, ProdForce and
+// ProdVirial per list entry, skin entries included. (The compressed
+// strategy replaces the embedding and contraction terms by
+// compress.Fused*FLOPsPerChannel per real neighbor and is not modelled
+// here.)
 func (c *Config) ExecutedFLOPs(types []int, env *descriptor.EnvOut) (float64, error) {
-	jobs, err := chunkJobs(nil, make([][]int, c.NumTypes()), types, env.Nloc, c.ChunkSize)
-	if err != nil {
-		return 0, err
+	for i, t := range types[:env.Nloc] {
+		if t < 0 || t >= c.NumTypes() {
+			return 0, fmt.Errorf("atom %d has type %d outside model", i, t)
+		}
+	}
+	rows := 0
+	for _, n := range env.Count {
+		rows += int(n)
 	}
 	fm := c.newFLOPModel()
-	sel := make([]int, c.NumTypes())
-	var total float64
-	for _, j := range jobs {
-		chunkSel(sel, env, j.atoms)
-		total += float64(len(j.atoms)) * fm.pipeline(sel)
-	}
+	total := fm.fused(rows) + float64(env.Nloc)*fm.perAtom()
 	entries := 0
 	for _, idx := range env.Fmt.Idx {
 		if idx >= 0 {

@@ -53,8 +53,7 @@ type batchJob struct {
 // ALL frames over the evaluator's worker budget as a single sweep — the
 // one evaluation path: Compute is its one-frame case, and the serving
 // path coalesces concurrent small requests into it (ISSUE 7) so they share
-// the strided-batch pipeline instead of each paying its own under-filled
-// sweep.
+// one worker sweep instead of each paying its own under-filled one.
 //
 // Results are bit-identical at every batch size and worker count: chunks
 // never straddle frames (each frame is grouped, chunked and reduced in its

@@ -71,8 +71,10 @@ const (
 	// StrategyPerAtom is the retained per-atom reference loop (2018
 	// computational granularity, the differential oracle).
 	StrategyPerAtom
-	// StrategyBatched is the chunk-batched strided-GEMM pipeline with
-	// exact embedding nets (Sec. 5.3.1), the default.
+	// StrategyBatched is the exact embedding nets run chunk by chunk as one
+	// fused operator: cache-resident row tiles over real neighbors,
+	// contracted on the spot and recomputed in the backward pass, with the
+	// fitting net as one chunk-tall GEMM batch (Sec. 5.3), the default.
 	StrategyBatched
 	// StrategyCompressed is the batched pipeline with the embedding nets
 	// replaced by tabulated quintics (the 86-PFLOPS/149-ns-day

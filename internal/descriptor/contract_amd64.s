@@ -2,8 +2,8 @@
 
 #include "textflag.h"
 
-// Contraction kernels of the fused descriptor operator (fused.go): one
-// tile of Horner-evaluated rows against the 4 x m channel-minor descriptor
+// Contraction kernels of the fused descriptor operators (contract.go): one
+// tile of embedding rows against the 4 x m channel-minor descriptor
 // item. The channel index is the SIMD axis everywhere.
 //
 //   forward:  acc[j][c] += Σ_i g[i][c]·rows[i][j]          (i over the tile)

@@ -1,6 +1,6 @@
 //go:build purego || !amd64
 
-package compress
+package descriptor
 
 import "deepmd-go/internal/tensor"
 

@@ -142,10 +142,10 @@ func countedFLOPs(t *testing.T, water, mixed bool, steps int) (atoms int, flops 
 // (GEMM share larger for copper than water) checked where it is
 // deterministic — the FLOPs the operators charge equal the analytic model
 // at the executed shapes (core.Config.ExecutedFLOPs) to a few percent, are
-// the same in both precisions and every step, never exceed the paper's
-// full-stride count (core.Config.FLOPsPerAtomStep), and are larger per
-// atom for copper than for water, several times so in the padded
-// convention.
+// the same in both precisions and every step, exceed the paper's
+// full-stride count (core.Config.FLOPsPerAtomStep) by no more than the
+// embedding pass the fused operator recomputes, and are larger per atom for
+// copper than for water, several times so in the padded convention.
 func TestFig3Shape(t *testing.T) {
 	res, err := Fig3(Quick, 2)
 	if err != nil {
@@ -203,16 +203,21 @@ func TestFig3Shape(t *testing.T) {
 		if dev := math.Abs(float64(one)/executed - 1); dev > 0.05 {
 			t.Errorf("water=%v: counted %.0f FLOPs/atom/step vs analytic %.0f at the executed shapes (%.1f%% apart, want < 5%%)", water, perAtom[water], executed/float64(n), 100*dev)
 		}
-		// No work on padding: executed work never exceeds the padded count.
+		// No work on padding: the fused operator visits real neighbors only.
+		// What it executes beyond the paper's single-pass padded count is
+		// the embedding forward pass its backward half recomputes (FLOPs for
+		// bytes), itself bounded by the padded embedding charge — at Quick
+		// water's 27 of 36 slots and 4-8-16 widths the recomputation
+		// outweighs the skipped padding by 7 %.
 		full[water] = cfg.FLOPsPerAtomStep(typeFrac)
-		if perAtom[water] > 1.05*full[water] {
-			t.Errorf("water=%v: counted %.0f FLOPs/atom/step exceeds the full-stride model %.0f", water, perAtom[water], full[water])
+		if bound := full[water] + cfg.EmbedFLOPsPerAtomStep(); perAtom[water] > 1.05*bound {
+			t.Errorf("water=%v: counted %.0f FLOPs/atom/step exceeds the full-stride model plus one recomputed embedding pass, %.0f", water, perAtom[water], bound)
 		}
 	}
 	// The paper's 3.3x (Sec. 6.1: 64.9 vs 19.8 MFLOPs) is an NVPROF count of
 	// the padded layout, so > 2 is asserted on the full-stride model. The
 	// counted ratio is the executed one: Quick copper fills 42 of its 110
-	// padded slots and Quick water 27 of its 36, which leaves 1.4x.
+	// padded slots and Quick water 27 of its 36, which leaves 1.5x.
 	if ratio := full[false] / full[true]; ratio < 2 {
 		t.Errorf("copper/water full-stride FLOPs per atom = %.2f, want > 2 (paper Sec. 6.1: ~3.3x)", ratio)
 	}

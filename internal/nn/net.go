@@ -261,6 +261,22 @@ func (n *Net[T]) Backward(ctr *perf.Counter, o tensor.Opts, ar *tensor.Arena[T],
 	return dy
 }
 
+// ArenaLen returns how many arena elements one traced pass over a batch of
+// rows draws: ForwardInto with withGrad (every layer's output and
+// activation gradient) plus Backward (every layer's pre-activation and
+// input gradient). A caller sizing its arena at construction asks the net
+// instead of re-deriving what the passes take.
+func (n *Net[T]) ArenaLen(rows int) int {
+	total := 0
+	for _, l := range n.Layers {
+		total += l.Out() + l.In()
+		if l.Kind != Linear {
+			total += 2 * l.Out()
+		}
+	}
+	return rows * total
+}
+
 // accumulateBias adds the column sums of dpre into db.
 func accumulateBias[T tensor.Float](ctr *perf.Counter, dpre tensor.Matrix[T], db []T) {
 	n := dpre.Cols

@@ -36,9 +36,9 @@ import (
 // panel, the rest accumulated through the beta = 1 store. Only the fused
 // tanh epilogues stay single-panel; GemmBiasTanhGradOpt beyond simdMaxK is
 // the panelled GemmBias plus the separate tanh pass. What still bypasses
-// this tier is the NT/TN storage variants the dot tile does not take and
-// the strided-batched descriptor contractions, which the packed engine
-// serves.
+// this tier is the TN storage variant (training's dW), the shapes below
+// the tiles' widths (the fitting net's one-column head) and the k = 4 / 16
+// per-atom descriptor items of the strided-batched family.
 //
 // Bit-exactness contract. Worker fan-out partitions rows in multiples of
 // the strip height from row 0, every row's K panels are visited in the
@@ -46,8 +46,11 @@ import (
 // its strip, so every element is computed by the same instruction sequence
 // at any worker count. Remainder rows (m mod R) are computed by the lanes
 // too, as a zero-padded tail strip, so in both precisions a remainder row
-// is bit-identical to a strip row holding the same data. The scalar model
-// is left with the column tails of the unmasked families (AVX2, NEON);
+// is bit-identical to a strip row holding the same data. The NT dot tile
+// likewise computes its n mod 4 tail columns in-lane, on a zero-padded
+// mini-panel of their B rows (ntRowRange). The scalar model
+// is left with the column tails of the unmasked families (AVX2, NEON) and
+// an odd last NT row;
 // there the float64 model reproduces the asm lanes operation for
 // operation (math.FMA accumulation, the same epilogue arithmetic,
 // tanhApprox64), and the float32 model agrees to within the documented
@@ -358,7 +361,7 @@ func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, l
 		return false
 	}
 	// The dot tile pays off only with enough reduction depth to vectorize.
-	if k < 8 || m < 2 || n < 4 || m*n*k < 1<<13 {
+	if k < 8 || m < 2 || m*max(n, 4)*k < 1<<13 {
 		return false
 	}
 	nPairs := m / 2
@@ -391,30 +394,61 @@ func ntRowsParallel[T Float](fam cpufeat.Family, workers, nPairs, m, k, n int, a
 	wg.Wait()
 }
 
-// ntRowRange processes C rows [lo, hi), lo even: row pairs through the
-// asm tile over columns [0, n&^3), the odd row tail and column tail
-// through the scalar model.
+// ntRowRange processes C rows [lo, hi), lo even. Row pairs run through
+// the asm tile over every column: [0, n&^3) straight from B, and the
+// n mod 4 tail columns from a mini-panel of their B rows staged
+// zero-padded to the tile's four in a pooled slab, with a 4-column staging
+// block of C behind it — the NT twin of simdRowRange's tail strip. The
+// backward passes of the embedding net live on those tails (dX = dpre·Wᵀ
+// has n = 50, 25 and 1 columns at the paper's widths). A tile dot product
+// does not depend on the other three of its step, so a tail column keeps
+// the bits a covered column would have. Only an odd last row is left to
+// the scalar model.
 func ntRowRange[T Float](fam cpufeat.Family, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	jCov := n &^ 3
 	full := lo + (hi-lo)/2*2
+	var args tileArgs
+	args.lda = uintptr(lda)
+	args.k = uintptr(k)
+	args.alpha = float64(alpha)
+	args.beta = float64(beta)
 	if jCov > 0 {
-		var args tileArgs
 		args.b = unsafe.Pointer(&b[0])
-		args.lda = uintptr(lda)
 		args.ldb = uintptr(ldb)
 		args.ldc = uintptr(ldc)
-		args.k = uintptr(k)
 		args.n = uintptr(jCov)
-		args.alpha = float64(alpha)
-		args.beta = float64(beta)
 		for i := lo; i < full; i += 2 {
 			args.a = unsafe.Pointer(&a[i*lda])
 			args.c = unsafe.Pointer(&c[i*ldc])
 			ntTile[T](fam, &args)
 		}
 	}
-	for i := lo; i < full; i++ {
-		simdScalarNTRow(a[i*lda:i*lda+k], k, b, ldb, jCov, n, c[i*ldc:], alpha, beta)
+	if jt := n - jCov; jt > 0 && full > lo {
+		tail := getSlab[T](4 * (k + full - lo))
+		tb, tc := tail.buf[:4*k], tail.buf[4*k:]
+		for j := 0; j < jt; j++ {
+			copy(tb[j*k:(j+1)*k], b[(jCov+j)*ldb:])
+		}
+		clear(tb[jt*k:])
+		if beta != 0 {
+			clear(tc)
+			for i := lo; i < full; i++ {
+				copy(tc[(i-lo)*4:(i-lo)*4+jt], c[i*ldc+jCov:])
+			}
+		}
+		args.b = unsafe.Pointer(&tb[0])
+		args.ldb = uintptr(k)
+		args.ldc = 4
+		args.n = 4
+		for i := lo; i < full; i += 2 {
+			args.a = unsafe.Pointer(&a[i*lda])
+			args.c = unsafe.Pointer(&tc[(i-lo)*4])
+			ntTile[T](fam, &args)
+		}
+		for i := lo; i < full; i++ {
+			copy(c[i*ldc+jCov:i*ldc+n], tc[(i-lo)*4:])
+		}
+		putSlab(tail)
 	}
 	for i := full; i < hi; i++ {
 		simdScalarNTRow(a[i*lda:i*lda+k], k, b, ldb, 0, n, c[i*ldc:], alpha, beta)

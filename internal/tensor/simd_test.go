@@ -114,7 +114,12 @@ func TestGemmDifferentialPerFamily(t *testing.T) {
 		{5, 1, 9}, {8, 3, 8}, {9, 25, 26}, {12, 50, 33},
 		{17, 50, 24}, {23, 25, 100}, {64, 1, 25}, {100, 25, 50},
 		{64, 50, 100}, {40, 240, 240},
-		{8, 257, 16}, {9, 512, 17}, {13, 513, 31}, {244, 1600, 240},
+		{8, 257, 16}, {9, 512, 17}, {13, 513, 31},
+		// The embedding net's backward shapes dX = dpre·Wᵀ on a row tile:
+		// the NT dot tile's column tails (n mod 4 of 1, 2, 1 and 2) and the
+		// one-column layer below its width.
+		{128, 25, 1}, {96, 50, 1}, {64, 100, 2}, {129, 50, 25}, {66, 25, 50}, {128, 100, 50},
+		{244, 1600, 240},
 	}
 	if raceEnabled {
 		// Same seven panels, same 4-row tail strip, still above the
@@ -361,7 +366,9 @@ func testNonFiniteAcrossPanels[T Float](t *testing.T, fam cpufeat.Family) {
 
 // TestSIMDNTLaneVsScalarModel is the same bitwise lane-vs-model check for
 // the NT dot tile, driven through ntRowRange directly so small shapes
-// (odd rows, column tails, k tails below the vector width) hit the asm.
+// (odd rows, column tails, k tails below the vector width) hit the asm:
+// the tail columns a row pair computes on the zero-padded mini-panel must
+// carry the bits the scalar model gives the odd row.
 func TestSIMDNTLaneVsScalarModel(t *testing.T) {
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
 		if fam == cpufeat.Generic {
@@ -372,13 +379,18 @@ func TestSIMDNTLaneVsScalarModel(t *testing.T) {
 			t.Skip("no NT tile in this family")
 		}
 		rng := rand.New(rand.NewSource(123))
-		for _, k := range []int{8, 25, 50, 51} {
-			m, n := 3, 7 // one asm row pair + scalar odd row; 4 asm cols + 3 tail
-			a := repeatedRows(randRow[float64](rng, k), m)
-			b := randMatT[float64](rng, n, k)
-			c := repeatedRows(randRow[float64](rng, n), m)
-			ntRowRange(fam, 0, m, k, n, 1.5, a.Data, k, b.Data, k, -0.5, c.Data, n)
-			checkRowsBitEqual(t, fmt.Sprintf("%s NT k=%d", fam, k), c, n)
+		for _, k := range []int{8, 25, 50, 51, 100} {
+			// One asm row pair + the scalar odd row; n = 7 is 4 covered
+			// columns + 3 on the staged mini-panel, the rest are the
+			// embedding net's backward widths (tails of 1, 2, 1 and 2).
+			for _, n := range []int{7, 1, 2, 25, 50} {
+				const m = 3
+				a := repeatedRows(randRow[float64](rng, k), m)
+				b := randMatT[float64](rng, n, k)
+				c := repeatedRows(randRow[float64](rng, n), m)
+				ntRowRange(fam, 0, m, k, n, 1.5, a.Data, k, b.Data, k, -0.5, c.Data, n)
+				checkRowsBitEqual(t, fmt.Sprintf("%s NT k=%d n=%d", fam, k, n), c, n)
+			}
 		}
 	})
 }

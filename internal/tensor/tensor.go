@@ -135,13 +135,32 @@ func (a *Arena[T]) Reset() {
 	a.peak = 0
 }
 
-// Peak reports the total number of elements requested since the last Reset,
-// including any heap overflow. Sizing the slab to a previous Peak removes
-// all steady-state allocation.
+// ArenaMark is a checkpoint of an arena's extent, see Arena.Mark.
+type ArenaMark struct{ off, peak int }
+
+// Mark checkpoints the arena's current extent. Rewind(mark) makes
+// everything taken since available again — Reset for the tail of the slab
+// — so a loop over row tiles reuses one tile's worth of scratch instead of
+// holding every tile's, while the buffers taken before the mark stay
+// valid.
+func (a *Arena[T]) Mark() ArenaMark { return ArenaMark{a.off, a.peak} }
+
+// Rewind releases everything taken since the mark. Slices handed out after
+// it must not be used afterwards.
+func (a *Arena[T]) Rewind(m ArenaMark) {
+	if a.peak > a.maxPeak {
+		a.maxPeak = a.peak
+	}
+	a.off, a.peak = m.off, m.peak
+}
+
+// Peak reports the number of elements currently held: everything requested
+// since the last Reset and not rewound, including any heap overflow.
 func (a *Arena[T]) Peak() int { return a.peak }
 
 // MaxPeak reports the largest demand seen over the arena's lifetime,
-// across Resets.
+// across Resets and Rewinds. Sizing the slab to it removes all
+// steady-state allocation.
 func (a *Arena[T]) MaxPeak() int { return max(a.maxPeak, a.peak) }
 
 // Cap returns the slab capacity in elements.
