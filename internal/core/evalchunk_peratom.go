@@ -107,7 +107,7 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 			dgA := tensor.MatrixFrom(sel, m, dGsec[tj].Data[a*sel*m:(a+1)*sel*m])
 			tensor.GemmNTOpt(tensor.Opts{}, ctr, invN, rA, dT, 0, dgA)
 			ndA := tensor.MatrixFrom(sel, 4, ndT[(atom*stride+off)*4:(atom*stride+off+sel)*4])
-			tensor.GemmOpt(tensor.Opts{}, ctr, invN, gA, dT, 1, ndA)
+			tensor.GemmOpt(tensor.Opts{}, ctr, invN, gA, dT, 0, ndA)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -70,14 +71,24 @@ type Evaluator[T tensor.Float] struct {
 	// type pair, populated by SetCompressedEmbedding.
 	comp [][]*compress.Table[T]
 
-	// frames, batchJobs and cursor are the persistent state of the frame
-	// sweep (frames.go): one buffer slot per frame of the largest batch
-	// served so far — a plain Compute call lives in slot 0 — plus the
-	// flattened (frame, chunk) job list and the claim cursor the sweep
-	// workers share.
+	// frames and batchJobs are the persistent state of the force call
+	// (frames.go): one buffer slot per frame of the largest batch served so
+	// far — a plain Compute call lives in slot 0 — plus the flattened
+	// (frame, chunk) job list of the sweep.
 	frames    []*frameState[T]
 	batchJobs []batchJob
-	cursor    atomic.Int64
+
+	// The team of the call in flight: how many frames it serves, the
+	// members that sweep and their GEMM budget (splitBudget), one claim
+	// cursor per stage, the barrier between stages, whether stage 1
+	// failed, and the join of the spawned members.
+	nframes   int
+	sweepers  int
+	sweepOpts tensor.Opts
+	cursors   [numStages]atomic.Int64
+	bar       barrier
+	failed    atomic.Bool
+	wg        sync.WaitGroup
 }
 
 // chunkJob is one same-type atom chunk of an evaluation.
@@ -94,7 +105,8 @@ type chunkJob struct {
 type evalScratch[T tensor.Float] struct {
 	embTr nn.Trace[T] // the current row tile's embedding pass
 	fitTr nn.Trace[T]
-	segs  []tileSeg // at most one per tile row
+	segs  []tileSeg             // at most one per tile row
+	rows  descriptor.RowScratch // stage 1: the current atom's refreshed row and sort keys
 }
 
 // NewEvaluator builds an evaluator for the model in precision T, converting
@@ -125,6 +137,7 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 		ev.scratch = append(ev.scratch, &evalScratch[T]{segs: make([]tileSeg, 0, embedTileRows)})
 	}
 	ev.strat = StrategyBatched
+	ev.bar.cond.L, ev.bar.n = &ev.bar.mu, len(ev.arenas)
 	return ev
 }
 
@@ -189,7 +202,7 @@ func (ev *Evaluator[T]) ArenaBytes() int {
 // adequately sized; after the first call has warmed the arenas and
 // scratch, a steady-state serial Compute performs no heap allocation.
 //
-// It is the one-frame case of ComputeBatch — the same sweep, in frame
+// It is the one-frame case of ComputeBatch — the same team run, in frame
 // slot 0.
 func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
 	frame := [1]Frame{{Pos: pos, Types: types, Nloc: nloc, List: list, Box: box, Out: out}}
@@ -234,8 +247,9 @@ type tileSeg struct{ a, k0, n int }
 // rowWalk enumerates the real neighbor rows of one (chunk, neighbor-type
 // section) in atom-major slot order, a tile at a time. Rows at and beyond
 // an atom's env.Count are never visited: they have R~ = 0 exactly, add
-// nothing to the descriptor, and whatever gradient they would receive is
-// multiplied by dR~/dd = 0 in ProdForce/ProdVirial.
+// nothing to the descriptor, and the force and virial products
+// (descriptor.ProdRows) stop at the same count, so their ndT rows are
+// neither written nor read.
 type rowWalk[T tensor.Float] struct {
 	env   *descriptor.EnvOut
 	atoms []int

@@ -114,11 +114,11 @@ func (fm flopModel) fused(rows int) float64 {
 // model the count drops with the fill of the neighbor sections and rises
 // by the recomputation (about a fifth at the paper's widths). The
 // customized operators are charged the way they charge themselves:
-// Environment per padded slot plus the distance refresh, ProdForce and
-// ProdVirial per list entry, skin entries included. (The compressed
-// strategy replaces the embedding and contraction terms by
-// compress.Fused*FLOPsPerChannel per real neighbor and is not modelled
-// here.)
+// Environment per padded slot plus the distance refresh per list entry,
+// the force and virial products per real row — they stop at env.Count
+// too. (The compressed strategy replaces the embedding and contraction
+// terms by compress.Fused*FLOPsPerChannel per real neighbor and is not
+// modelled here.)
 func (c *Config) ExecutedFLOPs(types []int, env *descriptor.EnvOut) (float64, error) {
 	for i, t := range types[:env.Nloc] {
 		if t < 0 || t >= c.NumTypes() {
@@ -131,14 +131,14 @@ func (c *Config) ExecutedFLOPs(types []int, env *descriptor.EnvOut) (float64, er
 	}
 	fm := c.newFLOPModel()
 	total := fm.fused(rows) + float64(env.Nloc)*fm.perAtom()
-	entries := 0
+	var entries int64
 	for _, idx := range env.Fmt.Idx {
 		if idx >= 0 {
 			entries++
 		}
 	}
-	const perEntry = descriptor.RefreshFLOPsPerEntry + descriptor.ProdForceFLOPsPerEntry + descriptor.ProdVirialFLOPsPerEntry
-	total += float64(env.Nloc)*float64(env.Stride)*descriptor.EnvFLOPsPerSlot + float64(entries)*perEntry
+	const prods = descriptor.ProdForceFLOPsPerEntry + descriptor.ProdVirialFLOPsPerEntry
+	total += float64(descriptor.EnvFLOPs(env, entries)) + float64(rows)*prods
 	return total, nil
 }
 

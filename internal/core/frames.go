@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"deepmd-go/internal/descriptor"
 	"deepmd-go/internal/neighbor"
+	"deepmd-go/internal/perf"
 	"deepmd-go/internal/tensor"
 )
 
@@ -21,23 +23,50 @@ type Frame struct {
 	Out   *Result
 }
 
-// frameState is the persistent per-frame-slot state of the sweep: every
-// frame of a batch keeps its environment, precision-converted rows,
-// network derivative and chunk list alive through the shared chunk sweep.
-// Slots are reused across calls (slot i serves frame i; a plain Compute
-// is frame 0), so a steady stream of equally-shaped batches allocates
-// nothing after warmup.
+// frameState is the persistent per-frame-slot state of the force call:
+// every frame of a batch keeps its environment, precision-converted rows,
+// network derivative, chunk list and block partials alive through the
+// stages. Slots are reused across calls (slot i serves frame i; a plain
+// Compute is frame 0), so a steady stream of equally-shaped batches
+// allocates nothing after warmup.
 type frameState[T tensor.Float] struct {
-	sc     descriptor.Scratch
-	env    *descriptor.EnvOut
-	rT     []T
+	// The caller's inputs and output buffers, for the team: positions,
+	// list and box feed the stage-1 blocks, atomEnergy the sweep, force the
+	// stage-4 sums.
+	pos               []float64
+	list              *neighbor.List
+	box               *neighbor.Box
+	atomEnergy, force []float64
+
+	sc  descriptor.Scratch
+	env *descriptor.EnvOut
+	rT  []T
+	// rTCount is rT's own Count (descriptor.ConvertRows): the rows an
+	// earlier frame may have left non-zero, so a conversion zeroes only
+	// those instead of the whole padded tail.
+	rTCount []int32
+	// ndT is written by the chunk bodies on the real rows only (below
+	// env.Count) and read by the products on the same rows: never cleared.
 	ndT    []T
-	nd64   []float64
 	byType [][]int
 	jobs   []chunkJob
 	chunkE []float64
-	// atomEnergy aliases the frame's Out.AtomEnergy for the sweep workers.
-	atomEnergy []float64
+	// partials holds the descriptor.ProdBlocks private force buffers of
+	// 3*nall the products scatter into; blocks what each block reports.
+	partials []float64
+	blocks   [descriptor.ProdBlocks]blockOut
+}
+
+// blockOut is what one atom block of a frame hands the coordinating
+// goroutine: stage 1's statistics, error and (when a counter is attached)
+// how its time divided between the operator and the conversion; stage 3's
+// visited slots and partial virial.
+type blockOut struct {
+	env               descriptor.RowStats
+	err               error
+	envTime, convTime time.Duration
+	slots             int64
+	virial            [9]float64
 }
 
 func newFrameState[T tensor.Float](nt int) *frameState[T] {
@@ -49,18 +78,67 @@ type batchJob struct {
 	fi, ji int
 }
 
-// ComputeBatch evaluates every frame in one call, fanning the chunks of
-// ALL frames over the evaluator's worker budget as a single sweep — the
-// one evaluation path: Compute is its one-frame case, and the serving
-// path coalesces concurrent small requests into it (ISSUE 7) so they share
-// one worker sweep instead of each paying its own under-filled one.
+// The stages of one force call, each with its own claim cursor. Block
+// stages have ProdBlocks jobs per frame, the sweep one per chunk.
+const (
+	stageEnv    = iota // Environment + ConvertR on a block's atoms
+	stageSweep         // the chunk sweep
+	stageProd          // force and virial products of a block into its partials
+	stageReduce        // the partials summed in block order, a block of coordinates each
+	numStages
+)
+
+// barrier is the meeting point between the stages of one force call. It is
+// reusable (generation-counted) and parks its waiters, so the idle members
+// of a team whose sweep runs serially (ComputeWithGrads) cost no CPU.
+type barrier struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	n       int // team size
+	arrived int
+	gen     uint
+}
+
+//dp:noalloc
+func (b *barrier) wait() {
+	if b.n == 1 {
+		return
+	}
+	b.mu.Lock()
+	b.arrived++
+	if b.arrived == b.n {
+		b.arrived = 0
+		b.gen++
+		b.cond.Broadcast()
+	} else {
+		for gen := b.gen; gen == b.gen; {
+			b.cond.Wait()
+		}
+	}
+	b.mu.Unlock()
+}
+
+// ComputeBatch evaluates every frame in one call — the one evaluation path:
+// Compute is its one-frame case, and the serving path coalesces concurrent
+// small requests into it (ISSUE 7) so they share one worker sweep instead
+// of each paying its own under-filled one.
+//
+// The whole call runs on the evaluator's worker budget inside ONE goroutine
+// fan-out (team): every member claims jobs of each stage from that stage's
+// atomic cursor and meets the others at a barrier before the next,
+//
+//	stage 1  (frame, atom block)   Environment rows + ConvertR   row-independent
+//	stage 2  (frame, chunk)        embedding, fitting, backward  self-contained per chunk
+//	stage 3  (frame, atom block)   force/virial products         into the block's own partials
+//	stage 4  (frame, coord block)  partials summed               in block order
 //
 // Results are bit-identical at every batch size and worker count: chunks
-// never straddle frames (each frame is grouped, chunked and reduced in its
-// own buffers), every chunk's computation is self-contained and
-// deterministic, and each frame's energy reduction and force/virial
-// operators run serially per frame in a fixed order. Only the scheduling
-// of chunks across workers changes.
+// never straddle frames, stages 1, 2 and 4 write every output element from
+// exactly one job whose computation does not depend on who runs it, and the
+// one order-dependent reduction — the force/virial scatter of stage 3 — is
+// cut into descriptor.ProdBlocks blocks, a constant, so how its sums
+// associate is a function of the frame alone. Workers = 1 runs the same
+// jobs in the same cut on the calling goroutine.
 //
 // On error, the frames' Result buffers are in an unspecified intermediate
 // state. ComputeBatch is single-goroutine; concurrent batches go through
@@ -73,9 +151,9 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		ev.frames = append(ev.frames, newFrameState[T](nt))
 	}
 
-	// Stage 1 — per-frame preamble into each frame slot's own buffers:
-	// environment, precision conversion, grouping by type, chunk-job
-	// assembly, output sizing.
+	// Serial preamble: whatever can refuse a frame first, so that no
+	// Scratch is left between Begin and Rows; then the buffers of every
+	// frame slot sized for the team.
 	ev.batchJobs = ev.batchJobs[:0]
 	for fi := range frames {
 		f := &frames[fi]
@@ -83,54 +161,52 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 			return fmt.Errorf("core: frame %d has no Result", fi)
 		}
 		fs := ev.frames[fi]
-		env, err := fs.sc.Environment(ctr, ev.dcfg, f.Pos, f.Types, f.List, f.Box)
-		if err != nil {
-			return fmt.Errorf("core: frame %d: %w", fi, err)
-		}
-		fs.env = env
-		fs.rT = descriptor.ConvertR(ctr, env, fs.rT)
-		fs.ndT = tensor.Resize(fs.ndT, f.Nloc*stride*4)
-		clear(fs.ndT)
+		var err error
 		if fs.jobs, err = chunkJobs(fs.jobs[:0], fs.byType, f.Types, f.Nloc, ev.cfg.ChunkSize); err != nil {
 			return fmt.Errorf("core: frame %d: %w", fi, err)
 		}
 		for ji := range fs.jobs {
 			ev.batchJobs = append(ev.batchJobs, batchJob{fi, ji})
 		}
-		nall := len(f.Pos) / 3
-		f.Out.AtomEnergy = tensor.Resize(f.Out.AtomEnergy, f.Nloc)
-		f.Out.Force = tensor.Resize(f.Out.Force, 3*nall)
-		clear(f.Out.Force)
-		fs.atomEnergy = f.Out.AtomEnergy
-		fs.chunkE = tensor.Resize(fs.chunkE, len(fs.jobs))
 	}
-
-	// Stage 2 — one sweep over every frame's chunks. This is where the
-	// cross-request amortization happens: a handful of small frames fill
-	// the worker pool (and one evaluator's caches) the way one large
-	// system would. Chunks are claimed from an atomic cursor; every
-	// chunk's computation is self-contained and deterministic, so results
-	// do not depend on which worker claims it.
-	workers, opts := ev.splitBudget(len(ev.batchJobs))
-	ev.cursor.Store(0)
-	if workers == 1 {
-		ev.sweep(opts, 0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ev.sweep(opts, w)
-			}(w)
+	for fi := range frames {
+		f := &frames[fi]
+		fs := ev.frames[fi]
+		fs.pos, fs.list, fs.box = f.Pos, f.List, f.Box
+		fs.env = fs.sc.Begin(ev.dcfg, f.List.Nloc)
+		if n := f.Nloc * stride * 4; len(fs.rT) != n {
+			fs.rT = tensor.Resize(fs.rT, n)
+			fs.rTCount = tensor.Resize(fs.rTCount, f.Nloc*nt)
+			clear(fs.rT)
+			clear(fs.rTCount)
 		}
-		wg.Wait()
+		fs.ndT = tensor.Resize(fs.ndT, f.Nloc*stride*4)
+		fs.chunkE = tensor.Resize(fs.chunkE, len(fs.jobs))
+		fs.partials = tensor.Resize(fs.partials, descriptor.ProdBlocks*len(f.Pos))
+		f.Out.AtomEnergy = tensor.Resize(f.Out.AtomEnergy, f.Nloc)
+		f.Out.Force = tensor.Resize(f.Out.Force, len(f.Pos))
+		fs.atomEnergy, fs.force = f.Out.AtomEnergy, f.Out.Force
 	}
 
-	// Stage 3 — per-frame reductions and customized operators, serial and
-	// in a fixed order so the double-precision sums associate the same way
-	// at every batch size: deterministic energy reduction, then the network
-	// gradient converted back to double precision for ProdForce/ProdVirial.
+	// One fan-out: the calling goroutine is member 0 and coordinates.
+	ev.nframes = len(frames)
+	ev.sweepers, ev.sweepOpts = ev.splitBudget(len(ev.batchJobs))
+	for st := range ev.cursors {
+		ev.cursors[st].Store(0)
+	}
+	ev.failed.Store(false)
+	for w := 1; w < len(ev.arenas); w++ {
+		ev.wg.Add(1)
+		go ev.member(w)
+	}
+	err := ev.member(0)
+	ev.wg.Wait()
+	if err != nil {
+		return err
+	}
+
+	// Per-frame reductions in fixed orders: the chunk energies, the blocks'
+	// virials, then the repulsion prior on top.
 	for fi := range frames {
 		f := &frames[fi]
 		fs := ev.frames[fi]
@@ -139,16 +215,150 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		for _, e := range fs.chunkE {
 			out.Energy += e
 		}
-		fs.nd64 = tensor.Resize(fs.nd64, len(fs.ndT))
-		for i, v := range fs.ndT {
-			fs.nd64[i] = float64(v)
+		out.Virial = [9]float64{}
+		for b := range fs.blocks {
+			for x, v := range fs.blocks[b].virial {
+				out.Virial[x] += v
+			}
 		}
-		descriptor.ProdForce(ctr, fs.nd64, fs.env, out.Force)
-		out.Virial = descriptor.ProdVirial(ctr, fs.nd64, fs.env)
 		repulsionEnergy(ctr, ev.cfg.RepA, ev.cfg.RepRcut, f.Pos, f.Nloc, f.List, f.Box, out)
 	}
 	ev.growArenas()
 	return nil
+}
+
+// member is the body of team member w: the four stages in order, jobs
+// claimed from each stage's cursor, a barrier between stages. Member 0 runs
+// on the calling goroutine and coordinates: it turns stage 1's block
+// results into the call's error, and makes the customized operators' two
+// perf observations — the wall time of the stage and the FLOPs summed over
+// the blocks, so the category times keep their meaning and the FLOP count
+// repeats exactly at every worker count.
+//
+//dp:noalloc
+func (ev *Evaluator[T]) member(w int) error {
+	if w > 0 {
+		defer ev.wg.Done()
+	}
+	ws := ev.scratch[w]
+	nblk := ev.nframes * descriptor.ProdBlocks
+
+	start := timeIf(ev.Counter)
+	for bi := ev.claim(stageEnv); bi < nblk; bi = ev.claim(stageEnv) {
+		ev.envBlock(ws, bi/descriptor.ProdBlocks, bi%descriptor.ProdBlocks)
+	}
+	ev.bar.wait()
+	if w == 0 {
+		if err := ev.collectEnv(start); err != nil {
+			return err
+		}
+	} else if ev.failed.Load() {
+		return nil
+	}
+
+	// The sweep is where the cross-request amortization happens: a handful
+	// of small frames fill the team (and one evaluator's caches) the way
+	// one large system would.
+	if w < ev.sweepers {
+		ev.sweep(ev.sweepOpts, w)
+	}
+	ev.bar.wait()
+
+	start = timeIf(ev.Counter)
+	for bi := ev.claim(stageProd); bi < nblk; bi = ev.claim(stageProd) {
+		ev.prodBlock(bi/descriptor.ProdBlocks, bi%descriptor.ProdBlocks)
+	}
+	ev.bar.wait()
+	for bi := ev.claim(stageReduce); bi < nblk; bi = ev.claim(stageReduce) {
+		fs := ev.frames[bi/descriptor.ProdBlocks]
+		lo, hi := descriptor.BlockRange(len(fs.force), bi%descriptor.ProdBlocks)
+		descriptor.SumPartials(fs.partials, fs.force, lo, hi)
+	}
+	if w == 0 {
+		var slots int64
+		for _, fs := range ev.frames[:ev.nframes] {
+			for b := range fs.blocks {
+				slots += fs.blocks[b].slots
+			}
+		}
+		ev.Counter.Observe(perf.CatCUSTOM, start, slots*(descriptor.ProdForceFLOPsPerEntry+descriptor.ProdVirialFLOPsPerEntry))
+	}
+	return nil
+}
+
+//dp:noalloc
+func (ev *Evaluator[T]) claim(stage int) int {
+	return int(ev.cursors[stage].Add(1)) - 1
+}
+
+// envBlock is one stage-1 job: the Environment operator and the precision
+// conversion on block b's atoms of frame fi, into the block's own rows of
+// the frame's shared buffers.
+//
+//dp:noalloc
+func (ev *Evaluator[T]) envBlock(ws *evalScratch[T], fi, b int) {
+	fs := ev.frames[fi]
+	out := &fs.blocks[b]
+	lo, hi := descriptor.BlockRange(fs.env.Nloc, b)
+	start := timeIf(ev.Counter)
+	out.env, out.err = fs.sc.Rows(&ws.rows, ev.dcfg, fs.pos, fs.list, fs.box, lo, hi)
+	if out.err != nil {
+		ev.failed.Store(true)
+		return
+	}
+	mid := timeIf(ev.Counter)
+	descriptor.ConvertRows(fs.env, fs.rT, fs.rTCount, lo, hi)
+	if ev.Counter != nil {
+		out.envTime, out.convTime = mid.Sub(start), time.Since(mid)
+	}
+}
+
+// collectEnv closes stage 1 on the coordinator: the lowest failing (frame,
+// atom) is the error at every worker count — blocks are ascending atom
+// ranges and each stops at its first failure — and otherwise the blocks'
+// statistics become the table's overflow count and the stage's one
+// observation: its wall time, divided between CUSTOM (Environment) and
+// SLICE (ConvertR) in the proportion the blocks measured.
+func (ev *Evaluator[T]) collectEnv(start time.Time) error {
+	var flops int64
+	var envTime, convTime time.Duration
+	for fi, fs := range ev.frames[:ev.nframes] {
+		var entries int64
+		for b := range fs.blocks {
+			out := &fs.blocks[b]
+			if out.err != nil {
+				return fmt.Errorf("core: frame %d: %w", fi, out.err)
+			}
+			entries += out.env.Entries
+			fs.env.Fmt.Overflow += out.env.Dropped
+			envTime += out.envTime
+			convTime += out.convTime
+		}
+		flops += descriptor.EnvFLOPs(fs.env, entries)
+	}
+	if ctr := ev.Counter; ctr != nil {
+		wall := time.Since(start)
+		conv := time.Duration(float64(wall) * float64(convTime) / float64(max(1, envTime+convTime)))
+		ctr.AddTime(perf.CatSLICE, conv)
+		ctr.AddTime(perf.CatCUSTOM, wall-conv)
+		ctr.AddFLOPs(flops)
+	}
+	return nil
+}
+
+// prodBlock is one stage-3 job: block b's center atoms of frame fi
+// scattered into the block's private force buffer and virial.
+//
+//dp:noalloc
+func (ev *Evaluator[T]) prodBlock(fi, b int) {
+	fs := ev.frames[fi]
+	out := &fs.blocks[b]
+	n3 := len(fs.force)
+	part := fs.partials[b*n3 : (b+1)*n3]
+	clear(part)
+	out.virial = [9]float64{}
+	lo, hi := descriptor.BlockRange(fs.env.Nloc, b)
+	out.slots = descriptor.ProdRows(fs.ndT, fs.env, lo, hi, part, &out.virial)
 }
 
 // chunkJobs groups the first nloc atoms by type into byType (one reusable
@@ -176,31 +386,30 @@ func chunkJobs(jobs []chunkJob, byType [][]int, types []int, nloc, chunkSize int
 }
 
 // splitBudget divides the evaluator's one parallelism budget (Workers, one
-// arena each) for a sweep of njobs chunks: as many sweep goroutines as
-// there are chunks to keep busy, and the remainder as row-block goroutines
-// inside each chunk's GEMMs — Workers=8 over 2 chunks runs 2 sweepers x 4
-// GEMM workers, and a sweep that degenerates to serial hands the whole
-// budget to the GEMM kernels. Parameter gradients accumulate into one
-// shared ModelGrads, so ComputeWithGrads always sweeps serially.
-func (ev *Evaluator[T]) splitBudget(njobs int) (workers int, opts tensor.Opts) {
+// arena each) for stage 2's sweep of njobs chunks: as many of the team's
+// members sweep as there are chunks to keep busy, and the remainder of the
+// budget goes to row-block goroutines inside each chunk's GEMMs — Workers=8
+// over 2 chunks runs 2 sweepers x 4 GEMM workers, and a sweep that
+// degenerates to serial hands the whole budget to the GEMM kernels.
+// Parameter gradients accumulate into one shared ModelGrads, so
+// ComputeWithGrads always sweeps serially. Stages 1, 3 and 4 share nothing
+// between jobs and always run on the whole team.
+func (ev *Evaluator[T]) splitBudget(njobs int) (sweepers int, opts tensor.Opts) {
 	budget := len(ev.arenas)
-	workers = max(1, min(budget, njobs))
+	sweepers = max(1, min(budget, njobs))
 	if ev.grads != nil {
-		workers = 1
+		sweepers = 1
 	}
-	return workers, tensor.Opts{Workers: budget / workers}
+	return sweepers, tensor.Opts{Workers: budget / sweepers}
 }
 
-// sweep is the body of sweep worker w: claim (frame, chunk) jobs from the
-// shared cursor until none are left, evaluating each in worker w's arena
-// and scratch.
+// sweep is stage 2 on team member w: claim (frame, chunk) jobs from the
+// stage's cursor until none are left, evaluating each in member w's arena
+// and scratch. Every chunk's computation is self-contained and
+// deterministic, so results do not depend on which member claims it.
 func (ev *Evaluator[T]) sweep(opts tensor.Opts, w int) {
 	ws, ar := ev.scratch[w], ev.arenas[w]
-	for {
-		bi := int(ev.cursor.Add(1)) - 1
-		if bi >= len(ev.batchJobs) {
-			return
-		}
+	for bi := ev.claim(stageSweep); bi < len(ev.batchJobs); bi = ev.claim(stageSweep) {
 		bj := ev.batchJobs[bi]
 		fs := ev.frames[bj.fi]
 		j := fs.jobs[bj.ji]

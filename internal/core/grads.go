@@ -53,7 +53,9 @@ func (g *ModelGrads) Zero() {
 // accumulate into the one grads, so the chunk sweep runs serially and the
 // evaluator's whole worker budget goes to the row blocks inside each GEMM
 // (splitBudget) — every output element is written by exactly one
-// goroutine, so results are bit-identical at any Workers.
+// goroutine, so results are bit-identical at any Workers. The Environment
+// and force/virial stages around the sweep run on the whole team as in any
+// other call.
 func (ev *Evaluator[T]) ComputeWithGrads(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result, grads *ModelGrads) error {
 	if _, ok := any(ev).(*Evaluator[float64]); !ok {
 		return fmt.Errorf("core: parameter gradients require the double-precision evaluator")

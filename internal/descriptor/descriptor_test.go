@@ -3,6 +3,7 @@ package descriptor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deepmd-go/internal/lattice"
@@ -127,7 +128,7 @@ func TestEnvironmentMatchesBaseline(t *testing.T) {
 // and the batched path's padding trim rely on: for every (atom, section),
 // Count is the index after the last non-zero R~ row, and R, DR and Rij are
 // all-zero at and beyond it.
-func checkCountInvariant(t *testing.T, label string, cfg Config, env *EnvOut) {
+func checkCountInvariant(t testing.TB, label string, cfg Config, env *EnvOut) {
 	t.Helper()
 	nt := len(cfg.Sel)
 	if len(env.Count) != env.Nloc*nt {
@@ -426,9 +427,21 @@ func TestScratchReuse(t *testing.T) {
 }
 
 func TestConvertR(t *testing.T) {
-	env := &EnvOut{R: []float64{1.5, -2.25, 0.125}}
-	dst := ConvertR[float32](nil, env, nil)
-	if len(dst) != 3 || dst[0] != 1.5 || dst[1] != -2.25 || dst[2] != 0.125 {
-		t.Fatalf("ConvertR = %v", dst)
+	// One atom, sections of 2 and 1 slots, one real row in the first.
+	env := &EnvOut{
+		Nloc: 1, Stride: 3,
+		Fmt:   &neighbor.Formatted{Nloc: 1, Sel: []int{2, 1}, SelOff: []int{0, 2, 3}, Stride: 3},
+		R:     []float64{1.5, -2.25, 0.125, 3, 0, 0, 0, 0, 0, 0, 0, 0},
+		Count: []int32{1, 0},
+	}
+	want := []float32{1.5, -2.25, 0.125, 3, 0, 0, 0, 0, 0, 0, 0, 0}
+	stale := make([]float32, 12)
+	for i := range stale {
+		stale[i] = 7
+	}
+	for name, dst := range map[string][]float32{"nil": nil, "short": make([]float32, 2), "stale": stale} {
+		if got := ConvertR(nil, env, dst); !slices.Equal(got, want) {
+			t.Fatalf("ConvertR into %s dst = %v, want %v", name, got, want)
+		}
 	}
 }

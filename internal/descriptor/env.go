@@ -1,7 +1,9 @@
 package descriptor
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,9 +46,26 @@ type EnvOut struct {
 // the "allocate a trunk of GPU memory at the initialization stage and
 // re-use it throughout the MD simulation" strategy of Sec. 5.2.2.
 type Scratch struct {
-	fm   neighbor.Formatter
-	rows [][]neighbor.Entry
-	out  EnvOut
+	fm  neighbor.Formatter
+	ws  RowScratch // the whole-range Environment call's
+	out EnvOut
+	// fresh is decided by Begin: the buffers do not carry the previous
+	// call's rows (first use, or a different nloc or Sel), so Rows zeroes
+	// its range whole instead of trusting out.Count.
+	fresh bool
+}
+
+// RowScratch is one goroutine's reusable state for Scratch.Rows: the
+// current atom's refreshed neighbor row and the formatter's sort scratch.
+type RowScratch struct {
+	sort neighbor.SortScratch
+	row  []neighbor.Entry
+}
+
+// RowStats is what one Rows call reports to whoever collects the blocks.
+type RowStats struct {
+	Entries int64 // raw list entries refreshed
+	Dropped int   // neighbors dropped by full sections, for Formatted.Overflow
 }
 
 // Environment is the optimized customized operator: it recomputes
@@ -54,54 +73,87 @@ type Scratch struct {
 // neighbors with the compressed 64-bit radix sort, and fills the
 // environment matrix with a branch-free loop over the fixed-stride table.
 // The returned EnvOut aliases Scratch buffers and is valid until the next
-// call.
+// call. It is Begin followed by Rows over every atom on the calling
+// goroutine; internal/core runs the same two with the atoms cut into blocks.
 func (sc *Scratch) Environment(ctr *perf.Counter, cfg Config, pos []float64, types []int, list *neighbor.List, box *neighbor.Box) (*EnvOut, error) {
 	start := time.Now()
-	nloc := list.Nloc
-	stride := cfg.Stride()
-
-	// Refresh distances and re-sort: the raw list holds rebuild-time
-	// distances, but padding overflow must keep the *currently* nearest
-	// neighbors (Sec. 5.2.1).
-	upd := neighbor.List{Nloc: nloc, Entries: sc.entriesFor(nloc)}
-	var flops int64
-	for i, nbrs := range list.Entries {
-		row := upd.Entries[i][:0]
-		for _, e := range nbrs {
-			d := disp(pos, i, e.Index, box)
-			r := vecNorm(d)
-			row = append(row, neighbor.Entry{Type: e.Type, Dist: r, Index: e.Index})
-		}
-		upd.Entries[i] = row
-		flops += int64(len(nbrs)) * RefreshFLOPsPerEntry
-	}
-	fmtd, err := sc.fm.Format(neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}, &upd)
+	out := sc.Begin(cfg, list.Nloc)
+	st, err := sc.Rows(&sc.ws, cfg, pos, list, box, 0, list.Nloc)
 	if err != nil {
 		return nil, err
 	}
+	out.Fmt.Overflow = st.Dropped
+	ctr.Observe(perf.CatCUSTOM, start, EnvFLOPs(out, st.Entries))
+	return out, nil
+}
 
+// EnvFLOPs is the operator's analytic charge for one frame: the distance
+// refresh of every raw list entry plus the padded slot computation.
+func EnvFLOPs(env *EnvOut, entries int64) int64 {
+	return entries*RefreshFLOPsPerEntry + int64(env.Nloc)*int64(env.Stride)*EnvFLOPsPerSlot
+}
+
+// Begin sizes the outputs for nloc atoms and returns them with every row
+// still to be computed: Rows must then run over ranges that together cover
+// [0, nloc), each atom once, from any number of goroutines (rows are
+// independent, so the result does not depend on the cut), and the caller
+// adds the ranges' Dropped into Fmt.Overflow.
+//
+// Nothing is zeroed here. The one invariant of EnvOut.Count is what makes
+// that safe: when the previous call on this Scratch had the same nloc and
+// Sel, every (atom, section) is already zero at and beyond its old Count,
+// so Rows only has to zero the slots it does not refill below it.
+func (sc *Scratch) Begin(cfg Config, nloc int) *EnvOut {
 	out := &sc.out
-	out.Nloc, out.Stride, out.Fmt = nloc, stride, fmtd
+	sc.fresh = out.Fmt == nil || out.Nloc != nloc || !slices.Equal(out.Fmt.Sel, cfg.Sel)
+	out.Fmt = sc.fm.Begin(neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}, nloc)
+	stride := out.Fmt.Stride
+	out.Nloc, out.Stride = nloc, stride
 	out.R = tensor.Resize(out.R, nloc*stride*4)
 	out.DR = tensor.Resize(out.DR, nloc*stride*12)
 	out.Rij = tensor.Resize(out.Rij, nloc*stride*3)
-	nt := len(cfg.Sel)
-	out.Count = tensor.Resize(out.Count, nloc*nt)
-	clear(out.R)
-	clear(out.DR)
-	clear(out.Rij)
+	out.Count = tensor.Resize(out.Count, nloc*len(cfg.Sel))
+	return out
+}
 
-	for i := 0; i < nloc; i++ {
-		rowIdx := fmtd.Idx[i*stride : (i+1)*stride]
-		fillEnvRow(cfg, pos, i, rowIdx, fmtd.SelOff, box,
+// Rows runs the operator for center atoms [lo, hi) of the frame Begin
+// prepared: per atom, the distance refresh (the raw list holds rebuild-time
+// distances, but padding overflow must keep the *currently* nearest
+// neighbors, Sec. 5.2.1), the radix format of its table row and the
+// environment rows. An error names the lowest failing atom of the range;
+// the atoms before it are complete and the ones after it keep their
+// previous rows, so the Count invariant survives a failed call.
+//
+//dp:noalloc
+func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbor.List, box *neighbor.Box, lo, hi int) (RowStats, error) {
+	out := &sc.out
+	stride, nt := out.Stride, len(cfg.Sel)
+	if sc.fresh {
+		clear(out.R[lo*stride*4 : hi*stride*4])
+		clear(out.DR[lo*stride*12 : hi*stride*12])
+		clear(out.Rij[lo*stride*3 : hi*stride*3])
+		clear(out.Count[lo*nt : hi*nt])
+	}
+	var st RowStats
+	for i := lo; i < hi; i++ {
+		row := ws.row[:0]
+		for _, e := range list.Entries[i] {
+			row = append(row, neighbor.Entry{Type: e.Type, Dist: vecNorm(disp(pos, i, e.Index, box)), Index: e.Index})
+		}
+		ws.row = row
+		st.Entries += int64(len(row))
+		dropped, err := out.Fmt.FormatRow(&ws.sort, i, row)
+		if err != nil {
+			return st, fmt.Errorf("descriptor: atom %d: %w", i, err)
+		}
+		st.Dropped += dropped
+		fillEnvRow(cfg, pos, i, out.Fmt.Idx[i*stride:(i+1)*stride], out.Fmt.SelOff, box,
 			out.R[i*stride*4:(i+1)*stride*4],
 			out.DR[i*stride*12:(i+1)*stride*12],
 			out.Rij[i*stride*3:(i+1)*stride*3],
 			out.Count[i*nt:(i+1)*nt])
 	}
-	flops += int64(nloc) * int64(stride) * EnvFLOPsPerSlot
-	ctr.Observe(perf.CatCUSTOM, start, flops)
-	return out, nil
+	return st, nil
 }
 
 // EnvironmentBaseline is the baseline operator of Table 3: a comparison
@@ -186,25 +238,42 @@ const (
 	// current-step distance the re-sort needs.
 	RefreshFLOPsPerEntry = 9
 	// ProdForceFLOPsPerEntry and ProdVirialFLOPsPerEntry are charged per
-	// formatted list entry (skin entries included, padding not).
+	// slot the products visit: the real rows below Count (the baselines
+	// charge the padded stride).
 	ProdForceFLOPsPerEntry  = 30
 	ProdVirialFLOPsPerEntry = 24 + 18
 )
 
 // fillEnvRow computes R~, dR~/dd and rij for one atom over its formatted
-// slot row, section by section: padding (-1) is the tail of every section
-// and leaves zeros behind. count[t] receives the index, within section t,
-// after the last slot that was filled.
+// slot row, section by section. On entry count[t] bounds what an earlier
+// call left in section t (zero at and beyond it); on return it is the index,
+// within the section, after the last slot that was filled, and the bound
+// holds again: below the old count, the slots fillEnvSlot declined and the
+// ones past the section's last neighbor are zeroed here.
 func fillEnvRow(cfg Config, pos []float64, i int, rowIdx []int32, selOff []int, box *neighbor.Box, r, dr, rij []float64, count []int32) {
 	for t := range count {
+		stale := selOff[t] + int(count[t])
 		n := 0
-		for k := selOff[t]; k < selOff[t+1] && rowIdx[k] >= 0; k++ {
+		k := selOff[t]
+		for ; k < selOff[t+1] && rowIdx[k] >= 0; k++ {
 			if fillEnvSlot(cfg, pos, i, int(rowIdx[k]), box, r[k*4:k*4+4], dr[k*12:k*12+12], rij[k*3:k*3+3]) {
 				n = k - selOff[t] + 1
+			} else if k < stale {
+				clearSlots(r, dr, rij, k, k+1)
 			}
+		}
+		if k < stale {
+			clearSlots(r, dr, rij, k, stale)
 		}
 		count[t] = int32(n)
 	}
+}
+
+// clearSlots zeroes slots [lo, hi) of one atom's three row buffers.
+func clearSlots(r, dr, rij []float64, lo, hi int) {
+	clear(r[lo*4 : hi*4])
+	clear(dr[lo*12 : hi*12])
+	clear(rij[lo*3 : hi*3])
 }
 
 // fillEnvSlot computes one slot's environment row and derivative and
@@ -248,15 +317,6 @@ func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, dr, 
 	return true
 }
 
-// entriesFor returns nloc per-atom entry slices, reusing the capacity of
-// previous calls so the steady state allocates nothing.
-func (sc *Scratch) entriesFor(nloc int) [][]neighbor.Entry {
-	for len(sc.rows) < nloc {
-		sc.rows = append(sc.rows, nil)
-	}
-	return sc.rows[:nloc]
-}
-
 func disp(pos []float64, i, j int, box *neighbor.Box) [3]float64 {
 	d := [3]float64{
 		pos[3*j] - pos[3*i],
@@ -274,16 +334,43 @@ func vecNorm(d [3]float64) float64 {
 }
 
 // ConvertR copies the environment matrix into the network precision; this
-// is the double -> single boundary of the mixed-precision model.
+// is the double -> single boundary of the mixed-precision model. dst is
+// resized to the matrix and written whole.
 func ConvertR[T tensor.Float](ctr *perf.Counter, env *EnvOut, dst []T) []T {
 	start := time.Now()
-	if cap(dst) < len(env.R) {
-		dst = make([]T, len(env.R))
-	}
-	dst = dst[:len(env.R)]
-	for i, v := range env.R {
-		dst[i] = T(v)
-	}
+	dst = tensor.Resize(dst, len(env.R))
+	ConvertRows(env, dst, nil, 0, env.Nloc)
 	ctr.AddTime(perf.CatSLICE, time.Since(start))
 	return dst
+}
+
+// ConvertRows converts the rows of center atoms [lo, hi): per (atom,
+// section) the Count rows that can be non-zero, then zeros up to where dst
+// may still hold an earlier frame's rows. have records that bound for a dst
+// that is reused (Nloc x len(Sel), maintained here: on entry what the last
+// conversion into dst left, on return Count); nil means dst is unknown and
+// every section is zeroed to its end.
+//
+//dp:noalloc
+func ConvertRows[T tensor.Float](env *EnvOut, dst []T, have []int32, lo, hi int) {
+	stride, selOff := env.Stride, env.Fmt.SelOff
+	nt := len(selOff) - 1
+	for i := lo; i < hi; i++ {
+		for t := 0; t < nt; t++ {
+			base := (i*stride + selOff[t]) * 4
+			n := 4 * int(env.Count[i*nt+t])
+			src, d := env.R[base:base+n], dst[base:base+n]
+			for x, v := range src {
+				d[x] = T(v)
+			}
+			end := 4 * (selOff[t+1] - selOff[t])
+			if have != nil {
+				end = 4 * int(have[i*nt+t])
+				have[i*nt+t] = env.Count[i*nt+t]
+			}
+			if n < end {
+				clear(dst[base+n : base+end])
+			}
+		}
+	}
 }

@@ -4,54 +4,126 @@ import (
 	"time"
 
 	"deepmd-go/internal/perf"
+	"deepmd-go/internal/tensor"
 )
 
-// netDeriv is dE/dR~ laid out exactly like EnvOut.R: Nloc x Stride x 4 in
-// double precision (the mixed-precision model converts its float32 network
-// gradient to float64 before calling these operators, Sec. 5.2.3).
+// netDeriv is dE/dR~ laid out exactly like EnvOut.R: Nloc x Stride x 4. The
+// products read it in the network's precision and widen each element on
+// load (Sec. 5.2.3: the mixed-precision model hands its float32 network
+// gradient to double-precision operators).
 
-// ProdForce is the optimized customized force operator: it contracts the
-// network gradient with the environment-matrix derivative and scatters the
-// result into the force array,
+// ProdRows is the one body of the customized force and virial operators,
+// for center atoms [lo, hi): per real slot (below its section's Count — at
+// and beyond it DR is zero, so netDeriv is not even read there) the
+// contraction of the network gradient with the environment-matrix
+// derivative, computed once and fed to both products,
 //
 //	dd_a     = sum_c netDeriv[i,k,c] * DR[i,k,c,a]
 //	F[j]    -= dd        (neighbor)
-//	F[i]    += dd        (center)
+//	F[i]    += sum_k dd  (center, accumulated in registers)
+//	W_ab    -= rij_a * dd_b
 //
-// force must hold 3*nall elements and is accumulated into (callers zero it
-// first). Slots padded with -1 contribute nothing; the loop is atom-major,
-// accumulating the center-atom force in registers.
+// in atom, section, slot order. force (3*nall) and w are accumulated into;
+// either may be nil to skip that product. It returns the slots visited,
+// which is what the operators charge FLOPs for.
+//
+//dp:noalloc
+func ProdRows[T tensor.Float](netDeriv []T, env *EnvOut, lo, hi int, force []float64, w *[9]float64) int64 {
+	stride, selOff := env.Stride, env.Fmt.SelOff
+	nt := len(selOff) - 1
+	var slots int64
+	var w0, w1, w2, w3, w4, w5, w6, w7, w8 float64
+	for i := lo; i < hi; i++ {
+		var fi0, fi1, fi2 float64
+		for t := 0; t < nt; t++ {
+			n := int(env.Count[i*nt+t])
+			base := i*stride + selOff[t]
+			idx := env.Fmt.Idx[base : base+n]
+			nd := netDeriv[base*4 : (base+n)*4]
+			drs := env.DR[base*12 : (base+n)*12]
+			rijs := env.Rij[base*3 : (base+n)*3]
+			for k, j32 := range idx {
+				n0, n1, n2, n3 := float64(nd[4*k]), float64(nd[4*k+1]), float64(nd[4*k+2]), float64(nd[4*k+3])
+				dr := drs[12*k : 12*k+12]
+				d0 := n0*dr[0] + n1*dr[3] + n2*dr[6] + n3*dr[9]
+				d1 := n0*dr[1] + n1*dr[4] + n2*dr[7] + n3*dr[10]
+				d2 := n0*dr[2] + n1*dr[5] + n2*dr[8] + n3*dr[11]
+				if force != nil {
+					j := int(j32)
+					force[3*j] -= d0
+					force[3*j+1] -= d1
+					force[3*j+2] -= d2
+					fi0 += d0
+					fi1 += d1
+					fi2 += d2
+				}
+				if w != nil {
+					rij := rijs[3*k : 3*k+3]
+					w0 -= rij[0] * d0
+					w1 -= rij[0] * d1
+					w2 -= rij[0] * d2
+					w3 -= rij[1] * d0
+					w4 -= rij[1] * d1
+					w5 -= rij[1] * d2
+					w6 -= rij[2] * d0
+					w7 -= rij[2] * d1
+					w8 -= rij[2] * d2
+				}
+			}
+			slots += int64(n)
+		}
+		if force != nil {
+			force[3*i] += fi0
+			force[3*i+1] += fi1
+			force[3*i+2] += fi2
+		}
+	}
+	if w != nil {
+		for x, v := range [9]float64{w0, w1, w2, w3, w4, w5, w6, w7, w8} {
+			w[x] += v
+		}
+	}
+	return slots
+}
+
+// ProdBlocks is the number of contiguous center-atom blocks a frame's
+// products are cut into — a property of the operator, not of the machine.
+// Floating-point scatter is order-dependent, so a force call that wants the
+// same bits at every worker count cannot let the worker count decide how
+// the sums associate: each block scatters into a private partial force
+// buffer and virial, and SumPartials adds them in block order. Workers only
+// decide who computes a block. 16 keeps every worker of the budgets this
+// repo runs (1 to 8) within one block of an even share, for 16·24 = 384
+// bytes of partials per atom (DESIGN.md "One fan-out per force call").
+const ProdBlocks = 16
+
+// BlockRange returns block b's share [lo, hi) of n items.
+func BlockRange(n, b int) (lo, hi int) {
+	return b * n / ProdBlocks, (b + 1) * n / ProdBlocks
+}
+
+// SumPartials writes dst[x] = sum over blocks of partials[b*len(dst)+x], in
+// block order, for x in [lo, hi).
+//
+//dp:noalloc
+func SumPartials(partials, dst []float64, lo, hi int) {
+	n := len(dst)
+	copy(dst[lo:hi], partials[lo:hi])
+	for b := 1; b < ProdBlocks; b++ {
+		p := partials[b*n+lo : b*n+hi]
+		for x, v := range p {
+			dst[lo+x] += v
+		}
+	}
+}
+
+// ProdForce is the optimized customized force operator: ProdRows over every
+// center atom, force alone. force must hold 3*nall elements and is
+// accumulated into (callers zero it first).
 func ProdForce(ctr *perf.Counter, netDeriv []float64, env *EnvOut, force []float64) {
 	start := time.Now()
-	stride := env.Stride
-	var flops int64
-	for i := 0; i < env.Nloc; i++ {
-		row := env.Fmt.Idx[i*stride : (i+1)*stride]
-		base := i * stride
-		var fi0, fi1, fi2 float64
-		for k, j32 := range row {
-			if j32 < 0 {
-				continue
-			}
-			j := int(j32)
-			nd := netDeriv[(base+k)*4 : (base+k)*4+4]
-			dr := env.DR[(base+k)*12 : (base+k)*12+12]
-			d0 := nd[0]*dr[0] + nd[1]*dr[3] + nd[2]*dr[6] + nd[3]*dr[9]
-			d1 := nd[0]*dr[1] + nd[1]*dr[4] + nd[2]*dr[7] + nd[3]*dr[10]
-			d2 := nd[0]*dr[2] + nd[1]*dr[5] + nd[2]*dr[8] + nd[3]*dr[11]
-			force[3*j] -= d0
-			force[3*j+1] -= d1
-			force[3*j+2] -= d2
-			fi0 += d0
-			fi1 += d1
-			fi2 += d2
-			flops += ProdForceFLOPsPerEntry
-		}
-		force[3*i] += fi0
-		force[3*i+1] += fi1
-		force[3*i+2] += fi2
-	}
-	ctr.Observe(perf.CatCUSTOM, start, flops)
+	slots := ProdRows(netDeriv, env, 0, env.Nloc, force, nil)
+	ctr.Observe(perf.CatCUSTOM, start, slots*ProdForceFLOPsPerEntry)
 }
 
 // ProdForceBaseline computes the same contraction the way the baseline CPU
@@ -87,41 +159,14 @@ func ProdForceBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut, nall 
 	return force
 }
 
-// ProdVirial is the optimized customized virial operator: the 3x3 virial
-// tensor (in eV, row-major W[a*3+b]) accumulated as
-//
-//	W_ab -= sum_slots d_a * dd_b
-//
-// where d is the slot displacement and dd the same contraction ProdForce
-// scatters. tr(W)/3 / V is the interaction part of the pressure.
+// ProdVirial is the optimized customized virial operator: ProdRows over
+// every center atom, the 3x3 virial tensor alone (in eV, row-major
+// W[a*3+b]). tr(W)/3 / V is the interaction part of the pressure.
 func ProdVirial(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]float64 {
 	start := time.Now()
 	var w [9]float64
-	stride := env.Stride
-	var flops int64
-	for i := 0; i < env.Nloc; i++ {
-		base := i * stride
-		row := env.Fmt.Idx[base : base+stride]
-		for k, j32 := range row {
-			if j32 < 0 {
-				continue
-			}
-			nd := netDeriv[(base+k)*4 : (base+k)*4+4]
-			dr := env.DR[(base+k)*12 : (base+k)*12+12]
-			rij := env.Rij[(base+k)*3 : (base+k)*3+3]
-			var dd [3]float64
-			dd[0] = nd[0]*dr[0] + nd[1]*dr[3] + nd[2]*dr[6] + nd[3]*dr[9]
-			dd[1] = nd[0]*dr[1] + nd[1]*dr[4] + nd[2]*dr[7] + nd[3]*dr[10]
-			dd[2] = nd[0]*dr[2] + nd[1]*dr[5] + nd[2]*dr[8] + nd[3]*dr[11]
-			for a := 0; a < 3; a++ {
-				for b := 0; b < 3; b++ {
-					w[a*3+b] -= rij[a] * dd[b]
-				}
-			}
-			flops += ProdVirialFLOPsPerEntry
-		}
-	}
-	ctr.Observe(perf.CatCUSTOM, start, flops)
+	slots := ProdRows(netDeriv, env, 0, env.Nloc, nil, &w)
+	ctr.Observe(perf.CatCUSTOM, start, slots*ProdVirialFLOPsPerEntry)
 	return w
 }
 

@@ -68,6 +68,8 @@ var noallocCleanFuncs = map[string]bool{
 	"sync.RWMutex.Unlock":        true,
 	"sync.RWMutex.RLock":         true,
 	"sync.RWMutex.RUnlock":       true,
+	"sync.Cond.Wait":             true,
+	"sync.Cond.Broadcast":        true,
 	"sync.WaitGroup.Add":         true,
 	"sync.WaitGroup.Done":        true,
 	"sync.WaitGroup.Wait":        true,

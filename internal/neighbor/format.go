@@ -31,7 +31,7 @@ func Encode(typ int, dist float64, index int) (uint64, error) {
 	if typ < 0 || typ > MaxType {
 		return 0, fmt.Errorf("neighbor: type %d outside [0, %d]", typ, MaxType)
 	}
-	if dist < 0 || dist > MaxDist {
+	if !(dist >= 0 && dist <= MaxDist) { // written so that NaN fails too
 		return 0, fmt.Errorf("neighbor: distance %g outside [0, %g]", dist, MaxDist)
 	}
 	if index < 0 || index > MaxIndex {
@@ -75,70 +75,104 @@ func (f *Formatted) TypeOfSlot(s int) int {
 	return t
 }
 
-// Format converts a raw list into the optimized layout using compressed
+// Formatter converts a raw list into the optimized layout using compressed
 // 64-bit keys and a radix sort. Scratch buffers — including the returned
 // table itself — grow as needed and are reused across calls, so a warmed
 // Formatter formats without heap allocation (part of the allocation-free
 // MD step); pass a zero-value Formatter for fresh state. The returned
-// *Formatted aliases Formatter state and is valid until the next Format
-// call, the same lifetime contract as descriptor.Scratch.
+// *Formatted aliases Formatter state and is valid until the next Begin or
+// Format call, the same lifetime contract as descriptor.Scratch.
 type Formatter struct {
-	keys []uint64
-	buf  []uint64
-	fill []int
-	out  Formatted
+	ws  SortScratch
+	out Formatted
 }
 
-// Format produces the padded, sorted table from a raw list.
-func (fm *Formatter) Format(spec Spec, l *List) (*Formatted, error) {
-	stride := spec.Stride()
+// SortScratch is one goroutine's reusable state for FormatRow: the encoded
+// keys of the row being sorted, the radix sort's second buffer and the
+// per-type fill counters.
+type SortScratch struct {
+	keys, buf []uint64
+	fill      []int
+}
+
+// Begin sizes the formatter's table for nloc rows of spec and returns it
+// with Overflow zero and every row still to be written: FormatRow fills one
+// row, any number of goroutines may fill distinct rows at once (each with
+// its own SortScratch), and whoever collects them adds the dropped counts
+// into Overflow.
+func (fm *Formatter) Begin(spec Spec, nloc int) *Formatted {
 	ntypes := len(spec.Sel)
 	out := &fm.out
-	out.Nloc = l.Nloc
+	out.Nloc = nloc
 	out.Sel = append(out.Sel[:0], spec.Sel...)
 	out.SelOff = tensor.Resize(out.SelOff, ntypes+1)
-	out.Stride = stride
-	out.Idx = tensor.Resize(out.Idx, l.Nloc*stride)
-	out.Overflow = 0
 	out.SelOff[0] = 0
 	for t := 0; t < ntypes; t++ {
 		out.SelOff[t+1] = out.SelOff[t] + spec.Sel[t]
 	}
-	for i := range out.Idx {
-		out.Idx[i] = -1
-	}
-	fm.fill = tensor.Resize(fm.fill, ntypes)
+	out.Stride = out.SelOff[ntypes]
+	out.Idx = tensor.Resize(out.Idx, nloc*out.Stride)
+	out.Overflow = 0
+	return out
+}
+
+// Format produces the padded, sorted table from a raw list: Begin, then
+// every row through FormatRow on the formatter's own scratch.
+func (fm *Formatter) Format(spec Spec, l *List) (*Formatted, error) {
+	out := fm.Begin(spec, l.Nloc)
 	for i, nbrs := range l.Entries {
-		if cap(fm.keys) < len(nbrs) {
-			fm.keys = make([]uint64, len(nbrs))
-			fm.buf = make([]uint64, len(nbrs))
+		dropped, err := out.FormatRow(&fm.ws, i, nbrs)
+		if err != nil {
+			return nil, err
 		}
-		keys := fm.keys[:0]
-		for _, e := range nbrs {
-			if e.Type >= ntypes {
-				return nil, fmt.Errorf("neighbor: type %d exceeds spec with %d types", e.Type, ntypes)
-			}
-			k, err := Encode(e.Type, e.Dist, e.Index)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, k)
-		}
-		tensor.RadixSortUint64(keys, fm.buf[:cap(fm.buf)])
-		row := out.Idx[i*stride : (i+1)*stride]
-		fill := fm.fill
-		clear(fill)
-		for _, k := range keys {
-			t, _, j := Decode(k)
-			if fill[t] >= spec.Sel[t] {
-				out.Overflow++
-				continue
-			}
-			row[out.SelOff[t]+fill[t]] = int32(j)
-			fill[t]++
-		}
+		out.Overflow += dropped
 	}
 	return out, nil
+}
+
+// FormatRow writes row i of the table from atom i's raw neighbors: keys
+// encoded, radix-sorted, the nearest Sel[t] of every type placed in section
+// order and the rest of each section set to -1. It returns how many
+// neighbors the full sections dropped. The row is written whole, so a table
+// needs no initialisation and rows can be formatted in any order.
+//
+//dp:noalloc
+func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int, err error) {
+	ntypes := len(f.Sel)
+	ws.keys = tensor.Resize(ws.keys, len(nbrs))
+	ws.buf = tensor.Resize(ws.buf, len(nbrs))
+	keys := ws.keys[:0]
+	for _, e := range nbrs {
+		if e.Type >= ntypes {
+			return 0, fmt.Errorf("neighbor: type %d exceeds spec with %d types", e.Type, ntypes)
+		}
+		k, err := Encode(e.Type, e.Dist, e.Index)
+		if err != nil {
+			return 0, err
+		}
+		keys = append(keys, k)
+	}
+	//dp:allow noalloc ws.buf holds len(keys), so the sort never makes its own
+	tensor.RadixSortUint64(keys, ws.buf)
+	row := f.Idx[i*f.Stride : (i+1)*f.Stride]
+	ws.fill = tensor.Resize(ws.fill, ntypes)
+	fill := ws.fill
+	clear(fill)
+	for _, k := range keys {
+		t, _, j := Decode(k)
+		if fill[t] >= f.Sel[t] {
+			dropped++
+			continue
+		}
+		row[f.SelOff[t]+fill[t]] = int32(j)
+		fill[t]++
+	}
+	for t, n := range fill {
+		for k := f.SelOff[t] + n; k < f.SelOff[t+1]; k++ {
+			row[k] = -1
+		}
+	}
+	return dropped, nil
 }
 
 // FormatBaseline sorts each atom's neighbors with a comparison sort over

@@ -137,6 +137,21 @@ func TestEncodeRangeErrors(t *testing.T) {
 	}
 }
 
+// A non-finite distance compares false with both range bounds; it must
+// still be refused, not converted to an integer (implementation-defined).
+func TestEncodeRejectsNonFinite(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Encode(1, d, 1); err == nil {
+			t.Fatalf("distance %g not caught", d)
+		}
+	}
+	var fm Formatter
+	l := &List{Nloc: 1, Entries: [][]Entry{{{Type: 0, Dist: math.NaN(), Index: 1}}}}
+	if _, err := fm.Format(Spec{Rcut: 4, Sel: []int{2}}, l); err == nil {
+		t.Fatal("Format accepted a NaN distance")
+	}
+}
+
 // Property (Sec. 5.2.2): sorting compressed keys orders records by
 // (type, distance, index) exactly as a struct sort would.
 func TestCompressedSortOrderProperty(t *testing.T) {
