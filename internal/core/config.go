@@ -42,8 +42,13 @@ type Config struct {
 	// safeguard; see repulsion.go). Zero disables it. RepRcut should lie
 	// below the shortest physically sampled distance.
 	RepA, RepRcut float64
-	// ChunkSize is the number of atoms batched through the network at
-	// once; bounds peak memory independent of system size.
+	// ChunkSize is the most atoms batched through the network at once;
+	// it bounds peak memory independent of system size (the arenas are
+	// sized by it). It is an upper bound, not the height of every chunk: a
+	// type with more atoms than this is cut into equal, aligned chunks for
+	// the worker sweep's balance (chunkJobs in frames.go) — 432 hydrogens
+	// at the default 256 run as 112, 112, 112, 96. The cut reads nothing
+	// but the frame and this value, never Workers.
 	ChunkSize int
 	// Workers is the parallelism budget of one evaluation (the CPU
 	// stand-in for GPU parallelism). <= 1 means serial. With enough atom

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,9 +74,10 @@ func newFrameState[T tensor.Float](nt int) *frameState[T] {
 	return &frameState[T]{byType: make([][]int, nt)}
 }
 
-// batchJob addresses one chunk of one frame in the cross-frame sweep.
+// batchJob addresses one chunk of one frame in the cross-frame sweep; rows
+// is the chunk's height, the key of the claim order.
 type batchJob struct {
-	fi, ji int
+	fi, ji, rows int
 }
 
 // The stages of one force call, each with its own claim cursor. Block
@@ -128,17 +130,19 @@ func (b *barrier) wait() {
 // atomic cursor and meets the others at a barrier before the next,
 //
 //	stage 1  (frame, atom block)   Environment rows + ConvertR   row-independent
-//	stage 2  (frame, chunk)        embedding, fitting, backward  self-contained per chunk
+//	stage 2  (frame, chunk)        embedding, fitting, backward  self-contained per chunk, tallest first
 //	stage 3  (frame, atom block)   force/virial products         into the block's own partials
 //	stage 4  (frame, coord block)  partials summed               in block order
 //
 // Results are bit-identical at every batch size and worker count: chunks
-// never straddle frames, stages 1, 2 and 4 write every output element from
-// exactly one job whose computation does not depend on who runs it, and the
-// one order-dependent reduction — the force/virial scatter of stage 3 — is
-// cut into descriptor.ProdBlocks blocks, a constant, so how its sums
-// associate is a function of the frame alone. Workers = 1 runs the same
-// jobs in the same cut on the calling goroutine.
+// never straddle frames and are cut by the frame alone (chunkJobs), stages
+// 1, 2 and 4 write every output element from exactly one job whose
+// computation does not depend on who runs it or when (the claim order of
+// planSweep only schedules), and the one order-dependent reduction — the
+// force/virial scatter of stage 3 — is cut into descriptor.ProdBlocks
+// blocks, a constant, so how its sums associate is a function of the frame
+// alone. Workers = 1 runs the same jobs in the same cut on the calling
+// goroutine.
 //
 // On error, the frames' Result buffers are in an unspecified intermediate
 // state. ComputeBatch is single-goroutine; concurrent batches go through
@@ -147,27 +151,12 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 	ctr := ev.Counter
 	nt := ev.cfg.NumTypes()
 	stride := ev.cfg.Stride()
-	for len(ev.frames) < len(frames) {
-		ev.frames = append(ev.frames, newFrameState[T](nt))
-	}
 
 	// Serial preamble: whatever can refuse a frame first, so that no
 	// Scratch is left between Begin and Rows; then the buffers of every
 	// frame slot sized for the team.
-	ev.batchJobs = ev.batchJobs[:0]
-	for fi := range frames {
-		f := &frames[fi]
-		if f.Out == nil {
-			return fmt.Errorf("core: frame %d has no Result", fi)
-		}
-		fs := ev.frames[fi]
-		var err error
-		if fs.jobs, err = chunkJobs(fs.jobs[:0], fs.byType, f.Types, f.Nloc, ev.cfg.ChunkSize); err != nil {
-			return fmt.Errorf("core: frame %d: %w", fi, err)
-		}
-		for ji := range fs.jobs {
-			ev.batchJobs = append(ev.batchJobs, batchJob{fi, ji})
-		}
+	if err := ev.planSweep(frames); err != nil {
+		return err
 	}
 	for fi := range frames {
 		f := &frames[fi]
@@ -361,11 +350,67 @@ func (ev *Evaluator[T]) prodBlock(fi, b int) {
 	out.slots = descriptor.ProdRows(fs.ndT, fs.env, lo, hi, part, &out.virial)
 }
 
+// planSweep is the part of the force call's preamble that can refuse a
+// frame: it cuts every frame into its chunks (the frame slot's jobs, in
+// type-then-index order — the order chunkE is summed in) and flattens them
+// into the sweep's claim list, tallest chunk first. The cursor then hands
+// out the longest-processing-time schedule: the short chunks fill in behind
+// whichever member finishes early, where frame order would leave one member
+// holding the last tall chunk. Ties keep (frame, job) order, and nothing
+// here reads the worker budget.
+func (ev *Evaluator[T]) planSweep(frames []Frame) error {
+	for len(ev.frames) < len(frames) {
+		ev.frames = append(ev.frames, newFrameState[T](ev.cfg.NumTypes()))
+	}
+	ev.batchJobs = ev.batchJobs[:0]
+	for fi := range frames {
+		f := &frames[fi]
+		if f.Out == nil {
+			return fmt.Errorf("core: frame %d has no Result", fi)
+		}
+		fs := ev.frames[fi]
+		var err error
+		if fs.jobs, err = chunkJobs(fs.jobs[:0], fs.byType, f.Types, f.Nloc, ev.cfg.ChunkSize); err != nil {
+			return fmt.Errorf("core: frame %d: %w", fi, err)
+		}
+		for ji, j := range fs.jobs {
+			ev.batchJobs = append(ev.batchJobs, batchJob{fi, ji, len(j.atoms)})
+		}
+	}
+	slices.SortStableFunc(ev.batchJobs, func(a, b batchJob) int { return b.rows - a.rows })
+	return nil
+}
+
+// The chunk cut's two constants. Both are properties of the code, like
+// descriptor.ProdBlocks, and never of the team: a chunk's row count picks
+// kernel tiers inside it (tensor's blockedWorthIt and gemmNTSIMD cutoffs
+// look at m), so an atom's last bits depend on the height of the chunk it
+// rides in, and a cut that read Workers would give different bits at
+// different budgets.
+const (
+	// sweepCut is the granularity of a split type's chunk count: a
+	// multiple of it divides evenly over 2 and 4 sweepers, and with the
+	// largest-first claim order leaves three within one chunk of even.
+	sweepCut = 4
+	// chunkAlign is the row granularity of a split type's chunk height: a
+	// multiple of every strip height and of the NT tile's row pair, so only
+	// a type's last chunk runs a tail strip.
+	chunkAlign = 8
+)
+
 // chunkJobs groups the first nloc atoms by type into byType (one reusable
-// index slice per type) and appends their chunks to jobs: runs of at most
-// chunkSize same-type atoms in index order, type by type. This is the one
-// place chunk composition is decided — the evaluation sweep and the
-// executed-shape FLOP model (Config.ExecutedFLOPs) both start here.
+// index slice per type) and appends their chunks to jobs: runs of same-type
+// atoms in index order, type by type. This is the one place chunk
+// composition is decided — the evaluation sweep and the executed-shape FLOP
+// model (Config.ExecutedFLOPs) both start here — and it is a function of
+// (types, nloc, chunkSize) alone.
+//
+// A type that fits one chunk of chunkSize rows is one chunk. A larger one is
+// cut for balance: into the smallest multiple of sweepCut chunks that keeps
+// them within chunkSize, of equal height rounded up to a multiple of
+// chunkAlign rows (and never above chunkSize), the last taking what is
+// left — 432 hydrogens at chunkSize 256 are 112, 112, 112, 96 where whole
+// chunks would be 256, 176.
 func chunkJobs(jobs []chunkJob, byType [][]int, types []int, nloc, chunkSize int) ([]chunkJob, error) {
 	for t := range byType {
 		byType[t] = byType[t][:0]
@@ -378,8 +423,14 @@ func chunkJobs(jobs []chunkJob, byType [][]int, types []int, nloc, chunkSize int
 		byType[t] = append(byType[t], i)
 	}
 	for ci, atoms := range byType {
-		for lo := 0; lo < len(atoms); lo += chunkSize {
-			jobs = append(jobs, chunkJob{ci, atoms[lo:min(lo+chunkSize, len(atoms))]})
+		h := chunkSize
+		if n := len(atoms); n > chunkSize {
+			whole := (n + chunkSize - 1) / chunkSize
+			parts := (whole + sweepCut - 1) / sweepCut * sweepCut
+			h = min(chunkSize, ((n+parts-1)/parts+chunkAlign-1)/chunkAlign*chunkAlign)
+		}
+		for lo := 0; lo < len(atoms); lo += h {
+			jobs = append(jobs, chunkJob{ci, atoms[lo:min(lo+h, len(atoms))]})
 		}
 	}
 	return jobs, nil

@@ -241,3 +241,89 @@ func TestComputeWorkers2Allocs(t *testing.T) {
 		t.Fatalf("Workers-2 Compute allocates %.1f objects per call, want <= 1", allocs)
 	}
 }
+
+// The same contract where the balanced cut and the claim order do their
+// work: at ChunkSize 16 a frame whose three types need one, two and five
+// whole chunks is cut into 1, 4 and 5 (its second type into a multiple of
+// sweepCut, its third into eight parts of 16 rows, which five hold), and a
+// batch of it with a smaller frame is claimed tallest first across both.
+// The bits are those of one worker at every budget, alone and batched.
+func TestTeamWorkersBitIdenticalSplitTypes(t *testing.T) {
+	cfg := TinyConfig(3)
+	cfg.ChunkSize = 16
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AttachCompressedTables(compress.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	cluster := func(name string, seed int64, edge float64, ghosts int, counts ...int) teamFrame {
+		rng := rand.New(rand.NewSource(seed))
+		types := typesOf(counts...)
+		nloc := len(types)
+		for i := 0; i < ghosts; i++ {
+			types = append(types, rng.Intn(3))
+		}
+		pos := make([]float64, 3*len(types))
+		for i := range pos {
+			pos[i] = rng.Float64() * edge
+		}
+		list, err := neighbor.Build(neighbor.Spec{Rcut: cfg.Rcut, Skin: cfg.Skin, Sel: cfg.Sel}, pos, types, nloc, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return teamFrame{name, pos, types, nloc, list, nil}
+	}
+	frames := []teamFrame{
+		cluster("1+2+5 chunks", 41, 12, 15, 10, 30, 70),
+		cluster("small", 42, 8, 5, 20, 3, 17),
+	}
+	jobs, err := chunkJobs(nil, make([][]int, 3), frames[0].types, frames[0].nloc, cfg.ChunkSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cutHeights(jobs, 3), "10 | 8 8 8 6 | 16 16 16 16 6"; got != want {
+		t.Fatalf("premise: the first frame is cut [%s], want [%s]", got, want)
+	}
+
+	for _, prec := range []Precision{Double, Mixed} {
+		for _, strat := range []Strategy{StrategyBatched, StrategyCompressed} {
+			t.Run(fmt.Sprintf("%v/%v", prec, strat), func(t *testing.T) {
+				var ref []Result
+				for _, workers := range []int{1, 2, 3, 7} {
+					e, err := NewEngine(m, Plan{Precision: prec, Strategy: strat, Workers: workers, MaxConcurrency: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := e.newComputer()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for fi, f := range frames {
+						var out Result
+						if err := c.Compute(f.pos, f.types, f.nloc, f.list, f.box, &out); err != nil {
+							t.Fatal(err)
+						}
+						if workers == 1 {
+							ref = append(ref, out)
+							continue
+						}
+						requireSameResult(t, fmt.Sprintf("%s workers=%d", f.name, workers), &out, &ref[fi])
+					}
+					batch := make([]Frame, len(frames))
+					outs := make([]Result, len(frames))
+					for fi, f := range frames {
+						batch[fi] = Frame{Pos: f.pos, Types: f.types, Nloc: f.nloc, List: f.list, Box: f.box, Out: &outs[fi]}
+					}
+					if err := c.(frameComputer).ComputeBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+					for fi, f := range frames {
+						requireSameResult(t, fmt.Sprintf("%s batched workers=%d vs Compute", f.name, workers), &outs[fi], &ref[fi])
+					}
+				}
+			})
+		}
+	}
+}

@@ -21,17 +21,21 @@ import (
 // backward passes; the packed engine serves none of them. All it can be
 // handed is the 240 -> 1 head (one output column is below every strip
 // width; 481 FLOPs a row, 0.03 % of the net), and only for a chunk tall
-// enough to pass its blockedWorthIt cutoff: not at 100 rows, but at the
-// 244 rows the copper benchmark runs. Under the generic family — the
-// purego contract — neither SIMD tier serves anything.
+// enough to pass its blockedWorthIt cutoff of 137 rows: a type that fits one
+// chunk of 256 can be, a chunk of a type the balanced cut (chunkJobs)
+// splits at the default ChunkSize never is — the copper benchmark's 500
+// atoms run as 128, 128, 128, 116 and hand the packed tier nothing (of the
+// MD workloads only water's one 216-row oxygen chunk still does). Under
+// the generic family — the purego contract — neither SIMD tier serves
+// anything.
 func TestKernelTierAttribution(t *testing.T) {
-	// Chunks of 100, 100, 56 rows, each ending in a 4-row tail strip.
+	// 256 atoms over a ChunkSize of 100: four chunks of 64 rows.
 	t.Run("chunk=100", func(t *testing.T) { testKernelTierAttribution(t, 100, 0) })
-	// Chunks of 244 (the benchmark's: 30 strips + 4 rows) and 12 rows.
-	t.Run("chunk=244", func(t *testing.T) { testKernelTierAttribution(t, 244, 244) })
+	// One chunk of 256 rows.
+	t.Run("chunk=256", func(t *testing.T) { testKernelTierAttribution(t, 256, 256) })
 }
 
-// testKernelTierAttribution evaluates 256 copper atoms in chunks of
+// testKernelTierAttribution evaluates 256 copper atoms at a ChunkSize of
 // chunkSize; headRows is how many of them sit in chunks whose head GEMM
 // the packed engine takes.
 func testKernelTierAttribution(t *testing.T, chunkSize int, headRows int64) {

@@ -20,7 +20,9 @@
 // Coalescing never changes the physics: batched-across-callers results
 // are bit-identical to serial per-request evaluation at every coalesce
 // size (core.Engine.ComputeBatch's contract, verified in-test the same
-// way experiments.Serve cross-checks the pool).
+// way experiments.Serve cross-checks the pool). Nor does it change who
+// fails: when a coalesced batch returns an error its frames are
+// re-evaluated alone, and only the offending request sees it.
 package serve
 
 import (
@@ -261,7 +263,9 @@ func (b *Batcher) Stats() Stats {
 }
 
 // dispatch is one dispatcher loop: batch head → coalesce window → claim →
-// one engine call → per-request delivery.
+// one engine call → per-request delivery. A coalesced batch that fails is
+// taken apart and its frames evaluated one at a time, so a request is only
+// ever answered with an error of its own frame.
 //
 // The loop body is allocation-free: the batch and frame slices and the
 // coalesce timer are created once here and reused for every batch, so a
@@ -314,6 +318,17 @@ func (b *Batcher) dispatch() {
 		// Count before waking the caller, so a caller that reads Stats
 		// right after its Evaluate returns sees itself completed.
 		b.completed.Add(uint64(len(live)))
+		if err != nil && len(live) > 1 {
+			// A failing frame fails alone: the batch's error belongs to one
+			// caller's input (a non-finite distance, a type outside the
+			// model), and its neighbours' frames are good. Each frame is
+			// evaluated again as its own batch and answered with its own
+			// result or error.
+			for i, r := range live {
+				r.done <- b.eng.ComputeBatch(frames[i : i+1])
+			}
+			continue
+		}
 		for _, r := range live {
 			r.done <- err
 		}

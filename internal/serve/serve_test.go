@@ -24,6 +24,7 @@ type stubEval struct {
 	served  int           // total frames evaluated
 	started chan struct{} // signaled when a dispatch begins (if non-nil)
 	release chan struct{} // dispatch blocks until a receive (if non-nil)
+	poison  int           // a frame with this Nloc fails its whole batch (if non-zero)
 }
 
 func (s *stubEval) ComputeBatch(frames []core.Frame) error {
@@ -37,6 +38,11 @@ func (s *stubEval) ComputeBatch(frames []core.Frame) error {
 	s.batches = append(s.batches, len(frames))
 	s.served += len(frames)
 	s.mu.Unlock()
+	for i := range frames {
+		if s.poison != 0 && frames[i].Nloc == s.poison {
+			return fmt.Errorf("stub: frame %d is poisoned", i)
+		}
+	}
 	for i := range frames {
 		frames[i].Out.Energy = float64(frames[i].Nloc)
 	}
@@ -313,6 +319,116 @@ func TestBatcherCloseDrains(t *testing.T) {
 	// Idempotent.
 	if err := b.Close(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A failing frame fails alone: when one request of a coalesced batch makes
+// the evaluation fail, its caller gets the error and the others get their
+// results, with every request counted once.
+func TestBatcherFailingFrameFailsAlone(t *testing.T) {
+	const poison = -7
+	stub := &stubEval{poison: poison}
+	// A long window with a cap of four: the dispatcher holds the head until
+	// all four callers of a round have joined, so each round is one batch.
+	b := New(stub, Options{Window: time.Minute, MaxBatch: 4, QueueLimit: 16, Dispatchers: 1})
+	defer b.Close(context.Background())
+
+	const rounds = 3
+	nlocs := []int{1, 2, poison, 4}
+	for round := 0; round < rounds; round++ {
+		outs := make([]core.Result, len(nlocs))
+		errs := make([]error, len(nlocs))
+		var wg sync.WaitGroup
+		for i, nloc := range nlocs {
+			wg.Add(1)
+			go func(i, nloc int) {
+				defer wg.Done()
+				errs[i] = b.Evaluate(context.Background(), nil, nil, nloc, nil, nil, &outs[i])
+			}(i, nloc)
+		}
+		wg.Wait()
+		for i, nloc := range nlocs {
+			switch {
+			case nloc == poison:
+				if errs[i] == nil {
+					t.Fatalf("round %d: the poisoned request succeeded", round)
+				}
+			case errs[i] != nil:
+				t.Fatalf("round %d: request %d failed with its neighbour's error: %v", round, i, errs[i])
+			case outs[i].Energy != float64(nloc):
+				t.Fatalf("round %d: request %d got energy %g, want %d", round, i, outs[i].Energy, nloc)
+			}
+		}
+	}
+	// Per round: the batch of four, then each frame alone.
+	batches, served := stub.snapshot()
+	if len(batches) != 5*rounds || served != 8*rounds {
+		t.Fatalf("engine saw batches %v (%d frames), want %d calls of 4, 1, 1, 1, 1", batches, served, 5*rounds)
+	}
+	for i, n := range batches {
+		want := 1
+		if i%5 == 0 {
+			want = 4
+		}
+		if n != want {
+			t.Fatalf("engine call %d carried %d frames, want %d (all calls: %v)", i, n, want, batches)
+		}
+	}
+	st := b.Stats()
+	if st.Accepted != 4*rounds || st.Completed != 4*rounds || st.Frames != 4*rounds || st.Batches != rounds || st.MaxBatch != 4 {
+		t.Fatalf("stats %+v, want %d requests accepted, completed and carried in %d batches of 4", st, 4*rounds, rounds)
+	}
+}
+
+// The same through a real engine: a coordinate of 1e308 in an open-boundary
+// frame — which JSON carries and frame validation accepts — overflows its
+// distances and fails the coalesced batch; the other callers' results are
+// bitwise a solo Evaluate's.
+func TestBatcherFailingFrameRealEngine(t *testing.T) {
+	eng, frames, refs := waterEngine(t, 1)
+	const bad = 2
+	pos := append([]float64(nil), frames[bad].Pos...)
+	pos[4] = 1e308
+	frames[bad].Pos, frames[bad].Box = pos, nil
+
+	b := New(eng, Options{Window: time.Minute, MaxBatch: len(frames), QueueLimit: 16, Dispatchers: 1})
+	defer b.Close(context.Background())
+	outs := make([]core.Result, len(frames))
+	errs := make([]error, len(frames))
+	var wg sync.WaitGroup
+	for i := range frames {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f := frames[i]
+			errs[i] = b.Evaluate(context.Background(), f.Pos, f.Types, f.Nloc, f.List, f.Box, &outs[i])
+		}(i)
+	}
+	wg.Wait()
+	if st := b.Stats(); st.Batches != 1 || st.MaxBatch != uint64(len(frames)) || st.Completed != uint64(len(frames)) {
+		t.Fatalf("stats %+v, want one batch of %d", st, len(frames))
+	}
+	for i := range frames {
+		if i == bad {
+			if errs[i] == nil {
+				t.Fatal("the frame with a 1e308 coordinate evaluated without error")
+			}
+			continue
+		}
+		if errs[i] != nil {
+			t.Fatalf("frame %d failed with its neighbour's error: %v", i, errs[i])
+		}
+		got, want := &outs[i], &refs[i]
+		same := math.Float64bits(got.Energy) == math.Float64bits(want.Energy) && got.Virial == want.Virial
+		for k := range want.Force {
+			same = same && math.Float64bits(got.Force[k]) == math.Float64bits(want.Force[k])
+		}
+		for k := range want.AtomEnergy {
+			same = same && math.Float64bits(got.AtomEnergy[k]) == math.Float64bits(want.AtomEnergy[k])
+		}
+		if !same || len(got.Force) != len(want.Force) || len(got.AtomEnergy) != len(want.AtomEnergy) {
+			t.Fatalf("frame %d: result after the batch was taken apart differs from a solo Evaluate", i)
+		}
 	}
 }
 

@@ -9,14 +9,14 @@ import (
 )
 
 // This file is the portable half of the SIMD microkernel engine: shape
-// eligibility, worker fan-out, the K-panel / tail-strip driver, and the
-// scalar Go model that finishes the column tails the unmasked families do
-// not cover. The per-ISA halves
-// (simd_amd64.go + simd_*_amd64.s, simd_arm64.go + simd_arm64.s) provide
-// the register-tiled kernels; simd_off.go turns the whole path off under
-// `purego` or on other architectures, which is the mandatory fallback
-// contract: with no kernels available every GEMM routes to the
-// blocked/naive engines unchanged.
+// eligibility, worker fan-out, the K-panel / tail-strip driver, the
+// column-panel driver of the NT dot tile, and the scalar Go model that
+// finishes the column tails the unmasked families do not cover. The
+// per-ISA halves (simd_amd64.go + simd_*_amd64.s, simd_arm64.go +
+// simd_arm64.s) provide the register-tiled kernels; simd_off.go turns the
+// whole path off under `purego` or on other architectures, which is the
+// mandatory fallback contract: with no kernels available every GEMM routes
+// to the blocked/naive engines unchanged.
 //
 // Kernel shape. The paper's embedding GEMMs are tall and skinny
 // (M = atoms*neighbors rows, K in {1, 25, 50}, N in {25, 50, 100}) — too
@@ -35,10 +35,13 @@ import (
 // simdMaxK-deep K panels (see simdRowRange): bias seeded on the first
 // panel, the rest accumulated through the beta = 1 store. Only the fused
 // tanh epilogues stay single-panel; GemmBiasTanhGradOpt beyond simdMaxK is
-// the panelled GemmBias plus the separate tanh pass. What still bypasses
-// this tier is the TN storage variant (training's dW), the shapes below
-// the tiles' widths (the fitting net's one-column head) and the k = 4 / 16
-// per-atom descriptor items of the strided-batched family.
+// the panelled GemmBias plus the separate tanh pass. The backward passes'
+// GemmNT (dX = dY·Wᵀ) runs on a 2x4 dot-product tile with the lanes over K,
+// column panels of B outside the row pairs so that a panel is read from L1
+// (ntRowRange). What still bypasses this tier is the TN storage variant
+// (training's dW), the shapes below the tiles' widths (the fitting net's
+// one-column head) and the k = 4 / 16 per-atom descriptor items of the
+// strided-batched family.
 //
 // Bit-exactness contract. Worker fan-out partitions rows in multiples of
 // the strip height from row 0, every row's K panels are visited in the
@@ -47,10 +50,12 @@ import (
 // at any worker count. Remainder rows (m mod R) are computed by the lanes
 // too, as a zero-padded tail strip, so in both precisions a remainder row
 // is bit-identical to a strip row holding the same data. The NT dot tile
-// likewise computes its n mod 4 tail columns in-lane, on a zero-padded
-// mini-panel of their B rows (ntRowRange). The scalar model
-// is left with the column tails of the unmasked families (AVX2, NEON) and
-// an odd last NT row;
+// computes every element in-lane: its columns in panels of ntPanelCols B
+// rows (a tile dot product does not depend on where its panel starts), its
+// n mod 4 tail columns on a zero-padded mini-panel of their B rows and an
+// odd last row as a pair with a zero row (ntRowRange) — so an NT row's bits
+// do not depend on whether the call's row count is odd. The scalar model
+// is left with the column tails of the unmasked families (AVX2, NEON);
 // there the float64 model reproduces the asm lanes operation for
 // operation (math.FMA accumulation, the same epilogue arithmetic,
 // tanhApprox64), and the float32 model agrees to within the documented
@@ -74,6 +79,12 @@ const (
 	// simdNC is the column-chunk width: a B panel of simdMaxK x simdNC stays
 	// hot across row strips (<= 1 MB f64).
 	simdNC = 512
+	// ntPanelBytes is the byte budget of one column panel of the NT dot
+	// driver (ntRowRange): the B rows every row pair of a range re-reads
+	// before the next panel is touched, sized to stay in L1 beside the
+	// pair's two A rows. 240-deep f64 gives 16 columns, f32 32. Swept
+	// 8..256 columns in DESIGN.md ("SIMD microkernels").
+	ntPanelBytes = 32 << 10
 	// simdParMin matches the blocked engine's serial threshold: below this
 	// many FLOPs goroutine fan-out costs more than it saves.
 	simdParMin = 1 << 21
@@ -394,129 +405,127 @@ func ntRowsParallel[T Float](fam cpufeat.Family, workers, nPairs, m, k, n int, a
 	wg.Wait()
 }
 
-// ntRowRange processes C rows [lo, hi), lo even. Row pairs run through
-// the asm tile over every column: [0, n&^3) straight from B, and the
-// n mod 4 tail columns from a mini-panel of their B rows staged
-// zero-padded to the tile's four in a pooled slab, with a 4-column staging
-// block of C behind it — the NT twin of simdRowRange's tail strip. The
-// backward passes of the embedding net live on those tails (dX = dpre·Wᵀ
-// has n = 50, 25 and 1 columns at the paper's widths). A tile dot product
-// does not depend on the other three of its step, so a tail column keeps
-// the bits a covered column would have. Only an odd last row is left to
-// the scalar model.
+// ntPanelCols is the NT driver's panel width at reduction depth k: as many
+// B rows (output columns) as fit ntPanelBytes, a multiple of the tile's four
+// and never fewer.
+func ntPanelCols[T Float](k int) int {
+	var z T
+	return max(4, ntPanelBytes/(k*sizeofT(z))) &^ 3
+}
+
+// ntRowRange processes C rows [lo, hi), lo even, panel-outer and
+// row-pair-inner: the columns are cut into panels of ntPanelCols B rows and
+// every row pair of the range visits one panel before any visits the next,
+// so a panel comes from memory once and from L1 for every pair after the
+// first — where a pair that walks all n columns re-streams the whole of B
+// (3 MB for the backward of the 1600→240 fitting layer) once per two rows.
+// A B that fits one panel is the one-panel case of the same loop. A panel
+// is one call of the asm tile per pair, and a tile dot product depends
+// neither on the other three of its step nor on where its panel starts, so
+// the cut changes no bit.
+//
+// Both edges ride the same loop on zero-padded staging in one pooled slab —
+// the NT twins of simdRowRange's tail strip. The n mod 4 tail columns are a
+// last panel: their B rows staged to the tile's four, with a 4-column block
+// of C for every row behind them. The backward passes of the embedding net
+// live on those tails (dX = dpre·Wᵀ has n = 50, 25 and 1 columns at the
+// paper's widths). An odd last row is a last pair: the row staged above a
+// zero row, with a two-row block of C over all the columns. Every element
+// is computed by the lanes, and an edge element has the bits a covered one
+// would.
 func ntRowRange[T Float](fam cpufeat.Family, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	jCov := n &^ 3
+	jt := n - jCov
+	n4 := (n + 3) &^ 3 // n padded to the tile's four
 	full := lo + (hi-lo)/2*2
+	odd := hi > full
+
+	// tb, tc: the tail panel's B rows and its C block for rows [lo, full).
+	// oa, oc: the odd row's A pair and its C pair, n4 columns wide.
+	var slab *packSlab[T]
+	var tb, tc, oa, oc []T
+	if jt > 0 || odd {
+		nTB, nTC, nOA, nOC := 0, 0, 0, 0
+		if jt > 0 {
+			nTB, nTC = 4*k, 4*(full-lo)
+		}
+		if odd {
+			nOA, nOC = 2*k, 2*n4
+		}
+		slab = getSlab[T](nTB + nTC + nOA + nOC)
+		buf := slab.buf
+		tb, buf = buf[:nTB], buf[nTB:]
+		tc, buf = buf[:nTC], buf[nTC:]
+		oa, oc = buf[:nOA], buf[nOA:]
+		if jt > 0 {
+			for j := 0; j < jt; j++ {
+				copy(tb[j*k:(j+1)*k], b[(jCov+j)*ldb:])
+			}
+			clear(tb[jt*k:])
+			if beta != 0 {
+				clear(tc)
+				for i := lo; i < full; i++ {
+					copy(tc[(i-lo)*4:(i-lo)*4+jt], c[i*ldc+jCov:])
+				}
+			}
+		}
+		if odd {
+			copy(oa[:k], a[full*lda:])
+			clear(oa[k:])
+			if beta != 0 {
+				copy(oc[:n], c[full*ldc:])
+				clear(oc[n:])
+			}
+		}
+	}
+
 	var args tileArgs
-	args.lda = uintptr(lda)
 	args.k = uintptr(k)
 	args.alpha = float64(alpha)
 	args.beta = float64(beta)
-	if jCov > 0 {
-		args.b = unsafe.Pointer(&b[0])
-		args.ldb = uintptr(ldb)
-		args.ldc = uintptr(ldc)
-		args.n = uintptr(jCov)
+	nb := ntPanelCols[T](k)
+	var jb int
+	for j0 := 0; j0 < n; j0 += jb {
+		// pc is the panel's C at row lo, pldc its row stride.
+		var pc []T
+		var pldc int
+		if j0 < jCov {
+			jb = min(nb, jCov-j0)
+			args.b = unsafe.Pointer(&b[j0*ldb])
+			args.ldb = uintptr(ldb)
+			pc, pldc = c[lo*ldc+j0:], ldc
+		} else {
+			jb = 4
+			args.b = unsafe.Pointer(&tb[0])
+			args.ldb = uintptr(k)
+			pc, pldc = tc, 4
+		}
+		args.n = uintptr(jb)
+		args.lda = uintptr(lda)
+		args.ldc = uintptr(pldc)
 		for i := lo; i < full; i += 2 {
 			args.a = unsafe.Pointer(&a[i*lda])
-			args.c = unsafe.Pointer(&c[i*ldc])
+			args.c = unsafe.Pointer(&pc[(i-lo)*pldc])
+			ntTile[T](fam, &args)
+		}
+		if odd {
+			args.a = unsafe.Pointer(&oa[0])
+			args.lda = uintptr(k)
+			args.c = unsafe.Pointer(&oc[j0])
+			args.ldc = uintptr(n4)
 			ntTile[T](fam, &args)
 		}
 	}
-	if jt := n - jCov; jt > 0 && full > lo {
-		tail := getSlab[T](4 * (k + full - lo))
-		tb, tc := tail.buf[:4*k], tail.buf[4*k:]
-		for j := 0; j < jt; j++ {
-			copy(tb[j*k:(j+1)*k], b[(jCov+j)*ldb:])
-		}
-		clear(tb[jt*k:])
-		if beta != 0 {
-			clear(tc)
-			for i := lo; i < full; i++ {
-				copy(tc[(i-lo)*4:(i-lo)*4+jt], c[i*ldc+jCov:])
-			}
-		}
-		args.b = unsafe.Pointer(&tb[0])
-		args.ldb = uintptr(k)
-		args.ldc = 4
-		args.n = 4
-		for i := lo; i < full; i += 2 {
-			args.a = unsafe.Pointer(&a[i*lda])
-			args.c = unsafe.Pointer(&tc[(i-lo)*4])
-			ntTile[T](fam, &args)
-		}
+
+	if jt > 0 {
 		for i := lo; i < full; i++ {
 			copy(c[i*ldc+jCov:i*ldc+n], tc[(i-lo)*4:])
 		}
-		putSlab(tail)
 	}
-	for i := full; i < hi; i++ {
-		simdScalarNTRow(a[i*lda:i*lda+k], k, b, ldb, 0, n, c[i*ldc:], alpha, beta)
+	if odd {
+		copy(c[full*ldc:full*ldc+n], oc)
 	}
-}
-
-// simdScalarNTRow finishes one NT output row over columns [jlo, jhi),
-// reproducing the asm's four-lane accumulate / pairwise combine / scalar
-// K-tail order exactly (bit-identical for float64).
-func simdScalarNTRow[T Float](ai []T, k int, b []T, ldb, jlo, jhi int, ci []T, alpha, beta T) {
-	if a64, ok := any(ai).([]float64); ok {
-		simdScalarNTRow64(a64, k, any(b).([]float64), ldb, jlo, jhi, any(ci).([]float64), float64(alpha), float64(beta))
-		return
-	}
-	simdScalarNTRow32(any(ai).([]float32), k, any(b).([]float32), ldb, jlo, jhi, any(ci).([]float32), float64(alpha), float64(beta))
-}
-
-func simdScalarNTRow64(ai []float64, k int, b []float64, ldb, jlo, jhi int, ci []float64, alpha, beta float64) {
-	kv := k &^ 3
-	for j := jlo; j < jhi; j++ {
-		bj := b[j*ldb : j*ldb+k]
-		var s0, s1, s2, s3 float64
-		for p := 0; p < kv; p += 4 {
-			s0 = math.FMA(ai[p], bj[p], s0)
-			s1 = math.FMA(ai[p+1], bj[p+1], s1)
-			s2 = math.FMA(ai[p+2], bj[p+2], s2)
-			s3 = math.FMA(ai[p+3], bj[p+3], s3)
-		}
-		sum := (s0 + s2) + (s1 + s3)
-		for p := kv; p < k; p++ {
-			sum = math.FMA(ai[p], bj[p], sum)
-		}
-		t := alpha * sum
-		if beta == 0 {
-			ci[j] = t
-		} else {
-			ci[j] = math.FMA(beta, ci[j], t)
-		}
-	}
-}
-
-func simdScalarNTRow32(ai []float32, k int, b []float32, ldb, jlo, jhi int, ci []float32, alpha, beta float64) {
-	a32, b32 := float32(alpha), float32(beta)
-	kv := k &^ 7
-	fma := func(x, y, acc float32) float32 {
-		return float32(math.FMA(float64(x), float64(y), float64(acc)))
-	}
-	for j := jlo; j < jhi; j++ {
-		bj := b[j*ldb : j*ldb+k]
-		var s [8]float32
-		for p := 0; p < kv; p += 8 {
-			for l := 0; l < 8; l++ {
-				s[l] = fma(ai[p+l], bj[p+l], s[l])
-			}
-		}
-		var v [4]float32
-		for l := 0; l < 4; l++ {
-			v[l] = s[l] + s[l+4]
-		}
-		sum := (v[0] + v[2]) + (v[1] + v[3])
-		for p := kv; p < k; p++ {
-			sum = fma(ai[p], bj[p], sum)
-		}
-		t := a32 * sum
-		if b32 == 0 {
-			ci[j] = t
-		} else {
-			ci[j] = fma(b32, ci[j], t)
-		}
+	if slab != nil {
+		putSlab(slab)
 	}
 }

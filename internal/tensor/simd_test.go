@@ -467,3 +467,148 @@ func TestKernelInfo(t *testing.T) {
 		t.Error("KernelInfo banner is empty")
 	}
 }
+
+// scalarNTRow64 is the float64 oracle of the NT dot tile: one output row
+// over columns [jlo, jhi) in the asm's four-lane accumulate / pairwise
+// combine / scalar K-tail order, bit-identical to the lanes. (The driver
+// no longer calls a scalar model; it lives here to hold the lanes to it.)
+func scalarNTRow64(ai []float64, k int, b []float64, ldb, jlo, jhi int, ci []float64, alpha, beta float64) {
+	kv := k &^ 3
+	for j := jlo; j < jhi; j++ {
+		bj := b[j*ldb : j*ldb+k]
+		var s0, s1, s2, s3 float64
+		for p := 0; p < kv; p += 4 {
+			s0 = math.FMA(ai[p], bj[p], s0)
+			s1 = math.FMA(ai[p+1], bj[p+1], s1)
+			s2 = math.FMA(ai[p+2], bj[p+2], s2)
+			s3 = math.FMA(ai[p+3], bj[p+3], s3)
+		}
+		sum := (s0 + s2) + (s1 + s3)
+		for p := kv; p < k; p++ {
+			sum = math.FMA(ai[p], bj[p], sum)
+		}
+		t := alpha * sum
+		if beta == 0 {
+			ci[j] = t
+		} else {
+			ci[j] = math.FMA(beta, ci[j], t)
+		}
+	}
+}
+
+// ntOnePanel is the reference driver of TestNTPanelsBitIdentical: the
+// problem zero-padded to an even row count and a multiple of four columns,
+// so that it has no edges, then every row pair through the asm tile over
+// all the columns in one call — one panel, whatever the reduction depth.
+func ntOnePanel[T Float](fam cpufeat.Family, m, k, n int, alpha T, a, b []T, beta T, c []T) {
+	m2, n4 := (m+1)&^1, (n+3)&^3
+	pa, pb, pc := make([]T, m2*k), make([]T, n4*k), make([]T, m2*n4)
+	copy(pa, a)
+	copy(pb, b)
+	for i := 0; i < m; i++ {
+		copy(pc[i*n4:i*n4+n], c[i*n:])
+	}
+	args := tileArgs{
+		b: unsafe.Pointer(&pb[0]), lda: uintptr(k), ldb: uintptr(k), ldc: uintptr(n4),
+		k: uintptr(k), n: uintptr(n4), alpha: float64(alpha), beta: float64(beta),
+	}
+	for i := 0; i < m2; i += 2 {
+		args.a = unsafe.Pointer(&pa[i*k])
+		args.c = unsafe.Pointer(&pc[i*n4])
+		ntTile[T](fam, &args)
+	}
+	for i := 0; i < m; i++ {
+		copy(c[i*n:(i+1)*n], pc[i*n4:])
+	}
+}
+
+// TestNTPanelsBitIdentical holds the column-panelled NT driver to the
+// one-panel result, bitwise: the fitting net's 240→1600 backward (100 f64
+// panels), a short chunk of it, an odd row count with a column tail, the
+// embedding net's backward shapes (two panels; one staged column) and a
+// shallow reduction whose panels are hundreds of columns wide. In float64
+// the result is also the scalar oracle's, odd row and tail columns
+// included. A NaN or an Inf in one B row reaches that output column and no
+// other, whichever panel or staging block the row is in; and the row ranges
+// of the goroutine fan-out give the bits of the serial call.
+func TestNTPanelsBitIdentical(t *testing.T) {
+	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
+		if caps, ok := simdCaps(fam, 8); fam == cpufeat.Generic || !ok || !caps.hasNT {
+			t.Skip("no NT tile in this family")
+		}
+		testNTPanels[float64](t, fam)
+		testNTPanels[float32](t, fam)
+	})
+}
+
+func testNTPanels[T Float](t *testing.T, fam cpufeat.Family) {
+	var z T
+	rng := rand.New(rand.NewSource(2020))
+	for _, shape := range [][3]int{
+		{256, 240, 1600}, {54, 240, 1600}, {255, 240, 1603}, {128, 100, 50}, {7, 25, 1}, {5, 8, 1030},
+	} {
+		m, k, n := shape[0], shape[1], shape[2]
+		a, b, c0 := randMatT[T](rng, m, k), randMatT[T](rng, n, k), randMatT[T](rng, m, n)
+		for _, ab := range [][2]T{{1, 0}, {0.5, 1}} {
+			alpha, beta := ab[0], ab[1]
+			label := fmt.Sprintf("%s %T %dx%d->%d (%d-column panels) alpha=%g beta=%g", fam, z, m, k, n, ntPanelCols[T](k), float64(alpha), float64(beta))
+			run := func(b Matrix[T]) []T {
+				got := append([]T(nil), c0.Data...)
+				ntRowRange(fam, 0, m, k, n, alpha, a.Data, k, b.Data, k, beta, got, n)
+				return got
+			}
+			got := run(b)
+			want := append([]T(nil), c0.Data...)
+			ntOnePanel(fam, m, k, n, alpha, a.Data, b.Data, beta, want)
+			checkBitIdentical(t, label+": panelled vs one panel", got, want)
+
+			if g64, ok := any(got).([]float64); ok {
+				model := append([]float64(nil), any(c0.Data).([]float64)...)
+				for i := 0; i < m; i++ {
+					scalarNTRow64(any(a.Data).([]float64)[i*k:(i+1)*k], k, any(b.Data).([]float64), k, 0, n, model[i*n:], float64(alpha), float64(beta))
+				}
+				checkBitIdentical(t, label+": lanes vs scalar oracle", g64, model)
+			}
+
+			par := append([]T(nil), c0.Data...)
+			if gemmNTSIMD(3, m, k, n, alpha, a.Data, k, b.Data, k, beta, par, n) {
+				checkBitIdentical(t, label+": 3 workers vs serial", par, got)
+			}
+
+			// One non-finite B element per poisoned row: a first-panel
+			// column, a middle one, and the last (a staged tail column when
+			// n mod 4 != 0).
+			bad := Matrix[T]{Rows: n, Cols: k, Data: append([]T(nil), b.Data...)}
+			poison := map[int]T{0: T(math.NaN())}
+			if n > 2 {
+				poison[n/2] = T(math.Inf(1))
+				poison[n-1] = T(math.Inf(-1))
+			}
+			for j, v := range poison {
+				bad.Data[j*k+k/2] = v
+			}
+			dirty := run(bad)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					v := float64(dirty[i*n+j])
+					p, poisoned := poison[j]
+					switch {
+					case !poisoned:
+						if dirty[i*n+j] != got[i*n+j] {
+							t.Fatalf("%s: clean column %d row %d = %g, was %g without the non-finite B rows", label, j, i, v, float64(got[i*n+j]))
+						}
+					case p != p:
+						if !math.IsNaN(v) {
+							t.Fatalf("%s: NaN column %d row %d = %g", label, j, i, v)
+						}
+					default:
+						// ±Inf times a random A element: either infinity.
+						if !math.IsInf(v, 0) {
+							t.Fatalf("%s: Inf column %d row %d = %g", label, j, i, v)
+						}
+					}
+				}
+			}
+		}
+	}
+}
