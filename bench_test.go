@@ -443,74 +443,6 @@ func BenchmarkNeighborBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmBlocked sweeps the blocked GEMM kernel against the naive
-// serial reference over the paper's layer shapes: the embedding net's
-// batched 25->50 and 50->100 doubling layers (rows = atoms x sel) and the
-// fitting net's 240x240 hidden layers (ISSUE 2 acceptance shape: M >= 4096,
-// K = N = 240). Worker counts sweep the row-block goroutine pool; on a
-// single-core machine only the w1 contrast is meaningful.
-func BenchmarkGemmBlocked(b *testing.B) {
-	shapes := []struct {
-		label   string
-		m, k, n int
-	}{
-		{"fit-4096x240x240", 4096, 240, 240},
-		{"embed2-11776x25x50", 11776, 25, 50},
-		{"embed3-11776x50x100", 11776, 50, 100},
-	}
-	for _, s := range shapes {
-		rng := rand.New(rand.NewSource(1))
-		x := tensor.NewMatrix[float64](s.m, s.k)
-		w := tensor.NewMatrix[float64](s.k, s.n)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		for i := range w.Data {
-			w.Data[i] = rng.NormFloat64()
-		}
-		c := tensor.NewMatrix[float64](s.m, s.n)
-		flops := 2 * float64(s.m) * float64(s.k) * float64(s.n)
-		run := func(o tensor.Opts) func(b *testing.B) {
-			return func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					tensor.GemmOpt(o, nil, 1, x, w, 0, c)
-				}
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-			}
-		}
-		b.Run(s.label+"/naive", run(tensor.Opts{Kernel: tensor.Naive}))
-		b.Run(s.label+"/blocked-w1", run(tensor.Opts{}))
-		for _, w := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/blocked-w%d", s.label, w), run(tensor.Opts{Workers: w}))
-		}
-	}
-}
-
-// BenchmarkGEMM measures the raw kernel on a fitting-net-shaped matrix.
-func BenchmarkGEMM(b *testing.B) {
-	for _, shape := range [][3]int{{256, 64, 96}, {1024, 50, 100}} {
-		m, k, n := shape[0], shape[1], shape[2]
-		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x := tensor.NewMatrix[float64](m, k)
-			w := tensor.NewMatrix[float64](k, n)
-			for i := range x.Data {
-				x.Data[i] = rng.NormFloat64()
-			}
-			for i := range w.Data {
-				w.Data[i] = rng.NormFloat64()
-			}
-			c := tensor.NewMatrix[float64](m, n)
-			b.SetBytes(int64(8 * (m*k + k*n + m*n)))
-			for i := 0; i < b.N; i++ {
-				tensor.GemmOpt(tensor.Opts{}, nil, 1, x, w, 0, c)
-			}
-			flops := 2 * float64(m) * float64(k) * float64(n)
-			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
-	}
-}
-
 // BenchmarkEvalBatched contrasts the chunk-batched descriptor pipeline
 // (ISSUE 3, Sec. 5.3.1: merge the per-atom embedding/descriptor matrices
 // into strided-batched GEMMs) against the retained per-atom reference path

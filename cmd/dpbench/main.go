@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dpbench -exp table1|table3|fusion|fig3|fig4|fig5|fig6|fig7|table4|mixed|single|setup|scaling|mpiscale|neighbor|gemm|batch|compress|serve|load|all
+//	dpbench -exp table1|table3|fusion|fig3|fig4|fig5|fig6|fig7|table4|mixed|single|setup|scaling|mpiscale|neighbor|batch|compress|serve|load|all
 //	        [-full] [-ranks N] [-workers N] [-json] [-url http://host:port]
 //
 // By default experiments run at Quick scale (seconds on one CPU core);
@@ -41,10 +41,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dpbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment to run (comma separated): table1, table3, fusion, fig3, fig4, fig5, fig6, fig7, table4, mixed, single, setup, scaling, mpiscale, neighbor, gemm, batch, compress, serve, load, all")
+	exp := fs.String("exp", "all", "experiment to run (comma separated): table1, table3, fusion, fig3, fig4, fig5, fig6, fig7, table4, mixed, single, setup, scaling, mpiscale, neighbor, batch, compress, serve, load, all")
 	full := fs.Bool("full", false, "use paper-scale networks and larger systems (slow on CPU)")
 	ranks := fs.Int("ranks", 4, "simulated ranks for setup/scaling experiments")
-	workers := fs.Int("workers", 8, "max goroutines for the neighbor, gemm and batch experiments; concurrent callers for serve and load")
+	workers := fs.Int("workers", 8, "max goroutines for the neighbor and batch experiments; concurrent callers for serve and load")
 	jsonOut := fs.Bool("json", false, "print machine-readable JSON records on stdout (all human output moves to stderr)")
 	url := fs.String("url", "", "drive the load experiment against a running dpserve daemon at this base URL")
 	if err := fs.Parse(args); err != nil {
@@ -91,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			txt, _, err := experiments.SetupText(sc, *ranks)
 			return txt, err
 		},
-		"gemm":     func() (any, error) { return experiments.GemmKernels(sc, *workers) },
 		"batch":    func() (any, error) { return experiments.DescriptorBatch(sc, *workers) },
 		"compress": func() (any, error) { return experiments.CompressEmbedding(sc, *workers) },
 		"serve":    func() (any, error) { return experiments.Serve(sc, *workers) },
@@ -106,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 		"mpiscale": func() (any, error) { return experiments.MPIScaling(sc, 0) },
 	}
-	order := []string{"table1", "table3", "fusion", "fig3", "mixed", "single", "gemm", "batch", "compress", "serve", "load", "neighbor", "fig4", "fig5", "fig6", "table4", "setup", "scaling", "mpiscale", "fig7"}
+	order := []string{"table1", "table3", "fusion", "fig3", "mixed", "single", "batch", "compress", "serve", "load", "neighbor", "fig4", "fig5", "fig6", "table4", "setup", "scaling", "mpiscale", "fig7"}
 
 	var names []string
 	if *exp == "all" {
@@ -117,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Only these experiments report machine-readable records; in -json mode
 	// the others are skipped up front instead of silently burning their
 	// runtime and contributing nothing.
-	recorders := map[string]bool{"gemm": true, "batch": true, "compress": true, "serve": true, "load": true, "mpiscale": true}
+	recorders := map[string]bool{"batch": true, "compress": true, "serve": true, "load": true, "mpiscale": true}
 	records := []experiments.Record{}
 	for _, name := range names {
 		name = strings.TrimSpace(name)

@@ -14,7 +14,7 @@ import (
 // `dpbench -json > BENCH.json` used to capture corrupt JSON).
 func TestJSONModeKeepsStdoutClean(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "gemm", "-json"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-exp", "batch", "-json"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
 	var records []experiments.Record
@@ -25,14 +25,14 @@ func TestJSONModeKeepsStdoutClean(t *testing.T) {
 		t.Fatal("no records decoded")
 	}
 	for _, r := range records {
-		if r.Experiment != "gemm" || r.NsPerOp <= 0 {
+		if r.Experiment != "batch" || r.NsPerOp <= 0 {
 			t.Fatalf("implausible record %+v", r)
 		}
 	}
 	if strings.Contains(stdout.String(), "====") {
 		t.Fatalf("banner leaked into stdout:\n%s", stdout.String())
 	}
-	if !strings.Contains(stderr.String(), "==== gemm ====") {
+	if !strings.Contains(stderr.String(), "==== batch ====") {
 		t.Fatalf("banner missing from stderr:\n%s", stderr.String())
 	}
 }

@@ -51,7 +51,7 @@ func (bv *BaselineEvaluator) Compute(pos []float64, types []int, nloc int, list 
 		return err
 	}
 	cfg := &bv.cfg
-	// The baseline strategy predates the blocked kernels: every GEMM runs
+	// The baseline strategy predates the optimized kernels: every GEMM runs
 	// the naive reference family, exactly as the 2018 execution graph did.
 	naive := tensor.Opts{Kernel: tensor.Naive}
 	stride := cfg.Stride()

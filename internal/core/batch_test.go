@@ -9,10 +9,10 @@ import (
 	"deepmd-go/internal/units"
 )
 
-// batchTestConfig returns a model geometry big enough that the batched
-// descriptor GEMMs genuinely exercise the packed engine (TinyConfig's
-// widths keep everything microscopic): water-like nt = 2 with the NVE
-// test's network, or copper-like nt = 1 with a single large sel.
+// batchTestConfig returns a model geometry big enough that the network
+// GEMMs genuinely exercise the SIMD kernels (TinyConfig's widths keep
+// everything microscopic): water-like nt = 2 with the NVE test's network,
+// or copper-like nt = 1 with a single large sel.
 func batchTestConfig(water bool) Config {
 	if water {
 		cfg := TinyConfig(2)
@@ -38,8 +38,8 @@ func batchTestConfig(water bool) Config {
 
 // The batched descriptor pipeline must match the per-atom reference path
 // under the documented magnitude-proportional tolerance (DESIGN.md "GEMM
-// kernels"): batching re-associates the contractions through the packed
-// engine, so per-element differences are bounded by a multiple of the
+// kernels"): batching re-associates the contractions through the fused
+// operator, so per-element differences are bounded by a multiple of the
 // accumulated magnitude, never more. Swept across water (nt = 2) and
 // copper (nt = 1), chunk sizes {1, 7, 256}, workers {1, 2, 7}, and both
 // precisions.

@@ -48,14 +48,15 @@ type Config struct {
 	// type with more atoms than this is cut into equal, aligned chunks for
 	// the worker sweep's balance (chunkJobs in frames.go) — 432 hydrogens
 	// at the default 256 run as 112, 112, 112, 96. The cut reads nothing
-	// but the frame and this value, never Workers.
+	// but the frame and this value, never Workers; per-atom energies,
+	// forces and virial do not depend on it (TestChunkSizeBitIdentical).
 	ChunkSize int
 	// Workers is the parallelism budget of one evaluation (the CPU
 	// stand-in for GPU parallelism). <= 1 means serial. With enough atom
 	// chunks the evaluator fans the chunks out over this many goroutines;
 	// when the chunk loop degenerates to serial (a system too small to
-	// fill the pool) the same budget moves inside the blocked GEMM
-	// kernels, which partition output row blocks across goroutines
+	// fill the pool) the same budget moves inside the SIMD GEMM
+	// kernels, which partition output row strips across goroutines
 	// (tensor.Opts.Workers) with bit-identical results at any count. Pass
 	// the same value to neighbor.Build (md.Options.Workers /
 	// domain.Options.Workers thread it for the MD engines) so the list

@@ -9,8 +9,8 @@ import (
 
 // evalChunkPerAtom is the retained per-atom descriptor pipeline: four
 // loops of tiny per-atom GEMMs (m x 4 contractions, sel x m backward
-// outputs) that all sit below the blocked single-GEMM cutoff and execute
-// on the naive reference kernels. This is the computational granularity
+// outputs), one call per atom — most below every SIMD tile width, on the
+// naive reference loops. This is the computational granularity
 // the 2018 DeePMD-kit ran at — the exact contrast Sec. 5.3.1 and Fig. 3
 // draw against merging the matrices of many atoms into batched GEMMs —
 // and it survives as the differential oracle for the batched path

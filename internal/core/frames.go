@@ -382,11 +382,11 @@ func (ev *Evaluator[T]) planSweep(frames []Frame) error {
 }
 
 // The chunk cut's two constants. Both are properties of the code, like
-// descriptor.ProdBlocks, and never of the team: a chunk's row count picks
-// kernel tiers inside it (tensor's blockedWorthIt and gemmNTSIMD cutoffs
-// look at m), so an atom's last bits depend on the height of the chunk it
-// rides in, and a cut that read Workers would give different bits at
-// different budgets.
+// descriptor.ProdBlocks, and never of the team. An atom's bits do not
+// depend on the height of the chunk it rides in (tensor picks kernel tiers
+// by the layer, not the row count: TestChunkSizeBitIdentical), but the
+// total energy sums the chunk energies in chunk order, so a cut that read
+// Workers would give its last bits a dependence on the budget.
 const (
 	// sweepCut is the granularity of a split type's chunk count: a
 	// multiple of it divides evenly over 2 and 4 sweepers, and with the

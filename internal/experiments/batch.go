@@ -24,7 +24,7 @@ type BatchRow struct {
 // BatchResult is the `dpbench -exp batch` experiment (ISSUE 3): the
 // evaluator-level ablation of Sec. 5.3.1 / Fig. 3 — merging the per-atom
 // embedding and descriptor matrices into chunk-level batched GEMMs is what
-// moves the dominant non-network FLOPs onto the blocked kernels.
+// moves the dominant non-network FLOPs onto the optimized kernels.
 type BatchResult struct {
 	Workers int
 	Rows    []BatchRow

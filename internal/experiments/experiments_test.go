@@ -174,15 +174,15 @@ func TestFig3Shape(t *testing.T) {
 			t.Errorf("%s: GEMM %.1f%% / CUSTOM %.1f%% — an operator family went unattributed", c.Label, c.Breakdown["GEMM"], c.Breakdown["CUSTOM"])
 		}
 		var tierSum float64
-		for _, tier := range []string{"strip", "dot", "packed", "naive"} {
+		for _, tier := range []string{"strip", "dot", "naive"} {
 			v, ok := c.Tiers[tier]
 			if !ok || v < 0 || v > 1 {
 				t.Errorf("%s: tier %s serves %v of the GEMM FLOPs (present %v)", c.Label, tier, v, ok)
 			}
 			tierSum += v
 		}
-		if len(c.Tiers) != 4 || math.Abs(tierSum-1) > 1e-9 {
-			t.Errorf("%s: %d kernel tiers serving %.9f of the GEMM FLOPs, want 4 serving all of them", c.Label, len(c.Tiers), tierSum)
+		if len(c.Tiers) != 3 || math.Abs(tierSum-1) > 1e-9 {
+			t.Errorf("%s: %d kernel tiers serving %.9f of the GEMM FLOPs, want 3 serving all of them", c.Label, len(c.Tiers), tierSum)
 		}
 	}
 
@@ -406,35 +406,6 @@ func TestSetupShape(t *testing.T) {
 	}
 }
 
-func TestGemmKernelsShape(t *testing.T) {
-	res, err := GemmKernels(Quick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Quick scale: two M tiers x three embedding shapes, plus the two
-	// fitting layers.
-	if len(res.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.Naive <= 0 || r.Blocked <= 0 || r.SIMD <= 0 || r.Par <= 0 || r.Fused2P <= 0 || r.Fused <= 0 {
-			t.Fatalf("%s: non-positive timing %+v", r.Label, r)
-		}
-		// The tolerance policy of the differential tests bounds the
-		// SIMD-vs-naive deviation; at these shapes anything near 1e-6
-		// means a broken kernel, not rounding.
-		if r.MaxDiff > 1e-8 {
-			t.Fatalf("%s: SIMD deviates from naive by %g", r.Label, r.MaxDiff)
-		}
-	}
-	if res.Kernel == "" {
-		t.Fatal("missing kernel attribution")
-	}
-	if s := res.String(); !strings.Contains(s, "fitting 240x240") || !strings.Contains(s, "fitting 1600->240") {
-		t.Fatal("gemm table missing a fitting row")
-	}
-}
-
 // The descriptor-batching contrast must produce timings for both systems,
 // forces within the documented tolerance (DescriptorBatch itself errors
 // beyond 1e-9 relative), and machine-readable records for the perf
@@ -504,29 +475,6 @@ func TestCompressEmbeddingShape(t *testing.T) {
 	for _, rec := range recs {
 		if rec.Experiment != "compress" || rec.NsPerOp <= 0 {
 			t.Fatalf("bad record %+v", rec)
-		}
-	}
-}
-
-// The gemm experiment's records must mirror its rows (naive + generic
-// blocked + simd serial/parallel + fused two-pass/fused per shape) so the
-// -json trajectory is complete, and every record must name the kernel
-// family that executed it.
-func TestGemmRecords(t *testing.T) {
-	res, err := GemmKernels(Quick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := res.Records()
-	if len(recs) != 6*len(res.Rows) {
-		t.Fatalf("records = %d, want %d", len(recs), 6*len(res.Rows))
-	}
-	for _, rec := range recs {
-		if rec.Experiment != "gemm" || rec.NsPerOp <= 0 {
-			t.Fatalf("bad record %+v", rec)
-		}
-		if rec.Kernel == "" {
-			t.Fatalf("record %s missing kernel attribution", rec.Shape)
 		}
 	}
 }

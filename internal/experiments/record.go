@@ -6,7 +6,7 @@ package experiments
 // BENCH_*.json files and tracked across PRs (and uploaded as a CI
 // artifact).
 type Record struct {
-	// Experiment is the dpbench experiment name (e.g. "gemm", "batch").
+	// Experiment is the dpbench experiment name (e.g. "batch", "serve").
 	Experiment string `json:"experiment"`
 	// Shape identifies the measured configuration within the experiment
 	// (layer shape, system, worker count).

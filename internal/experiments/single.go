@@ -20,7 +20,7 @@ type Fig3Result struct {
 
 // Fig3Column is one bar of the chart, plus the kernel-family attribution
 // of its GEMM share: the fraction of GEMM FLOPs each internal/tensor tier
-// served (strip / dot / packed / naive) — a count, not a timing.
+// served (strip / dot / naive) — a count, not a timing.
 type Fig3Column struct {
 	Label     string
 	Breakdown map[string]float64
@@ -92,7 +92,7 @@ func Fig3(sc Scale, steps int) (*Fig3Result, error) {
 // String prints the stacked percentages.
 func (r *Fig3Result) String() string {
 	cats := []string{"GEMM", "TANH", "SLICE", "CUSTOM", "Others"}
-	tiers := []perf.Tier{perf.TierStrip, perf.TierDot, perf.TierPacked, perf.TierNaive}
+	tiers := []perf.Tier{perf.TierStrip, perf.TierDot, perf.TierNaive}
 	rows := make([][]string, 0, len(r.Columns))
 	for _, c := range r.Columns {
 		row := []string{c.Label}

@@ -12,10 +12,9 @@ import (
 )
 
 // nveDPConfig is the shared model of the Deep Potential NVE regressions:
-// water-like, sized so the per-chunk embedding and fitting GEMMs cross
-// the blocked kernel's size cutoff (tensor.blockedWorthIt) — TinyConfig's
-// defaults would route every layer to the naive reference and leave the
-// blocked kernels untested here.
+// water-like, with layers wide enough that the embedding and fitting GEMMs
+// reach the SIMD kernels — TinyConfig's narrow widths leave more of them on
+// the naive reference.
 func nveDPConfig() core.Config {
 	cfg := core.TinyConfig(2)
 	cfg.TypeNames = []string{"O", "H"}

@@ -106,7 +106,7 @@ func (t *Trace[T]) Out() tensor.Matrix[T] { return t.Ys[len(t.Ys)-1] }
 // the trace is valid until the arena is reset. If withGrad is false the
 // tanh gradients are not stored (sufficient when no backward pass will
 // follow, e.g. energy-only evaluation). o selects the GEMM kernel family
-// and intra-op worker count (tensor.Opts{} is the serial blocked default).
+// and intra-op worker count (tensor.Opts{} is the serial SIMD default).
 func (n *Net[T]) Forward(ctr *perf.Counter, o tensor.Opts, ar *tensor.Arena[T], x tensor.Matrix[T], withGrad bool) *Trace[T] {
 	return n.ForwardInto(new(Trace[T]), ctr, o, ar, x, withGrad)
 }

@@ -65,10 +65,8 @@ const (
 	TierStrip Tier = iota
 	// TierDot is the SIMD dot-product tile of the A*B^T variant.
 	TierDot
-	// TierPacked is the packed cache-blocked engine.
-	TierPacked
-	// TierNaive is the reference loops: Kernel = Naive, or a shape below
-	// the other tiers' size cutoffs.
+	// TierNaive is the reference loops: Kernel = Naive, or a layer no
+	// SIMD kernel covers.
 	TierNaive
 
 	numTiers
@@ -81,8 +79,6 @@ func (t Tier) String() string {
 		return "strip"
 	case TierDot:
 		return "dot"
-	case TierPacked:
-		return "packed"
 	default:
 		return "naive"
 	}

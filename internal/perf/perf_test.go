@@ -90,9 +90,9 @@ func TestCounterReset(t *testing.T) {
 	c := NewCounter()
 	c.AddFLOPs(5)
 	c.AddTime(CatSLICE, time.Second)
-	c.ObserveGEMM(TierPacked, time.Now(), 7)
+	c.ObserveGEMM(TierNaive, time.Now(), 7)
 	c.Reset()
-	if c.FLOPs() != 0 || c.TotalTime() != 0 || c.TierFLOPs(TierPacked) != 0 {
+	if c.FLOPs() != 0 || c.TotalTime() != 0 || c.TierFLOPs(TierNaive) != 0 {
 		t.Fatal("reset incomplete")
 	}
 }
@@ -112,11 +112,11 @@ func TestObserveGEMMTiers(t *testing.T) {
 	if c.FLOPs() != 1400 || c.CategoryTime(CatGEMM) < time.Millisecond {
 		t.Fatalf("FLOPs %d, GEMM time %v", c.FLOPs(), c.CategoryTime(CatGEMM))
 	}
-	if c.TierFLOPs(TierStrip) != 300 || c.TierFLOPs(TierDot) != 100 || c.TierFLOPs(TierPacked) != 0 || c.TierFLOPs(TierNaive) != 0 {
-		t.Fatalf("tier FLOPs strip %d dot %d packed %d naive %d", c.TierFLOPs(TierStrip), c.TierFLOPs(TierDot), c.TierFLOPs(TierPacked), c.TierFLOPs(TierNaive))
+	if c.TierFLOPs(TierStrip) != 300 || c.TierFLOPs(TierDot) != 100 || c.TierFLOPs(TierNaive) != 0 {
+		t.Fatalf("tier FLOPs strip %d dot %d naive %d", c.TierFLOPs(TierStrip), c.TierFLOPs(TierDot), c.TierFLOPs(TierNaive))
 	}
 	sh := c.TierShares()
-	if len(sh) != 4 || sh["strip"] != 0.75 || sh["dot"] != 0.25 || sh["packed"] != 0 || sh["naive"] != 0 {
+	if len(sh) != 3 || sh["strip"] != 0.75 || sh["dot"] != 0.25 || sh["naive"] != 0 {
 		t.Fatalf("tier shares %v", sh)
 	}
 }

@@ -8,12 +8,11 @@ import (
 )
 
 // Differential tests for the strided-batched GEMM family, under the same
-// tolerance policy as differential_test.go: every variant's blocked engine
-// is checked per item against a float64 recomputation with the
-// magnitude-proportional budget, the Naive family is checked as the exact
-// per-item reference loops, and worker counts 1/2/7 must be bit-identical
-// (each C element is produced by exactly one (item, row-block) unit with
-// partition-independent tiling). Stride coverage includes contiguous items,
+// tolerance policy as differential_test.go: both kernel families are
+// checked per item against a float64 recomputation with the
+// magnitude-proportional budget, and worker counts 1/2/7 must be
+// bit-identical (each item is computed by exactly one worker, the same way
+// at every count). Stride coverage includes contiguous items,
 // padded items (stride > item size, the evaluator's ax x 4 head of an
 // m x 4 item), and shared operands (stride 0).
 
@@ -29,15 +28,15 @@ var batchVariantNames = [numBatchVariants]string{"GemmBatch", "GemmBatchNT", "Ge
 // batchShapes is (batch, m, k, n) in the per-item dimension convention of
 // the public functions. Covers empty/unit batches and dims, the
 // evaluator's descriptor shapes (m x 4 contractions over sel, sel x m
-// backward outputs, ax = 16 outer products), items with multiple mcBlock
-// row blocks (m > 128), and totals above the engine's auto-serial
-// threshold so the worker sweep genuinely spawns the unit pool.
+// backward outputs, ax = 16 outer products), tall items (m > 128), and
+// totals above the auto-serial threshold so the worker sweep genuinely
+// spawns the item-range goroutines.
 var batchShapes = [][4]int{
 	{0, 4, 5, 6}, {3, 0, 4, 5}, {3, 4, 0, 5}, {3, 4, 5, 0},
 	{1, 1, 1, 1}, {1, 100, 46, 4}, {2, 3, 5, 7}, {3, 16, 12, 4},
 	{5, 100, 4, 16}, {7, 16, 4, 100}, {7, 46, 100, 4}, {8, 8, 8, 8},
 	{9, 31, 7, 5}, {16, 100, 500, 4}, {17, 13, 9, 11}, {64, 25, 50, 10},
-	// sel = 500 copper backward: items with 4 row blocks each.
+	// sel = 500 copper backward: tall items.
 	{3, 500, 4, 100},
 	// Above the auto-serial threshold (2*batch*m*n*k >= 1<<21).
 	{32, 64, 64, 64},
@@ -117,9 +116,9 @@ func runGemmBatchCase[T Float](t *testing.T, variant int, batch, m, k, n int, mo
 	}
 
 	naiveC := run(Opts{Kernel: Naive})
-	blockedC := make([][]T, len(diffWorkers))
+	simdC := make([][]T, len(diffWorkers))
 	for wi, w := range diffWorkers {
-		blockedC[wi] = run(Opts{Kernel: Blocked, Workers: w})
+		simdC[wi] = run(Opts{Kernel: SIMD, Workers: w})
 	}
 
 	// Per-item float64 reference with the magnitude bound, checked against
@@ -159,7 +158,7 @@ func runGemmBatchCase[T Float](t *testing.T, variant int, batch, m, k, n int, mo
 				for _, got := range []struct {
 					fam string
 					c   []T
-				}{{"naive", naiveC}, {"blocked", blockedC[0]}} {
+				}{{"naive", naiveC}, {"simd", simdC[0]}} {
 					if d := math.Abs(float64(got.c[g*cs+i*n+j]) - ref); d > tol {
 						t.Fatalf("%s %s: item %d element (%d,%d): got %g want %g (|diff| %g > tol %g)",
 							label, got.fam, g, i, j, float64(got.c[g*cs+i*n+j]), ref, d, tol)
@@ -169,9 +168,9 @@ func runGemmBatchCase[T Float](t *testing.T, variant int, batch, m, k, n int, mo
 		}
 	}
 	checkBatchGaps(t, label+" naive", naiveC, c0, batch, rows*n, cs)
-	checkBatchGaps(t, label+" blocked", blockedC[0], c0, batch, rows*n, cs)
+	checkBatchGaps(t, label+" simd", simdC[0], c0, batch, rows*n, cs)
 	for wi := 1; wi < len(diffWorkers); wi++ {
-		checkBitIdentical(t, fmt.Sprintf("%s workers=%d", label, diffWorkers[wi]), blockedC[wi], blockedC[0])
+		checkBitIdentical(t, fmt.Sprintf("%s workers=%d", label, diffWorkers[wi]), simdC[wi], simdC[0])
 	}
 }
 
@@ -213,10 +212,10 @@ func testGemmBatchDifferential[T Float](t *testing.T) {
 func TestGemmBatchDifferentialFloat64(t *testing.T) { testGemmBatchDifferential[float64](t) }
 func TestGemmBatchDifferentialFloat32(t *testing.T) { testGemmBatchDifferential[float32](t) }
 
-// The batched engine must agree with per-item single-GEMM calls on the
-// blocked path too: batching changes scheduling and pack reuse, never the
-// per-item tiling or accumulation order.
-func TestGemmBatchMatchesSingleBlocked(t *testing.T) {
+// The batched family must agree bitwise with per-item single-GEMM calls on
+// the naive loops it runs: batching changes scheduling, never the per-item
+// accumulation order.
+func TestGemmBatchMatchesSingleNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const batch, m, k, n = 6, 130, 70, 36
 	a := make([]float64, batch*m*k)
@@ -229,7 +228,7 @@ func TestGemmBatchMatchesSingleBlocked(t *testing.T) {
 	}
 	single := make([]float64, batch*m*n)
 	for g := 0; g < batch; g++ {
-		GemmOpt(Opts{}, nil, 1,
+		GemmOpt(Opts{Kernel: Naive}, nil, 1,
 			MatrixFrom(m, k, a[g*m*k:(g+1)*m*k]),
 			MatrixFrom(k, n, b[g*k*n:(g+1)*k*n]),
 			0, MatrixFrom(m, n, single[g*m*n:(g+1)*m*n]))

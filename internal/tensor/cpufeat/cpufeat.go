@@ -112,7 +112,7 @@ func Available(f Family) bool {
 		// alongside F, so gate on the full trio to stay off the
 		// Knights-era subsets the kernels were never tested on.
 		// AVX2 is also required: the AVX-512 family borrows the
-		// AVX2-encoded NT dot tile and FMA microkernel.
+		// AVX2-encoded NT dot tile.
 		return feats.AVX512F && feats.AVX512DQ && feats.AVX512VL &&
 			feats.AVX2 && feats.FMA && feats.OSAVX && feats.OSAVX512
 	case NEON:

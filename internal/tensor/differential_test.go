@@ -7,26 +7,27 @@ import (
 	"testing"
 )
 
-// Differential tests for the GEMM family: every variant's blocked kernel is
-// checked against the retained naive reference (and a float64 recomputation)
+// Differential tests for the GEMM family: every variant's SIMD-family
+// dispatch is checked against the retained naive reference (and a float64
+// recomputation)
 // across randomized shapes — including m/n/k in {0, 1} and odd remainders
 // smaller than every tile size — alpha/beta in {0, 1, other}, both float32
 // and float64, at worker counts 1, 2 and 7.
 //
 // Tolerance policy (documented in DESIGN.md): a k-term accumulation that is
-// re-associated (packed panels, k-blocking, FMA contraction under
-// GOAMD64=v3/arm64) may differ from the reference by a bounded multiple of
+// re-associated (K panels, lane-parallel partial sums, FMA contraction)
+// may differ from the reference by a bounded multiple of
 // the accumulated magnitude, never of the (possibly cancelled) result. Per
 // element:
 //
 //	|got - ref| <= 4*(k+4)*eps * (|alpha| * sum_l |A[i,l]*B[l,j]| + |beta*C0[i,j]|) + eps
 //
 // with eps the unit roundoff of the precision under test (2^-52 / 2^-23).
-// The naive kernels carry the same O(k*eps) bound, so the blocked result is
+// The naive kernels carry the same O(k*eps) bound, so the SIMD result is
 // compared against an exact-input float64 recomputation with this budget.
 // Worker counts are held to a far stricter contract: bit-identical output,
 // because every C element is produced by exactly one goroutine with the
-// same panel and accumulation order as the serial blocked kernel.
+// same panel and accumulation order as the serial call.
 
 const (
 	variantGemm = iota
@@ -40,10 +41,10 @@ const (
 var variantNames = [numVariants]string{"Gemm", "GemmNT", "GemmTN", "GemmBias", "GemmBiasTanhGrad"}
 
 // diffShapes is (m, k, n): output m x n with reduction depth k. Covers
-// empty and unit dims, odd remainders below the microkernel tile (mr = 2,
-// nr = 4), boundaries of mcBlock/kcBlock/ncBlock (128/256/512), multi-panel
-// K and N, and the paper's layer shapes (46x25, 92x25 embedding rows,
-// 240-wide fitting layers).
+// empty and unit dims, odd remainders below every tile (strip heights 4
+// and 8, the NT row pair, column covers 4, 8 and 16), K panels past
+// simdMaxK (256), and the paper's layer shapes (46x25, 92x25 embedding
+// rows, 240-wide fitting layers).
 var diffShapes = [][3]int{
 	{0, 0, 0}, {0, 4, 5}, {4, 0, 5}, {5, 7, 0},
 	{1, 1, 1}, {1, 240, 1}, {2, 8, 4}, {3, 5, 7},
@@ -52,9 +53,9 @@ var diffShapes = [][3]int{
 	{31, 25, 50}, {46, 1, 25}, {64, 50, 100}, {92, 25, 10},
 	{100, 46, 4}, {127, 65, 33}, {129, 240, 5}, {130, 300, 9},
 	{40, 600, 7}, {240, 240, 3}, {257, 12, 31}, {10, 16, 520},
-	// Above gemmBlocked's auto-serial threshold (2*m*n*k >= 1<<21), so the
-	// worker sweep genuinely spawns the row-block pool for every variant
-	// (the smaller shapes run the blocked engine serially regardless of
+	// Above the auto-serial threshold (2*m*n*k >= simdParMin), so the worker
+	// sweep genuinely spawns the row-strip goroutines for every variant that
+	// reaches a SIMD kernel (the smaller shapes run serially regardless of
 	// the requested count).
 	{256, 64, 128},
 }
@@ -145,12 +146,11 @@ func checkBitIdentical[T Float](t *testing.T, label string, got, want []T) {
 }
 
 // runGemmVariantCase exercises one (variant, shape, alpha/beta, precision)
-// cell: naive vs float64 reference, the Blocked-family dispatch vs
-// reference, and bit-identity across all worker counts. Shapes below the
-// blockedWorthIt cutoff intentionally go through the same public dispatch
-// — there they assert the Blocked family's small-size fallback equals the
-// naive oracle — while the larger shapes reach the packed engine itself
-// (and, above the auto-serial threshold, its goroutine pool).
+// cell: naive vs float64 reference, the SIMD-family dispatch vs reference,
+// and bit-identity across all worker counts. Layers no kernel covers go
+// through the same public dispatch — there they assert the SIMD family's
+// naive fallback equals the oracle — while the covered ones reach the
+// kernels (and, above the auto-serial threshold, their goroutine fan-out).
 func runGemmVariantCase[T Float](t *testing.T, variant, m, k, n int, alpha, beta float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	al, be := T(alpha), T(beta)
@@ -214,35 +214,35 @@ func runGemmVariantCase[T Float](t *testing.T, variant, m, k, n int, alpha, beta
 	}
 
 	naiveC, naiveG := run(Opts{Kernel: Naive})
-	blockedC := make([]Matrix[T], len(diffWorkers))
-	blockedG := make([]Matrix[T], len(diffWorkers))
+	simdC := make([]Matrix[T], len(diffWorkers))
+	simdG := make([]Matrix[T], len(diffWorkers))
 	for wi, w := range diffWorkers {
-		blockedC[wi], blockedG[wi] = run(Opts{Kernel: Blocked, Workers: w})
+		simdC[wi], simdG[wi] = run(Opts{Kernel: SIMD, Workers: w})
 	}
 
 	if variant == variantGemmBiasTanhGrad {
 		// tanh is 1-Lipschitz, so pre-activation error propagates with at
-		// most unit gain; comparing naive against blocked doubles the
+		// most unit gain; comparing naive against SIMD doubles the
 		// budget, and the gradient 1-y^2 at most doubles it again. The
 		// float32 path additionally shares one tanh approximant, which
-		// cancels in the naive-vs-blocked comparison.
+		// cancels in the naive-vs-SIMD comparison.
 		ref64 := make([]float64, m*n)
 		for i, v := range naiveC.Data {
 			ref64[i] = float64(v)
 		}
-		checkClose(t, label+" y", blockedC[0].Data, ref64, bnd, k, 2)
+		checkClose(t, label+" y", simdC[0].Data, ref64, bnd, k, 2)
 		for i, v := range naiveG.Data {
 			ref64[i] = float64(v)
 		}
-		checkClose(t, label+" grad", blockedG[0].Data, ref64, bnd, k, 4)
+		checkClose(t, label+" grad", simdG[0].Data, ref64, bnd, k, 4)
 	} else {
 		checkClose(t, label+" naive", naiveC.Data, ref, bnd, k, 1)
-		checkClose(t, label+" blocked", blockedC[0].Data, ref, bnd, k, 1)
+		checkClose(t, label+" simd", simdC[0].Data, ref, bnd, k, 1)
 	}
 	for wi := 1; wi < len(diffWorkers); wi++ {
 		wl := fmt.Sprintf("%s workers=%d", label, diffWorkers[wi])
-		checkBitIdentical(t, wl, blockedC[wi].Data, blockedC[0].Data)
-		checkBitIdentical(t, wl+" grad", blockedG[wi].Data, blockedG[0].Data)
+		checkBitIdentical(t, wl, simdC[wi].Data, simdC[0].Data)
+		checkBitIdentical(t, wl+" grad", simdG[wi].Data, simdG[0].Data)
 	}
 }
 
@@ -268,11 +268,14 @@ func testGemmDifferential[T Float](t *testing.T) {
 func TestGemmDifferentialFloat64(t *testing.T) { testGemmDifferential[float64](t) }
 func TestGemmDifferentialFloat32(t *testing.T) { testGemmDifferential[float32](t) }
 
-// The blocked kernel must agree with naive on matrices larger than every
-// blocking parameter in all three dimensions at once (multi-panel K and N,
-// multi-block M) — the shape table above crosses one boundary at a time;
-// this crosses them together.
-func TestGemmBlockedAllBoundariesAtOnce(t *testing.T) {
-	runGemmVariantCase[float64](t, variantGemm, mcBlock+mr+1, kcBlock+3, ncBlock+nr+1, 1.5, -0.5, 42)
-	runGemmVariantCase[float32](t, variantGemm, mcBlock+mr+1, kcBlock+3, ncBlock+nr+1, 1.5, -0.5, 43)
+// The strips must agree with naive on a product that crosses every panel
+// boundary of simdRowRange at once — two K panels, two column chunks plus
+// a column tail, a tail strip below every strip height — under every
+// variant that reaches them; the shape table above crosses one boundary at
+// a time.
+func TestGemmAllPanelBoundariesAtOnce(t *testing.T) {
+	for _, v := range []int{variantGemm, variantGemmTN, variantGemmBias} {
+		runGemmVariantCase[float64](t, v, 131, simdMaxK+3, simdNC+9, 1.5, -0.5, 42)
+		runGemmVariantCase[float32](t, v, 131, simdMaxK+3, simdNC+9, 1.5, -0.5, 43)
+	}
 }

@@ -22,29 +22,19 @@ import (
 //     in-place strided add into the activation output.
 
 // GemmBiasOpt computes C = A*B + bias broadcast over rows, in one fused
-// pass. The blocked path writes the bias row into C first and accumulates
-// the blocked GEMM on top (the beta = 1 trick of the CUBLAS call).
+// pass: the strips seed their accumulators with the bias row, the naive
+// path writes it into C first and accumulates on top (the beta = 1 trick
+// of the CUBLAS call).
 func GemmBiasOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, c Matrix[T]) {
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols || len(bias) != c.Cols {
 		panic("tensor: GemmBias dimension mismatch")
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
-	tier := perf.TierNaive
-	switch {
-	case o.Kernel == Naive:
+	tier := perf.TierStrip
+	if o.Kernel == Naive || !gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, c.Data, n, bias, epiBias, nil, 0) {
+		tier = perf.TierNaive
 		gemmBiasNaive(a, b, bias, c)
-	case gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, c.Data, n, bias, epiBias, nil, 0):
-		// bias seeded into the accumulators: one fused pass over C per K panel
-		tier = perf.TierStrip
-	case !blockedWorthIt(m, k, n):
-		gemmBiasNaive(a, b, bias, c)
-	default:
-		tier = perf.TierPacked
-		for i := 0; i < m; i++ {
-			copy(c.Data[i*n:i*n+n], bias)
-		}
-		gemmBlocked(o.Workers, m, n, k, 1, a.Data, k, 1, b.Data, n, 1, 1, c.Data, n)
 	}
 	ctr.ObserveGEMM(tier, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
 }

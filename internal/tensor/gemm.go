@@ -10,10 +10,10 @@ import (
 type Kernel int
 
 const (
-	// Blocked is the cache-blocked, register-tiled kernel family of
-	// blocked.go (packed panels, 2x4 microkernel, optional row-block
-	// parallelism). It is the default: the zero Opts value selects it.
-	Blocked Kernel = iota
+	// SIMD is the optimized family and the default (the zero Opts value):
+	// the runtime-dispatched SIMD kernels of simd.go wherever one covers
+	// the layer's (k, n, epilogue), the naive loops below everywhere else.
+	SIMD Kernel = iota
 	// Naive is the reference family: the original serial i-k-j and
 	// dot-product loops. It survives as the differential-test oracle and
 	// the 2018-baseline execution strategy.
@@ -21,8 +21,8 @@ const (
 )
 
 // Opts selects the kernel family and intra-op parallelism for one GEMM
-// call; the zero value is the blocked family, serial. Workers partitions C
-// row blocks across goroutines; results are bit-identical for every worker
+// call; the zero value is the SIMD family, serial. Workers partitions C
+// row strips across goroutines; results are bit-identical for every worker
 // count.
 type Opts struct {
 	Kernel  Kernel
@@ -38,17 +38,10 @@ func GemmOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
-	tier := perf.TierNaive
-	switch {
-	case o.Kernel == Naive:
+	tier := perf.TierStrip
+	if o.Kernel == Naive || !gemmSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, n, beta, c.Data, n, nil, epiNone, nil, 0) {
+		tier = perf.TierNaive
 		gemmNaive(alpha, a, b, beta, c)
-	case gemmSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, n, beta, c.Data, n, nil, epiNone, nil, 0):
-		tier = perf.TierStrip
-	case !blockedWorthIt(m, k, n):
-		gemmNaive(alpha, a, b, beta, c)
-	default:
-		tier = perf.TierPacked
-		gemmBlocked(o.Workers, m, n, k, alpha, a.Data, k, 1, b.Data, n, 1, beta, c.Data, n)
 	}
 	ctr.ObserveGEMM(tier, start, 2*int64(m)*int64(n)*int64(k))
 }
@@ -61,17 +54,10 @@ func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Rows
-	tier := perf.TierNaive
-	switch {
-	case o.Kernel == Naive:
+	tier := perf.TierDot
+	if o.Kernel == Naive || !gemmNTSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n) {
+		tier = perf.TierNaive
 		gemmNTNaive(alpha, a, b, beta, c)
-	case gemmNTSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n):
-		tier = perf.TierDot
-	case !blockedWorthIt(m, k, n):
-		gemmNTNaive(alpha, a, b, beta, c)
-	default:
-		tier = perf.TierPacked
-		gemmBlocked(o.Workers, m, n, k, alpha, a.Data, k, 1, b.Data, 1, k, beta, c.Data, n)
 	}
 	ctr.ObserveGEMM(tier, start, 2*int64(m)*int64(n)*int64(k))
 }
@@ -85,13 +71,10 @@ func GemmTNOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	}
 	start := time.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
-	// Output is k x n with reduction over m.
-	tier := perf.TierNaive
-	if o.Kernel == Naive || !blockedWorthIt(k, m, n) {
+	tier := perf.TierStrip
+	if o.Kernel == Naive || !gemmTNSIMD(o.Workers, m, k, n, alpha, a.Data, b.Data, beta, c.Data) {
+		tier = perf.TierNaive
 		gemmTNNaive(alpha, a, b, beta, c)
-	} else {
-		tier = perf.TierPacked
-		gemmBlocked(o.Workers, k, n, m, alpha, a.Data, 1, k, b.Data, n, 1, beta, c.Data, n)
 	}
 	ctr.ObserveGEMM(tier, start, 2*int64(m)*int64(n)*int64(k))
 }

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-// naiveMul is the reference O(n^3) triple loop used to validate the blocked
-// kernels.
+// naiveMul is the reference O(n^3) triple loop used to validate the
+// optimized kernels.
 func naiveMul(a, b Matrix[float64]) Matrix[float64] {
 	c := NewMatrix[float64](a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {

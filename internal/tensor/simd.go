@@ -10,19 +10,24 @@ import (
 
 // This file is the portable half of the SIMD microkernel engine: shape
 // eligibility, worker fan-out, the K-panel / tail-strip driver, the
-// column-panel driver of the NT dot tile, and the scalar Go model that
+// staged transpose of the TN variant, the column-panel driver of the NT
+// dot tile, the pooled staging slabs, and the scalar Go model that
 // finishes the column tails the unmasked families do not cover. The
 // per-ISA halves (simd_amd64.go + simd_*_amd64.s, simd_arm64.go +
 // simd_arm64.s) provide the register-tiled kernels; simd_off.go turns the
 // whole path off under `purego` or on other architectures, which is the
 // mandatory fallback contract: with no kernels available every GEMM routes
-// to the blocked/naive engines unchanged.
+// to the naive loops of gemm.go.
+//
+// Two tiers, chosen by the layer. A call runs on a SIMD kernel when one
+// covers its (k, n, epilogue) on the active family and on the naive loops
+// otherwise; the row count never enters the choice (a short or ragged row
+// range is the tail strip's or the odd pair's business), so an output
+// row's bits do not depend on how many rows share its call.
 //
 // Kernel shape. The paper's embedding GEMMs are tall and skinny
-// (M = atoms*neighbors rows, K in {1, 25, 50}, N in {25, 50, 100}) — too
-// shallow for the packed three-level blocked engine, whose packing
-// overhead is why BENCH_PR3-PR5 show it at 0.7-1.2x of naive there. The
-// SIMD kernels skip packing entirely: an R-row strip of A is held as
+// (M = atoms*neighbors rows, K in {1, 25, 50}, N in {25, 50, 100}). The
+// SIMD kernels need no packing: an R-row strip of A is held as
 // broadcast scalars while B streams row by row through vector registers,
 // every (row, column-chunk) accumulator living in its own register chain.
 // Up to simdMaxK the reduction stays resident in one loop, so each strip
@@ -38,10 +43,12 @@ import (
 // the panelled GemmBias plus the separate tanh pass. The backward passes'
 // GemmNT (dX = dY·Wᵀ) runs on a 2x4 dot-product tile with the lanes over K,
 // column panels of B outside the row pairs so that a panel is read from L1
-// (ntRowRange). What still bypasses this tier is the TN storage variant
-// (training's dW), the shapes below the tiles' widths (the fitting net's
-// one-column head) and the k = 4 / 16 per-atom descriptor items of the
-// strided-batched family.
+// (ntRowRange). The TN variant (training's dW = XᵀdY) stages Aᵀ into a
+// pooled slab and runs the strips (gemmTNSIMD). What runs naive is the
+// shapes below the tiles' widths (the fitting net's one-column head), the
+// k = 4 / 16 per-atom descriptor items of the strided-batched family, and
+// everything when no family is active (purego, DEEPMD_KERNEL=generic, and
+// GemmNT on arm64, which has no dot tile).
 //
 // Bit-exactness contract. Worker fan-out partitions rows in multiples of
 // the strip height from row 0, every row's K panels are visited in the
@@ -85,8 +92,8 @@ const (
 	// pair's two A rows. 240-deep f64 gives 16 columns, f32 32. Swept
 	// 8..256 columns in DESIGN.md ("SIMD microkernels").
 	ntPanelBytes = 32 << 10
-	// simdParMin matches the blocked engine's serial threshold: below this
-	// many FLOPs goroutine fan-out costs more than it saves.
+	// simdParMin is the serial threshold: below this many FLOPs goroutine
+	// fan-out costs more than it saves.
 	simdParMin = 1 << 21
 )
 
@@ -121,8 +128,54 @@ type simdKernelCaps struct {
 	hasNT     bool // 2x4 dot-product tile for GemmNT (mode epiNone)
 }
 
+// packSlab is a pooled staging buffer: the tail strip, the NT edges and the
+// TN transpose.
+type packSlab[T Float] struct{ buf []T }
+
+var (
+	packPool32 = sync.Pool{New: func() any { return new(packSlab[float32]) }}
+	packPool64 = sync.Pool{New: func() any { return new(packSlab[float64]) }}
+)
+
+func packPoolFor[T Float]() *sync.Pool {
+	var z T
+	if sizeofT(z) == 4 {
+		return &packPool32
+	}
+	return &packPool64
+}
+
+// getSlab fetches a pooled slab of at least n elements. Differently-shaped
+// calls share the pool, so an exact-size slab handed to a larger request
+// would reallocate on the same calls every MD step; capacity grows in
+// powers of two instead, the pooled population converges to the largest
+// request classes and the steady-state loop stops allocating. Callers
+// release with an explicit putSlab, not defer: deferring a generic call
+// captures the type dictionary into a heap-allocated closure.
+//
+//dp:warmup
+func getSlab[T Float](n int) *packSlab[T] {
+	p, _ := packPoolFor[T]().Get().(*packSlab[T])
+	if p == nil {
+		p = new(packSlab[T])
+	}
+	if cap(p.buf) < n {
+		c := 1
+		for c < n {
+			c <<= 1
+		}
+		p.buf = make([]T, c)
+	}
+	p.buf = p.buf[:n]
+	return p
+}
+
+func putSlab[T Float](p *packSlab[T]) {
+	packPoolFor[T]().Put(p)
+}
+
 // simdActive returns the family to dispatch on and its caps for element
-// size es, or ok = false when the generic engines must be used.
+// size es, or ok = false when the naive loops must be used.
 func simdActive(es int) (cpufeat.Family, simdKernelCaps, bool) {
 	fam := cpufeat.Active()
 	if fam == cpufeat.Generic {
@@ -132,19 +185,27 @@ func simdActive(es int) (cpufeat.Family, simdKernelCaps, bool) {
 	return fam, caps, ok
 }
 
-// gemmSIMD attempts C = alpha*A*B + beta*C (epiNone) or one of the fused
-// epilogues on the active SIMD family, returning false when no kernel
-// applies so the caller can fall back to the blocked/naive engines.
-func gemmSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) bool {
+// simdStrips returns the family and caps the strip kernels run a depth-k,
+// n-column product with epilogue mode on, or ok = false where none covers
+// it. It reads the layer, never the row count.
+func simdStrips[T Float](k, n int, alpha T, mode int) (cpufeat.Family, simdKernelCaps, bool) {
 	var z T
 	fam, caps, ok := simdActive(sizeofT(z))
-	if !ok || k < 1 || alpha == 0 {
-		return false
+	if !ok || k < 1 || alpha == 0 || n < caps.cover {
+		return fam, caps, false
 	}
 	if mode >= epiTanh && (!caps.fusedTanh || k > simdMaxK) {
-		return false
+		return fam, caps, false
 	}
-	if m < caps.rows || n < caps.cover {
+	return fam, caps, true
+}
+
+// gemmSIMD attempts C = alpha*A*B + beta*C (epiNone) or one of the fused
+// epilogues on the active SIMD family, returning false when no kernel
+// applies so the caller can fall back to the naive loops.
+func gemmSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) bool {
+	fam, caps, ok := simdStrips(k, n, alpha, mode)
+	if !ok {
 		return false
 	}
 	nStrips := m / caps.rows
@@ -159,6 +220,32 @@ func gemmSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb
 		return true
 	}
 	simdRowsParallel(fam, caps, workers, nStrips, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
+	return true
+}
+
+// gemmTNSIMD attempts C = alpha*Aᵀ*B + beta*C, A: m x k, B: m x n, C: k x n
+// — a depth-m product with k output rows — on the strips: Aᵀ is staged into
+// a pooled slab and gemmSIMD runs on it, so the TN variant needs no kernel
+// of its own. It declines before staging anything.
+func gemmTNSIMD[T Float](workers, m, k, n int, alpha T, a, b []T, beta T, c []T) bool {
+	if _, _, ok := simdStrips(m, n, alpha, epiNone); !ok {
+		return false
+	}
+	slab := getSlab[T](k * m)
+	at := slab.buf
+	// Eight source rows at a time, so every destination run is contiguous
+	// and the eight source rows stream in step.
+	for i0 := 0; i0 < m; i0 += 8 {
+		i1 := min(m, i0+8)
+		for p := 0; p < k; p++ {
+			dst := at[p*m+i0 : p*m+i1]
+			for i := range dst {
+				dst[i] = a[(i0+i)*k+p]
+			}
+		}
+	}
+	gemmSIMD(workers, k, m, n, alpha, at, m, b, n, beta, c, n, nil, epiNone, nil, 0)
+	putSlab(slab)
 	return true
 }
 
@@ -371,8 +458,10 @@ func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, l
 	if !ok || !caps.hasNT || alpha == 0 {
 		return false
 	}
-	// The dot tile pays off only with enough reduction depth to vectorize.
-	if k < 8 || m < 2 || m*max(n, 4)*k < 1<<13 {
+	// The dot tile pays off only with enough reduction depth to vectorize and
+	// enough of it per row: the old m·max(n,4)·k ≥ 2¹³ cutoff at a full
+	// 128-row embedding tile, so no row count enters the choice.
+	if k < 8 || max(n, 4)*k < 64 {
 		return false
 	}
 	nPairs := m / 2

@@ -80,6 +80,3 @@ func tsTileF64AVX512(args *tileArgs)
 
 //go:noescape
 func tsTileF32AVX512(args *tileArgs)
-
-//go:noescape
-func micro2x4FMA(kb int, ap, bp *float64, acc *[mr * nr]float64)

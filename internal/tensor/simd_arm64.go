@@ -15,9 +15,9 @@ import "deepmd-go/internal/tensor/cpufeat"
 // NEON has no 256-bit registers and the Go assembler exposes no vector
 // tanh-friendly ops we rely on elsewhere, so the fused tanh epilogues
 // and the NT dot tile are not implemented here: gemmSIMD declines
-// epiTanh/epiTanhGrad (fusedTanh = false) and GemmNT uses the blocked
-// engine (hasNT = false). Column tails below the chunk width go to the
-// scalar model, exactly like the unmasked AVX2 family.
+// epiTanh/epiTanhGrad (fusedTanh = false) and GemmNT runs the naive loops
+// (hasNT = false). Column tails below the chunk width go to the scalar
+// model, exactly like the unmasked AVX2 family.
 func simdCaps(fam cpufeat.Family, es int) (simdKernelCaps, bool) {
 	if fam != cpufeat.NEON {
 		return simdKernelCaps{}, false

@@ -474,40 +474,6 @@ f64done:
 	RET
 
 // ---------------------------------------------------------------------------
-// func micro2x4FMA(kb int, ap, bp *float64, acc *[8]float64)
-//
-// The packed 2x4 microkernel of the blocked engine on hardware FMA:
-// bit-identical to the math.FMA kernel previously compiled under
-// GOAMD64=v3 (same per-chain fused operations in the same order), now
-// selected at runtime by microKernel64.
-TEXT ·micro2x4FMA(SB), NOSPLIT, $0-32
-	MOVQ kb+0(FP), AX
-	MOVQ ap+8(FP), BX
-	MOVQ bp+16(FP), CX
-	MOVQ acc+24(FP), DX
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	TESTQ AX, AX
-	JZ   microdone
-
-microloop:
-	VMOVUPD (CX), Y2
-	VBROADCASTSD (BX), Y3
-	VFMADD231PD Y2, Y3, Y0
-	VBROADCASTSD 8(BX), Y3
-	VFMADD231PD Y2, Y3, Y1
-	ADDQ $16, BX
-	ADDQ $32, CX
-	DECQ AX
-	JNZ  microloop
-
-microdone:
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	VZEROUPPER
-	RET
-
-// ---------------------------------------------------------------------------
 // func tsTileF32AVX2(args *tileArgs)
 //
 // One 8-row strip: C[0:8, 0:n], n a positive multiple of 8. One ymm

@@ -5,8 +5,8 @@ package tensor
 import "deepmd-go/internal/tensor/cpufeat"
 
 // No SIMD kernels in this build: simdCaps reports nothing available, so
-// gemmSIMD/gemmNTSIMD always decline and every GEMM routes through the
-// portable blocked/naive engines — the purego contract. cpufeat's own
+// gemmSIMD/gemmNTSIMD/gemmTNSIMD always decline and every GEMM routes
+// through the naive loops — the purego contract. cpufeat's own
 // purego detect keeps Active() at Generic, so the tile entry points below
 // are unreachable.
 func simdCaps(cpufeat.Family, int) (simdKernelCaps, bool) { return simdKernelCaps{}, false }

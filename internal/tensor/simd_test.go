@@ -105,10 +105,10 @@ func sweepFamilies(t *testing.T, fn func(t *testing.T, fam cpufeat.Family)) {
 // TestGemmDifferentialPerFamily is the differential suite of
 // differential_test.go focused on the SIMD-eligible regime (tall-skinny
 // embedding shapes, K in {1, 25, 50}, the 240-wide fitting shape,
-// unaligned M/N remainders below every tile width, and reductions of two
-// to seven K panels up to the paper's 244 x 1600 x 240 first fitting
-// layer), forced through every kernel family. Each cell also sweeps worker
-// counts 1/2/7 with the bit-identity contract.
+// unaligned M/N remainders below every tile width, reductions of two to
+// seven K panels up to the paper's 244 x 1600 x 240 first fitting layer,
+// and the TN variant's staged route), forced through every kernel family.
+// Each cell also sweeps worker counts 1/2/7 with the bit-identity contract.
 func TestGemmDifferentialPerFamily(t *testing.T) {
 	shapes := [][3]int{
 		{5, 1, 9}, {8, 3, 8}, {9, 25, 26}, {12, 50, 33},
@@ -119,11 +119,19 @@ func TestGemmDifferentialPerFamily(t *testing.T) {
 		// the NT dot tile's column tails (n mod 4 of 1, 2, 1 and 2) and the
 		// one-column layer below its width.
 		{128, 25, 1}, {96, 50, 1}, {64, 100, 2}, {129, 50, 25}, {66, 25, 50}, {128, 100, 50},
+		// The staged-transpose TN route. In GemmTNOpt's own (m, k, n) —
+		// A m x k, C k x n, depth m — these are {300, 1, 25}, a C with one
+		// row (a lone tail strip; for the other variants a one-row call
+		// over two K panels), {64, 50, 1}, n below every cover, and
+		// {600, 240, 240}, a reduction past two K panels; the list's (m, k,
+		// n) is output m x n at depth k, so they read transposed here.
+		{1, 300, 25}, {50, 64, 1}, {240, 600, 240},
 		{244, 1600, 240},
 	}
 	if raceEnabled {
-		// Same seven panels, same 4-row tail strip, still above the
-		// goroutine fan-out threshold — a twelfth of the reference work.
+		// Same panels, same tail strips, still above the goroutine fan-out
+		// threshold — a tenth of the reference work.
+		shapes[len(shapes)-2] = [3]int{24, 600, 240}
 		shapes[len(shapes)-1] = [3]int{20, 1600, 240}
 	}
 	alphaBeta := [][2]float64{{1, 0}, {2.5, -0.5}, {1, 1}}

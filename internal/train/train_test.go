@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -305,6 +306,51 @@ func TestSolveSym(t *testing.T) {
 	for _, v := range y {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("singular solve produced %v", y)
+		}
+	}
+}
+
+// BenchmarkAdamStep times one trainer step — four frames through
+// ComputeWithGrads, their gradients summed, one Adam update — on dptrain's
+// copper system (256 atoms, sel 80, Sutton–Chen labels), at the tiny and
+// the paper's network geometry, Workers 1 and 2. Every weight gradient
+// dW = XᵀdY of the step is a GemmTN, so this is the workload the TN route
+// of internal/tensor serves.
+func BenchmarkAdamStep(b *testing.B) {
+	for _, net := range []string{"tiny", "paper"} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("net=%s/workers=%d", net, workers), func(b *testing.B) {
+				cfg := core.TinyConfig(1)
+				cfg.Rcut, cfg.RcutSmth, cfg.Skin, cfg.Sel = 5.0, 2.0, 1.0, []int{80}
+				if net == "paper" {
+					cfg.EmbedWidths, cfg.FitWidths, cfg.MAxis = []int{25, 50, 100}, []int{240, 240, 240}, 16
+				}
+				oracle := refpot.NewSuttonChenCu()
+				oracle.Rcut = 5.0
+				spec := neighbor.Spec{Rcut: cfg.Rcut, Skin: cfg.Skin, Sel: cfg.Sel}
+				frames, err := GenData(oracle, lattice.FCC(4, 4, 4, lattice.CuLatticeConst), spec, 8, 0.01, 0.15, 11)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg.AtomEnerBias = FitEnergyBias(frames, 1)
+				model, err := core.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr, err := NewTrainer(model, Config{BatchSize: 4, Seed: 1, Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tr.Step(frames); err != nil { // warm-up: arenas and slab pools
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := tr.Step(frames); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
