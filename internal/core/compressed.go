@@ -61,23 +61,6 @@ func (ev *Evaluator[T]) SetCompressedEmbedding(spec compress.Spec) error {
 	return nil
 }
 
-// CompressedTableBytes reports the coefficient storage of the active
-// tables (0 when the evaluator is not currently compressed, including
-// after switching back to an exact strategy) — the memory side of the
-// successor papers' memory-for-FLOPs trade.
-func (ev *Evaluator[T]) CompressedTableBytes() int {
-	if ev.strat != StrategyCompressed {
-		return 0
-	}
-	total := 0
-	for _, row := range ev.comp {
-		for _, tb := range row {
-			total += tb.Bytes()
-		}
-	}
-	return total
-}
-
 // AttachCompressedTables tabulates every embedding net of the model and
 // stores the tables on the model, so Save writes them into the checkpoint
 // and a loaded model evaluates compressed without re-fitting (the

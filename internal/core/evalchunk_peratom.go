@@ -14,8 +14,8 @@ import (
 // the 2018 DeePMD-kit ran at — the exact contrast Sec. 5.3.1 and Fig. 3
 // draw against merging the matrices of many atoms into batched GEMMs —
 // and it survives as the differential oracle for the batched path
-// (TestBatchedEvaluatorMatchesPerAtom) and the reference side of the
-// `dpbench -exp batch` / BenchmarkEvalBatched measurements. Enable with
+// (TestBatchedEvaluatorMatchesPerAtom) and as `dpmd -strategy peratom`,
+// the side to A/B against under `go run ./bench`. Enable with
 // SetPerAtomDescriptors(true). Unlike the batched path it allocates its
 // small bookkeeping slices per chunk, as the per-call-allocation baseline
 // did.

@@ -135,9 +135,10 @@ func ResolvePlan(m *Model, req Plan) (Plan, error) {
 	switch p.Strategy {
 	case StrategyAuto:
 		// Fastest legal strategy: the compressed tables, when shipped
-		// with the model, beat the exact batched pipeline (dpbench -exp
-		// compress); otherwise the batched pipeline beats per-atom and
-		// baseline everywhere.
+		// with the model, beat the exact batched pipeline (go run ./bench,
+		// copper_f32_compressed; agreement pinned by
+		// TestCompressedEvaluatorMatchesBatched); otherwise the batched
+		// pipeline beats per-atom and baseline everywhere.
 		if m.Compressed != nil {
 			p.Strategy = StrategyCompressed
 		} else {

@@ -1,11 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section. Each experiment returns a structured result with a
-// String method that prints rows shaped like the paper's; cmd/dpbench and
-// the repository-level benchmarks are thin wrappers over this package.
+// String method that prints rows shaped like the paper's; cmd/dpbench is a
+// thin wrapper over this package. Speed is measured by `go run ./bench`,
+// not here: the timings an experiment prints illustrate its table.
 //
 // Experiments that need Summit-scale hardware combine local measurement
-// (the algorithmic contrasts: baseline vs optimized operators, fused vs
-// unfused graphs, double vs mixed precision) with the calibrated
+// (the algorithmic contrasts: baseline vs optimized operators, double vs
+// mixed precision) with the calibrated
 // performance model of internal/perfmodel (the full-machine scaling
 // numbers), per the substitution policy in DESIGN.md.
 package experiments

@@ -49,28 +49,6 @@ func TestTable3Shape(t *testing.T) {
 	}
 }
 
-// Sec. 7.1.2: the three fusions, each on the analytic matrix shape of the
-// Quick batch (376,832/64 rows of the 50 -> 100 embedding layer).
-func TestFusionShape(t *testing.T) {
-	res := Fusion(Quick, 3)
-	want := []struct{ name, shape string }{
-		{"MATMUL+SUM -> GEMM", "5888x50x100"},
-		{"CONCAT+SUM -> skip add", "5888x100"},
-		{"TANH+TANHGrad -> fused", "5888x100"},
-	}
-	if len(res.Rows) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(want))
-	}
-	for i, row := range res.Rows {
-		if row.Name != want[i].name || row.RowsShape != want[i].shape {
-			t.Errorf("row %d is %q on %s, want %q on %s", i, row.Name, row.RowsShape, want[i].name, want[i].shape)
-		}
-		if row.Unfused <= 0 || row.Fused <= 0 {
-			t.Errorf("%s: non-positive timing %+v", row.Name, row)
-		}
-	}
-}
-
 // Sec. 5.2.2 ablation: both sorts run on real neighbor data.
 func TestAblationSortShape(t *testing.T) {
 	structT, radixT, err := AblationSort(Quick, 5, 3)
@@ -403,114 +381,5 @@ func TestSetupShape(t *testing.T) {
 	}
 	if res.Ranks != 3 {
 		t.Fatalf("ranks = %d", res.Ranks)
-	}
-}
-
-// The descriptor-batching contrast must produce timings for both systems,
-// forces within the documented tolerance (DescriptorBatch itself errors
-// beyond 1e-9 relative), and machine-readable records for the perf
-// trajectory — the ISSUE 3 shape.
-func TestDescriptorBatchShape(t *testing.T) {
-	res, err := DescriptorBatch(Quick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want water + copper", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.PerAtom <= 0 || r.Batched <= 0 || r.BatchedPar <= 0 {
-			t.Fatalf("%s: non-positive timing %+v", r.Label, r)
-		}
-	}
-	if !strings.Contains(res.String(), "water") || !strings.Contains(res.String(), "copper") {
-		t.Fatal("batch table missing a system row")
-	}
-	recs := res.Records()
-	if len(recs) != 6 {
-		t.Fatalf("records = %d, want 3 per system", len(recs))
-	}
-	for _, rec := range recs {
-		if rec.Experiment != "batch" || rec.NsPerOp <= 0 {
-			t.Fatalf("bad record %+v", rec)
-		}
-	}
-}
-
-// The compression contrast must produce timings, table metadata and a
-// Summit projection for both systems, forces within the documented
-// resolution-tied tolerance (CompressEmbedding itself errors beyond 1e-7
-// relative), and machine-readable records — the ISSUE 4 shape.
-func TestCompressEmbeddingShape(t *testing.T) {
-	res, err := CompressEmbedding(Quick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 || len(res.Projection) != 2 {
-		t.Fatalf("rows = %d, projections = %d, want water + copper in both", len(res.Rows), len(res.Projection))
-	}
-	for _, r := range res.Rows {
-		if r.Batched <= 0 || r.Compressed <= 0 || r.CompressedPar <= 0 || r.BuildTime <= 0 {
-			t.Fatalf("%s: non-positive timing %+v", r.Label, r)
-		}
-		if r.TableBytes <= 0 {
-			t.Fatalf("%s: no table storage reported", r.Label)
-		}
-	}
-	for _, p := range res.Projection {
-		if p.WorkRemaining <= 0 || p.WorkRemaining >= 1 {
-			t.Fatalf("%s: compression factor %.3f outside (0, 1)", p.Label, p.WorkRemaining)
-		}
-		if p.GainDouble <= 1 || p.GainMixed <= 1 || p.GainStrongLimit <= 1 {
-			t.Fatalf("%s: projected gains must exceed 1x: %+v", p.Label, p)
-		}
-	}
-	if s := res.String(); !strings.Contains(s, "water") || !strings.Contains(s, "Summit projection") {
-		t.Fatal("compress table missing a system row or the projection block")
-	}
-	recs := res.Records()
-	if len(recs) != 6 {
-		t.Fatalf("records = %d, want 3 per system", len(recs))
-	}
-	for _, rec := range recs {
-		if rec.Experiment != "compress" || rec.NsPerOp <= 0 {
-			t.Fatalf("bad record %+v", rec)
-		}
-	}
-}
-
-// The serve experiment must report both systems at both concurrency
-// levels with bit-identity verified internally (Serve errors otherwise),
-// and its records must carry the trajectory shape dpbench -json commits.
-func TestServeShape(t *testing.T) {
-	res, err := Serve(Quick, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Conc != 2 || len(res.Rows) != 2 {
-		t.Fatalf("conc = %d, rows = %d, want 2 and water+copper", res.Conc, len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.Serial <= 0 || r.Concurrent <= 0 {
-			t.Fatalf("%s: non-positive measurement %+v", r.Label, r)
-		}
-		if r.Speedup != float64(r.Serial)/float64(r.Concurrent) {
-			t.Fatalf("%s: speedup %v is not serial/concurrent of %+v", r.Label, r.Speedup, r)
-		}
-	}
-	if s := res.String(); !strings.Contains(s, "water") || !strings.Contains(s, "conc x2") {
-		t.Fatal("serve table missing a system row or the concurrency column")
-	}
-	recs := res.Records()
-	if len(recs) != 4 {
-		t.Fatalf("records = %d, want 2 per system", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Experiment != "serve" || rec.NsPerOp <= 0 {
-			t.Fatalf("bad record %+v", rec)
-		}
-		if i%2 == 0 && rec.Speedup != 1 {
-			t.Fatalf("reference leg %s has speedup %v, want 1", rec.Shape, rec.Speedup)
-		}
 	}
 }

@@ -44,10 +44,10 @@ type RoundReport struct {
 }
 
 // Report is the machine-readable convergence report of one active-
-// learning run (`dplearn -report`), the dpbench-JSON-style artifact the
-// CI uploads. HistEdges are the shared bin edges of every round's Hist:
-// bin i counts frames with ε_f in [HistEdges[i], HistEdges[i+1]), the
-// last bin is unbounded above and also absorbs non-finite statistics.
+// learning run (`dplearn -report`), the JSON artifact the CI uploads.
+// HistEdges are the shared bin edges of every round's Hist: bin i counts
+// frames with ε_f in [HistEdges[i], HistEdges[i+1]), the last bin is
+// unbounded above and also absorbs non-finite statistics.
 type Report struct {
 	System    string  `json:"system,omitempty"`
 	Replicas  int     `json:"replicas"`

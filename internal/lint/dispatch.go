@@ -20,7 +20,7 @@ import (
 //     arguments to the heap behind the kernels' backs;
 //   - cpufeat.SetActive may be called only from tests, from cpufeat
 //     itself (the env-override path), or from a site annotated
-//     //dp:allow dispatch <reason> (dpbench's family sweep).
+//     //dp:allow dispatch <reason>.
 //
 // The analyzer applies to cpufeat and every package importing it.
 var DispatchAnalyzer = &Analyzer{

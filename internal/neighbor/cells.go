@@ -85,6 +85,31 @@ func bounds(pos []float64) (lo, hi [3]float64) {
 	return lo, hi
 }
 
+// cellCounts picks ⌊ext/rc⌋ cells per dimension, then coarsens the
+// largest dimension until the grid holds at most max(27, nall) cells: the
+// grid's memory and prefix-sum work scale with the atom count, not with
+// the volume of a sparse box (one stray atom, or a huge client-supplied
+// box). Coarser cells only widen the search, and no dimension drops below
+// the 3 cells that keep the periodic stencil from visiting a cell twice.
+func cellCounts(ext [3]float64, rc float64, nall int) [3]int {
+	var nc [3]int
+	for k := range nc {
+		nc[k] = max(1, int(ext[k]/rc))
+	}
+	limit := float64(max(27, nall))
+	for float64(nc[0])*float64(nc[1])*float64(nc[2]) > limit {
+		k := 0
+		for j := 1; j < 3; j++ {
+			if nc[j] > nc[k] {
+				k = j
+			}
+		}
+		others := float64(nc[(k+1)%3]) * float64(nc[(k+2)%3])
+		nc[k] = max(3, int(limit/others))
+	}
+	return nc
+}
+
 // binAtoms buckets all atoms into cells with a counting sort, computing
 // the per-atom cell assignment in parallel across contiguous atom ranges.
 // The resulting order array lists each cell's atoms in ascending atom
@@ -102,11 +127,8 @@ func binAtoms(pos []float64, nall int, box *Box, rc float64, workers int) *grid 
 			ext[k] = hi[k] - g.lo[k] + 1e-9
 		}
 	}
+	g.nc = cellCounts(ext, rc, nall)
 	for k := 0; k < 3; k++ {
-		g.nc[k] = int(ext[k] / rc)
-		if g.nc[k] < 1 {
-			g.nc[k] = 1
-		}
 		g.cw[k] = ext[k] / float64(g.nc[k])
 	}
 	ncells := g.ncells()

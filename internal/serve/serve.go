@@ -2,10 +2,11 @@
 // (ISSUE 7): it coalesces concurrent small evaluate requests into one
 // batch-of-frames evaluation (core.Engine.ComputeBatch), so frames from
 // different callers share a chunk sweep the way the paper's strided-batch
-// pipeline shares GEMMs across atoms. BENCH_PR5.json showed that pool-only
-// concurrency buys ~1.0–1.3x on small systems; batching across requests is
-// where aggregate serving throughput lives (cf. the 86-PFLOPS successor's
-// operator-level batching, arXiv:2004.11658).
+// pipeline shares GEMMs across atoms. Pool-only concurrency buys little on
+// small systems; batching across requests is where aggregate serving
+// throughput lives (cf. the 86-PFLOPS successor's operator-level batching,
+// arXiv:2004.11658). The serve_http_closed2 workload of `go run ./bench`
+// measures it.
 //
 // The batcher is a bounded queue in front of a set of dispatcher loops.
 // Each dispatcher takes the oldest pending request, waits up to the
@@ -20,9 +21,9 @@
 // Coalescing never changes the physics: batched-across-callers results
 // are bit-identical to serial per-request evaluation at every coalesce
 // size (core.Engine.ComputeBatch's contract, verified in-test the same
-// way experiments.Serve cross-checks the pool). Nor does it change who
-// fails: when a coalesced batch returns an error its frames are
-// re-evaluated alone, and only the offending request sees it.
+// way core.TestEngineConcurrentBitIdentical checks the pool). Nor does it
+// change who fails: when a coalesced batch returns an error its frames
+// are re-evaluated alone, and only the offending request sees it.
 package serve
 
 import (

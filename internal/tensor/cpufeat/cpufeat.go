@@ -139,8 +139,7 @@ func Active() Family { return Family(active.Load()) }
 
 // SetActive forces the active family and returns the previous one. It
 // fails (leaving the selection unchanged) when f is not Available — tests
-// use it to sweep every family the host can execute, and dpbench uses it
-// to time the generic kernels on a SIMD host.
+// use it to sweep every family the host can execute.
 func SetActive(f Family) (Family, error) {
 	if !Available(f) {
 		return Active(), fmt.Errorf("cpufeat: kernel family %s not available on this host/build", f)

@@ -8,7 +8,7 @@ import (
 )
 
 // Info describes the runtime kernel dispatch state, for startup banners
-// (dpmd/dpbench) and BENCH JSON attribution.
+// (dpmd/dpbench) and the benchmark's host record (bench/host.go).
 type Info struct {
 	Family   string   `json:"family"`             // active kernel family
 	Arch     string   `json:"arch"`               // GOARCH

@@ -130,21 +130,6 @@ func tanhGradRange[T Float](y, grad []T, lo, hi int, wantGrad bool) {
 	}
 }
 
-// TanhWithGrad computes y = tanh(x) and grad = 1 - y*y in one fused pass
-// (the Sec. 5.3.3 kernel in isolation, without the preceding GEMM).
-func TanhWithGrad[T Float](ctr *perf.Counter, x, y, grad Matrix[T]) {
-	if len(x.Data) != len(y.Data) || len(x.Data) != len(grad.Data) {
-		panic("tensor: TanhWithGrad dimension mismatch")
-	}
-	start := time.Now()
-	for i, v := range x.Data {
-		t := tanhT(v)
-		y.Data[i] = t
-		grad.Data[i] = 1 - t*t
-	}
-	ctr.Observe(perf.CatTANH, start, (tanhFLOPs+2)*int64(len(x.Data)))
-}
-
 // AddSkipDouble adds the doubling skip connection y += (x, x) in place:
 // y has twice the columns of x (Fig. 1(f) without the CONCAT operator).
 func AddSkipDouble[T Float](ctr *perf.Counter, x, y Matrix[T]) {
