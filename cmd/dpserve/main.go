@@ -1,14 +1,14 @@
 // Command dpserve is the HTTP serving daemon over deepmd.Open: evaluate,
 // relax and short-trajectory endpoints whose force calls all flow through
-// a cross-request micro-batcher (internal/serve), so concurrent small
-// requests coalesce into one chunked batch evaluation per sweep — the
-// paper's strided-batch GEMM amortization extended across callers.
+// a cross-request micro-batcher (internal/serve): a request is computed as
+// soon as an evaluator is free, and requests that queue behind busy ones
+// share the next batch evaluation.
 //
 // Usage:
 //
 //	dpserve                                  # tiny water model on 127.0.0.1:8100
 //	dpserve -model water.dpgo -addr :8100    # serve a trained checkpoint
-//	dpserve -system copper -window 1ms -max-batch 16
+//	dpserve -system copper -max-batch 16
 //
 // Endpoints:
 //
@@ -62,7 +62,6 @@ func run(args []string, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8100", "listen address (host:port; port 0 picks a free one)")
 	modelPath := fs.String("model", "", "serve this model checkpoint (overrides -system)")
 	system := fs.String("system", "water", "built-in tiny model when no -model: water | copper")
-	window := fs.Duration("window", 2*time.Millisecond, "micro-batch coalesce window (negative: opportunistic, no wait)")
 	maxBatch := fs.Int("max-batch", 8, "max frames per coalesced batch (1 disables coalescing)")
 	queue := fs.Int("queue", 0, "pending-request bound before 429 backpressure (0: 4*max-batch)")
 	dispatchers := fs.Int("dispatchers", 0, "concurrent batch dispatch loops (0: engine concurrency)")
@@ -88,7 +87,6 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	bat := serve.New(engine, serve.Options{
-		Window:      *window,
 		MaxBatch:    *maxBatch,
 		QueueLimit:  *queue,
 		Dispatchers: *dispatchers,
@@ -102,8 +100,8 @@ func run(args []string, stderr io.Writer) int {
 	}
 	hs := &http.Server{Handler: srv.handler()}
 	bo := bat.Options()
-	logger.Printf("serving %s model on http://%s (strategy %v, window %s, max-batch %d, queue %d, dispatchers %d)",
-		modelName(*modelPath, *system), ln.Addr(), engine.Plan().Strategy, bo.Window, bo.MaxBatch, bo.QueueLimit, bo.Dispatchers)
+	logger.Printf("serving %s model on http://%s (strategy %v, max-batch %d, queue %d, dispatchers %d)",
+		modelName(*modelPath, *system), ln.Addr(), engine.Plan().Strategy, bo.MaxBatch, bo.QueueLimit, bo.Dispatchers)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -66,7 +66,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 // Concurrent evaluate calls through the daemon return results
 // bit-identical to a direct engine evaluation.
 func TestEvaluateEndpointBitIdentical(t *testing.T) {
-	hs, eng, frame := testServer(t, serve.Options{Window: 2 * time.Millisecond, MaxBatch: 8, QueueLimit: 64})
+	hs, eng, frame := testServer(t, serve.Options{MaxBatch: 8, QueueLimit: 64})
 
 	spec := neighbor.Spec{Rcut: 4.0, Skin: 1.0, Sel: []int{12, 24}}
 	box := &neighbor.Box{L: frame.Box}
@@ -117,7 +117,7 @@ func TestEvaluateEndpointBitIdentical(t *testing.T) {
 }
 
 func TestEvaluateEndpointRejectsBadFrames(t *testing.T) {
-	hs, _, frame := testServer(t, serve.Options{Window: -1})
+	hs, _, frame := testServer(t, serve.Options{})
 	for name, body := range map[string]any{
 		"empty":         frameRequest{},
 		"pos mismatch":  frameRequest{Pos: frame.Pos[:9], Types: frame.Types, Box: frame.Box},
@@ -165,7 +165,7 @@ func TestEvaluateEndpointRejectsBadFrames(t *testing.T) {
 // The relax endpoint descends the energy; the trajectory endpoint
 // integrates and samples thermo.
 func TestRelaxAndTrajectoryEndpoints(t *testing.T) {
-	hs, eng, frame := testServer(t, serve.Options{Window: -1, QueueLimit: 64})
+	hs, eng, frame := testServer(t, serve.Options{QueueLimit: 64})
 
 	spec := neighbor.Spec{Rcut: 4.0, Skin: 1.0, Sel: []int{12, 24}}
 	box := &neighbor.Box{L: frame.Box}
@@ -235,7 +235,7 @@ func TestEvaluateEndpointBackpressure429(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := &blockingEval{started: make(chan struct{}, 8), release: make(chan struct{})}
-	bat := serve.New(be, serve.Options{Window: -1, MaxBatch: 1, QueueLimit: 1, Dispatchers: 1})
+	bat := serve.New(be, serve.Options{MaxBatch: 1, QueueLimit: 1, Dispatchers: 1})
 	defer bat.Close(context.Background())
 	srv := newServer(model.Cfg, bat, 30*time.Second, log.New(io.Discard, "", 0))
 	hs := httptest.NewServer(srv.handler())
@@ -284,7 +284,7 @@ func TestEvaluateEndpointBackpressure429(t *testing.T) {
 // /metrics is Prometheus text fed by the batcher counters, /healthz is
 // plain — and neither carries log lines.
 func TestMetricsAndHealthz(t *testing.T) {
-	hs, _, frame := testServer(t, serve.Options{Window: -1, QueueLimit: 64})
+	hs, _, frame := testServer(t, serve.Options{QueueLimit: 64})
 	if resp, data := postJSON(t, hs.URL+"/v1/evaluate", frame); resp.StatusCode != http.StatusOK {
 		t.Fatalf("evaluate: %d %s", resp.StatusCode, data)
 	}

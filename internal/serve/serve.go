@@ -1,19 +1,20 @@
-// Package serve is the cross-request micro-batcher of the serving path
-// (ISSUE 7): it coalesces concurrent small evaluate requests into one
-// batch-of-frames evaluation (core.Engine.ComputeBatch), so frames from
-// different callers share a chunk sweep the way the paper's strided-batch
-// pipeline shares GEMMs across atoms. Pool-only concurrency buys little on
-// small systems; batching across requests is where aggregate serving
-// throughput lives (cf. the 86-PFLOPS successor's operator-level batching,
-// arXiv:2004.11658). The serve_http_closed2 workload of `go run ./bench`
+// Package serve is the cross-request micro-batcher of the serving path:
+// it coalesces concurrent small evaluate requests into one batch-of-frames
+// evaluation (core.Engine.ComputeBatch), the operator-level batching of
+// the 86-PFLOPS successor (arXiv:2004.11658) applied across callers. Each
+// frame keeps its own chunk jobs and GEMM shapes, so a batch shares the
+// evaluator's workers, not FLOPs: batching pays only when requests are
+// already queued. The serve_http_closed2 workload of `go run ./bench`
 // measures it.
 //
 // The batcher is a bounded queue in front of a set of dispatcher loops.
-// Each dispatcher takes the oldest pending request, waits up to the
-// coalesce window for more (up to the batch cap), evaluates the batch in
-// one engine call, and delivers per-request results. Requests carry a
-// context: a caller whose deadline expires before its frame is claimed
-// gets the context error and its slot is dropped from the batch.
+// Each dispatcher takes the oldest pending request plus whatever is
+// already queued behind it (up to the batch cap) and evaluates the batch
+// in one engine call at once: no frame waits while an evaluator is idle,
+// and requests that queue behind busy dispatchers form the next batches.
+// Requests carry a context: a caller whose deadline expires before its
+// frame is claimed gets the context error and its slot is dropped from
+// the batch.
 // Backpressure is explicit — a full queue rejects immediately with
 // ErrQueueFull (HTTP 429 in cmd/dpserve) instead of absorbing unbounded
 // latency. Close drains: queued requests complete, new ones are refused.
@@ -31,7 +32,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"deepmd-go/internal/core"
 	"deepmd-go/internal/neighbor"
@@ -59,11 +59,6 @@ var (
 
 // Options tunes the batcher. The zero value asks for defaults.
 type Options struct {
-	// Window is how long a dispatcher holds the first request of a batch
-	// waiting for peers to coalesce with (default 2ms). Zero keeps
-	// coalescing opportunistic: whatever is already queued joins, nobody
-	// waits.
-	Window time.Duration
 	// MaxBatch caps frames per dispatch (default 8). 1 disables
 	// coalescing — every request evaluates alone, the pool-only baseline.
 	MaxBatch int
@@ -86,11 +81,6 @@ type concurrencyHinter interface {
 func (o Options) withDefaults(eng BatchEvaluator) Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
-	}
-	if o.Window < 0 {
-		o.Window = 0
-	} else if o.Window == 0 {
-		o.Window = 2 * time.Millisecond
 	}
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 4 * o.MaxBatch
@@ -263,14 +253,14 @@ func (b *Batcher) Stats() Stats {
 	}
 }
 
-// dispatch is one dispatcher loop: batch head → coalesce window → claim →
-// one engine call → per-request delivery. A coalesced batch that fails is
-// taken apart and its frames evaluated one at a time, so a request is only
-// ever answered with an error of its own frame.
+// dispatch is one dispatcher loop: batch head + whatever is queued →
+// claim → one engine call → per-request delivery. A coalesced batch that
+// fails is taken apart and its frames evaluated one at a time, so a
+// request is only ever answered with an error of its own frame.
 //
-// The loop body is allocation-free: the batch and frame slices and the
-// coalesce timer are created once here and reused for every batch, so a
-// saturated server's dispatch path produces no garbage.
+// The loop body is allocation-free: the batch and frame slices are
+// created once here and reused for every batch, so a saturated server's
+// dispatch path produces no garbage.
 //
 //dp:noalloc
 func (b *Batcher) dispatch() {
@@ -279,19 +269,9 @@ func (b *Batcher) dispatch() {
 	batch := make([]*request, 0, b.opt.MaxBatch)
 	//dp:allow noalloc one-time dispatcher setup; the slice is reused for every batch
 	frames := make([]core.Frame, 0, b.opt.MaxBatch)
-	// One timer per dispatcher, Reset per batch (a time.NewTimer inside
-	// collect would allocate on every dispatch). Go 1.23+ timer semantics
-	// make the bare Reset after a fire or Stop race-free.
-	var timer *time.Timer
-	if b.opt.Window > 0 && b.opt.MaxBatch > 1 {
-		//dp:allow noalloc one-time dispatcher setup; the timer is Reset per batch
-		timer = time.NewTimer(b.opt.Window)
-		timer.Stop()
-		defer timer.Stop()
-	}
 	for head := range b.queue {
 		batch = append(batch[:0], head)
-		b.collect(&batch, timer)
+		b.collect(&batch)
 
 		// Claim phase: frames whose caller already abandoned (deadline)
 		// are dropped before the evaluation, not after.
@@ -336,40 +316,17 @@ func (b *Batcher) dispatch() {
 	}
 }
 
-// collect grows the batch: everything already queued joins immediately;
-// when the window is positive the dispatcher then waits out the remainder
-// of it for stragglers, up to MaxBatch. timer is the dispatcher's reusable
-// coalesce timer (nil when the window is zero or coalescing is off).
-func (b *Batcher) collect(batch *[]*request, timer *time.Timer) {
-	if b.opt.MaxBatch <= 1 {
-		return
-	}
-	var timeout <-chan time.Time
-	if timer != nil {
-		timer.Reset(b.opt.Window)
-		defer timer.Stop()
-		timeout = timer.C
-	}
+// collect grows the batch with everything already queued, up to
+// MaxBatch. It never waits: the dispatcher computes what it holds at once.
+func (b *Batcher) collect(batch *[]*request) {
 	for len(*batch) < b.opt.MaxBatch {
-		if timeout == nil {
-			select {
-			case r, ok := <-b.queue:
-				if !ok {
-					return
-				}
-				*batch = append(*batch, r)
-			default:
-				return
-			}
-			continue
-		}
 		select {
 		case r, ok := <-b.queue:
 			if !ok {
 				return
 			}
 			*batch = append(*batch, r)
-		case <-timeout:
+		default:
 			return
 		}
 	}

@@ -92,59 +92,60 @@ func waterEngine(t *testing.T, maxConc int) (*core.Engine, []core.Frame, []core.
 }
 
 // TestBatcherBitIdenticalAcrossCoalesceSizes is the acceptance contract
-// of ISSUE 7: concurrent callers answered through the micro-batcher get
-// results bit-identical to serial per-request evaluation at every
-// coalesce window and batch cap — the same cross-check
-// core.TestEngineConcurrentBitIdentical runs for the pool.
+// of the micro-batcher: concurrent callers answered through it get
+// results bit-identical to serial per-request evaluation at every batch
+// cap — the same cross-check core.TestEngineConcurrentBitIdentical runs
+// for the pool. A gate holds the dispatcher until every caller's first
+// request is queued, so each row provably reaches its cap.
 func TestBatcherBitIdenticalAcrossCoalesceSizes(t *testing.T) {
 	eng, sysFrames, refs := waterEngine(t, 2)
-	for _, opt := range []Options{
-		{Window: -1, MaxBatch: 1, QueueLimit: 64},                     // pool-only: no coalescing
-		{Window: -1, MaxBatch: 4, QueueLimit: 64},                     // opportunistic only
-		{Window: 200 * time.Microsecond, MaxBatch: 2, QueueLimit: 64}, // tiny window, small cap
-		{Window: 2 * time.Millisecond, MaxBatch: 8, QueueLimit: 64},   // the defaults
-	} {
-		name := fmt.Sprintf("window=%s/max=%d", opt.Window, opt.MaxBatch)
-		t.Run(name, func(t *testing.T) {
-			b := New(eng, opt)
+	for _, maxBatch := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("max=%d", maxBatch), func(t *testing.T) {
+			gt := newGate(eng)
+			b := New(gt, Options{MaxBatch: maxBatch, QueueLimit: 64, Dispatchers: 1})
 			defer b.Close(context.Background())
 			const callers, evals = 8, 3
 			errs := make([]error, callers)
 			var wg sync.WaitGroup
-			for g := 0; g < callers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					f := sysFrames[g%len(sysFrames)]
-					want := refs[g%len(sysFrames)]
-					var out core.Result
-					for k := 0; k < evals; k++ {
-						if err := b.Evaluate(context.Background(), f.Pos, f.Types, f.Nloc, f.List, f.Box, &out); err != nil {
-							errs[g] = err
-							return
-						}
-						if out.Energy != want.Energy {
-							errs[g] = fmt.Errorf("energy %.17g != serial %.17g", out.Energy, want.Energy)
-							return
-						}
-						for i := range want.Force {
-							if math.Float64bits(out.Force[i]) != math.Float64bits(want.Force[i]) {
-								errs[g] = fmt.Errorf("force[%d] differs from serial", i)
+			gt.coalesce(t, b, callers, func() {
+				for g := 0; g < callers; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						f := sysFrames[g%len(sysFrames)]
+						want := refs[g%len(sysFrames)]
+						var out core.Result
+						for k := 0; k < evals; k++ {
+							if err := b.Evaluate(context.Background(), f.Pos, f.Types, f.Nloc, f.List, f.Box, &out); err != nil {
+								errs[g] = err
 								return
 							}
+							if out.Energy != want.Energy {
+								errs[g] = fmt.Errorf("energy %.17g != serial %.17g", out.Energy, want.Energy)
+								return
+							}
+							for i := range want.Force {
+								if math.Float64bits(out.Force[i]) != math.Float64bits(want.Force[i]) {
+									errs[g] = fmt.Errorf("force[%d] differs from serial", i)
+									return
+								}
+							}
 						}
-					}
-				}(g)
-			}
+					}(g)
+				}
+			})
 			wg.Wait()
 			for g, err := range errs {
 				if err != nil {
 					t.Fatalf("caller %d: %v", g, err)
 				}
 			}
-			st := b.Stats()
+			st := gt.withoutHeads(b.Stats())
 			if st.Completed != callers*evals {
 				t.Fatalf("completed %d, want %d", st.Completed, callers*evals)
+			}
+			if st.MaxBatch != uint64(maxBatch) {
+				t.Fatalf("largest batch %d, want the cap %d: the row never coalesced to its cap", st.MaxBatch, maxBatch)
 			}
 		})
 	}
@@ -154,9 +155,9 @@ func TestBatcherBitIdenticalAcrossCoalesceSizes(t *testing.T) {
 // next batch — deterministically pinned with a gated stub.
 func TestBatcherCoalescesQueuedRequests(t *testing.T) {
 	stub := &stubEval{started: make(chan struct{}, 16), release: make(chan struct{})}
-	// Opportunistic mode (no wait) keeps the test deterministic: everything
-	// queued when the dispatcher frees up joins the next batch immediately.
-	b := New(stub, Options{Window: -1, MaxBatch: 8, QueueLimit: 16, Dispatchers: 1})
+	// Everything queued when the dispatcher frees up joins the next batch
+	// immediately.
+	b := New(stub, Options{MaxBatch: 8, QueueLimit: 16, Dispatchers: 1})
 	defer b.Close(context.Background())
 
 	var wg sync.WaitGroup
@@ -198,7 +199,7 @@ func TestBatcherCoalescesQueuedRequests(t *testing.T) {
 // backpressure, not unbounded latency.
 func TestBatcherBackpressure(t *testing.T) {
 	stub := &stubEval{started: make(chan struct{}, 16), release: make(chan struct{})}
-	b := New(stub, Options{Window: -1, MaxBatch: 1, QueueLimit: 2, Dispatchers: 1})
+	b := New(stub, Options{MaxBatch: 1, QueueLimit: 2, Dispatchers: 1})
 	defer b.Close(context.Background())
 
 	var wg sync.WaitGroup
@@ -243,7 +244,7 @@ func TestBatcherBackpressure(t *testing.T) {
 // gets the context error and the frame is dropped before evaluation.
 func TestBatcherDeadlineWhileQueued(t *testing.T) {
 	stub := &stubEval{started: make(chan struct{}, 16), release: make(chan struct{})}
-	b := New(stub, Options{Window: -1, MaxBatch: 4, QueueLimit: 8, Dispatchers: 1})
+	b := New(stub, Options{MaxBatch: 4, QueueLimit: 8, Dispatchers: 1})
 	defer b.Close(context.Background())
 
 	var wg sync.WaitGroup
@@ -286,7 +287,7 @@ func TestBatcherDeadlineWhileQueued(t *testing.T) {
 // Close drains queued work, then refuses new requests with ErrClosed.
 func TestBatcherCloseDrains(t *testing.T) {
 	stub := &stubEval{}
-	b := New(stub, Options{Window: -1, MaxBatch: 2, QueueLimit: 8, Dispatchers: 1})
+	b := New(stub, Options{MaxBatch: 2, QueueLimit: 8, Dispatchers: 1})
 	const n = 6
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -328,9 +329,10 @@ func TestBatcherCloseDrains(t *testing.T) {
 func TestBatcherFailingFrameFailsAlone(t *testing.T) {
 	const poison = -7
 	stub := &stubEval{poison: poison}
-	// A long window with a cap of four: the dispatcher holds the head until
-	// all four callers of a round have joined, so each round is one batch.
-	b := New(stub, Options{Window: time.Minute, MaxBatch: 4, QueueLimit: 16, Dispatchers: 1})
+	// A gate with a cap of four: the dispatcher is held until all four
+	// callers of a round have queued, so each round is one batch.
+	gt := newGate(stub)
+	b := New(gt, Options{MaxBatch: 4, QueueLimit: 16, Dispatchers: 1})
 	defer b.Close(context.Background())
 
 	const rounds = 3
@@ -339,13 +341,15 @@ func TestBatcherFailingFrameFailsAlone(t *testing.T) {
 		outs := make([]core.Result, len(nlocs))
 		errs := make([]error, len(nlocs))
 		var wg sync.WaitGroup
-		for i, nloc := range nlocs {
-			wg.Add(1)
-			go func(i, nloc int) {
-				defer wg.Done()
-				errs[i] = b.Evaluate(context.Background(), nil, nil, nloc, nil, nil, &outs[i])
-			}(i, nloc)
-		}
+		gt.coalesce(t, b, len(nlocs), func() {
+			for i, nloc := range nlocs {
+				wg.Add(1)
+				go func(i, nloc int) {
+					defer wg.Done()
+					errs[i] = b.Evaluate(context.Background(), nil, nil, nloc, nil, nil, &outs[i])
+				}(i, nloc)
+			}
+		})
 		wg.Wait()
 		for i, nloc := range nlocs {
 			switch {
@@ -374,7 +378,7 @@ func TestBatcherFailingFrameFailsAlone(t *testing.T) {
 			t.Fatalf("engine call %d carried %d frames, want %d (all calls: %v)", i, n, want, batches)
 		}
 	}
-	st := b.Stats()
+	st := gt.withoutHeads(b.Stats())
 	if st.Accepted != 4*rounds || st.Completed != 4*rounds || st.Frames != 4*rounds || st.Batches != rounds || st.MaxBatch != 4 {
 		t.Fatalf("stats %+v, want %d requests accepted, completed and carried in %d batches of 4", st, 4*rounds, rounds)
 	}
@@ -391,21 +395,24 @@ func TestBatcherFailingFrameRealEngine(t *testing.T) {
 	pos[4] = 1e308
 	frames[bad].Pos, frames[bad].Box = pos, nil
 
-	b := New(eng, Options{Window: time.Minute, MaxBatch: len(frames), QueueLimit: 16, Dispatchers: 1})
+	gt := newGate(eng)
+	b := New(gt, Options{MaxBatch: len(frames), QueueLimit: 16, Dispatchers: 1})
 	defer b.Close(context.Background())
 	outs := make([]core.Result, len(frames))
 	errs := make([]error, len(frames))
 	var wg sync.WaitGroup
-	for i := range frames {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f := frames[i]
-			errs[i] = b.Evaluate(context.Background(), f.Pos, f.Types, f.Nloc, f.List, f.Box, &outs[i])
-		}(i)
-	}
+	gt.coalesce(t, b, len(frames), func() {
+		for i := range frames {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				f := frames[i]
+				errs[i] = b.Evaluate(context.Background(), f.Pos, f.Types, f.Nloc, f.List, f.Box, &outs[i])
+			}(i)
+		}
+	})
 	wg.Wait()
-	if st := b.Stats(); st.Batches != 1 || st.MaxBatch != uint64(len(frames)) || st.Completed != uint64(len(frames)) {
+	if st := gt.withoutHeads(b.Stats()); st.Batches != 1 || st.MaxBatch != uint64(len(frames)) || st.Completed != uint64(len(frames)) {
 		t.Fatalf("stats %+v, want one batch of %d", st, len(frames))
 	}
 	for i := range frames {
@@ -436,7 +443,7 @@ func TestBatcherFailingFrameRealEngine(t *testing.T) {
 // relaxations and trajectories can route their force calls through it.
 func TestBatcherComputeSeam(t *testing.T) {
 	stub := &stubEval{}
-	b := New(stub, Options{Window: -1})
+	b := New(stub, Options{})
 	defer b.Close(context.Background())
 	var out core.Result
 	if err := b.Compute(nil, nil, 42, nil, nil, &out); err != nil {
@@ -445,6 +452,57 @@ func TestBatcherComputeSeam(t *testing.T) {
 	if out.Energy != 42 {
 		t.Fatalf("stub energy %g, want 42", out.Energy)
 	}
+}
+
+// gate parks the dispatch of a sacrificial head request until the test
+// has queued the requests it wants coalesced, so they form the next batch
+// by construction rather than by timing. The gate answers the head
+// itself; every other batch reaches the wrapped evaluator.
+type gate struct {
+	BatchEvaluator
+	head   core.Result // the head's output buffer, which marks its batch
+	parked chan struct{}
+	open   chan struct{}
+	heads  uint64 // heads dispatched so far
+}
+
+func newGate(eng BatchEvaluator) *gate {
+	return &gate{BatchEvaluator: eng, parked: make(chan struct{}), open: make(chan struct{})}
+}
+
+func (g *gate) ComputeBatch(frames []core.Frame) error {
+	if len(frames) == 1 && frames[0].Out == &g.head {
+		g.parked <- struct{}{}
+		<-g.open
+		return nil
+	}
+	return g.BatchEvaluator.ComputeBatch(frames)
+}
+
+// coalesce parks b's only dispatcher on a head, runs submit, waits until
+// the n requests it submits are queued, then opens the gate: the next
+// batch carries min(n, MaxBatch) of them.
+func (g *gate) coalesce(t *testing.T, b *Batcher, n int, submit func()) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- b.Evaluate(context.Background(), nil, nil, 0, nil, nil, &g.head) }()
+	<-g.parked
+	submit()
+	waitQueueDepth(t, b, n)
+	g.open <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatalf("gate head: %v", err)
+	}
+	g.heads++
+}
+
+// withoutHeads removes the heads' single-frame batches from a snapshot.
+func (g *gate) withoutHeads(st Stats) Stats {
+	st.Accepted -= g.heads
+	st.Completed -= g.heads
+	st.Batches -= g.heads
+	st.Frames -= g.heads
+	return st
 }
 
 // waitQueueDepth polls until the queue holds exactly n requests.
