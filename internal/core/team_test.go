@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,6 +152,64 @@ func TestTeamWorkersBitIdentical(t *testing.T) {
 					for fi, f := range frames {
 						requireSameResult(t, fmt.Sprintf("%s batched workers=%d vs Compute", f.name, workers), &outs[fi], &ref[fi])
 						requireSameResult(t, fmt.Sprintf("%s batched workers=%d", f.name, workers), &outs[fi], &refBatch[fi])
+					}
+				}
+			})
+		}
+	}
+}
+
+// The force call reads a neighbor row as a set: the compressed keys are
+// unique, so the formatted table, and with it every bit of the Result, is
+// the same whether a row arrives as Build sorted it, reversed or shuffled —
+// at the build positions and after drift has reordered the distances, on
+// frames with ghosts and an overflowing section.
+func TestComputeIndependentOfListRowOrder(t *testing.T) {
+	m := teamModel(t)
+	frames := teamFrames(t, &m.Cfg)
+	rng := rand.New(rand.NewSource(25))
+	permuted := func(l *neighbor.List, permute func([]neighbor.Entry)) *neighbor.List {
+		p := &neighbor.List{Nloc: l.Nloc, Entries: make([][]neighbor.Entry, l.Nloc)}
+		for i, row := range l.Entries {
+			p.Entries[i] = slices.Clone(row)
+			permute(p.Entries[i])
+		}
+		return p
+	}
+	for _, prec := range []Precision{Double, Mixed} {
+		for _, strat := range []Strategy{StrategyBatched, StrategyCompressed} {
+			t.Run(fmt.Sprintf("%v/%v", prec, strat), func(t *testing.T) {
+				e, err := NewEngine(m, Plan{Precision: prec, Strategy: strat, Workers: 2, MaxConcurrency: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := e.newComputer()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range frames {
+					drifted := slices.Clone(f.pos)
+					for k := range drifted {
+						drifted[k] += 0.1 * rng.NormFloat64()
+					}
+					for _, pos := range [][]float64{f.pos, drifted} {
+						var want Result
+						if err := c.Compute(pos, f.types, f.nloc, f.list, f.box, &want); err != nil {
+							t.Fatal(err)
+						}
+						for _, pm := range []struct {
+							name    string
+							permute func([]neighbor.Entry)
+						}{
+							{"reversed", slices.Reverse[[]neighbor.Entry]},
+							{"shuffled", func(r []neighbor.Entry) { rng.Shuffle(len(r), func(a, b int) { r[a], r[b] = r[b], r[a] }) }},
+						} {
+							var got Result
+							if err := c.Compute(pos, f.types, f.nloc, permuted(f.list, pm.permute), f.box, &got); err != nil {
+								t.Fatal(err)
+							}
+							requireSameResult(t, fmt.Sprintf("%s %s rows", f.name, pm.name), &got, &want)
+						}
 					}
 				}
 			})

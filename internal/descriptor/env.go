@@ -70,7 +70,7 @@ type RowStats struct {
 
 // Environment is the optimized customized operator: it recomputes
 // current-step distances from the raw (rebuild-time) list, formats the
-// neighbors with the compressed 64-bit radix sort, and fills the
+// neighbors by sorting their compressed 64-bit keys, and fills the
 // environment matrix with a branch-free loop over the fixed-stride table.
 // The returned EnvOut aliases Scratch buffers and is valid until the next
 // call. It is Begin followed by Rows over every atom on the calling
@@ -119,10 +119,11 @@ func (sc *Scratch) Begin(cfg Config, nloc int) *EnvOut {
 // Rows runs the operator for center atoms [lo, hi) of the frame Begin
 // prepared: per atom, the distance refresh (the raw list holds rebuild-time
 // distances, but padding overflow must keep the *currently* nearest
-// neighbors, Sec. 5.2.1), the radix format of its table row and the
-// environment rows. An error names the lowest failing atom of the range;
-// the atoms before it are complete and the ones after it keep their
-// previous rows, so the Count invariant survives a failed call.
+// neighbors, Sec. 5.2.1), the compressed-key format of its table row —
+// whose sort meets only the inversions drift made since Build sorted the
+// row — and the environment rows. An error names the lowest failing atom
+// of the range; the atoms before it are complete and the ones after it
+// keep their previous rows, so the Count invariant survives a failed call.
 //
 //dp:noalloc
 func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbor.List, box *neighbor.Box, lo, hi int) (RowStats, error) {

@@ -7,7 +7,7 @@
 // Each operator exists in two variants mirroring Sec. 5.2.2 / Table 3:
 // a baseline variant (struct sort, per-call allocation, type branching in
 // the inner loop — the CPU implementation of the 2018 DeePMD-kit) and an
-// optimized variant (compressed 64-bit radix sort, reused scratch buffers,
+// optimized variant (compressed 64-bit keys, reused scratch buffers,
 // branch-free fixed-stride loops).
 package descriptor
 

@@ -51,12 +51,12 @@ func TestTable3Shape(t *testing.T) {
 
 // Sec. 5.2.2 ablation: both sorts run on real neighbor data.
 func TestAblationSortShape(t *testing.T) {
-	structT, radixT, err := AblationSort(Quick, 5, 3)
+	structT, keyT, err := AblationSort(Quick, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if structT <= 0 || radixT <= 0 {
-		t.Errorf("non-positive timing: struct sort %v, radix format %v", structT, radixT)
+	if structT <= 0 || keyT <= 0 {
+		t.Errorf("non-positive timing: struct sort %v, compressed-key format %v", structT, keyT)
 	}
 }
 

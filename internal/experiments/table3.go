@@ -106,9 +106,9 @@ func (r *Table3Result) String() string {
 		table([]string{"Operator", "Baseline[ms]", "Optimized[ms]", "Speedup"}, rows)
 }
 
-// AblationSort isolates the compressed-radix-sort vs struct-sort choice of
+// AblationSort isolates the compressed-key format vs struct-sort choice of
 // Sec. 5.2.2 on real neighbor data.
-func AblationSort(sc Scale, nx, reps int) (structSort, radixSort time.Duration, err error) {
+func AblationSort(sc Scale, nx, reps int) (structSort, keyFormat time.Duration, err error) {
 	cfg := waterModelConfig(sc)
 	pos, types, list, _, err := waterBox(&cfg, nx, 4)
 	if err != nil {
@@ -131,6 +131,6 @@ func AblationSort(sc Scale, nx, reps int) (structSort, radixSort time.Duration, 
 			return 0, 0, err
 		}
 	}
-	radixSort = time.Since(start) / time.Duration(reps)
-	return structSort, radixSort, nil
+	keyFormat = time.Since(start) / time.Duration(reps)
+	return structSort, keyFormat, nil
 }

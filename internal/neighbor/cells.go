@@ -1,9 +1,6 @@
 package neighbor
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // grid is the linked-cell decomposition of one configuration: cell counts
 // per dimension, cell widths, and the counting-sorted atom order. In
@@ -110,12 +107,10 @@ func cellCounts(ext [3]float64, rc float64, nall int) [3]int {
 	return nc
 }
 
-// binAtoms buckets all atoms into cells with a counting sort, computing
-// the per-atom cell assignment in parallel across contiguous atom ranges.
-// The resulting order array lists each cell's atoms in ascending atom
-// index — identical to a serial scan — because workers own disjoint
-// ascending ranges and scatter through per-(worker, cell) offsets.
-func binAtoms(pos []float64, nall int, box *Box, rc float64, workers int) *grid {
+// binAtoms buckets all atoms into cells with a counting sort, so each
+// cell's atoms are listed in ascending atom index. It runs serially: one
+// cell lookup per atom is little beside the row scan's 27-cell visits.
+func binAtoms(pos []float64, nall int, box *Box, rc float64) *grid {
 	g := &grid{wrap: box}
 	var ext [3]float64
 	if box != nil {
@@ -135,83 +130,20 @@ func binAtoms(pos []float64, nall int, box *Box, rc float64, workers int) *grid 
 	g.cellOf = make([]int32, nall)
 	g.count = make([]int32, ncells+1)
 	g.order = make([]int32, nall)
-
-	if workers <= 1 || nall < 2*minBlock {
-		for a := 0; a < nall; a++ {
-			id := g.cellIndex(pos, a)
-			g.cellOf[a] = id
-			g.count[id+1]++
-		}
-		for c := 1; c <= ncells; c++ {
-			g.count[c] += g.count[c-1]
-		}
-		next := make([]int32, ncells)
-		copy(next, g.count[:ncells])
-		for a := 0; a < nall; a++ {
-			id := g.cellOf[a]
-			g.order[next[id]] = int32(a)
-			next[id]++
-		}
-		return g
+	for a := 0; a < nall; a++ {
+		id := g.cellIndex(pos, a)
+		g.cellOf[a] = id
+		g.count[id+1]++
 	}
-
-	// Parallel counting sort. Phase 1: each worker classifies a contiguous
-	// atom range and histograms its cells.
-	hist := make([][]int32, workers)
-	chunk := (nall + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, nall)
-		if lo >= hi {
-			hist[w] = make([]int32, ncells)
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			h := make([]int32, ncells)
-			for a := lo; a < hi; a++ {
-				id := g.cellIndex(pos, a)
-				g.cellOf[a] = id
-				h[id]++
-			}
-			hist[w] = h
-		}(w, lo, hi)
+	for c := 1; c <= ncells; c++ {
+		g.count[c] += g.count[c-1]
 	}
-	wg.Wait()
-
-	// Phase 2: global prefix sum over cells, then per-worker scatter
-	// offsets — worker w writes cell c's atoms starting after the atoms
-	// that lower-ranked workers (= lower atom indices) put there.
-	var run int32
-	for c := 0; c < ncells; c++ {
-		g.count[c] = run
-		for w := 0; w < workers; w++ {
-			h := hist[w][c]
-			hist[w][c] = run
-			run += h
-		}
+	next := make([]int32, ncells)
+	copy(next, g.count[:ncells])
+	for a := 0; a < nall; a++ {
+		id := g.cellOf[a]
+		g.order[next[id]] = int32(a)
+		next[id]++
 	}
-	g.count[ncells] = run
-
-	// Phase 3: scatter atoms into order, each worker through its own
-	// offsets so no synchronization is needed.
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, nall)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			off := hist[w]
-			for a := lo; a < hi; a++ {
-				id := g.cellOf[a]
-				g.order[off[id]] = int32(a)
-				off[id]++
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
 	return g
 }

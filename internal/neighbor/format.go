@@ -75,8 +75,8 @@ func (f *Formatted) TypeOfSlot(s int) int {
 	return t
 }
 
-// Formatter converts a raw list into the optimized layout using compressed
-// 64-bit keys and a radix sort. Scratch buffers — including the returned
+// Formatter converts a raw list into the optimized layout by sorting
+// compressed 64-bit keys. Scratch buffers — including the returned
 // table itself — grow as needed and are reused across calls, so a warmed
 // Formatter formats without heap allocation (part of the allocation-free
 // MD step); pass a zero-value Formatter for fresh state. The returned
@@ -88,11 +88,10 @@ type Formatter struct {
 }
 
 // SortScratch is one goroutine's reusable state for FormatRow: the encoded
-// keys of the row being sorted, the radix sort's second buffer and the
-// per-type fill counters.
+// keys of the row being sorted and the per-type fill counters.
 type SortScratch struct {
-	keys, buf []uint64
-	fill      []int
+	keys []uint64
+	fill []int
 }
 
 // Begin sizes the formatter's table for nloc rows of spec and returns it
@@ -131,16 +130,17 @@ func (fm *Formatter) Format(spec Spec, l *List) (*Formatted, error) {
 }
 
 // FormatRow writes row i of the table from atom i's raw neighbors: keys
-// encoded, radix-sorted, the nearest Sel[t] of every type placed in section
+// encoded and sorted, the nearest Sel[t] of every type placed in section
 // order and the rest of each section set to -1. It returns how many
-// neighbors the full sections dropped. The row is written whole, so a table
-// needs no initialisation and rows can be formatted in any order.
+// neighbors the full sections dropped. The keys are unique, so the table
+// does not depend on the order of nbrs; the sort is fastest when nbrs is
+// nearly in key order, as Build leaves it. The row is written whole, so a
+// table needs no initialisation and rows can be formatted in any order.
 //
 //dp:noalloc
 func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int, err error) {
 	ntypes := len(f.Sel)
 	ws.keys = tensor.Resize(ws.keys, len(nbrs))
-	ws.buf = tensor.Resize(ws.buf, len(nbrs))
 	keys := ws.keys[:0]
 	for _, e := range nbrs {
 		if e.Type >= ntypes {
@@ -150,10 +150,16 @@ func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int
 		if err != nil {
 			return 0, err
 		}
+		// Insertion sort as the keys arrive: O(n + inversions), and a row
+		// from Build, whose entries have drifted since it sorted them,
+		// holds few and only near neighbors.
+		a := len(keys)
 		keys = append(keys, k)
+		for ; a > 0 && keys[a-1] > k; a-- {
+			keys[a] = keys[a-1]
+		}
+		keys[a] = k
 	}
-	//dp:allow noalloc ws.buf holds len(keys), so the sort never makes its own
-	tensor.RadixSortUint64(keys, ws.buf)
 	row := f.Idx[i*f.Stride : (i+1)*f.Stride]
 	ws.fill = tensor.Resize(ws.fill, ntypes)
 	fill := ws.fill
@@ -179,7 +185,7 @@ func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int
 // the AoS records (the pre-optimization path: struct compares, no
 // compression, no padding). It returns the same Formatted table so the
 // downstream pipeline is identical; only the sorting machinery differs.
-// This exists to measure the compression + radix-sort gain in isolation.
+// This exists to measure the compressed-key format's gain in isolation.
 func FormatBaseline(spec Spec, l *List) (*Formatted, error) {
 	stride := spec.Stride()
 	ntypes := len(spec.Sel)

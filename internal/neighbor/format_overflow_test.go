@@ -11,7 +11,7 @@ import (
 // neighbors"), dropped entries are counted in Overflow, and every section
 // still occupies exactly sel[t] slots of the fixed stride — full sections
 // carry no padding, short sections are -1-padded to sel[t]. Both the
-// compressed-radix Formatter and the baseline struct sort must agree.
+// compressed-key Formatter and the baseline struct sort must agree.
 func TestFormatterOverflowTableDriven(t *testing.T) {
 	cases := []struct {
 		name string
@@ -35,7 +35,7 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 
 			// Build a synthetic raw list: per type, distinct distances in
 			// ascending order tagged with unique indices, then globally
-			// shuffled so the formatter sees cell-scan (unsorted) order.
+			// shuffled so the formatter sees an unsorted row.
 			type section struct{ byDist []Entry }
 			secs := make([]section, len(tc.sel))
 			var all []Entry
@@ -70,7 +70,7 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for name, f := range map[string]*Formatted{"radix": opt, "baseline": base} {
+			for name, f := range map[string]*Formatted{"key": opt, "baseline": base} {
 				if f.Stride != stride || len(f.Idx) != stride {
 					t.Fatalf("%s: stride %d / %d slots, want %d", name, f.Stride, len(f.Idx), stride)
 				}
@@ -168,7 +168,7 @@ func TestFormatterOverflowMultipleAtoms(t *testing.T) {
 	}
 	for i := range f.Idx {
 		if base.Idx[i] != f.Idx[i] {
-			t.Fatalf("baseline Idx[%d] = %d, radix %d", i, base.Idx[i], f.Idx[i])
+			t.Fatalf("baseline Idx[%d] = %d, key format %d", i, base.Idx[i], f.Idx[i])
 		}
 	}
 }

@@ -3,23 +3,23 @@
 //
 // Two layouts are provided, matching the before/after of Sec. 5.2.1:
 //
-//   - The baseline layout is an array-of-structures (AoS) list in cell-scan
-//     order: each element carries {type, distance, index}, neighbor counts
-//     vary per atom, and the embedding computation must branch on the type
-//     of every neighbor.
+//   - The baseline layout is an array-of-structures (AoS) list: each
+//     element carries {type, distance, index}, neighbor counts vary per
+//     atom, and the embedding computation must branch on the type of every
+//     neighbor.
 //   - The optimized layout sorts each atom's neighbors by (type, distance)
 //     and pads every type section to its cutoff number sel[t], producing a
 //     fixed-stride, branch-free index table. Sorting uses the paper's
-//     64-bit compression type*1e15 + floor(r*1e8)*1e5 + index so one radix
-//     sort of plain integers orders the list (Sec. 5.2.2).
+//     64-bit compression type*1e15 + floor(r*1e8)*1e5 + index so plain
+//     integers order the list (Sec. 5.2.2).
 //
 // Construction itself uses a linked-cell search: O(N) in the number of
 // atoms, with an all-pairs fallback for boxes too small to hold 3x3x3
-// cells. Both searches are parallel: atoms are binned into cells
-// concurrently and per-atom rows are filled by a goroutine pool over
-// contiguous atom blocks, each worker appending into a private scratch
-// buffer that is then merged into one packed entry arena (see build.go).
-// The output is bit-identical for every worker count.
+// cells that visits each pair once. Both are parallel and write one entry
+// arena of exactly the list's size (see build.go). Build leaves every row
+// in the compressed keys' order, so the per-step format only repairs the
+// few inversions drift has made since. The output is bit-identical for
+// every worker count.
 package neighbor
 
 import "math"
@@ -32,11 +32,30 @@ type Box struct {
 // Volume returns the box volume.
 func (b *Box) Volume() float64 { return b.L[0] * b.L[1] * b.L[2] }
 
-// MinImage folds the displacement d into the minimum image convention.
+// MinImage folds the displacement d into the minimum image convention:
+// each component becomes d - L*Round(d/L). Below one and a half box
+// lengths, which covers every displacement between wrapped positions, the
+// rounded multiple is -1, 0 or 1 and is picked by two compares instead of
+// math.Round, which is no amd64 instruction. Nonzero results are bitwise
+// those of the Round formula (a zero may differ in sign).
 func (b *Box) MinImage(d *[3]float64) {
 	for k := 0; k < 3; k++ {
 		l := b.L[k]
-		d[k] -= l * math.Round(d[k]/l)
+		q := d[k] / l
+		if !(q > -1.5 && q < 1.5) { // far images, ±Inf and NaN
+			d[k] -= l * math.Round(q)
+			continue
+		}
+		// Conditional moves, not branches: the all-pairs scan meets
+		// each of -1, 0 and 1 unpredictably.
+		n := 0
+		if q >= 0.5 {
+			n = 1
+		}
+		if q <= -0.5 {
+			n = -1
+		}
+		d[k] -= l * float64(n)
 	}
 }
 
@@ -81,11 +100,13 @@ type Entry struct {
 	Index int
 }
 
-// List is a raw neighbor list for the first Nloc atoms of a configuration.
-// Entries appear in cell-scan order (unsorted); this is exactly the layout
-// the baseline DeePMD-kit consumed. Rows are views into one packed arena
-// (built by Build), so the whole list is two allocations regardless of
-// atom count; rows must not be appended to in place.
+// List is a raw neighbor list for the first Nloc atoms of a configuration:
+// the AoS layout the baseline DeePMD-kit consumed. Build orders each row by
+// (type, ⌊dist·1e8⌋, index), the order of Encode's keys, at its own
+// distances; consumers that only need the set may ignore the order. Rows
+// are views into one packed arena (built by Build), so the whole list is
+// two allocations regardless of atom count; rows must not be appended to
+// in place.
 type List struct {
 	Nloc    int
 	Entries [][]Entry

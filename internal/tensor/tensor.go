@@ -3,9 +3,9 @@
 // float32 or float64, the standard operators the baseline DeePMD-kit graph
 // uses (MATMUL, SUM/bias-add, CONCAT, TANH, TANHGrad as separate passes),
 // the fused operators of the optimized graph (GEMM with folded bias,
-// skip-connected GEMM, fused TANH+TANHGrad), an arena allocator that
+// skip-connected GEMM, fused TANH+TANHGrad), and an arena allocator that
 // mirrors the paper's "allocate once, reuse every MD step" GPU memory
-// strategy, and a radix sort for the 64-bit compressed neighbor keys.
+// strategy.
 //
 // Every kernel reports analytic FLOPs and wall time to an optional
 // *perf.Counter under the operator categories of Fig. 3 of the paper.
