@@ -155,12 +155,7 @@ func (s *server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	box, err := s.validateFrame(&req)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	list, err := neighbor.Build(s.spec, req.Pos, req.Types, len(req.Types), box, 1)
+	box, list, err := s.frameList(&req)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -297,6 +292,18 @@ func (s *server) validateFrame(req *frameRequest) (*neighbor.Box, error) {
 		}
 	}
 	return &neighbor.Box{L: req.Box}, nil
+}
+
+// frameList validates the frame and builds its neighbor list; either
+// failing is the client's error. Build refuses non-finite positions and box
+// edges (neighbor.ErrNonFinite), which validateFrame lets through.
+func (s *server) frameList(req *frameRequest) (*neighbor.Box, *neighbor.List, error) {
+	box, err := s.validateFrame(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	list, err := neighbor.Build(s.spec, req.Pos, req.Types, len(req.Types), box, 1)
+	return box, list, err
 }
 
 // requestTimeout resolves the per-request deadline: the server default,

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -159,6 +161,31 @@ func TestEvaluateEndpointRejectsBadFrames(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET evaluate: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// JSON has no NaN or infinity literal and the decoder refuses numbers
+// beyond float64's range, so these frames cannot arrive over the wire; the
+// check behind the decoder refuses them all the same, as client errors,
+// where they used to evaluate with the bad atom neighborless or the bad
+// axis non-periodic.
+func TestFrameListRejectsNonFinite(t *testing.T) {
+	model, err := buildModel("", "water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(model.Cfg, nil, 0, nil)
+	cell := lattice.Water(4, 4, 4, lattice.WaterSpacing, 3)
+	for name, edit := range map[string]func(*frameRequest){
+		"NaN position":  func(r *frameRequest) { r.Pos[3*5+1] = math.NaN() },
+		"+Inf position": func(r *frameRequest) { r.Pos[3*5] = math.Inf(1) },
+		"NaN box":       func(r *frameRequest) { r.Box[2] = math.NaN() },
+	} {
+		req := frameRequest{Pos: slices.Clone(cell.Pos), Types: cell.Types, Box: cell.Box.L}
+		edit(&req)
+		if _, _, err := srv.frameList(&req); !errors.Is(err, neighbor.ErrNonFinite) {
+			t.Fatalf("%s: error %v, want neighbor.ErrNonFinite", name, err)
+		}
 	}
 }
 

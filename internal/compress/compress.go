@@ -28,7 +28,6 @@ package compress
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"deepmd-go/internal/nn"
 	"deepmd-go/internal/perf"
@@ -302,7 +301,7 @@ func (tb *Table[T]) evalSeg(seg int, u T, g, dg []T) {
 // the analytic FLOPs report under the GEMM category, where the work it
 // replaces was attributed (Fig. 3).
 func (tb *Table[T]) EvalBatch(ctr *perf.Counter, s []T, g, dg []T) {
-	start := time.Now()
+	start := ctr.Now()
 	m := tb.M
 	for i, si := range s {
 		seg, u, delta := tb.locate(si)

@@ -135,7 +135,7 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 	item := ar.TakeUninit(4 * m)
 	buf := ar.TakeUninit(compress.FusedScratchLen(m))
 
-	start := timeIf(ctr)
+	start := ctr.Now()
 	var rows int64
 	for a, atom := range atoms {
 		clear(item)
@@ -150,7 +150,7 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 
 	chunkE, dT := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, tis, atomEnergy)
 
-	start = timeIf(ctr)
+	start = ctr.Now()
 	for a, atom := range atoms {
 		tToItem(dT[a*m*4:(a+1)*m*4], item, invN)
 		for tj := 0; tj < nt; tj++ {

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"deepmd-go/internal/compress"
 	"deepmd-go/internal/descriptor"
@@ -363,7 +362,7 @@ func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, opts tensor.Opts, ws *ev
 			return
 		}
 		g := net.ForwardInto(&ws.embTr, ctr, opts, ar, tensor.MatrixFrom(rows, 1, s[:rows]), false).Out().Data
-		start := timeIf(ctr)
+		start := ctr.Now()
 		r := 0
 		for _, sg := range ws.segs {
 			descriptor.ContractForward(g[r*m:(r+sg.n)*m], walk.rows(rT, sg), m, items[sg.a*4*m:(sg.a+1)*4*m])
@@ -393,7 +392,7 @@ func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, opts tensor.Opts, ws *e
 		}
 		tr := net.ForwardInto(&ws.embTr, ctr, opts, ar, tensor.MatrixFrom(rows, 1, s[:rows]), true)
 		g := tr.Out().Data
-		start := timeIf(ctr)
+		start := ctr.Now()
 		r := 0
 		for _, sg := range ws.segs {
 			dTa, gs := items[sg.a*4*m:(sg.a+1)*4*m], g[r*m:(r+sg.n)*m]
@@ -492,16 +491,6 @@ func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalSc
 		}
 	}
 	return chunkE, dT
-}
-
-// timeIf stamps the clock only when a counter is attached, so the
-// uncounted hot path pays no timer overhead for the gather/scatter
-// attribution.
-func timeIf(ctr *perf.Counter) time.Time {
-	if ctr == nil {
-		return time.Time{}
-	}
-	return time.Now()
 }
 
 // growArenas resizes any arena whose last evaluation overflowed, so the

@@ -232,7 +232,7 @@ func (ev *Evaluator[T]) member(w int) error {
 	ws := ev.scratch[w]
 	nblk := ev.nframes * descriptor.ProdBlocks
 
-	start := timeIf(ev.Counter)
+	start := ev.Counter.Now()
 	for bi := ev.claim(stageEnv); bi < nblk; bi = ev.claim(stageEnv) {
 		ev.envBlock(ws, bi/descriptor.ProdBlocks, bi%descriptor.ProdBlocks)
 	}
@@ -253,7 +253,7 @@ func (ev *Evaluator[T]) member(w int) error {
 	}
 	ev.bar.wait()
 
-	start = timeIf(ev.Counter)
+	start = ev.Counter.Now()
 	for bi := ev.claim(stageProd); bi < nblk; bi = ev.claim(stageProd) {
 		ev.prodBlock(bi/descriptor.ProdBlocks, bi%descriptor.ProdBlocks)
 	}
@@ -289,13 +289,13 @@ func (ev *Evaluator[T]) envBlock(ws *evalScratch[T], fi, b int) {
 	fs := ev.frames[fi]
 	out := &fs.blocks[b]
 	lo, hi := descriptor.BlockRange(fs.env.Nloc, b)
-	start := timeIf(ev.Counter)
+	start := ev.Counter.Now()
 	out.env, out.err = fs.sc.Rows(&ws.rows, ev.dcfg, fs.pos, fs.list, fs.box, lo, hi)
 	if out.err != nil {
 		ev.failed.Store(true)
 		return
 	}
-	mid := timeIf(ev.Counter)
+	mid := ev.Counter.Now()
 	descriptor.ConvertRows(fs.env, fs.rT, fs.rTCount, lo, hi)
 	if ev.Counter != nil {
 		out.envTime, out.convTime = mid.Sub(start), time.Since(mid)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"deepmd-go/internal/neighbor"
 	"deepmd-go/internal/perf"
@@ -29,7 +28,7 @@ func repulsionEnergy(ctr *perf.Counter, a, rc float64, pos []float64, nloc int, 
 	if a == 0 || rc <= 0 {
 		return
 	}
-	start := time.Now()
+	start := ctr.Now()
 	rc2 := rc * rc
 	var flops int64
 	for i := 0; i < nloc; i++ {

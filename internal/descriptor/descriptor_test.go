@@ -3,8 +3,10 @@ package descriptor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"deepmd-go/internal/lattice"
 	"deepmd-go/internal/neighbor"
@@ -104,9 +106,9 @@ func TestEnvironmentMatchesBaseline(t *testing.T) {
 			t.Fatalf("R[%d]: optimized %g, baseline %g", i, opt.R[i], base.R[i])
 		}
 	}
-	for i := range opt.DR {
-		if opt.DR[i] != base.DR[i] {
-			t.Fatalf("DR[%d]: optimized %g, baseline %g", i, opt.DR[i], base.DR[i])
+	for i := range opt.Geo {
+		if opt.Geo[i] != base.Geo[i] {
+			t.Fatalf("Geo[%d]: optimized %g, baseline %g", i, opt.Geo[i], base.Geo[i])
 		}
 	}
 	for i := range opt.Fmt.Idx {
@@ -126,7 +128,7 @@ func TestEnvironmentMatchesBaseline(t *testing.T) {
 
 // checkCountInvariant asserts the property the fused compressed operator
 // and the batched path's padding trim rely on: for every (atom, section),
-// Count is the index after the last non-zero R~ row, and R, DR and Rij are
+// Count is the index after the last non-zero R~ row, and R and Geo are
 // all-zero at and beyond it.
 func checkCountInvariant(t testing.TB, label string, cfg Config, env *EnvOut) {
 	t.Helper()
@@ -154,7 +156,7 @@ func checkCountInvariant(t testing.TB, label string, cfg Config, env *EnvOut) {
 				if nonZero(env.R[(off+k)*4 : (off+k)*4+4]) {
 					last = k + 1
 				}
-				if k >= n && (nonZero(env.R[(off+k)*4:(off+k)*4+4]) || nonZero(env.DR[(off+k)*12:(off+k)*12+12]) || nonZero(env.Rij[(off+k)*3:(off+k)*3+3])) {
+				if k >= n && (nonZero(env.R[(off+k)*4:(off+k)*4+4]) || nonZero(env.Geo[(off+k)*4:(off+k)*4+4])) {
 					t.Fatalf("%s atom %d section %d: slot %d at or beyond count %d is not zero", label, i, tj, k, n)
 				}
 			}
@@ -296,7 +298,8 @@ func TestEnvironmentRowValues(t *testing.T) {
 	}
 }
 
-// DR must be the true derivative of R with respect to atom positions.
+// The Jacobian rebuilt from each slot's geometry row must be the true
+// derivative of R with respect to atom positions.
 func TestEnvironmentDerivativeFiniteDiff(t *testing.T) {
 	box := &neighbor.Box{L: [3]float64{14, 14, 14}}
 	pos, types, list := buildTestSystem(t, 2, 40, testCfg, box)
@@ -307,14 +310,17 @@ func TestEnvironmentDerivativeFiniteDiff(t *testing.T) {
 	}
 	// Snapshot because scratch is reused.
 	R0 := append([]float64(nil), env.R...)
-	DR0 := append([]float64(nil), env.DR...)
+	DR0 := make([]float64, len(env.R)*3)
+	for x := 0; x < len(env.R)/4; x++ {
+		slotJacobian(env.R[4*x], env.Geo[4*x:4*x+4], DR0[12*x:12*x+12])
+	}
 	idx := append([]int32(nil), env.Fmt.Idx...)
 	stride := env.Stride
 
 	const h = 1e-7
-	// Perturb the position of neighbor atoms and check dR/dd against DR.
+	// Perturb the position of neighbor atoms and check dR/dd against DR0.
 	// Moving atom j changes d = r_j - r_i by the same amount, so
-	// dR[i,k,c]/dpos_j,a = DR[i,k,c,a] for the slot holding j.
+	// dR[i,k,c]/dpos_j,a = DR0[i,k,c,a] for the slot holding j.
 	for i := 0; i < 8; i++ { // sample of center atoms
 		for k := 0; k < stride; k++ {
 			j32 := idx[i*stride+k]
@@ -443,5 +449,48 @@ func TestConvertR(t *testing.T) {
 		if got := ConvertR(nil, env, dst); !slices.Equal(got, want) {
 			t.Fatalf("ConvertR into %s dst = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// A fresh Scratch allocates its rows once and at the size of the slot
+// layout: 64 bytes a slot (R~ and the geometry row, 4 doubles each), plus
+// Count and the formatter's index table, plus the row scratch (grown to the
+// longest raw row) and the page rounding of the three large buffers. The
+// stored Jacobian (152 bytes a slot) does not fit under this bound.
+func TestEnvironmentAllocationBound(t *testing.T) {
+	water := lattice.Water(3, 3, 3, lattice.WaterSpacing, 7)
+	copper := lattice.FCC(4, 4, 4, 3.615)
+	for _, sys := range []struct {
+		name string
+		cfg  Config
+		skin float64
+		cell *lattice.System
+	}{
+		{"water", Config{Rcut: 4.0, RcutSmth: 0.5, Sel: []int{16, 32}}, 0.6, water},
+		{"copper", Config{Rcut: 5.0, RcutSmth: 2.0, Sel: []int{80}}, 1.0, copper},
+	} {
+		t.Run(sys.name, func(t *testing.T) {
+			n := sys.cell.N()
+			list, err := neighbor.Build(neighbor.Spec{Rcut: sys.cfg.Rcut, Skin: sys.skin, Sel: sys.cfg.Sel}, sys.cell.Pos, sys.cell.Types, n, &sys.cell.Box, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc Scratch
+			var ws RowScratch
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sc.Begin(sys.cfg, n)
+			_, err = sc.Rows(&ws, sys.cfg, sys.cell.Pos, list, &sys.cell.Box, 0, n)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stride, nt := sys.cfg.Stride(), len(sys.cfg.Sel)
+			row := list.MaxNeighbors() * int(unsafe.Sizeof(neighbor.Entry{})+8) // refreshed entries and their keys
+			bound := uint64(64*n*stride + 4*n*nt + 4*n*stride + 4*row + 3*8192)
+			if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+				t.Fatalf("Begin + Rows allocated %d bytes, bound %d (%.1f bytes a slot)", got, bound, float64(got)/float64(n*stride))
+			}
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"time"
 
 	"deepmd-go/internal/neighbor"
 	"deepmd-go/internal/perf"
@@ -14,9 +13,11 @@ import (
 
 // EnvOut is the output of the Environment operator for one evaluation:
 // everything downstream of it (embedding, descriptor, fitting) only needs
-// R; ProdForce and ProdVirial additionally need DR and Rij. All fields are
-// double precision — the paper's mixed-precision model converts R to
-// float32 only after this operator (Sec. 5.2.3).
+// R; ProdForce and ProdVirial additionally need Geo, from which they
+// rebuild dR~/dd per slot (a closed form of Geo and R~[0], so it is not
+// stored: 8 doubles a slot instead of 19). All fields are double precision
+// — the paper's mixed-precision model converts R to float32 only after
+// this operator (Sec. 5.2.3).
 type EnvOut struct {
 	Nloc   int
 	Stride int
@@ -26,19 +27,19 @@ type EnvOut struct {
 	// R is the environment matrix R~: Nloc x Stride x 4, rows
 	// (s, s*dx/r, s*dy/r, s*dz/r); zero rows for padding slots.
 	R []float64
-	// DR is dR~/dd: Nloc x Stride x 4 x 3, the derivative of each R~
-	// component with respect to the displacement d = r_j - r_i.
-	DR []float64
-	// Rij is the displacement d for each slot: Nloc x Stride x 3.
-	Rij []float64
+	// Geo is each slot's geometry: Nloc x Stride x 4, rows (dx, dy, dz,
+	// s'(r)) for the displacement d = r_j - r_i. s'(r) < 0 on every filled
+	// slot (Smooth), so a zero in column 3 marks a slot the operator left
+	// zero.
+	Geo []float64
 	// Count bounds the non-zero rows of every (atom, type section): Nloc x
 	// len(Sel), entry i*len(Sel)+t for section t of atom i. The one
-	// invariant: R, DR and Rij are exactly zero at and beyond slot Count of
-	// the section (skin entries outside the cutoff, -1 padding); slots
-	// before it may be zero too (a neighbor coincident with the center).
-	// Count is the index after the last slot the operator filled, so it is
-	// the tightest such bound. Downstream stages stop there: padding costs
-	// them nothing.
+	// invariant: R and Geo are exactly zero at and beyond slot Count of the
+	// section (skin entries outside the cutoff, -1 padding); slots before
+	// it may be zero too (a neighbor coincident with the center). Count is
+	// the index after the last slot the operator filled, so it is the
+	// tightest such bound. Downstream stages stop there: padding costs them
+	// nothing.
 	Count []int32
 }
 
@@ -76,7 +77,7 @@ type RowStats struct {
 // call. It is Begin followed by Rows over every atom on the calling
 // goroutine; internal/core runs the same two with the atoms cut into blocks.
 func (sc *Scratch) Environment(ctr *perf.Counter, cfg Config, pos []float64, types []int, list *neighbor.List, box *neighbor.Box) (*EnvOut, error) {
-	start := time.Now()
+	start := ctr.Now()
 	out := sc.Begin(cfg, list.Nloc)
 	st, err := sc.Rows(&sc.ws, cfg, pos, list, box, 0, list.Nloc)
 	if err != nil {
@@ -110,8 +111,7 @@ func (sc *Scratch) Begin(cfg Config, nloc int) *EnvOut {
 	stride := out.Fmt.Stride
 	out.Nloc, out.Stride = nloc, stride
 	out.R = tensor.Resize(out.R, nloc*stride*4)
-	out.DR = tensor.Resize(out.DR, nloc*stride*12)
-	out.Rij = tensor.Resize(out.Rij, nloc*stride*3)
+	out.Geo = tensor.Resize(out.Geo, nloc*stride*4)
 	out.Count = tensor.Resize(out.Count, nloc*len(cfg.Sel))
 	return out
 }
@@ -131,8 +131,7 @@ func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbo
 	stride, nt := out.Stride, len(cfg.Sel)
 	if sc.fresh {
 		clear(out.R[lo*stride*4 : hi*stride*4])
-		clear(out.DR[lo*stride*12 : hi*stride*12])
-		clear(out.Rij[lo*stride*3 : hi*stride*3])
+		clear(out.Geo[lo*stride*4 : hi*stride*4])
 		clear(out.Count[lo*nt : hi*nt])
 	}
 	var st RowStats
@@ -150,8 +149,7 @@ func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbo
 		st.Dropped += dropped
 		fillEnvRow(cfg, pos, i, out.Fmt.Idx[i*stride:(i+1)*stride], out.Fmt.SelOff, box,
 			out.R[i*stride*4:(i+1)*stride*4],
-			out.DR[i*stride*12:(i+1)*stride*12],
-			out.Rij[i*stride*3:(i+1)*stride*3],
+			out.Geo[i*stride*4:(i+1)*stride*4],
 			out.Count[i*nt:(i+1)*nt])
 	}
 	return st, nil
@@ -161,7 +159,7 @@ func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbo
 // sort over AoS records, fresh allocations on every call, and the same
 // mathematical output. Intended for benchmarking and cross-validation.
 func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []int, list *neighbor.List, box *neighbor.Box) (*EnvOut, error) {
-	start := time.Now()
+	start := ctr.Now()
 	nloc := list.Nloc
 	stride := cfg.Stride()
 
@@ -182,8 +180,7 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 	out := &EnvOut{
 		Nloc: nloc, Stride: stride, Fmt: fmtd,
 		R:     make([]float64, nloc*stride*4),
-		DR:    make([]float64, nloc*stride*12),
-		Rij:   make([]float64, nloc*stride*3),
+		Geo:   make([]float64, nloc*stride*4),
 		Count: make([]int32, nloc*len(cfg.Sel)),
 	}
 	// The baseline walks the *raw* AoS entries and branches on the type of
@@ -213,15 +210,13 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 				continue
 			}
 			fill[e.Type]++
-			slot := make([]float64, 4)   // per-neighbor temporary (AoS style)
-			dslot := make([]float64, 12) // allocated afresh each neighbor
-			rij := make([]float64, 3)    //
-			if fillEnvSlot(cfg, pos, i, e.Index, box, slot, dslot, rij) {
+			slot := make([]float64, 4) // per-neighbor temporary (AoS style)
+			geo := make([]float64, 4)  // allocated afresh each neighbor
+			if fillEnvSlot(cfg, pos, i, e.Index, box, slot, geo) {
 				out.Count[i*len(cfg.Sel)+e.Type] = int32(fill[e.Type])
 			}
 			copy(out.R[(i*stride+k)*4:], slot)
-			copy(out.DR[(i*stride+k)*12:], dslot)
-			copy(out.Rij[(i*stride+k)*3:], rij)
+			copy(out.Geo[(i*stride+k)*4:], geo)
 		}
 	}
 	ctr.Observe(perf.CatCUSTOM, start, int64(nloc)*int64(stride)*EnvFLOPsPerSlot)
@@ -232,62 +227,63 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 // model in internal/core counts with the numbers the operators report.
 const (
 	// EnvFLOPsPerSlot is charged per padded slot of the environment
-	// computation (distance, switching function, 4 matrix entries and
-	// their 12 derivatives).
-	EnvFLOPsPerSlot = 45
+	// computation: the distance 9 (3 sub, 3 mul, 2 add, sqrt), the
+	// switching function and its derivative 18 (Smooth's switched shell,
+	// cos and sin one each), then 1/r, q and the 3 entries q*d_a 5.
+	EnvFLOPsPerSlot = 9 + 18 + 5
 	// RefreshFLOPsPerEntry is charged per raw list entry for the
 	// current-step distance the re-sort needs.
 	RefreshFLOPsPerEntry = 9
 	// ProdForceFLOPsPerEntry and ProdVirialFLOPsPerEntry are charged per
 	// slot the products visit: the real rows below Count (the baselines
-	// charge the padded stride).
-	ProdForceFLOPsPerEntry  = 30
-	ProdVirialFLOPsPerEntry = 24 + 18
+	// charge the padded stride). Each pays the slot's dR~/dd rebuild,
+	// jacobianFLOPs, and the contraction dd 24 (12 multiply-adds);
+	// then the force its scatter to neighbor and center 6, the virial its
+	// outer product d x dd 18 (9 multiply-subtracts).
+	ProdForceFLOPsPerEntry  = jacobianFLOPs + 24 + 6
+	ProdVirialFLOPsPerEntry = jacobianFLOPs + 24 + 18
+	// jacobianFLOPs is the rebuild of one slot's dR~/dd from its
+	// geometry row (slotJacobian): r 6, 1/r and q 2, dq/dr 4, the unit
+	// vector 3, dR~[0]/dd 3, the 9 terms d_b*dq*d_a/r 18 and the diagonal
+	// q 3.
+	jacobianFLOPs = 6 + 2 + 4 + 3 + 3 + 18 + 3
 )
 
-// fillEnvRow computes R~, dR~/dd and rij for one atom over its formatted
-// slot row, section by section. On entry count[t] bounds what an earlier
-// call left in section t (zero at and beyond it); on return it is the index,
-// within the section, after the last slot that was filled, and the bound
-// holds again: below the old count, the slots fillEnvSlot declined and the
-// ones past the section's last neighbor are zeroed here.
-func fillEnvRow(cfg Config, pos []float64, i int, rowIdx []int32, selOff []int, box *neighbor.Box, r, dr, rij []float64, count []int32) {
+// fillEnvRow computes R~ and the geometry row for one atom over its
+// formatted slot row, section by section. On entry count[t] bounds what an
+// earlier call left in section t (zero at and beyond it); on return it is
+// the index, within the section, after the last slot that was filled, and
+// the bound holds again: below the old count, the slots fillEnvSlot
+// declined and the ones past the section's last neighbor are zeroed here.
+func fillEnvRow(cfg Config, pos []float64, i int, rowIdx []int32, selOff []int, box *neighbor.Box, r, geo []float64, count []int32) {
 	for t := range count {
 		stale := selOff[t] + int(count[t])
 		n := 0
 		k := selOff[t]
 		for ; k < selOff[t+1] && rowIdx[k] >= 0; k++ {
-			if fillEnvSlot(cfg, pos, i, int(rowIdx[k]), box, r[k*4:k*4+4], dr[k*12:k*12+12], rij[k*3:k*3+3]) {
+			if fillEnvSlot(cfg, pos, i, int(rowIdx[k]), box, r[k*4:k*4+4], geo[k*4:k*4+4]) {
 				n = k - selOff[t] + 1
 			} else if k < stale {
-				clearSlots(r, dr, rij, k, k+1)
+				clear(r[k*4 : k*4+4])
+				clear(geo[k*4 : k*4+4])
 			}
 		}
 		if k < stale {
-			clearSlots(r, dr, rij, k, stale)
+			clear(r[k*4 : stale*4])
+			clear(geo[k*4 : stale*4])
 		}
 		count[t] = int32(n)
 	}
 }
 
-// clearSlots zeroes slots [lo, hi) of one atom's three row buffers.
-func clearSlots(r, dr, rij []float64, lo, hi int) {
-	clear(r[lo*4 : hi*4])
-	clear(dr[lo*12 : hi*12])
-	clear(rij[lo*3 : hi*3])
-}
-
-// fillEnvSlot computes one slot's environment row and derivative and
+// fillEnvSlot computes one slot's environment row and geometry row and
 // reports whether it wrote anything: a neighbor that moved outside the
 // cutoff since the last rebuild, or that coincides with the center, leaves
-// its slot zero.
+// its slot zero. With d = r_j - r_i, r = |d|, s = Smooth(r) and q = s/r:
 //
-// With d = r_j - r_i, r = |d|, s = Smooth(r) and q = s/r:
-//
-//	R~ = (s, q*dx, q*dy, q*dz)
-//	dR~[0]/dd_a   = s'(r) * d_a / r
-//	dR~[b]/dd_a   = q*delta(ab) + d_b * (s'/r - s/r^2) * d_a / r
-func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, dr, rij []float64) bool {
+//	R~  = (s, q*dx, q*dy, q*dz)
+//	geo = (dx, dy, dz, s'(r))
+func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, geo []float64) bool {
 	d := disp(pos, i, j, box)
 	rr := vecNorm(d)
 	if rr >= cfg.Rcut || rr == 0 {
@@ -296,13 +292,34 @@ func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, dr, 
 	s, ds := Smooth(rr, cfg.RcutSmth, cfg.Rcut)
 	inv := 1 / rr
 	q := s * inv
-	dq := ds*inv - s*inv*inv // dq/dr
 
 	r[0] = s
 	r[1] = q * d[0]
 	r[2] = q * d[1]
 	r[3] = q * d[2]
-	rij[0], rij[1], rij[2] = d[0], d[1], d[2]
+	geo[0], geo[1], geo[2], geo[3] = d[0], d[1], d[2], ds
+	return true
+}
+
+// slotJacobian writes dR~/dd of one slot into dr (4 x 3, dr[c*3+a] =
+// dR~[c]/dd_a) from the slot's s = R~[0] and geometry row g:
+//
+//	dR~[0]/dd_a   = s'(r) * d_a / r
+//	dR~[b]/dd_a   = q*delta(ab) + d_b * (s'/r - s/r^2) * d_a / r
+//
+// ProdRows inlines the same operations in the same order, so both give the
+// same bits. A slot the operator left zero (g[3] == 0; s' < 0 on every
+// filled slot) has no Jacobian to rebuild — its r would be 0 — and leaves
+// dr untouched.
+func slotJacobian(s float64, g, dr []float64) {
+	ds := g[3]
+	if ds == 0 {
+		return
+	}
+	d := [3]float64{g[0], g[1], g[2]}
+	inv := 1 / vecNorm(d)
+	q := s * inv
+	dq := ds*inv - s*inv*inv // dq/dr
 
 	for a := 0; a < 3; a++ {
 		ra := d[a] * inv // unit vector component
@@ -315,7 +332,6 @@ func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, dr, 
 			dr[(b+1)*3+a] = v
 		}
 	}
-	return true
 }
 
 func disp(pos []float64, i, j int, box *neighbor.Box) [3]float64 {
@@ -338,10 +354,10 @@ func vecNorm(d [3]float64) float64 {
 // is the double -> single boundary of the mixed-precision model. dst is
 // resized to the matrix and written whole.
 func ConvertR[T tensor.Float](ctr *perf.Counter, env *EnvOut, dst []T) []T {
-	start := time.Now()
+	start := ctr.Now()
 	dst = tensor.Resize(dst, len(env.R))
 	ConvertRows(env, dst, nil, 0, env.Nloc)
-	ctr.AddTime(perf.CatSLICE, time.Since(start))
+	ctr.Observe(perf.CatSLICE, start, 0)
 	return dst
 }
 

@@ -1,7 +1,7 @@
 package descriptor
 
 import (
-	"time"
+	"math"
 
 	"deepmd-go/internal/perf"
 	"deepmd-go/internal/tensor"
@@ -14,18 +14,22 @@ import (
 
 // ProdRows is the one body of the customized force and virial operators,
 // for center atoms [lo, hi): per real slot (below its section's Count — at
-// and beyond it DR is zero, so netDeriv is not even read there) the
+// and beyond it Geo is zero, so netDeriv is not even read there) the
 // contraction of the network gradient with the environment-matrix
 // derivative, computed once and fed to both products,
 //
-//	dd_a     = sum_c netDeriv[i,k,c] * DR[i,k,c,a]
+//	dd_a     = sum_c netDeriv[i,k,c] * dR~[i,k,c]/dd_a
 //	F[j]    -= dd        (neighbor)
 //	F[i]    += sum_k dd  (center, accumulated in registers)
-//	W_ab    -= rij_a * dd_b
+//	W_ab    -= d_a * dd_b
 //
-// in atom, section, slot order. force (3*nall) and w are accumulated into;
-// either may be nil to skip that product. It returns the slots visited,
-// which is what the operators charge FLOPs for.
+// in atom, section, slot order. dR~/dd is not stored: each slot rebuilds it
+// from its geometry row (d, s'(r)) and R~[0] = s with slotJacobian's
+// operations, so the result is the one a stored Jacobian would give, bit
+// for bit. A slot below Count that the operator left zero (a neighbor
+// coincident with its center) is skipped. force (3*nall) and w are
+// accumulated into; either may be nil to skip that product. It returns the
+// slots visited, which is what the operators charge FLOPs for.
 //
 //dp:noalloc
 func ProdRows[T tensor.Float](netDeriv []T, env *EnvOut, lo, hi int, force []float64, w *[9]float64) int64 {
@@ -40,14 +44,26 @@ func ProdRows[T tensor.Float](netDeriv []T, env *EnvOut, lo, hi int, force []flo
 			base := i*stride + selOff[t]
 			idx := env.Fmt.Idx[base : base+n]
 			nd := netDeriv[base*4 : (base+n)*4]
-			drs := env.DR[base*12 : (base+n)*12]
-			rijs := env.Rij[base*3 : (base+n)*3]
+			rs := env.R[base*4 : (base+n)*4]
+			geo := env.Geo[base*4 : (base+n)*4]
 			for k, j32 := range idx {
+				g := geo[4*k : 4*k+4]
+				ds := g[3]
+				if ds == 0 {
+					continue
+				}
+				// slotJacobian inlined: dr[c*3+a] is the factor of n_c in dd_a.
+				x, y, z := g[0], g[1], g[2]
+				inv := 1 / math.Sqrt(x*x+y*y+z*z)
+				s := rs[4*k]
+				q := s * inv
+				dq := ds*inv - s*inv*inv
+				rx, ry, rz := x*inv, y*inv, z*inv
+				xq, yq, zq := x*dq, y*dq, z*dq
 				n0, n1, n2, n3 := float64(nd[4*k]), float64(nd[4*k+1]), float64(nd[4*k+2]), float64(nd[4*k+3])
-				dr := drs[12*k : 12*k+12]
-				d0 := n0*dr[0] + n1*dr[3] + n2*dr[6] + n3*dr[9]
-				d1 := n0*dr[1] + n1*dr[4] + n2*dr[7] + n3*dr[10]
-				d2 := n0*dr[2] + n1*dr[5] + n2*dr[8] + n3*dr[11]
+				d0 := n0*(ds*rx) + n1*(xq*rx+q) + n2*(yq*rx) + n3*(zq*rx)
+				d1 := n0*(ds*ry) + n1*(xq*ry) + n2*(yq*ry+q) + n3*(zq*ry)
+				d2 := n0*(ds*rz) + n1*(xq*rz) + n2*(yq*rz) + n3*(zq*rz+q)
 				if force != nil {
 					j := int(j32)
 					force[3*j] -= d0
@@ -58,16 +74,15 @@ func ProdRows[T tensor.Float](netDeriv []T, env *EnvOut, lo, hi int, force []flo
 					fi2 += d2
 				}
 				if w != nil {
-					rij := rijs[3*k : 3*k+3]
-					w0 -= rij[0] * d0
-					w1 -= rij[0] * d1
-					w2 -= rij[0] * d2
-					w3 -= rij[1] * d0
-					w4 -= rij[1] * d1
-					w5 -= rij[1] * d2
-					w6 -= rij[2] * d0
-					w7 -= rij[2] * d1
-					w8 -= rij[2] * d2
+					w0 -= x * d0
+					w1 -= x * d1
+					w2 -= x * d2
+					w3 -= y * d0
+					w4 -= y * d1
+					w5 -= y * d2
+					w6 -= z * d0
+					w7 -= z * d1
+					w8 -= z * d2
 				}
 			}
 			slots += int64(n)
@@ -121,17 +136,18 @@ func SumPartials(partials, dst []float64, lo, hi int) {
 // center atom, force alone. force must hold 3*nall elements and is
 // accumulated into (callers zero it first).
 func ProdForce(ctr *perf.Counter, netDeriv []float64, env *EnvOut, force []float64) {
-	start := time.Now()
+	start := ctr.Now()
 	slots := ProdRows(netDeriv, env, 0, env.Nloc, force, nil)
 	ctr.Observe(perf.CatCUSTOM, start, slots*ProdForceFLOPsPerEntry)
 }
 
 // ProdForceBaseline computes the same contraction the way the baseline CPU
 // operator did: slot-major over the whole table (poor locality across
-// atoms), with a freshly allocated scratch vector per slot and no padding
-// skip until after the gather. Returns a newly allocated force array.
+// atoms), with a freshly allocated scratch vector per slot, every slot's
+// Jacobian rebuilt (slotJacobian; zero for padding) and no padding skip
+// until after the gather. Returns a newly allocated force array.
 func ProdForceBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut, nall int) []float64 {
-	start := time.Now()
+	start := ctr.Now()
 	force := make([]float64, 3*nall)
 	stride := env.Stride
 	for k := 0; k < stride; k++ { // slot-major: strided access over atoms
@@ -139,7 +155,8 @@ func ProdForceBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut, nall 
 			j32 := env.Fmt.Idx[i*stride+k]
 			dd := make([]float64, 3) // per-slot temporary
 			nd := netDeriv[(i*stride+k)*4 : (i*stride+k)*4+4]
-			dr := env.DR[(i*stride+k)*12 : (i*stride+k)*12+12]
+			var dr [12]float64
+			slotJacobian(env.R[(i*stride+k)*4], env.Geo[(i*stride+k)*4:(i*stride+k)*4+4], dr[:])
 			for a := 0; a < 3; a++ {
 				for c := 0; c < 4; c++ {
 					dd[a] += nd[c] * dr[c*3+a]
@@ -163,7 +180,7 @@ func ProdForceBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut, nall 
 // every center atom, the 3x3 virial tensor alone (in eV, row-major
 // W[a*3+b]). tr(W)/3 / V is the interaction part of the pressure.
 func ProdVirial(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]float64 {
-	start := time.Now()
+	start := ctr.Now()
 	var w [9]float64
 	slots := ProdRows(netDeriv, env, 0, env.Nloc, nil, &w)
 	ctr.Observe(perf.CatCUSTOM, start, slots*ProdVirialFLOPsPerEntry)
@@ -174,7 +191,7 @@ func ProdVirial(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]float64 {
 // per-slot allocation, recomputing the contraction without sharing work
 // with the force pass.
 func ProdVirialBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]float64 {
-	start := time.Now()
+	start := ctr.Now()
 	var w [9]float64
 	stride := env.Stride
 	for k := 0; k < stride; k++ {
@@ -184,8 +201,9 @@ func ProdVirialBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]f
 				continue
 			}
 			nd := netDeriv[(i*stride+k)*4 : (i*stride+k)*4+4]
-			dr := env.DR[(i*stride+k)*12 : (i*stride+k)*12+12]
-			rij := env.Rij[(i*stride+k)*3 : (i*stride+k)*3+3]
+			rij := env.Geo[(i*stride+k)*4 : (i*stride+k)*4+3]
+			var dr [12]float64
+			slotJacobian(env.R[(i*stride+k)*4], env.Geo[(i*stride+k)*4:(i*stride+k)*4+4], dr[:])
 			dd := make([]float64, 3)
 			for a := 0; a < 3; a++ {
 				for c := 0; c < 4; c++ {

@@ -102,10 +102,8 @@ func requireSameEnv(t testing.TB, label string, got, want *EnvOut) {
 		t.Fatalf("%s: Fmt.Overflow %d, want %d", label, got.Fmt.Overflow, want.Fmt.Overflow)
 	case !eq(got.R, want.R):
 		t.Fatalf("%s: R differs", label)
-	case !eq(got.DR, want.DR):
-		t.Fatalf("%s: DR differs", label)
-	case !eq(got.Rij, want.Rij):
-		t.Fatalf("%s: Rij differs", label)
+	case !eq(got.Geo, want.Geo):
+		t.Fatalf("%s: Geo differs", label)
 	}
 }
 
@@ -162,7 +160,7 @@ func checkReuse(t testing.TB, frames []reuseFrame) {
 
 // One Scratch through frames whose counts shrink and grow, with a
 // coincident pair, a different atom count and a different stride in
-// between, leaves exactly what a fresh Scratch computes: R, DR, Rij, Count,
+// between, leaves exactly what a fresh Scratch computes: R, Geo, Count,
 // Fmt.Idx and Fmt.Overflow, bit for bit — the stale-row clears miss nothing.
 func TestEnvironmentReuseMatchesFresh(t *testing.T) {
 	script := []byte{

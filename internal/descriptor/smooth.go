@@ -1,8 +1,10 @@
 // Package descriptor implements the customized operators of the Deep
 // Potential pipeline: the smooth cutoff function, the Environment operator
-// that builds the environment matrix R~ and its position derivative, and
-// the ProdForce / ProdVirial operators that contract the network gradient
-// dE/dR~ back into atomic forces and the virial tensor.
+// that builds the environment matrix R~ and, per neighbor slot, the
+// geometry (d, s'(r)) its position derivative is a closed form of, and the
+// ProdForce / ProdVirial operators that rebuild that derivative slot by
+// slot and contract the network gradient dE/dR~ with it into atomic forces
+// and the virial tensor.
 //
 // Each operator exists in two variants mirroring Sec. 5.2.2 / Table 3:
 // a baseline variant (struct sort, per-call allocation, type branching in
@@ -42,7 +44,9 @@ func (c Config) Stride() int {
 //
 // and its derivative ds/dr. This is the weighting that makes the
 // environment matrix, and therefore energies and forces, continuous as
-// neighbors cross the cutoff sphere.
+// neighbors cross the cutoff sphere. On 0 < r < rmax, ds/dr < 0 strictly
+// (both terms of the switched branch are <= 0 and never both 0), which is
+// what lets a zero in EnvOut.Geo mark an empty slot.
 func Smooth(r, rmin, rmax float64) (s, ds float64) {
 	if r >= rmax || r <= 0 {
 		return 0, 0

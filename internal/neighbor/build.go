@@ -2,6 +2,7 @@ package neighbor
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -20,6 +21,11 @@ const minBlock = 256
 // blocks, in order, the triangle still splits evenly over the workers.
 const rowBlock = 16
 
+// ErrNonFinite is wrapped by the error Build returns for a NaN or infinite
+// position or box edge, which would otherwise leave an atom without
+// neighbors or an axis without periodic images, silently.
+var ErrNonFinite = errors.New("non-finite geometry")
+
 // Build constructs the raw neighbor list for the first nloc atoms among the
 // nall positions (3*nall floats, xyz per atom), using up to workers
 // goroutines. workers <= 1 runs serially; the output is bit-identical for
@@ -27,6 +33,8 @@ const rowBlock = 16
 // convention (serial periodic mode, which requires every box edge >=
 // 2*(Rcut+Skin)); if box is nil, displacements are taken directly, which is
 // the domain-decomposed mode where positions already include ghost images.
+// A non-finite position is an error naming the first such atom, a
+// non-finite box edge one naming its axis; both wrap ErrNonFinite.
 //
 // Build makes three passes over the rows. The scan finds each row's
 // neighbors and keeps only their indices; the fill computes each distance
@@ -45,9 +53,18 @@ func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers in
 	if nall > math.MaxInt32 {
 		return nil, fmt.Errorf("neighbor: %d atoms exceed the int32 index range", nall)
 	}
+	for a, x := range pos[:3*nall] {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			i := a / 3
+			return nil, fmt.Errorf("neighbor: atom %d position (%g, %g, %g): %w", i, pos[3*i], pos[3*i+1], pos[3*i+2], ErrNonFinite)
+		}
+	}
 	rc := spec.RcutBuild()
 	if box != nil {
 		for k := 0; k < 3; k++ {
+			if math.IsNaN(box.L[k]) || math.IsInf(box.L[k], 0) {
+				return nil, fmt.Errorf("neighbor: box edge %d is %g: %w", k, box.L[k], ErrNonFinite)
+			}
 			if box.L[k] < 2*rc {
 				return nil, fmt.Errorf("neighbor: box edge %d (%.3f) < 2*rcut_build (%.3f); minimum image invalid", k, box.L[k], 2*rc)
 			}

@@ -1,8 +1,10 @@
 package neighbor
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,40 @@ func TestBuildRejectsSmallBox(t *testing.T) {
 	types := make([]int, 10)
 	if _, err := Build(spec, pos, types, 10, box, 1); err == nil {
 		t.Fatal("expected minimum-image violation error")
+	}
+}
+
+// A non-finite coordinate used to give its atom zero neighbors, and a NaN
+// or +Inf box edge an axis without periodic images, with no error. Build
+// refuses both, naming the first bad atom (ghosts included) or the axis.
+func TestBuildRejectsNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	box := &Box{L: [3]float64{12, 12, 12}}
+	spec := Spec{Rcut: 3, Skin: 0.5, Sel: []int{32}}
+	pos, types := randomConfig(rng, 40, box, 1)
+	for _, c := range []struct {
+		name string
+		set  map[int]float64 // coordinate index -> value
+		box  *Box
+		want string
+	}{
+		{"NaN position", map[int]float64{3*7 + 1: math.NaN()}, box, "atom 7 "},
+		{"+Inf position", map[int]float64{0: math.Inf(1)}, box, "atom 0 "},
+		{"-Inf ghost position", map[int]float64{3*35 + 2: math.Inf(-1)}, nil, "atom 35 "},
+		{"first of two", map[int]float64{3 * 20: math.NaN(), 3*12 + 2: math.Inf(1)}, box, "atom 12 "},
+		{"NaN box", nil, &Box{L: [3]float64{12, math.NaN(), 12}}, "box edge 1 "},
+		{"+Inf box", nil, &Box{L: [3]float64{12, 12, math.Inf(1)}}, "box edge 2 "},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]float64(nil), pos...)
+			for x, v := range c.set {
+				bad[x] = v
+			}
+			_, err := Build(spec, bad, types, 30, c.box, 2)
+			if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %v, want one wrapping ErrNonFinite and naming %q", err, c.want)
+			}
+		})
 	}
 }
 

@@ -110,6 +110,16 @@ func (c *Counter) AddTime(cat Category, d time.Duration) {
 	}
 }
 
+// Now stamps the start of a kernel invocation for Observe: the current time
+// when a counter is attached, the zero Time when c is nil, so an uncounted
+// call does not read the clock.
+func (c *Counter) Now() time.Time {
+	if c == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // Observe records both time and FLOPs for one kernel invocation.
 func (c *Counter) Observe(cat Category, start time.Time, flops int64) {
 	if c == nil {

@@ -65,6 +65,12 @@ func TestNilCounterIsSafe(t *testing.T) {
 	if c.FLOPs() != 0 || c.CategoryTime(CatGEMM) != 0 || c.TierFLOPs(TierStrip) != 0 {
 		t.Fatal("nil counter should be inert")
 	}
+	if !c.Now().IsZero() {
+		t.Fatal("nil counter read the clock")
+	}
+	if NewCounter().Now().IsZero() {
+		t.Fatal("attached counter returned no start time")
+	}
 }
 
 func TestCounterConcurrency(t *testing.T) {

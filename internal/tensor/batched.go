@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"deepmd-go/internal/perf"
 )
@@ -33,7 +32,7 @@ import (
 // k x n matrix at b[g*bs:] and C_g the m x n matrix at c[g*cs:].
 func GemmBatchOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
 	checkBatch("GemmBatch", batch, m*k, as, len(a), k*n, bs, len(b), m*n, cs, len(c))
-	start := time.Now()
+	start := ctr.Now()
 	runBatchNaive(o.Workers, batchVarN, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	ctr.ObserveGEMM(perf.TierNaive, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
 }
@@ -43,7 +42,7 @@ func GemmBatchOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha 
 // batched descriptor outer product D = T (T[:ax])^T.
 func GemmBatchNTOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
 	checkBatch("GemmBatchNT", batch, m*k, as, len(a), n*k, bs, len(b), m*n, cs, len(c))
-	start := time.Now()
+	start := ctr.Now()
 	runBatchNaive(o.Workers, batchVarNT, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	ctr.ObserveGEMM(perf.TierNaive, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
 }
@@ -53,7 +52,7 @@ func GemmBatchNTOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alph
 // batched backward contraction dT_a[:ax] += dD_a^T T_a.
 func GemmBatchTNOpt[T Float](o Opts, ctr *perf.Counter, batch, m, k, n int, alpha T, a []T, as int, b []T, bs int, beta T, c []T, cs int) {
 	checkBatch("GemmBatchTN", batch, m*k, as, len(a), m*n, bs, len(b), k*n, cs, len(c))
-	start := time.Now()
+	start := ctr.Now()
 	runBatchNaive(o.Workers, batchVarTN, batch, m, k, n, alpha, a, as, b, bs, beta, c, cs)
 	ctr.ObserveGEMM(perf.TierNaive, start, 2*int64(batch)*int64(m)*int64(n)*int64(k))
 }

@@ -1,8 +1,6 @@
 package tensor
 
 import (
-	"time"
-
 	"deepmd-go/internal/perf"
 )
 
@@ -14,7 +12,7 @@ import (
 
 // F64to32 converts src into dst (same length).
 func F64to32(ctr *perf.Counter, src []float64, dst []float32) {
-	start := time.Now()
+	start := ctr.Now()
 	for i, v := range src {
 		dst[i] = float32(v)
 	}
@@ -23,7 +21,7 @@ func F64to32(ctr *perf.Counter, src []float64, dst []float32) {
 
 // F32to64 converts src into dst (same length).
 func F32to64(ctr *perf.Counter, src []float32, dst []float64) {
-	start := time.Now()
+	start := ctr.Now()
 	for i, v := range src {
 		dst[i] = float64(v)
 	}

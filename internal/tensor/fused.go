@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"sync"
-	"time"
 
 	"deepmd-go/internal/perf"
 )
@@ -29,7 +28,7 @@ func GemmBiasOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, c
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols || len(bias) != c.Cols {
 		panic("tensor: GemmBias dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
 	tier := perf.TierStrip
 	if o.Kernel == Naive || !gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, c.Data, n, bias, epiBias, nil, 0) {
@@ -79,19 +78,19 @@ func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bia
 		if wantGrad {
 			mode, g, ldg = epiTanhGrad, grad.Data, n
 		}
-		start := time.Now()
+		start := ctr.Now()
 		if gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, y.Data, n, bias, mode, g, ldg) {
 			ctr.ObserveGEMM(perf.TierStrip, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
 			flops := tanhFLOPs * int64(len(y.Data))
 			if wantGrad {
 				flops += 2 * int64(len(y.Data))
 			}
-			ctr.Observe(perf.CatTANH, time.Now(), flops)
+			ctr.Observe(perf.CatTANH, ctr.Now(), flops)
 			return
 		}
 	}
 	GemmBiasOpt(o, ctr, a, b, bias, y)
-	start := time.Now()
+	start := ctr.Now()
 	// The serial path must not touch the goroutine branch's closure: a
 	// shared func literal would escape to the heap on every call and break
 	// the allocation-free steady state.
@@ -136,7 +135,7 @@ func AddSkipDouble[T Float](ctr *perf.Counter, x, y Matrix[T]) {
 	if y.Cols != 2*x.Cols || y.Rows != x.Rows {
 		panic("tensor: AddSkipDouble dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	n := x.Cols
 	for i := 0; i < x.Rows; i++ {
 		xi := x.Data[i*n : i*n+n]
@@ -155,7 +154,7 @@ func AddSkipSame[T Float](ctr *perf.Counter, x, y Matrix[T]) {
 	if y.Cols != x.Cols || y.Rows != x.Rows {
 		panic("tensor: AddSkipSame dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	for i, v := range x.Data {
 		y.Data[i] += v
 	}
@@ -168,7 +167,7 @@ func SkipDoubleBackward[T Float](ctr *perf.Counter, dy, dx Matrix[T]) {
 	if dy.Cols != 2*dx.Cols || dy.Rows != dx.Rows {
 		panic("tensor: SkipDoubleBackward dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	n := dx.Cols
 	for i := 0; i < dx.Rows; i++ {
 		di := dy.Data[i*2*n : (i+1)*2*n]
@@ -186,7 +185,7 @@ func MulInto[T Float](ctr *perf.Counter, a, b, dst Matrix[T]) {
 	if len(a.Data) != len(b.Data) || len(a.Data) != len(dst.Data) {
 		panic("tensor: MulInto dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	for i, v := range a.Data {
 		dst.Data[i] = v * b.Data[i]
 	}

@@ -1,8 +1,6 @@
 package tensor
 
 import (
-	"time"
-
 	"deepmd-go/internal/perf"
 )
 
@@ -36,7 +34,7 @@ func GemmOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T
 	if a.Cols != b.Rows || a.Rows != c.Rows || b.Cols != c.Cols {
 		panic("tensor: Gemm dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
 	tier := perf.TierStrip
 	if o.Kernel == Naive || !gemmSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, n, beta, c.Data, n, nil, epiNone, nil, 0) {
@@ -52,7 +50,7 @@ func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	if a.Cols != b.Cols || a.Rows != c.Rows || b.Rows != c.Cols {
 		panic("tensor: GemmNT dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	m, k, n := a.Rows, a.Cols, b.Rows
 	tier := perf.TierDot
 	if o.Kernel == Naive || !gemmNTSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n) {
@@ -69,7 +67,7 @@ func GemmTNOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	if a.Rows != b.Rows || a.Cols != c.Rows || b.Cols != c.Cols {
 		panic("tensor: GemmTN dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
 	tier := perf.TierStrip
 	if o.Kernel == Naive || !gemmTNSIMD(o.Workers, m, k, n, alpha, a.Data, b.Data, beta, c.Data) {
@@ -188,14 +186,14 @@ func dot[T Float](a, b []T) T {
 
 // Axpy computes y += s*x and records it as CatOther.
 func Axpy[T Float](ctr *perf.Counter, s T, x, y []T) {
-	start := time.Now()
+	start := ctr.Now()
 	axpy(s, x, y)
 	ctr.Observe(perf.CatOther, start, 2*int64(len(y)))
 }
 
 // Dot returns the inner product of a and b and records it as CatOther.
 func Dot[T Float](ctr *perf.Counter, a, b []T) T {
-	start := time.Now()
+	start := ctr.Now()
 	s := dot(a, b)
 	ctr.Observe(perf.CatOther, start, 2*int64(len(a)))
 	return s

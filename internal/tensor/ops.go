@@ -1,8 +1,6 @@
 package tensor
 
 import (
-	"time"
-
 	"deepmd-go/internal/perf"
 )
 
@@ -25,7 +23,7 @@ func BiasAdd[T Float](ctr *perf.Counter, x Matrix[T], b []T) Matrix[T] {
 	if len(b) != x.Cols {
 		panic("tensor: BiasAdd dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	out := NewMatrix[T](x.Rows, x.Cols)
 	n := x.Cols
 	for i := 0; i < x.Rows; i++ {
@@ -44,7 +42,7 @@ func Add[T Float](ctr *perf.Counter, x, y Matrix[T]) Matrix[T] {
 	if x.Rows != y.Rows || x.Cols != y.Cols {
 		panic("tensor: Add dimension mismatch")
 	}
-	start := time.Now()
+	start := ctr.Now()
 	out := NewMatrix[T](x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = v + y.Data[i]
@@ -56,7 +54,7 @@ func Add[T Float](ctr *perf.Counter, x, y Matrix[T]) Matrix[T] {
 // ConcatCols allocates and returns (x, x): each row duplicated side by side
 // (the CONCAT operator feeding the doubling skip connection, Fig. 1(f)).
 func ConcatCols[T Float](ctr *perf.Counter, x Matrix[T]) Matrix[T] {
-	start := time.Now()
+	start := ctr.Now()
 	n := x.Cols
 	out := NewMatrix[T](x.Rows, 2*n)
 	for i := 0; i < x.Rows; i++ {
@@ -72,7 +70,7 @@ func ConcatCols[T Float](ctr *perf.Counter, x Matrix[T]) Matrix[T] {
 // Tanh allocates and returns elementwise tanh(x) (the standard TANH
 // operator).
 func Tanh[T Float](ctr *perf.Counter, x Matrix[T]) Matrix[T] {
-	start := time.Now()
+	start := ctr.Now()
 	out := NewMatrix[T](x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = tanhT(v)
@@ -84,7 +82,7 @@ func Tanh[T Float](ctr *perf.Counter, x Matrix[T]) Matrix[T] {
 // TanhGrad allocates and returns 1 - y*y where y = tanh(x) was already
 // computed (the standard TANHGrad operator run as a second pass over y).
 func TanhGrad[T Float](ctr *perf.Counter, y Matrix[T]) Matrix[T] {
-	start := time.Now()
+	start := ctr.Now()
 	out := NewMatrix[T](y.Rows, y.Cols)
 	for i, v := range y.Data {
 		out.Data[i] = 1 - v*v
@@ -97,7 +95,7 @@ func TanhGrad[T Float](ctr *perf.Counter, y Matrix[T]) Matrix[T] {
 // operator; used to take the first M' axis columns of the embedding
 // matrix).
 func SliceCols[T Float](ctr *perf.Counter, x Matrix[T], lo, hi int) Matrix[T] {
-	start := time.Now()
+	start := ctr.Now()
 	w := hi - lo
 	out := NewMatrix[T](x.Rows, w)
 	for i := 0; i < x.Rows; i++ {
@@ -109,7 +107,7 @@ func SliceCols[T Float](ctr *perf.Counter, x Matrix[T], lo, hi int) Matrix[T] {
 
 // SliceColsInto writes columns [lo, hi) of x into dst without allocating.
 func SliceColsInto[T Float](ctr *perf.Counter, x Matrix[T], lo, hi int, dst Matrix[T]) {
-	start := time.Now()
+	start := ctr.Now()
 	w := hi - lo
 	if dst.Rows != x.Rows || dst.Cols != w {
 		panic("tensor: SliceColsInto dimension mismatch")
