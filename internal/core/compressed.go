@@ -119,8 +119,8 @@ func convertTable[T tensor.Float](tb *compress.Table[float64]) *compress.Table[T
 //	D_a, E, dT_a                                  fitChunk
 //	ndT_k = (G dT/N, + ds_k on column 0)          ContractBackward
 //
-// The operator works on 4 x m channel-minor items; the transposes to and
-// from fitChunk's m x 4 layout carry the 1/N scale.
+// The operator works on 4 x m channel-minor items, one per atom of the
+// chunk, and fitChunk turns them into their gradient in place.
 func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
@@ -128,31 +128,28 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 	m := cfg.M()
 	nt := cfg.NumTypes()
 	selOff := env.Fmt.SelOff
-	invN := T(1.0 / float64(stride))
 	tabs := ev.comp[ci]
 
-	tis := ar.TakeUninit(len(atoms) * m * 4)
-	item := ar.TakeUninit(4 * m)
+	items := ar.Take(len(atoms) * 4 * m)
 	buf := ar.TakeUninit(compress.FusedScratchLen(m))
 
 	start := ctr.Now()
 	var rows int64
 	for a, atom := range atoms {
-		clear(item)
+		item := items[a*4*m : (a+1)*4*m]
 		for tj := 0; tj < nt; tj++ {
 			n := int(env.Count[atom*nt+tj])
 			tabs[tj].ContractForward(rT[(atom*stride+selOff[tj])*4:], n, item, buf)
 			rows += int64(n)
 		}
-		itemToT(item, tis[a*m*4:(a+1)*m*4], invN)
 	}
 	ctr.Observe(perf.CatCUSTOM, start, rows*int64(m)*compress.FusedForwardFLOPsPerChannel)
 
-	chunkE, dT := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, tis, atomEnergy)
+	chunkE := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, items, atomEnergy)
 
 	start = ctr.Now()
 	for a, atom := range atoms {
-		tToItem(dT[a*m*4:(a+1)*m*4], item, invN)
+		item := items[a*4*m : (a+1)*4*m]
 		for tj := 0; tj < nt; tj++ {
 			base := (atom*stride + selOff[tj]) * 4
 			tabs[tj].ContractBackward(rT[base:], int(env.Count[atom*nt+tj]), item, ndT[base:], buf)

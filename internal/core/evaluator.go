@@ -143,24 +143,24 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 // arenaLen is one worker's arena demand, a closed form of the Config now
 // that no operand scales with the neighbor count: a ChunkSize-row chunk's
 // descriptor items and fitting-net passes (fitChunk) plus the larger of
-// the two fused operators' scratch — the exact one's per-atom accumulators
-// and one row tile, or the tabulated one's single item and Horner tile.
-// Sized at construction, the first force call already runs inside the slab
-// (TestArenaSizedAtConstruction); growArenas stays as the guard for the
-// per-atom oracle, which materialises full-sel matrices.
+// the two fused operators' scratch — the exact one's row tile or the
+// tabulated one's Horner tile. Sized at construction, the first force call
+// already runs inside the slab (TestArenaSizedAtConstruction); growArenas
+// stays as the guard for the per-atom oracle, which materialises full-sel
+// matrices.
 func (ev *Evaluator[T]) arenaLen() int {
 	cfg := &ev.cfg
 	nA, m, ax, dim := cfg.ChunkSize, cfg.M(), cfg.MAxis, cfg.DescriptorDim()
-	// fitChunk: tis and dT (m x 4 items), dTsub, D, the ones column and the
-	// fitting net's traced pass.
-	fit := nA * (2*m*4 + ax*4 + dim + 1)
+	// fitChunk: the 4 x m items, D, the ones column, the backward
+	// products' scratch and the fitting net's traced pass.
+	fit := nA*(4*m+dim+1) + 8*ax
 	fit += ev.fit[0].ArenaLen(nA)
-	// evalChunkExact: the 4 x m accumulators; per tile s, dG, the
-	// contraction scratch and the embedding net's traced pass.
-	exact := nA*4*m + embedTileRows*(1+m) + max(4*m, embedTileRows/2*8)
+	// evalChunkExact: per tile s, dG, the contraction scratch and the
+	// embedding net's traced pass.
+	exact := embedTileRows*(1+m) + max(4*m, embedTileRows/2*8)
 	exact += ev.embed[0][0].ArenaLen(embedTileRows)
-	// evalChunkCompressed: one item and the Horner tile.
-	tabulated := 4*m + compress.FusedScratchLen(m)
+	// evalChunkCompressed: the Horner tile.
+	tabulated := compress.FusedScratchLen(m)
 	return fit + max(exact, tabulated)
 }
 
@@ -312,8 +312,8 @@ func (w *rowWalk[T]) next(rT, s []T, segs []tileSeg) (int, []tileSeg) {
 //	                     ndT_k = (G_k dT_a, + ds_k on column 0)   ContractRows
 //
 // The operator works on 4 x m channel-minor items, one per atom of the
-// chunk; the transposes to and from fitChunk's m x 4 layout carry the 1/N
-// scale. Every atom's rows accumulate in section-then-slot order wherever
+// chunk, and fitChunk turns them into their gradient in place. Every
+// atom's rows accumulate in section-then-slot order wherever
 // a tile edge falls, and a row's path through the strip kernels does not
 // depend on the other rows of its tile, so results are bit-identical
 // across workers, batch sizes, ranks and coalesce sizes as before.
@@ -322,7 +322,6 @@ func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, opts tensor.Opts, ws *
 	cfg := &ev.cfg
 	m := cfg.M()
 	nt := cfg.NumTypes()
-	invN := T(1.0 / float64(cfg.Stride()))
 	walk := rowWalk[T]{env: env, atoms: atoms}
 
 	items := ar.Take(len(atoms) * 4 * m)
@@ -330,16 +329,7 @@ func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, opts tensor.Opts, ws *
 		walk.section(tj)
 		ev.embedForward(ctr, opts, ws, ar, &walk, ev.embed[ci][tj], rT, items)
 	}
-	tis := ar.TakeUninit(len(atoms) * m * 4)
-	for a := range atoms {
-		itemToT(items[a*4*m:(a+1)*4*m], tis[a*m*4:(a+1)*m*4], invN)
-	}
-
-	chunkE, dT := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, tis, atomEnergy)
-
-	for a := range atoms {
-		tToItem(dT[a*m*4:(a+1)*m*4], items[a*4*m:(a+1)*4*m], invN)
-	}
+	chunkE := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, items, atomEnergy)
 	for tj := 0; tj < nt; tj++ {
 		walk.section(tj)
 		embGr, _ := ev.gradsFor(ci, tj)
@@ -414,52 +404,35 @@ func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, opts tensor.Opts, ws *e
 	}
 }
 
-// itemToT writes the m x 4 descriptor item fitChunk works on from the
-// fused operators' 4 x m channel-minor accumulator, scaled.
-func itemToT[T tensor.Float](item, ti []T, scale T) {
-	m := len(item) / 4
-	t0, t1, t2, t3 := item[:m], item[m:2*m], item[2*m:3*m], item[3*m:4*m]
-	for c := 0; c < m; c++ {
-		ti[c*4] = t0[c] * scale
-		ti[c*4+1] = t1[c] * scale
-		ti[c*4+2] = t2[c] * scale
-		ti[c*4+3] = t3[c] * scale
-	}
-}
-
-// tToItem is the way back: fitChunk's m x 4 gradient into the 4 x m
-// channel-minor item, scaled.
-func tToItem[T tensor.Float](di, item []T, scale T) {
-	m := len(item) / 4
-	t0, t1, t2, t3 := item[:m], item[m:2*m], item[2*m:3*m], item[3*m:4*m]
-	for c := 0; c < m; c++ {
-		t0[c] = di[c*4] * scale
-		t1[c] = di[c*4+1] * scale
-		t2[c] = di[c*4+2] * scale
-		t3[c] = di[c*4+3] * scale
-	}
-}
-
-// fitChunk is the part of a chunk every batched strategy shares, from the
-// descriptor items T_a (tis, nA x m x 4) to their gradient:
+// fitChunk is the part of a chunk both fused operators share. It takes the
+// chunk's descriptor items as the operators accumulate them — nA x 4 x m,
+// channel-minor, unscaled — and overwrites them with their gradient:
 //
-//	D_a  = T_a (T_a[:ax])^T     m x ax     GemmBatchNT, B = head of T buffer
-//	E    = fit(D)               nA x 1
-//	dT_a = dD_a T_a[:ax] (+ head += dD_a^T T_a)   GemmBatch + GemmBatchTN
+//	T_a  = items_a / N                                in place
+//	D_a  = T_a (T_a[:ax])^T        m x ax             descriptor.ContractDescriptor
+//	E    = fit(D)                  nA x 1
+//	dT_a = (dD_a T_a[:ax] (+ head: dD_a^T T_a)) / N   descriptor.ContractDescriptorBackward
 //
-// It fills atomEnergy for the chunk's atoms and returns the chunk energy
-// and dT (nA x m x 4, arena-backed).
-func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], ci int, atoms []int, tis []T, atomEnergy []float64) (float64, []T) {
+// The products are depth 4 and ax, far below every GEMM tile, so they run
+// as register loops, charged under CUSTOM with the FLOPs of the GEMMs they
+// replaced. It fills atomEnergy for the chunk's atoms and returns the
+// chunk energy.
+func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], ci int, atoms []int, items []T, atomEnergy []float64) float64 {
 	cfg := &ev.cfg
-	m := cfg.M()
-	ax := cfg.MAxis
-	dim := cfg.DescriptorDim()
-	nA := len(atoms)
+	m, ax, dim, nA := cfg.M(), cfg.MAxis, cfg.DescriptorDim(), len(atoms)
+	invN := T(1.0 / float64(cfg.Stride()))
+	flops := 2 * int64(nA) * int64(m) * int64(ax) * 4
 
-	// Batched outer product D_a = T_a (T_a[:ax])^T — B is the ax x 4 head
-	// of each T item, an under-full stride into the same buffer.
 	dChunk := ar.TakeMatrixUninit(nA, dim)
-	tensor.GemmBatchNTOpt(opts, ctr, nA, m, 4, ax, 1, tis, m*4, tis, m*4, 0, dChunk.Data, dim)
+	start := ctr.Now()
+	for a := 0; a < nA; a++ {
+		t := items[a*4*m : (a+1)*4*m]
+		for i := range t {
+			t[i] *= invN
+		}
+		descriptor.ContractDescriptor(t, m, ax, dChunk.Data[a*dim:(a+1)*dim])
+	}
+	ctr.Observe(perf.CatCUSTOM, start, flops)
 
 	// Fitting net forward/backward over the chunk batch.
 	fitTr := ev.fit[ci].ForwardInto(&ws.fitTr, ctr, opts, ar, dChunk, true)
@@ -477,20 +450,13 @@ func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalSc
 	_, fitGr := ev.gradsFor(ci, 0)
 	dD := ev.fit[ci].Backward(ctr, opts, ar, fitTr, ones, fitGr)
 
-	// Batched backward through the descriptor contraction:
-	// dT_a = dD_a T_a[:ax], plus dD_a^T T_a added into the first ax rows.
-	dT := ar.TakeUninit(nA * m * 4)
-	tensor.GemmBatchOpt(opts, ctr, nA, m, ax, 4, 1, dD.Data, dim, tis, m*4, 0, dT, m*4)
-	dTsub := ar.TakeUninit(nA * ax * 4)
-	tensor.GemmBatchTNOpt(opts, ctr, nA, m, ax, 4, 1, dD.Data, dim, tis, m*4, 0, dTsub, ax*4)
+	buf := ar.TakeUninit(8 * ax)
+	start = ctr.Now()
 	for a := 0; a < nA; a++ {
-		dst := dT[a*m*4 : a*m*4+ax*4]
-		src := dTsub[a*ax*4 : (a+1)*ax*4]
-		for i, v := range src {
-			dst[i] += v
-		}
+		descriptor.ContractDescriptorBackward(dD.Data[a*dim:(a+1)*dim], m, ax, invN, items[a*4*m:(a+1)*4*m], buf)
 	}
-	return chunkE, dT
+	ctr.Observe(perf.CatCUSTOM, start, 2*flops)
+	return chunkE
 }
 
 // growArenas resizes any arena whose last evaluation overflowed, so the

@@ -372,7 +372,6 @@ func TestBatchedArenaFootprint(t *testing.T) {
 func materialisedChunk(ev *Evaluator[float64], env *descriptor.EnvOut, rT []float64, ci int, atoms []int) (float64, []float64) {
 	cfg := &ev.cfg
 	stride, m, nt, nA := cfg.Stride(), cfg.M(), cfg.NumTypes(), len(atoms)
-	invN := 1 / float64(stride)
 	ar := tensor.NewArena[float64](1 << 16)
 	ws := &evalScratch[float64]{}
 
@@ -381,7 +380,7 @@ func materialisedChunk(ev *Evaluator[float64], env *descriptor.EnvOut, rT []floa
 		return rT[base : base+4]
 	}
 	traces := make([]*nn.Trace[float64], nt)
-	tis := make([]float64, nA*m*4)
+	items := make([]float64, nA*4*m)
 	for tj := 0; tj < nt; tj++ {
 		sel := cfg.Sel[tj]
 		sIn := tensor.NewMatrix[float64](nA*sel, 1)
@@ -397,13 +396,13 @@ func materialisedChunk(ev *Evaluator[float64], env *descriptor.EnvOut, rT []floa
 				r := row(a, tj, k)
 				for c := 0; c < m; c++ {
 					for j := 0; j < 4; j++ {
-						tis[(a*m+c)*4+j] += g[(a*sel+k)*m+c] * r[j] * invN
+						items[(a*4+j)*m+c] += g[(a*sel+k)*m+c] * r[j]
 					}
 				}
 			}
 		}
 	}
-	chunkE, dT := ev.fitChunk(nil, tensor.Opts{}, ws, ar, ci, atoms, tis, make([]float64, env.Nloc))
+	chunkE := ev.fitChunk(nil, tensor.Opts{}, ws, ar, ci, atoms, items, make([]float64, env.Nloc))
 	ndT := make([]float64, env.Nloc*stride*4)
 	for tj := 0; tj < nt; tj++ {
 		sel := cfg.Sel[tj]
@@ -415,7 +414,7 @@ func materialisedChunk(ev *Evaluator[float64], env *descriptor.EnvOut, rT []floa
 				base := (atoms[a]*stride + env.Fmt.SelOff[tj] + k) * 4
 				for c := 0; c < m; c++ {
 					for j := 0; j < 4; j++ {
-						dt := dT[(a*m+c)*4+j] * invN
+						dt := items[(a*4+j)*m+c]
 						dG.Data[(a*sel+k)*m+c] += r[j] * dt
 						ndT[base+j] += g[(a*sel+k)*m+c] * dt
 					}

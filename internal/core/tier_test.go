@@ -14,9 +14,9 @@ import (
 // the GEMM FLOPs of one copper evaluation at the paper's network geometry
 // (embedding 25-50-100, M_axis 16, fitting 1600-240-240-240-1). On the
 // compressed strategy every dense GEMM of the step belongs to the fitting
-// net — the embedding nets are tabulated and the descriptor contractions
-// fused — so the tier tallies are the fitting net's, plus the three k = 4
-// / k = 16 descriptor items that run the naive item loops.
+// net — the embedding nets are tabulated, the descriptor contractions
+// fused and the descriptor products register loops — so the tier tallies
+// are the fitting net's alone.
 //
 // On an AVX family the strips serve the forward pass of all three tanh
 // layers, the 1600-deep first one included, and the dot tile their three
@@ -59,7 +59,6 @@ func testKernelTierAttribution(t *testing.T, chunkSize int) {
 			dot += bwd
 		}
 	}
-	naive += 3 * 2 * int64(cfg.M()*4*cfg.MAxis) // fitChunk's three GemmBatch products
 	want := map[cpufeat.Family][3]int64{
 		cpufeat.Generic: {0, 0, natoms * (strip + dot + naive)},
 		cpufeat.AVX2:    {natoms * strip, natoms * dot, natoms * naive},

@@ -16,9 +16,15 @@ import "deepmd-go/internal/tensor"
 //	ContractRows       a_k[j] alone                           (exact)
 //	ContractOuter      dG_k[c]   = Σ_j R~_k[j] · dT[j][c]     (exact: fed to the net's backward)
 //
-// T and dT are 4 x M, channel-minor (the transpose of the evaluator's
-// M x 4 descriptor items), which makes the channel index the unit-stride
-// SIMD axis of every inner loop. Rows accumulate in slot order whatever
+// and, per atom, the descriptor products the evaluator's fitChunk runs
+// between the fused operators and the fitting net:
+//
+//	ContractDescriptor          D[c][k] = Σ_j T[j][c] · T[j][k], k < M_axis
+//	ContractDescriptorBackward  dT from dD = ∂E/∂D, written over T
+//
+// T and dT are 4 x M, channel-minor — the layout of the evaluator's
+// descriptor items — which makes the channel index the unit-stride SIMD
+// axis of every inner loop. Rows accumulate in slot order whatever
 // the tile boundaries are, and a caller adds sections in section order, so
 // the result for one atom does not depend on which chunk, tile, worker or
 // coalesced frame evaluates it.
@@ -29,7 +35,9 @@ import "deepmd-go/internal/tensor"
 // with FMA and lane-parallel partial sums, so a SIMD family agrees with
 // the reference to summation roundoff — |diff| <= (terms+4)·eps·Σ|term|
 // per output, the recursive-summation bound the differential tests assert
-// — not bitwise.
+// — not bitwise. The descriptor products have no kernel: at depth 4 and
+// M_axis they are register loops, and they sum every output in the order
+// of the naive GEMMs they replaced, bit for bit.
 
 // ContractForward adds the rows of one tile into the 4 x m accumulator:
 // acc[j*m+c] += Σ_i g[i*m+c] · rows[4i+j] over the len(rows)/4 tile rows,
@@ -107,6 +115,75 @@ func ContractOuter[T tensor.Float](rows, dT []T, m int, dG, buf []T) {
 		if nb < 4 {
 			copy(dG[i0*m:(i0+nb)*m], acc)
 		}
+	}
+}
+
+// ContractDescriptor writes one atom's descriptor D = T·T[:ax]ᵀ from its
+// 4 x m item t as the m x ax row-major block the fitting net reads:
+// d[c*ax+k] = Σ_j t[j*m+c]·t[j*m+k]. The four products of an entry sum as
+// ((p0+p1)+p2)+p3 in lanes that each start from zero, the order of the
+// naive GemmNT's dot.
+func ContractDescriptor[T tensor.Float](t []T, m, ax int, d []T) {
+	t0, t1, t2, t3 := t[:m], t[m:2*m], t[2*m:3*m], t[3*m:4*m]
+	for c := 0; c < m; c++ {
+		a0, a1, a2, a3 := t0[c], t1[c], t2[c], t3[c]
+		dc := d[c*ax : (c+1)*ax]
+		for k := range dc {
+			var s0, s1, s2, s3 T
+			s0 += a0 * t0[k]
+			s1 += a1 * t1[k]
+			s2 += a2 * t2[k]
+			s3 += a3 * t3[k]
+			dc[k] = s0 + s1 + s2 + s3
+		}
+	}
+}
+
+// ContractDescriptorBackward overwrites one atom's 4 x m item t with its
+// gradient, given dD, the m x ax gradient of D = T·T[:ax]ᵀ:
+//
+//	dT[c][j]    = Σ_{k<ax} dD[c][k]·T[k][j]      k ascending
+//	dTsub[k][j] = Σ_{c<m}  dD[c][k]·T[c][j]      c ascending
+//	t[j*m+c]    = (dT[c][j] + dTsub[c][j] for c < ax) · scale
+//
+// Every sum starts from zero and runs in the order of the naive Gemm and
+// GemmTN it replaced, and the head add and the scale follow in that
+// order. buf is 8·ax elements of scratch: dTsub and a copy of T's head,
+// which the loop over c still reads after overwriting it.
+func ContractDescriptorBackward[T tensor.Float](dD []T, m, ax int, scale T, t, buf []T) {
+	t0, t1, t2, t3 := t[:m], t[m:2*m], t[2*m:3*m], t[3*m:4*m]
+	sub := buf[:4*ax]
+	for k := 0; k < ax; k++ {
+		var s0, s1, s2, s3 T
+		for c := 0; c < m; c++ {
+			v := dD[c*ax+k]
+			s0 += v * t0[c]
+			s1 += v * t1[c]
+			s2 += v * t2[c]
+			s3 += v * t3[c]
+		}
+		sub[4*k], sub[4*k+1], sub[4*k+2], sub[4*k+3] = s0, s1, s2, s3
+	}
+	h0, h1, h2, h3 := buf[4*ax:5*ax], buf[5*ax:6*ax], buf[6*ax:7*ax], buf[7*ax:8*ax]
+	copy(h0, t0)
+	copy(h1, t1)
+	copy(h2, t2)
+	copy(h3, t3)
+	for c := 0; c < m; c++ {
+		var s0, s1, s2, s3 T
+		for k, v := range dD[c*ax : (c+1)*ax] {
+			s0 += v * h0[k]
+			s1 += v * h1[k]
+			s2 += v * h2[k]
+			s3 += v * h3[k]
+		}
+		if c < ax {
+			s0 += sub[4*c]
+			s1 += sub[4*c+1]
+			s2 += sub[4*c+2]
+			s3 += sub[4*c+3]
+		}
+		t0[c], t1[c], t2[c], t3[c] = s0*scale, s1*scale, s2*scale, s3*scale
 	}
 }
 

@@ -32,7 +32,7 @@ func fusedCover[T tensor.Float](m int) int {
 	switch cpufeat.Active() {
 	case cpufeat.AVX2, cpufeat.AVX512:
 		return m &^ (32/int(unsafe.Sizeof(z)) - 1)
-	case cpufeat.Generic, cpufeat.NEON:
+	case cpufeat.Generic:
 	}
 	return 0
 }

@@ -10,7 +10,6 @@ const (
 	Generic Family = iota
 	AVX2
 	AVX512
-	NEON
 )
 
 var active Family

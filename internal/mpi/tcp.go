@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -648,12 +649,27 @@ func readFrame(conn net.Conn) (kind byte, tag int, payload []byte, err error) {
 	if size > 1<<30 {
 		return 0, 0, nil, fmt.Errorf("mpi: oversized frame (%d bytes)", size)
 	}
-	payload = make([]byte, size)
-	if _, err = io.ReadFull(conn, payload); err != nil {
-		return 0, 0, nil, err
+	// The header is the peer's claim, not bytes in hand: allocate up to
+	// frameChunk ahead of the payload and grow past it only as the payload
+	// arrives, so a peer that claims 1 GiB and hangs up costs one chunk.
+	n := int(size)
+	payload = make([]byte, min(n, frameChunk))
+	for have := 0; ; {
+		if _, err = io.ReadFull(conn, payload[have:]); err != nil {
+			return 0, 0, nil, err
+		}
+		if have = len(payload); have == n {
+			return kind, tag, payload, nil
+		}
+		next := min(n, 2*have)
+		payload = slices.Grow(payload, next-have)[:next]
 	}
-	return kind, tag, payload, nil
 }
+
+// frameChunk bounds what readFrame allocates before payload bytes arrive.
+// Every frame the benchmark workloads send is far below it and takes one
+// allocation.
+const frameChunk = 1 << 20
 
 // Rendezvous.
 

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +26,31 @@ func TestMain(m *testing.M) {
 	default:
 		fmt.Fprintln(os.Stderr, "unknown DPMPI_HELPER")
 		os.Exit(2)
+	}
+}
+
+// A frame header may claim up to 1 GiB before one payload byte arrives —
+// the rendezvous hello of anything that connects is such a header. A peer
+// that claims the maximum and hangs up must cost an error and what the
+// bytes that arrived can fill, not the claim.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	local, peer := net.Pipe()
+	defer local.Close()
+	go func() {
+		defer peer.Close()
+		if _, err := peer.Write(appendHeader(nil, 1<<30, kindHello, 0)); err != nil {
+			t.Error(err)
+		}
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(local)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("readFrame returned a 1 GiB frame from a 9-byte stream")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+		t.Fatalf("readFrame allocated %d bytes for a frame that never arrived, want < 4 MiB", grew)
 	}
 }
 

@@ -100,7 +100,7 @@ func testFittingNetPaperGeometry[T tensor.Float](t *testing.T, rows int) {
 func TestFittingNetPaperGeometry(t *testing.T) {
 	prev := cpufeat.Active()
 	defer cpufeat.SetActive(prev)
-	for _, fam := range []cpufeat.Family{cpufeat.Generic, cpufeat.AVX2, cpufeat.AVX512, cpufeat.NEON} {
+	for _, fam := range []cpufeat.Family{cpufeat.Generic, cpufeat.AVX2, cpufeat.AVX512} {
 		if !cpufeat.Available(fam) {
 			continue
 		}

@@ -60,33 +60,3 @@ func FuzzGemm(f *testing.F) {
 		}
 	})
 }
-
-// FuzzGemmBatch is the same differential harness for the strided-batched
-// family: the fuzzer drives batch count, per-item shape, stride mode
-// (tight/padded/shared), alpha/beta, variant and precision; every case is
-// checked per item against the float64 recomputation, against the naive
-// per-item reference, and for bit-identity at worker counts 1/2/7.
-//
-//	go test -fuzz=FuzzGemmBatch -fuzztime=30s ./internal/tensor/
-func FuzzGemmBatch(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(16), uint8(12), uint8(4), 1.0, 0.0, uint8(0), uint8(0), false)
-	f.Add(int64(2), uint8(7), uint8(100), uint8(46), uint8(4), 0.25, 1.0, uint8(2), uint8(1), true)
-	f.Add(int64(3), uint8(1), uint8(200), uint8(4), uint8(100), -1.0, 0.5, uint8(1), uint8(2), false)
-	f.Add(int64(4), uint8(32), uint8(64), uint8(64), uint8(64), 1.0, 1.0, uint8(0), uint8(3), false)
-	f.Fuzz(func(t *testing.T, seed int64, ub, um, uk, un uint8, alpha, beta float64, variant, mode uint8, single bool) {
-		batch, m, k, n := int(ub)%48, int(um), int(uk), int(un)
-		v := int(variant) % numBatchVariants
-		sm := batchStrideMode(int(mode) % int(numStrideModes))
-		if math.IsNaN(alpha) || math.IsInf(alpha, 0) || math.Abs(alpha) > 8 {
-			alpha = 1
-		}
-		if math.IsNaN(beta) || math.IsInf(beta, 0) || math.Abs(beta) > 8 {
-			beta = 0
-		}
-		if single {
-			runGemmBatchCase[float32](t, v, batch, m, k, n, sm, alpha, beta, seed)
-		} else {
-			runGemmBatchCase[float64](t, v, batch, m, k, n, sm, alpha, beta, seed)
-		}
-	})
-}

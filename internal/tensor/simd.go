@@ -12,12 +12,11 @@ import (
 // eligibility, worker fan-out, the K-panel / tail-strip driver, the
 // staged transpose of the TN variant, the column-panel driver of the NT
 // dot tile, the pooled staging slabs, and the scalar Go model that
-// finishes the column tails the unmasked families do not cover. The
-// per-ISA halves (simd_amd64.go + simd_*_amd64.s, simd_arm64.go +
-// simd_arm64.s) provide the register-tiled kernels; simd_off.go turns the
-// whole path off under `purego` or on other architectures, which is the
-// mandatory fallback contract: with no kernels available every GEMM routes
-// to the naive loops of gemm.go.
+// finishes the column tails the unmasked family does not cover. The amd64
+// half (simd_amd64.go + simd_*_amd64.s) provides the register-tiled
+// kernels; simd_off.go turns the whole path off under `purego` or on any
+// other architecture, which is the mandatory fallback contract: with no
+// kernels available every GEMM routes to the naive loops of gemm.go.
 //
 // Two tiers, chosen by the layer. A call runs on a SIMD kernel when one
 // covers its (k, n, epilogue) on the active family and on the naive loops
@@ -45,10 +44,9 @@ import (
 // column panels of B outside the row pairs so that a panel is read from L1
 // (ntRowRange). The TN variant (training's dW = XᵀdY) stages Aᵀ into a
 // pooled slab and runs the strips (gemmTNSIMD). What runs naive is the
-// shapes below the tiles' widths (the fitting net's one-column head), the
-// k = 4 / 16 per-atom descriptor items of the strided-batched family, and
-// everything when no family is active (purego, DEEPMD_KERNEL=generic, and
-// GemmNT on arm64, which has no dot tile).
+// shapes below the tiles' widths (the fitting net's one-column head) and
+// everything when no family is active (purego, DEEPMD_KERNEL=generic, any
+// GOARCH but amd64).
 //
 // Bit-exactness contract. Worker fan-out partitions rows in multiples of
 // the strip height from row 0, every row's K panels are visited in the
@@ -62,7 +60,7 @@ import (
 // n mod 4 tail columns on a zero-padded mini-panel of their B rows and an
 // odd last row as a pair with a zero row (ntRowRange) — so an NT row's bits
 // do not depend on whether the call's row count is odd. The scalar model
-// is left with the column tails of the unmasked families (AVX2, NEON);
+// is left with the column tails of the unmasked family (AVX2);
 // there the float64 model reproduces the asm lanes operation for
 // operation (math.FMA accumulation, the same epilogue arithmetic,
 // tanhApprox64), and the float32 model agrees to within the documented
@@ -284,7 +282,7 @@ func simdRowsParallel[T Float](fam cpufeat.Family, caps simdKernelCaps, workers,
 // more strip: their A rows are staged zero-padded to R rows in a pooled
 // slab, with an R-row staging block for C and one for grad behind them, so
 // every row of every column the asm covers is computed by the lanes. Only
-// the column tail of the unmasked families (AVX2, NEON) is left to the
+// the column tail of the unmasked family (AVX2) is left to the
 // scalar model, panel by panel in the same order.
 func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
 	R := caps.rows

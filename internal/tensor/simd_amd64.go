@@ -29,7 +29,7 @@ func simdCaps(fam cpufeat.Family, es int) (simdKernelCaps, bool) {
 		}
 		return simdKernelCaps{rows: 8, cover: 16, masked: true, fusedTanh: true, hasNT: true}, true
 	default:
-		// Generic and NEON take the portable path: no amd64 SIMD caps.
+		// Generic takes the portable path: no SIMD caps.
 		return simdKernelCaps{}, false
 	}
 }

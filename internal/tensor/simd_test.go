@@ -77,7 +77,7 @@ func TestColumnChunkIsMultipleOfCover(t *testing.T) {
 // execute, Generic always included.
 func simdTestFamilies() []cpufeat.Family {
 	fams := []cpufeat.Family{cpufeat.Generic}
-	for _, f := range []cpufeat.Family{cpufeat.AVX2, cpufeat.AVX512, cpufeat.NEON} {
+	for _, f := range []cpufeat.Family{cpufeat.AVX2, cpufeat.AVX512} {
 		if cpufeat.Available(f) {
 			fams = append(fams, f)
 		}
