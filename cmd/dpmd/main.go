@@ -269,8 +269,9 @@ func main() {
 // byte-identical between -transport inproc and -transport tcp (Go's JSON
 // encoder emits shortest-round-trip float64s, so bit-identical physics
 // means byte-identical JSON) — the CI smoke diffs exactly that. The comm
-// block is per-transport diagnostics; Iallreduce message topology
-// legitimately differs between the two worlds, so it is not compared.
+// block is per-transport diagnostics (transport name, timings, overlap),
+// so it is not compared; its message and byte counts agree between the
+// two worlds.
 type thermoDoc struct {
 	Physics struct {
 		Thermo       []deepmd.Thermo `json:"thermo"`

@@ -179,10 +179,6 @@ func (ev *Evaluator[T]) SetPerAtomDescriptors(on bool) {
 	}
 }
 
-// CurrentStrategy reports the resolved descriptor execution strategy the
-// evaluator is running (Batched, PerAtom or Compressed).
-func (ev *Evaluator[T]) CurrentStrategy() Strategy { return ev.strat }
-
 // ArenaBytes reports the total arena slab size; the mixed-precision
 // evaluator's is about half the double one's (Sec. 7.1.3).
 func (ev *Evaluator[T]) ArenaBytes() int {

@@ -1,8 +1,10 @@
 package domain
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"deepmd-go/internal/core"
@@ -260,6 +262,34 @@ func TestRunSurfacesRankErrors(t *testing.T) {
 	}
 	if _, err := Run(sys, bad, Options{Ranks: 2, Dt: 0.001, Steps: 1, Spec: spec}); err == nil {
 		t.Fatal("expected surfaced rank error")
+	}
+}
+
+// failingPot fails every force call on one rank with a sentinel error.
+type failingPot struct {
+	md.Potential
+	err error
+}
+
+func (p failingPot) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *core.Result) error {
+	return p.err
+}
+
+// A rank's error keeps its type through World.Run and Run: callers can
+// match it with errors.Is instead of parsing a message.
+func TestRunWrapsRankError(t *testing.T) {
+	errSentinel := errors.New("rank potential failed")
+	sys, newPot, spec := ljFullSystem(17)
+	var made atomic.Int32
+	pot := func() md.Potential {
+		if made.Add(1) == 2 {
+			return failingPot{newPot(), errSentinel}
+		}
+		return newPot()
+	}
+	_, err := Run(sys, pot, Options{Ranks: 2, Dt: 0.001, Steps: 1, Spec: spec})
+	if !errors.Is(err, errSentinel) {
+		t.Fatalf("Run error %v does not wrap the rank's sentinel", err)
 	}
 }
 

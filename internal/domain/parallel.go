@@ -112,10 +112,15 @@ func Run(sys *md.System, newPot func() md.Potential, opt Options) (*Stats, error
 	var runErr error
 	func() {
 		// A rank error becomes a panic so the world aborts (unblocking
-		// the other ranks) and is converted back to an error here.
+		// the other ranks); World.Run re-raises it wrapped, and it is
+		// converted back to an error here with its chain intact.
 		defer func() {
 			if p := recover(); p != nil {
-				runErr = fmt.Errorf("domain: %v", p)
+				err, ok := p.(error)
+				if !ok {
+					err = fmt.Errorf("%v", p)
+				}
+				runErr = fmt.Errorf("domain: %w", err)
 			}
 		}()
 		world.Run(func(c *mpi.Comm) {

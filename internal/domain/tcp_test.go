@@ -135,6 +135,10 @@ func TestTCPMatchesInProcessWater(t *testing.T) {
 				t.Fatalf("ranks=%d atom %d: pos differs", ranks, gid)
 			}
 		}
+		if got.Messages != want.Messages || got.Bytes != want.Bytes {
+			t.Fatalf("ranks=%d: counters tcp (%d msgs, %d bytes) inproc (%d msgs, %d bytes)",
+				ranks, got.Messages, got.Bytes, want.Messages, want.Bytes)
+		}
 		if got.WireBytes != got.Bytes+mpi.FrameOverhead*got.Messages {
 			t.Fatalf("ranks=%d: WireBytes %d not Bytes %d + %d x Messages %d",
 				ranks, got.WireBytes, got.Bytes, mpi.FrameOverhead, got.Messages)

@@ -7,7 +7,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -230,15 +229,4 @@ func (m *MemFacts) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 // nil.
 func (m *MemFacts) PackageFacts(path string) map[FactKey][]byte {
 	return m.pkgMap(path)
-}
-
-// SortedKeys is a small helper for deterministic iteration in analyzers
-// and drivers (the lint suite holds itself to its own determinism rule).
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -60,7 +60,8 @@ type PayloadCodec struct {
 	// Decode parses an encoded payload (the inverse of Append).
 	Decode func(b []byte) (any, error)
 	// Clone deep-copies a payload so collectives can hand every recipient
-	// its own copy on the in-process transport.
+	// its own copy, and a TCP rank's send to itself keeps wire value
+	// semantics.
 	Clone func(p any) any
 }
 

@@ -1,105 +1,73 @@
 package mpi
 
-import "sync"
+// Request is the completion handle of an Iallreduce.
+type Request struct {
+	done    chan struct{}
+	sum     []float64
+	failure any // the panic that ended the reduction (an abort), or nil
+}
+
+// Wait blocks until the reduction completes and returns the summed
+// values, which the caller owns. If the world aborted first, Wait panics
+// with the abort error.
+func (r *Request) Wait() []float64 {
+	<-r.done
+	if r.failure != nil {
+		panic(r.failure)
+	}
+	return r.sum
+}
+
+// Done reports whether the reduction has completed without blocking.
+func (r *Request) Done() bool {
+	select {
+	case <-r.done:
+		return r.failure == nil
+	default:
+		return false
+	}
+}
 
 // Iallreduce is the non-blocking all-reduce of Sec. 5.4: "we replace the
 // MPI_Allreduce with MPI_Iallreduce to further avoid the implicit
-// MPI_Barrier". Each rank contributes its values and immediately receives
-// a Request; Wait blocks until the reduction completes. Ranks can keep
-// integrating while the reduction progresses in the background.
+// MPI_Barrier". Every rank ships its contribution to rank 0 at once and
+// returns a Request; a background goroutine on rank 0 sums in rank order
+// 0..p-1 (bit-identical to Allreduce) and sends every other rank its own
+// copy of the result, which a background goroutine there receives. Ranks
+// keep integrating while the reduction progresses; no rank blocks before
+// Wait.
 //
-// In-process the implementation uses a shared slot per operation sequence
-// number: contributions are staged per rank under a mutex and the last
-// contributor sums them in rank order 0..p-1 — the same order the
-// blocking Allreduce and the TCP transport reduce in, so the
-// floating-point result is deterministic and bit-identical across
-// transports (summing in arrival order used to make the low bits depend
-// on goroutine scheduling). No rank blocks before Wait.
-type Request struct {
-	wait func() []float64
-	done func() bool
-}
-
-// Wait blocks until the reduction completes and returns the summed values
-// (shared; callers must not mutate).
-func (r *Request) Wait() []float64 { return r.wait() }
-
-// Done reports whether the reduction has completed without blocking.
-func (r *Request) Done() bool { return r.done() }
-
-type iarSlot struct {
-	mu      sync.Mutex
-	done    chan struct{}
-	contrib [][]float64 // staged per rank, summed rank-ordered on close
-	sum     []float64
-	joined  int
-	size    int
-}
-
-// Iallreduce starts a non-blocking element-wise sum across all ranks.
 // Operations are matched by call order per rank: the k-th Iallreduce on
 // one rank matches the k-th on every other rank (the usual MPI ordering
-// contract for non-blocking collectives on a communicator).
+// contract for non-blocking collectives on a communicator). The traffic
+// rides the system matchers, so it never disturbs application tags.
 func (c *Comm) Iallreduce(values []float64) *Request {
-	seq := c.iarSeq
+	tag := sysTagIar + c.iarSeq
 	c.iarSeq++
-	if c.tcp != nil {
-		return c.tcpIallreduce(seq, values)
+	r := &Request{done: make(chan struct{}), sum: append([]float64(nil), values...)}
+	if c.size == 1 {
+		close(r.done)
+		return r
 	}
-	w := c.world
-
-	w.iarMu.Lock()
-	slot, ok := w.iarSlots[seq]
-	if !ok {
-		slot = &iarSlot{done: make(chan struct{}), size: w.size, contrib: make([][]float64, w.size)}
-		w.iarSlots[seq] = slot
+	if c.rank != 0 {
+		c.Send(0, tag, r.sum)
 	}
-	w.iarMu.Unlock()
-
-	slot.mu.Lock()
-	slot.contrib[c.rank] = append([]float64(nil), values...)
-	slot.joined++
-	last := slot.joined == slot.size
-	if last {
-		// Deterministic reduction: rank order, independent of which rank
-		// contributed last.
-		slot.sum = make([]float64, len(values))
-		for _, v := range slot.contrib {
-			for i, x := range v {
-				slot.sum[i] += x
+	go func() {
+		defer close(r.done)
+		defer func() { r.failure = recover() }()
+		if c.rank != 0 {
+			r.sum = c.Recv(0, tag).([]float64)
+			return
+		}
+		for src := 1; src < c.size; src++ {
+			v := c.Recv(src, tag).([]float64)
+			for i := range r.sum {
+				r.sum[i] += v[i]
 			}
 		}
-		slot.contrib = nil
-	}
-	slot.mu.Unlock()
-
-	if last {
-		close(slot.done)
-		w.iarMu.Lock()
-		delete(w.iarSlots, seq)
-		w.iarMu.Unlock()
-	}
-	// Count it like a tree reduction would: one message per rank.
-	w.msgs.Add(1)
-	w.bytes.Add(int64(8 * len(values)))
-	c.msgs.Add(1)
-	c.bytes.Add(int64(8 * len(values)))
-	return &Request{
-		wait: func() []float64 {
-			select {
-			case <-slot.done:
-			case <-w.abort:
-				panic(errAborted)
-			}
-			return slot.sum
-		},
-		done: func() bool {
-			select {
-			case <-slot.done:
-				return true
-			default:
-				return false
-			}
-		},
-	}
+		for dst := 1; dst < c.size; dst++ {
+			c.Send(dst, tag, append([]float64(nil), r.sum...))
+		}
+	}()
+	return r
 }

@@ -1,31 +1,45 @@
 // Package mpi is the message-passing runtime under the domain
-// decomposition. Two transports implement the same Comm surface:
+// decomposition. There is one Comm implementation: every rank owns a
+// per-source tag matcher, and Recv, Irecv, the collectives and the abort
+// path are written once against it. Two transports differ only in how a
+// sent message reaches the receiver's matcher:
 //
-//   - The in-process world (NewWorld): ranks are goroutines, messages
-//     travel over buffered channels. This is the default, the fast path
-//     for simulated-rank experiments, and the differential oracle the TCP
+//   - The in-process world (NewWorld): ranks are goroutines and Send
+//     pushes the payload, by reference, straight into the destination
+//     rank's matcher. This is the default, the fast path for
+//     simulated-rank experiments, and the differential oracle the TCP
 //     transport is held bit-identical to.
 //   - The TCP world (DialTCP): ranks are processes — on one machine or
 //     many — meshed over TCP streams with length-prefixed binary framing
 //     (see codec.go) and a small rendezvous layer (coordinator or static
-//     host list). This is the substitution for IBM Spectrum MPI on
+//     host list). A reader goroutine per connection decodes frames into
+//     the same matcher. This is the substitution for IBM Spectrum MPI on
 //     Summit with real wire costs.
 //
 // The collective operations the paper relies on (Bcast for model staging,
 // Barrier, Allreduce and Iallreduce for thermodynamic output, Sec. 5.4 and
-// 7.3) are implemented on top of point-to-point sends with deterministic
-// rank-ordered reduction, so results are bit-identical across transports
-// and runs. Isend/Irecv return lightweight handles for the asynchronous
-// staged halo exchange (comm/compute overlap, Sec. 7.2). Message and byte
-// counters are kept per communicator and per world — sized exactly via
-// the wire codec — so benchmarks can report communication volume the way
-// the paper discusses ghost-region traffic.
+// 7.3) are point-to-point sends through rank 0 with rank-ordered
+// reduction, so results are bit-identical across transports and runs, and
+// so are the message and byte counters. Isend/Irecv return lightweight
+// handles for the asynchronous staged halo exchange (comm/compute
+// overlap, Sec. 7.2). Counters are kept per communicator and per world —
+// sized exactly via the wire codec — so benchmarks can report
+// communication volume the way the paper discusses ghost-region traffic.
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
+)
+
+// Reserved tag spaces for transport-internal collectives, far above the
+// application tags the domain layer uses.
+const (
+	sysTagBarrier = 1 << 24
+	sysTagIar     = 1 << 25
 )
 
 // message is one point-to-point payload.
@@ -34,23 +48,44 @@ type message struct {
 	payload any
 }
 
-// World owns the channels and counters for a set of in-process ranks.
+// link is how a sent message reaches the receiver's matcher: the
+// in-process World pushes it there directly, a TCPWorld frames it onto a
+// socket (or pushes a copy, for a send to itself).
+type link interface {
+	deliver(src, dst, tag int, payload any, n int64)
+	fail(cause error)
+}
+
+// abortState is the failure state both worlds share. The first cause
+// wins; closing done unblocks every pending receive, which then panics
+// with the abort error.
+type abortState struct {
+	done chan struct{}
+	err  atomic.Pointer[abortError]
+}
+
+// trip records cause and closes done; it reports whether this call was
+// the first failure.
+func (a *abortState) trip(cause error) bool {
+	if !a.err.CompareAndSwap(nil, &abortError{cause: cause}) {
+		return false
+	}
+	close(a.done)
+	return true
+}
+
+// abortError is the one panic value of an aborted world; it satisfies
+// error so the domain layer's recover path surfaces the cause.
+type abortError struct{ cause error }
+
+func (e *abortError) Error() string { return "mpi: world aborted: " + e.cause.Error() }
+func (e *abortError) Unwrap() error { return e.cause }
+
+// World is a set of in-process ranks: one Comm per rank, sharing one
+// abort state.
 type World struct {
-	size  int
-	chans [][]chan message // chans[src][dst]
-	bar   barrier
-
-	// abort unblocks every pending Send/Recv when a rank dies, so one
-	// failing rank cannot deadlock the world.
-	abort     chan struct{}
-	abortOnce sync.Once
-
-	// iallreduce bookkeeping: sequenced slots per operation.
-	iarMu    sync.Mutex
-	iarSlots map[int]*iarSlot
-
-	msgs  atomic.Int64
-	bytes atomic.Int64
+	abortState
+	comms []Comm
 }
 
 // NewWorld creates a world of p ranks.
@@ -58,84 +93,103 @@ func NewWorld(p int) *World {
 	if p < 1 {
 		panic("mpi: world size must be >= 1")
 	}
-	w := &World{size: p, iarSlots: make(map[int]*iarSlot), abort: make(chan struct{})}
-	w.chans = make([][]chan message, p)
-	for i := range w.chans {
-		w.chans[i] = make([]chan message, p)
-		for j := range w.chans[i] {
-			w.chans[i][j] = make(chan message, 256)
-		}
+	w := &World{abortState: abortState{done: make(chan struct{})}, comms: make([]Comm, p)}
+	for r := range w.comms {
+		w.comms[r].init(r, p, w, &w.abortState)
 	}
 	return w
 }
 
-// Abort unblocks all pending operations; they panic with an abort marker.
-func (w *World) Abort() {
-	w.abortOnce.Do(func() {
-		close(w.abort)
-		w.bar.abortAll()
-	})
+func (w *World) deliver(src, dst, tag int, payload any, _ int64) {
+	w.comms[dst].inbox(src, tag).push(message{tag: tag, payload: payload})
 }
 
+func (w *World) fail(cause error) { w.trip(cause) }
+
+// Abort unblocks all pending operations; they panic with the abort error.
+func (w *World) Abort() { w.fail(errors.New("aborted by application")) }
+
 // Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
+func (w *World) Size() int { return len(w.comms) }
 
 // Messages returns the number of point-to-point messages sent so far.
-func (w *World) Messages() int64 { return w.msgs.Load() }
+func (w *World) Messages() int64 {
+	var n int64
+	for r := range w.comms {
+		n += w.comms[r].SentMessages()
+	}
+	return n
+}
 
 // Bytes returns the exact payload bytes sent so far (wire-codec sizes,
 // excluding the per-message frame header a wire transport adds).
-func (w *World) Bytes() int64 { return w.bytes.Load() }
+func (w *World) Bytes() int64 {
+	var n int64
+	for r := range w.comms {
+		n += w.comms[r].SentBytes()
+	}
+	return n
+}
 
-// ResetCounters zeroes the message counters.
+// ResetCounters zeroes every rank's message counters.
 func (w *World) ResetCounters() {
-	w.msgs.Store(0)
-	w.bytes.Store(0)
+	for r := range w.comms {
+		w.comms[r].msgs.Store(0)
+		w.comms[r].bytes.Store(0)
+	}
 }
 
 // Run executes f on every rank concurrently and waits for all to finish.
 // A panic on any rank aborts the world (unblocking everyone else) and is
-// re-raised on the caller; abort-induced secondary panics are suppressed.
+// re-raised on the caller as an error wrapping the rank's own (%w when it
+// panicked with an error); the abort-induced panics of the other ranks
+// are filtered out by type. If every panic was an abort (a protocol
+// error, or Abort), the abort error itself is re-raised.
 func (w *World) Run(f func(c *Comm)) {
 	var wg sync.WaitGroup
-	panics := make([]any, w.size)
-	for r := 0; r < w.size; r++ {
+	panics := make([]any, len(w.comms))
+	for r := range w.comms {
 		wg.Add(1)
-		go func(rank int) {
+		go func(c *Comm) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					panics[rank] = p
-					w.Abort()
+					panics[c.rank] = p
+					w.fail(fmt.Errorf("rank %d panicked: %v", c.rank, p))
 				}
 			}()
-			f(&Comm{world: w, rank: rank})
-		}(r)
+			f(c)
+		}(&w.comms[r])
 	}
 	wg.Wait()
-	var first any
+	aborted := false
 	for r, p := range panics {
-		if p == nil || p == errAborted {
+		if _, ok := p.(*abortError); ok || p == nil {
+			aborted = aborted || ok
 			continue
 		}
-		if first == nil {
-			first = fmt.Sprintf("mpi: rank %d panicked: %v", r, p)
+		err, ok := p.(error)
+		if !ok {
+			err = fmt.Errorf("%v", p)
 		}
+		panic(fmt.Errorf("mpi: rank %d panicked: %w", r, err))
 	}
-	if first != nil {
-		panic(first)
+	if aborted {
+		panic(w.err.Load())
 	}
 }
 
-// errAborted marks panics caused by World.Abort rather than rank logic.
-var errAborted = fmt.Errorf("mpi: world aborted")
-
-// Comm is one rank's endpoint on either transport: exactly one of world
-// (in-process) or tcp (wire) is set.
+// Comm is one rank's endpoint on either transport.
 type Comm struct {
-	world *World
-	tcp   *TCPWorld
-	rank  int
+	rank, size int
+	link       link
+	ab         *abortState
+
+	// match[src] orders src's application messages; sysMatch[src] carries
+	// the transport-internal collective traffic (barrier, iallreduce;
+	// tags >= sysTagBarrier) out of band, so it never occupies the
+	// strictly ordered application queue a Recv head-checks.
+	match, sysMatch []matcher
 
 	iarSeq int
 
@@ -146,16 +200,33 @@ type Comm struct {
 	bytes atomic.Int64
 }
 
+func (c *Comm) init(rank, size int, l link, ab *abortState) {
+	c.rank, c.size, c.link, c.ab = rank, size, l, ab
+	c.match, c.sysMatch = make([]matcher, size), make([]matcher, size)
+	for i := range c.sysMatch {
+		c.sysMatch[i].relaxed = true
+	}
+}
+
+// inbox returns the matcher a message from src with tag lands in.
+func (c *Comm) inbox(src, tag int) *matcher {
+	if tag >= sysTagBarrier {
+		return &c.sysMatch[src]
+	}
+	return &c.match[src]
+}
+
+// fail aborts the world with cause and panics with the abort error.
+func (c *Comm) fail(cause error) {
+	c.link.fail(cause)
+	panic(c.ab.err.Load())
+}
+
 // Rank returns this rank's id.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the world size.
-func (c *Comm) Size() int {
-	if c.world != nil {
-		return c.world.size
-	}
-	return c.tcp.size
-}
+func (c *Comm) Size() int { return c.size }
 
 // SentMessages returns the number of messages this rank has sent.
 func (c *Comm) SentMessages() int64 { return c.msgs.Load() }
@@ -163,95 +234,59 @@ func (c *Comm) SentMessages() int64 { return c.msgs.Load() }
 // SentBytes returns the exact payload bytes this rank has sent.
 func (c *Comm) SentBytes() int64 { return c.bytes.Load() }
 
-// Send delivers payload to dst with a tag. In-process it blocks only if
-// the channel buffer is full (256 outstanding messages per pair) and the
-// payload crosses by reference: the receiver must consume (copy out of)
-// it before the sender reuses the backing buffer. Over TCP the payload is
-// encoded immediately, so the buffer is reusable on return.
+// Send delivers payload to dst with a tag and never waits for the
+// receiver. In-process the payload crosses by reference: the receiver
+// must consume (copy out of) it before the sender reuses the backing
+// buffer. Over TCP the payload is encoded immediately, so the buffer is
+// reusable on return.
 func (c *Comm) Send(dst, tag int, payload any) {
 	n := payloadBytes(payload)
 	c.msgs.Add(1)
 	c.bytes.Add(n)
-	if c.world != nil {
-		c.world.msgs.Add(1)
-		c.world.bytes.Add(n)
-		select {
-		case c.world.chans[c.rank][dst] <- message{tag: tag, payload: payload}:
-		case <-c.world.abort:
-			panic(errAborted)
-		}
-		return
-	}
-	c.tcp.send(dst, tag, payload, n)
+	c.link.deliver(c.rank, dst, tag, payload, n)
 }
 
 // Recv blocks until a message with the given tag arrives from src.
-// Messages from the same source are delivered in order; a tag mismatch at
-// the head of the queue with no other receiver posted for it indicates a
-// protocol error and panics.
-func (c *Comm) Recv(src, tag int) any {
-	if c.world != nil {
-		var m message
-		select {
-		case m = <-c.world.chans[src][c.rank]:
-		case <-c.world.abort:
-			panic(errAborted)
-		}
-		if m.tag != tag {
-			panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, src, m.tag))
-		}
-		return m.payload
-	}
-	return c.tcp.recv(src, tag)
-}
+// Messages from the same source are delivered in order; a Recv whose tag
+// differs from its source's next unclaimed message is a protocol error
+// and aborts the world.
+func (c *Comm) Recv(src, tag int) any { return c.collect(c.post(src, tag, true)) }
 
 // SendHandle is the completion handle of a non-blocking send. On both
 // transports the payload has been handed off by the time Isend returns
-// (by reference in-process, encoded over TCP), so Wait never blocks; the
-// handle exists for MPI-shaped call sites.
+// (into the receiver's matcher in-process, encoded over TCP), so Wait
+// never blocks; the handle exists for MPI-shaped call sites.
 type SendHandle struct{}
 
 // Wait completes the send (a no-op; see SendHandle).
 func (SendHandle) Wait() {}
 
-// Isend starts a non-blocking send. Delivery progresses in the
-// background: over TCP a per-connection writer goroutine drains frames,
-// in-process the buffered channel is the in-flight window.
+// Isend starts a non-blocking send (see SendHandle): over TCP a
+// per-connection writer goroutine drains the frame in the background.
 func (c *Comm) Isend(dst, tag int, payload any) SendHandle {
 	c.Send(dst, tag, payload)
 	return SendHandle{}
 }
 
 // RecvHandle is the completion handle of a non-blocking receive posted
-// with Irecv. It is a value type: handles can live on the stack so the
-// steady-state exchange path stays allocation-free.
+// with Irecv. It is a value type and its token is recycled by Wait, so
+// the steady-state exchange path stays allocation-free; Wait it exactly
+// once.
 type RecvHandle struct {
-	c        *Comm
-	src, tag int
-	tok      *recvToken // TCP: interest registered eagerly at post time
+	c   *Comm
+	tok *recvToken
 }
 
-// Irecv posts a non-blocking receive for (src, tag). The transport
-// progresses the message in the background (channel buffer in-process,
-// reader goroutine + matcher over TCP); Wait blocks only for delivery.
-// Posting eagerly also tells the tag matcher which out-of-order arrivals
-// are expected, so concurrent receives on different tags never trip the
+// Irecv posts a non-blocking receive for (src, tag); Wait blocks only for
+// delivery. Posting eagerly tells the matcher which arrivals are
+// expected, so concurrent receives on different tags never trip the
 // protocol-error check.
 func (c *Comm) Irecv(src, tag int) RecvHandle {
-	h := RecvHandle{c: c, src: src, tag: tag}
-	if c.tcp != nil {
-		h.tok = c.tcp.post(src, tag)
-	}
-	return h
+	return RecvHandle{c: c, tok: c.post(src, tag, false)}
 }
 
 // Wait blocks until the posted receive completes and returns the payload.
-func (h RecvHandle) Wait() any {
-	if h.tok != nil {
-		return h.c.tcp.collect(h.src, h.tok)
-	}
-	return h.c.Recv(h.src, h.tag)
-}
+func (h RecvHandle) Wait() any { return h.c.collect(h.tok) }
 
 // SendRecv exchanges payloads with a partner rank without deadlock.
 func (c *Comm) SendRecv(partner, tag int, payload any) any {
@@ -259,112 +294,196 @@ func (c *Comm) SendRecv(partner, tag int, payload any) any {
 	return c.Recv(partner, tag)
 }
 
-// Barrier blocks until every rank has entered it. In-process it is a
-// shared-memory generation barrier; over TCP it is a central
-// gather+release through rank 0 (counted like any other messages).
-func (c *Comm) Barrier() {
-	if c.world != nil {
-		c.world.bar.wait(c.world.size)
-		return
+// post registers interest in (src, tag) with src's matcher.
+func (c *Comm) post(src, tag int, block bool) *recvToken {
+	tok, err := c.inbox(src, tag).post(tag, block)
+	if err != nil {
+		c.fail(fmt.Errorf("rank %d recv from rank %d: %w", c.rank, src, err))
 	}
-	c.tcpBarrier()
+	return tok
 }
 
-// Bcast distributes root's payload to all ranks; every rank returns its
-// own copy. This is the model-staging pattern of Sec. 7.3 ("first reading
-// in with a single MPI rank, and then broadcasting across all MPI
-// tasks"). Each recipient gets an isolated copy — wire value semantics —
-// so mutating the returned payload on one rank cannot corrupt another
-// (in-process, aliasing one backing array across ranks used to do exactly
-// that).
-func (c *Comm) Bcast(root, tag int, payload any) any {
-	if c.rank == root {
-		for dst := 0; dst < c.Size(); dst++ {
-			if dst != root {
-				if c.world != nil {
-					// The wire transport serializes, which copies; the
-					// in-process transport passes references, so clone
-					// per recipient to keep the same value semantics.
-					c.Send(dst, tag, clonePayload(payload))
-				} else {
-					c.Send(dst, tag, payload)
-				}
-			}
+// collect blocks until a posted receive completes, recycles its token and
+// returns the payload.
+func (c *Comm) collect(tok *recvToken) any {
+	if !tok.ready {
+		select {
+		case <-tok.ch:
+		case <-c.ab.done:
+			panic(c.ab.err.Load())
 		}
-		return payload
 	}
-	return c.Recv(root, tag)
+	v, err := tok.got, tok.err
+	tok.m.recycle(tok)
+	if err != nil {
+		c.fail(fmt.Errorf("rank %d: %w", c.rank, err))
+	}
+	return v
+}
+
+// Barrier blocks until every rank has entered it: a gather+release
+// through rank 0, counted like any other messages.
+func (c *Comm) Barrier() {
+	if c.rank == 0 {
+		for src := 1; src < c.size; src++ {
+			c.Recv(src, sysTagBarrier)
+		}
+		for dst := 1; dst < c.size; dst++ {
+			c.Send(dst, sysTagBarrier, []byte(nil))
+		}
+		return
+	}
+	c.Send(0, sysTagBarrier, []byte(nil))
+	c.Recv(0, sysTagBarrier)
+}
+
+// Bcast distributes root's payload to all ranks. This is the
+// model-staging pattern of Sec. 7.3 ("first reading in with a single MPI
+// rank, and then broadcasting across all MPI tasks"). Every recipient is
+// sent its own copy — wire value semantics on both transports — so
+// mutating the returned payload on one rank cannot corrupt another.
+func (c *Comm) Bcast(root, tag int, payload any) any {
+	if c.rank != root {
+		return c.Recv(root, tag)
+	}
+	for dst := 0; dst < c.size; dst++ {
+		if dst != root {
+			c.Send(dst, tag, clonePayload(payload))
+		}
+	}
+	return payload
 }
 
 // Allreduce sums slices element-wise across all ranks; every rank returns
 // its own copy of the reduced vector. The reduction is rank-ordered
 // (root's contribution first, then ranks 1..p-1), so the floating-point
-// result is deterministic and bit-identical across transports. Each rank
-// owns the slice it gets back: recipients used to alias the root's sum
-// array in-process, so one rank mutating its "copy" silently corrupted
-// every other rank's. The implicit synchronization this carries is the
-// bottleneck Sec. 5.4 works around by reducing output frequency.
+// result is deterministic and bit-identical across transports. The
+// implicit synchronization this carries is the bottleneck Sec. 5.4 works
+// around by reducing output frequency.
 func (c *Comm) Allreduce(tag int, values []float64) []float64 {
-	const root = 0
-	if c.rank == root {
-		sum := append([]float64(nil), values...)
-		for src := 1; src < c.Size(); src++ {
-			v := c.Recv(src, tag).([]float64)
-			for i := range sum {
-				sum[i] += v[i]
-			}
-		}
-		for dst := 1; dst < c.Size(); dst++ {
-			if c.world != nil {
-				c.Send(dst, tag, append([]float64(nil), sum...))
-			} else {
-				c.Send(dst, tag, sum)
-			}
-		}
-		return sum
+	if c.rank != 0 {
+		c.Send(0, tag, values)
+		return c.Recv(0, tag).([]float64)
 	}
-	c.Send(root, tag, values)
-	return c.Recv(root, tag).([]float64)
+	sum := append([]float64(nil), values...)
+	for src := 1; src < c.size; src++ {
+		v := c.Recv(src, tag).([]float64)
+		for i := range sum {
+			sum[i] += v[i]
+		}
+	}
+	for dst := 1; dst < c.size; dst++ {
+		c.Send(dst, tag, append([]float64(nil), sum...))
+	}
+	return sum
 }
 
-// barrier is a reusable generation-counting barrier.
-type barrier struct {
+// matcher routes one source's arrived messages to receivers by tag, in
+// per-source arrival order: a receive posted for the next unclaimed
+// message's tag takes it; a blocking Recv whose tag differs from it is a
+// protocol error, whether the message arrived before the Recv was posted
+// or while it waited.
+type matcher struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	count   int
-	gen     int
-	aborted bool
+	fifo    []message
+	waiting []*recvToken
+	free    []*recvToken
+	closed  bool
+	// relaxed switches to full (src, tag) matching with no order check:
+	// used for the system matcher, whose senders (e.g. the rank-0
+	// iallreduce collector goroutine) are concurrent with the main rank,
+	// so arrival order carries no protocol meaning.
+	relaxed bool
 }
 
-func (b *barrier) wait(n int) {
-	b.mu.Lock()
-	if b.cond == nil {
-		b.cond = sync.NewCond(&b.mu)
-	}
-	gen := b.gen
-	b.count++
-	if b.count == n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for gen == b.gen && !b.aborted {
-			b.cond.Wait()
+// recvToken is one posted receive, recycled through its matcher.
+type recvToken struct {
+	m     *matcher
+	tag   int
+	block bool          // posted by a blocking Recv
+	ready bool          // completed at post time
+	ch    chan struct{} // signalled once got or err is set
+	got   any
+	err   error
+}
+
+// push routes an arrived message: to the first waiting receiver for its
+// tag, else onto the arrival queue. On a strict matcher an unclaimed
+// arrival while a blocking Recv waits is that Recv's protocol error: its
+// rank is blocked, so nothing else can claim the message first. The
+// signals never block under the lock: a token is signalled once per post.
+func (m *matcher) push(msg message) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, tok := range m.waiting {
+		if tok.tag == msg.tag {
+			m.waiting = slices.Delete(m.waiting, i, i+1)
+			tok.got = msg.payload
+			tok.ch <- struct{}{}
+			return
 		}
 	}
-	aborted := b.aborted
-	b.mu.Unlock()
-	if aborted {
-		panic(errAborted)
+	for i, tok := range m.waiting {
+		if tok.block && !m.relaxed {
+			m.waiting = slices.Delete(m.waiting, i, i+1)
+			tok.err = fmt.Errorf("protocol error: expected tag %d, got tag %d", tok.tag, msg.tag)
+			tok.ch <- struct{}{}
+			break
+		}
 	}
+	m.fifo = append(m.fifo, msg)
 }
 
-// abortAll releases every waiter with the abort marker.
-func (b *barrier) abortAll() {
-	b.mu.Lock()
-	b.aborted = true
-	if b.cond != nil {
-		b.cond.Broadcast()
+// post registers a receiver for tag. An already-arrived message with the
+// tag completes immediately; a strict matcher only looks at the head of
+// the queue, and a head with a different tag (which, by construction, no
+// current receiver wants) is a protocol error.
+func (m *matcher) post(tag int, block bool) (*recvToken, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, msg := range m.fifo {
+		if msg.tag == tag {
+			m.fifo = slices.Delete(m.fifo, i, i+1)
+			tok := m.token(tag, block)
+			tok.ready, tok.got = true, msg.payload
+			return tok, nil
+		}
+		if !m.relaxed {
+			return nil, fmt.Errorf("protocol error: expected tag %d, head of queue has tag %d", tag, msg.tag)
+		}
 	}
-	b.mu.Unlock()
+	if m.closed {
+		return nil, errors.New("peer closed the connection")
+	}
+	tok := m.token(tag, block)
+	m.waiting = append(m.waiting, tok)
+	return tok, nil
+}
+
+// token takes a recycled token (or makes one); m.mu is held.
+func (m *matcher) token(tag int, block bool) *recvToken {
+	var tok *recvToken
+	if n := len(m.free); n > 0 {
+		tok, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		tok = &recvToken{m: m, ch: make(chan struct{}, 1)}
+	}
+	tok.tag, tok.block = tag, block
+	return tok
+}
+
+func (m *matcher) recycle(tok *recvToken) {
+	m.mu.Lock()
+	tok.ready, tok.got, tok.err = false, nil, nil
+	m.free = append(m.free, tok)
+	m.mu.Unlock()
+}
+
+// closePeer marks the source cleanly finished; receives already posted
+// keep waiting (the world-level abort unblocks them if the peer really is
+// gone), new posts with nothing queued fail.
+func (m *matcher) closePeer() {
+	m.mu.Lock()
+	m.closed = true
+	m.mu.Unlock()
 }

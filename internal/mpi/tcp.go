@@ -15,9 +15,10 @@ import (
 
 // TCP transport: each rank is its own process (on one machine or many),
 // meshed pairwise over TCP streams. Frames are length-prefixed (codec.go)
-// and delivered per source in send order, exactly like the in-process
-// channels, so the two transports are interchangeable under the domain
-// layer — and held bit-identical by the differential tests.
+// and decoded into the receiving rank's per-source matcher — the same
+// matcher the in-process world delivers into — so the two transports are
+// interchangeable under the domain layer and held bit-identical by the
+// differential tests.
 //
 // Rendezvous is either a static host list (every rank knows everyone's
 // listen address up front) or a small coordinator service: each rank
@@ -26,23 +27,16 @@ import (
 // startup retries, one duplex connection per unordered pair.
 //
 // Progress is asynchronous by construction: a reader goroutine per
-// connection drains frames into a per-source tag matcher, and a writer
+// connection drains frames into the per-source matcher, and a writer
 // goroutine per connection drains an outgoing frame queue — so Isend
 // returns after encoding and Irecv completion only needs a queue pop.
 // This is what lets the staged halo exchange overlap communication with
 // packing and local compute (Sec. 7.2).
 //
-// Failure semantics mirror World.Abort: a clean shutdown sends a bye
+// Failure semantics are World.Abort's: a clean shutdown sends a bye
 // frame, so an unexpected EOF or connection error (a killed rank) aborts
 // the whole local world, unblocking every pending operation with the
 // cause instead of deadlocking.
-
-// Reserved tag spaces for transport-internal collectives, far above the
-// application tags the domain layer uses.
-const (
-	sysTagBarrier = 1 << 24
-	sysTagIar     = 1 << 25
-)
 
 // TCPConfig configures one rank's endpoint of a TCP world.
 type TCPConfig struct {
@@ -74,36 +68,13 @@ type TCPConfig struct {
 // rank's sent payloads (codec-exact), WireBytes the actual framed bytes
 // handed to the socket (payload + 9-byte header per message).
 type TCPWorld struct {
-	rank, size int
-	peers      []*tcpPeer
-	match      []*matcher
-	// sysMatch carries the transport-internal collective traffic (barrier,
-	// iallreduce; tags >= sysTagBarrier) out-of-band, like the in-process
-	// transport's slot/barrier machinery: collective frames interleave the
-	// application stream on the socket, so they must not occupy the
-	// strictly-ordered application queue a Recv head-checks.
-	sysMatch []*matcher
-
-	abort    chan struct{}
-	failOnce sync.Once
-	err      atomic.Pointer[abortError]
-	closing  atomic.Bool
-	wg       sync.WaitGroup
-
-	comm     Comm
-	commOnce sync.Once
-
-	msgs  atomic.Int64
-	bytes atomic.Int64
-	wire  atomic.Int64
+	abortState
+	peers   []*tcpPeer
+	comm    Comm
+	closing atomic.Bool
+	wg      sync.WaitGroup
+	wire    atomic.Int64
 }
-
-// abortError marks panics caused by transport failure; it satisfies error
-// so domain's recover path surfaces the cause.
-type abortError struct{ cause error }
-
-func (e *abortError) Error() string { return fmt.Sprintf("mpi: tcp world aborted: %v", e.cause) }
-func (e *abortError) Unwrap() error { return e.cause }
 
 type tcpPeer struct {
 	conn net.Conn
@@ -123,17 +94,10 @@ func DialTCP(cfg TCPConfig) (*TCPWorld, error) {
 	deadline := time.Now().Add(cfg.DialTimeout)
 
 	w := &TCPWorld{
-		rank:     cfg.Rank,
-		size:     cfg.Size,
-		peers:    make([]*tcpPeer, cfg.Size),
-		match:    make([]*matcher, cfg.Size),
-		sysMatch: make([]*matcher, cfg.Size),
-		abort:    make(chan struct{}),
+		abortState: abortState{done: make(chan struct{})},
+		peers:      make([]*tcpPeer, cfg.Size),
 	}
-	for i := range w.match {
-		w.match[i] = newMatcher()
-		w.sysMatch[i] = &matcher{relaxed: true}
-	}
+	w.comm.init(cfg.Rank, cfg.Size, w, &w.abortState)
 	if cfg.Size == 1 {
 		return w, nil
 	}
@@ -244,16 +208,16 @@ func DialTCP(cfg TCPConfig) (*TCPWorld, error) {
 }
 
 // Rank returns this process's rank.
-func (w *TCPWorld) Rank() int { return w.rank }
+func (w *TCPWorld) Rank() int { return w.comm.rank }
 
 // Size returns the world size.
-func (w *TCPWorld) Size() int { return w.size }
+func (w *TCPWorld) Size() int { return w.comm.size }
 
 // Messages returns the number of messages this rank has sent.
-func (w *TCPWorld) Messages() int64 { return w.msgs.Load() }
+func (w *TCPWorld) Messages() int64 { return w.comm.SentMessages() }
 
 // Bytes returns the codec-exact payload bytes this rank has sent.
-func (w *TCPWorld) Bytes() int64 { return w.bytes.Load() }
+func (w *TCPWorld) Bytes() int64 { return w.comm.SentBytes() }
 
 // WireBytes returns the actual framed bytes handed to the sockets:
 // Bytes() plus the 9-byte header per message (hello/bye frames excluded).
@@ -268,12 +232,7 @@ func (w *TCPWorld) Err() error {
 }
 
 // Comm returns this rank's communicator.
-func (w *TCPWorld) Comm() *Comm {
-	w.commOnce.Do(func() {
-		w.comm = Comm{tcp: w, rank: w.rank}
-	})
-	return &w.comm
-}
+func (w *TCPWorld) Comm() *Comm { return &w.comm }
 
 // Abort tears the world down, unblocking all pending operations here and
 // (via the broken connections) on every peer.
@@ -281,15 +240,9 @@ func (w *TCPWorld) Abort() { w.fail(errors.New("aborted by application")) }
 
 // fail records the first failure cause and tears the transport down.
 func (w *TCPWorld) fail(cause error) {
-	w.failOnce.Do(func() {
-		w.err.Store(&abortError{cause: cause})
-		close(w.abort)
-		for i := range w.match {
-			w.match[i].abortAll()
-			w.sysMatch[i].abortAll()
-		}
+	if w.trip(cause) {
 		w.shutdownConns()
-	})
+	}
 }
 
 func (w *TCPWorld) shutdownConns() {
@@ -316,7 +269,7 @@ func (w *TCPWorld) Close() error {
 			bye := appendHeader(nil, 0, kindBye, 0)
 			select {
 			case p.out <- bye:
-			case <-w.abort:
+			case <-w.done:
 			}
 			close(p.out)
 		}
@@ -344,8 +297,8 @@ func (w *TCPWorld) readLoop(src int, p *tcpPeer) {
 			return
 		}
 		if kind == kindBye {
-			w.match[src].closePeer()
-			w.sysMatch[src].closePeer()
+			w.comm.match[src].closePeer()
+			w.comm.sysMatch[src].closePeer()
 			return
 		}
 		v, err := decodePayload(kind, payload)
@@ -353,7 +306,7 @@ func (w *TCPWorld) readLoop(src int, p *tcpPeer) {
 			w.fail(fmt.Errorf("frame from rank %d tag %d: %w", src, tag, err))
 			return
 		}
-		w.matcherFor(src, tag).push(message{tag: tag, payload: v})
+		w.comm.inbox(src, tag).push(message{tag: tag, payload: v})
 	}
 }
 
@@ -371,262 +324,22 @@ func (w *TCPWorld) writeLoop(p *tcpPeer) {
 	}
 }
 
-// send encodes and enqueues one message; the payload buffer is free for
-// reuse on return. n is the codec-exact payload size (already computed by
-// the caller for its own counters).
-func (w *TCPWorld) send(dst, tag int, payload any, n int64) {
-	w.msgs.Add(1)
-	w.bytes.Add(n)
-	w.wire.Add(n + frameHeaderSize)
-	if dst == w.rank {
-		w.matcherFor(dst, tag).push(message{tag: tag, payload: clonePayload(payload)})
+// deliver encodes and enqueues one message; the payload buffer is free
+// for reuse on return. A send to this rank itself skips the socket and
+// pushes a copy into the matcher. n is the codec-exact payload size.
+func (w *TCPWorld) deliver(src, dst, tag int, payload any, n int64) {
+	if dst == src {
+		w.wire.Add(n + frameHeaderSize)
+		w.comm.inbox(src, tag).push(message{tag: tag, payload: clonePayload(payload)})
 		return
-	}
-	p := w.peers[dst]
-	if p == nil {
-		panic(fmt.Sprintf("mpi: send to unknown rank %d", dst))
 	}
 	frame := encodeFrame(make([]byte, 0, frameHeaderSize+int(n)), tag, payload)
+	w.wire.Add(int64(len(frame)))
 	select {
-	case p.out <- frame:
-	case <-w.abort:
+	case w.peers[dst].out <- frame:
+	case <-w.done:
 		panic(w.err.Load())
 	}
-}
-
-// matcherFor routes a tag to the application or system matcher of src.
-func (w *TCPWorld) matcherFor(src, tag int) *matcher {
-	if tag >= sysTagBarrier {
-		return w.sysMatch[src]
-	}
-	return w.match[src]
-}
-
-// post registers interest in (src, tag) with the matcher.
-func (w *TCPWorld) post(src, tag int) *recvToken {
-	tok, err := w.matcherFor(src, tag).post(tag)
-	if err != nil {
-		w.fail(fmt.Errorf("recv from rank %d: %w", src, err))
-		panic(w.err.Load())
-	}
-	return tok
-}
-
-// collect blocks until a posted receive completes.
-func (w *TCPWorld) collect(src int, tok *recvToken) any {
-	if tok.received {
-		return tok.got
-	}
-	select {
-	case v := <-tok.ch:
-		tok.received, tok.got = true, v
-		return v
-	case <-w.abort:
-		panic(w.err.Load())
-	}
-}
-
-func (w *TCPWorld) recv(src, tag int) any {
-	return w.collect(src, w.post(src, tag))
-}
-
-// tcpBarrier is the central gather+release barrier (counted like any
-// other messages, unlike the in-process shared-memory barrier).
-func (c *Comm) tcpBarrier() {
-	if c.tcp.size == 1 {
-		return
-	}
-	if c.rank == 0 {
-		for src := 1; src < c.tcp.size; src++ {
-			c.Recv(src, sysTagBarrier)
-		}
-		for dst := 1; dst < c.tcp.size; dst++ {
-			c.Send(dst, sysTagBarrier, []byte(nil))
-		}
-		return
-	}
-	c.Send(0, sysTagBarrier, []byte(nil))
-	c.Recv(0, sysTagBarrier)
-}
-
-// tcpIallreduce is the non-blocking all-reduce over the wire: every rank
-// ships its contribution to rank 0 immediately; a background goroutine on
-// rank 0 sums in rank order 0..p-1 (bit-identical to Allreduce and to the
-// in-process slot reduction) and ships the result back. Receives are
-// posted eagerly so out-of-order Waits and interleaved application
-// traffic match cleanly.
-func (c *Comm) tcpIallreduce(seq int, values []float64) *Request {
-	w := c.tcp
-	tag := sysTagIar + seq
-	if w.size == 1 {
-		sum := append([]float64(nil), values...)
-		return &Request{
-			wait: func() []float64 { return sum },
-			done: func() bool { return true },
-		}
-	}
-	if c.rank != 0 {
-		c.Send(0, tag, values)
-		tok := w.post(0, tag)
-		return &Request{
-			wait: func() []float64 { return w.collect(0, tok).([]float64) },
-			done: func() bool {
-				if tok.received {
-					return true
-				}
-				select {
-				case v := <-tok.ch:
-					tok.received, tok.got = true, v
-					return true
-				default:
-					return false
-				}
-			},
-		}
-	}
-	// Rank 0: post all contributions now, reduce and fan out off-thread.
-	own := append([]float64(nil), values...)
-	toks := make([]*recvToken, w.size)
-	for src := 1; src < w.size; src++ {
-		toks[src] = w.post(src, tag)
-	}
-	done := make(chan struct{})
-	var sum []float64
-	go func() {
-		defer close(done)
-		defer func() {
-			// Transport aborts panic; the requester sees them at Wait.
-			recover()
-		}()
-		acc := own
-		for src := 1; src < w.size; src++ {
-			v := w.collect(src, toks[src]).([]float64)
-			for i := range acc {
-				acc[i] += v[i]
-			}
-		}
-		for dst := 1; dst < w.size; dst++ {
-			c.Send(dst, tag, acc)
-		}
-		sum = acc
-	}()
-	return &Request{
-		wait: func() []float64 {
-			select {
-			case <-done:
-			case <-w.abort:
-				panic(w.err.Load())
-			}
-			if sum == nil {
-				panic(w.err.Load())
-			}
-			return sum
-		},
-		done: func() bool {
-			select {
-			case <-done:
-				return sum != nil
-			default:
-				return false
-			}
-		},
-	}
-}
-
-// matcher routes one source's arrived frames to receivers by tag. The
-// per-source arrival order is the same contract the in-process channels
-// give: a receive posted for the head message's tag takes it; a plain
-// Recv whose tag does not match the head — with nobody else posted for
-// the head — is the same protocol error the in-process transport panics
-// on.
-type matcher struct {
-	mu      sync.Mutex
-	fifo    []message
-	waiting []*recvToken
-	closed  bool
-	aborted bool
-	// relaxed switches to full (src, tag) matching with no head check:
-	// used for the system matcher, whose senders (e.g. the rank-0
-	// iallreduce collector goroutine) are concurrent with the main rank,
-	// so arrival order carries no protocol meaning.
-	relaxed bool
-}
-
-type recvToken struct {
-	tag      int
-	ch       chan any
-	received bool
-	got      any
-}
-
-func newMatcher() *matcher { return &matcher{} }
-
-// push routes an arrived message: to the first waiting receiver for its
-// tag, else onto the arrival queue.
-func (m *matcher) push(msg message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.aborted {
-		return
-	}
-	for i, tok := range m.waiting {
-		if tok.tag == msg.tag {
-			m.waiting = append(m.waiting[:i], m.waiting[i+1:]...)
-			tok.ch <- msg.payload
-			return
-		}
-	}
-	m.fifo = append(m.fifo, msg)
-}
-
-// post registers a receiver for tag. An already-arrived head message with
-// the tag completes immediately; a head with a different tag (which, by
-// construction, no current receiver wants) is a protocol error.
-func (m *matcher) post(tag int) (*recvToken, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	tok := &recvToken{tag: tag, ch: make(chan any, 1)}
-	if m.relaxed {
-		for i, msg := range m.fifo {
-			if msg.tag == tag {
-				m.fifo = append(m.fifo[:i], m.fifo[i+1:]...)
-				tok.received, tok.got = true, msg.payload
-				return tok, nil
-			}
-		}
-	} else if len(m.fifo) > 0 {
-		head := m.fifo[0]
-		if head.tag != tag {
-			return nil, fmt.Errorf("protocol error: expected tag %d, head of queue has tag %d", tag, head.tag)
-		}
-		m.fifo = m.fifo[1:]
-		tok.received, tok.got = true, head.payload
-		return tok, nil
-	}
-	if m.closed {
-		return nil, errors.New("peer closed the connection")
-	}
-	if m.aborted {
-		return nil, errors.New("world aborted")
-	}
-	m.waiting = append(m.waiting, tok)
-	return tok, nil
-}
-
-// closePeer marks the source cleanly finished; receives already posted
-// keep waiting (the world-level abort unblocks them if the peer really is
-// gone), new posts with nothing queued fail.
-func (m *matcher) closePeer() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-}
-
-func (m *matcher) abortAll() {
-	m.mu.Lock()
-	m.aborted = true
-	m.waiting = nil
-	m.mu.Unlock()
 }
 
 // Frame IO.

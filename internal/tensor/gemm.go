@@ -183,18 +183,3 @@ func dot[T Float](a, b []T) T {
 	}
 	return s
 }
-
-// Axpy computes y += s*x and records it as CatOther.
-func Axpy[T Float](ctr *perf.Counter, s T, x, y []T) {
-	start := ctr.Now()
-	axpy(s, x, y)
-	ctr.Observe(perf.CatOther, start, 2*int64(len(y)))
-}
-
-// Dot returns the inner product of a and b and records it as CatOther.
-func Dot[T Float](ctr *perf.Counter, a, b []T) T {
-	start := ctr.Now()
-	s := dot(a, b)
-	ctr.Observe(perf.CatOther, start, 2*int64(len(a)))
-	return s
-}
