@@ -271,11 +271,15 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// validateFrame checks the frame against the model.
+// validateFrame checks the frame against the model. A frame may hold at
+// most neighbor.MaxIndex+1 atoms, the most the formatter's keys can index.
 func (s *server) validateFrame(req *frameRequest) (*neighbor.Box, error) {
 	n := len(req.Types)
 	if n == 0 {
 		return nil, errors.New("empty frame")
+	}
+	if n > neighbor.MaxIndex+1 {
+		return nil, fmt.Errorf("frame has %d atoms, at most %d are served", n, neighbor.MaxIndex+1)
 	}
 	if len(req.Pos) != 3*n {
 		return nil, fmt.Errorf("pos length %d, want 3*%d", len(req.Pos), n)
@@ -296,14 +300,25 @@ func (s *server) validateFrame(req *frameRequest) (*neighbor.Box, error) {
 
 // frameList validates the frame and builds its neighbor list; either
 // failing is the client's error. Build refuses non-finite positions and box
-// edges (neighbor.ErrNonFinite), which validateFrame lets through.
+// edges (neighbor.ErrNonFinite), which validateFrame lets through, and two
+// atoms on one spot, which have no environment row, are refused here.
 func (s *server) frameList(req *frameRequest) (*neighbor.Box, *neighbor.List, error) {
 	box, err := s.validateFrame(req)
 	if err != nil {
 		return nil, nil, err
 	}
 	list, err := neighbor.Build(s.spec, req.Pos, req.Types, len(req.Types), box, 1)
-	return box, list, err
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, row := range list.Entries {
+		for _, e := range row {
+			if e.Dist == 0 {
+				return nil, nil, fmt.Errorf("atoms %d and %d coincide", i, e.Index)
+			}
+		}
+	}
+	return box, list, nil
 }
 
 // requestTimeout resolves the per-request deadline: the server default,

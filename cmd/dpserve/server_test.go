@@ -189,6 +189,35 @@ func TestFrameListRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// Two atoms on one spot and a frame too large for the neighbor keys are
+// the client's errors, refused before the model sees the frame: the
+// coincident pair used to evaluate with its row silently zero, and the
+// oversized frame to fail in the formatter as a server error.
+func TestEvaluateEndpointRejectsCoincidentAndOversized(t *testing.T) {
+	hs, _, frame := testServer(t, serve.Options{})
+	coincident := frameRequest{Pos: slices.Clone(frame.Pos), Types: frame.Types, Box: frame.Box}
+	copy(coincident.Pos[3*7:3*7+3], coincident.Pos[3*2:3*2+3])
+	resp, data := postJSON(t, hs.URL+"/v1/evaluate", coincident)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "atoms 2 and 7 coincide") {
+		t.Fatalf("coincident atoms: status %d, want 400 naming atoms 2 and 7: %.200s", resp.StatusCode, data)
+	}
+
+	model, err := buildModel("", "water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(model.Cfg, nil, 0, nil)
+	n := neighbor.MaxIndex + 2
+	big := frameRequest{Pos: make([]float64, 3*n), Types: make([]int, n), Box: [3]float64{1e3, 1e3, 1e3}}
+	if _, err := srv.validateFrame(&big); err == nil || !strings.Contains(err.Error(), "atoms") {
+		t.Fatalf("%d atoms: error %v, want the frame refused", n, err)
+	}
+	big.Pos, big.Types = big.Pos[:3*(n-1)], big.Types[:n-1]
+	if _, err := srv.validateFrame(&big); err != nil {
+		t.Fatalf("%d atoms: %v, want the frame accepted", n-1, err)
+	}
+}
+
 // The relax endpoint descends the energy; the trajectory endpoint
 // integrates and samples thermo.
 func TestRelaxAndTrajectoryEndpoints(t *testing.T) {

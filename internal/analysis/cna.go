@@ -53,7 +53,7 @@ func CNA(pos []float64, types []int, box *neighbor.Box, rcut float64, workers in
 	for i := 0; i < n; i++ {
 		adj[i] = make(map[int]bool, 16)
 		for _, e := range list.Entries[i] {
-			adj[i][e.Index] = true
+			adj[i][int(e.Index)] = true
 		}
 	}
 
@@ -66,11 +66,11 @@ func CNA(pos []float64, types []int, box *neighbor.Box, rcut float64, workers in
 		n421, n422 := 0, 0
 		ok := true
 		for _, e := range nbrs {
-			j := e.Index
+			j := int(e.Index)
 			// Common neighbors of the i-j bond.
 			var common []int
 			for _, e2 := range nbrs {
-				k := e2.Index
+				k := int(e2.Index)
 				if k != j && adj[j][k] {
 					common = append(common, k)
 				}

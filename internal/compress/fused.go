@@ -18,8 +18,7 @@ import "deepmd-go/internal/descriptor"
 // the spot (descriptor.ContractForward/ContractBackward, the kernels the
 // exact path's operator shares), and the backward pass recomputes the
 // tile instead of reading it back. Both passes stop at the section's
-// real-neighbor count n (descriptor.EnvOut.Count): rows at and beyond it
-// have R~ = 0 exactly and contribute nothing, so they are not visited.
+// real-neighbor count n (descriptor.EnvOut.Off): only those rows exist.
 //
 // T and dT are 4 x M, channel-minor; see descriptor/contract.go for the
 // layout, the accumulation-order contract and the agreement bound between

@@ -61,7 +61,7 @@ func (bv *BaselineEvaluator) Compute(pos []float64, types []int, nloc int, list 
 	nt := cfg.NumTypes()
 	invN := 1.0 / float64(stride)
 
-	netDeriv := make([]float64, nloc*stride*4)
+	netDeriv := make([]float64, len(env.R))
 	out.AtomEnergy = tensor.Resize(out.AtomEnergy, nloc)
 	out.Energy = 0
 
@@ -80,15 +80,18 @@ func (bv *BaselineEvaluator) Compute(pos []float64, types []int, nloc int, list 
 		}
 		secs := make([]secTrace, nt)
 		for tj := 0; tj < nt; tj++ {
+			// The section padded to sel rows, zero beyond its real ones:
+			// the fixed-shape matrix the 2018 graph fed its nets.
 			sel := cfg.Sel[tj]
-			off := env.Fmt.SelOff[tj]
+			lo, hi := env.Off[i*nt+tj], env.Off[i*nt+tj+1]
+			r := tensor.NewMatrix[float64](sel, 4)
+			copy(r.Data, env.R[4*lo:4*hi])
 			sIn := tensor.NewMatrix[float64](sel, 1)
 			for k := 0; k < sel; k++ {
-				sIn.Data[k] = env.R[(i*stride+off+k)*4]
+				sIn.Data[k] = r.Data[k*4]
 			}
 			tr := bv.model.Embed[ci][tj].ForwardBaseline(ctr, sIn, true)
 			g := tr.Out()
-			r := tensor.MatrixFrom(sel, 4, env.R[(i*stride+off)*4:(i*stride+off+sel)*4])
 			tensor.GemmTNOpt(naive, ctr, invN, g, r, 1, ti)
 			secs[tj] = secTrace{tr: tr, g: g, r: r}
 		}
@@ -116,15 +119,16 @@ func (bv *BaselineEvaluator) Compute(pos []float64, types []int, nloc int, list 
 		}
 		for tj := 0; tj < nt; tj++ {
 			sel := cfg.Sel[tj]
-			off := env.Fmt.SelOff[tj]
 			dg := tensor.NewMatrix[float64](sel, m)
 			tensor.GemmNTOpt(naive, ctr, invN, secs[tj].r, dT, 0, dg)
-			nd := tensor.MatrixFrom(sel, 4, netDeriv[(i*stride+off)*4:(i*stride+off+sel)*4])
+			nd := tensor.NewMatrix[float64](sel, 4)
 			tensor.GemmOpt(naive, ctr, invN, secs[tj].g, dT, 1, nd)
 			ds := bv.model.Embed[ci][tj].Backward(ctr, naive, scratch, secs[tj].tr, dg, nil)
 			for k := 0; k < sel; k++ {
-				netDeriv[(i*stride+off+k)*4] += ds.Data[k]
+				nd.Data[k*4] += ds.Data[k]
 			}
+			lo, hi := env.Off[i*nt+tj], env.Off[i*nt+tj+1]
+			copy(netDeriv[4*lo:4*hi], nd.Data)
 		}
 	}
 

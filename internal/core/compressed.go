@@ -124,10 +124,9 @@ func convertTable[T tensor.Float](tb *compress.Table[float64]) *compress.Table[T
 func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
-	stride := cfg.Stride()
 	m := cfg.M()
 	nt := cfg.NumTypes()
-	selOff := env.Fmt.SelOff
+	off := env.Off
 	tabs := ev.comp[ci]
 
 	items := ar.Take(len(atoms) * 4 * m)
@@ -137,9 +136,9 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 	var rows int64
 	for a, atom := range atoms {
 		item := items[a*4*m : (a+1)*4*m]
-		for tj := 0; tj < nt; tj++ {
-			n := int(env.Count[atom*nt+tj])
-			tabs[tj].ContractForward(rT[(atom*stride+selOff[tj])*4:], n, item, buf)
+		for k := atom * nt; k < (atom+1)*nt; k++ {
+			n := off[k+1] - off[k]
+			tabs[k-atom*nt].ContractForward(rT[off[k]*4:], n, item, buf)
 			rows += int64(n)
 		}
 	}
@@ -150,9 +149,8 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 	start = ctr.Now()
 	for a, atom := range atoms {
 		item := items[a*4*m : (a+1)*4*m]
-		for tj := 0; tj < nt; tj++ {
-			base := (atom*stride + selOff[tj]) * 4
-			tabs[tj].ContractBackward(rT[base:], int(env.Count[atom*nt+tj]), item, ndT[base:], buf)
+		for k := atom * nt; k < (atom+1)*nt; k++ {
+			tabs[k-atom*nt].ContractBackward(rT[off[k]*4:], off[k+1]-off[k], item, ndT[off[k]*4:], buf)
 		}
 	}
 	ctr.Observe(perf.CatCUSTOM, start, rows*int64(m)*compress.FusedBackwardFLOPsPerChannel)

@@ -18,29 +18,39 @@ import (
 // the side to A/B against under `go run ./bench`. Enable with
 // SetPerAtomDescriptors(true). Unlike the batched path it allocates its
 // small bookkeeping slices per chunk, as the per-call-allocation baseline
-// did.
+// did, and it works on full-sel matrices: each (atom, section) is gathered
+// from its ragged rows (env.Off) into Sel[t] rows, zero beyond the real
+// ones, and only the real rows of the network derivative are written back.
 func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
-	stride := cfg.Stride()
 	m := cfg.M()
 	ax := cfg.MAxis
 	dim := cfg.DescriptorDim()
 	nA := len(atoms)
-	fmtd := env.Fmt
-	invN := T(1.0 / float64(stride))
+	invN := T(1.0 / float64(cfg.Stride()))
+	nt := cfg.NumTypes()
+
+	// Every (atom, section) as a full-sel matrix: its rows of rT, then zero
+	// rows up to Sel[t]. rows reports where the real rows sit.
+	rows := func(atom, tj int) (lo, hi int) { return env.Off[atom*nt+tj], env.Off[atom*nt+tj+1] }
+	full := make([]tensor.Matrix[T], nA*nt)
+	for a, atom := range atoms {
+		for tj := 0; tj < nt; tj++ {
+			lo, hi := rows(atom, tj)
+			full[a*nt+tj] = ar.TakeMatrix(cfg.Sel[tj], 4)
+			copy(full[a*nt+tj].Data, rT[4*lo:4*hi])
+		}
+	}
 
 	// Embedding forward per neighbor-type section.
-	nt := cfg.NumTypes()
 	traces := make([]*nn.Trace[T], nt)
 	for tj := 0; tj < nt; tj++ {
 		sel := cfg.Sel[tj]
-		off := fmtd.SelOff[tj]
 		sIn := ar.TakeMatrix(nA*sel, 1)
-		for a, atom := range atoms {
-			base := (atom*stride + off) * 4
+		for a := range atoms {
 			for k := 0; k < sel; k++ {
-				sIn.Data[a*sel+k] = rT[base+k*4]
+				sIn.Data[a*sel+k] = full[a*nt+tj].Data[k*4]
 			}
 		}
 		traces[tj] = ev.embed[ci][tj].Forward(ctr, opts, ar, sIn, true)
@@ -50,15 +60,13 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 	// D_i = T_i (T_i[:ax])^T.
 	dChunk := ar.TakeMatrix(nA, dim)
 	tis := make([]tensor.Matrix[T], nA)
-	for a, atom := range atoms {
+	for a := range atoms {
 		ti := ar.TakeMatrix(m, 4)
 		for tj := 0; tj < nt; tj++ {
 			sel := cfg.Sel[tj]
-			off := fmtd.SelOff[tj]
 			g := traces[tj].Out()
 			gA := tensor.MatrixFrom(sel, m, g.Data[a*sel*m:(a+1)*sel*m])
-			rA := tensor.MatrixFrom(sel, 4, rT[(atom*stride+off)*4:(atom*stride+off+sel)*4])
-			tensor.GemmTNOpt(tensor.Opts{}, ctr, invN, gA, rA, 1, ti)
+			tensor.GemmTNOpt(tensor.Opts{}, ctr, invN, gA, full[a*nt+tj], 1, ti)
 		}
 		tis[a] = ti
 		tsub := tensor.MatrixFrom(ax, 4, ti.Data[:ax*4])
@@ -82,12 +90,14 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 	_, fitGr := ev.gradsFor(ci, 0)
 	dD := ev.fit[ci].Backward(ctr, opts, ar, fitTr, ones, fitGr)
 
-	// Per-atom backward through the descriptor contraction.
+	// Per-atom backward through the descriptor contraction, into full-sel
+	// network-derivative matrices.
 	dGsec := make([]tensor.Matrix[T], nt)
 	for tj := 0; tj < nt; tj++ {
 		dGsec[tj] = ar.TakeMatrix(nA*cfg.Sel[tj], m)
 	}
-	for a, atom := range atoms {
+	nds := make([]tensor.Matrix[T], nA*nt)
+	for a := range atoms {
 		ti := tis[a]
 		tsub := tensor.MatrixFrom(ax, 4, ti.Data[:ax*4])
 		dDa := tensor.MatrixFrom(m, ax, dD.Data[a*dim:(a+1)*dim])
@@ -100,28 +110,32 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 		}
 		for tj := 0; tj < nt; tj++ {
 			sel := cfg.Sel[tj]
-			off := fmtd.SelOff[tj]
 			g := traces[tj].Out()
 			gA := tensor.MatrixFrom(sel, m, g.Data[a*sel*m:(a+1)*sel*m])
-			rA := tensor.MatrixFrom(sel, 4, rT[(atom*stride+off)*4:(atom*stride+off+sel)*4])
 			dgA := tensor.MatrixFrom(sel, m, dGsec[tj].Data[a*sel*m:(a+1)*sel*m])
-			tensor.GemmNTOpt(tensor.Opts{}, ctr, invN, rA, dT, 0, dgA)
-			ndA := tensor.MatrixFrom(sel, 4, ndT[(atom*stride+off)*4:(atom*stride+off+sel)*4])
-			tensor.GemmOpt(tensor.Opts{}, ctr, invN, gA, dT, 0, ndA)
+			tensor.GemmNTOpt(tensor.Opts{}, ctr, invN, full[a*nt+tj], dT, 0, dgA)
+			nds[a*nt+tj] = ar.TakeMatrix(sel, 4)
+			tensor.GemmOpt(tensor.Opts{}, ctr, invN, gA, dT, 0, nds[a*nt+tj])
 		}
 	}
 
 	// Embedding backward: ds feeds the s-column of the network gradient.
 	for tj := 0; tj < nt; tj++ {
 		sel := cfg.Sel[tj]
-		off := fmtd.SelOff[tj]
 		embGr, _ := ev.gradsFor(ci, tj)
 		ds := ev.embed[ci][tj].Backward(ctr, opts, ar, traces[tj], dGsec[tj], embGr)
-		for a, atom := range atoms {
-			base := (atom*stride + off) * 4
+		for a := range atoms {
 			for k := 0; k < sel; k++ {
-				ndT[base+k*4] += ds.Data[a*sel+k]
+				nds[a*nt+tj].Data[k*4] += ds.Data[a*sel+k]
 			}
+		}
+	}
+
+	// The real rows go back to ndT.
+	for a, atom := range atoms {
+		for tj := 0; tj < nt; tj++ {
+			lo, hi := rows(atom, tj)
+			copy(ndT[4*lo:4*hi], nds[a*nt+tj].Data)
 		}
 	}
 	return chunkE

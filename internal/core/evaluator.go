@@ -239,12 +239,9 @@ const embedTileRows = 128
 // chunk's atom list.
 type tileSeg struct{ a, k0, n int }
 
-// rowWalk enumerates the real neighbor rows of one (chunk, neighbor-type
-// section) in atom-major slot order, a tile at a time. Rows at and beyond
-// an atom's env.Count are never visited: they have R~ = 0 exactly, add
-// nothing to the descriptor, and the force and virial products
-// (descriptor.ProdRows) stop at the same count, so their ndT rows are
-// neither written nor read.
+// rowWalk enumerates the neighbor rows of one (chunk, neighbor-type
+// section) in atom-major slot order, a tile at a time: the rows env.Off
+// gives each atom's section, and only those exist.
 type rowWalk[T tensor.Float] struct {
 	env   *descriptor.EnvOut
 	atoms []int
@@ -256,9 +253,9 @@ type rowWalk[T tensor.Float] struct {
 func (w *rowWalk[T]) section(tj int) { w.tj, w.a, w.k = tj, 0, 0 }
 
 // rows returns the segment's rows of a frame buffer laid out like the
-// environment matrix (nloc x stride x 4): rT or ndT.
+// environment matrix (env.Off): rT or ndT.
 func (w *rowWalk[T]) rows(frame []T, sg tileSeg) []T {
-	base := (w.atoms[sg.a]*w.env.Stride + w.env.Fmt.SelOff[w.tj] + sg.k0) * 4
+	base := (w.env.Off[w.atoms[sg.a]*len(w.env.Fmt.Sel)+w.tj] + sg.k0) * 4
 	return frame[base : base+4*sg.n]
 }
 
@@ -270,7 +267,8 @@ func (w *rowWalk[T]) next(rT, s []T, segs []tileSeg) (int, []tileSeg) {
 	rows := 0
 	nt := len(w.env.Fmt.Sel)
 	for rows < len(s) && w.a < len(w.atoms) {
-		left := int(w.env.Count[w.atoms[w.a]*nt+w.tj]) - w.k
+		k := w.atoms[w.a]*nt + w.tj
+		left := w.env.Off[k+1] - w.env.Off[k] - w.k
 		if left == 0 {
 			w.a, w.k = w.a+1, 0
 			continue

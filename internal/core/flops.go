@@ -109,14 +109,13 @@ func (fm flopModel) fused(rows int) float64 {
 // at the shapes the exact strategy executes — the number perf.Counter
 // accumulates, where FLOPsPerAtomStep is the paper's padded convention.
 // env is the frame's Environment output. The fused operator visits the
-// real neighbor rows only (the sum of env.Count) and runs the embedding
+// real neighbor rows only (the rows of env.Off) and runs the embedding
 // forward pass a second time in its backward half, so against the padded
 // model the count drops with the fill of the neighbor sections and rises
 // by the recomputation (about a fifth at the paper's widths). The
 // customized operators are charged the way they charge themselves:
 // Environment per padded slot plus the distance refresh per list entry,
-// the force and virial products per real row — they stop at env.Count
-// too. (The compressed strategy replaces the embedding and contraction
+// the force and virial products per real row too. (The compressed strategy replaces the embedding and contraction
 // terms by compress.Fused*FLOPsPerChannel per real neighbor and is not
 // modelled here.)
 func (c *Config) ExecutedFLOPs(types []int, env *descriptor.EnvOut) (float64, error) {
@@ -125,18 +124,10 @@ func (c *Config) ExecutedFLOPs(types []int, env *descriptor.EnvOut) (float64, er
 			return 0, fmt.Errorf("atom %d has type %d outside model", i, t)
 		}
 	}
-	rows := 0
-	for _, n := range env.Count {
-		rows += int(n)
-	}
+	rows := env.Off[len(env.Off)-1]
 	fm := c.newFLOPModel()
 	total := fm.fused(rows) + float64(env.Nloc)*fm.perAtom()
-	var entries int64
-	for _, idx := range env.Fmt.Idx {
-		if idx >= 0 {
-			entries++
-		}
-	}
+	entries := int64(env.Fmt.Kept())
 	const prods = descriptor.ProdForceFLOPsPerEntry + descriptor.ProdVirialFLOPsPerEntry
 	total += float64(descriptor.EnvFLOPs(env, entries)) + float64(rows)*prods
 	return total, nil

@@ -41,13 +41,10 @@ type frameState[T tensor.Float] struct {
 
 	sc  descriptor.Scratch
 	env *descriptor.EnvOut
-	rT  []T
-	// rTCount is rT's own Count (descriptor.ConvertRows): the rows an
-	// earlier frame may have left non-zero, so a conversion zeroes only
-	// those instead of the whole padded tail.
-	rTCount []int32
-	// ndT is written by the chunk bodies on the real rows only (below
-	// env.Count) and read by the products on the same rows: never cleared.
+	// rT and ndT are laid out like env.R, a row per real row: rT is the
+	// conversion of env.R, ndT written whole by the chunk bodies and read
+	// by the products, so neither is ever cleared.
+	rT     []T
 	ndT    []T
 	byType [][]int
 	jobs   []chunkJob
@@ -60,8 +57,8 @@ type frameState[T tensor.Float] struct {
 
 // blockOut is what one atom block of a frame hands the coordinating
 // goroutine: stage 1's statistics, error and (when a counter is attached)
-// how its time divided between the operator and the conversion; stage 3's
-// visited slots and partial virial.
+// how its time divided between the operator's two passes and the
+// conversion; stage 3's visited slots and partial virial.
 type blockOut struct {
 	env               descriptor.RowStats
 	err               error
@@ -83,7 +80,8 @@ type batchJob struct {
 // The stages of one force call, each with its own claim cursor. Block
 // stages have ProdBlocks jobs per frame, the sweep one per chunk.
 const (
-	stageEnv    = iota // Environment + ConvertR on a block's atoms
+	stageEnv    = iota // Environment rows formatted and counted on a block's atoms
+	stageFill          // Environment rows filled + ConvertRows on a block's atoms
 	stageSweep         // the chunk sweep
 	stageProd          // force and virial products of a block into its partials
 	stageReduce        // the partials summed in block order, a block of coordinates each
@@ -129,7 +127,9 @@ func (b *barrier) wait() {
 // fan-out (team): every member claims jobs of each stage from that stage's
 // atomic cursor and meets the others at a barrier before the next,
 //
-//	stage 1  (frame, atom block)   Environment rows + ConvertR   row-independent
+//	stage 1a (frame, atom block)   format rows, count real rows  row-independent
+//	         (member 0)            row counts -> offsets         buffers grown to the frame's rows
+//	stage 1b (frame, atom block)   fill rows + ConvertRows       row-independent
 //	stage 2  (frame, chunk)        embedding, fitting, backward  self-contained per chunk, tallest first
 //	stage 3  (frame, atom block)   force/virial products         into the block's own partials
 //	stage 4  (frame, coord block)  partials summed               in block order
@@ -142,15 +142,15 @@ func (b *barrier) wait() {
 // force/virial scatter of stage 3 — is cut into descriptor.ProdBlocks
 // blocks, a constant, so how its sums associate is a function of the frame
 // alone. Workers = 1 runs the same jobs in the same cut on the calling
-// goroutine.
+// goroutine. The environment rows are stored ragged, so where a block's
+// rows land is known only once every block has counted its own: stage 1
+// is two block stages around member 0's prefix sum.
 //
 // On error, the frames' Result buffers are in an unspecified intermediate
 // state. ComputeBatch is single-goroutine; concurrent batches go through
 // an Engine.
 func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 	ctr := ev.Counter
-	nt := ev.cfg.NumTypes()
-	stride := ev.cfg.Stride()
 
 	// Serial preamble: whatever can refuse a frame first, so that no
 	// Scratch is left between Begin and Rows; then the buffers of every
@@ -162,14 +162,7 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		f := &frames[fi]
 		fs := ev.frames[fi]
 		fs.pos, fs.list, fs.box = f.Pos, f.List, f.Box
-		fs.env = fs.sc.Begin(ev.dcfg, f.List.Nloc)
-		if n := f.Nloc * stride * 4; len(fs.rT) != n {
-			fs.rT = tensor.Resize(fs.rT, n)
-			fs.rTCount = tensor.Resize(fs.rTCount, f.Nloc*nt)
-			clear(fs.rT)
-			clear(fs.rTCount)
-		}
-		fs.ndT = tensor.Resize(fs.ndT, f.Nloc*stride*4)
+		fs.env = fs.sc.Begin(ev.dcfg, f.List)
 		fs.chunkE = tensor.Resize(fs.chunkE, len(fs.jobs))
 		fs.partials = tensor.Resize(fs.partials, descriptor.ProdBlocks*len(f.Pos))
 		f.Out.AtomEnergy = tensor.Resize(f.Out.AtomEnergy, f.Nloc)
@@ -216,13 +209,13 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 	return nil
 }
 
-// member is the body of team member w: the four stages in order, jobs
+// member is the body of team member w: the five stages in order, jobs
 // claimed from each stage's cursor, a barrier between stages. Member 0 runs
-// on the calling goroutine and coordinates: it turns stage 1's block
-// results into the call's error, and makes the customized operators' two
-// perf observations — the wall time of the stage and the FLOPs summed over
-// the blocks, so the category times keep their meaning and the FLOP count
-// repeats exactly at every worker count.
+// on the calling goroutine and coordinates: it turns stage 1a's block
+// results into the call's error and the frames' row offsets, and makes the
+// customized operators' two perf observations — the wall time of the stage
+// and the FLOPs summed over the blocks, so the category times keep their
+// meaning and the FLOP count repeats exactly at every worker count.
 //
 //dp:noalloc
 func (ev *Evaluator[T]) member(w int) error {
@@ -238,11 +231,19 @@ func (ev *Evaluator[T]) member(w int) error {
 	}
 	ev.bar.wait()
 	if w == 0 {
-		if err := ev.collectEnv(start); err != nil {
+		if err := ev.collectEnv(); err != nil {
 			return err
 		}
 	} else if ev.failed.Load() {
 		return nil
+	}
+	ev.bar.wait()
+	for bi := ev.claim(stageFill); bi < nblk; bi = ev.claim(stageFill) {
+		ev.fillBlock(bi/descriptor.ProdBlocks, bi%descriptor.ProdBlocks)
+	}
+	ev.bar.wait()
+	if w == 0 {
+		ev.observeEnv(start)
 	}
 
 	// The sweep is where the cross-request amortization happens: a handful
@@ -280,9 +281,8 @@ func (ev *Evaluator[T]) claim(stage int) int {
 	return int(ev.cursors[stage].Add(1)) - 1
 }
 
-// envBlock is one stage-1 job: the Environment operator and the precision
-// conversion on block b's atoms of frame fi, into the block's own rows of
-// the frame's shared buffers.
+// envBlock is one stage-1a job: the Environment operator's first pass on
+// block b's atoms of frame fi — rows formatted, real rows counted.
 //
 //dp:noalloc
 func (ev *Evaluator[T]) envBlock(ws *evalScratch[T], fi, b int) {
@@ -295,44 +295,77 @@ func (ev *Evaluator[T]) envBlock(ws *evalScratch[T], fi, b int) {
 		ev.failed.Store(true)
 		return
 	}
-	mid := ev.Counter.Now()
-	descriptor.ConvertRows(fs.env, fs.rT, fs.rTCount, lo, hi)
 	if ev.Counter != nil {
-		out.envTime, out.convTime = mid.Sub(start), time.Since(mid)
+		out.envTime = time.Since(start)
 	}
 }
 
-// collectEnv closes stage 1 on the coordinator: the lowest failing (frame,
-// atom) is the error at every worker count — blocks are ascending atom
-// ranges and each stops at its first failure — and otherwise the blocks'
-// statistics become the table's overflow count and the stage's one
-// observation: its wall time, divided between CUSTOM (Environment) and
-// SLICE (ConvertR) in the proportion the blocks measured.
-func (ev *Evaluator[T]) collectEnv(start time.Time) error {
-	var flops int64
-	var envTime, convTime time.Duration
+// collectEnv closes stage 1a on the coordinator: the lowest failing
+// (frame, atom) is the error at every worker count — blocks are ascending
+// atom ranges and each stops at its first failure — and otherwise the
+// blocks' dropped neighbors become the table's overflow count, the row
+// counts become offsets, and every frame buffer laid out like the rows is
+// grown to them.
+func (ev *Evaluator[T]) collectEnv() error {
 	for fi, fs := range ev.frames[:ev.nframes] {
-		var entries int64
 		for b := range fs.blocks {
 			out := &fs.blocks[b]
 			if out.err != nil {
 				return fmt.Errorf("core: frame %d: %w", fi, out.err)
 			}
-			entries += out.env.Entries
 			fs.env.Fmt.Overflow += out.env.Dropped
+		}
+		rows := fs.sc.Pack()
+		fs.rT = tensor.Grow(fs.rT, 4*rows)
+		fs.ndT = tensor.Grow(fs.ndT, 4*rows)
+	}
+	return nil
+}
+
+// fillBlock is one stage-1b job: the Environment operator's second pass
+// and the precision conversion on block b's atoms of frame fi, into the
+// block's own rows of the frame's shared buffers.
+//
+//dp:noalloc
+func (ev *Evaluator[T]) fillBlock(fi, b int) {
+	fs := ev.frames[fi]
+	out := &fs.blocks[b]
+	lo, hi := descriptor.BlockRange(fs.env.Nloc, b)
+	start := ev.Counter.Now()
+	fs.sc.Fill(ev.dcfg, fs.pos, fs.box, lo, hi)
+	mid := ev.Counter.Now()
+	descriptor.ConvertRows(fs.env, fs.rT, lo, hi)
+	if ev.Counter != nil {
+		out.envTime += mid.Sub(start)
+		out.convTime = time.Since(mid)
+	}
+}
+
+// observeEnv makes stage 1's one perf observation: its wall time, divided
+// between CUSTOM (Environment) and SLICE (ConvertRows) in the proportion
+// the blocks measured, and the FLOPs summed over the blocks.
+func (ev *Evaluator[T]) observeEnv(start time.Time) {
+	ctr := ev.Counter
+	if ctr == nil {
+		return
+	}
+	var flops int64
+	var envTime, convTime time.Duration
+	for _, fs := range ev.frames[:ev.nframes] {
+		var entries int64
+		for b := range fs.blocks {
+			out := &fs.blocks[b]
+			entries += out.env.Entries
 			envTime += out.envTime
 			convTime += out.convTime
 		}
 		flops += descriptor.EnvFLOPs(fs.env, entries)
 	}
-	if ctr := ev.Counter; ctr != nil {
-		wall := time.Since(start)
-		conv := time.Duration(float64(wall) * float64(convTime) / float64(max(1, envTime+convTime)))
-		ctr.AddTime(perf.CatSLICE, conv)
-		ctr.AddTime(perf.CatCUSTOM, wall-conv)
-		ctr.AddFLOPs(flops)
-	}
-	return nil
+	wall := time.Since(start)
+	conv := time.Duration(float64(wall) * float64(convTime) / float64(max(1, envTime+convTime)))
+	ctr.AddTime(perf.CatSLICE, conv)
+	ctr.AddTime(perf.CatCUSTOM, wall-conv)
+	ctr.AddFLOPs(flops)
 }
 
 // prodBlock is one stage-3 job: block b's center atoms of frame fi

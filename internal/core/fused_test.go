@@ -87,7 +87,7 @@ func sectionRows(t *testing.T, cfg Config, nloc int, pos []float64, types []int,
 		for tj := 0; tj < nt; tj++ {
 			rows := 0
 			for _, atom := range j.atoms {
-				n := int(env.Count[atom*nt+tj])
+				n := env.Off[atom*nt+tj+1] - env.Off[atom*nt+tj]
 				if n > 0 && rows/embedTileRows != (rows+n-1)/embedTileRows {
 					straddle = true
 				}
@@ -367,18 +367,16 @@ func TestBatchedArenaFootprint(t *testing.T) {
 // its differential reference: every section's embedding matrix stored for
 // all sel slots of all the chunk's atoms (padding rows included), the
 // contractions as plain double-precision loops over the stored matrices,
-// one traced net pass forward and one backward per section. It returns
-// the chunk energy and the network derivative rows (nloc x stride x 4).
-func materialisedChunk(ev *Evaluator[float64], env *descriptor.EnvOut, rT []float64, ci int, atoms []int) (float64, []float64) {
+// one traced net pass forward and one backward per section. It reads and
+// writes the padded layout (nloc x stride x 4): r, and the network
+// derivative rows it returns.
+func materialisedChunk(ev *Evaluator[float64], nloc int, r []float64, ci int, atoms []int) (float64, []float64) {
 	cfg := &ev.cfg
 	stride, m, nt, nA := cfg.Stride(), cfg.M(), cfg.NumTypes(), len(atoms)
 	ar := tensor.NewArena[float64](1 << 16)
 	ws := &evalScratch[float64]{}
 
-	row := func(a, tj, k int) []float64 {
-		base := (atoms[a]*stride + env.Fmt.SelOff[tj] + k) * 4
-		return rT[base : base+4]
-	}
+	at := func(a, tj, k int) int { return (atoms[a]*stride + padOff(cfg.Sel, tj) + k) * 4 }
 	traces := make([]*nn.Trace[float64], nt)
 	items := make([]float64, nA*4*m)
 	for tj := 0; tj < nt; tj++ {
@@ -386,36 +384,35 @@ func materialisedChunk(ev *Evaluator[float64], env *descriptor.EnvOut, rT []floa
 		sIn := tensor.NewMatrix[float64](nA*sel, 1)
 		for a := 0; a < nA; a++ {
 			for k := 0; k < sel; k++ {
-				sIn.Data[a*sel+k] = row(a, tj, k)[0]
+				sIn.Data[a*sel+k] = r[at(a, tj, k)]
 			}
 		}
 		traces[tj] = ev.embed[ci][tj].Forward(nil, tensor.Opts{}, ar, sIn, true)
 		g := traces[tj].Out().Data
 		for a := 0; a < nA; a++ {
 			for k := 0; k < sel; k++ {
-				r := row(a, tj, k)
+				row := r[at(a, tj, k):]
 				for c := 0; c < m; c++ {
 					for j := 0; j < 4; j++ {
-						items[(a*4+j)*m+c] += g[(a*sel+k)*m+c] * r[j]
+						items[(a*4+j)*m+c] += g[(a*sel+k)*m+c] * row[j]
 					}
 				}
 			}
 		}
 	}
-	chunkE := ev.fitChunk(nil, tensor.Opts{}, ws, ar, ci, atoms, items, make([]float64, env.Nloc))
-	ndT := make([]float64, env.Nloc*stride*4)
+	chunkE := ev.fitChunk(nil, tensor.Opts{}, ws, ar, ci, atoms, items, make([]float64, nloc))
+	ndT := make([]float64, nloc*stride*4)
 	for tj := 0; tj < nt; tj++ {
 		sel := cfg.Sel[tj]
 		g := traces[tj].Out().Data
 		dG := tensor.NewMatrix[float64](nA*sel, m)
 		for a := 0; a < nA; a++ {
 			for k := 0; k < sel; k++ {
-				r := row(a, tj, k)
-				base := (atoms[a]*stride + env.Fmt.SelOff[tj] + k) * 4
+				row, base := r[at(a, tj, k):], at(a, tj, k)
 				for c := 0; c < m; c++ {
 					for j := 0; j < 4; j++ {
 						dt := items[(a*4+j)*m+c]
-						dG.Data[(a*sel+k)*m+c] += r[j] * dt
+						dG.Data[(a*sel+k)*m+c] += row[j] * dt
 						ndT[base+j] += g[(a*sel+k)*m+c] * dt
 					}
 				}
@@ -424,20 +421,30 @@ func materialisedChunk(ev *Evaluator[float64], env *descriptor.EnvOut, rT []floa
 		ds := ev.embed[ci][tj].Backward(nil, tensor.Opts{}, ar, traces[tj], dG, nil).Data
 		for a := 0; a < nA; a++ {
 			for k := 0; k < sel; k++ {
-				ndT[(atoms[a]*stride+env.Fmt.SelOff[tj]+k)*4] += ds[a*sel+k]
+				ndT[at(a, tj, k)] += ds[a*sel+k]
 			}
 		}
 	}
 	return chunkE, ndT
 }
 
+// padOff is where section tj starts in a row padded to sel.
+func padOff(sel []int, tj int) int {
+	off := 0
+	for _, n := range sel[:tj] {
+		off += n
+	}
+	return off
+}
+
 // fusedChunkCase is one synthetic chunk: a frame of nloc atoms whose every
-// (atom, section) holds count real rows followed by the exact zeros the
-// Environment operator guarantees.
+// (atom, section) holds count real rows, kept padded to sel in r (zero
+// beyond the count) for the materialised reference; ragged gives the
+// operator its own layout of the same rows.
 type fusedChunkCase struct {
 	cfg   Config
 	m     *Model
-	env   *descriptor.EnvOut
+	count []int     // nloc x len(sel)
 	r     []float64 // nloc x stride x 4
 	atoms []int
 }
@@ -451,12 +458,7 @@ func newFusedChunkCase(tb testing.TB, sel []int, nloc int, rng *rand.Rand) *fuse
 		tb.Fatal(err)
 	}
 	stride := cfg.Stride()
-	fc := &fusedChunkCase{cfg: cfg, m: m, r: make([]float64, nloc*stride*4)}
-	fc.env = &descriptor.EnvOut{Nloc: nloc, Stride: stride, Fmt: &neighbor.Formatted{Nloc: nloc, Sel: sel, Stride: stride}, Count: make([]int32, nloc*len(sel))}
-	fc.env.Fmt.SelOff = []int{0}
-	for _, n := range sel {
-		fc.env.Fmt.SelOff = append(fc.env.Fmt.SelOff, fc.env.Fmt.SelOff[len(fc.env.Fmt.SelOff)-1]+n)
-	}
+	fc := &fusedChunkCase{cfg: cfg, m: m, count: make([]int, nloc*len(sel)), r: make([]float64, nloc*stride*4)}
 	for a := 0; a < nloc; a++ {
 		fc.atoms = append(fc.atoms, a)
 		for tj, n := range sel {
@@ -468,9 +470,9 @@ func newFusedChunkCase(tb testing.TB, sel []int, nloc int, rng *rand.Rand) *fuse
 			case 1:
 				count = n
 			}
-			fc.env.Count[a*len(sel)+tj] = int32(count)
+			fc.count[a*len(sel)+tj] = count
 			for k := 0; k < count; k++ {
-				r := fc.r[(a*stride+fc.env.Fmt.SelOff[tj]+k)*4:]
+				r := fc.r[(a*stride+padOff(sel, tj)+k)*4:]
 				r[0] = 2 * rng.Float64()
 				for j := 1; j < 4; j++ {
 					r[j] = r[0] * rng.NormFloat64()
@@ -481,25 +483,43 @@ func newFusedChunkCase(tb testing.TB, sel []int, nloc int, rng *rand.Rand) *fuse
 	return fc
 }
 
+// ragged returns the case's rows in the operator's layout: an EnvOut that
+// carries the offsets, and the rows themselves.
+func (fc *fusedChunkCase) ragged() (*descriptor.EnvOut, []float64) {
+	sel, stride := fc.cfg.Sel, fc.cfg.Stride()
+	nloc := len(fc.atoms)
+	env := &descriptor.EnvOut{Nloc: nloc, Fmt: &neighbor.Formatted{Nloc: nloc, Sel: sel}, Off: []int{0}}
+	var rows []float64
+	for k, n := range fc.count {
+		a, tj := k/len(sel), k%len(sel)
+		at := (a*stride + padOff(sel, tj)) * 4
+		rows = append(rows, fc.r[at:at+4*n]...)
+		env.Off = append(env.Off, len(rows)/4)
+	}
+	return env, rows
+}
+
 // check runs the fused operator in precision T under the active family
 // and compares chunk energy and network derivative with the materialised
 // double-precision reference, norm-wise, wherever the reference is finite.
-// Rows at and beyond an atom's count must be left exactly as they were.
+// Every row must be written, and nothing past the last row.
 func checkFusedChunk[T interface{ float32 | float64 }](t *testing.T, fc *fusedChunkCase, relTol float64) {
 	t.Helper()
-	refE, refNd := materialisedChunk(NewEvaluator[float64](fc.m), fc.env, fc.r, 0, fc.atoms)
+	nloc := len(fc.atoms)
+	refE, refNd := materialisedChunk(NewEvaluator[float64](fc.m), nloc, fc.r, 0, fc.atoms)
 
 	ev := NewEvaluator[T](fc.m)
-	rT := make([]T, len(fc.r))
-	for i, v := range fc.r {
+	env, rows := fc.ragged()
+	rT := make([]T, len(rows))
+	for i, v := range rows {
 		rT[i] = T(v)
 	}
-	const sentinel = 12345
-	ndT := make([]T, len(fc.r))
+	const sentinel, guard = 12345, 8
+	ndT := make([]T, len(rows)+guard)
 	for i := range ndT {
 		ndT[i] = sentinel
 	}
-	e := ev.evalChunk(nil, tensor.Opts{}, ev.scratch[0], ev.arenas[0], fc.env, rT, ndT, 0, fc.atoms, make([]float64, fc.env.Nloc))
+	e := ev.evalChunk(nil, tensor.Opts{}, ev.scratch[0], ev.arenas[0], env, rT, ndT, 0, fc.atoms, make([]float64, nloc))
 
 	stride, nt := fc.cfg.Stride(), fc.cfg.NumTypes()
 	var scale float64
@@ -508,21 +528,23 @@ func checkFusedChunk[T interface{ float32 | float64 }](t *testing.T, fc *fusedCh
 		finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
 		scale = max(scale, math.Abs(v))
 	}
+	for _, v := range ndT[len(rows):] {
+		if v != sentinel {
+			t.Fatal("a row past the last one was written")
+		}
+	}
 	for a := range fc.atoms {
-		for tj, sel := range fc.cfg.Sel {
-			count := int(fc.env.Count[a*nt+tj])
-			for k := 0; k < sel; k++ {
+		for tj := range fc.cfg.Sel {
+			lo, hi := env.Off[a*nt+tj], env.Off[a*nt+tj+1]
+			for k := 0; k < hi-lo; k++ {
 				for j := 0; j < 4; j++ {
-					i := (a*stride+fc.env.Fmt.SelOff[tj]+k)*4 + j
-					switch {
-					case k >= count:
-						if ndT[i] != sentinel {
-							t.Fatalf("atom %d section %d: slot %d >= count %d was written", a, tj, k, count)
+					got, want := float64(ndT[(lo+k)*4+j]), refNd[(a*stride+padOff(fc.cfg.Sel, tj)+k)*4+j]
+					if finite {
+						if d := math.Abs(got - want); !(d <= relTol*(1+scale)) {
+							t.Fatalf("atom %d section %d slot %d col %d: fused %g vs materialised %g (|diff| %g, scale %g)", a, tj, k, j, got, want, d, scale)
 						}
-					case finite:
-						if d := math.Abs(float64(ndT[i]) - refNd[i]); !(d <= relTol*(1+scale)) {
-							t.Fatalf("atom %d section %d slot %d col %d: fused %g vs materialised %g (|diff| %g, scale %g)", a, tj, k, j, float64(ndT[i]), refNd[i], d, scale)
-						}
+					} else if got == sentinel {
+						t.Fatalf("atom %d section %d slot %d col %d was not written", a, tj, k, j)
 					}
 				}
 			}
@@ -567,8 +589,8 @@ func FuzzFusedExact(f *testing.F) {
 			sel = append(sel, 1+int(shape/2)%24)
 		}
 		fc := newFusedChunkCase(t, sel, 1+rng.Intn(12), rng)
-		if a := rng.Intn(len(fc.atoms)); fc.env.Count[a*len(sel)] > 0 {
-			k := rng.Intn(int(fc.env.Count[a*len(sel)]))
+		if a := rng.Intn(len(fc.atoms)); fc.count[a*len(sel)] > 0 {
+			k := rng.Intn(fc.count[a*len(sel)])
 			fc.r[(a*fc.cfg.Stride()+k)*4] = math.Float64frombits(sBits)
 		}
 		checkFusedChunk[float64](t, fc, 1e-9)

@@ -34,7 +34,7 @@ func repulsionEnergy(ctr *perf.Counter, a, rc float64, pos []float64, nloc int, 
 	for i := 0; i < nloc; i++ {
 		var ei float64
 		for _, e := range list.Entries[i] {
-			j := e.Index
+			j := int(e.Index)
 			dx := pos[3*j] - pos[3*i]
 			dy := pos[3*j+1] - pos[3*i+1]
 			dz := pos[3*j+2] - pos[3*i+2]

@@ -79,9 +79,10 @@ func teamFrames(t *testing.T, cfg *Config) []teamFrame {
 		t.Fatal(err)
 	}
 	full, padded := false, false
-	for i, n := range env.Count {
-		full = full || int(n) == cfg.Sel[i%len(cfg.Sel)]
-		padded = padded || int(n) < cfg.Sel[i%len(cfg.Sel)]
+	for k := range env.Off[1:] {
+		n := env.Off[k+1] - env.Off[k]
+		full = full || n == cfg.Sel[k%len(cfg.Sel)]
+		padded = padded || n < cfg.Sel[k%len(cfg.Sel)]
 	}
 	if !full || !padded || env.Fmt.Overflow == 0 {
 		t.Fatalf("periodic frame: full section %v, padded section %v, overflow %d", full, padded, env.Fmt.Overflow)
@@ -239,7 +240,7 @@ func TestTeamNonFiniteCoordinateError(t *testing.T) {
 		lowest := tc.atom
 		for i, nbrs := range list.Entries {
 			for _, e := range nbrs {
-				if e.Index == tc.atom && i < lowest {
+				if int(e.Index) == tc.atom && i < lowest {
 					lowest = i
 				}
 			}

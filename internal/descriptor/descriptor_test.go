@@ -101,77 +101,64 @@ func TestEnvironmentMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range opt.R {
-		if opt.R[i] != base.R[i] {
-			t.Fatalf("R[%d]: optimized %g, baseline %g", i, opt.R[i], base.R[i])
-		}
-	}
-	for i := range opt.Geo {
-		if opt.Geo[i] != base.Geo[i] {
-			t.Fatalf("Geo[%d]: optimized %g, baseline %g", i, opt.Geo[i], base.Geo[i])
-		}
-	}
-	for i := range opt.Fmt.Idx {
-		if opt.Fmt.Idx[i] != base.Fmt.Idx[i] {
-			t.Fatalf("Idx[%d]: optimized %d, baseline %d", i, opt.Fmt.Idx[i], base.Fmt.Idx[i])
-		}
-	}
-	if len(opt.Count) != len(base.Count) {
-		t.Fatalf("Count: optimized %d entries, baseline %d", len(opt.Count), len(base.Count))
-	}
-	for i := range opt.Count {
-		if opt.Count[i] != base.Count[i] {
-			t.Fatalf("Count[%d]: optimized %d, baseline %d", i, opt.Count[i], base.Count[i])
-		}
-	}
+	requireSameEnv(t, "optimized vs baseline", opt, base)
 }
 
-// checkCountInvariant asserts the property the fused compressed operator
-// and the batched path's padding trim rely on: for every (atom, section),
-// Count is the index after the last non-zero R~ row, and R and Geo are
-// all-zero at and beyond it.
-func checkCountInvariant(t testing.TB, label string, cfg Config, env *EnvOut) {
+// checkCountInvariant asserts what the ragged layout promises for every
+// (atom, section) k: Off is a prefix sum from 0 that R and Geo fill
+// exactly; the section's n = Off[k+1]-Off[k] rows are the first n
+// formatted neighbors, n <= Sel; its last row is non-zero (n is the
+// tightest bound); every row is either filled (s'(r) < 0 in Geo) or zero
+// in both R and Geo; and every formatted neighbor past n is outside the
+// cutoff or coincident with the center, so no real row was left out.
+func checkCountInvariant(t testing.TB, label string, cfg Config, pos []float64, box *neighbor.Box, env *EnvOut) {
 	t.Helper()
 	nt := len(cfg.Sel)
-	if len(env.Count) != env.Nloc*nt {
-		t.Fatalf("%s: %d counts for %d atoms x %d sections", label, len(env.Count), env.Nloc, nt)
+	if len(env.Off) != env.Nloc*nt+1 || env.Off[0] != 0 {
+		t.Fatalf("%s: %d offsets from %v for %d atoms x %d sections", label, len(env.Off), env.Off[:min(1, len(env.Off))], env.Nloc, nt)
 	}
-	nonZero := func(v []float64) bool {
+	if rows := env.Off[len(env.Off)-1]; len(env.R) != 4*rows || len(env.Geo) != 4*rows {
+		t.Fatalf("%s: %d rows, len(R) %d, len(Geo) %d", label, rows, len(env.R), len(env.Geo))
+	}
+	zero := func(v []float64) bool {
 		for _, x := range v {
 			if x != 0 {
-				return true
+				return false
 			}
 		}
-		return false
+		return true
 	}
 	for i := 0; i < env.Nloc; i++ {
 		for tj := 0; tj < nt; tj++ {
-			off := i*env.Stride + env.Fmt.SelOff[tj]
-			n := int(env.Count[i*nt+tj])
-			if n < 0 || n > cfg.Sel[tj] {
-				t.Fatalf("%s atom %d section %d: count %d outside [0, %d]", label, i, tj, n, cfg.Sel[tj])
+			k := i*nt + tj
+			lo, n := env.Off[k], env.Off[k+1]-env.Off[k]
+			sec := env.Fmt.Section(i, tj)
+			if n < 0 || n > len(sec) || len(sec) > cfg.Sel[tj] {
+				t.Fatalf("%s atom %d section %d: %d rows of %d formatted, sel %d", label, i, tj, n, len(sec), cfg.Sel[tj])
 			}
-			last := 0
-			for k := 0; k < cfg.Sel[tj]; k++ {
-				if nonZero(env.R[(off+k)*4 : (off+k)*4+4]) {
-					last = k + 1
-				}
-				if k >= n && (nonZero(env.R[(off+k)*4:(off+k)*4+4]) || nonZero(env.Geo[(off+k)*4:(off+k)*4+4])) {
-					t.Fatalf("%s atom %d section %d: slot %d at or beyond count %d is not zero", label, i, tj, k, n)
+			for x := lo; x < lo+n; x++ {
+				r, g := env.R[4*x:4*x+4], env.Geo[4*x:4*x+4]
+				if filled := g[3] < 0; !filled && (!zero(r) || !zero(g)) {
+					t.Fatalf("%s atom %d section %d: row %d is neither filled nor zero", label, i, tj, x-lo)
 				}
 			}
-			if last != n {
-				t.Fatalf("%s atom %d section %d: count %d, last non-zero R~ row ends at %d", label, i, tj, n, last)
+			if n > 0 && zero(env.R[4*(lo+n-1):4*(lo+n)]) {
+				t.Fatalf("%s atom %d section %d: last of %d rows is zero", label, i, tj, n)
+			}
+			for _, j := range sec[n:] {
+				if rr := vecNorm(disp(pos, i, int(j), box)); rr < cfg.Rcut && rr != 0 {
+					t.Fatalf("%s atom %d section %d: neighbor %d at r = %g < rc has no row", label, i, tj, j, rr)
+				}
 			}
 		}
 	}
 }
 
-// TestEnvironmentCountInvariant checks Count on both operators over the
-// shapes that stress it: the paper's two systems, a list carrying skin
-// entries (in the list, outside the cutoff), a section that overflows
-// sel, an empty section, and a coincident pair (r = 0: the slot stays
-// zero in front of real neighbors).
+// TestEnvironmentCountInvariant checks the row offsets of both operators
+// over the shapes that stress them: the paper's two systems, a list
+// carrying skin entries (in the list, outside the cutoff), a section that
+// overflows sel, an empty section, and a coincident pair (r = 0: its row
+// stays zero in front of real neighbors).
 func TestEnvironmentCountInvariant(t *testing.T) {
 	type system struct {
 		name  string
@@ -195,17 +182,16 @@ func TestEnvironmentCountInvariant(t *testing.T) {
 		{name: "copper", cfg: Config{Rcut: 5.0, RcutSmth: 2.0, Sel: []int{80}}, skin: 1.0, pos: copper.Pos, types: copper.Types, box: &copper.Box},
 		{name: "skin", cfg: testCfg, skin: 1.0, pos: skinPos, types: skinTypes, box: skinBox,
 			check: func(t *testing.T, env *EnvOut) {
-				// Some list entry must sit in a slot beyond its count.
+				// Some formatted neighbor must sit beyond its section's rows.
 				nt := len(testCfg.Sel)
 				for i := 0; i < env.Nloc; i++ {
 					for tj := 0; tj < nt; tj++ {
-						k := env.Fmt.SelOff[tj] + int(env.Count[i*nt+tj])
-						if k < env.Fmt.SelOff[tj+1] && env.Fmt.Idx[i*env.Stride+k] >= 0 {
+						if len(env.Fmt.Section(i, tj)) > env.Off[i*nt+tj+1]-env.Off[i*nt+tj] {
 							return
 						}
 					}
 				}
-				t.Fatal("no skin entry beyond a count: the case does not exercise what it is for")
+				t.Fatal("no skin entry beyond a section's rows: the case does not exercise what it is for")
 			}},
 		{name: "overflow", cfg: Config{Rcut: 4.0, RcutSmth: 3.0, Sel: []int{3, 3}}, skin: 0, pos: skinPos, types: skinTypes, box: skinBox,
 			check: func(t *testing.T, env *EnvOut) {
@@ -217,18 +203,18 @@ func TestEnvironmentCountInvariant(t *testing.T) {
 			pos: []float64{10, 10, 10, 12, 10, 10, 10, 12.5, 10}, types: []int{0, 0, 0}, box: open,
 			check: func(t *testing.T, env *EnvOut) {
 				for i := 0; i < env.Nloc; i++ {
-					if env.Count[i*2] != 2 || env.Count[i*2+1] != 0 {
-						t.Fatalf("atom %d: counts %v, want [2 0]", i, env.Count[i*2:i*2+2])
+					if n0, n1 := env.Off[i*2+1]-env.Off[i*2], env.Off[i*2+2]-env.Off[i*2+1]; n0 != 2 || n1 != 0 {
+						t.Fatalf("atom %d: rows %d and %d, want 2 and 0", i, n0, n1)
 					}
 				}
 			}},
 		{name: "coincident", cfg: Config{Rcut: 4.0, RcutSmth: 3.0, Sel: []int{6}}, skin: 0,
 			pos: []float64{10, 10, 10, 10, 10, 10, 12, 10, 10}, types: []int{0, 0, 0}, box: open,
 			check: func(t *testing.T, env *EnvOut) {
-				// Atom 0: the coincident atom 1 sorts first and stays
-				// zero, atom 2 fills slot 1 — the count covers both.
-				if env.Count[0] != 2 || env.R[0] != 0 || env.R[4] == 0 {
-					t.Fatalf("atom 0: count %d, s of slots 0/1 = %g/%g, want 2, 0, non-zero", env.Count[0], env.R[0], env.R[4])
+				// Atom 0: the coincident atom 1 sorts first and keeps a
+				// zeroed row, atom 2 fills row 1 — the section has both.
+				if env.Off[1] != 2 || env.R[0] != 0 || env.R[4] == 0 {
+					t.Fatalf("atom 0: %d rows, s of rows 0/1 = %g/%g, want 2, 0, non-zero", env.Off[1], env.R[0], env.R[4])
 				}
 			}},
 	}
@@ -243,7 +229,7 @@ func TestEnvironmentCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys.name, err)
 		}
-		checkCountInvariant(t, sys.name+"/optimized", sys.cfg, opt)
+		checkCountInvariant(t, sys.name+"/optimized", sys.cfg, sys.pos, sys.box, opt)
 		if sys.check != nil {
 			sys.check(t, opt)
 		}
@@ -251,11 +237,11 @@ func TestEnvironmentCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys.name, err)
 		}
-		checkCountInvariant(t, sys.name+"/baseline", sys.cfg, base)
-		for i := range opt.Count {
-			if opt.Count[i] != base.Count[i] {
-				t.Fatalf("%s: Count[%d] optimized %d, baseline %d", sys.name, i, opt.Count[i], base.Count[i])
-			}
+		checkCountInvariant(t, sys.name+"/baseline", sys.cfg, sys.pos, sys.box, base)
+		// Lattice ties below the key format's 1e-8 A resolution may order
+		// a section differently; its row count may not differ.
+		if !slices.Equal(opt.Off, base.Off) {
+			t.Fatalf("%s: Off optimized %v, baseline %v", sys.name, opt.Off, base.Off)
 		}
 	}
 }
@@ -283,18 +269,16 @@ func TestEnvironmentRowValues(t *testing.T) {
 		}
 	}
 	// Atom 1 sees the displacement reversed.
-	r1 := env.R[env.Stride*4 : env.Stride*4+4]
+	r1 := env.R[env.Off[1]*4 : env.Off[1]*4+4]
 	want1 := []float64{0.5, -0.5, 0, 0}
 	for c := range want1 {
 		if math.Abs(r1[c]-want1[c]) > 1e-15 {
 			t.Fatalf("R[1][%d] = %g, want %g", c, r1[c], want1[c])
 		}
 	}
-	// Padding slots must be zero.
-	for c := 4; c < 16; c++ {
-		if env.R[c] != 0 {
-			t.Fatalf("padding slot not zero at %d", c)
-		}
+	// One row per atom and nothing padded to sel.
+	if !slices.Equal(env.Off, []int{0, 1, 2}) || len(env.R) != 8 {
+		t.Fatalf("offsets %v, %d values of R, want [0 1 2] and 8", env.Off, len(env.R))
 	}
 }
 
@@ -314,23 +298,25 @@ func TestEnvironmentDerivativeFiniteDiff(t *testing.T) {
 	for x := 0; x < len(env.R)/4; x++ {
 		slotJacobian(env.R[4*x], env.Geo[4*x:4*x+4], DR0[12*x:12*x+12])
 	}
-	idx := append([]int32(nil), env.Fmt.Idx...)
-	stride := env.Stride
+	nt := len(testCfg.Sel)
+	off := slices.Clone(env.Off)
+	sections := make([][]int32, env.Nloc*nt)
+	for k := range sections {
+		sections[k] = slices.Clone(env.Fmt.Section(k/nt, k%nt))
+	}
 
 	const h = 1e-7
 	// Perturb the position of neighbor atoms and check dR/dd against DR0.
 	// Moving atom j changes d = r_j - r_i by the same amount, so
-	// dR[i,k,c]/dpos_j,a = DR0[i,k,c,a] for the slot holding j.
-	for i := 0; i < 8; i++ { // sample of center atoms
-		for k := 0; k < stride; k++ {
-			j32 := idx[i*stride+k]
-			if j32 < 0 {
-				continue
-			}
+	// dR[i,k,c]/dpos_j,a = DR0[i,k,c,a] for the row holding j.
+	for sk := 0; sk < 8*nt; sk++ { // the sections of a sample of center atoms
+		i, tj := sk/nt, sk%nt
+		for k, j32 := range sections[sk][:off[sk+1]-off[sk]] {
 			j := int(j32)
 			if j == i {
 				continue
 			}
+			x := off[sk] + k
 			for a := 0; a < 3; a++ {
 				orig := pos[3*j+a]
 				pos[3*j+a] = orig + h
@@ -341,13 +327,14 @@ func TestEnvironmentDerivativeFiniteDiff(t *testing.T) {
 				}
 				// The slot ordering can in principle change under
 				// perturbation; skip those rare cases.
-				if envP.Fmt.Idx[i*stride+k] != j32 {
+				if sec := envP.Fmt.Section(i, tj); k >= len(sec) || sec[k] != j32 {
 					pos[3*j+a] = orig
 					continue
 				}
+				xP := envP.Off[sk] + k
 				for c := 0; c < 4; c++ {
-					fd := (envP.R[(i*stride+k)*4+c] - R0[(i*stride+k)*4+c]) / h
-					an := DR0[(i*stride+k)*12+c*3+a]
+					fd := (envP.R[xP*4+c] - R0[x*4+c]) / h
+					an := DR0[x*12+c*3+a]
 					if math.Abs(fd-an) > 1e-5*(1+math.Abs(an)) {
 						t.Fatalf("atom %d slot %d comp %d dir %d: analytic %g, finite diff %g", i, k, c, a, an, fd)
 					}
@@ -370,7 +357,7 @@ func TestProdForceMatchesBaselineAndConserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	nd := make([]float64, env.Nloc*env.Stride*4)
+	nd := make([]float64, len(env.R))
 	for i := range nd {
 		nd[i] = rng.NormFloat64()
 	}
@@ -393,7 +380,7 @@ func TestProdVirialMatchesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(6))
-	nd := make([]float64, env.Nloc*env.Stride*4)
+	nd := make([]float64, len(env.R))
 	for i := range nd {
 		nd[i] = rng.NormFloat64()
 	}
@@ -433,12 +420,13 @@ func TestScratchReuse(t *testing.T) {
 }
 
 func TestConvertR(t *testing.T) {
-	// One atom, sections of 2 and 1 slots, one real row in the first.
+	// One atom, sections of 2 and 1 slots, one real row in the first: the
+	// padded view puts it in slot 0 and zeros slots 1 and 2.
 	env := &EnvOut{
-		Nloc: 1, Stride: 3,
-		Fmt:   &neighbor.Formatted{Nloc: 1, Sel: []int{2, 1}, SelOff: []int{0, 2, 3}, Stride: 3},
-		R:     []float64{1.5, -2.25, 0.125, 3, 0, 0, 0, 0, 0, 0, 0, 0},
-		Count: []int32{1, 0},
+		Nloc: 1,
+		Fmt:  &neighbor.Formatted{Nloc: 1, Sel: []int{2, 1}},
+		Off:  []int{0, 1, 1},
+		R:    []float64{1.5, -2.25, 0.125, 3},
 	}
 	want := []float32{1.5, -2.25, 0.125, 3, 0, 0, 0, 0, 0, 0, 0, 0}
 	stale := make([]float32, 12)
@@ -452,11 +440,13 @@ func TestConvertR(t *testing.T) {
 	}
 }
 
-// A fresh Scratch allocates its rows once and at the size of the slot
-// layout: 64 bytes a slot (R~ and the geometry row, 4 doubles each), plus
-// Count and the formatter's index table, plus the row scratch (grown to the
-// longest raw row) and the page rounding of the three large buffers. The
-// stored Jacobian (152 bytes a slot) does not fit under this bound.
+// A fresh Scratch allocates its rows once and at the size of the ragged
+// layout: 64 bytes a real row (R~ and the geometry row, 4 doubles each)
+// with Grow's headroom, plus the offsets, the formatter's section bounds
+// and its index table (room for every list entry), the row scratch (grown
+// to the longest raw row) and the page rounding of the three large
+// buffers. Neither the stored Jacobian (152 bytes a slot) nor rows padded
+// to sel fit under this bound.
 func TestEnvironmentAllocationBound(t *testing.T) {
 	water := lattice.Water(3, 3, 3, lattice.WaterSpacing, 7)
 	copper := lattice.FCC(4, 4, 4, 3.615)
@@ -479,18 +469,27 @@ func TestEnvironmentAllocationBound(t *testing.T) {
 			var ws RowScratch
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			sc.Begin(sys.cfg, n)
+			env := sc.Begin(sys.cfg, list)
 			_, err = sc.Rows(&ws, sys.cfg, sys.cell.Pos, list, &sys.cell.Box, 0, n)
+			rows := sc.Pack()
+			sc.Fill(sys.cfg, sys.cell.Pos, &sys.cell.Box, 0, n)
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stride, nt := sys.cfg.Stride(), len(sys.cfg.Sel)
-			row := list.MaxNeighbors() * int(unsafe.Sizeof(neighbor.Entry{})+8) // refreshed entries and their keys
-			bound := uint64(64*n*stride + 4*n*nt + 4*n*stride + 4*row + 3*8192)
-			if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-				t.Fatalf("Begin + Rows allocated %d bytes, bound %d (%.1f bytes a slot)", got, bound, float64(got)/float64(n*stride))
+			nt, entries := len(sys.cfg.Sel), 0
+			for _, r := range list.Entries {
+				entries += len(r)
 			}
+			row := list.MaxNeighbors() * int(unsafe.Sizeof(neighbor.Entry{})+8) // refreshed entries and their keys
+			bound := uint64(64*(rows+rows/16) + 8*(n*nt+1) + 4*n*(nt+1) + 4*entries + 4*row + 3*8192)
+			if padded := uint64(64 * n * sys.cfg.Stride()); bound >= padded {
+				t.Fatalf("bound %d >= %d bytes of rows padded to sel: the case does not tell the layouts apart", bound, padded)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+				t.Fatalf("Begin + Rows + Pack + Fill allocated %d bytes, bound %d (%.1f bytes a row)", got, bound, float64(got)/float64(rows))
+			}
+			checkCountInvariant(t, sys.name, sys.cfg, sys.cell.Pos, &sys.cell.Box, env)
 		})
 	}
 }

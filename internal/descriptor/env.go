@@ -3,7 +3,6 @@ package descriptor
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"deepmd-go/internal/neighbor"
@@ -18,29 +17,28 @@ import (
 // stored: 8 doubles a slot instead of 19). All fields are double precision
 // — the paper's mixed-precision model converts R to float32 only after
 // this operator (Sec. 5.2.3).
+//
+// The rows are stored ragged: each (atom, type section) holds exactly its
+// real rows, and nothing is padded to Sel.
 type EnvOut struct {
-	Nloc   int
-	Stride int
+	Nloc int
 	// Fmt is the current-step formatted neighbor table (sorted by type
-	// then by *current* distance, padded with -1).
+	// then by *current* distance).
 	Fmt *neighbor.Formatted
-	// R is the environment matrix R~: Nloc x Stride x 4, rows
-	// (s, s*dx/r, s*dy/r, s*dz/r); zero rows for padding slots.
+	// Off addresses the rows: Nloc*len(Sel)+1 offsets, and section t of
+	// atom i (k = i*len(Sel)+t) holds rows Off[k] to Off[k+1]. Its
+	// n = Off[k+1]-Off[k] rows are the first n neighbors of
+	// Fmt.Section(i, t), up to the last one inside the cutoff; the skin
+	// entries past it have no row. A row before it may be zero (a neighbor
+	// coincident with the center, which the operator declines).
+	Off []int
+	// R is the environment matrix R~: Off[Nloc*len(Sel)] rows of
+	// (s, s*dx/r, s*dy/r, s*dz/r).
 	R []float64
-	// Geo is each slot's geometry: Nloc x Stride x 4, rows (dx, dy, dz,
-	// s'(r)) for the displacement d = r_j - r_i. s'(r) < 0 on every filled
-	// slot (Smooth), so a zero in column 3 marks a slot the operator left
-	// zero.
+	// Geo is each row's geometry, laid out like R: (dx, dy, dz, s'(r)) for
+	// the displacement d = r_j - r_i. s'(r) < 0 on every filled row
+	// (Smooth), so a zero in column 3 marks a row the operator left zero.
 	Geo []float64
-	// Count bounds the non-zero rows of every (atom, type section): Nloc x
-	// len(Sel), entry i*len(Sel)+t for section t of atom i. The one
-	// invariant: R and Geo are exactly zero at and beyond slot Count of the
-	// section (skin entries outside the cutoff, -1 padding); slots before
-	// it may be zero too (a neighbor coincident with the center). Count is
-	// the index after the last slot the operator filled, so it is the
-	// tightest such bound. Downstream stages stop there: padding costs them
-	// nothing.
-	Count []int32
 }
 
 // Scratch holds the reusable state of the optimized operators, mirroring
@@ -50,10 +48,6 @@ type Scratch struct {
 	fm  neighbor.Formatter
 	ws  RowScratch // the whole-range Environment call's
 	out EnvOut
-	// fresh is decided by Begin: the buffers do not carry the previous
-	// call's rows (first use, or a different nloc or Sel), so Rows zeroes
-	// its range whole instead of trusting out.Count.
-	fresh bool
 }
 
 // RowScratch is one goroutine's reusable state for Scratch.Rows: the
@@ -72,73 +66,69 @@ type RowStats struct {
 // Environment is the optimized customized operator: it recomputes
 // current-step distances from the raw (rebuild-time) list, formats the
 // neighbors by sorting their compressed 64-bit keys, and fills the
-// environment matrix with a branch-free loop over the fixed-stride table.
-// The returned EnvOut aliases Scratch buffers and is valid until the next
-// call. It is Begin followed by Rows over every atom on the calling
-// goroutine; internal/core runs the same two with the atoms cut into blocks.
+// environment matrix with a branch-free loop over the real rows of every
+// section. The returned EnvOut aliases Scratch buffers and is valid until
+// the next call. It is Begin, Rows over every atom, Pack and Fill over
+// every atom on the calling goroutine; internal/core runs the same four
+// with the atoms cut into blocks.
 func (sc *Scratch) Environment(ctr *perf.Counter, cfg Config, pos []float64, types []int, list *neighbor.List, box *neighbor.Box) (*EnvOut, error) {
 	start := ctr.Now()
-	out := sc.Begin(cfg, list.Nloc)
+	out := sc.Begin(cfg, list)
 	st, err := sc.Rows(&sc.ws, cfg, pos, list, box, 0, list.Nloc)
 	if err != nil {
 		return nil, err
 	}
 	out.Fmt.Overflow = st.Dropped
+	sc.Pack()
+	sc.Fill(cfg, pos, box, 0, list.Nloc)
 	ctr.Observe(perf.CatCUSTOM, start, EnvFLOPs(out, st.Entries))
 	return out, nil
 }
 
 // EnvFLOPs is the operator's analytic charge for one frame: the distance
-// refresh of every raw list entry plus the padded slot computation.
+// refresh of every raw list entry plus the slot computation, charged per
+// padded slot (Nloc x sum of Sel) as the paper counts it.
 func EnvFLOPs(env *EnvOut, entries int64) int64 {
-	return entries*RefreshFLOPsPerEntry + int64(env.Nloc)*int64(env.Stride)*EnvFLOPsPerSlot
+	return entries*RefreshFLOPsPerEntry + paddedSlots(env)*EnvFLOPsPerSlot
 }
 
-// Begin sizes the outputs for nloc atoms and returns them with every row
-// still to be computed: Rows must then run over ranges that together cover
-// [0, nloc), each atom once, from any number of goroutines (rows are
-// independent, so the result does not depend on the cut), and the caller
-// adds the ranges' Dropped into Fmt.Overflow.
+// Begin sizes the formatted table for the rows of list and returns the
+// output with every row still to be computed. The operator then runs in
+// two passes around one serial step:
 //
-// Nothing is zeroed here. The one invariant of EnvOut.Count is what makes
-// that safe: when the previous call on this Scratch had the same nloc and
-// Sel, every (atom, section) is already zero at and beyond its old Count,
-// so Rows only has to zero the slots it does not refill below it.
-func (sc *Scratch) Begin(cfg Config, nloc int) *EnvOut {
+//	Rows  over ranges that together cover [0, Nloc), each atom once,
+//	      from any number of goroutines; the caller adds the ranges'
+//	      Dropped into Fmt.Overflow
+//	Pack  once, after every Rows call has returned
+//	Fill  over ranges that together cover [0, Nloc), as Rows
+//
+// Rows are independent, so the result does not depend on the cut.
+func (sc *Scratch) Begin(cfg Config, list *neighbor.List) *EnvOut {
 	out := &sc.out
-	sc.fresh = out.Fmt == nil || out.Nloc != nloc || !slices.Equal(out.Fmt.Sel, cfg.Sel)
-	out.Fmt = sc.fm.Begin(neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}, nloc)
-	stride := out.Fmt.Stride
-	out.Nloc, out.Stride = nloc, stride
-	out.R = tensor.Resize(out.R, nloc*stride*4)
-	out.Geo = tensor.Resize(out.Geo, nloc*stride*4)
-	out.Count = tensor.Resize(out.Count, nloc*len(cfg.Sel))
+	out.Fmt = sc.fm.Begin(neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}, list)
+	out.Nloc = list.Nloc
+	out.Off = tensor.Resize(out.Off, list.Nloc*len(cfg.Sel)+1)
+	out.Off[0] = 0
 	return out
 }
 
-// Rows runs the operator for center atoms [lo, hi) of the frame Begin
+// Rows runs the first pass for center atoms [lo, hi) of the frame Begin
 // prepared: per atom, the distance refresh (the raw list holds rebuild-time
-// distances, but padding overflow must keep the *currently* nearest
+// distances, but a full section must keep the *currently* nearest
 // neighbors, Sec. 5.2.1), the compressed-key format of its table row —
 // whose sort meets only the inversions drift made since Build sorted the
-// row — and the environment rows. An error names the lowest failing atom
-// of the range; the atoms before it are complete and the ones after it
-// keep their previous rows, so the Count invariant survives a failed call.
+// row — and each section's row count, which it leaves in Off[k+1] for
+// Pack. An error names the lowest failing atom of the range.
 //
 //dp:noalloc
 func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbor.List, box *neighbor.Box, lo, hi int) (RowStats, error) {
 	out := &sc.out
-	stride, nt := out.Stride, len(cfg.Sel)
-	if sc.fresh {
-		clear(out.R[lo*stride*4 : hi*stride*4])
-		clear(out.Geo[lo*stride*4 : hi*stride*4])
-		clear(out.Count[lo*nt : hi*nt])
-	}
+	nt := len(cfg.Sel)
 	var st RowStats
 	for i := lo; i < hi; i++ {
 		row := ws.row[:0]
 		for _, e := range list.Entries[i] {
-			row = append(row, neighbor.Entry{Type: e.Type, Dist: vecNorm(disp(pos, i, e.Index, box)), Index: e.Index})
+			row = append(row, neighbor.Entry{Dist: vecNorm(disp(pos, i, int(e.Index), box)), Index: e.Index, Type: e.Type})
 		}
 		ws.row = row
 		st.Entries += int64(len(row))
@@ -147,12 +137,62 @@ func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbo
 			return st, fmt.Errorf("descriptor: atom %d: %w", i, err)
 		}
 		st.Dropped += dropped
-		fillEnvRow(cfg, pos, i, out.Fmt.Idx[i*stride:(i+1)*stride], out.Fmt.SelOff, box,
-			out.R[i*stride*4:(i+1)*stride*4],
-			out.Geo[i*stride*4:(i+1)*stride*4],
-			out.Count[i*nt:(i+1)*nt])
+		for t := 0; t < nt; t++ {
+			out.Off[i*nt+t+1] = sectionRows(cfg, pos, i, out.Fmt.Section(i, t), box)
+		}
 	}
 	return st, nil
+}
+
+// sectionRows is the number of rows a formatted section needs: the index
+// after its last neighbor inside the cutoff. The section is sorted by
+// distance, so the search runs from its far end and stops there; the skin
+// entries it passes get no row.
+func sectionRows(cfg Config, pos []float64, i int, idx []int32, box *neighbor.Box) int {
+	for k := len(idx) - 1; k >= 0; k-- {
+		if rr := vecNorm(disp(pos, i, int(idx[k]), box)); rr < cfg.Rcut && rr != 0 {
+			return k + 1
+		}
+	}
+	return 0
+}
+
+// Pack turns the row counts Rows left in Off into offsets and sizes R and
+// Geo for them. Growth keeps headroom and capacity is never given back, so
+// a steady stream of frames allocates nothing. It returns the row total.
+//
+//dp:noalloc
+func (sc *Scratch) Pack() int {
+	out := &sc.out
+	for k := 1; k < len(out.Off); k++ {
+		out.Off[k] += out.Off[k-1]
+	}
+	n := out.Off[len(out.Off)-1]
+	out.R = tensor.Grow(out.R, 4*n)
+	out.Geo = tensor.Grow(out.Geo, 4*n)
+	return n
+}
+
+// Fill runs the second pass for center atoms [lo, hi): every row of every
+// section is computed afresh (fillEnvSlot), and a row it declines is
+// zeroed, so no buffer needs clearing between frames.
+//
+//dp:noalloc
+func (sc *Scratch) Fill(cfg Config, pos []float64, box *neighbor.Box, lo, hi int) {
+	out := &sc.out
+	nt := len(cfg.Sel)
+	for i := lo; i < hi; i++ {
+		for t := 0; t < nt; t++ {
+			b, e := out.Off[i*nt+t], out.Off[i*nt+t+1]
+			for k, j := range out.Fmt.Section(i, t)[:e-b] {
+				r, geo := out.R[4*(b+k):4*(b+k)+4], out.Geo[4*(b+k):4*(b+k)+4]
+				if !fillEnvSlot(cfg, pos, i, int(j), box, r, geo) {
+					clear(r)
+					clear(geo)
+				}
+			}
+		}
+	}
 }
 
 // EnvironmentBaseline is the baseline operator of Table 3: a comparison
@@ -161,14 +201,14 @@ func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbo
 func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []int, list *neighbor.List, box *neighbor.Box) (*EnvOut, error) {
 	start := ctr.Now()
 	nloc := list.Nloc
-	stride := cfg.Stride()
+	nt := len(cfg.Sel)
 
 	upd := neighbor.List{Nloc: nloc, Entries: make([][]neighbor.Entry, nloc)}
-	for i, nbrs := range list.Entries {
+	for i, nbrs := range list.Entries[:nloc] {
 		row := make([]neighbor.Entry, 0, len(nbrs))
 		for _, e := range nbrs {
-			d := disp(pos, i, e.Index, box)
-			row = append(row, neighbor.Entry{Type: e.Type, Dist: vecNorm(d), Index: e.Index})
+			d := disp(pos, i, int(e.Index), box)
+			row = append(row, neighbor.Entry{Dist: vecNorm(d), Index: e.Index, Type: e.Type})
 		}
 		upd.Entries[i] = row
 	}
@@ -177,17 +217,15 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 		return nil, err
 	}
 
-	out := &EnvOut{
-		Nloc: nloc, Stride: stride, Fmt: fmtd,
-		R:     make([]float64, nloc*stride*4),
-		Geo:   make([]float64, nloc*stride*4),
-		Count: make([]int32, nloc*len(cfg.Sel)),
-	}
+	out := &EnvOut{Nloc: nloc, Fmt: fmtd, Off: make([]int, nloc*nt+1)}
 	// The baseline walks the *raw* AoS entries and branches on the type of
-	// every neighbor to locate its slot, the access pattern Sec. 5.2.1
-	// calls out.
+	// every neighbor to find the section it lands in, the access pattern
+	// Sec. 5.2.1 calls out.
 	for i := 0; i < nloc; i++ {
-		fill := make([]int, len(cfg.Sel))
+		fill := make([]int, nt)
+		rows := make([][]float64, nt) // per-section R~ and geometry rows,
+		geos := make([][]float64, nt) // grown neighbor by neighbor
+		n := make([]int, nt)
 		ent := append([]neighbor.Entry(nil), upd.Entries[i]...)
 		sort.Slice(ent, func(a, b int) bool {
 			if ent[a].Type != ent[b].Type {
@@ -199,27 +237,26 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 			return ent[a].Index < ent[b].Index
 		})
 		for _, e := range ent {
-			var k int
-			switch { // explicit per-type branching
-			case e.Type == 0:
-				k = fill[0]
-			default:
-				k = fmtd.SelOff[e.Type] + fill[e.Type]
-			}
-			if fill[e.Type] >= cfg.Sel[e.Type] {
+			t := int(e.Type)
+			if fill[t] >= cfg.Sel[t] {
 				continue
 			}
-			fill[e.Type]++
+			fill[t]++
 			slot := make([]float64, 4) // per-neighbor temporary (AoS style)
 			geo := make([]float64, 4)  // allocated afresh each neighbor
-			if fillEnvSlot(cfg, pos, i, e.Index, box, slot, geo) {
-				out.Count[i*len(cfg.Sel)+e.Type] = int32(fill[e.Type])
+			if fillEnvSlot(cfg, pos, i, int(e.Index), box, slot, geo) {
+				n[t] = fill[t]
 			}
-			copy(out.R[(i*stride+k)*4:], slot)
-			copy(out.Geo[(i*stride+k)*4:], geo)
+			rows[t] = append(rows[t], slot...)
+			geos[t] = append(geos[t], geo...)
+		}
+		for t := 0; t < nt; t++ {
+			out.R = append(out.R, rows[t][:4*n[t]]...)
+			out.Geo = append(out.Geo, geos[t][:4*n[t]]...)
+			out.Off[i*nt+t+1] = len(out.R) / 4
 		}
 	}
-	ctr.Observe(perf.CatCUSTOM, start, int64(nloc)*int64(stride)*EnvFLOPsPerSlot)
+	ctr.Observe(perf.CatCUSTOM, start, int64(nloc)*int64(cfg.Stride())*EnvFLOPsPerSlot)
 	return out, nil
 }
 
@@ -235,8 +272,8 @@ const (
 	// current-step distance the re-sort needs.
 	RefreshFLOPsPerEntry = 9
 	// ProdForceFLOPsPerEntry and ProdVirialFLOPsPerEntry are charged per
-	// slot the products visit: the real rows below Count (the baselines
-	// charge the padded stride). Each pays the slot's dR~/dd rebuild,
+	// row the products visit (the baselines charge Nloc x sum of Sel, the
+	// padded layout the paper counts). Each pays the slot's dR~/dd rebuild,
 	// jacobianFLOPs, and the contraction dd 24 (12 multiply-adds);
 	// then the force its scatter to neighbor and center 6, the virial its
 	// outer product d x dd 18 (9 multiply-subtracts).
@@ -248,33 +285,6 @@ const (
 	// q 3.
 	jacobianFLOPs = 6 + 2 + 4 + 3 + 3 + 18 + 3
 )
-
-// fillEnvRow computes R~ and the geometry row for one atom over its
-// formatted slot row, section by section. On entry count[t] bounds what an
-// earlier call left in section t (zero at and beyond it); on return it is
-// the index, within the section, after the last slot that was filled, and
-// the bound holds again: below the old count, the slots fillEnvSlot
-// declined and the ones past the section's last neighbor are zeroed here.
-func fillEnvRow(cfg Config, pos []float64, i int, rowIdx []int32, selOff []int, box *neighbor.Box, r, geo []float64, count []int32) {
-	for t := range count {
-		stale := selOff[t] + int(count[t])
-		n := 0
-		k := selOff[t]
-		for ; k < selOff[t+1] && rowIdx[k] >= 0; k++ {
-			if fillEnvSlot(cfg, pos, i, int(rowIdx[k]), box, r[k*4:k*4+4], geo[k*4:k*4+4]) {
-				n = k - selOff[t] + 1
-			} else if k < stale {
-				clear(r[k*4 : k*4+4])
-				clear(geo[k*4 : k*4+4])
-			}
-		}
-		if k < stale {
-			clear(r[k*4 : stale*4])
-			clear(geo[k*4 : stale*4])
-		}
-		count[t] = int32(n)
-	}
-}
 
 // fillEnvSlot computes one slot's environment row and geometry row and
 // reports whether it wrote anything: a neighbor that moved outside the
@@ -351,43 +361,45 @@ func vecNorm(d [3]float64) float64 {
 }
 
 // ConvertR copies the environment matrix into the network precision; this
-// is the double -> single boundary of the mixed-precision model. dst is
-// resized to the matrix and written whole.
+// is the double -> single boundary of the mixed-precision model. Unlike
+// ConvertRows it returns the padded view the layout had before rows were
+// stored ragged: dst is resized to Nloc x sum(Sel) x 4 and written whole,
+// section t of atom i starting at slot i*sum(Sel) + Sel[0] + ... + Sel[t-1]
+// and zero beyond its rows. Its one caller outside the tests is the
+// frozen benchmark harness, whose embedding probes index rows by that
+// stride; delete the view together with that indexing.
 func ConvertR[T tensor.Float](ctr *perf.Counter, env *EnvOut, dst []T) []T {
 	start := ctr.Now()
-	dst = tensor.Resize(dst, len(env.R))
-	ConvertRows(env, dst, nil, 0, env.Nloc)
+	sel := env.Fmt.Sel
+	nt, stride := len(sel), 0
+	for _, s := range sel {
+		stride += s
+	}
+	dst = tensor.Resize(dst, env.Nloc*stride*4)
+	clear(dst)
+	for i := 0; i < env.Nloc; i++ {
+		slot := i * stride
+		for t := 0; t < nt; t++ {
+			b, e := env.Off[i*nt+t], env.Off[i*nt+t+1]
+			for x, v := range env.R[4*b : 4*e] {
+				dst[4*slot+x] = T(v)
+			}
+			slot += sel[t]
+		}
+	}
 	ctr.Observe(perf.CatSLICE, start, 0)
 	return dst
 }
 
-// ConvertRows converts the rows of center atoms [lo, hi): per (atom,
-// section) the Count rows that can be non-zero, then zeros up to where dst
-// may still hold an earlier frame's rows. have records that bound for a dst
-// that is reused (Nloc x len(Sel), maintained here: on entry what the last
-// conversion into dst left, on return Count); nil means dst is unknown and
-// every section is zeroed to its end.
+// ConvertRows converts the rows of center atoms [lo, hi) into dst, which
+// is laid out like R (at least Off[hi*len(Sel)] rows).
 //
 //dp:noalloc
-func ConvertRows[T tensor.Float](env *EnvOut, dst []T, have []int32, lo, hi int) {
-	stride, selOff := env.Stride, env.Fmt.SelOff
-	nt := len(selOff) - 1
-	for i := lo; i < hi; i++ {
-		for t := 0; t < nt; t++ {
-			base := (i*stride + selOff[t]) * 4
-			n := 4 * int(env.Count[i*nt+t])
-			src, d := env.R[base:base+n], dst[base:base+n]
-			for x, v := range src {
-				d[x] = T(v)
-			}
-			end := 4 * (selOff[t+1] - selOff[t])
-			if have != nil {
-				end = 4 * int(have[i*nt+t])
-				have[i*nt+t] = env.Count[i*nt+t]
-			}
-			if n < end {
-				clear(dst[base+n : base+end])
-			}
-		}
+func ConvertRows[T tensor.Float](env *EnvOut, dst []T, lo, hi int) {
+	nt := len(env.Fmt.Sel)
+	b, e := 4*env.Off[lo*nt], 4*env.Off[hi*nt]
+	d := dst[b:e]
+	for x, v := range env.R[b:e] {
+		d[x] = T(v)
 	}
 }

@@ -7,14 +7,14 @@ import (
 	"deepmd-go/internal/tensor"
 )
 
-// netDeriv is dE/dR~ laid out exactly like EnvOut.R: Nloc x Stride x 4. The
-// products read it in the network's precision and widen each element on
-// load (Sec. 5.2.3: the mixed-precision model hands its float32 network
-// gradient to double-precision operators).
+// netDeriv is dE/dR~ laid out exactly like EnvOut.R, a row per row of the
+// environment (EnvOut.Off). The products read it in the network's
+// precision and widen each element on load (Sec. 5.2.3: the
+// mixed-precision model hands its float32 network gradient to
+// double-precision operators).
 
 // ProdRows is the one body of the customized force and virial operators,
-// for center atoms [lo, hi): per real slot (below its section's Count — at
-// and beyond it Geo is zero, so netDeriv is not even read there) the
+// for center atoms [lo, hi): per row of its sections (EnvOut.Off) the
 // contraction of the network gradient with the environment-matrix
 // derivative, computed once and fed to both products,
 //
@@ -26,26 +26,23 @@ import (
 // in atom, section, slot order. dR~/dd is not stored: each slot rebuilds it
 // from its geometry row (d, s'(r)) and R~[0] = s with slotJacobian's
 // operations, so the result is the one a stored Jacobian would give, bit
-// for bit. A slot below Count that the operator left zero (a neighbor
-// coincident with its center) is skipped. force (3*nall) and w are
+// for bit. A row the operator left zero (a neighbor coincident with its
+// center) is skipped. force (3*nall) and w are
 // accumulated into; either may be nil to skip that product. It returns the
 // slots visited, which is what the operators charge FLOPs for.
 //
 //dp:noalloc
 func ProdRows[T tensor.Float](netDeriv []T, env *EnvOut, lo, hi int, force []float64, w *[9]float64) int64 {
-	stride, selOff := env.Stride, env.Fmt.SelOff
-	nt := len(selOff) - 1
-	var slots int64
+	nt := len(env.Fmt.Sel)
 	var w0, w1, w2, w3, w4, w5, w6, w7, w8 float64
 	for i := lo; i < hi; i++ {
 		var fi0, fi1, fi2 float64
 		for t := 0; t < nt; t++ {
-			n := int(env.Count[i*nt+t])
-			base := i*stride + selOff[t]
-			idx := env.Fmt.Idx[base : base+n]
-			nd := netDeriv[base*4 : (base+n)*4]
-			rs := env.R[base*4 : (base+n)*4]
-			geo := env.Geo[base*4 : (base+n)*4]
+			b, e := env.Off[i*nt+t], env.Off[i*nt+t+1]
+			idx := env.Fmt.Section(i, t)[:e-b]
+			nd := netDeriv[b*4 : e*4]
+			rs := env.R[b*4 : e*4]
+			geo := env.Geo[b*4 : e*4]
 			for k, j32 := range idx {
 				g := geo[4*k : 4*k+4]
 				ds := g[3]
@@ -85,7 +82,6 @@ func ProdRows[T tensor.Float](netDeriv []T, env *EnvOut, lo, hi int, force []flo
 					w8 -= z * d2
 				}
 			}
-			slots += int64(n)
 		}
 		if force != nil {
 			force[3*i] += fi0
@@ -98,7 +94,7 @@ func ProdRows[T tensor.Float](netDeriv []T, env *EnvOut, lo, hi int, force []flo
 			w[x] += v
 		}
 	}
-	return slots
+	return int64(env.Off[hi*nt] - env.Off[lo*nt])
 }
 
 // ProdBlocks is the number of contiguous center-atom blocks a frame's
@@ -142,38 +138,57 @@ func ProdForce(ctr *perf.Counter, netDeriv []float64, env *EnvOut, force []float
 }
 
 // ProdForceBaseline computes the same contraction the way the baseline CPU
-// operator did: slot-major over the whole table (poor locality across
-// atoms), with a freshly allocated scratch vector per slot, every slot's
-// Jacobian rebuilt (slotJacobian; zero for padding) and no padding skip
-// until after the gather. Returns a newly allocated force array.
+// operator did: slot-major over the whole table (slot k of every atom's
+// section, then slot k+1: poor locality across atoms), with a freshly
+// allocated scratch vector per slot and every slot's Jacobian rebuilt
+// (slotJacobian). Returns a newly allocated force array.
 func ProdForceBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut, nall int) []float64 {
 	start := ctr.Now()
 	force := make([]float64, 3*nall)
-	stride := env.Stride
-	for k := 0; k < stride; k++ { // slot-major: strided access over atoms
-		for i := 0; i < env.Nloc; i++ {
-			j32 := env.Fmt.Idx[i*stride+k]
-			dd := make([]float64, 3) // per-slot temporary
-			nd := netDeriv[(i*stride+k)*4 : (i*stride+k)*4+4]
-			var dr [12]float64
-			slotJacobian(env.R[(i*stride+k)*4], env.Geo[(i*stride+k)*4:(i*stride+k)*4+4], dr[:])
-			for a := 0; a < 3; a++ {
-				for c := 0; c < 4; c++ {
-					dd[a] += nd[c] * dr[c*3+a]
+	eachSlotMajor(env, func(i, j, x int) {
+		dd := make([]float64, 3) // per-slot temporary
+		nd := netDeriv[4*x : 4*x+4]
+		var dr [12]float64
+		slotJacobian(env.R[4*x], env.Geo[4*x:4*x+4], dr[:])
+		for a := 0; a < 3; a++ {
+			for c := 0; c < 4; c++ {
+				dd[a] += nd[c] * dr[c*3+a]
+			}
+		}
+		for a := 0; a < 3; a++ {
+			force[3*j+a] -= dd[a]
+			force[3*i+a] += dd[a]
+		}
+	})
+	ctr.Observe(perf.CatCUSTOM, start, paddedSlots(env)*ProdForceFLOPsPerEntry)
+	return force
+}
+
+// eachSlotMajor calls f(i, j, x) for every row x of the environment —
+// center i, neighbor j — slot-major: section by section, slot k of every
+// atom that has one before slot k+1.
+func eachSlotMajor(env *EnvOut, f func(i, j, x int)) {
+	sel := env.Fmt.Sel
+	nt := len(sel)
+	for t := 0; t < nt; t++ {
+		for k := 0; k < sel[t]; k++ {
+			for i := 0; i < env.Nloc; i++ {
+				if x := env.Off[i*nt+t] + k; x < env.Off[i*nt+t+1] {
+					f(i, int(env.Fmt.Section(i, t)[k]), x)
 				}
-			}
-			if j32 < 0 {
-				continue
-			}
-			j := int(j32)
-			for a := 0; a < 3; a++ {
-				force[3*j+a] -= dd[a]
-				force[3*i+a] += dd[a]
 			}
 		}
 	}
-	ctr.Observe(perf.CatCUSTOM, start, int64(env.Nloc)*int64(stride)*ProdForceFLOPsPerEntry)
-	return force
+}
+
+// paddedSlots is Nloc x sum(Sel), the slots the paper's padded layout had
+// and the operators' analytic charges still count.
+func paddedSlots(env *EnvOut) int64 {
+	n := int64(0)
+	for _, s := range env.Fmt.Sel {
+		n += int64(s)
+	}
+	return int64(env.Nloc) * n
 }
 
 // ProdVirial is the optimized customized virial operator: ProdRows over
@@ -193,34 +208,27 @@ func ProdVirial(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]float64 {
 func ProdVirialBaseline(ctr *perf.Counter, netDeriv []float64, env *EnvOut) [9]float64 {
 	start := ctr.Now()
 	var w [9]float64
-	stride := env.Stride
-	for k := 0; k < stride; k++ {
-		for i := 0; i < env.Nloc; i++ {
-			j32 := env.Fmt.Idx[i*stride+k]
-			if j32 < 0 {
-				continue
-			}
-			nd := netDeriv[(i*stride+k)*4 : (i*stride+k)*4+4]
-			rij := env.Geo[(i*stride+k)*4 : (i*stride+k)*4+3]
-			var dr [12]float64
-			slotJacobian(env.R[(i*stride+k)*4], env.Geo[(i*stride+k)*4:(i*stride+k)*4+4], dr[:])
-			dd := make([]float64, 3)
-			for a := 0; a < 3; a++ {
-				for c := 0; c < 4; c++ {
-					dd[a] += nd[c] * dr[c*3+a]
-				}
-			}
-			outer := make([]float64, 9)
-			for a := 0; a < 3; a++ {
-				for b := 0; b < 3; b++ {
-					outer[a*3+b] = rij[a] * dd[b]
-				}
-			}
-			for x := range w {
-				w[x] -= outer[x]
+	eachSlotMajor(env, func(i, j, x int) {
+		nd := netDeriv[4*x : 4*x+4]
+		rij := env.Geo[4*x : 4*x+3]
+		var dr [12]float64
+		slotJacobian(env.R[4*x], env.Geo[4*x:4*x+4], dr[:])
+		dd := make([]float64, 3)
+		for a := 0; a < 3; a++ {
+			for c := 0; c < 4; c++ {
+				dd[a] += nd[c] * dr[c*3+a]
 			}
 		}
-	}
-	ctr.Observe(perf.CatCUSTOM, start, int64(env.Nloc)*int64(stride)*ProdVirialFLOPsPerEntry)
+		outer := make([]float64, 9)
+		for a := 0; a < 3; a++ {
+			for b := 0; b < 3; b++ {
+				outer[a*3+b] = rij[a] * dd[b]
+			}
+		}
+		for x := range w {
+			w[x] -= outer[x]
+		}
+	})
+	ctr.Observe(perf.CatCUSTOM, start, paddedSlots(env)*ProdVirialFLOPsPerEntry)
 	return w
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"deepmd-go/internal/neighbor"
+	"deepmd-go/internal/tensor"
 )
 
 // reuseFrame is one Environment input of the Scratch-reuse tests.
@@ -86,18 +87,31 @@ func reuseSequence(t testing.TB, seed int64, script []byte) []reuseFrame {
 	return frames
 }
 
+// requireSameEnv asserts two environments are the same bit for bit: the
+// offsets, every formatted section, the overflow count, R and Geo. The
+// formatted table's unused room (past an overflowing row's last section)
+// is not part of the output.
 func requireSameEnv(t testing.TB, label string, got, want *EnvOut) {
 	t.Helper()
 	eq := func(a, b []float64) bool {
 		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
+	sameSections := func() bool {
+		nt := len(want.Fmt.Sel)
+		for k := 0; k < want.Nloc*nt; k++ {
+			if !slices.Equal(got.Fmt.Section(k/nt, k%nt), want.Fmt.Section(k/nt, k%nt)) {
+				return false
+			}
+		}
+		return true
+	}
 	switch {
-	case got.Nloc != want.Nloc || got.Stride != want.Stride:
-		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Nloc, got.Stride, want.Nloc, want.Stride)
-	case !slices.Equal(got.Count, want.Count):
-		t.Fatalf("%s: Count differs", label)
-	case !slices.Equal(got.Fmt.Idx, want.Fmt.Idx):
-		t.Fatalf("%s: Fmt.Idx differs", label)
+	case got.Nloc != want.Nloc || !slices.Equal(got.Fmt.Sel, want.Fmt.Sel):
+		t.Fatalf("%s: shape %d x %v, want %d x %v", label, got.Nloc, got.Fmt.Sel, want.Nloc, want.Fmt.Sel)
+	case !slices.Equal(got.Off, want.Off):
+		t.Fatalf("%s: Off differs", label)
+	case !sameSections():
+		t.Fatalf("%s: formatted sections differ", label)
 	case got.Fmt.Overflow != want.Fmt.Overflow:
 		t.Fatalf("%s: Fmt.Overflow %d, want %d", label, got.Fmt.Overflow, want.Fmt.Overflow)
 	case !eq(got.R, want.R):
@@ -108,22 +122,27 @@ func requireSameEnv(t testing.TB, label string, got, want *EnvOut) {
 }
 
 // checkReuse runs the frames through ONE Scratch twice over — as whole
-// Environment calls, and as Begin plus Rows over the atom blocks in reverse
-// order on a second scratch — and through one reused ConvertR destination,
-// each against a fresh Scratch per frame.
+// Environment calls, and as Begin, Rows, Pack and Fill over the atom
+// blocks in reverse order on a second scratch — and through one reused
+// ConvertRows destination, each against a fresh Scratch per frame and
+// the baseline operator.
 func checkReuse(t testing.TB, frames []reuseFrame) {
 	t.Helper()
 	var whole, blocked Scratch
 	var ws RowScratch
 	var rT []float32
-	var have []int32
 	for fi, f := range frames {
 		var fresh Scratch
 		want, err := fresh.Environment(nil, f.cfg, f.pos, f.types, f.list, f.box)
 		if err != nil {
 			t.Fatalf("frame %d: %v", fi, err)
 		}
-		checkCountInvariant(t, fmt.Sprintf("frame %d fresh", fi), f.cfg, want)
+		checkCountInvariant(t, fmt.Sprintf("frame %d fresh", fi), f.cfg, f.pos, f.box, want)
+		base, err := EnvironmentBaseline(nil, f.cfg, f.pos, f.types, f.list, f.box)
+		if err != nil {
+			t.Fatalf("frame %d: %v", fi, err)
+		}
+		requireSameEnv(t, fmt.Sprintf("frame %d baseline", fi), base, want)
 
 		got, err := whole.Environment(nil, f.cfg, f.pos, f.types, f.list, f.box)
 		if err != nil {
@@ -131,7 +150,7 @@ func checkReuse(t testing.TB, frames []reuseFrame) {
 		}
 		requireSameEnv(t, fmt.Sprintf("frame %d reused", fi), got, want)
 
-		env := blocked.Begin(f.cfg, f.list.Nloc)
+		env := blocked.Begin(f.cfg, f.list)
 		for b := ProdBlocks - 1; b >= 0; b-- {
 			lo, hi := BlockRange(f.list.Nloc, b)
 			st, err := blocked.Rows(&ws, f.cfg, f.pos, f.list, f.box, lo, hi)
@@ -140,28 +159,43 @@ func checkReuse(t testing.TB, frames []reuseFrame) {
 			}
 			env.Fmt.Overflow += st.Dropped
 		}
+		blocked.Pack()
+		for b := ProdBlocks - 1; b >= 0; b-- {
+			lo, hi := BlockRange(f.list.Nloc, b)
+			blocked.Fill(f.cfg, f.pos, f.box, lo, hi)
+		}
 		requireSameEnv(t, fmt.Sprintf("frame %d blocked", fi), env, want)
 
-		// The converted rows: a destination reused under its own counts
-		// (for as long as the shape holds, as a frame slot of internal/core
-		// does) equals a from-scratch conversion.
-		if fi == 0 || len(rT) != len(want.R) || !slices.Equal(f.cfg.Sel, frames[fi-1].cfg.Sel) {
-			rT, have = make([]float32, len(want.R)), make([]int32, len(want.Count))
-		}
+		// The converted rows: a destination reused across frames, grown as
+		// internal/core grows a frame slot's, holds exactly the rows, and
+		// they are the padded view's without the padding.
+		rT = tensor.Grow(rT, len(want.R))
 		for b := 0; b < ProdBlocks; b++ {
 			lo, hi := BlockRange(f.list.Nloc, b)
-			ConvertRows(env, rT, have, lo, hi)
+			ConvertRows(env, rT, lo, hi)
 		}
-		if !slices.Equal(rT, ConvertR[float32](nil, want, nil)) {
-			t.Fatalf("frame %d: reused ConvertRows destination differs from a fresh ConvertR", fi)
+		padded, nt, stride := ConvertR[float32](nil, want, nil), len(f.cfg.Sel), f.cfg.Stride()
+		for k := 0; k < want.Nloc*nt; k++ {
+			i, tj := k/nt, k%nt
+			at := i*stride + Config{Sel: f.cfg.Sel[:tj]}.Stride()
+			n := want.Off[k+1] - want.Off[k]
+			if !slices.Equal(rT[4*want.Off[k]:4*want.Off[k+1]], padded[4*at:4*(at+n)]) {
+				t.Fatalf("frame %d atom %d section %d: converted rows differ from the padded view", fi, i, tj)
+			}
+			for _, v := range padded[4*(at+n) : 4*(at+f.cfg.Sel[tj])] {
+				if v != 0 {
+					t.Fatalf("frame %d atom %d section %d: padded view not zero past the rows", fi, i, tj)
+				}
+			}
 		}
 	}
 }
 
-// One Scratch through frames whose counts shrink and grow, with a
+// One Scratch through frames whose row counts shrink and grow, with a
 // coincident pair, a different atom count and a different stride in
-// between, leaves exactly what a fresh Scratch computes: R, Geo, Count,
-// Fmt.Idx and Fmt.Overflow, bit for bit — the stale-row clears miss nothing.
+// between, leaves exactly what a fresh Scratch computes: R, Geo, Off, the
+// formatted sections and Fmt.Overflow, bit for bit — no row of an earlier
+// frame survives into a later one.
 func TestEnvironmentReuseMatchesFresh(t *testing.T) {
 	script := []byte{
 		opNew, 39, 3 + 7*5, // 40 atoms, Sel {4, 6}
@@ -178,8 +212,8 @@ func TestEnvironmentReuseMatchesFresh(t *testing.T) {
 		t.Fatalf("%d frames", len(frames))
 	}
 
-	// The premises: the expansion shrinks counts below slots that were
-	// filled, and the coincident frame has a declined slot below a count.
+	// The premises: the expansion shrinks sections below rows that were
+	// filled, and the coincident frame has a declined row inside a section.
 	count := func(f reuseFrame) *EnvOut {
 		var sc Scratch
 		env, err := sc.Environment(nil, f.cfg, f.pos, f.types, f.list, f.box)
@@ -188,10 +222,16 @@ func TestEnvironmentReuseMatchesFresh(t *testing.T) {
 		}
 		return env
 	}
-	before, after := count(frames[1]), count(frames[2])
+	rows := func(env *EnvOut, k int) int { return env.Off[k+1] - env.Off[k] }
+	before := count(frames[1])
+	beforeRows := make([]int, len(before.Off)-1)
+	for k := range beforeRows {
+		beforeRows[k] = rows(before, k)
+	}
+	after := count(frames[2])
 	shrunk := 0
-	for i := range before.Count {
-		if after.Count[i] < before.Count[i] {
+	for k, n := range beforeRows {
+		if rows(after, k) < n {
 			shrunk++
 		}
 	}
@@ -200,11 +240,11 @@ func TestEnvironmentReuseMatchesFresh(t *testing.T) {
 	}
 	co := count(frames[3])
 	declined := false
-	for i := 0; i < co.Nloc && !declined; i++ {
-		declined = co.Count[i*2] > 0 && co.R[i*co.Stride*4] == 0 || co.Count[i*2+1] > 0 && co.R[(i*co.Stride+co.Fmt.SelOff[1])*4] == 0
+	for x := 0; x < len(co.R)/4 && !declined; x++ {
+		declined = co.R[4*x] == 0
 	}
 	if !declined {
-		t.Fatal("no coincident neighbor below a count")
+		t.Fatal("no coincident neighbor inside a section")
 	}
 	checkReuse(t, frames)
 }
@@ -213,6 +253,10 @@ func FuzzEnvironmentReuse(f *testing.F) {
 	f.Add(int64(1), []byte{opNew, 39, 38, opJitter, 0, 0, opExpand, 255, 0, opCoincident, 0, 0})
 	f.Add(int64(2), []byte{opNew, 0, 0, opNew, 47, 62, opNew, 0, 0})
 	f.Add(int64(3), []byte{opNew, 20, 8, opExpand, 10, 0, opExpand, 200, 0, opJitter, 0, 0, opNew, 20, 8})
+	// Sel {1, 1}: every section overflows, then a coincident pair fills
+	// one whole section with a declined row.
+	f.Add(int64(4), []byte{opNew, 47, 0, opCoincident, 0, 0, opJitter, 0, 0})
+	f.Add(int64(5), []byte{opNew, 30, 62, opCoincident, 0, 0, opExpand, 100, 0, opCoincident, 0, 0})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		checkReuse(t, reuseSequence(t, seed, script))
 	})
@@ -220,7 +264,8 @@ func FuzzEnvironmentReuse(f *testing.F) {
 
 // The blocked products — every block into its own partial force buffer and
 // virial, summed in block order — against the baseline operators, with the
-// network gradient poisoned beyond Count: nothing there may be read.
+// network gradient poisoned past the last row: nothing there may be read,
+// and the skin entries of the formatted table have no row to read.
 func TestBlockedProdsMatchBaselines(t *testing.T) {
 	box := &neighbor.Box{L: [3]float64{14, 14, 14}}
 	const n = 90
@@ -231,33 +276,25 @@ func TestBlockedProdsMatchBaselines(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(14))
-	clean := make([]float64, n*env.Stride*4)
-	poisoned := make([]float64, len(clean))
-	poisoned32 := make([]float32, len(clean))
-	skin := 0
-	for i := 0; i < n; i++ {
-		for tj := range testCfg.Sel {
-			lo, hi := env.Fmt.SelOff[tj], env.Fmt.SelOff[tj+1]
-			for k := lo; k < hi; k++ {
-				for c := 0; c < 4; c++ {
-					x := (i*env.Stride+k)*4 + c
-					if k-lo < int(env.Count[i*len(testCfg.Sel)+tj]) {
-						v := float64(float32(rng.NormFloat64()))
-						clean[x], poisoned[x], poisoned32[x] = v, v, float32(v)
-					} else {
-						poisoned[x], poisoned32[x] = math.NaN(), float32(math.NaN())
-					}
-				}
-				if k-lo >= int(env.Count[i*len(testCfg.Sel)+tj]) && env.Fmt.Idx[i*env.Stride+k] >= 0 {
-					skin++
-				}
-			}
+	rows := len(env.R) / 4
+	clean := make([]float64, 4*rows)
+	poisoned := make([]float64, 4*(rows+8))
+	poisoned32 := make([]float32, len(poisoned))
+	for x := range poisoned {
+		if x < len(clean) {
+			v := float64(float32(rng.NormFloat64()))
+			clean[x], poisoned[x], poisoned32[x] = v, v, float32(v)
+		} else {
+			poisoned[x], poisoned32[x] = math.NaN(), float32(math.NaN())
 		}
 	}
-	if skin == 0 {
-		t.Fatal("no skin entry beyond a count: the poison tests nothing the old loops did not skip")
+	skin := 0
+	for k := 0; k < n*len(testCfg.Sel); k++ {
+		skin += len(env.Fmt.Section(k/len(testCfg.Sel), k%len(testCfg.Sel))) - (env.Off[k+1] - env.Off[k])
 	}
-
+	if skin == 0 {
+		t.Fatal("no skin entry beyond a section's rows: the case tests nothing the old loops did not skip")
+	}
 	blocked := func(prod func(lo, hi int, force []float64, w *[9]float64) int64) ([]float64, [9]float64, int64) {
 		partials := make([]float64, ProdBlocks*3*n)
 		var w [9]float64
@@ -284,11 +321,7 @@ func TestBlockedProdsMatchBaselines(t *testing.T) {
 		return ProdRows(poisoned32, env, lo, hi, f, w)
 	})
 
-	var rows int64
-	for _, c := range env.Count {
-		rows += int64(c)
-	}
-	if slots != rows {
+	if slots != int64(rows) {
 		t.Fatalf("visited %d slots, want the %d real rows", slots, rows)
 	}
 	baseF := ProdForceBaseline(nil, clean, env, n)

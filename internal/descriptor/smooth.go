@@ -10,7 +10,7 @@
 // a baseline variant (struct sort, per-call allocation, type branching in
 // the inner loop — the CPU implementation of the 2018 DeePMD-kit) and an
 // optimized variant (compressed 64-bit keys, reused scratch buffers,
-// branch-free fixed-stride loops).
+// branch-free loops over rows stored ragged, a section's real rows only).
 package descriptor
 
 import "math"
@@ -27,7 +27,8 @@ type Config struct {
 	Sel []int
 }
 
-// Stride returns the padded neighbors per atom.
+// Stride returns the neighbor capacity per atom, the sum of Sel: the
+// model's normalisation 1/N, and the width of the paper's padded layout.
 func (c Config) Stride() int {
 	n := 0
 	for _, s := range c.Sel {

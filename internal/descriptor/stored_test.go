@@ -12,19 +12,19 @@ import (
 )
 
 // storedJacobian is the layout the products once read, kept as their
-// oracle: per slot below Count the 12 entries of dR~/dd (dr[c*3+a] =
-// dR~[c]/dd_a) and the displacement, computed from the positions the way
-// the Environment operator computed them, zero where it declined the slot.
+// oracle: per row the 12 entries of dR~/dd (dr[c*3+a] = dR~[c]/dd_a) and
+// the displacement, computed from the positions the way the Environment
+// operator computed them, zero where it declined the row.
 func storedJacobian(cfg Config, pos []float64, box *neighbor.Box, env *EnvOut) (dr, rij []float64) {
-	dr = make([]float64, env.Nloc*env.Stride*12)
-	rij = make([]float64, env.Nloc*env.Stride*3)
+	rows := len(env.R) / 4
+	dr = make([]float64, rows*12)
+	rij = make([]float64, rows*3)
 	nt := len(cfg.Sel)
 	for i := 0; i < env.Nloc; i++ {
 		for t := 0; t < nt; t++ {
-			lo := env.Fmt.SelOff[t]
-			for k := lo; k < lo+int(env.Count[i*nt+t]); k++ {
-				x := i*env.Stride + k
-				d := disp(pos, i, int(env.Fmt.Idx[x]), box)
+			lo, hi := env.Off[i*nt+t], env.Off[i*nt+t+1]
+			for x := lo; x < hi; x++ {
+				d := disp(pos, i, int(env.Fmt.Section(i, t)[x-lo]), box)
 				rr := vecNorm(d)
 				if rr >= cfg.Rcut || rr == 0 {
 					continue
@@ -54,15 +54,13 @@ func storedJacobian(cfg Config, pos []float64, box *neighbor.Box, env *EnvOut) (
 // storedProdRows is ProdRows over a stored Jacobian: the contraction and
 // scatter order the rebuilt rows must reproduce bit for bit.
 func storedProdRows[T tensor.Float](netDeriv []T, env *EnvOut, dr, rij []float64, lo, hi int, force []float64, w *[9]float64) {
-	stride, selOff := env.Stride, env.Fmt.SelOff
-	nt := len(selOff) - 1
+	nt := len(env.Fmt.Sel)
 	var w0, w1, w2, w3, w4, w5, w6, w7, w8 float64
 	for i := lo; i < hi; i++ {
 		var fi0, fi1, fi2 float64
 		for t := 0; t < nt; t++ {
-			n := int(env.Count[i*nt+t])
-			base := i*stride + selOff[t]
-			for k, j32 := range env.Fmt.Idx[base : base+n] {
+			base, end := env.Off[i*nt+t], env.Off[i*nt+t+1]
+			for k, j32 := range env.Fmt.Section(i, t)[:end-base] {
 				x := base + k
 				n0, n1, n2, n3 := float64(netDeriv[4*x]), float64(netDeriv[4*x+1]), float64(netDeriv[4*x+2]), float64(netDeriv[4*x+3])
 				g := dr[12*x : 12*x+12]
@@ -132,7 +130,7 @@ func requireStoredBits[T tensor.Float](t testing.TB, label string, nd []T, env *
 // The products rebuild dR~/dd per slot from the geometry row instead of
 // reading it; forces and virials must keep the bits of the stored layout.
 // Water and copper, in double and mixed gradients, with a neighbor moved
-// onto its center (a declined slot below a count) and the atoms drifted
+// onto its center (a declined row inside a section) and the atoms drifted
 // under the old list (skin entries past rc).
 func TestProdRowsMatchStoredJacobian(t *testing.T) {
 	water := lattice.Water(3, 3, 3, lattice.WaterSpacing, 7)
@@ -169,22 +167,16 @@ func TestProdRowsMatchStoredJacobian(t *testing.T) {
 			}
 			declined, skin := 0, 0
 			nt := len(sys.cfg.Sel)
-			for i := 0; i < n; i++ {
-				for tj := 0; tj < nt; tj++ {
-					lo, hi := env.Fmt.SelOff[tj], env.Fmt.SelOff[tj+1]
-					for k := lo; k < hi; k++ {
-						x := i*env.Stride + k
-						switch below := k-lo < int(env.Count[i*nt+tj]); {
-						case below && env.R[4*x] == 0:
-							declined++
-						case !below && env.Fmt.Idx[x] >= 0:
-							skin++
-						}
-					}
+			for x := 0; x < len(env.R)/4; x++ {
+				if env.R[4*x] == 0 {
+					declined++
 				}
 			}
+			for k := 0; k < n*nt; k++ {
+				skin += len(env.Fmt.Section(k/nt, k%nt)) - (env.Off[k+1] - env.Off[k])
+			}
 			if declined == 0 || skin == 0 {
-				t.Fatalf("%d declined slots below a count, %d skin entries beyond one: the case misses what it is for", declined, skin)
+				t.Fatalf("%d declined rows inside a section, %d skin entries beyond one: the case misses what it is for", declined, skin)
 			}
 
 			dr, rij := storedJacobian(sys.cfg, pos, box, env)
@@ -202,7 +194,7 @@ func TestProdRowsMatchStoredJacobian(t *testing.T) {
 	}
 }
 
-// One slot at a fuzzed displacement, behind a neighbor coincident with the
+// One row at a fuzzed displacement, behind a neighbor coincident with the
 // center, through ProdRows and the stored-Jacobian products: the same bits
 // (a NaN matching a NaN) in both precisions, and nothing from the declined
 // slots — the coincident atom's force, and everything when the fuzzed
@@ -250,14 +242,19 @@ func FuzzProdRowsMatchStoredJacobian(f *testing.F) {
 		for k := range u {
 			pos[6+k] = u[k] / un * r
 		}
-		env := &EnvOut{
-			Nloc: 1, Stride: 4,
-			Fmt:   &neighbor.Formatted{Nloc: 1, Sel: cfg.Sel, SelOff: []int{0, 4}, Stride: 4, Idx: []int32{1, 2, -1, -1}},
-			R:     make([]float64, 16),
-			Geo:   make([]float64, 16),
-			Count: make([]int32, 1),
+		// The formatted section is given (the key format cannot encode
+		// every fuzzed distance); the row count, Pack and Fill are the
+		// operator's own.
+		var sc Scratch
+		sc.out = EnvOut{
+			Nloc: 1,
+			Fmt:  &neighbor.Formatted{Nloc: 1, Sel: cfg.Sel, Idx: []int32{1, 2}, SecOff: []int32{0, 2}},
+			Off:  []int{0, 0},
 		}
-		fillEnvRow(cfg, pos, 0, env.Fmt.Idx, env.Fmt.SelOff, nil, env.R, env.Geo, env.Count)
+		env := &sc.out
+		env.Off[1] = sectionRows(cfg, pos, 0, env.Fmt.Section(0, 0), nil)
+		sc.Pack()
+		sc.Fill(cfg, pos, nil, 0, 1)
 		dr, rij := storedJacobian(cfg, pos, nil, env)
 		nd := []float64{n3, n2, n1, n0, n0, n1, n2, n3, n1, n1, n1, n1, n2, n2, n2, n2}
 		nd32 := make([]float32, len(nd))
@@ -276,11 +273,11 @@ func FuzzProdRowsMatchStoredJacobian(f *testing.F) {
 		if !zero(force[3:6]) {
 			t.Fatalf("r = %g: the coincident atom got force %v", r, force[3:6])
 		}
-		if env.Count[0] == 0 && (!zero(force) || !zero(w[:])) {
+		if env.Off[1] == 0 && (!zero(force) || !zero(w[:])) {
 			t.Fatalf("r = %g: a frame of declined slots produced force %v, virial %v", r, force, w)
 		}
-		if rr := vecNorm([3]float64(pos[6:9])); (rr > 0 && rr < cfg.Rcut) != (env.Count[0] == 2) {
-			t.Fatalf("r = %g (|d| = %g): count %d", r, rr, env.Count[0])
+		if rr := vecNorm([3]float64(pos[6:9])); (rr > 0 && rr < cfg.Rcut) != (env.Off[1] == 2) {
+			t.Fatalf("r = %g (|d| = %g): %d rows", r, rr, env.Off[1])
 		}
 	})
 }

@@ -54,7 +54,7 @@ func Table3(sc Scale, nx, reps int) (*Table3Result, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(2))
-	nd := make([]float64, env.Nloc*env.Stride*4)
+	nd := make([]float64, len(env.R))
 	for i := range nd {
 		nd[i] = rng.NormFloat64()
 	}

@@ -53,6 +53,11 @@ func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers in
 	if nall > math.MaxInt32 {
 		return nil, fmt.Errorf("neighbor: %d atoms exceed the int32 index range", nall)
 	}
+	for j, t := range types {
+		if int(int32(t)) != t {
+			return nil, fmt.Errorf("neighbor: atom %d has type %d outside the int32 range of Entry.Type", j, t)
+		}
+	}
 	for a, x := range pos[:3*nall] {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			i := a / 3
@@ -248,12 +253,12 @@ func (sc *rowScan) fill(b *builder, arena []Entry) {
 			j := int(j32)
 			d := displacement(b.pos, i, j, b.box)
 			r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
-			arena[cur[i]] = Entry{Type: b.types[j], Dist: r, Index: j}
+			arena[cur[i]] = Entry{Dist: r, Index: j32, Type: int32(b.types[j])}
 			cur[i]++
 			if b.g == nil && j < b.nloc {
 				// -d squares to the same bits, so row j holds the
 				// distance its own scan would have computed.
-				arena[cur[j]] = Entry{Type: b.types[i], Dist: r, Index: i}
+				arena[cur[j]] = Entry{Dist: r, Index: int32(i), Type: int32(b.types[i])}
 				cur[j]++
 			}
 		}
@@ -276,15 +281,15 @@ func (sc *rowScan) sortRow(row []Entry, rc float64) {
 	for _, e := range row {
 		tmin, tmax = min(tmin, e.Type), max(tmax, e.Type)
 	}
-	span := tmax - tmin + 1 // <= 0 when the difference overflows
-	if span <= 0 || span > n {
+	span := int(tmax) - int(tmin) + 1
+	if span > n {
 		slices.SortFunc(row, keyOrder)
 		return
 	}
 	bands := n / span
 	bucket := func(e Entry) int {
 		x := e.Dist / rc
-		return (e.Type-tmin)*bands + min(int(x*x*x*float64(bands)), bands-1)
+		return int(e.Type-tmin)*bands + min(int(x*x*x*float64(bands)), bands-1)
 	}
 	sc.next = tensor.Resize(sc.next, span*bands+1)
 	clear(sc.next)

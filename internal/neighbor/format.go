@@ -51,28 +51,52 @@ func Decode(key uint64) (typ int, dist float64, index int) {
 	return typ, dist, index
 }
 
-// Formatted is the optimized fixed-stride neighbor table of Fig. 2(d):
-// for each of the Nloc atoms, neighbors sorted by type then distance, each
-// type section padded to Sel[t] with -1. Embedding computation over this
-// table is branch-free: slot s always holds a neighbor of type TypeOfSlot(s)
-// or padding.
+// Formatted is the optimized neighbor table of Fig. 2(d), stored without
+// padding: for each of the Nloc atoms, neighbors sorted by type then
+// distance, the nearest Sel[t] of each type t kept. Embedding computation
+// over it is branch-free: section t of every row holds neighbors of type t
+// only, so a section runs through one net.
 type Formatted struct {
-	Nloc   int
-	Sel    []int
-	SelOff []int // prefix offsets of each type section
-	Stride int
-	// Idx holds Nloc*Stride neighbor indices, -1 for padding.
+	Nloc int
+	Sel  []int
+	// Idx holds the kept neighbor indices, row after row and section after
+	// section. Row i has room for min(len(list row i), sum of Sel) indices,
+	// so the table is never larger than the list it was formatted from.
 	Idx []int32
+	// SecOff bounds the sections: section t of atom i is
+	// Idx[SecOff[i*(len(Sel)+1)+t] : SecOff[i*(len(Sel)+1)+t+1]]. The room
+	// a row does not use (its overflow) lies between its last section and
+	// the next row.
+	SecOff []int32
 	// Overflow counts neighbors dropped because a type section exceeded
 	// its Sel capacity; the nearest Sel[t] were kept (Sec. 5.2.1: the
 	// distance sort "always selects the nearest neighbors").
 	Overflow int
 }
 
-// TypeOfSlot returns the neighbor type that slot s of every row holds.
-func (f *Formatted) TypeOfSlot(s int) int {
-	t := sort.SearchInts(f.SelOff[1:], s+1)
-	return t
+// Section returns the kept neighbors of type t of atom i, nearest first.
+func (f *Formatted) Section(i, t int) []int32 {
+	k := i*(len(f.Sel)+1) + t
+	return f.Idx[f.SecOff[k]:f.SecOff[k+1]]
+}
+
+// Kept returns the number of neighbors the table holds.
+func (f *Formatted) Kept() int {
+	n := 0
+	for i := 0; i < f.Nloc; i++ {
+		row := f.SecOff[i*(len(f.Sel)+1) : (i+1)*(len(f.Sel)+1)]
+		n += int(row[len(f.Sel)] - row[0])
+	}
+	return n
+}
+
+// room is how many indices row i has space for.
+func (f *Formatted) room(i int) int {
+	end := len(f.Idx)
+	if i+1 < f.Nloc {
+		end = int(f.SecOff[(i+1)*(len(f.Sel)+1)])
+	}
+	return end - int(f.SecOff[i*(len(f.Sel)+1)])
 }
 
 // Formatter converts a raw list into the optimized layout by sorting
@@ -94,32 +118,33 @@ type SortScratch struct {
 	fill []int
 }
 
-// Begin sizes the formatter's table for nloc rows of spec and returns it
-// with Overflow zero and every row still to be written: FormatRow fills one
-// row, any number of goroutines may fill distinct rows at once (each with
-// its own SortScratch), and whoever collects them adds the dropped counts
-// into Overflow.
-func (fm *Formatter) Begin(spec Spec, nloc int) *Formatted {
-	ntypes := len(spec.Sel)
+// Begin sizes the formatter's table for the rows of l under spec and
+// returns it with Overflow zero and every row still to be written:
+// FormatRow fills one row, any number of goroutines may fill distinct rows
+// at once (each with its own SortScratch), and whoever collects them adds
+// the dropped counts into Overflow. Row i starts where the room of the rows
+// before it ends.
+func (fm *Formatter) Begin(spec Spec, l *List) *Formatted {
 	out := &fm.out
-	out.Nloc = nloc
 	out.Sel = append(out.Sel[:0], spec.Sel...)
-	out.SelOff = tensor.Resize(out.SelOff, ntypes+1)
-	out.SelOff[0] = 0
-	for t := 0; t < ntypes; t++ {
-		out.SelOff[t+1] = out.SelOff[t] + spec.Sel[t]
+	nt, most := len(spec.Sel), spec.Stride()
+	out.Nloc = l.Nloc
+	out.SecOff = tensor.Resize(out.SecOff, l.Nloc*(nt+1))
+	room := 0
+	for i, row := range l.Entries[:l.Nloc] {
+		out.SecOff[i*(nt+1)] = int32(room)
+		room += min(len(row), most)
 	}
-	out.Stride = out.SelOff[ntypes]
-	out.Idx = tensor.Resize(out.Idx, nloc*out.Stride)
+	out.Idx = tensor.Resize(out.Idx, room)
 	out.Overflow = 0
 	return out
 }
 
-// Format produces the padded, sorted table from a raw list: Begin, then
-// every row through FormatRow on the formatter's own scratch.
+// Format produces the sorted table from a raw list: Begin, then every row
+// through FormatRow on the formatter's own scratch.
 func (fm *Formatter) Format(spec Spec, l *List) (*Formatted, error) {
-	out := fm.Begin(spec, l.Nloc)
-	for i, nbrs := range l.Entries {
+	out := fm.Begin(spec, l)
+	for i, nbrs := range l.Entries[:l.Nloc] {
 		dropped, err := out.FormatRow(&fm.ws, i, nbrs)
 		if err != nil {
 			return nil, err
@@ -129,13 +154,14 @@ func (fm *Formatter) Format(spec Spec, l *List) (*Formatted, error) {
 	return out, nil
 }
 
-// FormatRow writes row i of the table from atom i's raw neighbors: keys
-// encoded and sorted, the nearest Sel[t] of every type placed in section
-// order and the rest of each section set to -1. It returns how many
-// neighbors the full sections dropped. The keys are unique, so the table
-// does not depend on the order of nbrs; the sort is fastest when nbrs is
-// nearly in key order, as Build leaves it. The row is written whole, so a
-// table needs no initialisation and rows can be formatted in any order.
+// FormatRow writes row i of the table from atom i's raw neighbors — list
+// row i as Begin saw it, or a permutation of it: keys encoded and sorted,
+// the nearest Sel[t] of every type placed in section order. It returns how
+// many neighbors the full sections dropped. The keys are unique, so the
+// table does not depend on the order of nbrs; the sort is fastest when nbrs
+// is nearly in key order, as Build leaves it. The row and its section
+// bounds are written whole, so a table needs no initialisation and rows
+// can be formatted in any order.
 //
 //dp:noalloc
 func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int, err error) {
@@ -143,10 +169,10 @@ func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int
 	ws.keys = tensor.Resize(ws.keys, len(nbrs))
 	keys := ws.keys[:0]
 	for _, e := range nbrs {
-		if e.Type >= ntypes {
+		if int(e.Type) >= ntypes {
 			return 0, fmt.Errorf("neighbor: type %d exceeds spec with %d types", e.Type, ntypes)
 		}
-		k, err := Encode(e.Type, e.Dist, e.Index)
+		k, err := Encode(int(e.Type), e.Dist, int(e.Index))
 		if err != nil {
 			return 0, err
 		}
@@ -160,50 +186,44 @@ func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int
 		}
 		keys[a] = k
 	}
-	row := f.Idx[i*f.Stride : (i+1)*f.Stride]
+	sec := f.SecOff[i*(ntypes+1) : (i+1)*(ntypes+1)]
+	if room := f.room(i); len(nbrs) > room && (Spec{Sel: f.Sel}).Stride() > room {
+		return 0, fmt.Errorf("neighbor: atom %d has %d neighbors, its row was sized for %d", i, len(nbrs), room)
+	}
 	ws.fill = tensor.Resize(ws.fill, ntypes)
 	fill := ws.fill
 	clear(fill)
+	at := int(sec[0])
+	t := 0
 	for _, k := range keys {
-		t, _, j := Decode(k)
-		if fill[t] >= f.Sel[t] {
+		typ, _, j := Decode(k)
+		for ; t < typ; t++ {
+			sec[t+1] = int32(at)
+		}
+		if fill[typ] >= f.Sel[typ] {
 			dropped++
 			continue
 		}
-		row[f.SelOff[t]+fill[t]] = int32(j)
-		fill[t]++
+		f.Idx[at] = int32(j)
+		at++
+		fill[typ]++
 	}
-	for t, n := range fill {
-		for k := f.SelOff[t] + n; k < f.SelOff[t+1]; k++ {
-			row[k] = -1
-		}
+	for ; t < ntypes; t++ {
+		sec[t+1] = int32(at)
 	}
 	return dropped, nil
 }
 
 // FormatBaseline sorts each atom's neighbors with a comparison sort over
 // the AoS records (the pre-optimization path: struct compares, no
-// compression, no padding). It returns the same Formatted table so the
-// downstream pipeline is identical; only the sorting machinery differs.
-// This exists to measure the compressed-key format's gain in isolation.
+// compression). It returns the same Formatted table so the downstream
+// pipeline is identical; only the sorting machinery differs. This exists
+// to measure the compressed-key format's gain in isolation.
 func FormatBaseline(spec Spec, l *List) (*Formatted, error) {
-	stride := spec.Stride()
 	ntypes := len(spec.Sel)
-	out := &Formatted{
-		Nloc:   l.Nloc,
-		Sel:    append([]int(nil), spec.Sel...),
-		SelOff: make([]int, ntypes+1),
-		Stride: stride,
-		Idx:    make([]int32, l.Nloc*stride),
-	}
-	for t := 0; t < ntypes; t++ {
-		out.SelOff[t+1] = out.SelOff[t] + spec.Sel[t]
-	}
-	for i := range out.Idx {
-		out.Idx[i] = -1
-	}
+	out := new(Formatter).Begin(spec, l)
 	entries := make([]Entry, 0, 256)
-	for i, nbrs := range l.Entries {
+	for i, nbrs := range l.Entries[:l.Nloc] {
 		entries = append(entries[:0], nbrs...)
 		sort.Slice(entries, func(a, b int) bool {
 			if entries[a].Type != entries[b].Type {
@@ -214,18 +234,23 @@ func FormatBaseline(spec Spec, l *List) (*Formatted, error) {
 			}
 			return entries[a].Index < entries[b].Index
 		})
-		row := out.Idx[i*stride : (i+1)*stride]
+		sec := out.SecOff[i*(ntypes+1) : (i+1)*(ntypes+1)]
 		fill := make([]int, ntypes)
+		at := int(sec[0])
 		for _, e := range entries {
-			if e.Type >= ntypes {
+			if int(e.Type) >= ntypes {
 				return nil, fmt.Errorf("neighbor: type %d exceeds spec with %d types", e.Type, ntypes)
 			}
 			if fill[e.Type] >= spec.Sel[e.Type] {
 				out.Overflow++
 				continue
 			}
-			row[out.SelOff[e.Type]+fill[e.Type]] = int32(e.Index)
+			out.Idx[at] = e.Index
+			at++
 			fill[e.Type]++
+		}
+		for t, n := range fill {
+			sec[t+1] = sec[t] + int32(n)
 		}
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package neighbor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -9,9 +10,9 @@ import (
 // a type section holds more raw neighbors than its capacity sel[t], the
 // *nearest* sel[t] survive (the distance sort "always selects the nearest
 // neighbors"), dropped entries are counted in Overflow, and every section
-// still occupies exactly sel[t] slots of the fixed stride — full sections
-// carry no padding, short sections are -1-padded to sel[t]. Both the
-// compressed-key Formatter and the baseline struct sort must agree.
+// holds exactly min(count, sel[t]) indices — no padding, sections back to
+// back from the row's start. Both the compressed-key Formatter and the
+// baseline struct sort must agree.
 func TestFormatterOverflowTableDriven(t *testing.T) {
 	cases := []struct {
 		name string
@@ -31,7 +32,6 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + ci)))
 			spec := Spec{Rcut: 10, Skin: 0, Sel: tc.sel}
-			stride := spec.Stride()
 
 			// Build a synthetic raw list: per type, distinct distances in
 			// ascending order tagged with unique indices, then globally
@@ -44,7 +44,7 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 				d := 0.5 + 0.1*rng.Float64()
 				for i := 0; i < cnt; i++ {
 					d += 0.001 + 0.01*rng.Float64() // strictly increasing, < MaxDist
-					e := Entry{Type: typ, Dist: d, Index: idx}
+					e := Entry{Dist: d, Index: int32(idx), Type: int32(typ)}
 					idx++
 					secs[typ].byDist = append(secs[typ].byDist, e)
 					all = append(all, e)
@@ -71,16 +71,19 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 			}
 
 			for name, f := range map[string]*Formatted{"key": opt, "baseline": base} {
-				if f.Stride != stride || len(f.Idx) != stride {
-					t.Fatalf("%s: stride %d / %d slots, want %d", name, f.Stride, len(f.Idx), stride)
+				if want := min(len(all), spec.Stride()); len(f.Idx) != want {
+					t.Fatalf("%s: %d slots, want room for %d", name, len(f.Idx), want)
 				}
 				off := 0
 				for typ, sel := range tc.sel {
-					if f.SelOff[typ] != off {
-						t.Fatalf("%s: SelOff[%d] = %d, want %d", name, typ, f.SelOff[typ], off)
+					if int(f.SecOff[typ]) != off {
+						t.Fatalf("%s: SecOff[%d] = %d, want %d", name, typ, f.SecOff[typ], off)
 					}
-					row := f.Idx[off : off+sel]
+					row := f.Section(0, typ)
 					kept := min(tc.nbrs[typ], sel)
+					if len(row) != kept {
+						t.Fatalf("%s: type %d holds %d, want %d", name, typ, len(row), kept)
+					}
 					// The kept prefix must be exactly the nearest `kept`
 					// neighbors of this type, in ascending distance order.
 					for s := 0; s < kept; s++ {
@@ -89,31 +92,22 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 							t.Fatalf("%s: type %d slot %d = %d, want %d (nearest-first)", name, typ, s, row[s], want)
 						}
 					}
-					// Padding is exactly sel[t] - kept trailing -1 slots:
-					// the section never exceeds nor undershoots its stride.
-					for s := kept; s < sel; s++ {
-						if row[s] != -1 {
-							t.Fatalf("%s: type %d slot %d = %d, want -1 padding", name, typ, s, row[s])
-						}
-					}
-					off += sel
+					off += kept
 				}
 				if f.Overflow != wantOverflow {
 					t.Fatalf("%s: Overflow = %d, want %d", name, f.Overflow, wantOverflow)
 				}
 				// Dropped neighbors must all be farther than every kept one
 				// of the same type (re-derived from the slot contents).
-				for typ, sel := range tc.sel {
+				for typ := range tc.sel {
 					keptSet := map[int32]bool{}
-					for _, v := range f.Idx[f.SelOff[typ] : f.SelOff[typ]+sel] {
-						if v >= 0 {
-							keptSet[v] = true
-						}
+					for _, v := range f.Section(0, typ) {
+						keptSet[v] = true
 					}
 					var keptMax float64
 					var dropMin = -1.0
 					for _, e := range secs[typ].byDist {
-						if keptSet[int32(e.Index)] {
+						if keptSet[e.Index] {
 							if e.Dist > keptMax {
 								keptMax = e.Dist
 							}
@@ -130,14 +124,14 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 	}
 }
 
-// Overflow handling with multiple local atoms: each row is trimmed and
-// padded independently, and Overflow accumulates across rows.
+// Overflow handling with multiple local atoms: each row is trimmed
+// independently within its own room, and Overflow accumulates across rows.
 func TestFormatterOverflowMultipleAtoms(t *testing.T) {
 	spec := Spec{Rcut: 10, Skin: 0, Sel: []int{3, 2}}
 	rows := [][]Entry{
-		{{0, 1.0, 11}, {0, 0.5, 12}, {0, 2.0, 13}, {0, 1.5, 14}, {1, 0.7, 15}}, // type 0 overflows by 1
-		{{1, 0.9, 21}, {1, 0.8, 22}, {1, 0.7, 23}, {1, 0.6, 24}},               // type 1 overflows by 2
-		{{0, 3.0, 31}}, // pure underflow
+		{{1.0, 11, 0}, {0.5, 12, 0}, {2.0, 13, 0}, {1.5, 14, 0}, {0.7, 15, 1}}, // type 0 overflows by 1
+		{{0.9, 21, 1}, {0.8, 22, 1}, {0.7, 23, 1}, {0.6, 24, 1}},               // type 1 overflows by 2
+		{{3.0, 31, 0}}, // pure underflow
 	}
 	list := &List{Nloc: 3, Entries: rows}
 	var fm Formatter
@@ -148,15 +142,21 @@ func TestFormatterOverflowMultipleAtoms(t *testing.T) {
 	if f.Overflow != 3 {
 		t.Fatalf("Overflow = %d, want 3", f.Overflow)
 	}
-	want := []int32{
-		12, 11, 14 /* type0: nearest 3 of 4 */, 15, -1,
-		-1, -1, -1 /* no type0 */, 24, 23,
-		31, -1, -1, -1, -1,
+	want := [][][]int32{
+		{{12, 11, 14} /* type0: nearest 3 of 4 */, {15}},
+		{{} /* no type0 */, {24, 23}},
+		{{31}, {}},
 	}
-	for i, w := range want {
-		if f.Idx[i] != w {
-			t.Fatalf("Idx[%d] = %d, want %d (full table %v)", i, f.Idx[i], w, f.Idx)
+	for i, secs := range want {
+		for typ, w := range secs {
+			if got := f.Section(i, typ); !slices.Equal(got, w) {
+				t.Fatalf("atom %d type %d = %v, want %v (full table %v)", i, typ, got, w, f.Idx)
+			}
 		}
+	}
+	// Each row has the room of its list row: 5, 4 and 1 slots.
+	if len(f.Idx) != 10 || f.SecOff[3] != 5 || f.SecOff[6] != 9 {
+		t.Fatalf("rows start at %d, %d, %d of %d slots, want 0, 5, 9 of 10", f.SecOff[0], f.SecOff[3], f.SecOff[6], len(f.Idx))
 	}
 	// Baseline must agree slot for slot.
 	base, err := FormatBaseline(spec, list)
@@ -166,9 +166,14 @@ func TestFormatterOverflowMultipleAtoms(t *testing.T) {
 	if base.Overflow != f.Overflow {
 		t.Fatalf("baseline Overflow = %d, want %d", base.Overflow, f.Overflow)
 	}
-	for i := range f.Idx {
-		if base.Idx[i] != f.Idx[i] {
-			t.Fatalf("baseline Idx[%d] = %d, key format %d", i, base.Idx[i], f.Idx[i])
+	if !slices.Equal(base.SecOff, f.SecOff) {
+		t.Fatalf("baseline SecOff %v, key format %v", base.SecOff, f.SecOff)
+	}
+	for i := range want {
+		for typ := range spec.Sel {
+			if !slices.Equal(base.Section(i, typ), f.Section(i, typ)) {
+				t.Fatalf("atom %d type %d: baseline %v, key format %v", i, typ, base.Section(i, typ), f.Section(i, typ))
+			}
 		}
 	}
 }

@@ -93,11 +93,12 @@ func (s Spec) Stride() int {
 }
 
 // Entry is one AoS neighbor record: the structure of Fig. 2(c) before
-// compression.
+// compression. Index and Type are 32-bit (Encode's ranges are far
+// narrower), so a record is 16 bytes.
 type Entry struct {
-	Type  int
 	Dist  float64
-	Index int
+	Index int32
+	Type  int32
 }
 
 // List is a raw neighbor list for the first Nloc atoms of a configuration:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,7 @@ func reference(spec Spec, pos []float64, types []int, nloc int, box *Box) [][]En
 			d := displacement(pos, i, j, box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 < rc2 {
-				out[i] = append(out[i], Entry{types[j], math.Sqrt(r2), j})
+				out[i] = append(out[i], Entry{math.Sqrt(r2), int32(j), int32(types[j])})
 			}
 		}
 	}
@@ -44,11 +45,11 @@ func reference(spec Spec, pos []float64, types []int, nloc int, box *Box) [][]En
 func sameNeighborSets(t *testing.T, got [][]Entry, want [][]Entry) {
 	t.Helper()
 	for i := range want {
-		g := map[int]bool{}
+		g := map[int32]bool{}
 		for _, e := range got[i] {
 			g[e.Index] = true
 		}
-		w := map[int]bool{}
+		w := map[int32]bool{}
 		for _, e := range want[i] {
 			w[e.Index] = true
 		}
@@ -198,11 +199,11 @@ func TestCompressedSortOrderProperty(t *testing.T) {
 		keys := make([]uint64, n)
 		for i := range entries {
 			entries[i] = Entry{
-				Type:  rng.Intn(4),
 				Dist:  rng.Float64() * 10,
-				Index: rng.Intn(1000),
+				Index: int32(rng.Intn(1000)),
+				Type:  int32(rng.Intn(4)),
 			}
-			k, err := Encode(entries[i].Type, entries[i].Dist, entries[i].Index)
+			k, err := Encode(int(entries[i].Type), entries[i].Dist, int(entries[i].Index))
 			if err != nil {
 				return false
 			}
@@ -251,25 +252,16 @@ func TestFormatInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Stride != 50 {
-		t.Fatalf("stride = %d, want 50", f.Stride)
-	}
 	for i := 0; i < f.Nloc; i++ {
-		row := f.Idx[i*f.Stride : (i+1)*f.Stride]
 		for t0 := 0; t0 < 2; t0++ {
-			sec := row[f.SelOff[t0]:f.SelOff[t0+1]]
-			// Within a section: filled slots first, then -1 padding,
-			// types all match, distances non-decreasing.
-			pad := false
+			sec := f.Section(i, t0)
+			// Within a section: at most Sel[t] neighbors, types all match,
+			// distances non-decreasing.
+			if len(sec) > spec.Sel[t0] {
+				t.Fatalf("atom %d type %d: %d neighbors, sel %d", i, t0, len(sec), spec.Sel[t0])
+			}
 			var prev float64 = -1
 			for _, j := range sec {
-				if j < 0 {
-					pad = true
-					continue
-				}
-				if pad {
-					t.Fatalf("atom %d type %d: index after padding", i, t0)
-				}
 				if types[j] != t0 {
 					t.Fatalf("atom %d: slot type %d holds atom of type %d", i, t0, types[j])
 				}
@@ -304,12 +296,14 @@ func TestFormatMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opt.Idx) != len(base.Idx) {
+	if len(opt.Idx) != len(base.Idx) || !slices.Equal(opt.SecOff, base.SecOff) {
 		t.Fatal("size mismatch")
 	}
-	for i := range opt.Idx {
-		if opt.Idx[i] != base.Idx[i] {
-			t.Fatalf("Idx[%d]: optimized %d, baseline %d", i, opt.Idx[i], base.Idx[i])
+	for i := 0; i < opt.Nloc; i++ {
+		for t0 := range spec.Sel {
+			if !slices.Equal(opt.Section(i, t0), base.Section(i, t0)) {
+				t.Fatalf("atom %d type %d: optimized %v, baseline %v", i, t0, opt.Section(i, t0), base.Section(i, t0))
+			}
 		}
 	}
 	if opt.Overflow != base.Overflow {
@@ -345,19 +339,12 @@ func TestFormatOverflowKeepsNearest(t *testing.T) {
 		t.Fatalf("overflow = %d, want 3", f.Overflow)
 	}
 	want := []int32{1, 2, 3}
-	for s, j := range f.Idx[:3] {
+	if len(f.Section(0, 0)) != len(want) {
+		t.Fatalf("section %v, want %v", f.Section(0, 0), want)
+	}
+	for s, j := range f.Section(0, 0) {
 		if j != want[s] {
 			t.Fatalf("slot %d = %d, want %d (nearest first)", s, j, want[s])
-		}
-	}
-}
-
-func TestTypeOfSlot(t *testing.T) {
-	f := &Formatted{Sel: []int{3, 5, 2}, SelOff: []int{0, 3, 8, 10}}
-	wants := []int{0, 0, 0, 1, 1, 1, 1, 1, 2, 2}
-	for s, w := range wants {
-		if got := f.TypeOfSlot(s); got != w {
-			t.Fatalf("TypeOfSlot(%d) = %d, want %d", s, got, w)
 		}
 	}
 }

@@ -22,8 +22,8 @@ func checkRows(t *testing.T, l *List, spec Spec, pos []float64, types []int, nlo
 			t.Fatalf("atom %d:\ngot  %v\nwant %v", i, got, want[i])
 		}
 		for k := 1; k < len(got); k++ {
-			a, errA := Encode(got[k-1].Type, got[k-1].Dist, got[k-1].Index)
-			b, errB := Encode(got[k].Type, got[k].Dist, got[k].Index)
+			a, errA := Encode(int(got[k-1].Type), got[k-1].Dist, int(got[k-1].Index))
+			b, errB := Encode(int(got[k].Type), got[k].Dist, int(got[k].Index))
 			if keyOrder(got[k-1], got[k]) >= 0 || errA == nil && errB == nil && a >= b {
 				t.Fatalf("atom %d: entries %d and %d out of key order: %v, %v", i, k-1, k, got[k-1], got[k])
 			}
@@ -59,7 +59,7 @@ func TestBuildRowsSortedAndComplete(t *testing.T) {
 	add("open-ghosts", Spec{Rcut: 2, Skin: 0.5, Sel: []int{64}}, 1500, 1100, 3, &Box{L: [3]float64{18, 18, 18}}, false)
 	add("spread-types", Spec{Rcut: 3, Skin: 0.5, Sel: []int{64}}, 300, 300, 2, &Box{L: [3]float64{12, 12, 12}}, true)
 	for i := range frames[3].types {
-		frames[3].types[i] *= 1 << 40
+		frames[3].types[i] *= 1 << 30
 	}
 	for _, f := range frames {
 		t.Run(f.name, func(t *testing.T) {
@@ -127,7 +127,7 @@ func TestFormatIndependentOfRowOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got.Idx, wantIdx) || got.Overflow != wantOverflow {
+		if !slices.Equal(got.Idx, wantIdx) || !slices.Equal(got.SecOff, want.SecOff) || got.Overflow != wantOverflow {
 			t.Fatalf("%s rows: overflow %d, want %d; tables equal: %v", pm.name, got.Overflow, wantOverflow, slices.Equal(got.Idx, wantIdx))
 		}
 	}
@@ -222,7 +222,7 @@ func FuzzBuild(f *testing.F) {
 			if i < nf {
 				types[i] = int(data[24*i+23] % 3)
 				if data[24*i+23] == 255 {
-					types[i] = 1 << 40
+					types[i] = 1 << 30
 				}
 			}
 		}

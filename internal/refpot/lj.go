@@ -58,7 +58,7 @@ func (lj *LennardJones) Compute(pos []float64, types []int, nloc int, list *neig
 		}
 		var ei float64
 		for _, e := range list.Entries[i] {
-			j := e.Index
+			j := int(e.Index)
 			d := disp(pos, i, j, box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 >= rc2 || r2 == 0 {

@@ -58,7 +58,7 @@ func (sc *SuttonChen) Compute(pos []float64, types []int, nloc int, list *neighb
 	clear(sc.rho)
 	for i := 0; i < nloc; i++ {
 		for _, e := range list.Entries[i] {
-			d := disp(pos, i, e.Index, box)
+			d := disp(pos, i, int(e.Index), box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 >= rc2 || r2 == 0 {
 				continue
@@ -79,7 +79,7 @@ func (sc *SuttonChen) Compute(pos []float64, types []int, nloc int, list *neighb
 			dFi = -sc.C / (2 * math.Sqrt(sc.rho[i]))
 		}
 		for _, e := range list.Entries[i] {
-			j := e.Index
+			j := int(e.Index)
 			d := disp(pos, i, j, box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 >= rc2 || r2 == 0 {

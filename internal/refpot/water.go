@@ -82,7 +82,7 @@ func (tw *ToyWater) Compute(pos []float64, types []int, nloc int, list *neighbor
 		var ei float64
 		qi := tw.charge(types[i])
 		for _, e := range list.Entries[i] {
-			j := e.Index
+			j := int(e.Index)
 			if j/3 == i/3 {
 				continue // same molecule: handled by bond/angle terms
 			}

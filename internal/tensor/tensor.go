@@ -188,6 +188,19 @@ func Resize[E any](s []E, n int) []E {
 	return s[:n]
 }
 
+// Grow is Resize for buffers whose length follows a count that drifts from
+// call to call, such as the real neighbor rows of an MD step: storage it
+// allocates has n/16 elements of headroom, so a count that creeps upward
+// reallocates rarely, and it never shrinks the capacity.
+//
+//dp:warmup
+func Grow[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n, n+n/16)
+	}
+	return s[:n]
+}
+
 func sizeofT[T Float](T) int {
 	var z T
 	switch any(z).(type) {
