@@ -1,16 +1,9 @@
 // Command dplint runs the repo's static-analysis suite (internal/lint):
-// noalloc, determinism, dispatch, and mpitag.
-//
-// Standalone, over the module from source:
+// noalloc, determinism, dispatch, and mpitag. It type-checks the module
+// from source, test files included:
 //
 //	dplint ./...
-//	dplint -tags purego -tests ./internal/core/... ./internal/md
-//
-// As a go vet tool, sharing vet's build cache and incremental fact
-// files:
-//
-//	go build -o /tmp/dplint ./cmd/dplint
-//	go vet -vettool=/tmp/dplint ./...
+//	dplint -tags purego ./internal/core/... ./internal/md
 //
 // Exit status is nonzero when any diagnostic is reported.
 package main
@@ -27,20 +20,9 @@ import (
 
 func main() {
 	analyzers := lint.All()
-
-	// `go vet -vettool` invokes the tool with -V=full, then -flags, then
-	// one .cfg file per package; anything else is a standalone run.
-	if len(os.Args) == 2 {
-		switch arg := os.Args[1]; {
-		case arg == "-V=full", arg == "-flags", strings.HasSuffix(arg, ".cfg"):
-			driver.VetMain(analyzers)
-		}
-	}
-
 	tags := flag.String("tags", "", "comma-separated build tags (e.g. purego)")
-	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: dplint [-tags list] [-tests] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: dplint [-tags list] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Analyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
@@ -50,7 +32,7 @@ func main() {
 	}
 	flag.Parse()
 
-	cfg := driver.Config{Dir: ".", IncludeTests: *tests, Patterns: flag.Args()}
+	cfg := driver.Config{Dir: ".", Patterns: flag.Args()}
 	if *tags != "" {
 		cfg.BuildTags = strings.Split(*tags, ",")
 	}

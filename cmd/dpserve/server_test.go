@@ -77,7 +77,7 @@ func TestEvaluateEndpointBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want core.Result
-	if err := eng.EvaluateInto(frame.Pos, frame.Types, len(frame.Types), list, box, &want); err != nil {
+	if err := eng.Compute(frame.Pos, frame.Types, len(frame.Types), list, box, &want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +230,7 @@ func TestRelaxAndTrajectoryEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var before core.Result
-	if err := eng.EvaluateInto(frame.Pos, frame.Types, len(frame.Types), list, box, &before); err != nil {
+	if err := eng.Compute(frame.Pos, frame.Types, len(frame.Types), list, box, &before); err != nil {
 		t.Fatal(err)
 	}
 

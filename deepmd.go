@@ -30,7 +30,7 @@
 //		deepmd.WithMaxConcurrency(16))          // concurrent evaluations served
 //
 // One Engine serves any number of goroutines: concurrent Compute /
-// EvaluateInto calls each borrow a pooled evaluator (zero steady-state
+// ComputeBatch calls each borrow a pooled evaluator (zero steady-state
 // allocation), and Ensemble runs k replica simulations over the shared
 // pool. See examples/ for complete programs and DESIGN.md ("Engine & plan
 // resolution") / EXPERIMENTS.md for the reproduction map.
@@ -167,7 +167,7 @@ func WithMaxConcurrency(n int) Option { return func(pl *Plan) { pl.MaxConcurrenc
 // Engine is the goroutine-safe serving handle over one model: a resolved
 // Plan plus a pool of per-goroutine evaluators with their arenas. It
 // implements Potential, so it plugs into NewSimulation and RunParallel
-// seams directly, and exposes Evaluate / EvaluateInto for raw force
+// seams directly, and exposes Evaluate / Compute for raw force
 // calls from concurrent goroutines with zero steady-state allocation.
 type Engine struct {
 	*core.Engine

@@ -79,8 +79,8 @@ func main() {
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
 	wg.Add(2)
-	go func() { defer wg.Done(); errs[0] = engD.EvaluateInto(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rd) }()
-	go func() { defer wg.Done(); errs[1] = engM.EvaluateInto(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rm) }()
+	go func() { defer wg.Done(); errs[0] = engD.Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rd) }()
+	go func() { defer wg.Done(); errs[1] = engM.Compute(sys.Pos, sys.Types, sys.N(), list, &sys.Box, &rm) }()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

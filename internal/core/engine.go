@@ -11,14 +11,16 @@ import (
 // computer is the single-goroutine evaluation contract every execution
 // strategy satisfies: the optimized Evaluator in either precision and the
 // BaselineEvaluator. The Engine pools computers so concurrent callers
-// never share one.
+// never share one. Compute is kept beside ComputeBatch so that a
+// one-frame call builds no frame slice.
 type computer interface {
 	Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error
+	ComputeBatch(frames []Frame) error
 }
 
 // Engine is the goroutine-safe serving entry point over one model: a
 // resolved execution Plan plus a pool of per-goroutine evaluators with
-// their arenas. Every concurrent Compute/EvaluateInto call borrows one
+// their arenas. Every concurrent Compute/ComputeBatch call borrows one
 // evaluator for its duration, so N independent systems or replicas
 // evaluate in parallel with zero steady-state heap allocation — the
 // paper's init-time memory-trunk strategy (Sec. 5.2.2) extended across a
@@ -188,9 +190,9 @@ func (e *Engine) Compute(pos []float64, types []int, nloc int, list *neighbor.Li
 	return c.Compute(pos, types, nloc, list, box, out)
 }
 
-// EvaluateInto is Compute under the serving-API name: one evaluation of
-// the system described by (pos, types, nloc, list, box) into out,
-// goroutine-safe, reusing out's buffers when adequately sized.
+// EvaluateInto is Compute under its older serving-API name. New code
+// calls Compute; the benchmark harness (bench/serve.go) still calls this
+// one.
 func (e *Engine) EvaluateInto(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
 	return e.Compute(pos, types, nloc, list, box, out)
 }
@@ -246,9 +248,9 @@ func (e *Engine) Prewarm(pos []float64, types []int, nloc int, list *neighbor.Li
 	return nil
 }
 
-// Evaluate is EvaluateInto with a freshly allocated Result — the
-// convenient form for callers that do not manage result buffers. Serving
-// hot paths should prefer EvaluateInto with a per-goroutine Result.
+// Evaluate is Compute with a freshly allocated Result — the convenient
+// form for callers that do not manage result buffers. Serving hot paths
+// should prefer Compute with a per-goroutine Result.
 func (e *Engine) Evaluate(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box) (*Result, error) {
 	out := new(Result)
 	if err := e.Compute(pos, types, nloc, list, box, out); err != nil {

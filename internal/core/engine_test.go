@@ -151,7 +151,7 @@ func TestEngineConcurrentBitIdentical(t *testing.T) {
 					go func(g int) {
 						defer wg.Done()
 						for k := 0; k < evals; k++ {
-							if err := e.EvaluateInto(pos, types, n, list, box, &outs[g]); err != nil {
+							if err := e.Compute(pos, types, n, list, box, &outs[g]); err != nil {
 								errs[g] = err
 								return
 							}
@@ -230,7 +230,7 @@ func TestEngineBaselineMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got, want Result
-	if err := e.EvaluateInto(pos, types, 24, list, box, &got); err != nil {
+	if err := e.Compute(pos, types, 24, list, box, &got); err != nil {
 		t.Fatal(err)
 	}
 	if err := NewBaselineEvaluator(m).Compute(pos, types, 24, list, box, &want); err != nil {
@@ -247,7 +247,7 @@ func TestEngineBaselineMatchesLegacy(t *testing.T) {
 }
 
 // Evaluate allocates and returns a fresh Result per call — the
-// convenience form — and must agree with EvaluateInto.
+// convenience form — and must agree with Compute.
 func TestEngineEvaluateAllocates(t *testing.T) {
 	m := newTestModel(t, 1)
 	pos, types, list, box := testSystem(t, 9, 16, &m.Cfg)
@@ -320,7 +320,7 @@ func TestEngineSnapshotAndPrewarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref Result
-	if err := e.EvaluateInto(pos, types, n, list, box, &ref); err != nil {
+	if err := e.Compute(pos, types, n, list, box, &ref); err != nil {
 		t.Fatal(err)
 	}
 
@@ -352,7 +352,7 @@ func TestEngineSnapshotAndPrewarm(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			gerrs[g] = e.EvaluateInto(pos, types, n, list, box, &outs[g])
+			gerrs[g] = e.Compute(pos, types, n, list, box, &outs[g])
 		}(g)
 	}
 	wg.Wait()
@@ -376,7 +376,7 @@ func TestEngineConcurrencyBoundOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref Result
-	if err := e.EvaluateInto(pos, types, 16, list, box, &ref); err != nil {
+	if err := e.Compute(pos, types, 16, list, box, &ref); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -386,7 +386,7 @@ func TestEngineConcurrencyBoundOne(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var out Result
-			if err := e.EvaluateInto(pos, types, 16, list, box, &out); err != nil {
+			if err := e.Compute(pos, types, 16, list, box, &out); err != nil {
 				errCh <- err
 				return
 			}

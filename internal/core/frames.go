@@ -501,22 +501,12 @@ func (ev *Evaluator[T]) sweep(opts tensor.Opts, w int) {
 	}
 }
 
-// frameComputer is implemented by pooled computers that can evaluate a
-// batch of frames in one sweep (the optimized Evaluator in either
-// precision). The BaselineEvaluator predates batching and falls back to a
-// per-frame loop in Engine.ComputeBatch.
-type frameComputer interface {
-	ComputeBatch(frames []Frame) error
-}
-
 // ComputeBatch evaluates a batch of independent frames on ONE borrowed
-// evaluator as a single chunk sweep — the engine-level seam the
-// cross-request micro-batcher (internal/serve) coalesces concurrent small
-// requests through. Goroutine-safe like Compute; results are bit-identical
-// to per-frame EvaluateInto calls at every batch size (see
-// Evaluator.ComputeBatch). Baseline-strategy engines evaluate the frames
-// sequentially on the borrowed evaluator, which is the same thing by
-// definition.
+// evaluator — the engine-level seam the cross-request micro-batcher
+// (internal/serve) coalesces concurrent small requests through.
+// Goroutine-safe like Compute; results are bit-identical to per-frame
+// Compute calls at every batch size (see Evaluator.ComputeBatch and
+// BaselineEvaluator.ComputeBatch).
 func (e *Engine) ComputeBatch(frames []Frame) error {
 	if len(frames) == 0 {
 		return nil
@@ -526,17 +516,5 @@ func (e *Engine) ComputeBatch(frames []Frame) error {
 		return err
 	}
 	defer e.release(c)
-	if fc, ok := c.(frameComputer); ok {
-		return fc.ComputeBatch(frames)
-	}
-	for i := range frames {
-		f := &frames[i]
-		if f.Out == nil {
-			return fmt.Errorf("core: batch frame %d has no Result", i)
-		}
-		if err := c.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, f.Out); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.ComputeBatch(frames)
 }

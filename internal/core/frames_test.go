@@ -296,7 +296,7 @@ func TestPrewarmInterleavesTraffic(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			var out Result
-			done <- e.EvaluateInto(pos, types, n, list, box, &out)
+			done <- e.Compute(pos, types, n, list, box, &out)
 		}()
 		select {
 		case err := <-done:
@@ -411,7 +411,7 @@ func TestEnginePoolChurn(t *testing.T) {
 			defer wg.Done()
 			var out Result
 			for k := 0; k < evals; k++ {
-				err := e.EvaluateInto(pos, types, 16, list, box, &out)
+				err := e.Compute(pos, types, 16, list, box, &out)
 				switch {
 				case err == nil:
 					successes.Add(1)
@@ -446,7 +446,7 @@ func TestEnginePoolChurn(t *testing.T) {
 			defer wg2.Done()
 			var out Result
 			for k := 0; k < evals; k++ {
-				if err := e.EvaluateInto(pos, types, 16, list, box, &out); err != nil {
+				if err := e.Compute(pos, types, 16, list, box, &out); err != nil {
 					errs[g] = err
 					return
 				}

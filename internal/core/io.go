@@ -78,6 +78,9 @@ func Load(r io.Reader) (*Model, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: loading embedding net (%d,%d): %w", ci, tj, err)
 			}
+			if !net.IsEmbeddingNet(cfg.EmbedWidths) {
+				return nil, fmt.Errorf("core: embedding net (%d,%d) is not the one EmbedWidths %v builds", ci, tj, cfg.EmbedWidths)
+			}
 			m.Embed[ci][tj] = net
 		}
 	}
@@ -85,6 +88,9 @@ func Load(r io.Reader) (*Model, error) {
 		net, err := nn.Load(r)
 		if err != nil {
 			return nil, fmt.Errorf("core: loading fitting net %d: %w", ci, err)
+		}
+		if !net.IsFittingNet(cfg.DescriptorDim(), cfg.FitWidths) {
+			return nil, fmt.Errorf("core: fitting net %d is not the one FitWidths %v builds on a %d-wide descriptor", ci, cfg.FitWidths, cfg.DescriptorDim())
 		}
 		m.Fit[ci] = net
 	}

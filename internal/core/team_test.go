@@ -144,7 +144,7 @@ func TestTeamWorkersBitIdentical(t *testing.T) {
 					for fi, f := range frames {
 						batch[fi] = Frame{Pos: f.pos, Types: f.types, Nloc: f.nloc, List: f.list, Box: f.box, Out: &outs[fi]}
 					}
-					if err := c.(frameComputer).ComputeBatch(batch); err != nil {
+					if err := c.ComputeBatch(batch); err != nil {
 						t.Fatal(err)
 					}
 					if workers == 1 {
@@ -376,7 +376,7 @@ func TestTeamWorkersBitIdenticalSplitTypes(t *testing.T) {
 					for fi, f := range frames {
 						batch[fi] = Frame{Pos: f.pos, Types: f.types, Nloc: f.nloc, List: f.list, Box: f.box, Out: &outs[fi]}
 					}
-					if err := c.(frameComputer).ComputeBatch(batch); err != nil {
+					if err := c.ComputeBatch(batch); err != nil {
 						t.Fatal(err)
 					}
 					for fi, f := range frames {

@@ -248,22 +248,7 @@ func runRank(c *mpi.Comm, full *md.System, pot md.Potential, opt Options, grid [
 		if c.Rank() != 0 {
 			return
 		}
-		n := g[4]
-		vol := rs.gbox.Volume()
-		tK := 0.0
-		if n > 1 {
-			tK = 2 * g[0] / ((3*n - 3) * units.Boltzmann)
-		}
-		nkt := n * units.Boltzmann * tK
-		stats.Thermo = append(stats.Thermo, md.Thermo{
-			Step:        step,
-			Kinetic:     g[0],
-			Potential:   g[1],
-			Temperature: tK,
-			Pressure:    (nkt + g[2]/3) / vol * units.PressureEVA3ToBar,
-			BoxZ:        rs.gbox.L[2],
-			StressZZ:    (nkt/3 + g[3]) / vol * units.PressureEVA3ToBar,
-		})
+		stats.Thermo = append(stats.Thermo, md.NewThermo(step, g[0], g[1], g[2], g[3], int(g[4]), &rs.gbox))
 	}
 	kinetic := func() float64 {
 		var ke float64

@@ -1,20 +1,19 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"strings"
 )
 
 // Analyzer is one named check. The shape deliberately mirrors
 // golang.org/x/tools/go/analysis so the passes read like standard vet
-// analyzers, but it is self-contained: Run receives a Pass built by
-// either driver (standalone source loading or the go vet unitchecker
-// protocol) and reports diagnostics through it.
+// analyzers, but it is self-contained: Run receives a Pass built by the
+// source-loading driver (internal/lint/driver) and reports diagnostics
+// through it.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -49,7 +48,7 @@ type Pass struct {
 	// //dp:allow suppression filter before handing the Pass to Run.
 	Report func(Diagnostic)
 
-	Facts FactStore
+	Facts *MemFacts
 }
 
 // Reportf reports a formatted diagnostic at pos unless a //dp:allow
@@ -72,24 +71,25 @@ func (p *Pass) Posn(pos token.Pos) string {
 	return fmt.Sprintf("%s:%d", name, posn.Line)
 }
 
-// A Fact is a gob-serializable unit of analysis state attached to a
-// package or one of its objects, visible to later passes over importing
-// packages. Facts survive process boundaries in vettool mode (.vetx
-// files), so they must be plain data.
+// A Fact is a unit of analysis state attached to a package or one of its
+// objects, visible to later passes over importing packages. Facts are
+// pointers to plain structs: the store keeps the exported value and
+// copies it into the importer's.
 type Fact interface{ AFact() }
 
-// FactKey names one fact: Object is "" for package facts, "F" for a
-// package-level function, "T.M" for a method of named type T. Only
-// objects reachable through the export data can carry cross-package
-// facts, which for this suite (function summaries, payload registries)
-// is exactly what is needed.
-type FactKey struct {
-	Object string
-	Type   string
+// factKey names one fact: object is "" for package facts, "F" for a
+// package-level function, "T.M" for a method of named type T, and typ is
+// the fact's dynamic type.
+type factKey struct {
+	object string
+	typ    reflect.Type
 }
 
-// ObjectKey returns the fact key component for obj, or ok=false when the
-// object kind cannot be named across packages.
+// ObjectKey returns the name under which obj carries facts across
+// packages, or ok=false when the object kind cannot be named that way.
+// Only functions and methods of named types are nameable, which for this
+// suite (function summaries, payload registries) is exactly what is
+// needed.
 func ObjectKey(obj types.Object) (string, bool) {
 	fn, ok := obj.(*types.Func)
 	if !ok {
@@ -104,129 +104,80 @@ func ObjectKey(obj types.Object) (string, bool) {
 		if p, isPtr := rt.(*types.Pointer); isPtr {
 			rt = p.Elem()
 		}
-		switch t := rt.(type) {
-		case *types.Named:
-			return t.Obj().Name() + "." + fn.Name(), true
-		case *types.Interface:
-			// Interface method via an embedded anonymous interface —
-			// not addressable by name.
-			return "", false
-		default:
+		t, ok := rt.(*types.Named)
+		if !ok {
+			// An interface method via an embedded anonymous interface
+			// is not addressable by name.
 			return "", false
 		}
+		return t.Obj().Name() + "." + fn.Name(), true
 	}
 	return fn.Name(), true
 }
 
-// FactStore moves facts between packages. The standalone driver holds an
-// in-memory store over all loaded packages; the unitchecker driver reads
-// dependency .vetx files lazily and writes this package's facts out for
-// its dependents. Both speak the same serialized representation so the
-// two modes cannot drift.
-type FactStore interface {
-	// ExportObjectFact attaches fact to obj (which must belong to the
-	// package under analysis).
-	ExportObjectFact(obj types.Object, fact Fact)
-	// ImportObjectFact loads the fact of fact's type attached to obj
-	// into fact, reporting whether one exists.
-	ImportObjectFact(obj types.Object, fact Fact) bool
-	// ExportPackageFact attaches fact to the package under analysis.
-	ExportPackageFact(fact Fact)
-	// ImportPackageFact loads pkg's fact of fact's type into fact.
-	ImportPackageFact(pkg *types.Package, fact Fact) bool
-}
-
-// MemFacts is the shared FactStore implementation: a per-package map of
-// serialized facts plus an optional lazy loader for packages analyzed in
-// a previous process (vettool mode).
+// MemFacts moves facts between the packages of one run: the driver
+// analyzes packages in dependency order over one store, so every import
+// finds the facts its dependencies exported.
 type MemFacts struct {
 	// Current is the package currently being analyzed; exports go here.
 	Current *types.Package
-	byPkg   map[string]map[FactKey][]byte
-	// Load fetches the fact map of a package analyzed elsewhere (nil
-	// when everything is in memory). Returning nil, nil means "no facts
-	// recorded", which is normal for stdlib packages.
-	Load func(path string) (map[FactKey][]byte, error)
+	byPkg   map[string]map[factKey]Fact
 }
 
-// NewMemFacts returns an empty store with an optional lazy loader.
-func NewMemFacts(load func(path string) (map[FactKey][]byte, error)) *MemFacts {
-	return &MemFacts{byPkg: map[string]map[FactKey][]byte{}, Load: load}
+// NewMemFacts returns an empty store.
+func NewMemFacts() *MemFacts {
+	return &MemFacts{byPkg: map[string]map[factKey]Fact{}}
 }
 
-func factType(f Fact) string { return fmt.Sprintf("%T", f) }
-
-func (m *MemFacts) pkgMap(path string) map[FactKey][]byte {
-	if mp, ok := m.byPkg[path]; ok {
-		return mp
-	}
-	var mp map[FactKey][]byte
-	if m.Load != nil {
-		mp, _ = m.Load(path)
-	}
+func (m *MemFacts) set(path string, key factKey, fact Fact) {
+	mp := m.byPkg[path]
 	if mp == nil {
-		mp = map[FactKey][]byte{}
+		mp = map[factKey]Fact{}
+		m.byPkg[path] = mp
 	}
-	m.byPkg[path] = mp
-	return mp
+	mp[key] = fact
 }
 
-func (m *MemFacts) set(path string, key FactKey, fact Fact) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
-		panic(fmt.Sprintf("lint: encoding fact %T: %v", fact, err))
+func (m *MemFacts) get(path string, key factKey, fact Fact) bool {
+	stored, ok := m.byPkg[path][key]
+	if ok {
+		reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	}
-	m.pkgMap(path)[key] = buf.Bytes()
+	return ok
 }
 
-func (m *MemFacts) get(path string, key FactKey, fact Fact) bool {
-	b, ok := m.pkgMap(path)[key]
-	if !ok {
-		return false
-	}
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(fact); err != nil {
-		return false
-	}
-	return true
-}
-
-// ExportObjectFact implements FactStore.
+// ExportObjectFact attaches fact to obj (which must belong to the
+// package under analysis).
 func (m *MemFacts) ExportObjectFact(obj types.Object, fact Fact) {
 	key, ok := ObjectKey(obj)
 	if !ok || obj.Pkg() == nil {
 		return
 	}
-	m.set(obj.Pkg().Path(), FactKey{Object: key, Type: factType(fact)}, fact)
+	m.set(obj.Pkg().Path(), factKey{key, reflect.TypeOf(fact)}, fact)
 }
 
-// ImportObjectFact implements FactStore.
+// ImportObjectFact loads the fact of fact's type attached to obj into
+// fact, reporting whether one exists.
 func (m *MemFacts) ImportObjectFact(obj types.Object, fact Fact) bool {
 	key, ok := ObjectKey(obj)
 	if !ok || obj.Pkg() == nil {
 		return false
 	}
-	return m.get(obj.Pkg().Path(), FactKey{Object: key, Type: factType(fact)}, fact)
+	return m.get(obj.Pkg().Path(), factKey{key, reflect.TypeOf(fact)}, fact)
 }
 
-// ExportPackageFact implements FactStore.
+// ExportPackageFact attaches fact to the package under analysis.
 func (m *MemFacts) ExportPackageFact(fact Fact) {
 	if m.Current == nil {
 		return
 	}
-	m.set(m.Current.Path(), FactKey{Type: factType(fact)}, fact)
+	m.set(m.Current.Path(), factKey{"", reflect.TypeOf(fact)}, fact)
 }
 
-// ImportPackageFact implements FactStore.
+// ImportPackageFact loads pkg's fact of fact's type into fact.
 func (m *MemFacts) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 	if pkg == nil {
 		return false
 	}
-	return m.get(pkg.Path(), FactKey{Type: factType(fact)}, fact)
-}
-
-// PackageFacts returns the serialized fact map of one package (for the
-// unitchecker driver to write as the .vetx output). The map is never
-// nil.
-func (m *MemFacts) PackageFacts(path string) map[FactKey][]byte {
-	return m.pkgMap(path)
+	return m.get(pkg.Path(), factKey{"", reflect.TypeOf(fact)}, fact)
 }

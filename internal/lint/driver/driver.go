@@ -1,9 +1,11 @@
-// Package driver loads and runs the dplint analyzer suite two ways:
-// standalone (type-checking the module from source, no toolchain
-// support needed) and as a `go vet -vettool` backend speaking the
-// unitchecker protocol (unitchecker.go). Both modes build the same
-// lint.Pass values and share one fact representation, so a diagnostic
-// fires identically whichever way the suite is invoked.
+// Package driver loads and runs the dplint analyzer suite: it
+// type-checks the module from source with go/build and go/types, in
+// dependency order, and runs every analyzer over each package with one
+// in-memory fact store, so facts flow from a package to its importers.
+//
+// Test files are always checked. A package's in-package _test.go files
+// are type-checked with it; its external test package (package x_test)
+// is checked as its own unit, after the package it tests.
 package driver
 
 import (
@@ -29,9 +31,6 @@ type Config struct {
 	Dir string
 	// BuildTags are extra build constraints (e.g. "purego").
 	BuildTags []string
-	// IncludeTests adds each package's _test.go files (in-package test
-	// variant) to the analyzed files.
-	IncludeTests bool
 	// ExtraRoot, when set, resolves import paths that are neither
 	// module-internal nor stdlib against this directory (the linttest
 	// fixture tree).
@@ -63,20 +62,26 @@ func Run(cfg Config, analyzers []*lint.Analyzer) ([]Diag, error) {
 	if err != nil {
 		return nil, err
 	}
+	isTarget := map[*loadedPkg]bool{}
 	for _, path := range targets {
-		if _, err := l.load(path); err != nil {
+		p, err := l.load(path)
+		if err != nil {
 			return nil, err
+		}
+		isTarget[p] = true
+		xp, err := l.loadXTest(path)
+		if err != nil {
+			return nil, err
+		}
+		if xp != nil {
+			isTarget[xp] = true
 		}
 	}
 
-	isTarget := map[string]bool{}
-	for _, path := range targets {
-		isTarget[path] = true
-	}
-	facts := lint.NewMemFacts(nil)
+	facts := lint.NewMemFacts()
 	var diags []Diag
 	for _, p := range l.order { // dependency order: facts flow forward
-		diags = append(diags, runPackage(l.fset, p, l.modulePath, facts, analyzers, isTarget[p.path])...)
+		diags = append(diags, runPackage(l.fset, p, l.modulePath, facts, analyzers, isTarget[p])...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -143,7 +148,6 @@ type loader struct {
 	moduleDir  string
 	modulePath string
 	extraRoot  string
-	incTests   bool
 	std        types.Importer
 	pkgs       map[string]*loadedPkg
 	loading    map[string]bool
@@ -168,7 +172,6 @@ func newLoader(cfg Config) (*loader, error) {
 		moduleDir:  modDir,
 		modulePath: modPath,
 		extraRoot:  cfg.ExtraRoot,
-		incTests:   cfg.IncludeTests,
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       map[string]*loadedPkg{},
 		loading:    map[string]bool{},
@@ -271,8 +274,9 @@ func (l *loader) expandPatterns(patterns []string) ([]string, error) {
 	return out, nil
 }
 
-// load type-checks one module or fixture package (memoized), loading
-// its module dependencies first so analyzer facts are available.
+// load type-checks one module or fixture package together with its
+// in-package _test.go files (memoized), loading its module dependencies
+// first so analyzer facts are available.
 func (l *loader) load(path string) (*loadedPkg, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
@@ -280,21 +284,47 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 	if l.loading[path] {
 		return nil, fmt.Errorf("dplint: import cycle through %s", path)
 	}
+	l.loading[path] = true
+	defer delete(l.loading, path)
+	bp, err := l.importDir(path)
+	if err != nil {
+		return nil, err
+	}
+	p, err := l.check(path, bp.Dir, append(bp.GoFiles, bp.TestGoFiles...))
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	return p, nil
+}
+
+// loadXTest type-checks the external test package of path (its
+// package x_test files) as the unit path+"_test", or returns nil when
+// there is none.
+func (l *loader) loadXTest(path string) (*loadedPkg, error) {
+	bp, err := l.importDir(path)
+	if err != nil || len(bp.XTestGoFiles) == 0 {
+		return nil, err
+	}
+	return l.check(path+"_test", bp.Dir, bp.XTestGoFiles)
+}
+
+func (l *loader) importDir(path string) (*build.Package, error) {
 	dir, ok := l.dirFor(path)
 	if !ok {
 		return nil, fmt.Errorf("dplint: %s is not a module or fixture package", path)
 	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
 	bp, err := l.ctxt.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("dplint: %s: %w", path, err)
 	}
-	names := append([]string(nil), bp.GoFiles...)
-	if l.incTests {
-		names = append(names, bp.TestGoFiles...)
-	}
+	return bp, nil
+}
+
+// check parses the named files of dir, loads their module-internal
+// imports (depth-first, so l.order stays a topological order), and
+// type-checks them as the package path.
+func (l *loader) check(path, dir string, names []string) (*loadedPkg, error) {
 	sort.Strings(names)
 	var files []*ast.File
 	for _, name := range names {
@@ -304,9 +334,6 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 		}
 		files = append(files, f)
 	}
-
-	// Load module-internal imports first (depth-first ⇒ l.order is a
-	// topological order).
 	for _, f := range files {
 		for _, spec := range f.Imports {
 			imp := strings.Trim(spec.Path.Value, `"`)
@@ -347,7 +374,6 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 		return nil, fmt.Errorf("dplint: type-checking %s: %w", path, err)
 	}
 	p := &loadedPkg{path: path, pkg: pkg, files: files, info: info}
-	l.pkgs[path] = p
 	l.order = append(l.order, p)
 	return p, nil
 }

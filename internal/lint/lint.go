@@ -7,10 +7,10 @@
 // The suite is self-hosted on the standard library's go/ast + go/types
 // (no golang.org/x/tools dependency): lint.Analyzer/lint.Pass mirror the
 // x/tools go/analysis shapes closely enough that the analyzers read like
-// ordinary vet passes, and internal/lint/driver provides both a
-// standalone source-loading driver and the `go vet -vettool` unitchecker
-// protocol (export-data type import, .vetx fact files), so `cmd/dplint`
-// works both ways.
+// ordinary vet passes. internal/lint/driver is the one driver: it
+// type-checks the module from source, test files included, in
+// dependency order over one in-memory fact store, and `cmd/dplint` runs
+// it.
 //
 // # Analyzer catalog
 //

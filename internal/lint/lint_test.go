@@ -33,10 +33,17 @@ func TestMpitag(t *testing.T) {
 	linttest.Run(t, "testdata", []*lint.Analyzer{lint.MpitagAnalyzer}, "mpifix/use", "mpifix/payloads")
 }
 
-// TestRepoClean runs the whole suite over the whole module: the
-// regression guard for the audited order-dependent sites (the Fig. 4 RDF
-// map range, now a static key list) and for every //dp:noalloc and
-// dispatch invariant annotated in the tree. A diagnostic anywhere is a
+// TestTestFiles checks that a fixture's test files are analyzed: the
+// in-package _test.go with its package, and the external package
+// xtestfix_test as its own unit after xtestfix, reading xtestfix's facts.
+func TestTestFiles(t *testing.T) {
+	linttest.Run(t, "testdata", []*lint.Analyzer{lint.NoallocAnalyzer}, "xtestfix")
+}
+
+// TestRepoClean runs the whole suite over the whole module, test files
+// included: the regression guard for the audited order-dependent sites
+// (the Fig. 4 RDF map range, now a static key list) and for every
+// //dp:noalloc and dispatch invariant annotated in the tree. A diagnostic anywhere is a
 // test failure, same as the CI gate.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {

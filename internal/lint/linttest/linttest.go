@@ -7,7 +7,9 @@
 // Fixture packages live under <dir>/src/<importpath>; they may import
 // each other (facts flow dependency-first) and real module packages.
 // Every line carrying one or more want comments must produce exactly
-// matching diagnostics, and every diagnostic must be wanted.
+// matching diagnostics, and every diagnostic must be wanted. A fixture
+// package's _test.go files, in-package and external, are analyzed and
+// carry wants like its other files.
 package linttest
 
 import (
@@ -78,10 +80,10 @@ func claim(wants []*want, file string, line int, msg string) *want {
 	return nil
 }
 
-// parseWants scans the pattern packages' fixture sources for want
-// comments. The comment grammar is the analysistest one restricted to
-// message regexps: `// want "re"` or `// want `re“, several per
-// comment, anchored to the comment's own line.
+// parseWants scans the pattern packages' fixture sources, test files
+// included, for want comments. The comment grammar is the analysistest
+// one restricted to message regexps: `// want "re"` or `// want `re“,
+// several per comment, anchored to the comment's own line.
 func parseWants(t *testing.T, src string, patterns []string) []*want {
 	t.Helper()
 	var wants []*want
@@ -121,9 +123,14 @@ func parseWants(t *testing.T, src string, patterns []string) []*want {
 	return wants
 }
 
-// wantsOf extracts the quoted regexps of one comment's want clause.
+// wantsOf extracts the quoted regexps of one comment's want clause. A
+// want may also be a /* want "re" */ block comment, which leaves room on
+// its line for the //dp: directive it expects a diagnostic about.
 func wantsOf(t *testing.T, path, text string) []*want {
 	t.Helper()
+	if body, ok := strings.CutPrefix(text, "/*"); ok {
+		text = strings.TrimSuffix(body, "*/")
+	}
 	rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(text, "//")), "want ")
 	if !ok {
 		return nil

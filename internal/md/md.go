@@ -136,6 +136,30 @@ type Thermo struct {
 	StressZZ    float64 // bar (useful for strain-stress curves)
 }
 
+// NewThermo is the thermo sample of n atoms in box at step, from their
+// kinetic energy ke, potential energy pe and virial (trace trW, zz
+// component wzz): T = 2 ke / ((3n-3) k_B), P = (n k_B T + trW/3)/V and
+// sigma_zz = (n k_B T/3 + wzz)/V, both in bar. The serial engine and the
+// domain-decomposed one both sample through it, so their thermo bits
+// agree whenever their sums do.
+func NewThermo(step int, ke, pe, trW, wzz float64, n int, box *neighbor.Box) Thermo {
+	tK := 0.0
+	if dof := float64(3*n - 3); dof > 0 {
+		tK = 2 * ke / (dof * units.Boltzmann)
+	}
+	nkt := float64(n) * units.Boltzmann * tK
+	vol := box.Volume()
+	return Thermo{
+		Step:        step,
+		Kinetic:     ke,
+		Potential:   pe,
+		Temperature: tK,
+		Pressure:    (nkt + trW/3) / vol * units.PressureEVA3ToBar,
+		BoxZ:        box.L[2],
+		StressZZ:    (nkt/3 + wzz) / vol * units.PressureEVA3ToBar,
+	}
+}
+
 // Deform applies a constant true strain rate to one box axis with affine
 // remapping of coordinates — the tensile deformation protocol of the
 // Fig. 7 nanocrystal experiment (strain rate 5e8 / s along z).
@@ -351,21 +375,6 @@ func (s *Sim) rebuild() error {
 }
 
 func (s *Sim) sample() {
-	sys := s.Sys
-	ke := sys.KineticEnergy()
-	vol := sys.Box.Volume()
-	trW := s.res.Virial[0] + s.res.Virial[4] + s.res.Virial[8]
-	nkt := float64(sys.N()) * units.Boltzmann * sys.Temperature()
-	p := (nkt + trW/3) / vol * units.PressureEVA3ToBar
-	// Stress along z: sigma_zz = (N kT/V + W_zz/V); report as bar.
-	szz := (nkt/3 + s.res.Virial[8]) / vol * units.PressureEVA3ToBar
-	s.Log = append(s.Log, Thermo{
-		Step:        s.step,
-		Kinetic:     ke,
-		Potential:   s.res.Energy,
-		Temperature: sys.Temperature(),
-		Pressure:    p,
-		BoxZ:        sys.Box.L[2],
-		StressZZ:    szz,
-	})
+	w := &s.res.Virial
+	s.Log = append(s.Log, NewThermo(s.step, s.Sys.KineticEnergy(), s.res.Energy, w[0]+w[4]+w[8], w[8], s.Sys.N(), &s.Sys.Box))
 }

@@ -13,7 +13,43 @@ import (
 // doubles (the paper's geometry always doubles after the first layer).
 // Weights are Xavier-initialized from rng.
 func NewEmbeddingNet[T tensor.Float](rng *rand.Rand, widths []int) *Net[T] {
-	n := &Net[T]{}
+	return newNet[T](rng, embeddingShape(widths))
+}
+
+// NewFittingNet builds the fitting net of Fig. 1(d): input is the flattened
+// descriptor, hidden widths as given (the paper uses 240, 240, 240) with
+// identity skips between equal widths, and a final linear layer to the
+// scalar atomic energy. atomEnergyBias is added as the bias of the head so
+// an untrained network already predicts the mean atomic energy.
+func NewFittingNet[T tensor.Float](rng *rand.Rand, inDim int, widths []int, atomEnergyBias T) *Net[T] {
+	n := newNet[T](rng, fittingShape(inDim, widths))
+	n.Layers[len(n.Layers)-1].B[0] = atomEnergyBias
+	return n
+}
+
+// IsEmbeddingNet reports whether n has exactly the layer kinds and widths
+// NewEmbeddingNet builds from widths.
+func (n *Net[T]) IsEmbeddingNet(widths []int) bool {
+	return n.hasShape(embeddingShape(widths))
+}
+
+// IsFittingNet reports whether n has exactly the layer kinds and widths
+// NewFittingNet builds from inDim and widths.
+func (n *Net[T]) IsFittingNet(inDim int, widths []int) bool {
+	return n.hasShape(fittingShape(inDim, widths))
+}
+
+// layerShape is one dense layer's kind and widths.
+type layerShape struct {
+	kind    LayerKind
+	in, out int
+}
+
+// embeddingShape is the layer stack of NewEmbeddingNet: a plain first
+// layer from the scalar s(r), then a skip wherever a width doubles or
+// repeats.
+func embeddingShape(widths []int) []layerShape {
+	var s []layerShape
 	in := 1
 	for i, w := range widths {
 		kind := Plain
@@ -25,34 +61,48 @@ func NewEmbeddingNet[T tensor.Float](rng *rand.Rand, widths []int) *Net[T] {
 				kind = SkipSame
 			}
 		}
-		n.Layers = append(n.Layers, newLayer[T](rng, in, w, kind))
+		s = append(s, layerShape{kind, in, w})
 		in = w
 	}
-	n.validate()
-	return n
+	return s
 }
 
-// NewFittingNet builds the fitting net of Fig. 1(d): input is the flattened
-// descriptor, hidden widths as given (the paper uses 240, 240, 240) with
-// identity skips between equal widths, and a final linear layer to the
-// scalar atomic energy. atomEnergyBias is added as the bias of the head so
-// an untrained network already predicts the mean atomic energy.
-func NewFittingNet[T tensor.Float](rng *rand.Rand, inDim int, widths []int, atomEnergyBias T) *Net[T] {
-	n := &Net[T]{}
+// fittingShape is the layer stack of NewFittingNet: identity skips
+// between equal hidden widths, then a linear head to one output.
+func fittingShape(inDim int, widths []int) []layerShape {
+	var s []layerShape
 	in := inDim
 	for i, w := range widths {
 		kind := Plain
 		if i > 0 && w == in {
 			kind = SkipSame
 		}
-		n.Layers = append(n.Layers, newLayer[T](rng, in, w, kind))
+		s = append(s, layerShape{kind, in, w})
 		in = w
 	}
-	head := newLayer[T](rng, in, 1, Linear)
-	head.B[0] = atomEnergyBias
-	n.Layers = append(n.Layers, head)
+	return append(s, layerShape{Linear, in, 1})
+}
+
+// newNet builds the layers of s in order, Xavier-initialized from rng.
+func newNet[T tensor.Float](rng *rand.Rand, s []layerShape) *Net[T] {
+	n := &Net[T]{}
+	for _, l := range s {
+		n.Layers = append(n.Layers, newLayer[T](rng, l.in, l.out, l.kind))
+	}
 	n.validate()
 	return n
+}
+
+func (n *Net[T]) hasShape(s []layerShape) bool {
+	if len(n.Layers) != len(s) {
+		return false
+	}
+	for i, l := range n.Layers {
+		if l.Kind != s[i].kind || l.In() != s[i].in || l.Out() != s[i].out {
+			return false
+		}
+	}
+	return true
 }
 
 // newLayer returns a Xavier-initialized dense layer.

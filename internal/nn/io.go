@@ -44,9 +44,15 @@ func specFromNet[T tensor.Float](n *Net[T]) netSpec {
 }
 
 func netFromSpec(spec netSpec) (*Net[float64], error) {
+	if len(spec.Layers) == 0 {
+		return nil, fmt.Errorf("nn: network has no layers")
+	}
 	n := &Net[float64]{}
 	for i, ls := range spec.Layers {
-		if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
+		// In is bounded by len(W)/Out before the product is formed, so
+		// no hostile pair of widths overflows into a matching length.
+		if ls.In < 0 || ls.Out < 0 || len(ls.B) != ls.Out ||
+			(ls.Out > 0 && ls.In > len(ls.W)/ls.Out) || len(ls.W) != ls.In*ls.Out {
 			return nil, fmt.Errorf("nn: layer %d spec has inconsistent shapes", i)
 		}
 		l := &Layer[float64]{
@@ -56,7 +62,9 @@ func netFromSpec(spec netSpec) (*Net[float64], error) {
 		}
 		n.Layers = append(n.Layers, l)
 	}
-	n.validate()
+	if err := n.check(); err != nil {
+		return nil, err
+	}
 	return n, nil
 }
 

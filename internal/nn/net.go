@@ -70,23 +70,35 @@ func (n *Net[T]) NumParams() int {
 	return total
 }
 
-// validate panics if consecutive layer widths are incompatible with their
-// skip kinds.
-func (n *Net[T]) validate() {
+// check reports the first layer whose kind is undefined or whose widths
+// are incompatible with its skip kind or with the previous layer's
+// output.
+func (n *Net[T]) check() error {
 	for i, l := range n.Layers {
 		switch l.Kind {
+		case Plain, Linear:
 		case SkipDouble:
 			if l.Out() != 2*l.In() {
-				panic(fmt.Sprintf("nn: layer %d SkipDouble needs out = 2*in, got %d -> %d", i, l.In(), l.Out()))
+				return fmt.Errorf("nn: layer %d SkipDouble needs out = 2*in, got %d -> %d", i, l.In(), l.Out())
 			}
 		case SkipSame:
 			if l.Out() != l.In() {
-				panic(fmt.Sprintf("nn: layer %d SkipSame needs out = in, got %d -> %d", i, l.In(), l.Out()))
+				return fmt.Errorf("nn: layer %d SkipSame needs out = in, got %d -> %d", i, l.In(), l.Out())
 			}
+		default:
+			return fmt.Errorf("nn: layer %d has undefined kind %d", i, l.Kind)
 		}
 		if i > 0 && l.In() != n.Layers[i-1].Out() {
-			panic(fmt.Sprintf("nn: layer %d input %d != previous output %d", i, l.In(), n.Layers[i-1].Out()))
+			return fmt.Errorf("nn: layer %d input %d != previous output %d", i, l.In(), n.Layers[i-1].Out())
 		}
+	}
+	return nil
+}
+
+// validate panics on a net check rejects: nets built in code.
+func (n *Net[T]) validate() {
+	if err := n.check(); err != nil {
+		panic(err.Error())
 	}
 }
 

@@ -83,7 +83,7 @@ func waterEngine(t *testing.T, maxConc int) (*core.Engine, []core.Frame, []core.
 		}
 		frames = append(frames, core.Frame{Pos: cell.Pos, Types: cell.Types, Nloc: cell.N(), List: list, Box: &cell.Box})
 		var ref core.Result
-		if err := eng.EvaluateInto(cell.Pos, cell.Types, cell.N(), list, &cell.Box, &ref); err != nil {
+		if err := eng.Compute(cell.Pos, cell.Types, cell.N(), list, &cell.Box, &ref); err != nil {
 			t.Fatal(err)
 		}
 		refs = append(refs, ref)
