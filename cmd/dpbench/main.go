@@ -51,7 +51,7 @@ var table = []experiment{
 		if err != nil {
 			return nil, err
 		}
-		return fmt.Sprintf("%v\nAblation (Sec 5.2.2): struct sort %.2f ms vs compressed-key format %.2f ms (%.1fx)\n",
+		return fmt.Sprintf("%v\nAblation (Sec 5.2.2): struct sort %.2f ms vs key format %.2f ms (%.1fx)\n",
 			res, st.Seconds()*1000, kf.Seconds()*1000, float64(st)/float64(kf)), nil
 	}},
 	{"fig3", func(sc experiments.Scale, _ int) (any, error) { return experiments.Fig3(sc, 3) }},

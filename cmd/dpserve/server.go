@@ -16,9 +16,13 @@ import (
 	deepmd "deepmd-go"
 )
 
-// maxBodyBytes bounds request bodies; a frame of 100k atoms in JSON stays
-// well under it.
-const maxBodyBytes = 32 << 20
+// maxBodyBytes and maxFrameAtoms bound the memory one request costs: the
+// body as read, and the atoms of its frame, which its neighbor list and
+// evaluation scale with. A maxFrameAtoms frame in JSON fits the body.
+const (
+	maxBodyBytes  = 32 << 20
+	maxFrameAtoms = 100_000
+)
 
 // server routes HTTP requests into the micro-batcher. All force calls —
 // plain evaluations, relaxation descent steps, trajectory integration —
@@ -272,14 +276,14 @@ func (s *server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 }
 
 // validateFrame checks the frame against the model. A frame may hold at
-// most neighbor.MaxIndex+1 atoms, the most the formatter's keys can index.
+// most maxFrameAtoms atoms.
 func (s *server) validateFrame(req *frameRequest) (*neighbor.Box, error) {
 	n := len(req.Types)
 	if n == 0 {
 		return nil, errors.New("empty frame")
 	}
-	if n > neighbor.MaxIndex+1 {
-		return nil, fmt.Errorf("frame has %d atoms, at most %d are served", n, neighbor.MaxIndex+1)
+	if n > maxFrameAtoms {
+		return nil, fmt.Errorf("frame has %d atoms, at most %d are served", n, maxFrameAtoms)
 	}
 	if len(req.Pos) != 3*n {
 		return nil, fmt.Errorf("pos length %d, want 3*%d", len(req.Pos), n)
@@ -312,9 +316,9 @@ func (s *server) frameList(req *frameRequest) (*neighbor.Box, *neighbor.List, er
 		return nil, nil, err
 	}
 	for i, row := range list.Entries {
-		for _, e := range row {
-			if e.Dist == 0 {
-				return nil, nil, fmt.Errorf("atoms %d and %d coincide", i, e.Index)
+		for _, j := range row {
+			if d := neighbor.Displacement(req.Pos, i, int(j), box); d[0]*d[0]+d[1]*d[1]+d[2]*d[2] == 0 {
+				return nil, nil, fmt.Errorf("atoms %d and %d coincide", i, j)
 			}
 		}
 	}

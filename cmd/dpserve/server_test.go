@@ -189,10 +189,9 @@ func TestFrameListRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// Two atoms on one spot and a frame too large for the neighbor keys are
+// Two atoms on one spot and a frame above the per-request atom bound are
 // the client's errors, refused before the model sees the frame: the
-// coincident pair used to evaluate with its row silently zero, and the
-// oversized frame to fail in the formatter as a server error.
+// coincident pair used to evaluate with its row silently zero.
 func TestEvaluateEndpointRejectsCoincidentAndOversized(t *testing.T) {
 	hs, _, frame := testServer(t, serve.Options{})
 	coincident := frameRequest{Pos: slices.Clone(frame.Pos), Types: frame.Types, Box: frame.Box}
@@ -207,7 +206,7 @@ func TestEvaluateEndpointRejectsCoincidentAndOversized(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newServer(model.Cfg, nil, 0, nil)
-	n := neighbor.MaxIndex + 2
+	n := maxFrameAtoms + 1
 	big := frameRequest{Pos: make([]float64, 3*n), Types: make([]int, n), Box: [3]float64{1e3, 1e3, 1e3}}
 	if _, err := srv.validateFrame(&big); err == nil || !strings.Contains(err.Error(), "atoms") {
 		t.Fatalf("%d atoms: error %v, want the frame refused", n, err)

@@ -52,8 +52,8 @@ func CNA(pos []float64, types []int, box *neighbor.Box, rcut float64, workers in
 	adj := make([]map[int]bool, n)
 	for i := 0; i < n; i++ {
 		adj[i] = make(map[int]bool, 16)
-		for _, e := range list.Entries[i] {
-			adj[i][int(e.Index)] = true
+		for _, j := range list.Entries[i] {
+			adj[i][int(j)] = true
 		}
 	}
 
@@ -65,12 +65,12 @@ func CNA(pos []float64, types []int, box *neighbor.Box, rcut float64, workers in
 		}
 		n421, n422 := 0, 0
 		ok := true
-		for _, e := range nbrs {
-			j := int(e.Index)
+		for _, j32 := range nbrs {
+			j := int(j32)
 			// Common neighbors of the i-j bond.
 			var common []int
-			for _, e2 := range nbrs {
-				k := int(e2.Index)
+			for _, k32 := range nbrs {
+				k := int(k32)
 				if k != j && adj[j][k] {
 					common = append(common, k)
 				}

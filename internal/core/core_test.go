@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"deepmd-go/internal/descriptor"
@@ -659,25 +661,31 @@ func TestForceRotationCovariance(t *testing.T) {
 	}
 }
 
-// Failure injection: a neighbor index beyond the 64-bit compression range
-// must surface as an error, not silent corruption (Sec. 5.2.2's "rarely
-// exceeded" ranges are checked).
+// A list may index past the 99,999 atoms the paper's decimal key can
+// index: atom 0's neighbor 100,000 evaluates. An index outside the frame,
+// past its last atom or negative, is an error naming the atom and the
+// index, not a panic.
 func TestCompressionOverflowSurfaces(t *testing.T) {
 	m := newTestModel(t, 1)
 	ev := NewEvaluator[float64](m)
-	// Hand-craft a list whose entry index exceeds MaxIndex.
-	pos := make([]float64, 3*(neighbor.MaxIndex+2))
-	types := make([]int, neighbor.MaxIndex+2)
-	pos[3*(neighbor.MaxIndex+1)] = 1.0 // close neighbor with a huge index
-	list := &neighbor.List{
-		Nloc: 1,
-		Entries: [][]neighbor.Entry{{
-			{Type: 0, Dist: 1.0, Index: neighbor.MaxIndex + 1},
-		}},
-	}
+	const nall = 100_001
+	pos := make([]float64, 3*nall)
+	types := make([]int, nall)
+	pos[3*(nall-1)] = 1.0 // close neighbor with a huge index
+	list := &neighbor.List{Nloc: 1, Entries: [][]int32{{nall - 1}}, Types: make([]int32, nall)}
 	var res Result
-	if err := ev.Compute(pos, types, 1, list, nil, &res); err == nil {
-		t.Fatal("index overflow not surfaced")
+	if err := ev.Compute(pos, types, 1, list, nil, &res); err != nil {
+		t.Fatalf("neighbor %d: %v", nall-1, err)
+	}
+	if res.Force[3*(nall-1)] == 0 {
+		t.Fatalf("neighbor %d felt no force", nall-1)
+	}
+	for _, j := range []int32{nall, -1} {
+		list.Entries[0][0] = j
+		err := ev.Compute(pos, types, 1, list, nil, &res)
+		if want := fmt.Sprintf("atom 0: neighbor index %d outside", j); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("neighbor %d: error %v, want one containing %q", j, err, want)
+		}
 	}
 }
 
@@ -689,10 +697,7 @@ func TestNaNPositionsPropagate(t *testing.T) {
 	ev := NewEvaluator[float64](m)
 	pos := []float64{0, 0, 0, math.NaN(), 0, 0}
 	types := []int{0, 0}
-	list := &neighbor.List{Nloc: 2, Entries: [][]neighbor.Entry{
-		{{Type: 0, Dist: 1, Index: 1}},
-		{{Type: 0, Dist: 1, Index: 0}},
-	}}
+	list := &neighbor.List{Nloc: 2, Entries: [][]int32{{1}, {0}}, Types: []int32{0, 0}}
 	var res Result
 	if err := ev.Compute(pos, types, 2, list, nil, &res); err != nil {
 		return // an error is acceptable too

@@ -75,7 +75,7 @@ func raggedEdgesFrame(t *testing.T, cfg *Config) teamFrame {
 		t.Fatal(err)
 	}
 	pos = slices.Clone(pos)
-	j := int(list.Entries[5][0].Index)
+	j := int(list.Entries[5][0])
 	copy(pos[3*j:3*j+3], pos[3*5:3*5+3])
 	return teamFrame{"edges", pos, types, len(types), list, box}
 }

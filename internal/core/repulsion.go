@@ -33,16 +33,10 @@ func repulsionEnergy(ctr *perf.Counter, a, rc float64, pos []float64, nloc int, 
 	var flops int64
 	for i := 0; i < nloc; i++ {
 		var ei float64
-		for _, e := range list.Entries[i] {
-			j := int(e.Index)
-			dx := pos[3*j] - pos[3*i]
-			dy := pos[3*j+1] - pos[3*i+1]
-			dz := pos[3*j+2] - pos[3*i+2]
-			if box != nil {
-				d := [3]float64{dx, dy, dz}
-				box.MinImage(&d)
-				dx, dy, dz = d[0], d[1], d[2]
-			}
+		for _, j32 := range list.Entries[i] {
+			j := int(j32)
+			d := neighbor.Displacement(pos, i, j, box)
+			dx, dy, dz := d[0], d[1], d[2]
 			r2 := dx*dx + dy*dy + dz*dz
 			if r2 >= rc2 || r2 == 0 {
 				continue

@@ -160,8 +160,7 @@ func TestTeamWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// The force call reads a neighbor row as a set: the compressed keys are
-// unique, so the formatted table, and with it every bit of the Result, is
+// The force call reads a neighbor row as a set: the keys are unique, so the formatted table, and with it every bit of the Result, is
 // the same whether a row arrives as Build sorted it, reversed or shuffled —
 // at the build positions and after drift has reordered the distances, on
 // frames with ghosts and an overflowing section.
@@ -169,8 +168,8 @@ func TestComputeIndependentOfListRowOrder(t *testing.T) {
 	m := teamModel(t)
 	frames := teamFrames(t, &m.Cfg)
 	rng := rand.New(rand.NewSource(25))
-	permuted := func(l *neighbor.List, permute func([]neighbor.Entry)) *neighbor.List {
-		p := &neighbor.List{Nloc: l.Nloc, Entries: make([][]neighbor.Entry, l.Nloc)}
+	permuted := func(l *neighbor.List, permute func([]int32)) *neighbor.List {
+		p := &neighbor.List{Nloc: l.Nloc, Entries: make([][]int32, l.Nloc), Types: l.Types}
 		for i, row := range l.Entries {
 			p.Entries[i] = slices.Clone(row)
 			permute(p.Entries[i])
@@ -200,10 +199,10 @@ func TestComputeIndependentOfListRowOrder(t *testing.T) {
 						}
 						for _, pm := range []struct {
 							name    string
-							permute func([]neighbor.Entry)
+							permute func([]int32)
 						}{
-							{"reversed", slices.Reverse[[]neighbor.Entry]},
-							{"shuffled", func(r []neighbor.Entry) { rng.Shuffle(len(r), func(a, b int) { r[a], r[b] = r[b], r[a] }) }},
+							{"reversed", slices.Reverse[[]int32]},
+							{"shuffled", func(r []int32) { rng.Shuffle(len(r), func(a, b int) { r[a], r[b] = r[b], r[a] }) }},
 						} {
 							var got Result
 							if err := c.Compute(pos, f.types, f.nloc, permuted(f.list, pm.permute), f.box, &got); err != nil {
@@ -239,8 +238,8 @@ func TestTeamNonFiniteCoordinateError(t *testing.T) {
 		// lists it; the lowest of those is what every budget must report.
 		lowest := tc.atom
 		for i, nbrs := range list.Entries {
-			for _, e := range nbrs {
-				if int(e.Index) == tc.atom && i < lowest {
+			for _, j := range nbrs {
+				if int(j) == tc.atom && i < lowest {
 					lowest = i
 				}
 			}

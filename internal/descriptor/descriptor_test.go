@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"deepmd-go/internal/lattice"
 	"deepmd-go/internal/neighbor"
@@ -146,7 +145,7 @@ func checkCountInvariant(t testing.TB, label string, cfg Config, pos []float64, 
 				t.Fatalf("%s atom %d section %d: last of %d rows is zero", label, i, tj, n)
 			}
 			for _, j := range sec[n:] {
-				if rr := vecNorm(disp(pos, i, int(j), box)); rr < cfg.Rcut && rr != 0 {
+				if rr := vecNorm(neighbor.Displacement(pos, i, int(j), box)); rr < cfg.Rcut && rr != 0 {
 					t.Fatalf("%s atom %d section %d: neighbor %d at r = %g < rc has no row", label, i, tj, j, rr)
 				}
 			}
@@ -481,7 +480,7 @@ func TestEnvironmentAllocationBound(t *testing.T) {
 			for _, r := range list.Entries {
 				entries += len(r)
 			}
-			row := list.MaxNeighbors() * int(unsafe.Sizeof(neighbor.Entry{})+8) // refreshed entries and their keys
+			row := list.MaxNeighbors() * (8 + 16) // row scratch: a distance and a 24-byte sort item a neighbor, inside the 4x below
 			bound := uint64(64*(rows+rows/16) + 8*(n*nt+1) + 4*n*(nt+1) + 4*entries + 4*row + 3*8192)
 			if padded := uint64(64 * n * sys.cfg.Stride()); bound >= padded {
 				t.Fatalf("bound %d >= %d bytes of rows padded to sel: the case does not tell the layouts apart", bound, padded)

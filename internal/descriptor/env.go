@@ -3,7 +3,6 @@ package descriptor
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"deepmd-go/internal/neighbor"
 	"deepmd-go/internal/perf"
@@ -51,10 +50,11 @@ type Scratch struct {
 }
 
 // RowScratch is one goroutine's reusable state for Scratch.Rows: the
-// current atom's refreshed neighbor row and the formatter's sort scratch.
+// current atom's refreshed neighbor distances, which FormatRow leaves in
+// kept order, and the formatter's sort scratch.
 type RowScratch struct {
 	sort neighbor.SortScratch
-	row  []neighbor.Entry
+	dist []float64
 }
 
 // RowStats is what one Rows call reports to whoever collects the blocks.
@@ -63,9 +63,9 @@ type RowStats struct {
 	Dropped int   // neighbors dropped by full sections, for Formatted.Overflow
 }
 
-// Environment is the optimized customized operator: it recomputes
-// current-step distances from the raw (rebuild-time) list, formats the
-// neighbors by sorting their compressed 64-bit keys, and fills the
+// Environment is the optimized customized operator: it computes
+// current-step distances for the raw list's indices, formats the
+// neighbors by sorting their 64-bit keys, and fills the
 // environment matrix with a branch-free loop over the real rows of every
 // section. The returned EnvOut aliases Scratch buffers and is valid until
 // the next call. It is Begin, Rows over every atom, Pack and Fill over
@@ -113,44 +113,56 @@ func (sc *Scratch) Begin(cfg Config, list *neighbor.List) *EnvOut {
 }
 
 // Rows runs the first pass for center atoms [lo, hi) of the frame Begin
-// prepared: per atom, the distance refresh (the raw list holds rebuild-time
-// distances, but a full section must keep the *currently* nearest
-// neighbors, Sec. 5.2.1), the compressed-key format of its table row —
-// whose sort meets only the inversions drift made since Build sorted the
-// row — and each section's row count, which it leaves in Off[k+1] for
-// Pack. An error names the lowest failing atom of the range.
+// prepared: per atom, the distance refresh (Build ordered the raw list at
+// rebuild-time distances, but a full section must keep the *currently*
+// nearest neighbors, Sec. 5.2.1), the key format of its table row — whose
+// sort meets only the inversions drift made since Build sorted the row —
+// and each section's row count, which it leaves in Off[k+1] for Pack. A
+// neighbor index outside the frame, or a non-finite distance, is an error;
+// an error names the lowest failing atom of the range.
 //
 //dp:noalloc
 func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbor.List, box *neighbor.Box, lo, hi int) (RowStats, error) {
 	out := &sc.out
 	nt := len(cfg.Sel)
+	nall := len(pos) / 3
 	var st RowStats
 	for i := lo; i < hi; i++ {
-		row := ws.row[:0]
-		for _, e := range list.Entries[i] {
-			row = append(row, neighbor.Entry{Dist: vecNorm(disp(pos, i, int(e.Index), box)), Index: e.Index, Type: e.Type})
+		nbrs := list.Entries[i]
+		ws.dist = tensor.Resize(ws.dist, len(nbrs))
+		for k, j := range nbrs {
+			if uint(j) >= uint(nall) {
+				return st, fmt.Errorf("descriptor: atom %d: neighbor index %d outside [0, %d)", i, j, nall)
+			}
+			r := vecNorm(neighbor.Displacement(pos, i, int(j), box))
+			if !(r <= math.MaxFloat64) {
+				return st, fmt.Errorf("descriptor: atom %d: neighbor %d at distance %g", i, j, r)
+			}
+			ws.dist[k] = r
 		}
-		ws.row = row
-		st.Entries += int64(len(row))
-		dropped, err := out.Fmt.FormatRow(&ws.sort, i, row)
+		st.Entries += int64(len(nbrs))
+		dropped, err := out.Fmt.FormatRow(&ws.sort, i, nbrs, ws.dist, list.Types)
 		if err != nil {
 			return st, fmt.Errorf("descriptor: atom %d: %w", i, err)
 		}
 		st.Dropped += dropped
+		b := 0
 		for t := 0; t < nt; t++ {
-			out.Off[i*nt+t+1] = sectionRows(cfg, pos, i, out.Fmt.Section(i, t), box)
+			e := b + len(out.Fmt.Section(i, t))
+			out.Off[i*nt+t+1] = sectionRows(cfg, ws.dist[b:e])
+			b = e
 		}
 	}
 	return st, nil
 }
 
 // sectionRows is the number of rows a formatted section needs: the index
-// after its last neighbor inside the cutoff. The section is sorted by
-// distance, so the search runs from its far end and stops there; the skin
-// entries it passes get no row.
-func sectionRows(cfg Config, pos []float64, i int, idx []int32, box *neighbor.Box) int {
-	for k := len(idx) - 1; k >= 0; k-- {
-		if rr := vecNorm(disp(pos, i, int(idx[k]), box)); rr < cfg.Rcut && rr != 0 {
+// after its last neighbor inside the cutoff, given the section's distances
+// r in kept order (nearest first). The search runs from the far end and
+// stops there; the skin entries it passes get no row.
+func sectionRows(cfg Config, r []float64) int {
+	for k := len(r) - 1; k >= 0; k-- {
+		if r[k] < cfg.Rcut && r[k] != 0 {
 			return k + 1
 		}
 	}
@@ -175,7 +187,9 @@ func (sc *Scratch) Pack() int {
 
 // Fill runs the second pass for center atoms [lo, hi): every row of every
 // section is computed afresh (fillEnvSlot), and a row it declines is
-// zeroed, so no buffer needs clearing between frames.
+// zeroed, so no buffer needs clearing between frames. It recomputes each
+// row's displacement rather than carrying Rows' across the Pack barrier,
+// which would hold O(entries) bytes for the whole frame.
 //
 //dp:noalloc
 func (sc *Scratch) Fill(cfg Config, pos []float64, box *neighbor.Box, lo, hi int) {
@@ -203,56 +217,27 @@ func EnvironmentBaseline(ctr *perf.Counter, cfg Config, pos []float64, types []i
 	nloc := list.Nloc
 	nt := len(cfg.Sel)
 
-	upd := neighbor.List{Nloc: nloc, Entries: make([][]neighbor.Entry, nloc)}
-	for i, nbrs := range list.Entries[:nloc] {
-		row := make([]neighbor.Entry, 0, len(nbrs))
-		for _, e := range nbrs {
-			d := disp(pos, i, int(e.Index), box)
-			row = append(row, neighbor.Entry{Dist: vecNorm(d), Index: e.Index, Type: e.Type})
-		}
-		upd.Entries[i] = row
-	}
-	fmtd, err := neighbor.FormatBaseline(neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}, &upd)
+	fmtd, err := neighbor.FormatBaseline(neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}, list, pos, box)
 	if err != nil {
 		return nil, err
 	}
 
 	out := &EnvOut{Nloc: nloc, Fmt: fmtd, Off: make([]int, nloc*nt+1)}
-	// The baseline walks the *raw* AoS entries and branches on the type of
-	// every neighbor to find the section it lands in, the access pattern
-	// Sec. 5.2.1 calls out.
 	for i := 0; i < nloc; i++ {
-		fill := make([]int, nt)
-		rows := make([][]float64, nt) // per-section R~ and geometry rows,
-		geos := make([][]float64, nt) // grown neighbor by neighbor
-		n := make([]int, nt)
-		ent := append([]neighbor.Entry(nil), upd.Entries[i]...)
-		sort.Slice(ent, func(a, b int) bool {
-			if ent[a].Type != ent[b].Type {
-				return ent[a].Type < ent[b].Type
-			}
-			if ent[a].Dist != ent[b].Dist {
-				return ent[a].Dist < ent[b].Dist
-			}
-			return ent[a].Index < ent[b].Index
-		})
-		for _, e := range ent {
-			t := int(e.Type)
-			if fill[t] >= cfg.Sel[t] {
-				continue
-			}
-			fill[t]++
-			slot := make([]float64, 4) // per-neighbor temporary (AoS style)
-			geo := make([]float64, 4)  // allocated afresh each neighbor
-			if fillEnvSlot(cfg, pos, i, int(e.Index), box, slot, geo) {
-				n[t] = fill[t]
-			}
-			rows[t] = append(rows[t], slot...)
-			geos[t] = append(geos[t], geo...)
-		}
 		for t := 0; t < nt; t++ {
-			out.R = append(out.R, rows[t][:4*n[t]]...)
-			out.Geo = append(out.Geo, geos[t][:4*n[t]]...)
+			var rows, geos []float64 // R~ and geometry rows, grown neighbor by neighbor
+			n := 0
+			for k, j := range fmtd.Section(i, t) {
+				slot := make([]float64, 4) // per-neighbor temporary (AoS style)
+				geo := make([]float64, 4)  // allocated afresh each neighbor
+				if fillEnvSlot(cfg, pos, i, int(j), box, slot, geo) {
+					n = k + 1
+				}
+				rows = append(rows, slot...)
+				geos = append(geos, geo...)
+			}
+			out.R = append(out.R, rows[:4*n]...)
+			out.Geo = append(out.Geo, geos[:4*n]...)
 			out.Off[i*nt+t+1] = len(out.R) / 4
 		}
 	}
@@ -294,7 +279,7 @@ const (
 //	R~  = (s, q*dx, q*dy, q*dz)
 //	geo = (dx, dy, dz, s'(r))
 func fillEnvSlot(cfg Config, pos []float64, i, j int, box *neighbor.Box, r, geo []float64) bool {
-	d := disp(pos, i, j, box)
+	d := neighbor.Displacement(pos, i, j, box)
 	rr := vecNorm(d)
 	if rr >= cfg.Rcut || rr == 0 {
 		return false
@@ -342,18 +327,6 @@ func slotJacobian(s float64, g, dr []float64) {
 			dr[(b+1)*3+a] = v
 		}
 	}
-}
-
-func disp(pos []float64, i, j int, box *neighbor.Box) [3]float64 {
-	d := [3]float64{
-		pos[3*j] - pos[3*i],
-		pos[3*j+1] - pos[3*i+1],
-		pos[3*j+2] - pos[3*i+2],
-	}
-	if box != nil {
-		box.MinImage(&d)
-	}
-	return d
 }
 
 func vecNorm(d [3]float64) float64 {

@@ -76,7 +76,7 @@ func reuseSequence(t testing.TB, seed int64, script []byte) []reuseFrame {
 			case opCoincident:
 				for i, nbrs := range f.list.Entries {
 					if len(nbrs) > 0 {
-						copy(f.pos[3*nbrs[0].Index:3*nbrs[0].Index+3], f.pos[3*i:3*i+3])
+						copy(f.pos[3*nbrs[0]:3*nbrs[0]+3], f.pos[3*i:3*i+3])
 						break
 					}
 				}

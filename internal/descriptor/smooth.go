@@ -7,9 +7,9 @@
 // and the virial tensor.
 //
 // Each operator exists in two variants mirroring Sec. 5.2.2 / Table 3:
-// a baseline variant (struct sort, per-call allocation, type branching in
-// the inner loop — the CPU implementation of the 2018 DeePMD-kit) and an
-// optimized variant (compressed 64-bit keys, reused scratch buffers,
+// a baseline variant (struct sort, per-call and per-slot allocation — the
+// CPU implementation of the 2018 DeePMD-kit) and an
+// optimized variant (64-bit sort keys, reused scratch buffers,
 // branch-free loops over rows stored ragged, a section's real rows only).
 package descriptor
 

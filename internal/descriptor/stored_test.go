@@ -24,7 +24,7 @@ func storedJacobian(cfg Config, pos []float64, box *neighbor.Box, env *EnvOut) (
 		for t := 0; t < nt; t++ {
 			lo, hi := env.Off[i*nt+t], env.Off[i*nt+t+1]
 			for x := lo; x < hi; x++ {
-				d := disp(pos, i, int(env.Fmt.Section(i, t)[x-lo]), box)
+				d := neighbor.Displacement(pos, i, int(env.Fmt.Section(i, t)[x-lo]), box)
 				rr := vecNorm(d)
 				if rr >= cfg.Rcut || rr == 0 {
 					continue
@@ -157,7 +157,7 @@ func TestProdRowsMatchStoredJacobian(t *testing.T) {
 			for x := range pos {
 				pos[x] += 0.4 * (rng.Float64() - 0.5)
 			}
-			j := list.Entries[3][0].Index
+			j := list.Entries[3][0]
 			copy(pos[3*j:3*j+3], pos[9:12])
 
 			var sc Scratch
@@ -242,9 +242,8 @@ func FuzzProdRowsMatchStoredJacobian(f *testing.F) {
 		for k := range u {
 			pos[6+k] = u[k] / un * r
 		}
-		// The formatted section is given (the key format cannot encode
-		// every fuzzed distance); the row count, Pack and Fill are the
-		// operator's own.
+		// The formatted section is given (Rows refuses a non-finite
+		// distance); the row count, Pack and Fill are the operator's own.
 		var sc Scratch
 		sc.out = EnvOut{
 			Nloc: 1,
@@ -252,7 +251,7 @@ func FuzzProdRowsMatchStoredJacobian(f *testing.F) {
 			Off:  []int{0, 0},
 		}
 		env := &sc.out
-		env.Off[1] = sectionRows(cfg, pos, 0, env.Fmt.Section(0, 0), nil)
+		env.Off[1] = sectionRows(cfg, []float64{vecNorm(neighbor.Displacement(pos, 0, 1, nil)), vecNorm(neighbor.Displacement(pos, 0, 2, nil))})
 		sc.Pack()
 		sc.Fill(cfg, pos, nil, 0, 1)
 		dr, rij := storedJacobian(cfg, pos, nil, env)

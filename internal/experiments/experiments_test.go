@@ -56,7 +56,7 @@ func TestAblationSortShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	if structT <= 0 || keyT <= 0 {
-		t.Errorf("non-positive timing: struct sort %v, compressed-key format %v", structT, keyT)
+		t.Errorf("non-positive timing: struct sort %v, key format %v", structT, keyT)
 	}
 }
 

@@ -106,28 +106,32 @@ func (r *Table3Result) String() string {
 		table([]string{"Operator", "Baseline[ms]", "Optimized[ms]", "Speedup"}, rows)
 }
 
-// AblationSort isolates the compressed-key format vs struct-sort choice of
-// Sec. 5.2.2 on real neighbor data.
+// AblationSort isolates the key format vs struct-sort choice of
+// Sec. 5.2.2 on real neighbor data. Both sides refresh every distance from
+// the positions and sort at them: the struct sort over AoS records
+// (FormatBaseline), the key format as the per-step Environment runs it
+// (Scratch.Rows).
 func AblationSort(sc Scale, nx, reps int) (structSort, keyFormat time.Duration, err error) {
 	cfg := waterModelConfig(sc)
-	pos, types, list, _, err := waterBox(&cfg, nx, 4)
+	pos, _, list, box, err := waterBox(&cfg, nx, 4)
 	if err != nil {
 		return 0, 0, err
 	}
-	_ = pos
-	_ = types
+	dcfg := descriptor.Config{Rcut: cfg.Rcut, RcutSmth: cfg.RcutSmth, Sel: cfg.Sel}
 	spec := neighbor.Spec{Rcut: cfg.Rcut, Sel: cfg.Sel}
-	var fm neighbor.Formatter
 	start := time.Now()
 	for r := 0; r < reps; r++ {
-		if _, err := neighbor.FormatBaseline(spec, list); err != nil {
+		if _, err := neighbor.FormatBaseline(spec, list, pos, box); err != nil {
 			return 0, 0, err
 		}
 	}
 	structSort = time.Since(start) / time.Duration(reps)
+	var scratch descriptor.Scratch
+	var ws descriptor.RowScratch
 	start = time.Now()
 	for r := 0; r < reps; r++ {
-		if _, err := fm.Format(spec, list); err != nil {
+		scratch.Begin(dcfg, list)
+		if _, err := scratch.Rows(&ws, dcfg, pos, list, box, 0, list.Nloc); err != nil {
 			return 0, 0, err
 		}
 	}

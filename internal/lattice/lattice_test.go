@@ -25,9 +25,9 @@ func TestFCCGeometry(t *testing.T) {
 		if len(nbrs) != 12 {
 			t.Fatalf("atom %d has %d nearest neighbors, want 12", i, len(nbrs))
 		}
-		for _, e := range nbrs {
-			if math.Abs(e.Dist-want) > 1e-9 {
-				t.Fatalf("nn distance %g, want %g", e.Dist, want)
+		for _, j := range nbrs {
+			if r := imageDist(s, i, int(j)); math.Abs(r-want) > 1e-9 {
+				t.Fatalf("nn distance %g, want %g", r, want)
 			}
 		}
 	}
@@ -112,9 +112,9 @@ func TestNanocrystal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, nbrs := range list.Entries {
-		for _, e := range nbrs {
-			if e.Dist < 2.0-1e-9 {
-				t.Fatalf("atoms %d-%d closer than minSep: %g", i, e.Index, e.Dist)
+		for _, j := range nbrs {
+			if r := imageDist(s, i, int(j)); r < 2.0-1e-9 {
+				t.Fatalf("atoms %d-%d closer than minSep: %g", i, j, r)
 			}
 		}
 	}
@@ -187,3 +187,10 @@ func dist(a, b []float64) float64 {
 }
 
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(99)) }
+
+// imageDist is the minimum-image distance between atoms i and j of s.
+func imageDist(s *System, i, j int) float64 {
+	d := [3]float64{s.Pos[3*j] - s.Pos[3*i], s.Pos[3*j+1] - s.Pos[3*i+1], s.Pos[3*j+2] - s.Pos[3*i+2]}
+	s.Box.MinImage(&d)
+	return math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
+}

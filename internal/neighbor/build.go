@@ -1,7 +1,6 @@
 package neighbor
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -37,11 +36,11 @@ var ErrNonFinite = errors.New("non-finite geometry")
 // non-finite box edge one naming its axis; both wrap ErrNonFinite.
 //
 // Build makes three passes over the rows. The scan finds each row's
-// neighbors and keeps only their indices; the fill computes each distance
-// again and writes the entries into one arena of exactly the list's size;
-// the sort puts each row in the order List documents. In the all-pairs
-// regime the scan visits each pair i < j once and the fill writes it to
-// both rows.
+// neighbors and keeps only their indices; the fill copies them into one
+// arena of exactly the list's size; the sort computes each distance again
+// and puts each row in the order List documents. In the all-pairs regime
+// the scan visits each pair i < j once and the fill writes it to both
+// rows.
 func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers int) (*List, error) {
 	nall := len(pos) / 3
 	if len(types) != nall {
@@ -53,10 +52,12 @@ func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers in
 	if nall > math.MaxInt32 {
 		return nil, fmt.Errorf("neighbor: %d atoms exceed the int32 index range", nall)
 	}
+	types32 := make([]int32, nall)
 	for j, t := range types {
 		if int(int32(t)) != t {
-			return nil, fmt.Errorf("neighbor: atom %d has type %d outside the int32 range of Entry.Type", j, t)
+			return nil, fmt.Errorf("neighbor: atom %d has type %d outside the int32 range of List.Types", j, t)
 		}
+		types32[j] = int32(t)
 	}
 	for a, x := range pos[:3*nall] {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -75,7 +76,7 @@ func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers in
 			}
 		}
 	}
-	b := &builder{pos: pos, types: types, nloc: nloc, box: box, rc: rc}
+	b := &builder{pos: pos, types: types32, nloc: nloc, box: box, rc: rc}
 	if useCells(pos, nall, box, rc) {
 		b.g = binAtoms(pos, nall, box, rc)
 	} else {
@@ -93,7 +94,7 @@ func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers in
 // pair found counts for row j too when j is local.
 type builder struct {
 	pos   []float64
-	types []int
+	types []int32
 	nloc  int
 	box   *Box
 	rc    float64
@@ -104,17 +105,18 @@ type builder struct {
 // rowScan is one worker's state. hits holds a record per scanned row i: i,
 // the number n of neighbors found, then their n indices. cnt[r] is how
 // many entries the worker's pairs put in row r; after the scan it becomes
-// the worker's write cursor into the arena. next and dealt are sortRow's
-// scratch.
+// the worker's write cursor into the arena. items, dealt and next are
+// sortRow's scratch: the only place Build keeps distances.
 type rowScan struct {
 	hits  []int32
 	cnt   []int
+	items []item
+	dealt []item
 	next  []int
-	dealt []Entry
 }
 
 func (b *builder) build(workers int) *List {
-	l := &List{Nloc: b.nloc, Entries: make([][]Entry, b.nloc)}
+	l := &List{Nloc: b.nloc, Entries: make([][]int32, b.nloc), Types: b.types}
 	scans := make([]rowScan, workers)
 	var claimed atomic.Int64
 	eachRow := func(w int, f func(sc *rowScan, i int)) {
@@ -136,7 +138,7 @@ func (b *builder) build(workers int) *List {
 			total, scans[w].cnt[r] = total+scans[w].cnt[r], total
 		}
 	}
-	arena := make([]Entry, total)
+	arena := make([]int32, total)
 	for r := range l.Entries {
 		end := total
 		if r+1 < b.nloc {
@@ -150,7 +152,7 @@ func (b *builder) build(workers int) *List {
 
 	claimed.Store(0)
 	parallel(workers, func(w int) {
-		eachRow(w, func(sc *rowScan, i int) { sc.sortRow(l.Entries[i], b.rc) })
+		eachRow(w, func(sc *rowScan, i int) { sc.sortRow(b, i, l.Entries[i]) })
 	})
 	return l
 }
@@ -228,7 +230,7 @@ func (sc *rowScan) scanCells(b *builder, i int) {
 }
 
 // scanAtoms records the atoms of cand other than i that lie inside atom
-// i's build cutoff. It is displacement written out with atom i's position
+// i's build cutoff. It is Displacement written out with atom i's position
 // held in registers, the hottest loop of Build.
 func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32) {
 	p, rc2 := b.pos, b.rc*b.rc
@@ -245,20 +247,15 @@ func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32) {
 }
 
 // fill replays the worker's scan records into the arena at its cursors.
-func (sc *rowScan) fill(b *builder, arena []Entry) {
+func (sc *rowScan) fill(b *builder, arena []int32) {
 	cur := sc.cnt
 	for k := 0; k < len(sc.hits); {
 		i, n := int(sc.hits[k]), int(sc.hits[k+1])
-		for _, j32 := range sc.hits[k+2 : k+2+n] {
-			j := int(j32)
-			d := displacement(b.pos, i, j, b.box)
-			r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
-			arena[cur[i]] = Entry{Dist: r, Index: j32, Type: int32(b.types[j])}
+		for _, j := range sc.hits[k+2 : k+2+n] {
+			arena[cur[i]] = j
 			cur[i]++
-			if b.g == nil && j < b.nloc {
-				// -d squares to the same bits, so row j holds the
-				// distance its own scan would have computed.
-				arena[cur[j]] = Entry{Dist: r, Index: int32(i), Type: int32(b.types[i])}
+			if b.g == nil && int(j) < b.nloc {
+				arena[cur[j]] = int32(i)
 				cur[j]++
 			}
 		}
@@ -266,66 +263,64 @@ func (sc *rowScan) fill(b *builder, arena []Entry) {
 	}
 }
 
-// sortRow puts a row in keyOrder. A counting pass deals the entries into
-// buckets by type and by (dist/rc)³, which the key order never decreases
-// within a type and which spreads neighbors that fill the cutoff sphere
-// evenly over the buckets; an insertion sort then repairs what is left,
-// the order inside each bucket. Rows whose types are spread wider than
-// their length take a comparison sort.
-func (sc *rowScan) sortRow(row []Entry, rc float64) {
+// sortRow puts row i in rowOrder at the build positions. A counting pass
+// deals the entries into buckets by type and by (r/rc)³, which the key
+// never decreases with within a type and which spreads neighbors that fill
+// the cutoff sphere evenly over the buckets; an insertion sort then
+// repairs what is left, the order inside each bucket. Rows whose types
+// are spread wider than their length take a comparison sort. The order is
+// total (indices are unique within a row), so a sorted row does not
+// depend on the order it was filled in.
+func (sc *rowScan) sortRow(b *builder, i int, row []int32) {
 	n := len(row)
 	if n < 2 {
 		return
 	}
-	tmin, tmax := row[0].Type, row[0].Type
-	for _, e := range row {
-		tmin, tmax = min(tmin, e.Type), max(tmax, e.Type)
-	}
-	span := int(tmax) - int(tmin) + 1
-	if span > n {
-		slices.SortFunc(row, keyOrder)
-		return
-	}
-	bands := n / span
-	bucket := func(e Entry) int {
-		x := e.Dist / rc
-		return int(e.Type-tmin)*bands + min(int(x*x*x*float64(bands)), bands-1)
-	}
-	sc.next = tensor.Resize(sc.next, span*bands+1)
-	clear(sc.next)
-	for _, e := range row {
-		sc.next[bucket(e)+1]++
-	}
-	for k := 1; k < len(sc.next); k++ {
-		sc.next[k] += sc.next[k-1]
-	}
-	sc.dealt = tensor.Resize(sc.dealt, n)
-	for _, e := range row {
-		k := bucket(e)
-		sc.dealt[sc.next[k]] = e
-		sc.next[k]++
-	}
-	for a, e := range sc.dealt {
-		for ; a > 0 && keyOrder(row[a-1], e) > 0; a-- {
-			row[a] = row[a-1]
+	sc.items = tensor.Resize(sc.items, n)
+	items := sc.items
+	p := b.pos
+	xi, yi, zi := p[3*i], p[3*i+1], p[3*i+2]
+	tmin, tmax := b.types[row[0]], b.types[row[0]]
+	for k, j := range row {
+		// Displacement written out, as scanAtoms does.
+		d := [3]float64{p[3*j] - xi, p[3*j+1] - yi, p[3*j+2] - zi}
+		if b.box != nil {
+			b.box.MinImage(&d)
 		}
-		row[a] = e
+		r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
+		items[k] = item{key(r, j), r, b.types[j]}
+		tmin, tmax = min(tmin, items[k].t), max(tmax, items[k].t)
 	}
-}
-
-// keyOrder is the order of Encode's keys, (type, ⌊dist·1e8⌋, index),
-// without their range limits. Indices are unique within a row, so it is a
-// total order: a sorted row does not depend on the order it was filled in.
-func keyOrder(a, b Entry) int {
-	if a.Type != b.Type {
-		return cmp.Compare(a.Type, b.Type)
-	}
-	// Distances are finite and not negative: no NaN case to order.
-	if qa, qb := math.Floor(a.Dist*distScale), math.Floor(b.Dist*distScale); qa != qb {
-		if qa < qb {
-			return -1
+	if span := int(tmax) - int(tmin) + 1; span > n {
+		slices.SortFunc(items, rowOrder)
+	} else {
+		bands := n / span
+		bucket := func(it item) int {
+			x := it.r / b.rc
+			return int(it.t-tmin)*bands + min(int(x*x*x*float64(bands)), bands-1)
 		}
-		return 1
+		sc.next = tensor.Resize(sc.next, span*bands+1)
+		clear(sc.next)
+		for _, it := range items {
+			sc.next[bucket(it)+1]++
+		}
+		for k := 1; k < len(sc.next); k++ {
+			sc.next[k] += sc.next[k-1]
+		}
+		sc.dealt = tensor.Resize(sc.dealt, n)
+		for _, it := range items {
+			k := bucket(it)
+			sc.dealt[sc.next[k]] = it
+			sc.next[k]++
+		}
+		for a, it := range sc.dealt {
+			for ; a > 0 && rowOrder(items[a-1], it) > 0; a-- {
+				items[a] = items[a-1]
+			}
+			items[a] = it
+		}
 	}
-	return cmp.Compare(a.Index, b.Index)
+	for k, it := range items {
+		row[k] = int32(it.key & indexMask)
+	}
 }

@@ -8,47 +8,52 @@ import (
 	"deepmd-go/internal/tensor"
 )
 
-// Compression constants of Sec. 5.2.2: the 19 decimal digits of an unsigned
-// 64-bit integer are split into 4 digits of type, 10 digits of distance
-// (fixed point, 1e-8 A resolution) and 5 digits of atom index:
+// The sort key of a neighbor inside its type section:
 //
-//	key = type*1e15 + floor(dist*1e8)*1e5 + index
+//	key = ⌊r·1e8⌋ << 31 | index
+//
+// The distance, fixed point at 1e-8 Å, fills the high 33 bits and the
+// atom index the low 31. Dealt by type first, rows then take the order of
+// the paper's decimal key (Sec. 5.2.2) wherever that key exists — index
+// < 1e5, type <= 9999 and r < 85.9 Å — without its index ceiling: the
+// paper's index counts the atoms of one MPI rank, ours every atom of the
+// process.
 const (
-	typeFactor = 1_000_000_000_000_000 // 1e15
-	distFactor = 100_000               // 1e5 (multiplies floor(dist*1e8))
-	distScale  = 100_000_000           // 1e8 fixed-point distance scale
-	// MaxType, MaxDist and MaxIndex are the representable ranges; they are
-	// "rarely exceeded in typical DeePMD simulations" (Sec. 5.2.2) and
-	// Encode reports an error when they are.
-	MaxType  = 9999
-	MaxDist  = 99.99999999
-	MaxIndex = 99_999
+	distScale  = 1e8
+	indexBits  = 31
+	indexMask  = 1<<indexBits - 1
+	maxQuantum = 1<<(64-indexBits) - 1 // ⌊r·1e8⌋ at r = 85.9 Å
 )
 
-// Encode packs one neighbor record into a 64-bit key. Sorting keys orders
-// records by (type, distance, index).
-func Encode(typ int, dist float64, index int) (uint64, error) {
-	if typ < 0 || typ > MaxType {
-		return 0, fmt.Errorf("neighbor: type %d outside [0, %d]", typ, MaxType)
-	}
-	if !(dist >= 0 && dist <= MaxDist) { // written so that NaN fails too
-		return 0, fmt.Errorf("neighbor: distance %g outside [0, %g]", dist, MaxDist)
-	}
-	if index < 0 || index > MaxIndex {
-		return 0, fmt.Errorf("neighbor: index %d outside [0, %d]", index, MaxIndex)
-	}
-	return uint64(typ)*typeFactor + uint64(math.Floor(dist*distScale))*distFactor + uint64(index), nil
+// key returns the sort key of neighbor j at distance r: finite, not
+// negative. Distances past 85.9 Å, far beyond any cutoff, share the last
+// quantum and order by index. The conversion to int64 truncates, which
+// is the floor here, in one instruction.
+func key(r float64, j int32) uint64 {
+	return uint64(int64(min(r*distScale, maxQuantum)))<<indexBits | uint64(j)
 }
 
-// Decode unpacks a key into (type, quantized distance, index). The distance
-// is the fixed-point floor, i.e. Decode(Encode(t, d, j)) returns
-// floor(d*1e8)/1e8.
-func Decode(key uint64) (typ int, dist float64, index int) {
-	typ = int(key / typeFactor)
-	rem := key % typeFactor
-	dist = float64(rem/distFactor) / distScale
-	index = int(rem % distFactor)
-	return typ, dist, index
+// item is one neighbor being sorted: its key, distance and type.
+type item struct {
+	key uint64
+	r   float64
+	t   int32
+}
+
+// rowOrder is the order of a row, by type, then by key: negative when a
+// comes first. It is a subtraction and two compares, cheap enough to inline
+// into the insertion sorts.
+func rowOrder(a, b item) int {
+	if a.t != b.t {
+		return int(a.t) - int(b.t)
+	}
+	if a.key < b.key {
+		return -1
+	}
+	if a.key > b.key {
+		return 1
+	}
+	return 0
 }
 
 // Formatted is the optimized neighbor table of Fig. 2(d), stored without
@@ -99,23 +104,22 @@ func (f *Formatted) room(i int) int {
 	return end - int(f.SecOff[i*(len(f.Sel)+1)])
 }
 
-// Formatter converts a raw list into the optimized layout by sorting
-// compressed 64-bit keys. Scratch buffers — including the returned
-// table itself — grow as needed and are reused across calls, so a warmed
-// Formatter formats without heap allocation (part of the allocation-free
-// MD step); pass a zero-value Formatter for fresh state. The returned
-// *Formatted aliases Formatter state and is valid until the next Begin or
-// Format call, the same lifetime contract as descriptor.Scratch.
+// Formatter converts a raw list into the optimized layout. Scratch
+// buffers — including the returned table itself — grow as needed and are
+// reused across calls, so a warmed Formatter formats without heap
+// allocation (part of the allocation-free MD step); pass a zero-value
+// Formatter for fresh state. The returned *Formatted aliases Formatter
+// state and is valid until the next Begin or Format call, the same
+// lifetime contract as descriptor.Scratch.
 type Formatter struct {
 	ws  SortScratch
 	out Formatted
 }
 
-// SortScratch is one goroutine's reusable state for FormatRow: the encoded
-// keys of the row being sorted and the per-type fill counters.
+// SortScratch is one goroutine's reusable state for FormatRow: the row
+// being sorted.
 type SortScratch struct {
-	keys []uint64
-	fill []int
+	items []item
 }
 
 // Begin sizes the formatter's table for the rows of l under spec and
@@ -140,12 +144,13 @@ func (fm *Formatter) Begin(spec Spec, l *List) *Formatted {
 	return out
 }
 
-// Format produces the sorted table from a raw list: Begin, then every row
+// Format produces the table from a raw list whose rows are in key order,
+// as Build leaves them: Begin, then every row dealt into its sections
 // through FormatRow on the formatter's own scratch.
 func (fm *Formatter) Format(spec Spec, l *List) (*Formatted, error) {
 	out := fm.Begin(spec, l)
 	for i, nbrs := range l.Entries[:l.Nloc] {
-		dropped, err := out.FormatRow(&fm.ws, i, nbrs)
+		dropped, err := out.FormatRow(&fm.ws, i, nbrs, nil, l.Types)
 		if err != nil {
 			return nil, err
 		}
@@ -154,59 +159,67 @@ func (fm *Formatter) Format(spec Spec, l *List) (*Formatted, error) {
 	return out, nil
 }
 
-// FormatRow writes row i of the table from atom i's raw neighbors — list
-// row i as Begin saw it, or a permutation of it: keys encoded and sorted,
-// the nearest Sel[t] of every type placed in section order. It returns how
-// many neighbors the full sections dropped. The keys are unique, so the
-// table does not depend on the order of nbrs; the sort is fastest when nbrs
-// is nearly in key order, as Build leaves it. The row and its section
-// bounds are written whole, so a table needs no initialisation and rows
-// can be formatted in any order.
+// FormatRow writes row i of the table from atom i's raw neighbors nbrs —
+// list row i as Begin saw it, or a permutation of it — whose types are
+// types[j]: the row sorted by type, then by key at the distances dist
+// (dist[k] that of nbrs[k]), and the first Sel[t] of each type kept. The
+// keys are unique, so the table does not depend on the order of nbrs; the
+// insertion sort is O(n + inversions), fast when nbrs is nearly in key
+// order, as Build leaves it. dist[:kept] is then overwritten with the
+// kept neighbors' distances in table order, so the caller need not compute
+// them again. With dist nil, nbrs must already be in key order and is
+// only dealt into its type sections. FormatRow returns how many neighbors
+// the full sections dropped. The row and its section bounds are written
+// whole, so a table needs no initialisation and rows can be formatted in
+// any order.
 //
 //dp:noalloc
-func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int, err error) {
+func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []int32, dist []float64, types []int32) (dropped int, err error) {
 	ntypes := len(f.Sel)
-	ws.keys = tensor.Resize(ws.keys, len(nbrs))
-	keys := ws.keys[:0]
-	for _, e := range nbrs {
-		if int(e.Type) >= ntypes {
-			return 0, fmt.Errorf("neighbor: type %d exceeds spec with %d types", e.Type, ntypes)
-		}
-		k, err := Encode(int(e.Type), e.Dist, int(e.Index))
-		if err != nil {
-			return 0, err
-		}
-		// Insertion sort as the keys arrive: O(n + inversions), and a row
-		// from Build, whose entries have drifted since it sorted them,
-		// holds few and only near neighbors.
-		a := len(keys)
-		keys = append(keys, k)
-		for ; a > 0 && keys[a-1] > k; a-- {
-			keys[a] = keys[a-1]
-		}
-		keys[a] = k
-	}
 	sec := f.SecOff[i*(ntypes+1) : (i+1)*(ntypes+1)]
 	if room := f.room(i); len(nbrs) > room && (Spec{Sel: f.Sel}).Stride() > room {
 		return 0, fmt.Errorf("neighbor: atom %d has %d neighbors, its row was sized for %d", i, len(nbrs), room)
 	}
-	ws.fill = tensor.Resize(ws.fill, ntypes)
-	fill := ws.fill
-	clear(fill)
-	at := int(sec[0])
-	t := 0
-	for _, k := range keys {
-		typ, _, j := Decode(k)
-		for ; t < typ; t++ {
-			sec[t+1] = int32(at)
+	ws.items = tensor.Resize(ws.items, len(nbrs))
+	items := ws.items
+	for k, j := range nbrs {
+		if uint(j) >= uint(len(types)) {
+			return 0, fmt.Errorf("neighbor: atom %d lists neighbor %d, outside the %d typed atoms", i, j, len(types))
 		}
-		if fill[typ] >= f.Sel[typ] {
+		// Without distances the arrival position stands in for the
+		// distance quantum, which keeps the row's order within a type.
+		it := item{key: uint64(k)<<indexBits | uint64(j), t: types[j]}
+		if uint32(it.t) >= uint32(ntypes) {
+			return 0, fmt.Errorf("neighbor: type %d exceeds spec with %d types", it.t, ntypes)
+		}
+		if dist != nil {
+			it.key, it.r = key(dist[k], j), dist[k]
+		}
+		// Insertion sort as the items arrive: a row from Build, whose
+		// entries have drifted since it sorted them, holds few inversions
+		// and only between near neighbors.
+		a := k
+		for ; a > 0 && rowOrder(items[a-1], it) > 0; a-- {
+			items[a] = items[a-1]
+		}
+		items[a] = it
+	}
+	at, t, fill := int(sec[0]), 0, 0
+	for _, it := range items {
+		for ; t < int(it.t); t++ {
+			sec[t+1] = int32(at)
+			fill = 0
+		}
+		if fill == f.Sel[t] {
 			dropped++
 			continue
 		}
-		f.Idx[at] = int32(j)
+		if dist != nil {
+			dist[at-int(sec[0])] = it.r
+		}
+		f.Idx[at] = int32(it.key & indexMask)
 		at++
-		fill[typ]++
+		fill++
 	}
 	for ; t < ntypes; t++ {
 		sec[t+1] = int32(at)
@@ -214,44 +227,50 @@ func (f *Formatted) FormatRow(ws *SortScratch, i int, nbrs []Entry) (dropped int
 	return dropped, nil
 }
 
-// FormatBaseline sorts each atom's neighbors with a comparison sort over
-// the AoS records (the pre-optimization path: struct compares, no
-// compression). It returns the same Formatted table so the downstream
-// pipeline is identical; only the sorting machinery differs. This exists
-// to measure the compressed-key format's gain in isolation.
-func FormatBaseline(spec Spec, l *List) (*Formatted, error) {
-	ntypes := len(spec.Sel)
-	out := new(Formatter).Begin(spec, l)
-	entries := make([]Entry, 0, 256)
+// FormatBaseline is the pre-optimization path: each atom's neighbors become
+// freshly allocated array-of-structures {dist, index, type} records at the
+// distances of pos (the structure of Fig. 2(c)), ordered by a comparison
+// sort over struct compares, no keys, and are then dealt into the same
+// Formatted table, so the downstream pipeline is identical and only the
+// sorting machinery differs. This exists to measure the key format's gain
+// in isolation. box is as for Build; a neighbor index outside pos or the
+// list's types is an error.
+func FormatBaseline(spec Spec, l *List, pos []float64, box *Box) (*Formatted, error) {
+	type record struct {
+		dist  float64
+		index int32
+		typ   int32
+	}
+	var fm Formatter
+	out := fm.Begin(spec, l)
+	nall := min(len(pos)/3, len(l.Types))
 	for i, nbrs := range l.Entries[:l.Nloc] {
-		entries = append(entries[:0], nbrs...)
-		sort.Slice(entries, func(a, b int) bool {
-			if entries[a].Type != entries[b].Type {
-				return entries[a].Type < entries[b].Type
+		recs := make([]record, 0, len(nbrs))
+		for _, j := range nbrs {
+			if uint(j) >= uint(nall) {
+				return nil, fmt.Errorf("neighbor: atom %d lists neighbor %d, outside the %d atoms", i, j, nall)
 			}
-			if entries[a].Dist != entries[b].Dist {
-				return entries[a].Dist < entries[b].Dist
+			d := Displacement(pos, i, int(j), box)
+			recs = append(recs, record{math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2]), j, l.Types[j]})
+		}
+		sort.Slice(recs, func(a, b int) bool {
+			if recs[a].typ != recs[b].typ {
+				return recs[a].typ < recs[b].typ
 			}
-			return entries[a].Index < entries[b].Index
+			if recs[a].dist != recs[b].dist {
+				return recs[a].dist < recs[b].dist
+			}
+			return recs[a].index < recs[b].index
 		})
-		sec := out.SecOff[i*(ntypes+1) : (i+1)*(ntypes+1)]
-		fill := make([]int, ntypes)
-		at := int(sec[0])
-		for _, e := range entries {
-			if int(e.Type) >= ntypes {
-				return nil, fmt.Errorf("neighbor: type %d exceeds spec with %d types", e.Type, ntypes)
-			}
-			if fill[e.Type] >= spec.Sel[e.Type] {
-				out.Overflow++
-				continue
-			}
-			out.Idx[at] = e.Index
-			at++
-			fill[e.Type]++
+		row := make([]int32, len(recs))
+		for k, e := range recs {
+			row[k] = e.index
 		}
-		for t, n := range fill {
-			sec[t+1] = sec[t] + int32(n)
+		dropped, err := out.FormatRow(&fm.ws, i, row, nil, l.Types)
+		if err != nil {
+			return nil, err
 		}
+		out.Overflow += dropped
 	}
 	return out, nil
 }

@@ -11,8 +11,8 @@ import (
 // *nearest* sel[t] survive (the distance sort "always selects the nearest
 // neighbors"), dropped entries are counted in Overflow, and every section
 // holds exactly min(count, sel[t]) indices — no padding, sections back to
-// back from the row's start. Both the compressed-key Formatter and the
-// baseline struct sort must agree.
+// back from the row's start. Both the key format and the baseline struct
+// sort must agree.
 func TestFormatterOverflowTableDriven(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,22 +36,22 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 			// Build a synthetic raw list: per type, distinct distances in
 			// ascending order tagged with unique indices, then globally
 			// shuffled so the formatter sees an unsorted row.
-			type section struct{ byDist []Entry }
+			type section struct{ byDist []entry }
 			secs := make([]section, len(tc.sel))
-			var all []Entry
+			var all []entry
 			idx := 1000
 			for typ, cnt := range tc.nbrs {
 				d := 0.5 + 0.1*rng.Float64()
 				for i := 0; i < cnt; i++ {
-					d += 0.001 + 0.01*rng.Float64() // strictly increasing, < MaxDist
-					e := Entry{Dist: d, Index: int32(idx), Type: int32(typ)}
+					d += 0.001 + 0.01*rng.Float64() // strictly increasing
+					e := entry{d, int32(idx), int32(typ)}
 					idx++
 					secs[typ].byDist = append(secs[typ].byDist, e)
 					all = append(all, e)
 				}
 			}
 			rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-			list := &List{Nloc: 1, Entries: [][]Entry{all}}
+			pos, list := lineFrame([][]entry{all})
 
 			wantOverflow := 0
 			for typ, cnt := range tc.nbrs {
@@ -60,12 +60,8 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 				}
 			}
 
-			var fm Formatter
-			opt, err := fm.Format(spec, list)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, err := FormatBaseline(spec, list)
+			opt := formatAt(t, spec, list, pos, nil)
+			base, err := FormatBaseline(spec, list, pos, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +83,7 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 					// The kept prefix must be exactly the nearest `kept`
 					// neighbors of this type, in ascending distance order.
 					for s := 0; s < kept; s++ {
-						want := int32(secs[typ].byDist[s].Index)
+						want := secs[typ].byDist[s].j
 						if row[s] != want {
 							t.Fatalf("%s: type %d slot %d = %d, want %d (nearest-first)", name, typ, s, row[s], want)
 						}
@@ -107,12 +103,12 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 					var keptMax float64
 					var dropMin = -1.0
 					for _, e := range secs[typ].byDist {
-						if keptSet[e.Index] {
-							if e.Dist > keptMax {
-								keptMax = e.Dist
+						if keptSet[e.j] {
+							if e.r > keptMax {
+								keptMax = e.r
 							}
-						} else if dropMin < 0 || e.Dist < dropMin {
-							dropMin = e.Dist
+						} else if dropMin < 0 || e.r < dropMin {
+							dropMin = e.r
 						}
 					}
 					if dropMin >= 0 && dropMin <= keptMax {
@@ -128,17 +124,12 @@ func TestFormatterOverflowTableDriven(t *testing.T) {
 // independently within its own room, and Overflow accumulates across rows.
 func TestFormatterOverflowMultipleAtoms(t *testing.T) {
 	spec := Spec{Rcut: 10, Skin: 0, Sel: []int{3, 2}}
-	rows := [][]Entry{
+	pos, list := lineFrame([][]entry{
 		{{1.0, 11, 0}, {0.5, 12, 0}, {2.0, 13, 0}, {1.5, 14, 0}, {0.7, 15, 1}}, // type 0 overflows by 1
 		{{0.9, 21, 1}, {0.8, 22, 1}, {0.7, 23, 1}, {0.6, 24, 1}},               // type 1 overflows by 2
 		{{3.0, 31, 0}}, // pure underflow
-	}
-	list := &List{Nloc: 3, Entries: rows}
-	var fm Formatter
-	f, err := fm.Format(spec, list)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
+	f := formatAt(t, spec, list, pos, nil)
 	if f.Overflow != 3 {
 		t.Fatalf("Overflow = %d, want 3", f.Overflow)
 	}
@@ -159,7 +150,7 @@ func TestFormatterOverflowMultipleAtoms(t *testing.T) {
 		t.Fatalf("rows start at %d, %d, %d of %d slots, want 0, 5, 9 of 10", f.SecOff[0], f.SecOff[3], f.SecOff[6], len(f.Idx))
 	}
 	// Baseline must agree slot for slot.
-	base, err := FormatBaseline(spec, list)
+	base, err := FormatBaseline(spec, list, pos, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,4 +167,28 @@ func TestFormatterOverflowMultipleAtoms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lineFrame lays out one center atom per row, atom i at (0, 100·i, 0), and
+// each of its neighbors e at (e.r, 100·i, 0) with type e.t, so that the
+// open-boundary distance is e.r exactly. It returns the positions and the
+// list of the rows as given.
+func lineFrame(rows [][]entry) ([]float64, *List) {
+	nall := len(rows)
+	for _, row := range rows {
+		for _, e := range row {
+			nall = max(nall, int(e.j)+1)
+		}
+	}
+	pos := make([]float64, 3*nall)
+	l := &List{Nloc: len(rows), Entries: make([][]int32, len(rows)), Types: make([]int32, nall)}
+	for i, row := range rows {
+		pos[3*i+1] = 100 * float64(i)
+		for _, e := range row {
+			pos[3*e.j], pos[3*e.j+1] = e.r, 100*float64(i)
+			l.Types[e.j] = e.t
+			l.Entries[i] = append(l.Entries[i], e.j)
+		}
+	}
+	return pos, l
 }

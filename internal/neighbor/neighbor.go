@@ -3,23 +3,27 @@
 //
 // Two layouts are provided, matching the before/after of Sec. 5.2.1:
 //
-//   - The baseline layout is an array-of-structures (AoS) list: each
-//     element carries {type, distance, index}, neighbor counts vary per
-//     atom, and the embedding computation must branch on the type of every
-//     neighbor.
+//   - The raw list (List) holds each atom's neighbor indices, 4 bytes an
+//     entry; the baseline path rebuilds the paper's array-of-structures
+//     {type, distance, index} records from it, and the embedding
+//     computation must branch on the type of every neighbor.
 //   - The optimized layout sorts each atom's neighbors by (type, distance)
-//     and pads every type section to its cutoff number sel[t], producing a
-//     fixed-stride, branch-free index table. Sorting uses the paper's
-//     64-bit compression type*1e15 + floor(r*1e8)*1e5 + index so plain
-//     integers order the list (Sec. 5.2.2).
+//     and cuts every type section at its cutoff number sel[t], producing a
+//     branch-free index table. Rows are dealt by type, and one 64-bit key,
+//     ⌊r·1e8⌋ << 31 | index, orders each type section with plain integer
+//     compares (Sec. 5.2.2). The paper's decimal key,
+//     type·1e15 + ⌊r·1e8⌋·1e5 + index, indexes the atoms of one MPI rank
+//     and stops at index 99,999; here one process indexes all the atoms
+//     it holds, so the index gets 31 bits. Where the decimal key exists
+//     both keys order a row alike.
 //
 // Construction itself uses a linked-cell search: O(N) in the number of
 // atoms, with an all-pairs fallback for boxes too small to hold 3x3x3
-// cells that visits each pair once. Both are parallel and write one entry
+// cells that visits each pair once. Both are parallel and write one index
 // arena of exactly the list's size (see build.go). Build leaves every row
-// in the compressed keys' order, so the per-step format only repairs the
-// few inversions drift has made since. The output is bit-identical for
-// every worker count.
+// in key order, so the per-step format only repairs the few inversions
+// drift has made since. The output is bit-identical for every worker
+// count.
 package neighbor
 
 import "math"
@@ -92,25 +96,19 @@ func (s Spec) Stride() int {
 	return n
 }
 
-// Entry is one AoS neighbor record: the structure of Fig. 2(c) before
-// compression. Index and Type are 32-bit (Encode's ranges are far
-// narrower), so a record is 16 bytes.
-type Entry struct {
-	Dist  float64
-	Index int32
-	Type  int32
-}
-
 // List is a raw neighbor list for the first Nloc atoms of a configuration:
-// the AoS layout the baseline DeePMD-kit consumed. Build orders each row by
-// (type, ⌊dist·1e8⌋, index), the order of Encode's keys, at its own
-// distances; consumers that only need the set may ignore the order. Rows
-// are views into one packed arena (built by Build), so the whole list is
-// two allocations regardless of atom count; rows must not be appended to
-// in place.
+// row i holds the indices of atom i's neighbors inside the build cutoff.
+// Build orders each row by type, then by key at its own distances;
+// consumers that only need the set may ignore the order. Rows are views
+// into one int32 arena (built by Build), so the whole list is a few
+// allocations regardless of atom count; rows must not be appended to in
+// place.
 type List struct {
 	Nloc    int
-	Entries [][]Entry
+	Entries [][]int32
+	// Types holds the type of every atom Build was given, ghosts included;
+	// the formatter reads a neighbor's type here.
+	Types []int32
 }
 
 // MaxNeighbors returns the largest per-atom neighbor count in the list.
@@ -124,8 +122,9 @@ func (l *List) MaxNeighbors() int {
 	return m
 }
 
-// displacement returns r_j - r_i, minimum-imaged when box != nil.
-func displacement(pos []float64, i, j int, box *Box) [3]float64 {
+// Displacement returns r_j - r_i for the atoms i and j of pos (xyz per
+// atom), minimum-imaged when box != nil.
+func Displacement(pos []float64, i, j int, box *Box) [3]float64 {
 	d := [3]float64{
 		pos[3*j] - pos[3*i],
 		pos[3*j+1] - pos[3*i+1],

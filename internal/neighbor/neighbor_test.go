@@ -1,6 +1,7 @@
 package neighbor
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
@@ -22,36 +23,55 @@ func randomConfig(rng *rand.Rand, n int, box *Box, ntypes int) ([]float64, []int
 	return pos, types
 }
 
+// entry is one brute-force neighbor: its distance, index and type.
+type entry struct {
+	r    float64
+	j, t int32
+}
+
+// item is e as Build's sort compares it.
+func (e entry) item() item { return item{key(e.r, e.j), e.r, e.t} }
+
 // reference builds a neighbor list by brute force for validation.
-func reference(spec Spec, pos []float64, types []int, nloc int, box *Box) [][]Entry {
+func reference(spec Spec, pos []float64, types []int, nloc int, box *Box) [][]entry {
 	nall := len(pos) / 3
 	rc2 := spec.RcutBuild() * spec.RcutBuild()
-	out := make([][]Entry, nloc)
+	out := make([][]entry, nloc)
 	for i := 0; i < nloc; i++ {
 		for j := 0; j < nall; j++ {
 			if i == j {
 				continue
 			}
-			d := displacement(pos, i, j, box)
+			d := Displacement(pos, i, j, box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 < rc2 {
-				out[i] = append(out[i], Entry{math.Sqrt(r2), int32(j), int32(types[j])})
+				out[i] = append(out[i], entry{math.Sqrt(r2), int32(j), int32(types[j])})
 			}
 		}
 	}
 	return out
 }
 
-func sameNeighborSets(t *testing.T, got [][]Entry, want [][]Entry) {
+// decimalKey is the paper's key (Sec. 5.2.2), type·1e15 + ⌊r·1e8⌋·1e5 +
+// index: the reference the binary key must order like. ok is false
+// outside the 19 decimal digits it packs.
+func decimalKey(t int32, r float64, j int32) (k uint64, ok bool) {
+	if t < 0 || t > 9999 || !(r >= 0 && r <= 99.99999999) || j < 0 || j > 99_999 {
+		return 0, false
+	}
+	return uint64(t)*1_000_000_000_000_000 + uint64(math.Floor(r*1e8))*100_000 + uint64(j), true
+}
+
+func sameNeighborSets(t *testing.T, got [][]int32, want [][]entry) {
 	t.Helper()
 	for i := range want {
 		g := map[int32]bool{}
-		for _, e := range got[i] {
-			g[e.Index] = true
+		for _, j := range got[i] {
+			g[j] = true
 		}
 		w := map[int32]bool{}
 		for _, e := range want[i] {
-			w[e.Index] = true
+			w[e.j] = true
 		}
 		if len(g) != len(w) {
 			t.Fatalf("atom %d: %d neighbors, want %d", i, len(g), len(w))
@@ -62,6 +82,27 @@ func sameNeighborSets(t *testing.T, got [][]Entry, want [][]Entry) {
 			}
 		}
 	}
+}
+
+// formatAt is the per-step format of l at pos: every row's distances
+// refreshed and its sections sorted by key through FormatRow.
+func formatAt(t *testing.T, spec Spec, l *List, pos []float64, box *Box) *Formatted {
+	t.Helper()
+	var fm Formatter
+	out := fm.Begin(spec, l)
+	for i, nbrs := range l.Entries[:l.Nloc] {
+		dist := make([]float64, len(nbrs))
+		for k, j := range nbrs {
+			d := Displacement(pos, i, int(j), box)
+			dist[k] = math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
+		}
+		dropped, err := out.FormatRow(&fm.ws, i, nbrs, dist, l.Types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Overflow += dropped
+	}
+	return out
 }
 
 func TestCellListMatchesBruteForcePeriodic(t *testing.T) {
@@ -133,109 +174,76 @@ func TestBuildRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// The binary key holds the decimal key's quantized distance and index
+// unchanged, across both keys' ranges.
 func TestEncodeDecodeRoundtrip(t *testing.T) {
-	cases := []struct {
-		typ   int
-		dist  float64
-		index int
-	}{
+	for _, c := range []entry{
 		{0, 0, 0},
-		{1, 2.345678, 42},
-		{MaxType, MaxDist, MaxIndex},
-		{3, 99.999, 99998},
-	}
-	for _, c := range cases {
-		k, err := Encode(c.typ, c.dist, c.index)
-		if err != nil {
-			t.Fatalf("Encode(%v): %v", c, err)
+		{2.345678, 42, 1},
+		{85.8993459, 99_999, 9999},
+		{1e-8, 99_998, 3},
+	} {
+		dk, ok := decimalKey(c.t, c.r, c.j)
+		if !ok {
+			t.Fatalf("%+v outside the decimal key", c)
 		}
-		typ, dist, index := Decode(k)
-		if typ != c.typ || index != c.index {
-			t.Fatalf("Decode mismatch: got (%d, %d) want (%d, %d)", typ, index, c.typ, c.index)
-		}
-		if math.Abs(dist-c.dist) > 1.0/distScale {
-			t.Fatalf("distance quantization error %g", dist-c.dist)
+		k := key(c.r, c.j)
+		if k>>indexBits != dk%1_000_000_000_000_000/100_000 || k&indexMask != dk%100_000 {
+			t.Fatalf("%+v: binary key holds (%d, %d), decimal key %d", c, k>>indexBits, k&indexMask, dk)
 		}
 	}
 }
 
-func TestEncodeRangeErrors(t *testing.T) {
-	if _, err := Encode(MaxType+1, 1, 1); err == nil {
-		t.Fatal("type overflow not caught")
-	}
-	if _, err := Encode(1, 150, 1); err == nil {
-		t.Fatal("distance overflow not caught")
-	}
-	if _, err := Encode(1, 1, MaxIndex+1); err == nil {
-		t.Fatal("index overflow not caught")
-	}
-	if _, err := Encode(-1, 1, 1); err == nil {
-		t.Fatal("negative type not caught")
-	}
-}
-
-// A non-finite distance compares false with both range bounds; it must
-// still be refused, not converted to an integer (implementation-defined).
-func TestEncodeRejectsNonFinite(t *testing.T) {
-	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := Encode(1, d, 1); err == nil {
-			t.Fatalf("distance %g not caught", d)
-		}
-	}
-	var fm Formatter
-	l := &List{Nloc: 1, Entries: [][]Entry{{{Type: 0, Dist: math.NaN(), Index: 1}}}}
-	if _, err := fm.Format(Spec{Rcut: 4, Sel: []int{2}}, l); err == nil {
-		t.Fatal("Format accepted a NaN distance")
-	}
-}
-
-// Property (Sec. 5.2.2): sorting compressed keys orders records by
-// (type, distance, index) exactly as a struct sort would.
+// Property (Sec. 5.2.2): ordering records by (type, key) is ordering them
+// by the paper's decimal key.
 func TestCompressedSortOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(100)
-		entries := make([]Entry, n)
-		keys := make([]uint64, n)
+		entries := make([]entry, n)
 		for i := range entries {
-			entries[i] = Entry{
-				Dist:  rng.Float64() * 10,
-				Index: int32(rng.Intn(1000)),
-				Type:  int32(rng.Intn(4)),
-			}
-			k, err := Encode(int(entries[i].Type), entries[i].Dist, int(entries[i].Index))
-			if err != nil {
-				return false
-			}
-			keys[i] = k
+			entries[i] = entry{rng.Float64() * 10, int32(rng.Intn(1000)), int32(rng.Intn(4))}
 		}
-		// Sort keys; verify the decoded sequence is ordered by
-		// (type, quantized distance, index).
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if keys[j] < keys[i] {
-					keys[i], keys[j] = keys[j], keys[i]
-				}
-			}
-		}
-		for i := 1; i < n; i++ {
-			t0, d0, j0 := Decode(keys[i-1])
-			t1, d1, j1 := Decode(keys[i])
-			if t0 > t1 {
-				return false
-			}
-			if t0 == t1 && d0 > d1 {
-				return false
-			}
-			if t0 == t1 && d0 == d1 && j0 > j1 {
-				return false
-			}
-		}
-		return true
+		byKey := slices.Clone(entries)
+		slices.SortStableFunc(byKey, func(a, b entry) int { return rowOrder(a.item(), b.item()) })
+		slices.SortStableFunc(entries, func(a, b entry) int {
+			ka, _ := decimalKey(a.t, a.r, a.j)
+			kb, _ := decimalKey(b.t, b.r, b.j)
+			return cmp.Compare(ka, kb)
+		})
+		return slices.Equal(byKey, entries)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzKeyOrder compares any two records inside the decimal key's ranges
+// (type <= 9999, index <= 99,999, and r < 85.9 Å, where the binary key
+// stops resolving distance): (type, key) orders them as the decimal key
+// does.
+func FuzzKeyOrder(f *testing.F) {
+	f.Add(uint16(0), 1.0, uint32(5), uint16(0), 1.0, uint32(6))
+	f.Add(uint16(1), 0.5, uint32(99_999), uint16(0), 85.8, uint32(0))
+	f.Add(uint16(9999), 3.000000009, uint32(7), uint16(9999), 3.00000001, uint32(3))
+	f.Fuzz(func(t *testing.T, ta uint16, ra float64, ja uint32, tb uint16, rb float64, jb uint32) {
+		fold := func(r float64) float64 {
+			if math.IsNaN(r) || math.IsInf(r, 0) {
+				return 0
+			}
+			return math.Mod(math.Abs(r), 85.8993459)
+		}
+		a := entry{fold(ra), int32(ja % 100_000), int32(ta % 10_000)}
+		b := entry{fold(rb), int32(jb % 100_000), int32(tb % 10_000)}
+		ka, okA := decimalKey(a.t, a.r, a.j)
+		kb, okB := decimalKey(b.t, b.r, b.j)
+		if !okA || !okB {
+			t.Fatalf("%+v, %+v: outside the decimal key", a, b)
+		}
+		if got, want := cmp.Compare(rowOrder(a.item(), b.item()), 0), cmp.Compare(ka, kb); got != want {
+			t.Fatalf("%+v vs %+v: binary key orders %d, decimal key %d", a, b, got, want)
+		}
+	})
 }
 
 func TestFormatInvariants(t *testing.T) {
@@ -265,7 +273,7 @@ func TestFormatInvariants(t *testing.T) {
 				if types[j] != t0 {
 					t.Fatalf("atom %d: slot type %d holds atom of type %d", i, t0, types[j])
 				}
-				d := displacement(pos, i, int(j), box)
+				d := Displacement(pos, i, int(j), box)
 				r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
 				if r < prev-1e-7 {
 					t.Fatalf("atom %d type %d: distances not sorted (%g after %g)", i, t0, r, prev)
@@ -292,7 +300,7 @@ func TestFormatMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := FormatBaseline(spec, l)
+	base, err := FormatBaseline(spec, l, pos, box)
 	if err != nil {
 		t.Fatal(err)
 	}

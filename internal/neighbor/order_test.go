@@ -4,28 +4,40 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
 
 // checkRows asserts that l is the brute-force list exactly — the same
-// entries, distances bit for bit — with every row strictly in key order,
-// which is the order of Encode's keys wherever those exist.
+// neighbors with the types Build was given — with every row strictly in
+// (type, key) order, which is the decimal key's order wherever that key
+// exists.
 func checkRows(t *testing.T, l *List, spec Spec, pos []float64, types []int, nloc int, box *Box) {
 	t.Helper()
+	for j, typ := range types {
+		if int(l.Types[j]) != typ {
+			t.Fatalf("Types[%d] = %d, want %d", j, l.Types[j], typ)
+		}
+	}
 	want := reference(spec, pos, types, nloc, box)
 	for i := range want {
-		slices.SortFunc(want[i], keyOrder)
+		slices.SortFunc(want[i], func(a, b entry) int { return rowOrder(a.item(), b.item()) })
 		got := l.Entries[i]
-		if len(got) != len(want[i]) || len(got) > 0 && !reflect.DeepEqual(got, want[i]) {
-			t.Fatalf("atom %d:\ngot  %v\nwant %v", i, got, want[i])
+		if len(got) != len(want[i]) {
+			t.Fatalf("atom %d: %d neighbors, want %d", i, len(got), len(want[i]))
 		}
-		for k := 1; k < len(got); k++ {
-			a, errA := Encode(int(got[k-1].Type), got[k-1].Dist, int(got[k-1].Index))
-			b, errB := Encode(int(got[k].Type), got[k].Dist, int(got[k].Index))
-			if keyOrder(got[k-1], got[k]) >= 0 || errA == nil && errB == nil && a >= b {
-				t.Fatalf("atom %d: entries %d and %d out of key order: %v, %v", i, k-1, k, got[k-1], got[k])
+		for k, e := range want[i] {
+			if got[k] != e.j {
+				t.Fatalf("atom %d: slot %d holds %d, want %d\ngot  %v\nwant %v", i, k, got[k], e.j, got, want[i])
+			}
+			if k == 0 {
+				continue
+			}
+			p := want[i][k-1]
+			a, okA := decimalKey(p.t, p.r, p.j)
+			b, okB := decimalKey(e.t, e.r, e.j)
+			if rowOrder(p.item(), e.item()) >= 0 || okA && okB && a >= b {
+				t.Fatalf("atom %d: entries %d and %d out of key order: %+v, %+v", i, k-1, k, p, e)
 			}
 		}
 	}
@@ -79,10 +91,11 @@ func TestBuildRowsSortedAndComplete(t *testing.T) {
 	}
 }
 
-// The formatted table depends on a row's entries, not on their order:
-// reversed and shuffled rows give bitwise the same Idx and Overflow as the
-// rows Build sorted, on a lattice whose equal distances make the index
-// break ties and with sections narrow enough to overflow.
+// Given distances, the formatted table depends on a row's entries, not on
+// their order: reversed and shuffled rows give bitwise the same Idx and
+// Overflow as the rows Build sorted, which Format only deals into
+// sections, on a lattice whose equal distances make the index break ties
+// and with sections narrow enough to overflow.
 func TestFormatIndependentOfRowOrder(t *testing.T) {
 	var pos []float64
 	var types []int
@@ -112,21 +125,18 @@ func TestFormatIndependentOfRowOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, pm := range []struct {
 		name    string
-		permute func([]Entry)
+		permute func([]int32)
 	}{
-		{"reversed", slices.Reverse[[]Entry]},
-		{"shuffled", func(r []Entry) { rng.Shuffle(len(r), func(a, b int) { r[a], r[b] = r[b], r[a] }) }},
+		{"sorted", func([]int32) {}},
+		{"reversed", slices.Reverse[[]int32]},
+		{"shuffled", func(r []int32) { rng.Shuffle(len(r), func(a, b int) { r[a], r[b] = r[b], r[a] }) }},
 	} {
-		p := &List{Nloc: l.Nloc, Entries: make([][]Entry, l.Nloc)}
+		p := &List{Nloc: l.Nloc, Entries: make([][]int32, l.Nloc), Types: l.Types}
 		for i, row := range l.Entries {
 			p.Entries[i] = slices.Clone(row)
 			pm.permute(p.Entries[i])
 		}
-		var fresh Formatter
-		got, err := fresh.Format(spec, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := formatAt(t, spec, p, pos, box)
 		if !slices.Equal(got.Idx, wantIdx) || !slices.Equal(got.SecOff, want.SecOff) || got.Overflow != wantOverflow {
 			t.Fatalf("%s rows: overflow %d, want %d; tables equal: %v", pm.name, got.Overflow, wantOverflow, slices.Equal(got.Idx, wantIdx))
 		}
@@ -183,8 +193,8 @@ func TestMinImageMatchesRound(t *testing.T) {
 
 // FuzzBuild drives Build with arbitrary finite positions (folded into a
 // few box lengths), boxes, cutoffs, local counts, types and worker counts:
-// rows must equal brute force bit for bit, in key order, and agree across
-// worker counts. Positions are 8 bytes each and every atom's last byte
+// rows must equal brute force, in key order, and agree across worker
+// counts. Positions are 8 bytes each and every atom's last byte
 // picks its type; a type byte of 255 gives a type far from the rest. Up to
 // 400 seeded random atoms follow the fuzzed ones, so that more than one
 // worker gets rows to claim.

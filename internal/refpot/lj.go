@@ -57,9 +57,9 @@ func (lj *LennardJones) Compute(pos []float64, types []int, nloc int, list *neig
 			return fmt.Errorf("refpot: type %d outside LJ table", ti)
 		}
 		var ei float64
-		for _, e := range list.Entries[i] {
-			j := int(e.Index)
-			d := disp(pos, i, j, box)
+		for _, j32 := range list.Entries[i] {
+			j := int(j32)
+			d := neighbor.Displacement(pos, i, j, box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 >= rc2 || r2 == 0 {
 				continue
@@ -93,16 +93,4 @@ func (lj *LennardJones) shift(eps, sig float64) float64 {
 	sr2 := sig * sig / (lj.Rcut * lj.Rcut)
 	sr6 := sr2 * sr2 * sr2
 	return 4 * eps * (sr6*sr6 - sr6)
-}
-
-func disp(pos []float64, i, j int, box *neighbor.Box) [3]float64 {
-	d := [3]float64{
-		pos[3*j] - pos[3*i],
-		pos[3*j+1] - pos[3*i+1],
-		pos[3*j+2] - pos[3*i+2],
-	}
-	if box != nil {
-		box.MinImage(&d)
-	}
-	return d
 }

@@ -162,7 +162,7 @@ func TestSuttonChenRejectsGhostMode(t *testing.T) {
 	sc := NewSuttonChenCu()
 	pos := make([]float64, 9)
 	types := make([]int, 3)
-	list := &neighbor.List{Nloc: 2, Entries: make([][]neighbor.Entry, 2)}
+	list := &neighbor.List{Nloc: 2, Entries: make([][]int32, 2)}
 	var res core.Result
 	if err := sc.Compute(pos, types, 2, list, nil, &res); err == nil {
 		t.Fatal("expected rejection of ghost-mode configuration")

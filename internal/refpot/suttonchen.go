@@ -57,8 +57,8 @@ func (sc *SuttonChen) Compute(pos []float64, types []int, nloc int, list *neighb
 	sc.rho = tensor.Resize(sc.rho, nloc)
 	clear(sc.rho)
 	for i := 0; i < nloc; i++ {
-		for _, e := range list.Entries[i] {
-			d := disp(pos, i, int(e.Index), box)
+		for _, j := range list.Entries[i] {
+			d := neighbor.Displacement(pos, i, int(j), box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 >= rc2 || r2 == 0 {
 				continue
@@ -78,9 +78,9 @@ func (sc *SuttonChen) Compute(pos []float64, types []int, nloc int, list *neighb
 		if sc.rho[i] > 0 {
 			dFi = -sc.C / (2 * math.Sqrt(sc.rho[i]))
 		}
-		for _, e := range list.Entries[i] {
-			j := int(e.Index)
-			d := disp(pos, i, j, box)
+		for _, j32 := range list.Entries[i] {
+			j := int(j32)
+			d := neighbor.Displacement(pos, i, j, box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 >= rc2 || r2 == 0 {
 				continue

@@ -81,12 +81,12 @@ func (tw *ToyWater) Compute(pos []float64, types []int, nloc int, list *neighbor
 	for i := 0; i < nloc; i++ {
 		var ei float64
 		qi := tw.charge(types[i])
-		for _, e := range list.Entries[i] {
-			j := int(e.Index)
+		for _, j32 := range list.Entries[i] {
+			j := int(j32)
 			if j/3 == i/3 {
 				continue // same molecule: handled by bond/angle terms
 			}
-			d := disp(pos, i, j, box)
+			d := neighbor.Displacement(pos, i, j, box)
 			r2 := d[0]*d[0] + d[1]*d[1] + d[2]*d[2]
 			if r2 >= rc2 || r2 == 0 {
 				continue
@@ -141,7 +141,7 @@ func (tw *ToyWater) charge(t int) float64 {
 
 // bond applies the harmonic O-H term.
 func (tw *ToyWater) bond(pos []float64, i, j int, box *neighbor.Box, out *core.Result) {
-	d := disp(pos, i, j, box)
+	d := neighbor.Displacement(pos, i, j, box)
 	r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
 	e := 0.5 * tw.KBond * (r - tw.R0) * (r - tw.R0)
 	dEdr := tw.KBond * (r - tw.R0)
@@ -160,8 +160,8 @@ func (tw *ToyWater) bond(pos []float64, i, j int, box *neighbor.Box, out *core.R
 
 // angle applies the harmonic H-O-H term with vertex at o.
 func (tw *ToyWater) angle(pos []float64, o, h1, h2 int, box *neighbor.Box, out *core.Result) {
-	d1 := disp(pos, o, h1, box)
-	d2 := disp(pos, o, h2, box)
+	d1 := neighbor.Displacement(pos, o, h1, box)
+	d2 := neighbor.Displacement(pos, o, h2, box)
 	r1 := math.Sqrt(d1[0]*d1[0] + d1[1]*d1[1] + d1[2]*d1[2])
 	r2 := math.Sqrt(d2[0]*d2[0] + d2[1]*d2[1] + d2[2]*d2[2])
 	dot := d1[0]*d2[0] + d1[1]*d2[1] + d1[2]*d2[2]
