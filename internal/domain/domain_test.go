@@ -1,9 +1,11 @@
 package domain
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -322,22 +324,35 @@ func TestSetupOptimizationShape(t *testing.T) {
 	}
 }
 
+// The baseline setup ships the built system as an atom bundle (positions
+// and types); its receivers decode it bit for bit.
 func TestSystemPayloadRoundtrip(t *testing.T) {
 	cell := lattice.FCC(2, 2, 2, 3.7)
-	sys := &md.System{Pos: cell.Pos, Types: cell.Types, Box: cell.Box}
-	got, err := decodeSystem(encodeSystem(sys))
+	got, err := decodeBundle(encodeBundle(atomBundle{Pos: cell.Pos, Typ: cell.Types}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N() != sys.N() || got.Box.L != sys.Box.L {
-		t.Fatal("metadata mismatch")
+	if !slices.Equal(got.Pos, cell.Pos) || !slices.Equal(got.Typ, cell.Types) || got.Vel != nil || got.Gid != nil {
+		t.Fatalf("setup bundle mismatch: %+v", got)
 	}
-	for i := range sys.Pos {
-		if got.Pos[i] != sys.Pos[i] {
-			t.Fatalf("pos[%d] mismatch", i)
-		}
-	}
-	if _, err := decodeSystem([]byte{1, 2}); err == nil {
+	if _, err := decodeBundle([]byte{1, 2}); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+}
+
+// setupCrashPayload is 64 bytes whose leading u64 word is 2^59+1. The
+// retired setup decoder read it as an atom count n and checked the length
+// against 32+32n, which wraps to 64 and let makeslice panic.
+func setupCrashPayload() []byte {
+	raw := make([]byte, 64)
+	binary.LittleEndian.PutUint64(raw, 1<<59+1)
+	return raw
+}
+
+// The setup receivers' decoder returns an error for the 64-byte payload
+// whose count word overflows the length check, instead of panicking.
+func TestSetupPayloadRejectsOverflowingCount(t *testing.T) {
+	if b, err := decodeBundle(setupCrashPayload()); err == nil {
+		t.Fatalf("overflowing setup payload accepted: %d positions", len(b.Pos))
 	}
 }

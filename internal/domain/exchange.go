@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"fmt"
 	"time"
 
 	"deepmd-go/internal/mpi"
@@ -67,14 +68,6 @@ type stagePlan struct {
 	revBox  any
 }
 
-// atomBundle is the payload for migration and border sends.
-type atomBundle struct {
-	Pos []float64
-	Vel []float64 // empty for border sends
-	Typ []int
-	Gid []int64
-}
-
 // nall returns locals + ghosts.
 func (rs *rankState) nall() int { return len(rs.typ) }
 
@@ -88,10 +81,10 @@ func (rs *rankState) dropGhosts() {
 
 // migrate reassigns atoms that left the owned sub-box. Positions must be
 // wrapped into the global box beforehand.
-func (rs *rankState) migrate() {
+func (rs *rankState) migrate() error {
 	p := rs.comm.Size()
 	if p == 1 {
-		return
+		return nil
 	}
 	out := make([]atomBundle, p)
 	keepPos := rs.pos[:0]
@@ -120,27 +113,31 @@ func (rs *rankState) migrate() {
 	me := rs.comm.Rank()
 	for dst := 0; dst < p; dst++ {
 		if dst != me {
-			rs.comm.Send(dst, tagMigrate, out[dst])
+			rs.comm.Send(dst, tagMigrate, encodeBundle(out[dst]))
 		}
 	}
 	for src := 0; src < p; src++ {
 		if src == me {
 			continue
 		}
-		b := rs.comm.Recv(src, tagMigrate).(atomBundle)
+		b, err := decodeBundle(rs.comm.Recv(src, tagMigrate).([]byte))
+		if err != nil {
+			return fmt.Errorf("migration from rank %d: %w", src, err)
+		}
 		rs.pos = append(rs.pos, b.Pos...)
 		rs.vel = append(rs.vel, b.Vel...)
 		rs.typ = append(rs.typ, b.Typ...)
 		rs.gid = append(rs.gid, b.Gid...)
 	}
 	rs.nloc = len(rs.typ)
+	return nil
 }
 
 // borders performs the staged x -> y -> z ghost exchange, recording the
 // plan for later forward/reverse communication. Ghosts accumulated in
 // earlier stages are forwarded too, which is what populates edge and
 // corner regions transitively.
-func (rs *rankState) borders() {
+func (rs *rankState) borders() error {
 	rs.dropGhosts()
 	for dim := 0; dim < 3; dim++ {
 		// Candidates for this dimension: locals plus ghosts from earlier
@@ -207,8 +204,11 @@ func (rs *rankState) borders() {
 			}
 
 			tag := tagBorder + 2*dim + dir
-			rs.comm.Send(sendTo, tag, b)
-			in := rs.comm.Recv(recvFrom, tag).(atomBundle)
+			rs.comm.Send(sendTo, tag, encodeBundle(b))
+			in, err := decodeBundle(rs.comm.Recv(recvFrom, tag).([]byte))
+			if err != nil {
+				return fmt.Errorf("border stage %d from rank %d: %w", 2*dim+dir, recvFrom, err)
+			}
 
 			base := rs.nall()
 			rs.pos = append(rs.pos, in.Pos...)
@@ -226,6 +226,7 @@ func (rs *rankState) borders() {
 			})
 		}
 	}
+	return nil
 }
 
 // packForward fills the stage's reusable send buffer with the current
@@ -267,9 +268,9 @@ func (rs *rankState) forward() {
 		ra := rs.comm.Irecv(a.recvFrom, tagForward+si)
 		rb := rs.comm.Irecv(b.recvFrom, tagForward+si+1)
 		rs.packForward(a)
-		rs.comm.Isend(a.sendTo, tagForward+si, a.fwdBox)
+		rs.comm.Send(a.sendTo, tagForward+si, a.fwdBox)
 		rs.packForward(b)
-		rs.comm.Isend(b.sendTo, tagForward+si+1, b.fwdBox)
+		rs.comm.Send(b.sendTo, tagForward+si+1, b.fwdBox)
 		t := time.Now()
 		in := ra.Wait().([]float64)
 		rs.commWait += time.Since(t)
@@ -300,9 +301,9 @@ func (rs *rankState) reverse(force []float64) {
 		ra := rs.comm.Irecv(a.sendTo, tagReverse+si)
 		rb := rs.comm.Irecv(b.sendTo, tagReverse+si-1)
 		copy(a.revSend, force[3*a.recvBase:3*(a.recvBase+a.recvCnt)])
-		rs.comm.Isend(a.recvFrom, tagReverse+si, a.revBox)
+		rs.comm.Send(a.recvFrom, tagReverse+si, a.revBox)
 		copy(b.revSend, force[3*b.recvBase:3*(b.recvBase+b.recvCnt)])
-		rs.comm.Isend(b.recvFrom, tagReverse+si-1, b.revBox)
+		rs.comm.Send(b.recvFrom, tagReverse+si-1, b.revBox)
 		t := time.Now()
 		in := ra.Wait().([]float64)
 		rs.commWait += time.Since(t)

@@ -227,8 +227,12 @@ func runRank(c *mpi.Comm, full *md.System, pot md.Potential, opt Options, grid [
 		for i := 0; i < rs.nloc; i++ {
 			rs.gbox.Wrap(rs.pos[3*i : 3*i+3])
 		}
-		rs.migrate()
-		rs.borders()
+		if err := rs.migrate(); err != nil {
+			return err
+		}
+		if err := rs.borders(); err != nil {
+			return err
+		}
 		l, err := neighbor.Build(opt.Spec, rs.pos, rs.typ, rs.nloc, nil, opt.Workers)
 		if err != nil {
 			return err

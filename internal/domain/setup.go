@@ -3,7 +3,6 @@ package domain
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"time"
 
 	"deepmd-go/internal/core"
@@ -65,13 +64,12 @@ func MeasureSetup(builder func() *md.System, modelPath string, ranks int) (*Setu
 		t0 := time.Now()
 		if c.Rank() == 0 {
 			sys := builder()
-			payload := encodeSystem(sys)
+			payload := encodeBundle(atomBundle{Pos: sys.Pos, Typ: sys.Types})
 			for dst := 1; dst < c.Size(); dst++ {
 				c.Send(dst, tagSetupAtoms, payload)
 			}
 		} else {
-			raw := c.Recv(0, tagSetupAtoms).([]byte)
-			if _, err := decodeSystem(raw); err != nil {
+			if _, err := decodeBundle(c.Recv(0, tagSetupAtoms).([]byte)); err != nil {
 				fail(err)
 			}
 		}
@@ -135,66 +133,4 @@ func MeasureSetup(builder func() *md.System, modelPath string, ranks int) (*Setu
 		return nil, fmt.Errorf("domain: setup measurement: %w", firstErr)
 	}
 	return res, nil
-}
-
-// encodeSystem flattens a system into one byte payload (cheap manual
-// framing; this is measurement plumbing, not archival format).
-func encodeSystem(sys *md.System) []byte {
-	var buf bytes.Buffer
-	n := sys.N()
-	writeInt := func(v int) {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		buf.Write(b[:])
-	}
-	writeFloats := func(fs []float64) {
-		for _, f := range fs {
-			writeInt(int(math.Float64bits(f)))
-		}
-	}
-	writeInt(n)
-	writeFloats(sys.Pos)
-	writeFloats(sys.Box.L[:])
-	for _, t := range sys.Types {
-		writeInt(t)
-	}
-	return buf.Bytes()
-}
-
-func decodeSystem(raw []byte) (*md.System, error) {
-	if len(raw) < 8 {
-		return nil, fmt.Errorf("domain: truncated system payload")
-	}
-	readInt := func(off int) int {
-		v := 0
-		for i := 0; i < 8; i++ {
-			v |= int(raw[off+i]) << (8 * i)
-		}
-		return v
-	}
-	n := readInt(0)
-	want := 8 + 8*(3*n) + 8*3 + 8*n
-	if len(raw) != want {
-		return nil, fmt.Errorf("domain: system payload %d bytes, want %d", len(raw), want)
-	}
-	sys := &md.System{
-		Pos:   make([]float64, 3*n),
-		Types: make([]int, n),
-	}
-	off := 8
-	for i := range sys.Pos {
-		sys.Pos[i] = math.Float64frombits(uint64(readInt(off)))
-		off += 8
-	}
-	for k := 0; k < 3; k++ {
-		sys.Box.L[k] = math.Float64frombits(uint64(readInt(off)))
-		off += 8
-	}
-	for i := range sys.Types {
-		sys.Types[i] = readInt(off)
-		off += 8
-	}
-	return sys, nil
 }

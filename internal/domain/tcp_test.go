@@ -182,10 +182,15 @@ func TestBundleBytesReconcileOverTCP(t *testing.T) {
 			worlds[rank] = w
 			c := w.Comm()
 			if rank == 0 {
-				c.Send(1, 1, full)
-				c.Send(1, 2, border)
+				c.Send(1, 1, encodeBundle(full))
+				c.Send(1, 2, encodeBundle(border))
 			} else {
-				got := c.Recv(0, 1).(atomBundle)
+				got, err := decodeBundle(c.Recv(0, 1).([]byte))
+				if err != nil {
+					t.Error(err)
+					w.Close()
+					return
+				}
 				for i := range full.Pos {
 					if got.Pos[i] != full.Pos[i] {
 						t.Errorf("pos[%d] %v != %v", i, got.Pos[i], full.Pos[i])
@@ -201,8 +206,8 @@ func TestBundleBytesReconcileOverTCP(t *testing.T) {
 						t.Errorf("typ/gid[%d] mismatch", i)
 					}
 				}
-				gotB := c.Recv(0, 2).(atomBundle)
-				if len(gotB.Vel) != 0 || len(gotB.Pos) != 3 || gotB.Gid[0] != 12 {
+				gotB, err := decodeBundle(c.Recv(0, 2).([]byte))
+				if err != nil || len(gotB.Vel) != 0 || len(gotB.Pos) != 3 || gotB.Gid[0] != 12 {
 					t.Errorf("border bundle mismatch: %+v", gotB)
 				}
 			}
@@ -250,7 +255,9 @@ func TestExchangeZeroAlloc(t *testing.T) {
 			rs.gid = append(rs.gid, int64(i))
 		}
 		rs.nloc = len(rs.typ)
-		rs.borders()
+		if err := rs.borders(); err != nil {
+			t.Fatal(err)
+		}
 		if rs.ghostCount() == 0 {
 			t.Fatal("setup produced no ghosts; exchange not exercised")
 		}

@@ -32,10 +32,10 @@
 //     (no silent fallthrough column), assembly stub declarations must
 //     be //go:noescape, and cpufeat.SetActive may only be called from
 //     tests, the cpufeat package itself, or an annotated site.
-//   - mpitag: mpi.Comm Send/Recv/Isend/Irecv/... call sites must name
-//     their tag (no raw integer literals), and any non-builtin payload
-//     type crossing Send must have an mpi.RegisterPayload codec
-//     registered in its defining package (a package fact).
+//   - mpitag: mpi.Comm Send/Recv/Irecv/... call sites must name their
+//     tag (no raw integer literals), and a payload crossing Send or
+//     Bcast must be one of the wire codec's three kinds ([]float64,
+//     []int64, []byte).
 //
 // # Annotation grammar
 //

@@ -27,10 +27,8 @@ func TestDispatch(t *testing.T) {
 	linttest.Run(t, "testdata", []*lint.Analyzer{lint.DispatchAnalyzer}, "dispatchfix/use")
 }
 
-// TestMpitag includes the payload-defining package as a target too: it
-// must report nothing while its registration fact clears use's sends.
 func TestMpitag(t *testing.T) {
-	linttest.Run(t, "testdata", []*lint.Analyzer{lint.MpitagAnalyzer}, "mpifix/use", "mpifix/payloads")
+	linttest.Run(t, "testdata", []*lint.Analyzer{lint.MpitagAnalyzer}, "mpifix/use")
 }
 
 // TestTestFiles checks that a fixture's test files are analyzed: the

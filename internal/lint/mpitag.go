@@ -3,35 +3,21 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// RegisteredPayloadsFact is the package fact listing the named types a
-// package registers wire codecs for via mpi.RegisterPayload. It lets
-// the payload check follow a type to its defining package no matter
-// where the Send happens.
-type RegisteredPayloadsFact struct {
-	Names []string
-}
-
-// AFact marks RegisteredPayloadsFact as a fact.
-func (*RegisteredPayloadsFact) AFact() {}
-
 // MpitagAnalyzer enforces the MPI wire discipline:
 //
-//   - the tag argument of Comm.Send/Recv/Isend/Irecv/SendRecv/Bcast/
-//     Allreduce must involve a named constant (raw integer literals
-//     collide silently between protocols — the tag space is an API);
-//   - a payload crossing Send/Isend/SendRecv/Bcast must be one of the
-//     wire codec's builtin kinds ([]float64, []float32, []int, []int64,
-//     []int32, []byte, int, int64, float64) or a named type whose
-//     defining package registers a codec with mpi.RegisterPayload —
-//     anything else panics at runtime on the TCP transport, possibly
-//     only at scale, on the rank the test matrix never ran.
+//   - the tag argument of Comm.Send/Recv/Irecv/Bcast/Allreduce must
+//     involve a named constant (raw integer literals collide silently
+//     between protocols — the tag space is an API);
+//   - a payload crossing Send/Bcast must be one of the wire codec's
+//     three kinds ([]float64, []int64, []byte) — anything else panics at
+//     runtime on either transport, possibly only at scale, on the rank
+//     the test matrix never ran.
 var MpitagAnalyzer = &Analyzer{
 	Name: "mpitag",
-	Doc:  "require named MPI tags and registered payload codecs at Comm call sites",
+	Doc:  "require named MPI tags and wire-codec payload kinds at Comm call sites",
 	Run:  runMpitag,
 }
 
@@ -43,47 +29,16 @@ func isMpiPkg(pkg *types.Package) bool {
 
 // commTagArg maps Comm method name to the index of its tag argument.
 var commTagArg = map[string]int{
-	"Send": 1, "Recv": 1, "Isend": 1, "Irecv": 1,
-	"SendRecv": 1, "Bcast": 1, "Allreduce": 0,
+	"Send": 1, "Recv": 1, "Irecv": 1, "Bcast": 1, "Allreduce": 0,
 }
 
 // commPayloadArg maps Comm method name to the index of its `any`
 // payload argument.
-var commPayloadArg = map[string]int{
-	"Send": 2, "Isend": 2, "SendRecv": 2, "Bcast": 2,
-}
+var commPayloadArg = map[string]int{"Send": 2, "Bcast": 2}
 
 func runMpitag(pass *Pass) error {
 	if pass.Module == "" {
 		return nil
-	}
-
-	// First pass: record this package's RegisterPayload calls as a
-	// package fact (and for same-package payload checks below).
-	registered := map[string]bool{}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := calleeOf(pass.TypesInfo, call)
-			if fn == nil || fn.Name() != "RegisterPayload" || !isMpiPkg(fn.Pkg()) || len(call.Args) == 0 {
-				return true
-			}
-			if name, ok := payloadTypeName(pass.TypesInfo.TypeOf(call.Args[0])); ok {
-				registered[name] = true
-			}
-			return true
-		})
-	}
-	if len(registered) > 0 {
-		names := make([]string, 0, len(registered))
-		for name := range registered {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		pass.Facts.ExportPackageFact(&RegisteredPayloadsFact{Names: names})
 	}
 
 	for _, f := range pass.Files {
@@ -103,7 +58,7 @@ func runMpitag(pass *Pass) error {
 				checkTagArg(pass, fn.Name(), call.Args[idx])
 			}
 			if idx, ok := commPayloadArg[fn.Name()]; ok && idx < len(call.Args) {
-				checkPayloadArg(pass, registered, fn.Name(), call.Args[idx])
+				checkPayloadArg(pass, fn.Name(), call.Args[idx])
 			}
 			return true
 		})
@@ -149,9 +104,8 @@ func checkTagArg(pass *Pass, method string, arg ast.Expr) {
 	}
 }
 
-// checkPayloadArg requires payloads to be wire-codec builtins or
-// registered named types.
-func checkPayloadArg(pass *Pass, localRegistered map[string]bool, method string, arg ast.Expr) {
+// checkPayloadArg requires payloads to be one of the wire codec's kinds.
+func checkPayloadArg(pass *Pass, method string, arg ast.Expr) {
 	t := pass.TypesInfo.TypeOf(arg)
 	if t == nil {
 		return
@@ -159,64 +113,19 @@ func checkPayloadArg(pass *Pass, localRegistered map[string]bool, method string,
 	if _, ok := t.Underlying().(*types.Interface); ok {
 		return // forwarding an `any` someone else built: checked at its origin
 	}
-	if builtinPayloadKind(t) {
-		return
-	}
-	name, ok := payloadTypeName(t)
-	if !ok {
-		pass.Reportf(arg.Pos(), "%s payload type %s is not a wire-codec builtin kind and not a named type; it cannot cross the TCP transport",
+	if !wirePayloadKind(t) {
+		pass.Reportf(arg.Pos(), "%s payload type %s is not a wire-codec kind ([]float64, []int64 or []byte); it cannot cross a Comm",
 			method, types.TypeString(t, types.RelativeTo(pass.Pkg)))
-		return
 	}
-	named := t.(*types.Named)
-	if named.Obj().Pkg() == pass.Pkg {
-		if localRegistered[name] {
-			return
-		}
-	} else {
-		var fact RegisteredPayloadsFact
-		if pass.Facts.ImportPackageFact(named.Obj().Pkg(), &fact) {
-			for _, n := range fact.Names {
-				if n == name {
-					return
-				}
-			}
-		}
-	}
-	pass.Reportf(arg.Pos(), "%s payload type %s has no mpi.RegisterPayload codec in its package; it cannot cross the TCP transport", method, name)
 }
 
-// builtinPayloadKind matches the wire codec's type switch exactly: the
-// dynamic type must be one of these unnamed types to hit a builtin
-// case.
-func builtinPayloadKind(t types.Type) bool {
-	switch u := t.(type) {
-	case *types.Slice:
-		b, ok := u.Elem().(*types.Basic)
-		if !ok {
-			return false
-		}
-		switch b.Kind() {
-		case types.Float64, types.Float32, types.Int, types.Int64, types.Int32, types.Uint8:
-			return true
-		}
-	case *types.Basic:
-		switch u.Kind() {
-		case types.Int, types.Int64, types.Float64,
-			types.UntypedInt, types.UntypedFloat:
-			return true
-		}
-	}
-	return false
-}
-
-// payloadTypeName names a payload's defining type (pointers do not
-// match the runtime codec lookup, so they are deliberately not
-// unwrapped).
-func payloadTypeName(t types.Type) (string, bool) {
-	named, ok := t.(*types.Named)
+// wirePayloadKind matches the wire codec's type switch exactly: the
+// dynamic type must be one of these unnamed slice types to hit a case.
+func wirePayloadKind(t types.Type) bool {
+	s, ok := t.(*types.Slice)
 	if !ok {
-		return "", false
+		return false
 	}
-	return named.Obj().Name(), true
+	b, ok := s.Elem().(*types.Basic)
+	return ok && (b.Kind() == types.Float64 || b.Kind() == types.Int64 || b.Kind() == types.Uint8)
 }

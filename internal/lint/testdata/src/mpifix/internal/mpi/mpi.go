@@ -1,19 +1,11 @@
-// Package mpi is a fixture stand-in exposing the Comm call surface and
-// RegisterPayload seam the mpitag analyzer keys on (matched by
-// import-path suffix).
+// Package mpi is a fixture stand-in exposing the Comm call surface the
+// mpitag analyzer keys on (matched by import-path suffix).
 package mpi
 
 // Comm mirrors the real communicator's method set.
 type Comm struct{}
 
-// PayloadCodec mirrors the wire-codec registration value.
-type PayloadCodec struct{ Name string }
-
-// RegisterPayload records a codec for example's concrete type.
-func RegisterPayload(example any, c PayloadCodec) {}
-
 func (c *Comm) Send(dst, tag int, payload any)       {}
 func (c *Comm) Recv(src, tag int) any                { return nil }
-func (c *Comm) Isend(dst, tag int, payload any)      {}
 func (c *Comm) Bcast(root, tag int, payload any) any { return payload }
 func (c *Comm) Allreduce(tag int, v float64) float64 { return v }

@@ -1,29 +1,24 @@
 // Package use exercises the mpitag analyzer: named-tag discipline and
-// payload codec coverage, including the cross-package registration fact.
+// payload kind coverage.
 package use
 
-import (
-	"mpifix/internal/mpi"
-	"mpifix/payloads"
-)
+import "mpifix/internal/mpi"
 
 const tagForces = 7
 
-type localMsg struct{ A int }
-
-func init() {
-	mpi.RegisterPayload(localMsg{}, mpi.PayloadCodec{Name: "local"})
-}
+type bundle struct{ Xs []float64 }
 
 // Exercise sends with good and bad tags and payloads.
-func Exercise(c *mpi.Comm, xs []float64) {
+func Exercise(c *mpi.Comm, xs []float64, gids []int64, blob []byte) {
 	c.Send(1, 42, xs) // want `raw integer literal as Send tag`
 	c.Send(1, tagForces, xs)
-	c.Isend(1, tagForces+1, xs)
-	c.Send(1, tagForces, localMsg{A: 2})
-	c.Send(1, tagForces, payloads.Bundle{Xs: xs})
-	c.Send(1, tagForces, payloads.Orphan{N: 1}) // want `Send payload type Orphan has no mpi.RegisterPayload codec in its package`
-	c.Send(1, tagForces, [3]float64{})          // want `Send payload type \[3\]float64 is not a wire-codec builtin kind and not a named type`
+	c.Send(1, tagForces+1, gids)
+	c.Send(1, tagForces+2, blob)
+	_ = c.Bcast(0, tagForces, blob)
+	c.Send(1, tagForces, []float32{1})      // want `Send payload type \[\]float32 is not a wire-codec kind`
+	c.Send(1, tagForces, 3)                 // want `Send payload type int is not a wire-codec kind`
+	c.Send(1, tagForces, bundle{Xs: xs})    // want `Send payload type bundle is not a wire-codec kind`
+	_ = c.Bcast(0, tagForces, [3]float64{}) // want `Bcast payload type \[3\]float64 is not a wire-codec kind`
 	_ = c.Recv(1, tagForces)
 	_ = c.Allreduce(3, 1.0) // want `raw integer literal as Allreduce tag`
 }

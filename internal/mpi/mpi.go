@@ -20,11 +20,12 @@
 // Barrier, Allreduce and Iallreduce for thermodynamic output, Sec. 5.4 and
 // 7.3) are point-to-point sends through rank 0 with rank-ordered
 // reduction, so results are bit-identical across transports and runs, and
-// so are the message and byte counters. Isend/Irecv return lightweight
-// handles for the asynchronous staged halo exchange (comm/compute
-// overlap, Sec. 7.2). Counters are kept per communicator and per world —
-// sized exactly via the wire codec — so benchmarks can report
-// communication volume the way the paper discusses ghost-region traffic.
+// so are the message and byte counters. Send never waits for the
+// receiver and Irecv returns a lightweight handle: together they carry
+// the asynchronous staged halo exchange (comm/compute overlap, Sec. 7.2).
+// Counters are kept per communicator and per world — sized exactly via
+// the wire codec — so benchmarks can report communication volume the way
+// the paper discusses ghost-region traffic.
 package mpi
 
 import (
@@ -131,14 +132,6 @@ func (w *World) Bytes() int64 {
 	return n
 }
 
-// ResetCounters zeroes every rank's message counters.
-func (w *World) ResetCounters() {
-	for r := range w.comms {
-		w.comms[r].msgs.Store(0)
-		w.comms[r].bytes.Store(0)
-	}
-}
-
 // Run executes f on every rank concurrently and waits for all to finish.
 // A panic on any rank aborts the world (unblocking everyone else) and is
 // re-raised on the caller as an error wrapping the rank's own (%w when it
@@ -234,16 +227,16 @@ func (c *Comm) SentMessages() int64 { return c.msgs.Load() }
 // SentBytes returns the exact payload bytes this rank has sent.
 func (c *Comm) SentBytes() int64 { return c.bytes.Load() }
 
-// Send delivers payload to dst with a tag and never waits for the
-// receiver. In-process the payload crosses by reference: the receiver
-// must consume (copy out of) it before the sender reuses the backing
-// buffer. Over TCP the payload is encoded immediately, so the buffer is
-// reusable on return.
+// Send delivers payload — a []float64, []int64 or []byte — to dst with a
+// tag and never waits for the receiver. In-process the payload crosses by
+// reference: the receiver must consume (copy out of) it before the sender
+// reuses the backing buffer. Over TCP the payload is encoded immediately,
+// so the buffer is reusable on return.
 func (c *Comm) Send(dst, tag int, payload any) {
-	n := payloadBytes(payload)
+	_, n := payloadKind(payload)
 	c.msgs.Add(1)
-	c.bytes.Add(n)
-	c.link.deliver(c.rank, dst, tag, payload, n)
+	c.bytes.Add(int64(n))
+	c.link.deliver(c.rank, dst, tag, payload, int64(n))
 }
 
 // Recv blocks until a message with the given tag arrives from src.
@@ -251,22 +244,6 @@ func (c *Comm) Send(dst, tag int, payload any) {
 // differs from its source's next unclaimed message is a protocol error
 // and aborts the world.
 func (c *Comm) Recv(src, tag int) any { return c.collect(c.post(src, tag, true)) }
-
-// SendHandle is the completion handle of a non-blocking send. On both
-// transports the payload has been handed off by the time Isend returns
-// (into the receiver's matcher in-process, encoded over TCP), so Wait
-// never blocks; the handle exists for MPI-shaped call sites.
-type SendHandle struct{}
-
-// Wait completes the send (a no-op; see SendHandle).
-func (SendHandle) Wait() {}
-
-// Isend starts a non-blocking send (see SendHandle): over TCP a
-// per-connection writer goroutine drains the frame in the background.
-func (c *Comm) Isend(dst, tag int, payload any) SendHandle {
-	c.Send(dst, tag, payload)
-	return SendHandle{}
-}
 
 // RecvHandle is the completion handle of a non-blocking receive posted
 // with Irecv. It is a value type and its token is recycled by Wait, so
@@ -287,12 +264,6 @@ func (c *Comm) Irecv(src, tag int) RecvHandle {
 
 // Wait blocks until the posted receive completes and returns the payload.
 func (h RecvHandle) Wait() any { return h.c.collect(h.tok) }
-
-// SendRecv exchanges payloads with a partner rank without deadlock.
-func (c *Comm) SendRecv(partner, tag int, payload any) any {
-	c.Send(partner, tag, payload)
-	return c.Recv(partner, tag)
-}
 
 // post registers interest in (src, tag) with src's matcher.
 func (c *Comm) post(src, tag int, block bool) *recvToken {

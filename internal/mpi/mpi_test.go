@@ -28,8 +28,9 @@ func TestSendRecvPairwiseExchange(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
 		partner := c.Rank() ^ 1
-		got := c.SendRecv(partner, 3, []int{c.Rank()}).([]int)
-		if got[0] != partner {
+		c.Send(partner, 3, []int64{int64(c.Rank())})
+		got := c.Recv(partner, 3).([]int64)
+		if got[0] != int64(partner) {
 			t.Errorf("rank %d got %d", c.Rank(), got[0])
 		}
 	})
@@ -165,9 +166,10 @@ func TestCounters(t *testing.T) {
 	if w.Bytes() != 24 {
 		t.Fatalf("bytes = %d", w.Bytes())
 	}
-	w.ResetCounters()
-	if w.Messages() != 0 || w.Bytes() != 0 {
-		t.Fatal("counters not reset")
+	for r, want := range []int64{24, 0} {
+		if got := w.comms[r].SentBytes(); got != want {
+			t.Fatalf("rank %d sent %d bytes, want %d", r, got, want)
+		}
 	}
 }
 
@@ -194,7 +196,7 @@ func TestTagMismatchPanics(t *testing.T) {
 	}()
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 1, 0)
+			c.Send(1, 1, []float64{0})
 		} else {
 			c.Recv(0, 2)
 		}

@@ -28,7 +28,7 @@ import (
 //
 // Progress is asynchronous by construction: a reader goroutine per
 // connection drains frames into the per-source matcher, and a writer
-// goroutine per connection drains an outgoing frame queue — so Isend
+// goroutine per connection drains an outgoing frame queue — so Send
 // returns after encoding and Irecv completion only needs a queue pop.
 // This is what lets the staged halo exchange overlap communication with
 // packing and local compute (Sec. 7.2).

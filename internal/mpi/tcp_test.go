@@ -102,7 +102,8 @@ func TestTCPSendRecvPairwise(t *testing.T) {
 			if other == c.Rank() {
 				continue
 			}
-			got := c.SendRecv(other, 5, []float64{float64(c.Rank())}).([]float64)
+			c.Send(other, 5, []float64{float64(c.Rank())})
+			got := c.Recv(other, 5).([]float64)
 			if got[0] != float64(other) {
 				t.Errorf("rank %d: got %v from %d", c.Rank(), got, other)
 			}
@@ -113,10 +114,7 @@ func TestTCPSendRecvPairwise(t *testing.T) {
 func TestTCPPayloadTypesRoundTrip(t *testing.T) {
 	runTCPWorlds(t, 2, func(w *TCPWorld) {
 		c := w.Comm()
-		payloads := []any{
-			[]float64{1.5, -2.25}, []float32{3.5}, []int{-7, 8},
-			[]int64{1 << 40}, []int32{-9}, []byte("hi"), int(42), int64(-43), float64(2.75),
-		}
+		payloads := []any{[]float64{1.5, -2.25}, []int64{1 << 40, -7}, []byte("hi")}
 		if c.Rank() == 0 {
 			for i, p := range payloads {
 				c.Send(1, 10+i, p)
@@ -124,7 +122,7 @@ func TestTCPPayloadTypesRoundTrip(t *testing.T) {
 		} else {
 			for i, p := range payloads {
 				got := c.Recv(0, 10+i)
-				if fmt.Sprintf("%v", got) != fmt.Sprintf("%v", p) {
+				if fmt.Sprintf("%T %v", got, got) != fmt.Sprintf("%T %v", p, p) {
 					t.Errorf("payload %d: got %v (%T), want %v (%T)", i, got, got, p, p)
 				}
 			}
@@ -192,7 +190,8 @@ func TestTCPWireBytesReconcile(t *testing.T) {
 		c.Allreduce(3, []float64{1, 2, 3})
 		for other := 0; other < n; other++ {
 			if other != c.Rank() {
-				c.SendRecv(other, 9, []byte{1, 2, 3, 4, 5})
+				c.Send(other, 9, []byte{1, 2, 3, 4, 5})
+				c.Recv(other, 9)
 			}
 		}
 	})
