@@ -179,7 +179,7 @@ func (s *server) handleRelax(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	box, err := s.validateFrame(&req.frameRequest)
+	box, _, err := s.frameList(&req.frameRequest)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -189,8 +189,10 @@ func (s *server) handleRelax(w http.ResponseWriter, r *http.Request) {
 	} else if req.MaxSteps > 10000 {
 		req.MaxSteps = 10000
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
+	defer cancel()
 	sys := s.system(&req.frameRequest, box)
-	res, err := md.Relax(sys, s.bat, md.RelaxOptions{
+	res, err := md.Relax(sys, requestPotential{ctx, s.bat}, md.RelaxOptions{
 		Spec:     s.spec,
 		MaxSteps: req.MaxSteps,
 		Ftol:     req.Ftol,
@@ -209,7 +211,7 @@ func (s *server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	box, err := s.validateFrame(&req.frameRequest)
+	box, _, err := s.frameList(&req.frameRequest)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -224,11 +226,13 @@ func (s *server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(r))
+	defer cancel()
 	sys := s.system(&req.frameRequest, box)
 	if req.Temp > 0 {
 		sys.InitVelocities(req.Temp, req.Seed)
 	}
-	sim, err := deepmd.NewSimulation(sys, s.bat, deepmd.SimOptions{
+	sim, err := deepmd.NewSimulation(sys, requestPotential{ctx, s.bat}, deepmd.SimOptions{
 		Dt:          req.Dt,
 		Spec:        s.spec,
 		ThermoEvery: req.ThermoEvery,
@@ -243,6 +247,18 @@ func (s *server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ok(w, trajectoryResponse{Thermo: sim.Log, Pos: sys.Pos})
+}
+
+// requestPotential is the batcher as an md.Potential whose force calls
+// carry one request's context, so a relaxation or trajectory stops at the
+// request deadline or when the client goes away.
+type requestPotential struct {
+	ctx context.Context
+	bat *serve.Batcher
+}
+
+func (p requestPotential) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *deepmd.Result) error {
+	return p.bat.Evaluate(p.ctx, pos, types, nloc, list, box, out)
 }
 
 // system builds a mutable md.System from a validated frame, with masses

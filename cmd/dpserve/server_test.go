@@ -53,7 +53,12 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	return postBytes(t, url, buf)
+}
+
+func postBytes(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,30 +123,32 @@ func TestEvaluateEndpointBitIdentical(t *testing.T) {
 	}
 }
 
-func TestEvaluateEndpointRejectsBadFrames(t *testing.T) {
-	hs, _, frame := testServer(t, serve.Options{})
+// badFrames are request bodies every frame endpoint must refuse with 400,
+// built around a valid frame.
+func badFrames(t testing.TB, frame frameRequest) map[string][]byte {
+	t.Helper()
+	bodies := map[string][]byte{"not json": []byte("nope")}
 	for name, body := range map[string]any{
 		"empty":         frameRequest{},
 		"pos mismatch":  frameRequest{Pos: frame.Pos[:9], Types: frame.Types, Box: frame.Box},
 		"bad type":      frameRequest{Pos: frame.Pos, Types: append([]int{99}, frame.Types[1:]...), Box: frame.Box},
 		"zero box":      frameRequest{Pos: frame.Pos, Types: frame.Types},
 		"unknown field": map[string]any{"positions": []float64{0}},
-		"not json":      nil,
 	} {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[name] = buf
+	}
+	return bodies
+}
+
+func TestEvaluateEndpointRejectsBadFrames(t *testing.T) {
+	hs, _, frame := testServer(t, serve.Options{})
+	for name, body := range badFrames(t, frame) {
 		t.Run(name, func(t *testing.T) {
-			var resp *http.Response
-			var data []byte
-			if body == nil {
-				r, err := http.Post(hs.URL+"/v1/evaluate", "application/json", strings.NewReader("nope"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				data, _ = io.ReadAll(r.Body)
-				r.Body.Close()
-				resp = r
-			} else {
-				resp, data = postJSON(t, hs.URL+"/v1/evaluate", body)
-			}
+			resp, data := postBytes(t, hs.URL+"/v1/evaluate", body)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
 			}
@@ -214,6 +221,41 @@ func TestEvaluateEndpointRejectsCoincidentAndOversized(t *testing.T) {
 	big.Pos, big.Types = big.Pos[:3*(n-1)], big.Types[:n-1]
 	if _, err := srv.validateFrame(&big); err != nil {
 		t.Fatalf("%d atoms: %v, want the frame accepted", n-1, err)
+	}
+}
+
+// A frame with two atoms on one spot is refused by every frame endpoint:
+// the three share one check (frameList), so none runs the pair with its
+// rows silently zero.
+func TestFrameEndpointsRejectCoincidentAtoms(t *testing.T) {
+	hs, _, frame := testServer(t, serve.Options{})
+	coincident := frameRequest{Pos: slices.Clone(frame.Pos), Types: frame.Types, Box: frame.Box}
+	copy(coincident.Pos[3:6], coincident.Pos[0:3])
+	for path, body := range map[string]any{
+		"/v1/evaluate":   coincident,
+		"/v1/relax":      relaxRequest{frameRequest: coincident, MaxSteps: 4},
+		"/v1/trajectory": trajectoryRequest{frameRequest: coincident, Steps: 4},
+	} {
+		resp, data := postJSON(t, hs.URL+path, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "atoms 0 and 1 coincide") {
+			t.Errorf("%s: status %d, want 400 naming atoms 0 and 1: %.200s", path, resp.StatusCode, data)
+		}
+	}
+}
+
+// Relax and trajectory drive their force calls under the request deadline:
+// with ?timeout=1ms, runs that would take seconds answer 504, as an expired
+// evaluate does, instead of running to completion.
+func TestRelaxAndTrajectoryHonourDeadline(t *testing.T) {
+	hs, _, frame := testServer(t, serve.Options{QueueLimit: 64})
+	for path, body := range map[string]any{
+		"/v1/relax":      relaxRequest{frameRequest: frame, MaxSteps: 2000, Ftol: 1e-12},
+		"/v1/trajectory": trajectoryRequest{frameRequest: frame, Steps: 2000},
+	} {
+		resp, data := postJSON(t, hs.URL+path+"?timeout=1ms", body)
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Errorf("%s: status %d, want 504: %.200s", path, resp.StatusCode, data)
+		}
 	}
 }
 

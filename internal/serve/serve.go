@@ -205,13 +205,6 @@ func (b *Batcher) Evaluate(ctx context.Context, pos []float64, types []int, nloc
 	}
 }
 
-// Compute is Evaluate without a deadline, satisfying the md.Potential /
-// core computer seam: simulations and relaxations driven through the
-// batcher coalesce their force calls with everyone else's.
-func (b *Batcher) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *core.Result) error {
-	return b.Evaluate(context.Background(), pos, types, nloc, list, box, out)
-}
-
 // Close stops admissions and drains: queued requests are evaluated and
 // answered, dispatchers exit, then Close returns. The context bounds the
 // drain; on expiry the batcher keeps draining in the background but Close

@@ -439,21 +439,6 @@ func TestBatcherFailingFrameRealEngine(t *testing.T) {
 	}
 }
 
-// The batcher satisfies the potential seam (md.Potential's method set), so
-// relaxations and trajectories can route their force calls through it.
-func TestBatcherComputeSeam(t *testing.T) {
-	stub := &stubEval{}
-	b := New(stub, Options{})
-	defer b.Close(context.Background())
-	var out core.Result
-	if err := b.Compute(nil, nil, 42, nil, nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Energy != 42 {
-		t.Fatalf("stub energy %g, want 42", out.Energy)
-	}
-}
-
 // gate parks the dispatch of a sacrificial head request until the test
 // has queued the requests it wants coalesced, so they form the next batch
 // by construction rather than by timing. The gate answers the head

@@ -30,6 +30,8 @@ func FuzzGemm(f *testing.F) {
 	f.Add(int64(8), uint8(244), uint16(1600), uint8(240), 1.0, 0.0, uint8(4), uint8(1), false)
 	f.Add(int64(9), uint8(13), uint16(513), uint8(31), 2.5, -0.5, uint8(0), uint8(1), false)
 	f.Add(int64(10), uint8(9), uint16(257), uint8(17), 1.0, 1.0, uint8(0), uint8(2), true)
+	// A GemmNT with no rows, deep and wide enough for the NT dot tile.
+	f.Add(int64(11), uint8(0), uint16(225), uint8(91), 1.0, 0.0, uint8(1), uint8(1), false)
 	f.Fuzz(func(t *testing.T, seed int64, um uint8, uk uint16, un uint8, alpha, beta float64, variant, famSel uint8, single bool) {
 		// k reaches 2047: eight K panels of the strip tier, well past
 		// 2*simdMaxK+1.

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"sync"
 	"unsafe"
 
@@ -10,13 +9,13 @@ import (
 
 // This file is the portable half of the SIMD microkernel engine: shape
 // eligibility, worker fan-out, the K-panel / tail-strip driver, the
-// staged transpose of the TN variant, the column-panel driver of the NT
-// dot tile, the pooled staging slabs, and the scalar Go model that
-// finishes the column tails the unmasked family does not cover. The amd64
-// half (simd_amd64.go + simd_*_amd64.s) provides the register-tiled
-// kernels; simd_off.go turns the whole path off under `purego` or on any
-// other architecture, which is the mandatory fallback contract: with no
-// kernels available every GEMM routes to the naive loops of gemm.go.
+// staged transpose of the TN variant, the staged column tails of the AVX2
+// strips, the column-panel driver of the NT dot tile and the pooled
+// staging slabs. The amd64 half (simd_amd64.go + simd_*_amd64.s) provides
+// the register-tiled kernels; simd_off.go turns the whole path off under
+// `purego` or on any other architecture, which is the mandatory fallback
+// contract: with no kernels available every GEMM routes to the naive loops
+// of gemm.go.
 //
 // Two tiers, chosen by the layer. A call runs on a SIMD kernel when one
 // covers its (k, n, epilogue) on the active family and on the naive loops
@@ -52,21 +51,16 @@ import (
 // the strip height from row 0, every row's K panels are visited in the
 // same order, and a lane's result does not depend on the other rows of
 // its strip, so every element is computed by the same instruction sequence
-// at any worker count. Remainder rows (m mod R) are computed by the lanes
-// too, as a zero-padded tail strip, so in both precisions a remainder row
-// is bit-identical to a strip row holding the same data. The NT dot tile
-// computes every element in-lane: its columns in panels of ntPanelCols B
-// rows (a tile dot product does not depend on where its panel starts), its
-// n mod 4 tail columns on a zero-padded mini-panel of their B rows and an
-// odd last row as a pair with a zero row (ntRowRange) — so an NT row's bits
-// do not depend on whether the call's row count is odd. The scalar model
-// is left with the column tails of the unmasked family (AVX2);
-// there the float64 model reproduces the asm lanes operation for
-// operation (math.FMA accumulation, the same epilogue arithmetic,
-// tanhApprox64), and the float32 model agrees to within the documented
-// differential tolerance (the f32 FMA double-rounding caveat in
-// DESIGN.md) — a column is served by one or the other for all rows, so
-// neither is ever compared against the other inside one result.
+// at any worker count. Every element of a SIMD call is computed by the
+// lanes, each edge on zero-padded staging: remainder rows (m mod R) as a
+// tail strip, the AVX2 strips' n mod cover tail columns as a sub-problem of
+// cover columns (simdColumnTail), so in both precisions an edge element is
+// bit-identical to an interior one holding the same data. The NT dot tile
+// computes its columns in panels of ntPanelCols B rows (a tile dot product
+// does not depend on where its panel starts), its n mod 4 tail columns on a
+// zero-padded mini-panel of their B rows and an odd last row as a pair with
+// a zero row (ntRowRange) — so an NT row's bits do not depend on whether
+// the call's row count is odd.
 
 // Epilogue modes of the tall-skinny kernels (tileArgs.mode).
 const (
@@ -90,6 +84,10 @@ const (
 	// pair's two A rows. 240-deep f64 gives 16 columns, f32 32. Swept
 	// 8..256 columns in DESIGN.md ("SIMD microkernels").
 	ntPanelBytes = 32 << 10
+	// colTailRows is the row block of a staged column tail
+	// (simdColumnTail): a multiple of every strip height, its C and grad
+	// blocks 32 KB at the f64 cover.
+	colTailRows = 256
 	// simdParMin is the serial threshold: below this many FLOPs goroutine
 	// fan-out costs more than it saves.
 	simdParMin = 1 << 21
@@ -110,7 +108,7 @@ type tileArgs struct {
 	ldc   uintptr
 	ldg   uintptr
 	k     uintptr
-	n     uintptr // columns to produce (see simdKernelCaps.masked)
+	n     uintptr // columns to produce (AVX2 strips: a multiple of cover)
 	alpha float64
 	beta  float64
 	mode  uintptr
@@ -119,15 +117,12 @@ type tileArgs struct {
 // simdKernelCaps describes the tile geometry of one family/element-size
 // pair, reported by the per-arch simdCaps.
 type simdKernelCaps struct {
-	rows      int  // asm strip height (rows per kernel call)
-	cover     int  // column granularity: asm covers n &^ (cover-1)
-	masked    bool // asm covers every column (AVX-512 k-masked tails)
-	fusedTanh bool // epiTanh/epiTanhGrad implemented in the epilogue
-	hasNT     bool // 2x4 dot-product tile for GemmNT (mode epiNone)
+	rows  int // asm strip height (rows per kernel call)
+	cover int // column chunk width, and the narrowest layer the strips take
 }
 
-// packSlab is a pooled staging buffer: the tail strip, the NT edges and the
-// TN transpose.
+// packSlab is a pooled staging buffer: the tail strip, the column tail, the
+// NT edges and the TN transpose.
 type packSlab[T Float] struct{ buf []T }
 
 var (
@@ -192,7 +187,7 @@ func simdStrips[T Float](k, n int, alpha T, mode int) (cpufeat.Family, simdKerne
 	if !ok || k < 1 || alpha == 0 || n < caps.cover {
 		return fam, caps, false
 	}
-	if mode >= epiTanh && (!caps.fusedTanh || k > simdMaxK) {
+	if mode >= epiTanh && k > simdMaxK {
 		return fam, caps, false
 	}
 	return fam, caps, true
@@ -280,29 +275,27 @@ func simdRowsParallel[T Float](fam cpufeat.Family, caps simdKernelCaps, workers,
 //
 // The (hi-lo) mod R remainder rows run through the same kernel as one
 // more strip: their A rows are staged zero-padded to R rows in a pooled
-// slab, with an R-row staging block for C and one for grad behind them, so
-// every row of every column the asm covers is computed by the lanes. Only
-// the column tail of the unmasked family (AVX2) is left to the
-// scalar model, panel by panel in the same order.
+// slab, with an R-row staging block for C and one for grad behind them.
+// The AVX-512 strips mask their last column chunk in-lane; the AVX2 strips
+// compute n &^ (cover-1) columns, and the n mod cover tail runs on staging
+// (simdColumnTail). Every element is computed by the lanes.
 func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
+	if fam != cpufeat.AVX512 && n%caps.cover != 0 {
+		simdColumnTail(fam, caps, lo, hi, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
+		n &^= caps.cover - 1
+	}
 	R := caps.rows
 	full := lo + (hi-lo)/R*R
 	rem := hi - full
-	// simdNC is a multiple of every family's cover, so the uncovered
-	// columns are the last n-nCov of the matrix, not of each chunk.
-	nCov := n
-	if !caps.masked {
-		nCov = n &^ (caps.cover - 1)
-	}
 	var tail *packSlab[T]
 	var ta, tc, tg []T
 	if rem > 0 {
-		tail = getSlab[T](R * (k + 2*nCov))
-		ta, tc, tg = tail.buf[:R*k], tail.buf[R*k:R*(k+nCov)], tail.buf[R*(k+nCov):]
+		tail = getSlab[T](R * (k + 2*n))
+		ta, tc, tg = tail.buf[:R*k], tail.buf[R*k:R*(k+n)], tail.buf[R*(k+n):]
 		for r := 0; r < rem; r++ {
 			copy(ta[r*k:(r+1)*k], a[(full+r)*lda:])
 			if beta != 0 {
-				copy(tc[r*nCov:(r+1)*nCov], c[(full+r)*ldc:])
+				copy(tc[r*n:(r+1)*n], c[(full+r)*ldc:])
 			}
 		}
 		clear(ta[rem*k:])
@@ -311,149 +304,98 @@ func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n
 	args.ldb = uintptr(ldb)
 	args.alpha = float64(alpha)
 	for j0 := 0; j0 < n; j0 += simdNC {
-		jb := min(simdNC, n-j0)
-		jCov := max(0, min(jb, nCov-j0))
+		args.n = uintptr(min(simdNC, n-j0))
 		for p0 := 0; p0 < k; p0 += simdMaxK {
-			kb := min(simdMaxK, k-p0)
 			pMode, pBeta := mode, beta
 			if p0 > 0 {
 				pMode, pBeta = epiNone, 1
 			}
-			if jCov > 0 {
-				args.b = unsafe.Pointer(&b[p0*ldb+j0])
-				if pMode != epiNone {
-					args.bias = unsafe.Pointer(&bias[j0])
-				}
-				args.k = uintptr(kb)
-				args.n = uintptr(jCov)
-				args.beta = float64(pBeta)
-				args.mode = uintptr(pMode)
-				args.lda, args.ldc, args.ldg = uintptr(lda), uintptr(ldc), uintptr(ldg)
-				for i := lo; i < full; i += R {
-					args.a = unsafe.Pointer(&a[i*lda+p0])
-					args.c = unsafe.Pointer(&c[i*ldc+j0])
-					if pMode == epiTanhGrad {
-						args.grad = unsafe.Pointer(&grad[i*ldg+j0])
-					}
-					tsTile[T](fam, &args)
-				}
-				if rem > 0 {
-					args.a = unsafe.Pointer(&ta[p0])
-					args.c = unsafe.Pointer(&tc[j0])
-					args.grad = unsafe.Pointer(&tg[j0])
-					args.lda, args.ldc, args.ldg = uintptr(k), uintptr(nCov), uintptr(nCov)
-					tsTile[T](fam, &args)
-				}
+			args.b = unsafe.Pointer(&b[p0*ldb+j0])
+			if pMode != epiNone {
+				args.bias = unsafe.Pointer(&bias[j0])
 			}
-			if jCov < jb {
-				for i := lo; i < hi; i++ {
-					simdScalarRow(a[i*lda+p0:i*lda+p0+kb], kb, b[p0*ldb:], ldb, j0+jCov, j0+jb, c[i*ldc:], bias, pMode, alpha, pBeta, gradRow(grad, i, ldg, pMode))
+			args.k = uintptr(min(simdMaxK, k-p0))
+			args.beta = float64(pBeta)
+			args.mode = uintptr(pMode)
+			args.lda, args.ldc, args.ldg = uintptr(lda), uintptr(ldc), uintptr(ldg)
+			for i := lo; i < full; i += R {
+				args.a = unsafe.Pointer(&a[i*lda+p0])
+				args.c = unsafe.Pointer(&c[i*ldc+j0])
+				if pMode == epiTanhGrad {
+					args.grad = unsafe.Pointer(&grad[i*ldg+j0])
 				}
+				tsTile[T](fam, &args)
+			}
+			if rem > 0 {
+				args.a = unsafe.Pointer(&ta[p0])
+				args.c = unsafe.Pointer(&tc[j0])
+				args.grad = unsafe.Pointer(&tg[j0])
+				args.lda, args.ldc, args.ldg = uintptr(k), uintptr(n), uintptr(n)
+				tsTile[T](fam, &args)
 			}
 		}
 	}
 	if rem > 0 {
 		for r := 0; r < rem; r++ {
-			copy(c[(full+r)*ldc:(full+r)*ldc+nCov], tc[r*nCov:])
+			copy(c[(full+r)*ldc:(full+r)*ldc+n], tc[r*n:])
 			if mode == epiTanhGrad {
-				copy(grad[(full+r)*ldg:(full+r)*ldg+nCov], tg[r*nCov:])
+				copy(grad[(full+r)*ldg:(full+r)*ldg+n], tg[r*n:])
 			}
 		}
 		putSlab(tail)
 	}
 }
 
-func gradRow[T Float](grad []T, i, ldg, mode int) []T {
-	if mode != epiTanhGrad {
-		return nil
+// simdColumnTail computes the last n mod cover columns of rows [lo, hi) as
+// a sub-problem of exactly cover columns on zero-padded staging in one
+// pooled slab: B's tail columns and the bias, staged once, and a block each
+// for C (seeded from C when beta != 0) and grad, reused over blocks of
+// colTailRows rows. simdRowRange runs each block like any other range — the
+// K panels, the tail strip — and the real columns are copied back. A lane's
+// result depends only on its own column of B and bias, and the blocks start
+// at multiples of every strip height, so a staged column has the bits an
+// in-place one would.
+func simdColumnTail[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
+	w := caps.cover
+	j0 := n &^ (w - 1)
+	jt := n - j0
+	blk := min(colTailRows, hi-lo)
+	slab := getSlab[T](w * (k + 1 + 2*blk))
+	clear(slab.buf)
+	buf := slab.buf
+	tb, buf := buf[:k*w], buf[k*w:]
+	tbias, buf := buf[:w], buf[w:]
+	tc, tg := buf[:blk*w], buf[blk*w:]
+	for p := 0; p < k; p++ {
+		copy(tb[p*w:p*w+jt], b[p*ldb+j0:])
 	}
-	return grad[i*ldg:]
-}
-
-// simdScalarRow finishes one K panel of one output row over the column
-// tail [jlo, jhi) with the scalar model of the kernel lanes.
-func simdScalarRow[T Float](ai []T, k int, b []T, ldb, jlo, jhi int, ci []T, bias []T, mode int, alpha, beta T, gi []T) {
-	if a64, ok := any(ai).([]float64); ok {
-		simdScalarRow64(a64, k, any(b).([]float64), ldb, jlo, jhi, any(ci).([]float64), any(bias).([]float64), mode, float64(alpha), float64(beta), any(gi).([]float64))
-		return
+	if mode != epiNone {
+		copy(tbias[:jt], bias[j0:])
 	}
-	simdScalarRow32(any(ai).([]float32), k, any(b).([]float32), ldb, jlo, jhi, any(ci).([]float32), any(bias).([]float32), mode, float64(alpha), float64(beta), any(gi).([]float32))
-}
-
-// simdScalarRow64 is the float64 lane model: bit-identical to the asm,
-// with one carve-out — a NaN flowing into the tanh gradient keeps its
-// payload, but the payload's sign bit may differ between hardware FMA and
-// math.FMA (NaN propagation picks a different operand slot).
-func simdScalarRow64(ai []float64, k int, b []float64, ldb, jlo, jhi int, ci []float64, bias []float64, mode int, alpha, beta float64, gi []float64) {
-	for j := jlo; j < jhi; j++ {
-		var acc float64
-		if mode != epiNone {
-			acc = bias[j]
-		}
-		for p := 0; p < k; p++ {
-			acc = math.FMA(ai[p], b[p*ldb+j], acc)
-		}
-		switch mode {
-		case epiNone:
-			t := alpha * acc
-			if beta == 0 {
-				ci[j] = t
-			} else {
-				ci[j] = math.FMA(beta, ci[j], t)
+	for r0 := lo; r0 < hi; r0 += blk {
+		rows := min(blk, hi-r0)
+		if beta != 0 {
+			for i := 0; i < rows; i++ {
+				copy(tc[i*w:i*w+jt], c[(r0+i)*ldc+j0:])
 			}
-		case epiBias:
-			ci[j] = acc
-		case epiTanh:
-			ci[j] = tanhApprox64(acc)
-		case epiTanhGrad:
-			y := tanhApprox64(acc)
-			ci[j] = y
-			gi[j] = math.FMA(-y, y, 1)
 		}
-	}
-}
-
-// simdScalarRow32 is the float32 lane model. The asm lanes use true
-// single-rounded f32 FMA; emulating that exactly in Go is not possible
-// (float32(math.FMA(...)) double-rounds in rare cases), so float32
-// column tails agree with lanes to <= 1 ulp per operation — covered by the
-// differential tolerance, never compared bitwise.
-func simdScalarRow32(ai []float32, k int, b []float32, ldb, jlo, jhi int, ci []float32, bias []float32, mode int, alpha, beta float64, gi []float32) {
-	a32, b32 := float32(alpha), float32(beta)
-	for j := jlo; j < jhi; j++ {
-		var acc float32
-		if mode != epiNone {
-			acc = bias[j]
-		}
-		for p := 0; p < k; p++ {
-			acc = float32(math.FMA(float64(ai[p]), float64(b[p*ldb+j]), float64(acc)))
-		}
-		switch mode {
-		case epiNone:
-			t := a32 * acc
-			if b32 == 0 {
-				ci[j] = t
-			} else {
-				ci[j] = float32(math.FMA(float64(b32), float64(ci[j]), float64(t)))
+		simdRowRange(fam, caps, 0, rows, k, w, alpha, a[r0*lda:], lda, tb, w, beta, tc, w, tbias, mode, tg, w)
+		for i := 0; i < rows; i++ {
+			copy(c[(r0+i)*ldc+j0:(r0+i)*ldc+n], tc[i*w:])
+			if mode == epiTanhGrad {
+				copy(grad[(r0+i)*ldg+j0:(r0+i)*ldg+n], tg[i*w:])
 			}
-		case epiBias:
-			ci[j] = acc
-		case epiTanh:
-			ci[j] = tanhApprox32(acc)
-		case epiTanhGrad:
-			y := tanhApprox32(acc)
-			ci[j] = y
-			gi[j] = float32(math.FMA(float64(-y), float64(y), 1))
 		}
 	}
+	putSlab(slab)
 }
 
 // gemmNTSIMD attempts C = alpha*A*B^T + beta*C on the 2x4 dot-product
 // tile (lanes vectorized over K). Returns false to fall back.
 func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) bool {
 	var z T
-	fam, caps, ok := simdActive(sizeofT(z))
-	if !ok || !caps.hasNT || alpha == 0 {
+	fam, _, ok := simdActive(sizeofT(z))
+	if !ok || alpha == 0 || m == 0 {
 		return false
 	}
 	// The dot tile pays off only with enough reduction depth to vectorize and

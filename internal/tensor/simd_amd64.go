@@ -9,7 +9,8 @@ import "deepmd-go/internal/tensor/cpufeat"
 //
 //   - AVX2 f64: 4-row strip x 8-column chunk (two ymm accumulators per
 //     row, 8 FMA chains). f32: 8-row strip x 8-column chunk (one ymm per
-//     row). Column tails below the chunk width go to the scalar model.
+//     row). The n mod 8 column tail runs on zero-padded staging
+//     (simdColumnTail).
 //   - AVX-512: 8-row strip x one zmm chunk (8 f64 / 16 f32 lanes),
 //     embedded-broadcast FMA, and a k-masked final chunk so every column
 //     is covered in-lane.
@@ -20,14 +21,14 @@ func simdCaps(fam cpufeat.Family, es int) (simdKernelCaps, bool) {
 	switch fam {
 	case cpufeat.AVX2:
 		if es == 8 {
-			return simdKernelCaps{rows: 4, cover: 8, fusedTanh: true, hasNT: true}, true
+			return simdKernelCaps{rows: 4, cover: 8}, true
 		}
-		return simdKernelCaps{rows: 8, cover: 8, fusedTanh: true, hasNT: true}, true
+		return simdKernelCaps{rows: 8, cover: 8}, true
 	case cpufeat.AVX512:
 		if es == 8 {
-			return simdKernelCaps{rows: 8, cover: 8, masked: true, fusedTanh: true, hasNT: true}, true
+			return simdKernelCaps{rows: 8, cover: 8}, true
 		}
-		return simdKernelCaps{rows: 8, cover: 16, masked: true, fusedTanh: true, hasNT: true}, true
+		return simdKernelCaps{rows: 8, cover: 16}, true
 	default:
 		// Generic takes the portable path: no SIMD caps.
 		return simdKernelCaps{}, false

@@ -25,7 +25,7 @@
 // Constant tables. Every entry is replicated to a full 256-bit lane group so
 // AVX2 instructions can use it as a direct m256 operand; the AVX-512 kernels
 // read the first 8 (4) bytes of the same entries via EVEX embedded
-// broadcast. Generated from the constants in tanh_approx.go / tanh.go.
+// broadcast. The float32 entries are tanhf's constants (tanh.go).
 
 // float64 tanh: bound, log2e, ln2hi, ln2lo, 13 Horner coefficients
 // (c12..c0 of q(r) = sum r^i/(i+1)!), 2.0, |x| mask, sign mask, exponent
@@ -182,8 +182,13 @@ DATA tanhC32<>+304(SB)/8, $0xc09f0a3dc09f0a3d
 DATA tanhC32<>+312(SB)/8, $0xc09f0a3dc09f0a3d
 GLOBL tanhC32<>(SB), RODATA, $320
 
-// TANH64 transforms ACC = x into tanh(x) in place (see tanh_approx.go for
-// the math and the exact-model contract). Temps: Y11-Y15.
+// TANH64 transforms ACC = x into tanh(x) in place. For t = min(|x|, 20),
+// tanh(t) = em1/(em1 + 2) with em1 = e^{2t} - 1 from a Cody-Waite
+// reduction z = 2t = n*ln2 + r (|r| <= ln2/2, ln2 split so n*ln2hi is
+// exact): em1 = 2^n*(r*q(r)) + (2^n - 1), q(r) = sum_{i=0..12} r^i/(i+1)!
+// by FMA Horner. The expm1 form keeps relative accuracy near zero; the
+// error is < 4 ulp against math.Tanh (TestTanhLaneULP), and beyond |x| = 20
+// the result rounds to exactly +/-1. Temps: Y11-Y15.
 #define TANH64(ACC) \
 	VANDPD tanhC64<>+TC64_ABS(SB), ACC, Y11   \ // ax = |x|
 	VMINPD tanhC64<>+TC64_BOUND(SB), Y11, Y11 \ // t = ax < 20 ? ax : 20 (NaN -> 20)
@@ -715,8 +720,9 @@ f32done:
 	RET
 
 // ---------------------------------------------------------------------------
-// HSUM64 reduces the four f64 lanes of ACC into lane 0, in the order the
-// scalar model uses: (s0+s2) + (s1+s3). XACC names ACC's xmm alias.
+// HSUM64 reduces the four f64 lanes of ACC into lane 0 in a fixed order,
+// the one the test oracle scalarNTRow64 replays: (s0+s2) + (s1+s3). XACC
+// names ACC's xmm alias.
 #define HSUM64(ACC, XACC) \
 	VEXTRACTF128 $1, ACC, X14 \
 	VADDPD X14, XACC, XACC    \ // [s0+s2, s1+s3]
@@ -738,7 +744,7 @@ f32done:
 // C = alpha*A*B^T + beta*C for one pair of A rows against columns
 // [0, n), n a positive multiple of 4 (B rows j..j+3 per step). Eight dot
 // products live as 4-lane accumulators Y0..Y7 (row r, col q in Y4r+q);
-// lanes reduce in the scalar-model order, then the k tail and alpha/beta
+// lanes reduce in HSUM64's fixed order, then the k tail and alpha/beta
 // run in scalar lanes.
 TEXT ·ntTileF64AVX2(SB), NOSPLIT, $0-8
 	MOVQ args+0(FP), DI

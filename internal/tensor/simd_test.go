@@ -19,14 +19,14 @@ import (
 //     execute (Generic included) through the public GEMM dispatch and
 //     holds it to the differential tolerance policy plus worker-count
 //     bit-identity.
-//  3. The lane-vs-model tests exploit the strip layout: with every A row
+//  3. The lane tests exploit the strip layout: with every A row
 //     identical, every output row must be bit-identical to every other —
-//     strip rows against the zero-padded tail strip in both precisions
-//     (all lanes), and in float64 across the scalar-model column tail too,
-//     the strongest statement of the "scalar model reproduces the asm"
-//     contract — at one K panel and at the paper's 1600-deep reduction,
-//     including NaN and Inf propagation through the fused tanh epilogue
-//     and through the panel accumulation.
+//     strip rows against the zero-padded tail strip, and a tail column
+//     against an in-place one holding the same data, in both precisions —
+//     at one K panel and at the paper's 1600-deep reduction, including NaN
+//     and Inf propagation through the fused tanh epilogue and through the
+//     panel accumulation. TestTanhLaneULP holds the lanes' tanh to its
+//     accuracy bound.
 
 func TestTileArgsLayout(t *testing.T) {
 	var ta tileArgs
@@ -60,9 +60,10 @@ func TestTileArgsLayout(t *testing.T) {
 	}
 }
 
-// simdRowRange takes the uncovered columns of an unmasked family to be the
-// last n mod cover of the matrix, which holds only while every column
-// chunk boundary is a multiple of the cover.
+// simdRowRange hands the AVX2 strips column chunks of simdNC and stages
+// only the last n mod cover columns of the matrix (simdColumnTail), which
+// leaves every chunk a whole number of covers only while simdNC is a
+// multiple of the cover.
 func TestColumnChunkIsMultipleOfCover(t *testing.T) {
 	for _, fam := range simdTestFamilies() {
 		for _, es := range []int{4, 8} {
@@ -155,8 +156,8 @@ func TestGemmDifferentialPerFamily(t *testing.T) {
 
 // repeatedRows builds an m-row matrix whose rows are all the given row, so
 // every output row of a GEMM on it computes the same mathematical quantity
-// and rows served by different code (strip, tail strip, scalar model) can
-// be compared bitwise.
+// and rows served by different staging (strip, tail strip) can be compared
+// bitwise.
 func repeatedRows[T Float](row []T, m int) Matrix[T] {
 	a := NewMatrix[T](m, len(row))
 	for i := 0; i < m; i++ {
@@ -173,22 +174,16 @@ func randRow[T Float](rng *rand.Rand, n int) []T {
 	return row
 }
 
-// checkRowsBitEqual compares columns [0, cols) of every row against the
-// last row.
-func checkRowsBitEqual[T Float](t *testing.T, label string, c Matrix[T], cols int) {
+// checkRowsBitEqual compares every column of every row against the last
+// row, NaN payloads included.
+func checkRowsBitEqual[T Float](t *testing.T, label string, c Matrix[T]) {
 	t.Helper()
 	n := c.Cols
 	last := c.Rows - 1
-	want := c.Data[last*n : last*n+cols]
+	want := c.Data[last*n : last*n+n]
 	for i := 0; i < last; i++ {
-		got := c.Data[i*n : i*n+cols]
+		got := c.Data[i*n : i*n+n]
 		for j := range got {
-			if got[j] != got[j] && want[j] != want[j] {
-				// NaN payloads are not part of the contract: hardware FMA
-				// propagates the payload of a different operand slot than
-				// math.FMA in the gradient's 1 - y*y.
-				continue
-			}
 			if math.Float64bits(float64(got[j])) != math.Float64bits(float64(want[j])) {
 				t.Fatalf("%s: row %d col %d: %g != last row's %g (diff %g)",
 					label, i, j, float64(got[j]), float64(want[j]), float64(got[j])-float64(want[j]))
@@ -199,9 +194,10 @@ func checkRowsBitEqual[T Float](t *testing.T, label string, c Matrix[T], cols in
 
 // testLaneVsTailRow runs every epilogue on a (2R+1)-row problem with
 // identical A rows: two asm strips plus a one-row tail strip, two asm
-// column chunks plus a column tail below the chunk width. Columns the
-// lanes cover must be bit-identical down all rows in both precisions;
-// float64 extends that to the scalar-model column tail.
+// column chunks plus a column tail below the chunk width (masked in-lane on
+// AVX-512, staged on AVX2). Every column must be bit-identical down all
+// rows in both precisions, and the last column, whose B column and bias
+// repeat the first's, must carry the first column's bits.
 func testLaneVsTailRow[T Float](t *testing.T, fam cpufeat.Family) {
 	var z T
 	es := sizeofT(z)
@@ -211,37 +207,56 @@ func testLaneVsTailRow[T Float](t *testing.T, fam cpufeat.Family) {
 	}
 	m := 2*caps.rows + 1
 	n := 2*caps.cover + 3
-	cols := n
-	if es == 4 && !caps.masked {
-		cols = n &^ (caps.cover - 1)
-	}
 	rng := rand.New(rand.NewSource(77))
 	for _, k := range []int{1, 25, 50, 240, simdMaxK + 1, 1600} {
 		a := repeatedRows(randRow[T](rng, k), m)
 		b := randMatT[T](rng, k, n)
+		for p := 0; p < k; p++ {
+			b.Data[p*n+n-1] = b.Data[p*n]
+		}
 		bias := randRow[T](rng, n)
+		bias[n-1] = bias[0]
 		label := fmt.Sprintf("%s %T k=%d", fam, z, k)
 
-		c := repeatedRows(randRow[T](rng, n), m)
+		c0 := randRow[T](rng, n)
+		c0[n-1] = c0[0]
+		c := repeatedRows(c0, m)
 		GemmOpt(Opts{}, nil, 2.5, a, b, -0.5, c)
-		checkRowsBitEqual(t, label+" epiNone", c, cols)
+		checkRowsBitEqual(t, label+" epiNone", c)
+		checkLastColumnIsFirst(t, label+" epiNone", c)
 
 		c = NewMatrix[T](m, n)
 		GemmBiasOpt(Opts{}, nil, a, b, bias, c)
-		checkRowsBitEqual(t, label+" epiBias", c, cols)
+		checkRowsBitEqual(t, label+" epiBias", c)
+		checkLastColumnIsFirst(t, label+" epiBias", c)
 
 		// Beyond one panel this is the panelled GemmBias plus the separate
 		// tanh pass, which is elementwise and keeps equal rows equal.
 		y := NewMatrix[T](m, n)
 		grad := NewMatrix[T](m, n)
 		GemmBiasTanhGradOpt(Opts{}, nil, a, b, bias, y, grad)
-		checkRowsBitEqual(t, label+" epiTanh y", y, cols)
-		checkRowsBitEqual(t, label+" epiTanhGrad", grad, cols)
+		checkRowsBitEqual(t, label+" epiTanh y", y)
+		checkRowsBitEqual(t, label+" epiTanhGrad", grad)
+		checkLastColumnIsFirst(t, label+" epiTanh y", y)
+		checkLastColumnIsFirst(t, label+" epiTanhGrad", grad)
 	}
 }
 
-// TestSIMDLaneVsScalarModel checks the bit-exactness contract directly, at
-// one K panel and beyond (k = 1600 is the paper's first fitting layer).
+// checkLastColumnIsFirst compares the last column of every row against the
+// first, bitwise.
+func checkLastColumnIsFirst[T Float](t *testing.T, label string, c Matrix[T]) {
+	t.Helper()
+	n := c.Cols
+	for i := 0; i < c.Rows; i++ {
+		if got, want := c.Data[i*n+n-1], c.Data[i*n]; math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("%s: row %d: last column %g != first column's %g", label, i, float64(got), float64(want))
+		}
+	}
+}
+
+// TestSIMDLaneVsScalarModel checks the bit-exactness contract directly, lanes
+// against lanes across every edge's staging, at one K panel and beyond
+// (k = 1600 is the paper's first fitting layer).
 func TestSIMDLaneVsScalarModel(t *testing.T) {
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
 		if fam == cpufeat.Generic {
@@ -253,9 +268,9 @@ func TestSIMDLaneVsScalarModel(t *testing.T) {
 }
 
 // TestSIMDNaNInfPropagation drives non-finite values through the fused
-// tanh epilogue: a NaN pre-activation must stay NaN (same bits between
-// lane and model), +/-Inf must saturate to +/-1 with gradient 0, and both
-// must not contaminate neighboring lanes.
+// tanh epilogue: a NaN pre-activation must stay NaN (same bits in every
+// row, whichever strip or staging serves it), +/-Inf must saturate to +/-1
+// with gradient 0, and both must not contaminate neighboring lanes.
 func TestSIMDNaNInfPropagation(t *testing.T) {
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
 		if fam == cpufeat.Generic {
@@ -283,8 +298,8 @@ func TestSIMDNaNInfPropagation(t *testing.T) {
 		y := NewMatrix[float64](m, n)
 		grad := NewMatrix[float64](m, n)
 		GemmBiasTanhGradOpt(Opts{}, nil, a, b, bias, y, grad)
-		checkRowsBitEqual(t, fam.String()+" nonfinite y", y, n)
-		checkRowsBitEqual(t, fam.String()+" nonfinite grad", grad, n)
+		checkRowsBitEqual(t, fam.String()+" nonfinite y", y)
+		checkRowsBitEqual(t, fam.String()+" nonfinite grad", grad)
 		for i := 0; i < m; i++ {
 			if !math.IsNaN(y.At(i, 0)) {
 				t.Errorf("row %d: tanh(NaN) = %g, want NaN", i, y.At(i, 0))
@@ -372,23 +387,19 @@ func testNonFiniteAcrossPanels[T Float](t *testing.T, fam cpufeat.Family) {
 	}
 }
 
-// TestSIMDNTLaneVsScalarModel is the same bitwise lane-vs-model check for
-// the NT dot tile, driven through ntRowRange directly so small shapes
-// (odd rows, column tails, k tails below the vector width) hit the asm:
-// the tail columns a row pair computes on the zero-padded mini-panel must
-// carry the bits the scalar model gives the odd row.
+// TestSIMDNTLaneVsScalarModel is the same bitwise row check for the NT dot
+// tile, driven through ntRowRange directly so small shapes (odd rows,
+// column tails, k tails below the vector width) hit the asm: the odd row,
+// computed as a pair with a zero row, must carry the bits of the row pair,
+// on the covered columns and on the zero-padded mini-panel alike.
 func TestSIMDNTLaneVsScalarModel(t *testing.T) {
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
 		if fam == cpufeat.Generic {
 			t.Skip("no lanes in the generic family")
 		}
-		caps, ok := simdCaps(fam, 8)
-		if !ok || !caps.hasNT {
-			t.Skip("no NT tile in this family")
-		}
 		rng := rand.New(rand.NewSource(123))
 		for _, k := range []int{8, 25, 50, 51, 100} {
-			// One asm row pair + the scalar odd row; n = 7 is 4 covered
+			// One asm row pair + the odd row; n = 7 is 4 covered
 			// columns + 3 on the staged mini-panel, the rest are the
 			// embedding net's backward widths (tails of 1, 2, 1 and 2).
 			for _, n := range []int{7, 1, 2, 25, 50} {
@@ -397,7 +408,7 @@ func TestSIMDNTLaneVsScalarModel(t *testing.T) {
 				b := randMatT[float64](rng, n, k)
 				c := repeatedRows(randRow[float64](rng, n), m)
 				ntRowRange(fam, 0, m, k, n, 1.5, a.Data, k, b.Data, k, -0.5, c.Data, n)
-				checkRowsBitEqual(t, fmt.Sprintf("%s NT k=%d n=%d", fam, k, n), c, n)
+				checkRowsBitEqual(t, fmt.Sprintf("%s NT k=%d n=%d", fam, k, n), c)
 			}
 		}
 	})
@@ -412,55 +423,100 @@ func ulp64(a, b float64) float64 {
 	return math.Abs(a-b) / math.Ldexp(1, exp-52)
 }
 
-// TestTanhApprox64ULP asserts the documented accuracy bound of the vector
-// tanh polynomial: strictly less than 4 ulp from math.Tanh everywhere
-// (measured max on dense sweeps is ~2 ulp), with exact saturation at
-// |x| >= 20, exact zero at zero, and NaN/Inf handled like math.Tanh.
-func TestTanhApprox64ULP(t *testing.T) {
-	const bound = 4.0
-	maxUlp := 0.0
-	worst := 0.0
-	check := func(x float64) {
-		got := tanhApprox64(x)
-		want := math.Tanh(x)
-		if u := ulp64(got, want); u > maxUlp {
-			maxUlp, worst = u, x
-		}
+// tanhLanes evaluates x through the fused tanh epilogue of
+// GemmBiasTanhGradOpt on the active family: k = 1, the samples in the A
+// column, a B row of ones and a bias of -0, so every pre-activation is the
+// sample exactly (-0 included). n = 19 puts each sample in an in-lane
+// column chunk and in the column tail (masked on AVX-512, staged on AVX2).
+// It returns every column of every row.
+func tanhLanes[T Float](x []T) Matrix[T] {
+	const n = 19
+	a := Matrix[T]{Rows: len(x), Cols: 1, Data: x}
+	b := NewMatrix[T](1, n)
+	bias := make([]T, n)
+	for j := range bias {
+		b.Data[j] = 1
+		bias[j] = T(math.Copysign(0, -1))
 	}
-	// Dense uniform sweep across the active range and a log sweep into the
-	// subnormal regime, both signs.
+	y, grad := NewMatrix[T](len(x), n), NewMatrix[T](len(x), n)
+	GemmBiasTanhGradOpt(Opts{}, nil, a, b, bias, y, grad)
+	return y
+}
+
+// tanhSamples is the sweep of TestTanhLaneULP: a dense uniform sweep across
+// the active range and a log sweep into the subnormal regime, both signs,
+// then saturation, signed zeros and NaN.
+func tanhSamples() []float64 {
 	const N = 400000
+	xs := make([]float64, 0, 3*N+16)
 	for i := 0; i <= N; i++ {
-		check(-22 + 44*float64(i)/N)
+		xs = append(xs, -22+44*float64(i)/N)
 	}
 	for i := 0; i <= N; i++ {
 		x := math.Ldexp(1+float64(i%97)/97, -8-i*1050/N)
-		check(x)
-		check(-x)
+		xs = append(xs, x, -x)
 	}
-	if maxUlp >= bound {
-		t.Errorf("tanhApprox64 max error %.3f ulp at x=%g, documented bound is < %g ulp", maxUlp, worst, bound)
-	}
-	t.Logf("tanhApprox64 max error %.3f ulp (at x=%g)", maxUlp, worst)
+	return append(xs, 20, -20, 25, -25, 700, -700, math.Inf(1), math.Inf(-1), 1e308,
+		0, math.Copysign(0, -1), math.NaN())
+}
 
-	for _, x := range []float64{20, -20, 25, -25, 700, -700, math.Inf(1), math.Inf(-1), 1e308} {
-		want := 1.0
-		if x < 0 {
-			want = -1
+// TestTanhLaneULP asserts the documented accuracy of the lanes' tanh, read
+// off the fused epilogue on every family with lanes: float64 strictly less
+// than 4 ulp from math.Tanh everywhere (measured max on dense sweeps is ~2
+// ulp), exactly +/-1 at |x| >= 20, signed zeros kept and NaN propagated;
+// float32 bit-identical to tanhf, the unfused pass's tanh.
+func TestTanhLaneULP(t *testing.T) {
+	xs := tanhSamples()
+	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
+		if fam == cpufeat.Generic {
+			t.Skip("no lanes in the generic family")
 		}
-		if got := tanhApprox64(x); got != want {
-			t.Errorf("tanhApprox64(%g) = %g, want exactly %g", x, got, want)
+		const bound = 4.0
+		maxUlp, worst := 0.0, 0.0
+		for lo := 0; lo < len(xs); lo += 8192 {
+			x := xs[lo:min(len(xs), lo+8192)]
+			y := tanhLanes(append([]float64(nil), x...))
+			for i, xi := range x {
+				want := math.Tanh(xi)
+				for _, got := range y.Data[i*y.Cols : (i+1)*y.Cols] {
+					switch {
+					case xi != xi:
+						if got == got {
+							t.Fatalf("tanh(NaN) = %g, want NaN", got)
+						}
+					case xi == 0 || math.Abs(xi) >= 20:
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("tanh(%g) = %g, want exactly %g", xi, got, want)
+						}
+					default:
+						if u := ulp64(got, want); u > maxUlp {
+							maxUlp, worst = u, xi
+						}
+					}
+				}
+			}
 		}
-	}
-	if got := tanhApprox64(0); got != 0 || math.Signbit(got) {
-		t.Errorf("tanhApprox64(0) = %g, want +0", got)
-	}
-	if got := tanhApprox64(math.Copysign(0, -1)); got != 0 || !math.Signbit(got) {
-		t.Errorf("tanhApprox64(-0) = %g, want -0", got)
-	}
-	if got := tanhApprox64(math.NaN()); !math.IsNaN(got) {
-		t.Errorf("tanhApprox64(NaN) = %g, want NaN", got)
-	}
+		if maxUlp >= bound {
+			t.Errorf("float64 tanh max error %.3f ulp at x=%g, documented bound is < %g ulp", maxUlp, worst, bound)
+		}
+		t.Logf("float64 tanh max error %.3f ulp (at x=%g)", maxUlp, worst)
+
+		for lo := 0; lo < len(xs); lo += 8192 {
+			x := make([]float32, 0, 8192)
+			for _, xi := range xs[lo:min(len(xs), lo+8192)] {
+				x = append(x, float32(xi))
+			}
+			y := tanhLanes(append([]float32(nil), x...))
+			for i, xi := range x {
+				want := tanhf(xi)
+				for _, got := range y.Data[i*y.Cols : (i+1)*y.Cols] {
+					if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+						t.Fatalf("float32 tanh(%g) = %g, tanhf gives %g", xi, got, want)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestKernelInfo(t *testing.T) {
@@ -541,7 +597,7 @@ func ntOnePanel[T Float](fam cpufeat.Family, m, k, n int, alpha T, a, b []T, bet
 // of the goroutine fan-out give the bits of the serial call.
 func TestNTPanelsBitIdentical(t *testing.T) {
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
-		if caps, ok := simdCaps(fam, 8); fam == cpufeat.Generic || !ok || !caps.hasNT {
+		if _, ok := simdCaps(fam, 8); fam == cpufeat.Generic || !ok {
 			t.Skip("no NT tile in this family")
 		}
 		testNTPanels[float64](t, fam)
