@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -71,6 +72,10 @@ func main() {
 	dump := flag.String("dump", "", "write final configuration as XYZ")
 	eng := cliopt.Bind(flag.CommandLine, runtime.NumCPU())
 	flag.Parse()
+	run := runFlags{system: *system, nx: *nx, steps: *steps, grains: *grains, boxL: *boxL, tempK: *tempK}
+	if err := run.check(); err != nil {
+		usageExit(err)
+	}
 
 	// In a tcp world only rank 0 narrates; the other workers would print
 	// the identical banner and thermo log (SPMD: same inputs, same state).
@@ -113,6 +118,18 @@ func main() {
 		return
 	}
 
+	// Open the thermo file before the run, so an unwritable path costs
+	// nothing. In a tcp world rank 0 writes it.
+	var thermoFile *os.File
+	if *thermoJSON != "" && *mpiRank <= 0 {
+		f, err := os.Create(*thermoJSON)
+		if err != nil {
+			usageExit(err)
+		}
+		defer f.Close()
+		thermoFile = f
+	}
+
 	var sys *deepmd.System
 	var cfg core.Config
 	dt := 0.0005
@@ -130,6 +147,9 @@ func main() {
 		dt = 0.0005
 	default:
 		log.Fatalf("unknown system %q", *system)
+	}
+	if sys.N() == 0 {
+		usageExit(fmt.Errorf("-system %s: the flags build no atoms", *system))
 	}
 
 	var model *core.Model
@@ -225,8 +245,8 @@ func main() {
 		perStep := stats.LoopTime.Seconds() / float64(*steps)
 		fmt.Printf("MD loop %.2f s | %.1f ms/step | %.3g s/step/atom | %d msgs, %d bytes (%d framed)\n",
 			stats.LoopTime.Seconds(), perStep*1000, perStep/float64(sys.N()), stats.Messages, stats.Bytes, stats.WireBytes)
-		if *thermoJSON != "" {
-			if err := writeThermoJSON(*thermoJSON, *transport, *ranks, stats); err != nil {
+		if thermoFile != nil {
+			if err := writeThermoJSON(thermoFile, *transport, *ranks, stats); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("wrote %s\n", *thermoJSON)
@@ -290,7 +310,7 @@ type thermoDoc struct {
 	} `json:"comm"`
 }
 
-func writeThermoJSON(path, transport string, ranks int, st *deepmd.ParallelStats) error {
+func writeThermoJSON(f *os.File, transport string, ranks int, st *deepmd.ParallelStats) error {
 	var doc thermoDoc
 	doc.Physics.Thermo = st.Thermo
 	doc.Physics.PEPerRank = st.PEPerRank
@@ -307,7 +327,48 @@ func writeThermoJSON(path, transport string, ranks int, st *deepmd.ParallelStats
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	if _, err := f.Write(append(data, '\n')); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// runFlags are the numeric flags that size the run, checked before
+// anything is built.
+type runFlags struct {
+	system            string
+	nx, steps, grains int
+	boxL, tempK       float64
+}
+
+// check reports the first flag no run can start from.
+func (r runFlags) check() error {
+	if r.steps < 1 {
+		return fmt.Errorf("-steps %d: need at least one step", r.steps)
+	}
+	if !(r.tempK >= 0) || math.IsInf(r.tempK, 1) {
+		return fmt.Errorf("-temp %g: need a finite temperature >= 0 K", r.tempK)
+	}
+	switch r.system {
+	case "water", "copper":
+		if r.nx < 1 {
+			return fmt.Errorf("-nx %d: need at least one cell", r.nx)
+		}
+	case "nanocu":
+		if !(r.boxL > 0) || math.IsInf(r.boxL, 1) {
+			return fmt.Errorf("-boxl %g: need a finite box edge > 0", r.boxL)
+		}
+		if r.grains < 1 {
+			return fmt.Errorf("-grains %d: need at least one grain", r.grains)
+		}
+	}
+	return nil
+}
+
+// usageExit reports a flag error and exits with status 2.
+func usageExit(err error) {
+	fmt.Fprintf(os.Stderr, "dpmd: %v\n", err)
+	os.Exit(2)
 }
 
 func printThermo(th deepmd.Thermo) {

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"deepmd-go/internal/cliopt"
 	"deepmd-go/internal/compress"
@@ -47,6 +48,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	eng := cliopt.Bind(flag.CommandLine, 1)
 	flag.Parse()
+	if *frames < 1 {
+		fmt.Fprintf(os.Stderr, "dptrain: -frames %d: need at least one training frame\n", *frames)
+		os.Exit(2)
+	}
 
 	var cfg core.Config
 	var oracle md.Potential

@@ -20,8 +20,9 @@ import (
 //
 // On an AVX family the strips serve the forward pass of all three tanh
 // layers, the 1600-deep first one included, and the dot tile their three
-// backward passes. The 240 -> 1 head runs naive both ways: one output
-// column is below every strip width, and its backward has depth 1. Tier
+// backward passes. The 240 -> 1 head's forward runs naive — one output
+// column is below every strip width — and its depth-1 backward, an outer
+// product, runs on the strips. Tier
 // choice reads the layer and never the row count, so the tallies are a
 // function of the atom count alone — the same at a ChunkSize of 100 (four
 // chunks of 64 rows) as at 256 (one chunk). Under the generic family — the
@@ -53,7 +54,8 @@ func testKernelTierAttribution(t *testing.T, chunkSize int) {
 	for _, l := range m.Fit[0].Layers {
 		fwd, bwd := int64(2*l.In()*l.Out()+l.Out()), int64(2*l.In()*l.Out())
 		if l.Out() == 1 {
-			naive += fwd + bwd
+			naive += fwd
+			strip += bwd
 		} else {
 			strip += fwd
 			dot += bwd

@@ -19,6 +19,12 @@ import (
 //   - AddSkipDouble and AddSkipSame replace CONCAT + SUM (Sec. 5.3.2): the
 //     concatenated (x, x) never materializes; the skip connection is an
 //     in-place strided add into the activation output.
+//
+// The element-wise passes — the skip adds, SkipDoubleBackward and MulInto —
+// run as one lane-kernel call over every row on an active SIMD family
+// (laneSkipDouble and friends in simd_amd64.go), computing each element
+// with the IEEE operation of the Go loop below it, in its order. The Go
+// loops are the path where no family exists.
 
 // GemmBiasOpt computes C = A*B + bias broadcast over rows, in one fused
 // pass: the strips seed their accumulators with the bias row, the naive
@@ -137,12 +143,14 @@ func AddSkipDouble[T Float](ctr *perf.Counter, x, y Matrix[T]) {
 	}
 	start := ctr.Now()
 	n := x.Cols
-	for i := 0; i < x.Rows; i++ {
-		xi := x.Data[i*n : i*n+n]
-		yi := y.Data[i*2*n : (i+1)*2*n]
-		for j, v := range xi {
-			yi[j] += v
-			yi[j+n] += v
+	if !laneSkipDouble(y.Data, x.Data, x.Rows, n) {
+		for i := 0; i < x.Rows; i++ {
+			xi := x.Data[i*n : i*n+n]
+			yi := y.Data[i*2*n : (i+1)*2*n]
+			for j, v := range xi {
+				yi[j] += v
+				yi[j+n] += v
+			}
 		}
 	}
 	ctr.Observe(perf.CatOther, start, 2*int64(len(x.Data)))
@@ -155,8 +163,10 @@ func AddSkipSame[T Float](ctr *perf.Counter, x, y Matrix[T]) {
 		panic("tensor: AddSkipSame dimension mismatch")
 	}
 	start := ctr.Now()
-	for i, v := range x.Data {
-		y.Data[i] += v
+	if !laneAdd(y.Data, x.Data) {
+		for i, v := range x.Data {
+			y.Data[i] += v
+		}
 	}
 	ctr.Observe(perf.CatOther, start, int64(len(x.Data)))
 }
@@ -169,11 +179,13 @@ func SkipDoubleBackward[T Float](ctr *perf.Counter, dy, dx Matrix[T]) {
 	}
 	start := ctr.Now()
 	n := dx.Cols
-	for i := 0; i < dx.Rows; i++ {
-		di := dy.Data[i*2*n : (i+1)*2*n]
-		xi := dx.Data[i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			xi[j] += di[j] + di[j+n]
+	if !laneSkipFold(dx.Data, dy.Data, dx.Rows, n) {
+		for i := 0; i < dx.Rows; i++ {
+			di := dy.Data[i*2*n : (i+1)*2*n]
+			xi := dx.Data[i*n : i*n+n]
+			for j := 0; j < n; j++ {
+				xi[j] += di[j] + di[j+n]
+			}
 		}
 	}
 	ctr.Observe(perf.CatOther, start, 2*int64(len(dx.Data)))
@@ -186,8 +198,10 @@ func MulInto[T Float](ctr *perf.Counter, a, b, dst Matrix[T]) {
 		panic("tensor: MulInto dimension mismatch")
 	}
 	start := ctr.Now()
-	for i, v := range a.Data {
-		dst.Data[i] = v * b.Data[i]
+	if !laneMul(dst.Data, a.Data, b.Data) {
+		for i, v := range a.Data {
+			dst.Data[i] = v * b.Data[i]
+		}
 	}
 	ctr.Observe(perf.CatOther, start, int64(len(a.Data)))
 }

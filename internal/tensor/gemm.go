@@ -46,6 +46,11 @@ func GemmOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T
 
 // GemmNTOpt computes C = alpha*A*B^T + beta*C, A: m x k, B: n x k,
 // C: m x n. Used by the backward passes (dX = dY * W^T).
+//
+// A depth-1 product with beta = 0 — the backward of the fitting net's
+// one-column head — is an outer product: B viewed as 1 x n is the same
+// data, and every element is one rounded product times alpha on the
+// strips as in the dot loop, so it runs there.
 func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T, c Matrix[T]) {
 	if a.Cols != b.Cols || a.Rows != c.Rows || b.Rows != c.Cols {
 		panic("tensor: GemmNT dimension mismatch")
@@ -53,7 +58,10 @@ func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	start := ctr.Now()
 	m, k, n := a.Rows, a.Cols, b.Rows
 	tier := perf.TierDot
-	if o.Kernel == Naive || !gemmNTSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n) {
+	switch {
+	case o.Kernel != Naive && k == 1 && beta == 0 && gemmSIMD(o.Workers, m, 1, n, alpha, a.Data, 1, b.Data, n, 0, c.Data, n, nil, epiNone, nil, 0):
+		tier = perf.TierStrip
+	case o.Kernel == Naive || !gemmNTSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n):
 		tier = perf.TierNaive
 		gemmNTNaive(alpha, a, b, beta, c)
 	}

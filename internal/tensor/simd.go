@@ -42,8 +42,10 @@ import (
 // GemmNT (dX = dY·Wᵀ) runs on a 2x4 dot-product tile with the lanes over K,
 // column panels of B outside the row pairs so that a panel is read from L1
 // (ntRowRange). The TN variant (training's dW = XᵀdY) stages Aᵀ into a
-// pooled slab and runs the strips (gemmTNSIMD). What runs naive is the
-// shapes below the tiles' widths (the fitting net's one-column head) and
+// pooled slab and runs the strips (gemmTNSIMD), and a depth-1 GemmNT with
+// beta = 0 (the fitting net's head backward) is an outer product on the
+// strips (GemmNTOpt). What runs naive is the shapes below the tiles'
+// widths (the forward of the fitting net's one-column head) and
 // everything when no family is active (purego, DEEPMD_KERNEL=generic, any
 // GOARCH but amd64).
 //

@@ -1057,3 +1057,396 @@ nt32nextj:
 nt32done:
 	VZEROUPPER
 	RET
+
+// ---------------------------------------------------------------------------
+// Element-wise lane passes of the nets (fused.go): the tanh-gradient
+// product, the identity skip add, the doubling skip add and its backward
+// fold. VEX-encoded, so the AVX-512 family runs them too. One call covers
+// every row; a row's last n mod 4 (f64) or n mod 8 (f32) columns go through
+// VMASKMOVPD/PS with the mask in Y15, so no legacy-SSE instruction ever
+// follows a dirty ymm. Every lane runs the IEEE operation of the Go loop it
+// replaces, with the Go loop's first operand as the instruction's first
+// source (the one whose payload a NaN-NaN pair returns).
+
+// ewMask64<>[4-t:8-t] and ewMask32<>[8-t:16-t] hold t live lanes.
+DATA ewMask64<>+0(SB)/8, $-1
+DATA ewMask64<>+8(SB)/8, $-1
+DATA ewMask64<>+16(SB)/8, $-1
+DATA ewMask64<>+24(SB)/8, $-1
+DATA ewMask64<>+32(SB)/8, $0
+DATA ewMask64<>+40(SB)/8, $0
+DATA ewMask64<>+48(SB)/8, $0
+DATA ewMask64<>+56(SB)/8, $0
+GLOBL ewMask64<>(SB), RODATA, $64
+
+DATA ewMask32<>+0(SB)/8, $-1
+DATA ewMask32<>+8(SB)/8, $-1
+DATA ewMask32<>+16(SB)/8, $-1
+DATA ewMask32<>+24(SB)/8, $-1
+DATA ewMask32<>+32(SB)/8, $0
+DATA ewMask32<>+40(SB)/8, $0
+DATA ewMask32<>+48(SB)/8, $0
+DATA ewMask32<>+56(SB)/8, $0
+GLOBL ewMask32<>(SB), RODATA, $64
+
+// EWTAIL64(N, COV): COV = N &^ 3 and Y15 = the mask of the N mod 4 tail
+// lanes. Clobbers R8, R9.
+#define EWTAIL64(N, COV) \
+	MOVQ N, COV                    \
+	ANDQ $-4, COV                  \
+	MOVQ COV, R9                   \
+	SUBQ N, R9                     \
+	ADDQ $4, R9                    \ // 4 - t
+	LEAQ ewMask64<>(SB), R8        \
+	VMOVDQU (R8)(R9*8), Y15
+
+// EWTAIL32(N, COV): COV = N &^ 7 and Y15 = the mask of the N mod 8 tail
+// lanes. Clobbers R8, R9.
+#define EWTAIL32(N, COV) \
+	MOVQ N, COV                    \
+	ANDQ $-8, COV                  \
+	MOVQ COV, R9                   \
+	SUBQ N, R9                     \
+	ADDQ $8, R9                    \ // 8 - t
+	LEAQ ewMask32<>(SB), R8        \
+	VMOVDQU (R8)(R9*4), Y15
+
+// func mulF64AVX2(dst, a, b unsafe.Pointer, n uintptr)
+//
+// dst[i] = a[i] * b[i].
+TEXT ·mulF64AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	EWTAIL64(CX, BX)
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  mul64tail
+
+mul64loop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMULPD (DX)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JB   mul64loop
+
+mul64tail:
+	CMPQ AX, CX
+	JE   mul64done
+	VMASKMOVPD (SI)(AX*8), Y15, Y0
+	VMASKMOVPD (DX)(AX*8), Y15, Y1
+	VMULPD Y1, Y0, Y0
+	VMASKMOVPD Y0, Y15, (DI)(AX*8)
+
+mul64done:
+	VZEROUPPER
+	RET
+
+// func mulF32AVX2(dst, a, b unsafe.Pointer, n uintptr)
+TEXT ·mulF32AVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	EWTAIL32(CX, BX)
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  mul32tail
+
+mul32loop:
+	VMOVUPS (SI)(AX*4), Y0
+	VMULPS (DX)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JB   mul32loop
+
+mul32tail:
+	CMPQ AX, CX
+	JE   mul32done
+	VMASKMOVPS (SI)(AX*4), Y15, Y0
+	VMASKMOVPS (DX)(AX*4), Y15, Y1
+	VMULPS Y1, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)(AX*4)
+
+mul32done:
+	VZEROUPPER
+	RET
+
+// func addF64AVX2(y, x unsafe.Pointer, n uintptr)
+//
+// y[i] = x[i] + y[i].
+TEXT ·addF64AVX2(SB), NOSPLIT, $0-24
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	EWTAIL64(CX, BX)
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  add64tail
+
+add64loop:
+	VMOVUPD (SI)(AX*8), Y0
+	VADDPD (DI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JB   add64loop
+
+add64tail:
+	CMPQ AX, CX
+	JE   add64done
+	VMASKMOVPD (SI)(AX*8), Y15, Y0
+	VMASKMOVPD (DI)(AX*8), Y15, Y1
+	VADDPD Y1, Y0, Y0
+	VMASKMOVPD Y0, Y15, (DI)(AX*8)
+
+add64done:
+	VZEROUPPER
+	RET
+
+// func addF32AVX2(y, x unsafe.Pointer, n uintptr)
+TEXT ·addF32AVX2(SB), NOSPLIT, $0-24
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	EWTAIL32(CX, BX)
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  add32tail
+
+add32loop:
+	VMOVUPS (SI)(AX*4), Y0
+	VADDPS (DI)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JB   add32loop
+
+add32tail:
+	CMPQ AX, CX
+	JE   add32done
+	VMASKMOVPS (SI)(AX*4), Y15, Y0
+	VMASKMOVPS (DI)(AX*4), Y15, Y1
+	VADDPS Y1, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)(AX*4)
+
+add32done:
+	VZEROUPPER
+	RET
+
+// func skipDoubleF64AVX2(y, x unsafe.Pointer, rows, n uintptr)
+//
+// y[r*2n+c] = y[r*2n+c] + x[r*n+c] and y[r*2n+n+c] = y[r*2n+n+c] + x[r*n+c].
+// DI, DX: the two halves of y's row; SI: x's row.
+TEXT ·skipDoubleF64AVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ rows+16(FP), R10
+	MOVQ n+24(FP), CX
+	TESTQ R10, R10
+	JZ   sd64done
+	TESTQ CX, CX
+	JZ   sd64done
+	EWTAIL64(CX, BX)
+	MOVQ CX, R11
+	SHLQ $3, R11              // x row stride, bytes
+	LEAQ (DI)(R11*1), DX
+
+sd64row:
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  sd64tail
+
+sd64loop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DI)(AX*8), Y1
+	VADDPD Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD (DX)(AX*8), Y2
+	VADDPD Y0, Y2, Y2
+	VMOVUPD Y2, (DX)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JB   sd64loop
+
+sd64tail:
+	CMPQ AX, CX
+	JE   sd64next
+	VMASKMOVPD (SI)(AX*8), Y15, Y0
+	VMASKMOVPD (DI)(AX*8), Y15, Y1
+	VADDPD Y0, Y1, Y1
+	VMASKMOVPD Y1, Y15, (DI)(AX*8)
+	VMASKMOVPD (DX)(AX*8), Y15, Y2
+	VADDPD Y0, Y2, Y2
+	VMASKMOVPD Y2, Y15, (DX)(AX*8)
+
+sd64next:
+	ADDQ R11, SI
+	LEAQ (DI)(R11*2), DI
+	LEAQ (DX)(R11*2), DX
+	DECQ R10
+	JNZ  sd64row
+
+sd64done:
+	VZEROUPPER
+	RET
+
+// func skipDoubleF32AVX2(y, x unsafe.Pointer, rows, n uintptr)
+TEXT ·skipDoubleF32AVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ rows+16(FP), R10
+	MOVQ n+24(FP), CX
+	TESTQ R10, R10
+	JZ   sd32done
+	TESTQ CX, CX
+	JZ   sd32done
+	EWTAIL32(CX, BX)
+	MOVQ CX, R11
+	SHLQ $2, R11
+	LEAQ (DI)(R11*1), DX
+
+sd32row:
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  sd32tail
+
+sd32loop:
+	VMOVUPS (SI)(AX*4), Y0
+	VMOVUPS (DI)(AX*4), Y1
+	VADDPS Y0, Y1, Y1
+	VMOVUPS Y1, (DI)(AX*4)
+	VMOVUPS (DX)(AX*4), Y2
+	VADDPS Y0, Y2, Y2
+	VMOVUPS Y2, (DX)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JB   sd32loop
+
+sd32tail:
+	CMPQ AX, CX
+	JE   sd32next
+	VMASKMOVPS (SI)(AX*4), Y15, Y0
+	VMASKMOVPS (DI)(AX*4), Y15, Y1
+	VADDPS Y0, Y1, Y1
+	VMASKMOVPS Y1, Y15, (DI)(AX*4)
+	VMASKMOVPS (DX)(AX*4), Y15, Y2
+	VADDPS Y0, Y2, Y2
+	VMASKMOVPS Y2, Y15, (DX)(AX*4)
+
+sd32next:
+	ADDQ R11, SI
+	LEAQ (DI)(R11*2), DI
+	LEAQ (DX)(R11*2), DX
+	DECQ R10
+	JNZ  sd32row
+
+sd32done:
+	VZEROUPPER
+	RET
+
+// func skipFoldF64AVX2(dx, dy unsafe.Pointer, rows, n uintptr)
+//
+// dx[r*n+c] = (dy[r*2n+c] + dy[r*2n+n+c]) + dx[r*n+c]: Go's association of
+// dx[c] += dy[c] + dy[c+n]. DI: dx's row; SI, DX: the two halves of dy's.
+TEXT ·skipFoldF64AVX2(SB), NOSPLIT, $0-32
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), SI
+	MOVQ rows+16(FP), R10
+	MOVQ n+24(FP), CX
+	TESTQ R10, R10
+	JZ   sf64done
+	TESTQ CX, CX
+	JZ   sf64done
+	EWTAIL64(CX, BX)
+	MOVQ CX, R11
+	SHLQ $3, R11
+	LEAQ (SI)(R11*1), DX
+
+sf64row:
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  sf64tail
+
+sf64loop:
+	VMOVUPD (SI)(AX*8), Y0
+	VADDPD (DX)(AX*8), Y0, Y0
+	VADDPD (DI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JB   sf64loop
+
+sf64tail:
+	CMPQ AX, CX
+	JE   sf64next
+	VMASKMOVPD (SI)(AX*8), Y15, Y0
+	VMASKMOVPD (DX)(AX*8), Y15, Y1
+	VMASKMOVPD (DI)(AX*8), Y15, Y2
+	VADDPD Y1, Y0, Y0
+	VADDPD Y2, Y0, Y0
+	VMASKMOVPD Y0, Y15, (DI)(AX*8)
+
+sf64next:
+	ADDQ R11, DI
+	LEAQ (SI)(R11*2), SI
+	LEAQ (DX)(R11*2), DX
+	DECQ R10
+	JNZ  sf64row
+
+sf64done:
+	VZEROUPPER
+	RET
+
+// func skipFoldF32AVX2(dx, dy unsafe.Pointer, rows, n uintptr)
+TEXT ·skipFoldF32AVX2(SB), NOSPLIT, $0-32
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), SI
+	MOVQ rows+16(FP), R10
+	MOVQ n+24(FP), CX
+	TESTQ R10, R10
+	JZ   sf32done
+	TESTQ CX, CX
+	JZ   sf32done
+	EWTAIL32(CX, BX)
+	MOVQ CX, R11
+	SHLQ $2, R11
+	LEAQ (SI)(R11*1), DX
+
+sf32row:
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  sf32tail
+
+sf32loop:
+	VMOVUPS (SI)(AX*4), Y0
+	VADDPS (DX)(AX*4), Y0, Y0
+	VADDPS (DI)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JB   sf32loop
+
+sf32tail:
+	CMPQ AX, CX
+	JE   sf32next
+	VMASKMOVPS (SI)(AX*4), Y15, Y0
+	VMASKMOVPS (DX)(AX*4), Y15, Y1
+	VMASKMOVPS (DI)(AX*4), Y15, Y2
+	VADDPS Y1, Y0, Y0
+	VADDPS Y2, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)(AX*4)
+
+sf32next:
+	ADDQ R11, DI
+	LEAQ (SI)(R11*2), SI
+	LEAQ (DX)(R11*2), DX
+	DECQ R10
+	JNZ  sf32row
+
+sf32done:
+	VZEROUPPER
+	RET

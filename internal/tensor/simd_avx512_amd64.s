@@ -109,44 +109,153 @@ DATA kmaskTab<>+30(SB)/2, $0x7fff
 DATA kmaskTab<>+32(SB)/2, $0xffff
 GLOBL kmaskTab<>(SB), RODATA, $34
 
-// TANH64Z: ACC = tanh(ACC) on eight f64 lanes; same operation sequence as
-// the AVX2 TANH64 macro. Temps Z11-Z15, mask K2.
-#define TANH64Z(ACC) \
-	VANDPD.BCST tanhC64z<>+TC64_ABS(SB), ACC, Z11   \
-	VMINPD.BCST tanhC64z<>+TC64_BOUND(SB), Z11, Z11 \
-	VADDPD Z11, Z11, Z11                           \
-	VMULPD.BCST tanhC64z<>+TC64_LOG2E(SB), Z11, Z12 \
-	VRNDSCALEPD $0, Z12, Z12                       \
-	VMOVAPD Z11, Z13                               \
-	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2HI(SB), Z12, Z13 \
-	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2LO(SB), Z12, Z13 \
-	VBROADCASTSD tanhC64z<>+TC64_POLY(SB), Z14      \
-	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+32(SB), Z13, Z14 \
-	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+64(SB), Z13, Z14 \
-	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+96(SB), Z13, Z14 \
+// TANH64Z4: A, B, C, D = tanh of each, eight f64 lanes apiece, as four
+// interleaved chains. Each chain runs the operation sequence of the AVX2
+// TANH64 macro on its own temporaries — A on Z11-Z15 with mask K2, B on
+// Z16-Z20/K3, C on Z21-Z25/K4, D on Z26-Z30/K5 — so a lane's bits do not
+// depend on which chain it rides, and the four divides and polynomial
+// chains overlap.
+#define TANH64Z4(A, B, C, D) \
+	VANDPD.BCST tanhC64z<>+TC64_ABS(SB), A, Z11             \
+	VANDPD.BCST tanhC64z<>+TC64_ABS(SB), B, Z16             \
+	VANDPD.BCST tanhC64z<>+TC64_ABS(SB), C, Z21             \
+	VANDPD.BCST tanhC64z<>+TC64_ABS(SB), D, Z26             \
+	VMINPD.BCST tanhC64z<>+TC64_BOUND(SB), Z11, Z11         \
+	VMINPD.BCST tanhC64z<>+TC64_BOUND(SB), Z16, Z16         \
+	VMINPD.BCST tanhC64z<>+TC64_BOUND(SB), Z21, Z21         \
+	VMINPD.BCST tanhC64z<>+TC64_BOUND(SB), Z26, Z26         \
+	VADDPD Z11, Z11, Z11                                    \
+	VADDPD Z16, Z16, Z16                                    \
+	VADDPD Z21, Z21, Z21                                    \
+	VADDPD Z26, Z26, Z26                                    \
+	VMULPD.BCST tanhC64z<>+TC64_LOG2E(SB), Z11, Z12         \
+	VMULPD.BCST tanhC64z<>+TC64_LOG2E(SB), Z16, Z17         \
+	VMULPD.BCST tanhC64z<>+TC64_LOG2E(SB), Z21, Z22         \
+	VMULPD.BCST tanhC64z<>+TC64_LOG2E(SB), Z26, Z27         \
+	VRNDSCALEPD $0, Z12, Z12                                \
+	VRNDSCALEPD $0, Z17, Z17                                \
+	VRNDSCALEPD $0, Z22, Z22                                \
+	VRNDSCALEPD $0, Z27, Z27                                \
+	VMOVAPD Z11, Z13                                        \
+	VMOVAPD Z16, Z18                                        \
+	VMOVAPD Z21, Z23                                        \
+	VMOVAPD Z26, Z28                                        \
+	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2HI(SB), Z12, Z13   \
+	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2HI(SB), Z17, Z18   \
+	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2HI(SB), Z22, Z23   \
+	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2HI(SB), Z27, Z28   \
+	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2LO(SB), Z12, Z13   \
+	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2LO(SB), Z17, Z18   \
+	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2LO(SB), Z22, Z23   \
+	VFNMADD231PD.BCST tanhC64z<>+TC64_LN2LO(SB), Z27, Z28   \
+	VBROADCASTSD tanhC64z<>+TC64_POLY(SB), Z14              \
+	VBROADCASTSD tanhC64z<>+TC64_POLY(SB), Z19              \
+	VBROADCASTSD tanhC64z<>+TC64_POLY(SB), Z24              \
+	VBROADCASTSD tanhC64z<>+TC64_POLY(SB), Z29              \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+32(SB), Z13, Z14  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+32(SB), Z18, Z19  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+32(SB), Z23, Z24  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+32(SB), Z28, Z29  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+64(SB), Z13, Z14  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+64(SB), Z18, Z19  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+64(SB), Z23, Z24  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+64(SB), Z28, Z29  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+96(SB), Z13, Z14  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+96(SB), Z18, Z19  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+96(SB), Z23, Z24  \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+96(SB), Z28, Z29  \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+128(SB), Z13, Z14 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+128(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+128(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+128(SB), Z28, Z29 \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+160(SB), Z13, Z14 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+160(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+160(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+160(SB), Z28, Z29 \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+192(SB), Z13, Z14 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+192(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+192(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+192(SB), Z28, Z29 \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+224(SB), Z13, Z14 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+224(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+224(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+224(SB), Z28, Z29 \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+256(SB), Z13, Z14 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+256(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+256(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+256(SB), Z28, Z29 \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+288(SB), Z13, Z14 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+288(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+288(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+288(SB), Z28, Z29 \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+320(SB), Z13, Z14 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+320(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+320(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+320(SB), Z28, Z29 \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+352(SB), Z13, Z14 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+352(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+352(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+352(SB), Z28, Z29 \
 	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+384(SB), Z13, Z14 \
-	VMULPD Z13, Z14, Z14                           \
-	VCVTTPD2DQ Z12, Y12                            \
-	VPMOVSXDQ Y12, Z12                             \
-	VPADDQ.BCST tanhC64z<>+TC64_BIAS(SB), Z12, Z12  \
-	VPSLLQ $52, Z12, Z12                           \
-	VSUBPD.BCST tanhC64z<>+TC64_ONE(SB), Z12, Z15   \
-	VFMADD231PD Z14, Z12, Z15                      \
-	VADDPD.BCST tanhC64z<>+TC64_TWO(SB), Z15, Z14   \
-	VDIVPD Z14, Z15, Z15                           \
-	VANDPD.BCST tanhC64z<>+TC64_SIGN(SB), ACC, Z11  \
-	VORPD Z11, Z15, Z15                            \
-	VCMPPD $3, ACC, ACC, K2                        \
-	VMOVAPD ACC, K2, Z15                           \
-	VMOVAPD Z15, ACC
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+384(SB), Z18, Z19 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+384(SB), Z23, Z24 \
+	VFMADD213PD.BCST tanhC64z<>+TC64_POLY+384(SB), Z28, Z29 \
+	VMULPD Z13, Z14, Z14                                    \
+	VMULPD Z18, Z19, Z19                                    \
+	VMULPD Z23, Z24, Z24                                    \
+	VMULPD Z28, Z29, Z29                                    \
+	VCVTTPD2DQ Z12, Y12                                     \
+	VCVTTPD2DQ Z17, Y17                                     \
+	VCVTTPD2DQ Z22, Y22                                     \
+	VCVTTPD2DQ Z27, Y27                                     \
+	VPMOVSXDQ Y12, Z12                                      \
+	VPMOVSXDQ Y17, Z17                                      \
+	VPMOVSXDQ Y22, Z22                                      \
+	VPMOVSXDQ Y27, Z27                                      \
+	VPADDQ.BCST tanhC64z<>+TC64_BIAS(SB), Z12, Z12          \
+	VPADDQ.BCST tanhC64z<>+TC64_BIAS(SB), Z17, Z17          \
+	VPADDQ.BCST tanhC64z<>+TC64_BIAS(SB), Z22, Z22          \
+	VPADDQ.BCST tanhC64z<>+TC64_BIAS(SB), Z27, Z27          \
+	VPSLLQ $52, Z12, Z12                                    \
+	VPSLLQ $52, Z17, Z17                                    \
+	VPSLLQ $52, Z22, Z22                                    \
+	VPSLLQ $52, Z27, Z27                                    \
+	VSUBPD.BCST tanhC64z<>+TC64_ONE(SB), Z12, Z15           \
+	VSUBPD.BCST tanhC64z<>+TC64_ONE(SB), Z17, Z20           \
+	VSUBPD.BCST tanhC64z<>+TC64_ONE(SB), Z22, Z25           \
+	VSUBPD.BCST tanhC64z<>+TC64_ONE(SB), Z27, Z30           \
+	VFMADD231PD Z14, Z12, Z15                               \
+	VFMADD231PD Z19, Z17, Z20                               \
+	VFMADD231PD Z24, Z22, Z25                               \
+	VFMADD231PD Z29, Z27, Z30                               \
+	VADDPD.BCST tanhC64z<>+TC64_TWO(SB), Z15, Z14           \
+	VADDPD.BCST tanhC64z<>+TC64_TWO(SB), Z20, Z19           \
+	VADDPD.BCST tanhC64z<>+TC64_TWO(SB), Z25, Z24           \
+	VADDPD.BCST tanhC64z<>+TC64_TWO(SB), Z30, Z29           \
+	VDIVPD Z14, Z15, Z15                                    \
+	VDIVPD Z19, Z20, Z20                                    \
+	VDIVPD Z24, Z25, Z25                                    \
+	VDIVPD Z29, Z30, Z30                                    \
+	VANDPD.BCST tanhC64z<>+TC64_SIGN(SB), A, Z11            \
+	VANDPD.BCST tanhC64z<>+TC64_SIGN(SB), B, Z16            \
+	VANDPD.BCST tanhC64z<>+TC64_SIGN(SB), C, Z21            \
+	VANDPD.BCST tanhC64z<>+TC64_SIGN(SB), D, Z26            \
+	VORPD Z11, Z15, Z15                                     \
+	VORPD Z16, Z20, Z20                                     \
+	VORPD Z21, Z25, Z25                                     \
+	VORPD Z26, Z30, Z30                                     \
+	VCMPPD $3, A, A, K2                                     \
+	VCMPPD $3, B, B, K3                                     \
+	VCMPPD $3, C, C, K4                                     \
+	VCMPPD $3, D, D, K5                                     \
+	VMOVAPD A, K2, Z15                                      \
+	VMOVAPD B, K3, Z20                                      \
+	VMOVAPD C, K4, Z25                                      \
+	VMOVAPD D, K5, Z30                                      \
+	VMOVAPD Z15, A                                          \
+	VMOVAPD Z20, B                                          \
+	VMOVAPD Z25, C                                          \
+	VMOVAPD Z30, D
 
 // GRAD64Z: OUT = 1 - ACC*ACC, single-rounded.
 #define GRAD64Z(ACC, OUT) \
@@ -190,9 +299,10 @@ GLOBL kmaskTab<>(SB), RODATA, $34
 // func tsTileF64AVX512(args *tileArgs)
 //
 // One 8-row strip over all n columns in masked chunks of 8. Accumulators
-// Z0..Z7 (one per row), B chunk Z8, broadcast Z9, epilogue temps Z10-Z15.
-// A rows address from three advancing bases (R8 = row 0, R9 = row 3,
-// R10 = row 6).
+// Z0..Z7 (one per row), B chunk Z8; the k-loop reads each A element as
+// the embedded-broadcast operand of its FMA. Epilogue: alpha Z9, beta
+// Z10, tanh temps Z11-Z30 and masks K2-K5 (TANH64Z4). A rows address
+// from three advancing bases (R8 = row 0, R9 = row 3, R10 = row 6).
 TEXT ·tsTileF64AVX512(SB), NOSPLIT, $0-8
 	MOVQ args+0(FP), DI
 	MOVQ TA_LDA(DI), CX
@@ -255,22 +365,14 @@ z64initdone:
 
 z64kloop:
 	VMOVUPD.Z (R12), K1, Z8
-	VBROADCASTSD (R8), Z9
-	VFMADD231PD Z8, Z9, Z0
-	VBROADCASTSD (R8)(CX*1), Z9
-	VFMADD231PD Z8, Z9, Z1
-	VBROADCASTSD (R8)(CX*2), Z9
-	VFMADD231PD Z8, Z9, Z2
-	VBROADCASTSD (R9), Z9
-	VFMADD231PD Z8, Z9, Z3
-	VBROADCASTSD (R9)(CX*1), Z9
-	VFMADD231PD Z8, Z9, Z4
-	VBROADCASTSD (R9)(CX*2), Z9
-	VFMADD231PD Z8, Z9, Z5
-	VBROADCASTSD (R10), Z9
-	VFMADD231PD Z8, Z9, Z6
-	VBROADCASTSD (R10)(CX*1), Z9
-	VFMADD231PD Z8, Z9, Z7
+	VFMADD231PD.BCST (R8), Z8, Z0
+	VFMADD231PD.BCST (R8)(CX*1), Z8, Z1
+	VFMADD231PD.BCST (R8)(CX*2), Z8, Z2
+	VFMADD231PD.BCST (R9), Z8, Z3
+	VFMADD231PD.BCST (R9)(CX*1), Z8, Z4
+	VFMADD231PD.BCST (R9)(CX*2), Z8, Z5
+	VFMADD231PD.BCST (R10), Z8, Z6
+	VFMADD231PD.BCST (R10)(CX*1), Z8, Z7
 	ADDQ $8, R8
 	ADDQ $8, R9
 	ADDQ $8, R10
@@ -347,14 +449,8 @@ z64storeplain:
 	JMP  z64nextj
 
 z64storetanh:
-	TANH64Z(Z0)
-	TANH64Z(Z1)
-	TANH64Z(Z2)
-	TANH64Z(Z3)
-	TANH64Z(Z4)
-	TANH64Z(Z5)
-	TANH64Z(Z6)
-	TANH64Z(Z7)
+	TANH64Z4(Z0, Z1, Z2, Z3)
+	TANH64Z4(Z4, Z5, Z6, Z7)
 	MOVQ SI, DX
 	VMOVUPD Z0, K1, (DX)
 	ADDQ BX, DX
@@ -484,22 +580,14 @@ z32initdone:
 
 z32kloop:
 	VMOVUPS.Z (R12), K1, Z8
-	VBROADCASTSS (R8), Z9
-	VFMADD231PS Z8, Z9, Z0
-	VBROADCASTSS (R8)(CX*1), Z9
-	VFMADD231PS Z8, Z9, Z1
-	VBROADCASTSS (R8)(CX*2), Z9
-	VFMADD231PS Z8, Z9, Z2
-	VBROADCASTSS (R9), Z9
-	VFMADD231PS Z8, Z9, Z3
-	VBROADCASTSS (R9)(CX*1), Z9
-	VFMADD231PS Z8, Z9, Z4
-	VBROADCASTSS (R9)(CX*2), Z9
-	VFMADD231PS Z8, Z9, Z5
-	VBROADCASTSS (R10), Z9
-	VFMADD231PS Z8, Z9, Z6
-	VBROADCASTSS (R10)(CX*1), Z9
-	VFMADD231PS Z8, Z9, Z7
+	VFMADD231PS.BCST (R8), Z8, Z0
+	VFMADD231PS.BCST (R8)(CX*1), Z8, Z1
+	VFMADD231PS.BCST (R8)(CX*2), Z8, Z2
+	VFMADD231PS.BCST (R9), Z8, Z3
+	VFMADD231PS.BCST (R9)(CX*1), Z8, Z4
+	VFMADD231PS.BCST (R9)(CX*2), Z8, Z5
+	VFMADD231PS.BCST (R10), Z8, Z6
+	VFMADD231PS.BCST (R10)(CX*1), Z8, Z7
 	ADDQ $4, R8
 	ADDQ $4, R9
 	ADDQ $4, R10

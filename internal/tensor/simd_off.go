@@ -14,3 +14,12 @@ func simdCaps(cpufeat.Family, int) (simdKernelCaps, bool) { return simdKernelCap
 func tsTile[T Float](cpufeat.Family, *tileArgs) { panic("tensor: no SIMD kernels in this build") }
 
 func ntTile[T Float](cpufeat.Family, *tileArgs) { panic("tensor: no SIMD kernels in this build") }
+
+// The element-wise passes run their Go loops.
+func laneMul[T Float](_, _, _ []T) bool { return false }
+
+func laneAdd[T Float](_, _ []T) bool { return false }
+
+func laneSkipDouble[T Float](_, _ []T, _, _ int) bool { return false }
+
+func laneSkipFold[T Float](_, _ []T, _, _ int) bool { return false }

@@ -15,6 +15,7 @@
 package train
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
@@ -302,8 +303,11 @@ func (t *Trainer) LR() float64 {
 
 // Step samples a batch, accumulates the energy-loss gradient and applies
 // one Adam update. It returns the batch loss (mean squared per-atom energy
-// error).
+// error), or an error for an empty frame set.
 func (t *Trainer) Step(frames []Frame) (float64, error) {
+	if len(frames) == 0 {
+		return 0, errors.New("train: Step needs at least one frame")
+	}
 	t.grads.Zero()
 	var loss float64
 	var res core.Result

@@ -141,6 +141,23 @@ func TestTrainerSharesWeights(t *testing.T) {
 	}
 }
 
+// An empty frame set is an error from Step, not a panic in the batch
+// sampler, and the weights stay untouched.
+func TestStepRejectsEmptyFrames(t *testing.T) {
+	model, _ := tinyModelAndData(t, 1)
+	tr, err := NewTrainer(model, Config{LR: 1e-2, BatchSize: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := model.Fit[0].Layers[0].W.Data[0]
+	if _, err := tr.Step(nil); err == nil {
+		t.Fatal("Step(nil) returned no error")
+	}
+	if after := model.Fit[0].Layers[0].W.Data[0]; after != before {
+		t.Fatalf("a rejected Step moved a weight: %g -> %g", before, after)
+	}
+}
+
 func TestFitEnergyBias(t *testing.T) {
 	// Two frames with known per-type energies: E = 2*nA + 3*nB.
 	frames := []Frame{
