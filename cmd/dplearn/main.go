@@ -23,6 +23,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
+	"os"
 
 	"deepmd-go/internal/cliopt"
 	"deepmd-go/internal/core"
@@ -78,6 +80,10 @@ func main() {
 		LR:             *lr,
 		InitTrainSteps: *initSteps,
 		TrainSteps:     *trainSteps,
+	}
+	if err := checkFlags(&cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "dplearn: %v\n", err)
+		os.Exit(2)
 	}
 
 	var oracle md.Potential
@@ -142,7 +148,8 @@ func main() {
 		log.Fatal(err)
 	}
 	loop.SetSystemName(*system)
-	for round := 0; round < cfg.MaxRounds; round++ {
+	// The report carries the budget the loop validated.
+	for round := 0; round < loop.Report().MaxRounds; round++ {
 		converged, err := loop.RunRound(round)
 		if err != nil {
 			log.Fatal(err)
@@ -172,4 +179,50 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *report)
 	}
+}
+
+// checkFlags rejects the flag values the loop cannot run on, before
+// anything is built: a count below one (or an ensemble below two
+// replicas, which cannot measure a deviation), a temperature, learning
+// rate or convergence fraction that is not finite and positive, and
+// deviation thresholds out of order. The loop would otherwise replace
+// some of them with its defaults and run on those.
+func checkFlags(c *learn.Config) error {
+	if c.Replicas < 2 {
+		return fmt.Errorf("-replicas %d: need at least two replicas to measure a deviation", c.Replicas)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-rounds", c.MaxRounds},
+		{"-init-frames", c.InitFrames},
+		{"-val-frames", c.ValFrames},
+		{"-traj", c.TrajPerReplica},
+		{"-explore-steps", c.ExploreSteps},
+		{"-capture-every", c.CaptureEvery},
+		{"-max-harvest", c.MaxHarvest},
+		{"-init-steps", c.InitTrainSteps},
+		{"-train-steps", c.TrainSteps},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("%s %d: need at least one", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"-temp", c.TempK},
+		{"-lr", c.LR},
+		{"-converge-frac", c.ConvergeFrac},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s %g: need a finite value > 0", f.name, f.v)
+		}
+	}
+	if !(c.Lo > 0) || !(c.Hi >= c.Lo) || math.IsInf(c.Hi, 1) {
+		return fmt.Errorf("-lo %g, -hi %g: need finite 0 < lo <= hi", c.Lo, c.Hi)
+	}
+	return nil
 }

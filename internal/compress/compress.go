@@ -258,9 +258,10 @@ func extrapolate[T tensor.Float](g, dg []T, delta T) {
 // which avoids the four coefficient-scaling multiplies a separate
 // derivative Horner would spend per channel. At u = 0 the value reduces
 // to the stored knot sample bitwise and the derivative to c1·invH, the
-// knot-exactness the Hermite construction promises. The leading lane
-// multiple of channels goes through the vectorized kernel (hornerCover,
-// bit-identical to the scalar recursion); the remainder runs here.
+// knot-exactness the Hermite construction promises. The channels the
+// vectorized kernel covers (hornerCover, bit-identical to the scalar
+// recursion: all of them on AVX-512, the lane multiple on AVX2) skip the
+// loop here; the remainder runs it.
 func (tb *Table[T]) evalSeg(seg int, u T, g, dg []T) {
 	m := tb.M
 	cs := tb.Coef[seg*coefPerSeg*m : (seg+1)*coefPerSeg*m]

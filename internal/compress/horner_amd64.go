@@ -18,30 +18,29 @@ type hornerArgs struct {
 	cs   unsafe.Pointer // segment slab base: six m-element slabs c0..c5
 	g    unsafe.Pointer // value row (m elements)
 	dg   unsafe.Pointer // derivative row (m elements)
-	m    uintptr        // channel count = slab stride; asm covers m &^ (lanes-1)
+	m    uintptr        // channel count = slab stride
 	u    float64
 	invH float64
 }
 
 // hornerCover runs the vectorized Horner sweep over the leading channels
-// of one segment row and returns how many channels it covered (a multiple
-// of the lane width, possibly 0). The caller finishes the remainder with
-// the scalar recursion. The kernels use plain mul/add — the same two
-// roundings per step as the scalar code — so covered lanes are
+// of one segment row and returns how many channels it covered; the caller
+// finishes the remainder with the scalar recursion. The AVX-512 kernels
+// cover all m channels (the last chunk masked); the AVX2 kernels cover
+// the lane multiple (possibly 0). The kernels use plain mul/add — the same
+// two roundings per step as the scalar code — so covered lanes are
 // bit-identical to the scalar path for every input, u = 0 knot exactness
-// included. AVX2-encoded; AVX-512 hosts run the same kernel (cpufeat
-// gates AVX512 on AVX2).
+// included.
 func hornerCover[T tensor.Float](cs []T, u, invH T, g, dg []T, m int) int {
 	fam := cpufeat.Active()
 	if fam != cpufeat.AVX2 && fam != cpufeat.AVX512 {
 		return 0
 	}
 	var z T
-	lanes := 4
-	if unsafe.Sizeof(z) == 4 {
-		lanes = 8
+	cover := m
+	if fam == cpufeat.AVX2 {
+		cover = m &^ (32/int(unsafe.Sizeof(z)) - 1)
 	}
-	cover := m &^ (lanes - 1)
 	if cover == 0 {
 		return 0
 	}
@@ -49,9 +48,14 @@ func hornerCover[T tensor.Float](cs []T, u, invH T, g, dg []T, m int) int {
 		cs: unsafe.Pointer(&cs[0]), g: unsafe.Pointer(&g[0]), dg: unsafe.Pointer(&dg[0]),
 		m: uintptr(m), u: float64(u), invH: float64(invH),
 	}
-	if unsafe.Sizeof(z) == 8 {
+	switch {
+	case fam == cpufeat.AVX512 && unsafe.Sizeof(z) == 8:
+		hornerRowF64AVX512(&args)
+	case fam == cpufeat.AVX512:
+		hornerRowF32AVX512(&args)
+	case unsafe.Sizeof(z) == 8:
 		hornerRowF64AVX2(&args)
-	} else {
+	default:
 		hornerRowF32AVX2(&args)
 	}
 	return cover
@@ -62,3 +66,9 @@ func hornerRowF64AVX2(args *hornerArgs)
 
 //go:noescape
 func hornerRowF32AVX2(args *hornerArgs)
+
+//go:noescape
+func hornerRowF64AVX512(args *hornerArgs)
+
+//go:noescape
+func hornerRowF32AVX512(args *hornerArgs)

@@ -37,16 +37,21 @@ func buildTestTable(t testing.TB, m int) *Table[float64] {
 // TestHornerSIMDBitIdentical locks the vectorized Horner kernels to the
 // scalar recursion bitwise: the lanes use the same mul/add sequence (two
 // roundings per step, never FMA), so every family must produce the exact
-// bits of the Generic path — both precisions, channel counts hitting the
-// main chunk, the remainder chunk and the scalar tail, and inputs at
-// knots (u = 0), segment interiors, domain edges and out of domain.
+// bits of the Generic path — both precisions, channel counts on both
+// sides of every chunk width (the AVX2 kernels' 4/8 and 8/16, with the
+// scalar tail behind them; the AVX-512 kernels' 8/16 and 16/32, with the
+// masked last chunk), and inputs at knots (u = 0), segment interiors,
+// domain edges and out of domain.
 func TestHornerSIMDBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	inputs := []float64{0, 0.25, 1, 1.999, 2, 2.5, -0.5, 1.0 / 3.0}
+	for seg := 1; seg < 64; seg += 9 {
+		inputs = append(inputs, float64(seg)/32) // knots of the 64-segment table on [0, 2]
+	}
 	for i := 0; i < 24; i++ {
 		inputs = append(inputs, rng.Float64()*2.4-0.2)
 	}
-	for _, m := range []int{1, 3, 4, 7, 8, 11, 16, 25, 50, 100} {
+	for _, m := range []int{1, 3, 4, 7, 8, 11, 15, 16, 17, 25, 31, 32, 33, 50, 100} {
 		tb64 := buildTestTable(t, m)
 		tb32 := Convert[float32](tb64)
 		checkHornerFamilies(t, tb64, inputs, m)
@@ -75,9 +80,20 @@ func checkHornerFamilies[T tensor.Float](t *testing.T, tb *Table[T], inputs []fl
 		if _, err := cpufeat.SetActive(fam); err != nil {
 			t.Fatal(err)
 		}
-		gotG := make([]T, n*m)
-		gotD := make([]T, n*m)
-		tb.EvalBatch(nil, s, gotG, gotD)
+		// Guard elements behind both outputs: the masked last chunk
+		// writes nothing past the row.
+		const guard = 40
+		gotG := make([]T, n*m+guard)
+		gotD := make([]T, n*m+guard)
+		for i := n * m; i < len(gotG); i++ {
+			gotG[i], gotD[i] = 7, 7
+		}
+		tb.EvalBatch(nil, s, gotG[:n*m], gotD[:n*m])
+		for i := n * m; i < len(gotG); i++ {
+			if gotG[i] != 7 || gotD[i] != 7 {
+				t.Fatalf("%v m=%d: guard element %d written", fam, m, i-n*m)
+			}
+		}
 		for i := range refG {
 			if !bitsEqual(gotG[i], refG[i]) || !bitsEqual(gotD[i], refD[i]) {
 				t.Fatalf("%v m=%d row %d ch %d: value %v/%v deriv %v/%v (want generic bits)",

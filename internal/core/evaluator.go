@@ -408,8 +408,8 @@ func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, opts tensor.Opts, ws *e
 //	dT_a = (dD_a T_a[:ax] (+ head: dD_a^T T_a)) / N   descriptor.ContractDescriptorBackward
 //
 // The products are depth 4 and ax, far below every GEMM tile, so they run
-// as register loops, charged under CUSTOM with the FLOPs of the GEMMs they
-// replaced. It fills atomEnergy for the chunk's atoms and returns the
+// as register loops (masked zmm kernels with the loops' bits on AVX-512),
+// charged under CUSTOM with the FLOPs of the GEMMs they replaced. It fills atomEnergy for the chunk's atoms and returns the
 // chunk energy.
 func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], ci int, atoms []int, items []T, atomEnergy []float64) float64 {
 	cfg := &ev.cfg

@@ -426,8 +426,9 @@ const (
 	// largest-first claim order leaves three within one chunk of even.
 	sweepCut = 4
 	// chunkAlign is the row granularity of a split type's chunk height: a
-	// multiple of every strip height and of the NT tile's row pair, so only
-	// a type's last chunk runs a tail strip.
+	// multiple of every strip height and of every NT tile's rows (2 on
+	// AVX2, 4 on AVX-512), so only a type's last chunk runs a tail strip
+	// or a staged NT tile.
 	chunkAlign = 8
 )
 

@@ -29,15 +29,16 @@ import "deepmd-go/internal/tensor"
 // the result for one atom does not depend on which chunk, tile, worker or
 // coalesced frame evaluates it.
 //
-// The generic loops below are the reference. The amd64 kernels
-// (contract_amd64.s, picked through cpufeat: one AVX2-encoded set that
-// AVX-512 hosts run too) cover the leading lane multiple of the channels
-// with FMA and lane-parallel partial sums, so a SIMD family agrees with
-// the reference to summation roundoff — |diff| <= (terms+4)·eps·Σ|term|
-// per output, the recursive-summation bound the differential tests assert
-// — not bitwise. The descriptor products have no kernel: at depth 4 and
-// M_axis they are register loops, and they sum every output in the order
-// of the naive GEMMs they replaced, bit for bit.
+// The generic loops below are the reference. The amd64 contraction
+// kernels (contract_amd64.s, picked through cpufeat: one AVX2-encoded set
+// that AVX-512 hosts run too) cover the leading lane multiple of the
+// channels with FMA and lane-parallel partial sums, so a SIMD family
+// agrees with the reference to summation roundoff — |diff| <=
+// (terms+4)·eps·Σ|term| per output, the recursive-summation bound the
+// differential tests assert — not bitwise. The descriptor products sum
+// every output in the order of the naive GEMMs they replaced, bit for
+// bit; on AVX-512 they run as masked zmm kernels with the same mul/add
+// sequence (FuzzDescriptorProducts), elsewhere as the Go loops.
 
 // ContractForward adds the rows of one tile into the 4 x m accumulator:
 // acc[j*m+c] += Σ_i g[i*m+c] · rows[4i+j] over the len(rows)/4 tile rows,
@@ -122,8 +123,16 @@ func ContractOuter[T tensor.Float](rows, dT []T, m int, dG, buf []T) {
 // 4 x m item t as the m x ax row-major block the fitting net reads:
 // d[c*ax+k] = Σ_j t[j*m+c]·t[j*m+k]. The four products of an entry sum as
 // ((p0+p1)+p2)+p3 in lanes that each start from zero, the order of the
-// naive GemmNT's dot.
+// naive GemmNT's dot. On AVX-512 the kernel runs (contract_amd64.s, lanes
+// over k), bit for bit the loop of descriptorGo.
 func ContractDescriptor[T tensor.Float](t []T, m, ax int, d []T) {
+	if !descForwardKernel(t, m, ax, d) {
+		descriptorGo(t, m, ax, d)
+	}
+}
+
+// descriptorGo is ContractDescriptor's reference loop.
+func descriptorGo[T tensor.Float](t []T, m, ax int, d []T) {
 	t0, t1, t2, t3 := t[:m], t[m:2*m], t[2*m:3*m], t[3*m:4*m]
 	for c := 0; c < m; c++ {
 		a0, a1, a2, a3 := t0[c], t1[c], t2[c], t3[c]
@@ -149,8 +158,17 @@ func ContractDescriptor[T tensor.Float](t []T, m, ax int, d []T) {
 // Every sum starts from zero and runs in the order of the naive Gemm and
 // GemmTN it replaced, and the head add and the scale follow in that
 // order. buf is 8·ax elements of scratch: dTsub and a copy of T's head,
-// which the loop over c still reads after overwriting it.
+// which the loop over c still reads after overwriting it. On AVX-512 the
+// kernel runs (contract_amd64.s: dTsub with lanes over k, dT with lanes
+// over c), bit for bit the loop of descriptorBackwardGo.
 func ContractDescriptorBackward[T tensor.Float](dD []T, m, ax int, scale T, t, buf []T) {
+	if !descBackwardKernel(dD, m, ax, scale, t, buf) {
+		descriptorBackwardGo(dD, m, ax, scale, t, buf)
+	}
+}
+
+// descriptorBackwardGo is ContractDescriptorBackward's reference loop.
+func descriptorBackwardGo[T tensor.Float](dD []T, m, ax int, scale T, t, buf []T) {
 	t0, t1, t2, t3 := t[:m], t[m:2*m], t[2*m:3*m], t[3*m:4*m]
 	sub := buf[:4*ax]
 	for k := 0; k < ax; k++ {

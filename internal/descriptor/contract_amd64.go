@@ -10,7 +10,7 @@ import (
 )
 
 // contractArgs is the argument block of the contraction kernels. The
-// field offsets are hard-coded in fused_amd64.s (CA_* defines) and
+// field offsets are hard-coded in contract_amd64.s (CA_* defines) and
 // asserted by TestContractArgsLayout.
 type contractArgs struct {
 	g    unsafe.Pointer // tile values: nk rows of m
@@ -90,3 +90,71 @@ func contractBwdF32AVX2(args *contractArgs)
 
 //go:noescape
 func contractBwdF64AVX2(args *contractArgs)
+
+// descArgs is the argument block of the descriptor-product kernels. The
+// field offsets are hard-coded in contract_amd64.s (DA_* defines) and
+// asserted by TestContractArgsLayout.
+type descArgs struct {
+	t     unsafe.Pointer // the 4 x m item T (overwritten by the backward)
+	d     unsafe.Pointer // m x ax: D (forward, written) or dD (backward)
+	buf   unsafe.Pointer // backward scratch, 8·ax elements
+	m     uintptr
+	ax    uintptr
+	scale float64 // backward; the f32 kernel narrows it
+}
+
+// descProducts reports whether the product kernels run under the active
+// family: AVX-512 only, whose masks cover any ax <= m. On AVX2 and generic
+// the Go loops run.
+func descProducts(m, ax int) bool {
+	return cpufeat.Active() == cpufeat.AVX512 && ax >= 1 && ax <= m
+}
+
+// descForwardKernel runs ContractDescriptor on the lanes and reports
+// whether it did.
+func descForwardKernel[T tensor.Float](t []T, m, ax int, d []T) bool {
+	if !descProducts(m, ax) {
+		return false
+	}
+	_, _ = t[4*m-1], d[m*ax-1]
+	args := descArgs{t: unsafe.Pointer(&t[0]), d: unsafe.Pointer(&d[0]), m: uintptr(m), ax: uintptr(ax)}
+	var z T
+	if unsafe.Sizeof(z) == 8 {
+		descForwardF64AVX512(&args)
+	} else {
+		descForwardF32AVX512(&args)
+	}
+	return true
+}
+
+// descBackwardKernel runs ContractDescriptorBackward on the lanes and
+// reports whether it did.
+func descBackwardKernel[T tensor.Float](dD []T, m, ax int, scale T, t, buf []T) bool {
+	if !descProducts(m, ax) {
+		return false
+	}
+	_, _, _ = dD[m*ax-1], t[4*m-1], buf[8*ax-1]
+	args := descArgs{
+		t: unsafe.Pointer(&t[0]), d: unsafe.Pointer(&dD[0]), buf: unsafe.Pointer(&buf[0]),
+		m: uintptr(m), ax: uintptr(ax), scale: float64(scale),
+	}
+	var z T
+	if unsafe.Sizeof(z) == 8 {
+		descBackwardF64AVX512(&args)
+	} else {
+		descBackwardF32AVX512(&args)
+	}
+	return true
+}
+
+//go:noescape
+func descForwardF64AVX512(args *descArgs)
+
+//go:noescape
+func descForwardF32AVX512(args *descArgs)
+
+//go:noescape
+func descBackwardF64AVX512(args *descArgs)
+
+//go:noescape
+func descBackwardF32AVX512(args *descArgs)

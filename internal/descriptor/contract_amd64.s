@@ -338,3 +338,498 @@ fb64c:
 fb64done:
 	VZEROUPPER
 	RET
+
+// ---------------------------------------------------------------------------
+// Descriptor products on AVX-512 (ContractDescriptor and
+// ContractDescriptorBackward): every output element from the IEEE
+// operations of the Go loop, in its order — plain VMULP + VADDP, never
+// FMA, every sum from +0 — so every bit equals the Go loop's
+// (FuzzDescriptorProducts). The operands also sit in the order the Go
+// compiler gives those loops in a default build, which decides the
+// payload a NaN-NaN pair keeps; the compiler may pick another order in
+// another build, so that much is not a contract. Per chain j:
+//
+//   ContractDescriptor         p = t_j[k]·t_j[c], s_j = p + 0,
+//                              d = s3 + ((s0 + s1) + s2)
+//   backward, both sums        p = x·dD (x = t_j[c] or h_j[k]),
+//                              s_j = p + s_j (j < 3), s3 = s3 + p
+//   backward, head add         s_j = sub_j + s_j (j < 3), s3 = s3 + sub3
+//   backward, scale            s_j·scale
+//
+// The forward and the backward's first sum (dTsub) run lanes over k: the
+// k chunk of T's rows (forward) or of dD's row c (backward) is one vector,
+// t_j[c] a broadcast. The backward's second sum runs lanes over c: a block
+// of channels gathers dD's column k and h_j[k] is a broadcast. The last
+// chunk or block of each axis is masked, so any ax <= m runs on the lanes.
+// The backward keeps dTsub and the copy of T's head j-major in its 8·ax
+// scratch: sub_j[k] = buf[j·ax+k], h_j[k] = buf[4·ax+j·ax+k].
+
+#define DA_T 0
+#define DA_D 8
+#define DA_BUF 16
+#define DA_M 24
+#define DA_AX 32
+#define DA_SCALE 40
+
+// dmask<>[i] = (1 << i) - 1, i = 0..16.
+DATA dmask<>+0(SB)/2, $0x0000
+DATA dmask<>+2(SB)/2, $0x0001
+DATA dmask<>+4(SB)/2, $0x0003
+DATA dmask<>+6(SB)/2, $0x0007
+DATA dmask<>+8(SB)/2, $0x000f
+DATA dmask<>+10(SB)/2, $0x001f
+DATA dmask<>+12(SB)/2, $0x003f
+DATA dmask<>+14(SB)/2, $0x007f
+DATA dmask<>+16(SB)/2, $0x00ff
+DATA dmask<>+18(SB)/2, $0x01ff
+DATA dmask<>+20(SB)/2, $0x03ff
+DATA dmask<>+22(SB)/2, $0x07ff
+DATA dmask<>+24(SB)/2, $0x0fff
+DATA dmask<>+26(SB)/2, $0x1fff
+DATA dmask<>+28(SB)/2, $0x3fff
+DATA dmask<>+30(SB)/2, $0x7fff
+DATA dmask<>+32(SB)/2, $0xffff
+GLOBL dmask<>(SB), RODATA, $34
+
+// diota<>: dword lane numbers 0..15, scaled by ax into gather indices.
+DATA diota<>+0(SB)/4, $0
+DATA diota<>+4(SB)/4, $1
+DATA diota<>+8(SB)/4, $2
+DATA diota<>+12(SB)/4, $3
+DATA diota<>+16(SB)/4, $4
+DATA diota<>+20(SB)/4, $5
+DATA diota<>+24(SB)/4, $6
+DATA diota<>+28(SB)/4, $7
+DATA diota<>+32(SB)/4, $8
+DATA diota<>+36(SB)/4, $9
+DATA diota<>+40(SB)/4, $10
+DATA diota<>+44(SB)/4, $11
+DATA diota<>+48(SB)/4, $12
+DATA diota<>+52(SB)/4, $13
+DATA diota<>+56(SB)/4, $14
+DATA diota<>+60(SB)/4, $15
+GLOBL diota<>(SB), RODATA, $64
+
+// KMASK(N, LANES, K): K = the mask of min(N, LANES) lanes. Clobbers AX, BX.
+#define KMASK(N, LANES, K) \
+	MOVQ N, AX              \
+	CMPQ AX, LANES          \
+	JLE  2(PC)              \
+	MOVQ LANES, AX          \
+	LEAQ dmask<>(SB), BX    \
+	MOVWLZX (BX)(AX*2), BX  \
+	KMOVW BX, K
+
+// The chain updates of the backward: s_j = p_j + s_j for j < 3 and
+// s3 = s3 + p3, with p_j in Z16-Z19 and s_j in Z0-Z3.
+#define BWDSUM(ADD) \
+	ADD Z0, Z16, Z0 \
+	ADD Z1, Z17, Z1 \
+	ADD Z2, Z18, Z2 \
+	ADD Z19, Z3, Z3
+
+// func descForwardF64AVX512(args *descArgs)
+//
+// R8 = t, R12 = t's row stride in bytes, R13 = k0, R14 = ax, R15 = m.
+// Per k chunk: T rows' chunk in Z4-Z7 (zero-masked by K1), then every c:
+// SI = &t_0[c], DX = &t_3[c], R9 = &d[c][k0].
+TEXT ·descForwardF64AVX512(SB), NOSPLIT, $0-8
+	MOVQ args+0(FP), DI
+	MOVQ DA_T(DI), R8
+	MOVQ DA_M(DI), R15
+	MOVQ DA_AX(DI), R14
+	MOVQ R15, R12
+	SHLQ $3, R12
+	VPXORQ Z31, Z31, Z31
+	XORQ R13, R13
+df64kloop:
+	CMPQ R13, R14
+	JGE  df64done
+	MOVQ R14, CX
+	SUBQ R13, CX
+	KMASK(CX, $8, K1)
+	LEAQ (R8)(R13*8), SI
+	VMOVUPD.Z (SI), K1, Z4
+	VMOVUPD.Z (SI)(R12*1), K1, Z5
+	VMOVUPD.Z (SI)(R12*2), K1, Z6
+	LEAQ (SI)(R12*2), DX
+	VMOVUPD.Z (DX)(R12*1), K1, Z7
+	MOVQ R8, SI
+	LEAQ (SI)(R12*2), DX
+	ADDQ R12, DX
+	MOVQ DA_D(DI), R9
+	LEAQ (R9)(R13*8), R9
+	MOVQ R15, CX
+df64cloop:
+	VMULPD.BCST (SI), Z4, Z0
+	VMULPD.BCST (SI)(R12*1), Z5, Z1
+	VMULPD.BCST (SI)(R12*2), Z6, Z2
+	VMULPD.BCST (DX), Z7, Z3
+	VADDPD Z31, Z0, Z0
+	VADDPD Z31, Z1, Z1
+	VADDPD Z31, Z2, Z2
+	VADDPD Z31, Z3, Z3
+	VADDPD Z1, Z0, Z0
+	VADDPD Z2, Z0, Z0
+	VADDPD Z0, Z3, Z3
+	VMOVUPD Z3, K1, (R9)
+	ADDQ $8, SI
+	ADDQ $8, DX
+	LEAQ (R9)(R14*8), R9
+	DECQ CX
+	JNZ  df64cloop
+	ADDQ $8, R13
+	JMP  df64kloop
+df64done:
+	VZEROUPPER
+	RET
+
+// func descForwardF32AVX512(args *descArgs)
+TEXT ·descForwardF32AVX512(SB), NOSPLIT, $0-8
+	MOVQ args+0(FP), DI
+	MOVQ DA_T(DI), R8
+	MOVQ DA_M(DI), R15
+	MOVQ DA_AX(DI), R14
+	MOVQ R15, R12
+	SHLQ $2, R12
+	VPXORQ Z31, Z31, Z31
+	XORQ R13, R13
+df32kloop:
+	CMPQ R13, R14
+	JGE  df32done
+	MOVQ R14, CX
+	SUBQ R13, CX
+	KMASK(CX, $16, K1)
+	LEAQ (R8)(R13*4), SI
+	VMOVUPS.Z (SI), K1, Z4
+	VMOVUPS.Z (SI)(R12*1), K1, Z5
+	VMOVUPS.Z (SI)(R12*2), K1, Z6
+	LEAQ (SI)(R12*2), DX
+	VMOVUPS.Z (DX)(R12*1), K1, Z7
+	MOVQ R8, SI
+	LEAQ (SI)(R12*2), DX
+	ADDQ R12, DX
+	MOVQ DA_D(DI), R9
+	LEAQ (R9)(R13*4), R9
+	MOVQ R15, CX
+df32cloop:
+	VMULPS.BCST (SI), Z4, Z0
+	VMULPS.BCST (SI)(R12*1), Z5, Z1
+	VMULPS.BCST (SI)(R12*2), Z6, Z2
+	VMULPS.BCST (DX), Z7, Z3
+	VADDPS Z31, Z0, Z0
+	VADDPS Z31, Z1, Z1
+	VADDPS Z31, Z2, Z2
+	VADDPS Z31, Z3, Z3
+	VADDPS Z1, Z0, Z0
+	VADDPS Z2, Z0, Z0
+	VADDPS Z0, Z3, Z3
+	VMOVUPS Z3, K1, (R9)
+	ADDQ $4, SI
+	ADDQ $4, DX
+	LEAQ (R9)(R14*4), R9
+	DECQ CX
+	JNZ  df32cloop
+	ADDQ $16, R13
+	JMP  df32kloop
+df32done:
+	VZEROUPPER
+	RET
+
+// func descBackwardF64AVX512(args *descArgs)
+//
+// R8 = t, R10 = buf, R12 = t's row stride in bytes, R11 = ax in bytes,
+// R14 = ax, R15 = m.
+TEXT ·descBackwardF64AVX512(SB), NOSPLIT, $0-8
+	MOVQ args+0(FP), DI
+	MOVQ DA_T(DI), R8
+	MOVQ DA_BUF(DI), R10
+	MOVQ DA_M(DI), R15
+	MOVQ DA_AX(DI), R14
+	MOVQ R15, R12
+	SHLQ $3, R12
+	MOVQ R14, R11
+	SHLQ $3, R11
+
+	// dTsub, lanes over k: S_j (Z0-Z3) over c, the chunk of dD's row c
+	// in Z8, t_j[c] broadcast in Z12-Z15. The head copy h_j rides along.
+	XORQ R13, R13             // k0
+db64kloop:
+	CMPQ R13, R14
+	JGE  db64sub
+	MOVQ R14, CX
+	SUBQ R13, CX
+	KMASK(CX, $8, K1)
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ R8, SI               // &t_0[c]
+	LEAQ (SI)(R12*2), DX
+	ADDQ R12, DX              // &t_3[c]
+	MOVQ DA_D(DI), R9
+	LEAQ (R9)(R13*8), R9      // &dD[c][k0]
+	MOVQ R15, CX
+db64cloop:
+	VMOVUPD.Z (R9), K1, Z8
+	VBROADCASTSD (SI), Z12
+	VBROADCASTSD (SI)(R12*1), Z13
+	VBROADCASTSD (SI)(R12*2), Z14
+	VBROADCASTSD (DX), Z15
+	VMULPD Z8, Z12, Z16
+	VMULPD Z8, Z13, Z17
+	VMULPD Z8, Z14, Z18
+	VMULPD Z8, Z15, Z19
+	BWDSUM(VADDPD)
+	ADDQ $8, SI
+	ADDQ $8, DX
+	ADDQ R11, R9
+	DECQ CX
+	JNZ  db64cloop
+	// sub_j[k0:] and h_j[k0:] = t_j[k0:].
+	LEAQ (R10)(R13*8), SI
+	VMOVUPD Z0, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPD Z1, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPD Z2, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPD Z3, K1, (SI)
+	LEAQ (R8)(R13*8), DX
+	VMOVUPD.Z (DX), K1, Z4
+	VMOVUPD.Z (DX)(R12*1), K1, Z5
+	VMOVUPD.Z (DX)(R12*2), K1, Z6
+	ADDQ R12, DX
+	VMOVUPD.Z (DX)(R12*2), K1, Z7
+	ADDQ R11, SI
+	VMOVUPD Z4, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPD Z5, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPD Z6, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPD Z7, K1, (SI)
+	ADDQ $8, R13
+	JMP  db64kloop
+
+	// dT, lanes over c: a block of up to 8 channels from c0 (R13), dD's
+	// column k gathered into Z8 (indices Y30 = lane·ax, mask K1 copied
+	// to K3 per gather), h_j[k] broadcast in Z12-Z15.
+db64sub:
+	VPBROADCASTD R14, Z30
+	VPMULLD diota<>(SB), Z30, Z30
+	VBROADCASTSD DA_SCALE(DI), Z29
+	XORQ R13, R13             // c0
+db64cblock:
+	CMPQ R13, R15
+	JGE  db64done
+	MOVQ R15, CX
+	SUBQ R13, CX
+	KMASK(CX, $8, K1)
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ R13, R9
+	IMULQ R11, R9
+	ADDQ DA_D(DI), R9         // &dD[c0][k]
+	LEAQ (R10)(R11*4), SI     // &h_0[k]
+	LEAQ (SI)(R11*2), DX
+	ADDQ R11, DX              // &h_3[k]
+	MOVQ R14, CX
+db64kstep:
+	KMOVW K1, K3
+	VPXORQ Z8, Z8, Z8
+	VGATHERDPD (R9)(Y30*8), K3, Z8
+	VBROADCASTSD (SI), Z12
+	VBROADCASTSD (SI)(R11*1), Z13
+	VBROADCASTSD (SI)(R11*2), Z14
+	VBROADCASTSD (DX), Z15
+	VMULPD Z8, Z12, Z16
+	VMULPD Z8, Z13, Z17
+	VMULPD Z8, Z14, Z18
+	VMULPD Z8, Z15, Z19
+	BWDSUM(VADDPD)
+	ADDQ $8, R9
+	ADDQ $8, SI
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  db64kstep
+	// Head add on the lanes with c < ax (K2).
+	MOVQ R14, CX
+	SUBQ R13, CX
+	JLE  db64scale
+	KMASK(CX, $8, K2)
+	LEAQ (R10)(R13*8), SI     // &sub_0[c0]
+	VMOVUPD.Z (SI), K2, Z16
+	ADDQ R11, SI
+	VMOVUPD.Z (SI), K2, Z17
+	ADDQ R11, SI
+	VMOVUPD.Z (SI), K2, Z18
+	ADDQ R11, SI
+	VMOVUPD.Z (SI), K2, Z19
+	VADDPD Z0, Z16, K2, Z0
+	VADDPD Z1, Z17, K2, Z1
+	VADDPD Z2, Z18, K2, Z2
+	VADDPD Z19, Z3, K2, Z3
+db64scale:
+	VMULPD Z29, Z0, Z0
+	VMULPD Z29, Z1, Z1
+	VMULPD Z29, Z2, Z2
+	VMULPD Z29, Z3, Z3
+	LEAQ (R8)(R13*8), SI      // &t_0[c0]
+	VMOVUPD Z0, K1, (SI)
+	VMOVUPD Z1, K1, (SI)(R12*1)
+	VMOVUPD Z2, K1, (SI)(R12*2)
+	ADDQ R12, SI
+	VMOVUPD Z3, K1, (SI)(R12*2)
+	ADDQ $8, R13
+	JMP  db64cblock
+db64done:
+	VZEROUPPER
+	RET
+
+// func descBackwardF32AVX512(args *descArgs)
+TEXT ·descBackwardF32AVX512(SB), NOSPLIT, $0-8
+	MOVQ args+0(FP), DI
+	MOVQ DA_T(DI), R8
+	MOVQ DA_BUF(DI), R10
+	MOVQ DA_M(DI), R15
+	MOVQ DA_AX(DI), R14
+	MOVQ R15, R12
+	SHLQ $2, R12
+	MOVQ R14, R11
+	SHLQ $2, R11
+
+	XORQ R13, R13
+db32kloop:
+	CMPQ R13, R14
+	JGE  db32sub
+	MOVQ R14, CX
+	SUBQ R13, CX
+	KMASK(CX, $16, K1)
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ R8, SI
+	LEAQ (SI)(R12*2), DX
+	ADDQ R12, DX
+	MOVQ DA_D(DI), R9
+	LEAQ (R9)(R13*4), R9
+	MOVQ R15, CX
+db32cloop:
+	VMOVUPS.Z (R9), K1, Z8
+	VBROADCASTSS (SI), Z12
+	VBROADCASTSS (SI)(R12*1), Z13
+	VBROADCASTSS (SI)(R12*2), Z14
+	VBROADCASTSS (DX), Z15
+	VMULPS Z8, Z12, Z16
+	VMULPS Z8, Z13, Z17
+	VMULPS Z8, Z14, Z18
+	VMULPS Z8, Z15, Z19
+	BWDSUM(VADDPS)
+	ADDQ $4, SI
+	ADDQ $4, DX
+	ADDQ R11, R9
+	DECQ CX
+	JNZ  db32cloop
+	LEAQ (R10)(R13*4), SI
+	VMOVUPS Z0, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPS Z1, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPS Z2, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPS Z3, K1, (SI)
+	LEAQ (R8)(R13*4), DX
+	VMOVUPS.Z (DX), K1, Z4
+	VMOVUPS.Z (DX)(R12*1), K1, Z5
+	VMOVUPS.Z (DX)(R12*2), K1, Z6
+	ADDQ R12, DX
+	VMOVUPS.Z (DX)(R12*2), K1, Z7
+	ADDQ R11, SI
+	VMOVUPS Z4, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPS Z5, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPS Z6, K1, (SI)
+	ADDQ R11, SI
+	VMOVUPS Z7, K1, (SI)
+	ADDQ $16, R13
+	JMP  db32kloop
+
+db32sub:
+	VPBROADCASTD R14, Z30
+	VPMULLD diota<>(SB), Z30, Z30
+	VMOVSD DA_SCALE(DI), X14
+	VCVTSD2SS X14, X14, X14
+	VBROADCASTSS X14, Z29
+	XORQ R13, R13
+db32cblock:
+	CMPQ R13, R15
+	JGE  db32done
+	MOVQ R15, CX
+	SUBQ R13, CX
+	KMASK(CX, $16, K1)
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ R13, R9
+	IMULQ R11, R9
+	ADDQ DA_D(DI), R9
+	LEAQ (R10)(R11*4), SI
+	LEAQ (SI)(R11*2), DX
+	ADDQ R11, DX
+	MOVQ R14, CX
+db32kstep:
+	KMOVW K1, K3
+	VPXORQ Z8, Z8, Z8
+	VGATHERDPS (R9)(Z30*4), K3, Z8
+	VBROADCASTSS (SI), Z12
+	VBROADCASTSS (SI)(R11*1), Z13
+	VBROADCASTSS (SI)(R11*2), Z14
+	VBROADCASTSS (DX), Z15
+	VMULPS Z8, Z12, Z16
+	VMULPS Z8, Z13, Z17
+	VMULPS Z8, Z14, Z18
+	VMULPS Z8, Z15, Z19
+	BWDSUM(VADDPS)
+	ADDQ $4, R9
+	ADDQ $4, SI
+	ADDQ $4, DX
+	DECQ CX
+	JNZ  db32kstep
+	MOVQ R14, CX
+	SUBQ R13, CX
+	JLE  db32scale
+	KMASK(CX, $16, K2)
+	LEAQ (R10)(R13*4), SI
+	VMOVUPS.Z (SI), K2, Z16
+	ADDQ R11, SI
+	VMOVUPS.Z (SI), K2, Z17
+	ADDQ R11, SI
+	VMOVUPS.Z (SI), K2, Z18
+	ADDQ R11, SI
+	VMOVUPS.Z (SI), K2, Z19
+	VADDPS Z0, Z16, K2, Z0
+	VADDPS Z1, Z17, K2, Z1
+	VADDPS Z2, Z18, K2, Z2
+	VADDPS Z19, Z3, K2, Z3
+db32scale:
+	VMULPS Z29, Z0, Z0
+	VMULPS Z29, Z1, Z1
+	VMULPS Z29, Z2, Z2
+	VMULPS Z29, Z3, Z3
+	LEAQ (R8)(R13*4), SI
+	VMOVUPS Z0, K1, (SI)
+	VMOVUPS Z1, K1, (SI)(R12*1)
+	VMOVUPS Z2, K1, (SI)(R12*2)
+	ADDQ R12, SI
+	VMOVUPS Z3, K1, (SI)(R12*2)
+	ADDQ $16, R13
+	JMP  db32cblock
+db32done:
+	VZEROUPPER
+	RET

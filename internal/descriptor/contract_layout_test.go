@@ -7,8 +7,8 @@ import (
 	"unsafe"
 )
 
-// TestContractArgsLayout pins the contractArgs field offsets the CA_*
-// defines in contract_amd64.s hard-code.
+// TestContractArgsLayout pins the contractArgs and descArgs field offsets
+// the CA_* and DA_* defines in contract_amd64.s hard-code.
 func TestContractArgsLayout(t *testing.T) {
 	var a contractArgs
 	checks := []struct {
@@ -28,6 +28,24 @@ func TestContractArgsLayout(t *testing.T) {
 	for _, c := range checks {
 		if c.got != c.want {
 			t.Errorf("contractArgs %s offset %d, asm expects %d", c.name, c.got, c.want)
+		}
+	}
+	var d descArgs
+	for _, c := range []struct {
+		name string
+		got  uintptr
+		want uintptr
+	}{
+		{"t", unsafe.Offsetof(d.t), 0},
+		{"d", unsafe.Offsetof(d.d), 8},
+		{"buf", unsafe.Offsetof(d.buf), 16},
+		{"m", unsafe.Offsetof(d.m), 24},
+		{"ax", unsafe.Offsetof(d.ax), 32},
+		{"scale", unsafe.Offsetof(d.scale), 40},
+		{"sizeof", unsafe.Sizeof(d), 48},
+	} {
+		if c.got != c.want {
+			t.Errorf("descArgs %s offset %d, asm expects %d", c.name, c.got, c.want)
 		}
 	}
 }

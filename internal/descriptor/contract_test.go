@@ -1,10 +1,14 @@
 package descriptor
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"deepmd-go/internal/tensor"
 	"deepmd-go/internal/tensor/cpufeat"
@@ -110,5 +114,104 @@ func TestContractionsDifferential(t *testing.T) {
 			testContractions[float64](t, 1.0/(1<<52))
 			testContractions[float32](t, 1.0/(1<<23))
 		})
+	}
+}
+
+// FuzzDescriptorProducts holds ContractDescriptor and
+// ContractDescriptorBackward to their Go loops bit for bit under every
+// kernel family the host executes — a NaN for a NaN: which payload
+// survives a NaN-NaN pair is the operand order the Go compiler picks for
+// the loop, and that moves with the build (this test's seeds give other
+// payloads under -fuzz instrumentation than without). Channel counts
+// m = 1..130 and axis counts ax = 1..min(m, 32) (every masked chunk and
+// block of both lane widths), elements of T and dD taken from the input
+// bytes as raw bit patterns (NaNs of any payload, infinities, signed
+// zeros, subnormals) where the bytes reach, and guard elements behind
+// every array that neither product may write (nor, for dD, the backward).
+func FuzzDescriptorProducts(f *testing.F) {
+	nan := func(p uint64) []byte {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], 0x7ff8000000000000|p)
+		return b[:]
+	}
+	specials := append(append(append(nan(1), nan(2)...), nan(3|1<<51)...),
+		0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0, 0)
+	f.Add(int64(1), uint8(100), uint8(16), math.Float64bits(1.0/3), []byte{})
+	f.Add(int64(2), uint8(1), uint8(1), math.Float64bits(0.5), specials)
+	f.Add(int64(3), uint8(130), uint8(32), math.Float64bits(-2), specials)
+	f.Add(int64(4), uint8(17), uint8(9), math.Float64bits(1), bytes.Repeat(specials, 40))
+	f.Add(int64(5), uint8(33), uint8(31), uint64(0x7ff8000000000005), bytes.Repeat(nan(7), 300))
+	f.Fuzz(func(t *testing.T, seed int64, mb, axb uint8, scaleBits uint64, data []byte) {
+		m := 1 + int(mb)%130
+		ax := 1 + int(axb)%min(m, 32)
+		checkDescriptorProducts[float64](t, seed, m, ax, math.Float64frombits(scaleBits), data)
+		checkDescriptorProducts[float32](t, seed, m, ax, float32(math.Float64frombits(scaleBits)), data)
+	})
+}
+
+const productGuard = 19
+
+func checkDescriptorProducts[T tensor.Float](t *testing.T, seed int64, m, ax int, scale T, data []byte) {
+	var z T
+	es := int(unsafe.Sizeof(z))
+	rng := rand.New(rand.NewSource(seed))
+	// fill draws normals, overlaid by the input bytes read es at a time.
+	fill := func(n int) []T {
+		x := randSlice[T](rng, n+productGuard)
+		for i := 0; i < n && len(data) >= es; i++ {
+			if es == 8 {
+				x[i] = any(math.Float64frombits(binary.LittleEndian.Uint64(data))).(T)
+			} else {
+				x[i] = any(math.Float32frombits(binary.LittleEndian.Uint32(data))).(T)
+			}
+			data = data[es:]
+		}
+		return x
+	}
+	t0, dD := fill(4*m), fill(m*ax)
+	d0, buf0 := fill(m*ax), fill(8*ax)
+
+	wantD := slices.Clone(d0)
+	descriptorGo(t0, m, ax, wantD)
+	wantT, wantBuf := slices.Clone(t0), slices.Clone(buf0)
+	descriptorBackwardGo(dD, m, ax, scale, wantT, wantBuf)
+
+	prev := cpufeat.Active()
+	defer cpufeat.SetActive(prev)
+	for _, fam := range []cpufeat.Family{cpufeat.Generic, cpufeat.AVX2, cpufeat.AVX512} {
+		if _, err := cpufeat.SetActive(fam); err != nil {
+			continue
+		}
+		label := fmt.Sprintf("%s %T m=%d ax=%d", fam, z, m, ax)
+		d := slices.Clone(d0)
+		ContractDescriptor(t0[:4*m], m, ax, d[:m*ax])
+		sameBitsOrFail(t, label+" D", d, wantD, m*ax)
+		gotT, buf, dD1 := slices.Clone(t0), slices.Clone(buf0), slices.Clone(dD)
+		ContractDescriptorBackward(dD1[:m*ax], m, ax, scale, gotT[:4*m], buf[:8*ax])
+		sameBitsOrFail(t, label+" dT", gotT, wantT, 4*m)
+		sameBitsOrFail(t, label+" dD", dD1, dD, len(dD))
+		sameBitsOrFail(t, label+" scratch guard", buf[8*ax:], wantBuf[8*ax:], productGuard)
+	}
+}
+
+// sameBitsOrFail compares got with want bitwise, any NaN equal to any
+// NaN; n is where the guard elements start, for the message.
+func sameBitsOrFail[T tensor.Float](t *testing.T, label string, got, want []T, n int) {
+	t.Helper()
+	for i := range want {
+		var g, w uint64
+		switch v := any(got[i]).(type) {
+		case float64:
+			g, w = math.Float64bits(v), math.Float64bits(any(want[i]).(float64))
+		case float32:
+			g, w = uint64(math.Float32bits(v)), uint64(math.Float32bits(any(want[i]).(float32)))
+		}
+		if g != w && !(got[i] != got[i] && want[i] != want[i]) {
+			where := fmt.Sprintf("element %d", i)
+			if i >= n {
+				where = fmt.Sprintf("guard element %d", i-n)
+			}
+			t.Fatalf("%s: %s is %g (%#x), want %g (%#x)", label, where, float64(got[i]), g, float64(want[i]), w)
+		}
 	}
 }

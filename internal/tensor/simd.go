@@ -39,15 +39,15 @@ import (
 // panel, the rest accumulated through the beta = 1 store. Only the fused
 // tanh epilogues stay single-panel; GemmBiasTanhGradOpt beyond simdMaxK is
 // the panelled GemmBias plus the separate tanh pass. The backward passes'
-// GemmNT (dX = dY·Wᵀ) runs on a 2x4 dot-product tile with the lanes over K,
-// column panels of B outside the row pairs so that a panel is read from L1
-// (ntRowRange). The TN variant (training's dW = XᵀdY) stages Aᵀ into a
-// pooled slab and runs the strips (gemmTNSIMD), and a depth-1 GemmNT with
-// beta = 0 (the fitting net's head backward) is an outer product on the
-// strips (GemmNTOpt). What runs naive is the shapes below the tiles'
-// widths (the forward of the fitting net's one-column head) and
-// everything when no family is active (purego, DEEPMD_KERNEL=generic, any
-// GOARCH but amd64).
+// GemmNT (dX = dY·Wᵀ) runs on an R x 4 dot-product tile with the lanes over
+// K (R = 2 on AVX2, 4 on AVX-512), column panels of B outside the row tiles
+// so that a panel is read from L1 (ntRowRange). The TN variant (training's
+// dW = XᵀdY) stages Aᵀ into a pooled slab and runs the strips
+// (gemmTNSIMD), and a depth-1 GemmNT with beta = 0 (the fitting net's head
+// backward) is an outer product on the strips (GemmNTOpt). What runs naive
+// is the shapes below the tiles' widths (the forward of the fitting net's
+// one-column head) and everything when no family is active (purego,
+// DEEPMD_KERNEL=generic, any GOARCH but amd64).
 //
 // Bit-exactness contract. Worker fan-out partitions rows in multiples of
 // the strip height from row 0, every row's K panels are visited in the
@@ -60,9 +60,9 @@ import (
 // bit-identical to an interior one holding the same data. The NT dot tile
 // computes its columns in panels of ntPanelCols B rows (a tile dot product
 // does not depend on where its panel starts), its n mod 4 tail columns on a
-// zero-padded mini-panel of their B rows and an odd last row as a pair with
-// a zero row (ntRowRange) — so an NT row's bits do not depend on whether
-// the call's row count is odd.
+// zero-padded mini-panel of their B rows and the last m mod R rows as a tile
+// with zero rows (ntRowRange) — so an NT row's bits do not depend on the
+// call's row count.
 
 // Epilogue modes of the tall-skinny kernels (tileArgs.mode).
 const (
@@ -81,9 +81,10 @@ const (
 	// hot across row strips (<= 1 MB f64).
 	simdNC = 512
 	// ntPanelBytes is the byte budget of one column panel of the NT dot
-	// driver (ntRowRange): the B rows every row pair of a range re-reads
+	// driver (ntRowRange): the B rows every row tile of a range re-reads
 	// before the next panel is touched, sized to stay in L1 beside the
-	// pair's two A rows. 240-deep f64 gives 16 columns, f32 32. Swept
+	// tile's A rows (four 240-deep f64 rows are 7.5 KB, inside a 48 KB
+	// L1d with the panel). 240-deep f64 gives 16 columns, f32 32. Swept
 	// 8..256 columns in DESIGN.md ("SIMD microkernels").
 	ntPanelBytes = 32 << 10
 	// colTailRows is the row block of a staged column tail
@@ -119,8 +120,9 @@ type tileArgs struct {
 // simdKernelCaps describes the tile geometry of one family/element-size
 // pair, reported by the per-arch simdCaps.
 type simdKernelCaps struct {
-	rows  int // asm strip height (rows per kernel call)
-	cover int // column chunk width, and the narrowest layer the strips take
+	rows   int // asm strip height (rows per kernel call)
+	cover  int // column chunk width, and the narrowest layer the strips take
+	ntRows int // A rows per NT dot tile call
 }
 
 // packSlab is a pooled staging buffer: the tail strip, the column tail, the
@@ -392,11 +394,12 @@ func simdColumnTail[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k,
 	putSlab(slab)
 }
 
-// gemmNTSIMD attempts C = alpha*A*B^T + beta*C on the 2x4 dot-product
-// tile (lanes vectorized over K). Returns false to fall back.
+// gemmNTSIMD attempts C = alpha*A*B^T + beta*C on the family's NT dot
+// tile (caps.ntRows A rows x 4 B rows, lanes vectorized over K). Returns
+// false to fall back.
 func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) bool {
 	var z T
-	fam, _, ok := simdActive(sizeofT(z))
+	fam, caps, ok := simdActive(sizeofT(z))
 	if !ok || alpha == 0 || m == 0 {
 		return false
 	}
@@ -406,23 +409,26 @@ func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, l
 	if k < 8 || max(n, 4)*k < 64 {
 		return false
 	}
-	nPairs := m / 2
+	R := caps.ntRows
+	nTiles := m / R
 	if 2*m*n*k < simdParMin {
 		workers = 1
 	}
-	if workers > nPairs {
-		workers = nPairs
+	if workers > nTiles {
+		workers = nTiles
 	}
 	if workers <= 1 {
-		ntRowRange(fam, 0, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
+		ntRowRange(fam, R, 0, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
 		return true
 	}
-	ntRowsParallel(fam, workers, nPairs, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
+	ntRowsParallel(fam, R, workers, nTiles, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
 	return true
 }
 
-func ntRowsParallel[T Float](fam cpufeat.Family, workers, nPairs, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
-	per := (nPairs + workers - 1) / workers * 2
+// ntRowsParallel fans row ranges out over a goroutine per worker, each a
+// multiple of the tile's R rows from row 0.
+func ntRowsParallel[T Float](fam cpufeat.Family, R, workers, nTiles, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+	per := (nTiles + workers - 1) / workers * R
 	var wg sync.WaitGroup
 	for lo := 0; lo < m; lo += per {
 		hi := min(m, lo+per)
@@ -430,7 +436,7 @@ func ntRowsParallel[T Float](fam cpufeat.Family, workers, nPairs, m, k, n int, a
 		//dp:allow noalloc the parallel path trades per-call goroutines for cores; the zero-alloc contract is the serial path
 		go func(lo, hi int) {
 			defer wg.Done()
-			ntRowRange(fam, lo, hi, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
+			ntRowRange(fam, R, lo, hi, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -444,50 +450,50 @@ func ntPanelCols[T Float](k int) int {
 	return max(4, ntPanelBytes/(k*sizeofT(z))) &^ 3
 }
 
-// ntRowRange processes C rows [lo, hi), lo even, panel-outer and
-// row-pair-inner: the columns are cut into panels of ntPanelCols B rows and
-// every row pair of the range visits one panel before any visits the next,
-// so a panel comes from memory once and from L1 for every pair after the
-// first — where a pair that walks all n columns re-streams the whole of B
-// (3 MB for the backward of the 1600→240 fitting layer) once per two rows.
-// A B that fits one panel is the one-panel case of the same loop. A panel
-// is one call of the asm tile per pair, and a tile dot product depends
-// neither on the other three of its step nor on where its panel starts, so
-// the cut changes no bit.
+// ntRowRange processes C rows [lo, hi), lo a multiple of the tile's R rows,
+// panel-outer and tile-inner: the columns are cut into panels of
+// ntPanelCols B rows and every R-row tile of the range visits one panel
+// before any visits the next, so a panel comes from memory once and from
+// L1 for every tile after the first — where a tile that walks all n
+// columns re-streams the whole of B (3 MB for the backward of the
+// 1600→240 fitting layer) once per R rows. A B that fits one panel is the
+// one-panel case of the same loop. A panel is one call of the asm tile per
+// R rows, and a tile dot product depends neither on the other dots of its
+// step nor on where its panel starts, so the cut changes no bit.
 //
 // Both edges ride the same loop on zero-padded staging in one pooled slab —
 // the NT twins of simdRowRange's tail strip. The n mod 4 tail columns are a
 // last panel: their B rows staged to the tile's four, with a 4-column block
 // of C for every row behind them. The backward passes of the embedding net
 // live on those tails (dX = dpre·Wᵀ has n = 50, 25 and 1 columns at the
-// paper's widths). An odd last row is a last pair: the row staged above a
-// zero row, with a two-row block of C over all the columns. Every element
-// is computed by the lanes, and an edge element has the bits a covered one
-// would.
-func ntRowRange[T Float](fam cpufeat.Family, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+// paper's widths). The (hi-lo) mod R last rows are a last tile: the rows
+// staged above zero rows, with an R-row block of C over all the columns.
+// Every element is computed by the lanes, and an edge element has the bits
+// a covered one would.
+func ntRowRange[T Float](fam cpufeat.Family, R, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	jCov := n &^ 3
 	jt := n - jCov
 	n4 := (n + 3) &^ 3 // n padded to the tile's four
-	full := lo + (hi-lo)/2*2
-	odd := hi > full
+	full := lo + (hi-lo)/R*R
+	rem := hi - full
 
 	// tb, tc: the tail panel's B rows and its C block for rows [lo, full).
-	// oa, oc: the odd row's A pair and its C pair, n4 columns wide.
+	// ra, rc: the last rows' A tile and C block, n4 columns wide.
 	var slab *packSlab[T]
-	var tb, tc, oa, oc []T
-	if jt > 0 || odd {
-		nTB, nTC, nOA, nOC := 0, 0, 0, 0
+	var tb, tc, ra, rc []T
+	if jt > 0 || rem > 0 {
+		nTB, nTC, nRA, nRC := 0, 0, 0, 0
 		if jt > 0 {
 			nTB, nTC = 4*k, 4*(full-lo)
 		}
-		if odd {
-			nOA, nOC = 2*k, 2*n4
+		if rem > 0 {
+			nRA, nRC = R*k, R*n4
 		}
-		slab = getSlab[T](nTB + nTC + nOA + nOC)
+		slab = getSlab[T](nTB + nTC + nRA + nRC)
 		buf := slab.buf
 		tb, buf = buf[:nTB], buf[nTB:]
 		tc, buf = buf[:nTC], buf[nTC:]
-		oa, oc = buf[:nOA], buf[nOA:]
+		ra, rc = buf[:nRA], buf[nRA:]
 		if jt > 0 {
 			for j := 0; j < jt; j++ {
 				copy(tb[j*k:(j+1)*k], b[(jCov+j)*ldb:])
@@ -500,12 +506,16 @@ func ntRowRange[T Float](fam cpufeat.Family, lo, hi, k, n int, alpha T, a []T, l
 				}
 			}
 		}
-		if odd {
-			copy(oa[:k], a[full*lda:])
-			clear(oa[k:])
+		if rem > 0 {
+			for r := 0; r < rem; r++ {
+				copy(ra[r*k:(r+1)*k], a[(full+r)*lda:])
+			}
+			clear(ra[rem*k:])
 			if beta != 0 {
-				copy(oc[:n], c[full*ldc:])
-				clear(oc[n:])
+				clear(rc)
+				for r := 0; r < rem; r++ {
+					copy(rc[r*n4:r*n4+n], c[(full+r)*ldc:])
+				}
 			}
 		}
 	}
@@ -534,15 +544,15 @@ func ntRowRange[T Float](fam cpufeat.Family, lo, hi, k, n int, alpha T, a []T, l
 		args.n = uintptr(jb)
 		args.lda = uintptr(lda)
 		args.ldc = uintptr(pldc)
-		for i := lo; i < full; i += 2 {
+		for i := lo; i < full; i += R {
 			args.a = unsafe.Pointer(&a[i*lda])
 			args.c = unsafe.Pointer(&pc[(i-lo)*pldc])
 			ntTile[T](fam, &args)
 		}
-		if odd {
-			args.a = unsafe.Pointer(&oa[0])
+		if rem > 0 {
+			args.a = unsafe.Pointer(&ra[0])
 			args.lda = uintptr(k)
-			args.c = unsafe.Pointer(&oc[j0])
+			args.c = unsafe.Pointer(&rc[j0])
 			args.ldc = uintptr(n4)
 			ntTile[T](fam, &args)
 		}
@@ -553,8 +563,8 @@ func ntRowRange[T Float](fam cpufeat.Family, lo, hi, k, n int, alpha T, a []T, l
 			copy(c[i*ldc+jCov:i*ldc+n], tc[(i-lo)*4:])
 		}
 	}
-	if odd {
-		copy(c[full*ldc:full*ldc+n], oc)
+	for r := 0; r < rem; r++ {
+		copy(c[(full+r)*ldc:(full+r)*ldc+n], rc[r*n4:])
 	}
 	if slab != nil {
 		putSlab(slab)

@@ -14,27 +14,28 @@ import (
 //   - AVX2 f64: 4-row strip x 8-column chunk (two ymm accumulators per
 //     row, 8 FMA chains). f32: 8-row strip x 8-column chunk (one ymm per
 //     row). The n mod 8 column tail runs on zero-padded staging
-//     (simdColumnTail).
+//     (simdColumnTail). NT dot tile: 2 A rows x 4 B rows, lanes over K.
 //   - AVX-512: 8-row strip x one zmm chunk (8 f64 / 16 f32 lanes),
 //     embedded-broadcast FMA, and a k-masked final chunk so every column
 //     is covered in-lane. The f64 tanh epilogue runs the eight
-//     accumulators as two rounds of four interleaved chains.
+//     accumulators as two rounds of four interleaved chains. NT dot tile:
+//     4 A rows x 4 B rows, two of the AVX2 tile's dot products per zmm, so
+//     every element keeps the AVX2 tile's bits.
 //
-// The NT dot tile (2 rows x 4 B-rows, lanes over K) and the nets'
-// element-wise lane passes (below) are AVX2-encoded and serve both
-// families.
+// The nets' element-wise lane passes (below) are AVX2-encoded and serve
+// both families.
 func simdCaps(fam cpufeat.Family, es int) (simdKernelCaps, bool) {
 	switch fam {
 	case cpufeat.AVX2:
 		if es == 8 {
-			return simdKernelCaps{rows: 4, cover: 8}, true
+			return simdKernelCaps{rows: 4, cover: 8, ntRows: 2}, true
 		}
-		return simdKernelCaps{rows: 8, cover: 8}, true
+		return simdKernelCaps{rows: 8, cover: 8, ntRows: 2}, true
 	case cpufeat.AVX512:
 		if es == 8 {
-			return simdKernelCaps{rows: 8, cover: 8}, true
+			return simdKernelCaps{rows: 8, cover: 8, ntRows: 4}, true
 		}
-		return simdKernelCaps{rows: 8, cover: 16}, true
+		return simdKernelCaps{rows: 8, cover: 16, ntRows: 4}, true
 	default:
 		// Generic takes the portable path: no SIMD caps.
 		return simdKernelCaps{}, false
@@ -59,12 +60,20 @@ func tsTile[T Float](fam cpufeat.Family, p *tileArgs) {
 	}
 }
 
-// ntTile dispatches one NT row-pair call. The dot tile is AVX2-encoded;
-// AVX-512 hosts run it too (cpufeat gates AVX512 on AVX2+FMA).
+// ntTile dispatches one NT tile call: caps.ntRows A rows against args.n
+// B rows.
 func ntTile[T Float](fam cpufeat.Family, p *tileArgs) {
 	var z T
 	if sizeofT(z) == 8 {
-		ntTileF64AVX2(p)
+		if fam == cpufeat.AVX512 {
+			ntTileF64AVX512(p)
+		} else {
+			ntTileF64AVX2(p)
+		}
+		return
+	}
+	if fam == cpufeat.AVX512 {
+		ntTileF32AVX512(p)
 	} else {
 		ntTileF32AVX2(p)
 	}
@@ -87,6 +96,12 @@ func tsTileF64AVX512(args *tileArgs)
 
 //go:noescape
 func tsTileF32AVX512(args *tileArgs)
+
+//go:noescape
+func ntTileF64AVX512(args *tileArgs)
+
+//go:noescape
+func ntTileF32AVX512(args *tileArgs)
 
 // The element-wise lane passes of the nets (fused.go): one VEX-encoded
 // kernel per pass and precision, which both families run. Each reports

@@ -728,3 +728,344 @@ z32nextj:
 z32done:
 	VZEROUPPER
 	RET
+
+// ---------------------------------------------------------------------------
+// The NT dot tile on zmm: four A rows x four B rows per step, the AVX2
+// tile's arithmetic carried two dot products to a register. Accumulator
+// Z(4p+q) holds the AVX2 tile's lane vector of dot (A row 2p, B row q) in
+// its low 256 bits and of dot (A row 2p+1, B row q) in its high 256 bits:
+// the A rows of a pair load as one ymm plus an inserted ymm, the B row's
+// k-chunk is broadcast to both halves, and every FMA has the AVX2 tile's
+// operand order and k order. The sixteen dots then reduce in HSUM64's or
+// HSUM32's tree and operand order, vectorised across accumulators
+// (VSHUFF64X2 pairs the lane halves, VUNPCK*PD or VSHUFPS the rest), and
+// are permuted to row-major order; the k tail, alpha and beta run as
+// vector operations in the scalar epilogue's order. So every element has
+// the bits the AVX2 tile gives it (TestNTQuadTileMatchesPair).
+
+// ntPerm32<>: the VPERMPS index that puts NTRED32's output in row-major
+// order (row r, column q at lane 4r+q).
+DATA ntPerm32<>+0(SB)/4, $0
+DATA ntPerm32<>+4(SB)/4, $1
+DATA ntPerm32<>+8(SB)/4, $8
+DATA ntPerm32<>+12(SB)/4, $9
+DATA ntPerm32<>+16(SB)/4, $4
+DATA ntPerm32<>+20(SB)/4, $5
+DATA ntPerm32<>+24(SB)/4, $12
+DATA ntPerm32<>+28(SB)/4, $13
+DATA ntPerm32<>+32(SB)/4, $2
+DATA ntPerm32<>+36(SB)/4, $3
+DATA ntPerm32<>+40(SB)/4, $10
+DATA ntPerm32<>+44(SB)/4, $11
+DATA ntPerm32<>+48(SB)/4, $6
+DATA ntPerm32<>+52(SB)/4, $7
+DATA ntPerm32<>+56(SB)/4, $14
+DATA ntPerm32<>+60(SB)/4, $15
+GLOBL ntPerm32<>(SB), RODATA, $64
+
+// NTRED64(A0, A1, A2, A3, OUT): the four accumulators of one A-row pair
+// (B rows 0..3) to OUT = [row 2p: cols 0..3 | row 2p+1: cols 0..3].
+// Per dot, (s0+s2) + (s1+s3) as HSUM64. Temps Z16-Z21.
+#define NTRED64(A0, A1, A2, A3, OUT) \
+	VSHUFF64X2 $0x88, A2, A0, Z16 \ // lo halves: [d0q0, d1q0, d0q2, d1q2] (s0, s1)
+	VSHUFF64X2 $0xDD, A2, A0, Z17 \ // (s2, s3)
+	VADDPD Z17, Z16, Z16          \ // (s0+s2, s1+s3)
+	VSHUFF64X2 $0x88, A3, A1, Z18 \ // [d0q1, d1q1, d0q3, d1q3]
+	VSHUFF64X2 $0xDD, A3, A1, Z19 \
+	VADDPD Z19, Z18, Z18          \
+	VUNPCKLPD Z18, Z16, Z20       \
+	VUNPCKHPD Z18, Z16, Z21       \
+	VADDPD Z21, Z20, Z20          \ // [d0q0 d0q1 | d1q0 d1q1 | d0q2 d0q3 | d1q2 d1q3]
+	VSHUFF64X2 $0xD8, Z20, Z20, OUT
+
+// ---------------------------------------------------------------------------
+// func ntTileF64AVX512(args *tileArgs)
+//
+// C = alpha*A*B^T + beta*C for four A rows against columns [0, n), n a
+// positive multiple of 4. Accumulators Z0..Z7 (pair p, B row q in Z4p+q),
+// A pairs Z8/Z9, B broadcasts Z10-Z13. A rows from R8 (row 0) and R9
+// (row 2) plus lda; B rows from R10 (row j) and R11 (row j+3) plus ldb.
+TEXT ·ntTileF64AVX512(SB), NOSPLIT, $0-8
+	MOVQ args+0(FP), DI
+	MOVQ TA_LDA(DI), CX
+	SHLQ $3, CX               // lda bytes
+	MOVQ TA_LDB(DI), R15
+	SHLQ $3, R15              // ldb bytes
+	MOVQ TA_LDC(DI), BX
+	SHLQ $3, BX               // ldc bytes
+	XORQ R14, R14             // j
+
+q64jloop:
+	CMPQ R14, TA_N(DI)
+	JGE  q64done
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+	MOVQ TA_A(DI), R8
+	LEAQ (R8)(CX*2), R9       // A row 2
+	MOVQ R14, R10
+	IMULQ R15, R10
+	ADDQ TA_B(DI), R10        // B row j
+	LEAQ (R10)(R15*2), R11
+	ADDQ R15, R11             // B row j+3
+	MOVQ TA_K(DI), R13
+	SHRQ $2, R13              // k/4 vector chunks
+	JZ   q64reduce
+
+q64kloop:
+	VMOVUPD (R8), Y8
+	VINSERTF64X4 $1, (R8)(CX*1), Z8, Z8
+	VMOVUPD (R9), Y9
+	VINSERTF64X4 $1, (R9)(CX*1), Z9, Z9
+	VBROADCASTF64X4 (R10), Z10
+	VBROADCASTF64X4 (R10)(R15*1), Z11
+	VBROADCASTF64X4 (R10)(R15*2), Z12
+	VBROADCASTF64X4 (R11), Z13
+	VFMADD231PD Z10, Z8, Z0
+	VFMADD231PD Z11, Z8, Z1
+	VFMADD231PD Z12, Z8, Z2
+	VFMADD231PD Z13, Z8, Z3
+	VFMADD231PD Z10, Z9, Z4
+	VFMADD231PD Z11, Z9, Z5
+	VFMADD231PD Z12, Z9, Z6
+	VFMADD231PD Z13, Z9, Z7
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	DECQ R13
+	JNZ  q64kloop
+
+q64reduce:
+	NTRED64(Z0, Z1, Z2, Z3, Z0) // rows 0, 1
+	NTRED64(Z4, Z5, Z6, Z7, Z1) // rows 2, 3
+	MOVQ TA_K(DI), R13
+	ANDQ $3, R13
+	JZ   q64epi
+
+	// k tail: Z8/Z9 = A rows (0,1)/(2,3) at the tail column, each
+	// broadcast over its half; Z10 = B rows j..j+3 at it, in both halves.
+q64tailloop:
+	VBROADCASTSD (R8), Y8
+	VBROADCASTSD (R8)(CX*1), Y12
+	VINSERTF64X4 $1, Y12, Z8, Z8
+	VBROADCASTSD (R9), Y9
+	VBROADCASTSD (R9)(CX*1), Y12
+	VINSERTF64X4 $1, Y12, Z9, Z9
+	VMOVSD (R10), X10
+	VMOVHPD (R10)(R15*1), X10, X10
+	VMOVSD (R10)(R15*2), X11
+	VMOVHPD (R11), X11, X11
+	VINSERTF128 $1, X11, Y10, Y10
+	VINSERTF64X4 $1, Y10, Z10, Z10
+	VFMADD231PD Z10, Z8, Z0
+	VFMADD231PD Z10, Z9, Z1
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	DECQ R13
+	JNZ  q64tailloop
+
+q64epi:
+	VBROADCASTSD TA_ALPHA(DI), Z14
+	VMULPD Z14, Z0, Z0
+	VMULPD Z14, Z1, Z1
+	MOVQ TA_C(DI), SI
+	LEAQ (SI)(R14*8), SI      // C[0, j]
+	LEAQ (SI)(BX*1), DX       // C[1, j]
+	VXORPS X13, X13, X13
+	UCOMISD TA_BETA(DI), X13
+	JNE  q64betanz
+	JP   q64betanz
+	VMOVUPD Y0, (SI)
+	VEXTRACTF64X4 $1, Z0, (DX)
+	VMOVUPD Y1, (SI)(BX*2)
+	VEXTRACTF64X4 $1, Z1, (DX)(BX*2)
+	JMP  q64nextj
+
+q64betanz:
+	VBROADCASTSD TA_BETA(DI), Z15
+	VMOVUPD (SI), Y12
+	VINSERTF64X4 $1, (DX), Z12, Z12
+	VFMADD231PD Z12, Z15, Z0
+	VMOVUPD (SI)(BX*2), Y13
+	VINSERTF64X4 $1, (DX)(BX*2), Z13, Z13
+	VFMADD231PD Z13, Z15, Z1
+	VMOVUPD Y0, (SI)
+	VEXTRACTF64X4 $1, Z0, (DX)
+	VMOVUPD Y1, (SI)(BX*2)
+	VEXTRACTF64X4 $1, Z1, (DX)(BX*2)
+
+q64nextj:
+	ADDQ $4, R14
+	JMP  q64jloop
+
+q64done:
+	VZEROUPPER
+	RET
+
+// NTRED32 stage 1 for one A-row pair: v[l] = s[l] + s[l+4] for the
+// pair's dots with B rows (0, 2) into LO and (1, 3) into HI, as HSUM32's
+// first add. Temp Z16.
+#define NTRED32PAIR(A0, A1, A2, A3, LO, HI) \
+	VSHUFF64X2 $0x88, A2, A0, LO \
+	VSHUFF64X2 $0xDD, A2, A0, Z16 \
+	VADDPS Z16, LO, LO           \
+	VSHUFF64X2 $0x88, A3, A1, HI \
+	VSHUFF64X2 $0xDD, A3, A1, Z16 \
+	VADDPS Z16, HI, HI
+
+// NTRED32ROUND: one of the f32 reduction's last two rounds, the lanes
+// ILO picks from X and Y plus the lanes IHI picks, ILO's first. With
+// $0x44/$0xEE it forms HSUM32's v0+v2 and v1+v3, with $0x88/$0xDD their
+// sum, leaving sixteen dots in ntPerm32<>'s input order. Temps Z16, Z17.
+#define NTRED32ROUND(X, Y, OUT, ILO, IHI) \
+	VSHUFPS ILO, Y, X, Z16 \
+	VSHUFPS IHI, Y, X, Z17 \
+	VADDPS Z17, Z16, OUT
+
+// ---------------------------------------------------------------------------
+// func ntTileF32AVX512(args *tileArgs)
+//
+// The f32 quad tile: 8-lane k chunks per half (k&^7), the rest as the f64
+// tile. The reduced tile is one zmm, row r in lanes 4r..4r+3.
+TEXT ·ntTileF32AVX512(SB), NOSPLIT, $0-8
+	MOVQ args+0(FP), DI
+	MOVQ TA_LDA(DI), CX
+	SHLQ $2, CX
+	MOVQ TA_LDB(DI), R15
+	SHLQ $2, R15
+	MOVQ TA_LDC(DI), BX
+	SHLQ $2, BX
+	VMOVDQU32 ntPerm32<>(SB), Z31
+	XORQ R14, R14
+
+q32jloop:
+	CMPQ R14, TA_N(DI)
+	JGE  q32done
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+	MOVQ TA_A(DI), R8
+	LEAQ (R8)(CX*2), R9
+	MOVQ R14, R10
+	IMULQ R15, R10
+	ADDQ TA_B(DI), R10
+	LEAQ (R10)(R15*2), R11
+	ADDQ R15, R11
+	MOVQ TA_K(DI), R13
+	SHRQ $3, R13              // k/8 vector chunks
+	JZ   q32reduce
+
+q32kloop:
+	VMOVUPS (R8), Y8
+	VINSERTF64X4 $1, (R8)(CX*1), Z8, Z8
+	VMOVUPS (R9), Y9
+	VINSERTF64X4 $1, (R9)(CX*1), Z9, Z9
+	VBROADCASTF64X4 (R10), Z10
+	VBROADCASTF64X4 (R10)(R15*1), Z11
+	VBROADCASTF64X4 (R10)(R15*2), Z12
+	VBROADCASTF64X4 (R11), Z13
+	VFMADD231PS Z10, Z8, Z0
+	VFMADD231PS Z11, Z8, Z1
+	VFMADD231PS Z12, Z8, Z2
+	VFMADD231PS Z13, Z8, Z3
+	VFMADD231PS Z10, Z9, Z4
+	VFMADD231PS Z11, Z9, Z5
+	VFMADD231PS Z12, Z9, Z6
+	VFMADD231PS Z13, Z9, Z7
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	DECQ R13
+	JNZ  q32kloop
+
+q32reduce:
+	NTRED32PAIR(Z0, Z1, Z2, Z3, Z18, Z19)
+	NTRED32PAIR(Z4, Z5, Z6, Z7, Z20, Z21)
+	NTRED32ROUND(Z18, Z19, Z22, $0x44, $0xEE)
+	NTRED32ROUND(Z20, Z21, Z23, $0x44, $0xEE)
+	NTRED32ROUND(Z22, Z23, Z24, $0x88, $0xDD)
+	VPERMPS Z24, Z31, Z0
+	MOVQ TA_K(DI), R13
+	ANDQ $7, R13
+	JZ   q32epi
+
+	// k tail: Z8 = A rows 0..3 at the tail column, row r broadcast over
+	// lanes 4r..4r+3; Z10 = B rows j..j+3 at it, in every 128-bit lane.
+q32tailloop:
+	VBROADCASTSS (R8), X8
+	VBROADCASTSS (R8)(CX*1), X12
+	VINSERTF32X4 $1, X12, Z8, Z8
+	VBROADCASTSS (R9), X12
+	VINSERTF32X4 $2, X12, Z8, Z8
+	VBROADCASTSS (R9)(CX*1), X12
+	VINSERTF32X4 $3, X12, Z8, Z8
+	VMOVSS (R10), X10
+	VINSERTPS $0x10, (R10)(R15*1), X10, X10
+	VINSERTPS $0x20, (R10)(R15*2), X10, X10
+	VINSERTPS $0x30, (R11), X10, X10
+	VSHUFF32X4 $0, Z10, Z10, Z10
+	VFMADD231PS Z10, Z8, Z0
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ $4, R11
+	DECQ R13
+	JNZ  q32tailloop
+
+q32epi:
+	VMOVSD TA_ALPHA(DI), X14
+	VCVTSD2SS X14, X14, X14
+	VBROADCASTSS X14, Z14
+	VMULPS Z14, Z0, Z0
+	MOVQ TA_C(DI), SI
+	LEAQ (SI)(R14*4), SI
+	LEAQ (SI)(BX*1), DX
+	VMOVSD TA_BETA(DI), X15
+	VCVTSD2SS X15, X15, X15
+	VXORPS X13, X13, X13
+	UCOMISS X15, X13
+	JNE  q32betanz
+	JP   q32betanz
+	VMOVUPS X0, (SI)
+	VEXTRACTF32X4 $1, Z0, (DX)
+	VEXTRACTF32X4 $2, Z0, (SI)(BX*2)
+	VEXTRACTF32X4 $3, Z0, (DX)(BX*2)
+	JMP  q32nextj
+
+q32betanz:
+	VBROADCASTSS X15, Z15
+	VMOVUPS (SI), X12
+	VINSERTF32X4 $1, (DX), Z12, Z12
+	VINSERTF32X4 $2, (SI)(BX*2), Z12, Z12
+	VINSERTF32X4 $3, (DX)(BX*2), Z12, Z12
+	VFMADD231PS Z12, Z15, Z0
+	VMOVUPS X0, (SI)
+	VEXTRACTF32X4 $1, Z0, (DX)
+	VEXTRACTF32X4 $2, Z0, (SI)(BX*2)
+	VEXTRACTF32X4 $3, Z0, (DX)(BX*2)
+
+q32nextj:
+	ADDQ $4, R14
+	JMP  q32jloop
+
+q32done:
+	VZEROUPPER
+	RET

@@ -388,26 +388,28 @@ func testNonFiniteAcrossPanels[T Float](t *testing.T, fam cpufeat.Family) {
 }
 
 // TestSIMDNTLaneVsScalarModel is the same bitwise row check for the NT dot
-// tile, driven through ntRowRange directly so small shapes (odd rows,
-// column tails, k tails below the vector width) hit the asm: the odd row,
-// computed as a pair with a zero row, must carry the bits of the row pair,
-// on the covered columns and on the zero-padded mini-panel alike.
+// tile, driven through ntRowRange directly so small shapes (a last row
+// past the tiles, column tails, k tails below the vector width) hit the
+// asm: the last row, computed in a tile with zero rows, must carry the
+// bits of the full tile's rows, on the covered columns and on the
+// zero-padded mini-panel alike.
 func TestSIMDNTLaneVsScalarModel(t *testing.T) {
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
 		if fam == cpufeat.Generic {
 			t.Skip("no lanes in the generic family")
 		}
+		caps, _ := simdCaps(fam, 8)
 		rng := rand.New(rand.NewSource(123))
 		for _, k := range []int{8, 25, 50, 51, 100} {
-			// One asm row pair + the odd row; n = 7 is 4 covered
+			// One asm tile + one more row; n = 7 is 4 covered
 			// columns + 3 on the staged mini-panel, the rest are the
 			// embedding net's backward widths (tails of 1, 2, 1 and 2).
 			for _, n := range []int{7, 1, 2, 25, 50} {
-				const m = 3
+				m := caps.ntRows + 1
 				a := repeatedRows(randRow[float64](rng, k), m)
 				b := randMatT[float64](rng, n, k)
 				c := repeatedRows(randRow[float64](rng, n), m)
-				ntRowRange(fam, 0, m, k, n, 1.5, a.Data, k, b.Data, k, -0.5, c.Data, n)
+				ntRowRange(fam, caps.ntRows, 0, m, k, n, 1.5, a.Data, k, b.Data, k, -0.5, c.Data, n)
 				checkRowsBitEqual(t, fmt.Sprintf("%s NT k=%d n=%d", fam, k, n), c)
 			}
 		}
@@ -561,11 +563,12 @@ func scalarNTRow64(ai []float64, k int, b []float64, ldb, jlo, jhi int, ci []flo
 }
 
 // ntOnePanel is the reference driver of TestNTPanelsBitIdentical: the
-// problem zero-padded to an even row count and a multiple of four columns,
-// so that it has no edges, then every row pair through the asm tile over
-// all the columns in one call — one panel, whatever the reduction depth.
-func ntOnePanel[T Float](fam cpufeat.Family, m, k, n int, alpha T, a, b []T, beta T, c []T) {
-	m2, n4 := (m+1)&^1, (n+3)&^3
+// problem zero-padded to a multiple of the tile's R rows and of four
+// columns, so that it has no edges, then every R-row tile through the asm
+// over all the columns in one call — one panel, whatever the reduction
+// depth.
+func ntOnePanel[T Float](fam cpufeat.Family, R, m, k, n int, alpha T, a, b []T, beta T, c []T) {
+	m2, n4 := (m+R-1)/R*R, (n+3)&^3
 	pa, pb, pc := make([]T, m2*k), make([]T, n4*k), make([]T, m2*n4)
 	copy(pa, a)
 	copy(pb, b)
@@ -576,7 +579,7 @@ func ntOnePanel[T Float](fam cpufeat.Family, m, k, n int, alpha T, a, b []T, bet
 		b: unsafe.Pointer(&pb[0]), lda: uintptr(k), ldb: uintptr(k), ldc: uintptr(n4),
 		k: uintptr(k), n: uintptr(n4), alpha: float64(alpha), beta: float64(beta),
 	}
-	for i := 0; i < m2; i += 2 {
+	for i := 0; i < m2; i += R {
 		args.a = unsafe.Pointer(&pa[i*k])
 		args.c = unsafe.Pointer(&pc[i*n4])
 		ntTile[T](fam, &args)
@@ -607,6 +610,8 @@ func TestNTPanelsBitIdentical(t *testing.T) {
 
 func testNTPanels[T Float](t *testing.T, fam cpufeat.Family) {
 	var z T
+	caps, _ := simdCaps(fam, sizeofT(z))
+	R := caps.ntRows
 	rng := rand.New(rand.NewSource(2020))
 	for _, shape := range [][3]int{
 		{256, 240, 1600}, {54, 240, 1600}, {255, 240, 1603}, {128, 100, 50}, {7, 25, 1}, {5, 8, 1030},
@@ -618,12 +623,12 @@ func testNTPanels[T Float](t *testing.T, fam cpufeat.Family) {
 			label := fmt.Sprintf("%s %T %dx%d->%d (%d-column panels) alpha=%g beta=%g", fam, z, m, k, n, ntPanelCols[T](k), float64(alpha), float64(beta))
 			run := func(b Matrix[T]) []T {
 				got := append([]T(nil), c0.Data...)
-				ntRowRange(fam, 0, m, k, n, alpha, a.Data, k, b.Data, k, beta, got, n)
+				ntRowRange(fam, R, 0, m, k, n, alpha, a.Data, k, b.Data, k, beta, got, n)
 				return got
 			}
 			got := run(b)
 			want := append([]T(nil), c0.Data...)
-			ntOnePanel(fam, m, k, n, alpha, a.Data, b.Data, beta, want)
+			ntOnePanel(fam, R, m, k, n, alpha, a.Data, b.Data, beta, want)
 			checkBitIdentical(t, label+": panelled vs one panel", got, want)
 
 			if g64, ok := any(got).([]float64); ok {
@@ -675,4 +680,106 @@ func testNTPanels[T Float](t *testing.T, fam cpufeat.Family) {
 			}
 		}
 	}
+}
+
+// TestNTQuadTileMatchesPair holds the AVX-512 NT tile (four A rows, two
+// dot products per zmm) to the AVX2 tile (two A rows), bitwise, NaN
+// payloads included: the quad tile keeps the pair tile's FMA operand
+// order, lane reduction tree and scalar epilogue order, so one family's
+// hash tables serve both. It sweeps row counts 1-13 (every remainder of
+// both tiles), reduction depths around both lane widths and the paper's
+// layers, column counts with every n mod 4 tail, the GEMM's three
+// alpha/beta regimes, and A, B and C sprinkled with NaNs of distinct
+// payloads, infinities, signed zeros and subnormals.
+func TestNTQuadTileMatchesPair(t *testing.T) {
+	if !cpufeat.Available(cpufeat.AVX512) || !cpufeat.Available(cpufeat.AVX2) {
+		t.Skip("needs both the AVX2 and the AVX-512 family")
+	}
+	testNTQuadTile[float64](t)
+	testNTQuadTile[float32](t)
+}
+
+func testNTQuadTile[T Float](t *testing.T) {
+	var z T
+	pairCaps, _ := simdCaps(cpufeat.AVX2, sizeofT(z))
+	quadCaps, _ := simdCaps(cpufeat.AVX512, sizeofT(z))
+	rng := rand.New(rand.NewSource(37))
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 25, 50, 51, 100, 240}
+	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 25, 50, 240}
+	for m := 1; m <= 13; m++ {
+		for _, k := range ks {
+			for _, n := range ns {
+				// Finite data too: deep dots over the special values are
+				// almost all NaN.
+				for _, every := range []int{0, 8} {
+					a, b, c0 := specialMat[T](rng, m*k, every), specialMat[T](rng, n*k, every), specialMat[T](rng, m*n, every)
+					for _, ab := range [][2]T{{1, 0}, {1.5, -0.5}, {0.5, 1}} {
+						pair := append([]T(nil), c0...)
+						quad := append([]T(nil), c0...)
+						ntRowRange(cpufeat.AVX2, pairCaps.ntRows, 0, m, k, n, ab[0], a, k, b, k, ab[1], pair, n)
+						ntRowRange(cpufeat.AVX512, quadCaps.ntRows, 0, m, k, n, ab[0], a, k, b, k, ab[1], quad, n)
+						for i := range pair {
+							if !sameBits(pair[i], quad[i]) {
+								t.Fatalf("%T %dx%d->%d alpha=%g beta=%g: C[%d][%d] quad %g (%#x), pair %g (%#x)",
+									z, m, k, n, float64(ab[0]), float64(ab[1]), i/n, i%n,
+									float64(quad[i]), floatBits(quad[i]), float64(pair[i]), floatBits(pair[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// specialMat returns n normal samples with about one in every replaced by
+// a NaN (one of four payloads, either sign), ±Inf, ±0 or a subnormal, or
+// none when every is 0.
+func specialMat[T Float](rng *rand.Rand, n, every int) []T {
+	var z T
+	x := make([]T, n)
+	for i := range x {
+		x[i] = T(rng.NormFloat64())
+		if every == 0 || rng.Intn(every) != 0 {
+			continue
+		}
+		sign := uint64(rng.Intn(2))
+		switch rng.Intn(4) {
+		case 0:
+			p := uint64(rng.Intn(4) + 1)
+			if sizeofT(z) == 8 {
+				x[i] = fromBits[T](0x7ff8000000000000 | p<<40 | sign<<63)
+			} else {
+				x[i] = fromBits[T](0x7fc00000 | p<<12 | sign<<31)
+			}
+		case 1:
+			x[i] = T(math.Inf(1 - 2*int(sign)))
+		case 2:
+			x[i] = T(math.Copysign(0, float64(1-2*int(sign))))
+		default:
+			if sizeofT(z) == 8 {
+				x[i] = fromBits[T](uint64(rng.Int63n(1<<52)) | sign<<63)
+			} else {
+				x[i] = fromBits[T](uint64(rng.Int63n(1<<23)) | sign<<31)
+			}
+		}
+	}
+	return x
+}
+
+// fromBits returns the T whose IEEE bits are u (the low 32 bits for
+// float32); floatBits is its inverse.
+func fromBits[T Float](u uint64) T {
+	var z T
+	if _, ok := any(z).(float64); ok {
+		return any(math.Float64frombits(u)).(T)
+	}
+	return any(math.Float32frombits(uint32(u))).(T)
+}
+
+func floatBits[T Float](v T) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(any(v).(float64))
 }
