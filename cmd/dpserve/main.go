@@ -70,6 +70,10 @@ func run(args []string, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if err := checkFlags(*maxBatch, *queue, *dispatchers, *reqTimeout); err != nil {
+		logger.Print(err)
+		return 2
+	}
 
 	model, err := buildModel(*modelPath, *system)
 	if err != nil {
@@ -129,6 +133,24 @@ func run(args []string, stderr io.Writer) int {
 	st := bat.Stats()
 	logger.Printf("served %d requests in %d batches (max coalesce %d)", st.Completed, st.Batches, st.MaxBatch)
 	return 0
+}
+
+// checkFlags rejects the batcher and deadline flags serve.New or the
+// server would otherwise replace with their defaults: a batch needs a
+// frame, the queue bound and dispatcher count cannot be negative (0 keeps
+// meaning "default"), and a deadline must lie in the future.
+func checkFlags(maxBatch, queue, dispatchers int, reqTimeout time.Duration) error {
+	switch {
+	case maxBatch < 1:
+		return fmt.Errorf("-max-batch %d: need at least one frame per batch", maxBatch)
+	case queue < 0:
+		return fmt.Errorf("-queue %d: must be >= 0 (0: 4*max-batch)", queue)
+	case dispatchers < 0:
+		return fmt.Errorf("-dispatchers %d: must be >= 0 (0: engine concurrency)", dispatchers)
+	case reqTimeout <= 0:
+		return fmt.Errorf("-request-timeout %v: must be positive", reqTimeout)
+	}
+	return nil
 }
 
 // buildModel loads a checkpoint or constructs a deterministic tiny

@@ -14,11 +14,21 @@ import "deepmd-go/internal/descriptor"
 //	           ds_k      = Σ_j R~_k[j] · Σ_c g'(s_k)[c] · dT[j][c]
 //
 // Neither G nor dG/ds of the section is ever stored: FusedTile rows at a
-// time are Horner-evaluated into a cache-resident tile and contracted on
-// the spot (descriptor.ContractForward/ContractBackward, the kernels the
-// exact path's operator shares), and the backward pass recomputes the
-// tile instead of reading it back. Both passes stop at the section's
+// time are contracted on the spot, and the backward pass recomputes them
+// instead of reading them back. Both passes stop at the section's
 // real-neighbor count n (descriptor.EnvOut.Off): only those rows exist.
+//
+// A tile takes one of two routes with the same bits. The row route
+// Horner-evaluates the tile into scratch (Eval per row) and contracts it
+// with descriptor.ContractForward/ContractBackward, the kernels the exact
+// path's operator shares. On AVX-512 a float32 table's tile whose rows
+// are all in domain takes the tile route instead: its segments are
+// located in Go, then one assembly call per pass (fused_amd64.s) runs the
+// Horner sweep — values only in the forward — and the contraction in
+// registers, with the row route's IEEE operations in its order
+// (FuzzFusedTileBits). A tile with
+// an extrapolating row, every float64 tile and every tile on AVX2 and
+// generic take the row route.
 //
 // T and dT are 4 x M, channel-minor; see descriptor/contract.go for the
 // layout, the accumulation-order contract and the agreement bound between
@@ -30,10 +40,12 @@ import "deepmd-go/internal/descriptor"
 // segment slabs the Horner sweep streams.
 const FusedTile = 16
 
-// Executed FLOPs per (real neighbor row, channel) of the fused passes: the
+// Analytic FLOPs per (real neighbor row, channel) of the fused passes: the
 // Horner sweep plus 4 multiply-adds of contraction forward, and the
 // recomputed sweep plus 8 multiply-adds (value and derivative against the
-// four dT rows) backward.
+// four dT rows) backward. On AVX-512 the forward executes only the value
+// recursion (10 of the sweep's 20); the charge stays the same on every
+// family.
 const (
 	FusedForwardFLOPsPerChannel  = EvalFLOPsPerChannel + 8
 	FusedBackwardFLOPsPerChannel = EvalFLOPsPerChannel + 16
@@ -41,8 +53,13 @@ const (
 
 // FusedScratchLen is the scratch length ContractForward and
 // ContractBackward need for an m-channel table: the value and derivative
-// tiles plus eight partial sums per tile row.
-func FusedScratchLen(m int) int { return FusedTile * (2*m + 8) }
+// tiles, eight partial sums per tile row, and the tile kernels' scratch.
+func FusedScratchLen(m int) int { return FusedTile*(2*m+8) + tileScratch }
+
+// tileScratch is the tile kernels' part of the scratch: one in-segment
+// coordinate per tile row, then eight multipliers for each channel past
+// the AVX2 lane cover (at most 7 in float32).
+const tileScratch = FusedTile + 8*7
 
 // ContractForward adds the first n rows of one section into the 4 x M
 // accumulator: acc[j*M+c] += Σ_{k<n} g_c(rows[4k]) · rows[4k+j]. rows
@@ -52,9 +69,15 @@ func (tb *Table[T]) ContractForward(rows []T, n int, acc, buf []T) {
 	m := tb.M
 	g, dg := buf[:FusedTile*m], buf[FusedTile*m:2*FusedTile*m]
 	rows, acc = rows[:4*n], acc[:4*m]
+	ts := buf[2*FusedTile*m+8*FusedTile:][:tileScratch]
+	var a tileArgs
+	tiled := tileStart(tb, &a, acc, ts, false)
 	for k0 := 0; k0 < n; k0 += FusedTile {
 		nk := min(FusedTile, n-k0)
 		tile := rows[4*k0 : 4*(k0+nk)]
+		if tiled && forwardTile(tb, &a, tile, ts) {
+			continue
+		}
 		tb.evalTile(tile, g, dg)
 		descriptor.ContractForward(g, tile, m, acc)
 	}
@@ -71,12 +94,18 @@ func (tb *Table[T]) ContractBackward(rows []T, n int, dT, nd, buf []T) {
 	g, dg := buf[:FusedTile*m], buf[FusedTile*m:2*FusedTile*m]
 	ab := buf[2*FusedTile*m : 2*FusedTile*m+8*FusedTile]
 	rows, nd, dT = rows[:4*n], nd[:4*n], dT[:4*m]
+	ts := buf[2*FusedTile*m+8*FusedTile:][:tileScratch]
+	var a tileArgs
+	tiled := tileStart(tb, &a, dT, ts, true)
 	for k0 := 0; k0 < n; k0 += FusedTile {
 		nk := min(FusedTile, n-k0)
 		tile := rows[4*k0 : 4*(k0+nk)]
+		out := nd[4*k0 : 4*(k0+nk)]
+		if tiled && backwardTile(tb, &a, tile, out, ts) {
+			continue
+		}
 		tb.evalTile(tile, g, dg)
 		descriptor.ContractBackward(g, dg, dT, nk, m, ab)
-		out := nd[4*k0 : 4*(k0+nk)]
 		for i := 0; i < nk; i++ {
 			r, s := tile[4*i:4*i+4], ab[8*i:8*i+8]
 			out[4*i] = s[0] + (r[0]*s[4] + r[1]*s[5] + r[2]*s[6] + r[3]*s[7])

@@ -30,3 +30,32 @@ func TestHornerArgsLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestTileArgsLayout pins the tileArgs field offsets the TA_* defines in
+// fused_amd64.s hard-code.
+func TestTileArgsLayout(t *testing.T) {
+	var a tileArgs
+	checks := []struct {
+		name string
+		got  uintptr
+		want uintptr
+	}{
+		{"coef", unsafe.Offsetof(a.coef), 0},
+		{"rows", unsafe.Offsetof(a.rows), 8},
+		{"t", unsafe.Offsetof(a.t), 16},
+		{"nd", unsafe.Offsetof(a.nd), 24},
+		{"u", unsafe.Offsetof(a.u), 32},
+		{"dtail", unsafe.Offsetof(a.dtail), 40},
+		{"nk", unsafe.Offsetof(a.nk), 48},
+		{"m", unsafe.Offsetof(a.m), 56},
+		{"cover", unsafe.Offsetof(a.cover), 64},
+		{"invH", unsafe.Offsetof(a.invH), 72},
+		{"off", unsafe.Offsetof(a.off), 80},
+		{"sizeof", unsafe.Sizeof(a), 80 + 8*FusedTile},
+	}
+	for _, c := range checks {
+		if c.got != c.want {
+			t.Errorf("tileArgs %s offset %d, asm expects %d", c.name, c.got, c.want)
+		}
+	}
+}

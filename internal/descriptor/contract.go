@@ -1,6 +1,10 @@
 package descriptor
 
-import "deepmd-go/internal/tensor"
+import (
+	"unsafe"
+
+	"deepmd-go/internal/tensor"
+)
 
 // This file holds the descriptor contractions of the fused operators —
 // the exact one (internal/core: embedding nets evaluated in row tiles) and
@@ -62,6 +66,8 @@ func ContractBackward[T tensor.Float](g, dg, dT []T, nk, m int, ab []T) {
 		return
 	}
 	dT = dT[:4*m]
+	// internal/compress's backward tile kernel repeats this composition
+	// (FuzzFusedTileBits).
 	c0 := contractBwdCover(g, dg, dT, nk, m, ab)
 	if c0 == 0 {
 		clear(ab[:8*nk])
@@ -69,6 +75,16 @@ func ContractBackward[T tensor.Float](g, dg, dT []T, nk, m int, ab []T) {
 	if c0 < m {
 		contractBwdGo(g, dg, dT, nk, m, c0, ab)
 	}
+}
+
+// LaneCover is the count of leading channels of an m-channel row that the
+// AVX2 contraction kernels cover: m rounded down to their lane count (8
+// float32, 4 float64). contractFwdGo and contractBwdGo sum the channels
+// from there on, so a kernel that keeps these bits — internal/compress's
+// tile kernels — splits a row at the same channel.
+func LaneCover[T tensor.Float](m int) int {
+	var z T
+	return m &^ (32/int(unsafe.Sizeof(z)) - 1)
 }
 
 // ContractRows overwrites out[4i+j] = Σ_c g[i*m+c]·dT[j*m+c] for every row

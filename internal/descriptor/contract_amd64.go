@@ -28,10 +28,9 @@ type contractArgs struct {
 // AVX-512 hosts run them too, cpufeat gates AVX512 on AVX2 — nothing
 // otherwise.
 func fusedCover[T tensor.Float](m int) int {
-	var z T
 	switch cpufeat.Active() {
 	case cpufeat.AVX2, cpufeat.AVX512:
-		return m &^ (32/int(unsafe.Sizeof(z)) - 1)
+		return LaneCover[T](m)
 	case cpufeat.Generic:
 	}
 	return 0

@@ -13,9 +13,9 @@
 // FMA throughout; the backward sums run as lane-parallel partial sums that
 // are folded at the end of each row. The kernels cover the leading lane
 // multiple of the channels; the Go caller finishes the rest. AVX2-encoded:
-// AVX-512 hosts run the same kernels, like the Horner sweeps (zmm
-// variants with a masked tail were written and measured — no difference in
-// the copper step time, DESIGN.md — so they are not shipped).
+// AVX-512 hosts run them for the exact path, while the compressed path's
+// tiles run internal/compress's tile kernels there, which keep these
+// kernels' bits (fused_amd64.s).
 
 #define CA_G 0
 #define CA_DG 8
@@ -72,6 +72,9 @@
 	VXORPS X7, X7, X7
 
 // Fold the eight f32 ymm accumulators Y0..Y7 into ab[0..7] at (R11).
+// internal/compress/fused_amd64.s repeats this tree, the f32 kernels' lane
+// layout and ContractBackward's tail composition by hand in its backward
+// tile kernel; FuzzFusedTileBits fails there when the two drift apart.
 #define BWD_REDUCE32 \
 	VHADDPS Y1, Y0, Y0        \
 	VHADDPS Y3, Y2, Y2        \

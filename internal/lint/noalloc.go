@@ -689,27 +689,24 @@ func (c *noallocChecker) checkConversion(expr ast.Expr, target types.Type, emit 
 // methods are normalized to their generic origin, so declaration lookup
 // and fact keys are stable across instantiations.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn.Origin()
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn.Origin()
-		}
-	case *ast.IndexExpr: // generic instantiation f[T](...)
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if fn, ok := info.Uses[id].(*types.Func); ok {
-				return fn.Origin()
-			}
-		}
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr: // generic instantiation f[T](...), pkg.F[T](...)
+		fun = x.X
 	case *ast.IndexListExpr: // generic instantiation f[T1, T2](...)
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if fn, ok := info.Uses[id].(*types.Func); ok {
-				return fn.Origin()
-			}
-		}
+		fun = x.X
+	}
+	var id *ast.Ident
+	switch x := fun.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		id = x.Sel
+	default:
+		return nil
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Origin()
 	}
 	return nil
 }

@@ -265,7 +265,7 @@ func (s *Sim) Step() error {
 		if err := s.rebuild(); err != nil {
 			return err
 		}
-		if err := s.Pot.Compute(sys.Pos, sys.Types, n, s.list, &sys.Box, &s.res); err != nil {
+		if err := s.compute(s.step + 1); err != nil {
 			return err
 		}
 	}
@@ -304,7 +304,7 @@ func (s *Sim) Step() error {
 	}
 
 	// New forces + half kick.
-	if err := s.Pot.Compute(sys.Pos, sys.Types, n, s.list, &sys.Box, &s.res); err != nil {
+	if err := s.compute(s.step); err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
@@ -326,12 +326,75 @@ func (s *Sim) Step() error {
 	return nil
 }
 
+// compute evaluates the potential at the current positions into s.res
+// and checks the result for step. A non-finite result drops the neighbor
+// list, so the next Step rebuilds it and evaluates and checks the forces
+// again before its first kick instead of kicking with the bad ones.
+func (s *Sim) compute(step int) error {
+	sys := s.Sys
+	if err := s.Pot.Compute(sys.Pos, sys.Types, sys.N(), s.list, &sys.Box, &s.res); err != nil {
+		return err
+	}
+	if err := checkFinite(&s.res, sys.N(), step); err != nil {
+		s.list = nil
+		return err
+	}
+	return nil
+}
+
+// PhysicsError reports a potential evaluation with a non-finite energy or
+// force. Step returns it before any velocity or position takes a value
+// from that evaluation. The state is the last finite one when the
+// evaluation was the step's first (the warm-up); otherwise the step is
+// partway done: velocities half-kicked, positions drifted, and
+// CurrentStep already counting it.
+type PhysicsError struct {
+	Step     int    // the step being taken: CurrentStep()+1 when it began
+	Atom     int    // the lowest atom with a non-finite quantity; -1: only the total energy
+	Quantity string // "energy" or "force"
+}
+
+func (e *PhysicsError) Error() string {
+	if e.Atom < 0 {
+		return fmt.Sprintf("md: step %d: non-finite total %s", e.Step, e.Quantity)
+	}
+	return fmt.Sprintf("md: step %d: non-finite %s on atom %d", e.Step, e.Quantity, e.Atom)
+}
+
+// checkFinite returns a *PhysicsError naming the lowest atom whose energy
+// (when the potential reports per-atom energies) or force is not finite,
+// or the total energy, and nil when everything is finite.
+func checkFinite(res *core.Result, n, step int) error {
+	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	for i := 0; i < n; i++ {
+		q := ""
+		switch {
+		case i < len(res.AtomEnergy) && bad(res.AtomEnergy[i]):
+			q = "energy"
+		case bad(res.Force[3*i]) || bad(res.Force[3*i+1]) || bad(res.Force[3*i+2]):
+			q = "force"
+		default:
+			continue
+		}
+		//dp:allow noalloc failure path: the run stops on this error
+		return &PhysicsError{Step: step, Atom: i, Quantity: q}
+	}
+	if bad(res.Energy) {
+		//dp:allow noalloc failure path: the run stops on this error
+		return &PhysicsError{Step: step, Atom: -1, Quantity: "energy"}
+	}
+	return nil
+}
+
 // Run advances nsteps steps, timing the MD loop.
 func (s *Sim) Run(nsteps int) error {
 	s.Timer.Start("md_loop")
 	defer s.Timer.Stop("md_loop")
 	for i := 0; i < nsteps; i++ {
 		if err := s.Step(); err != nil {
+			if _, ok := err.(*PhysicsError); ok {
+				return err // names its step already
+			}
 			return fmt.Errorf("md: step %d: %w", s.step, err)
 		}
 	}
