@@ -93,6 +93,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *ranks < 1 {
+		fmt.Fprintf(stderr, "dpbench: -ranks %d: need at least one rank\n", *ranks)
+		return 2
+	}
 
 	fmt.Fprintf(stderr, "dpbench: %s\n", tensor.KernelInfo())
 

@@ -119,7 +119,9 @@ func (sc *Scratch) Begin(cfg Config, list *neighbor.List) *EnvOut {
 // sort meets only the inversions drift made since Build sorted the row —
 // and each section's row count, which it leaves in Off[k+1] for Pack. A
 // neighbor index outside the frame, or a non-finite distance, is an error;
-// an error names the lowest failing atom of the range.
+// an error names the lowest failing atom of the range. The refresh runs on
+// the AVX-512 kernel up to the first group of eight it declines; the Go
+// loop does the rest, so errors and far images come from it.
 //
 //dp:noalloc
 func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbor.List, box *neighbor.Box, lo, hi int) (RowStats, error) {
@@ -130,7 +132,8 @@ func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbo
 	for i := lo; i < hi; i++ {
 		nbrs := list.Entries[i]
 		ws.dist = tensor.Resize(ws.dist, len(nbrs))
-		for k, j := range nbrs {
+		for k := envRefresh(pos, i, nbrs, ws.dist, box); k < len(nbrs); k++ {
+			j := nbrs[k]
 			if uint(j) >= uint(nall) {
 				return st, fmt.Errorf("descriptor: atom %d: neighbor index %d outside [0, %d)", i, j, nall)
 			}
@@ -186,7 +189,8 @@ func (sc *Scratch) Pack() int {
 }
 
 // Fill runs the second pass for center atoms [lo, hi): every row of every
-// section is computed afresh (fillEnvSlot), and a row it declines is
+// section is computed afresh (fillEnvSlot, or its AVX-512 kernel up to the
+// first group of eight it declines), and a row it declines is
 // zeroed, so no buffer needs clearing between frames. It recomputes each
 // row's displacement rather than carrying Rows' across the Pack barrier,
 // which would hold O(entries) bytes for the whole frame.
@@ -198,9 +202,10 @@ func (sc *Scratch) Fill(cfg Config, pos []float64, box *neighbor.Box, lo, hi int
 	for i := lo; i < hi; i++ {
 		for t := 0; t < nt; t++ {
 			b, e := out.Off[i*nt+t], out.Off[i*nt+t+1]
-			for k, j := range out.Fmt.Section(i, t)[:e-b] {
-				r, geo := out.R[4*(b+k):4*(b+k)+4], out.Geo[4*(b+k):4*(b+k)+4]
-				if !fillEnvSlot(cfg, pos, i, int(j), box, r, geo) {
+			nbrs, rows, geos := out.Fmt.Section(i, t)[:e-b], out.R[4*b:4*e], out.Geo[4*b:4*e]
+			for k := envFill(cfg, pos, i, nbrs, box, rows, geos); k < len(nbrs); k++ {
+				r, geo := rows[4*k:4*k+4], geos[4*k:4*k+4]
+				if !fillEnvSlot(cfg, pos, i, int(nbrs[k]), box, r, geo) {
 					clear(r)
 					clear(geo)
 				}

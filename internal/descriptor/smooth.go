@@ -8,9 +8,9 @@
 //
 // Each operator exists in two variants mirroring Sec. 5.2.2 / Table 3:
 // a baseline variant (struct sort, per-call and per-slot allocation — the
-// CPU implementation of the 2018 DeePMD-kit) and an
-// optimized variant (64-bit sort keys, reused scratch buffers,
-// branch-free loops over rows stored ragged, a section's real rows only).
+// CPU implementation of the 2018 DeePMD-kit) and an optimized variant
+// (64-bit sort keys, reused scratch buffers, loops over a section's real
+// rows stored ragged, the Environment passes on AVX-512 kernels).
 package descriptor
 
 import "math"

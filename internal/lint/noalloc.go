@@ -526,6 +526,13 @@ func (c *noallocChecker) checkCall(caller *types.Func, call *ast.CallExpr, inPla
 	pass := c.pass
 	info := pass.TypesInfo
 
+	// Conversions, to named and unnamed types alike: T(x), pkg.T(x),
+	// (*T)(p), []byte(s), func()(f).
+	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
+		c.checkConversionExpr(call, emit)
+		return
+	}
+
 	// Builtins.
 	fun := ast.Unparen(call.Fun)
 	if id, ok := fun.(*ast.Ident); ok {
@@ -544,16 +551,8 @@ func (c *noallocChecker) checkCall(caller *types.Func, call *ast.CallExpr, inPla
 			}
 			return
 		}
-		if _, isType := info.Uses[id].(*types.TypeName); isType {
-			c.checkConversionExpr(call, emit)
-			return
-		}
 	}
 	if sel, ok := fun.(*ast.SelectorExpr); ok {
-		if _, isType := info.Uses[sel.Sel].(*types.TypeName); isType {
-			c.checkConversionExpr(call, emit)
-			return
-		}
 		if _, isBuiltin := info.Uses[sel.Sel].(*types.Builtin); isBuiltin {
 			return // unsafe.Sizeof and friends: compile-time, no allocation
 		}

@@ -2,7 +2,10 @@
 // each construct the analyzer charges, and each idiom it must not.
 package noalloc
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 type point struct{ x, y float64 }
 
@@ -45,6 +48,16 @@ func Concat(a, b string) string {
 //dp:noalloc
 func Indirect(f func()) {
 	f() // want `indirect call through a function value cannot be proven allocation-free`
+}
+
+// Conversions to unnamed types are conversions, not calls through a
+// function value.
+//
+//dp:noalloc
+func Conversions(p *point, s string) (*[2]float64, []byte) {
+	q := (*[2]float64)(unsafe.Pointer(p))
+	b := []byte(s) // want `string/slice conversion allocates`
+	return q, b
 }
 
 //dp:noalloc
