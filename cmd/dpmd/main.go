@@ -72,7 +72,7 @@ func main() {
 	dump := flag.String("dump", "", "write final configuration as XYZ")
 	eng := cliopt.Bind(flag.CommandLine, runtime.NumCPU())
 	flag.Parse()
-	run := runFlags{system: *system, nx: *nx, steps: *steps, grains: *grains, boxL: *boxL, tempK: *tempK}
+	run := runFlags{system: *system, nx: *nx, steps: *steps, grains: *grains, ranks: *ranks, boxL: *boxL, tempK: *tempK}
 	if err := run.check(); err != nil {
 		usageExit(err)
 	}
@@ -162,9 +162,6 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *ranks < 1 {
-		*ranks = 1
 	}
 	// Split the worker budget across ranks so rank evaluations do not
 	// oversubscribe the machine, and make sure the engine pool can serve
@@ -336,15 +333,18 @@ func writeThermoJSON(f *os.File, transport string, ranks int, st *deepmd.Paralle
 // runFlags are the numeric flags that size the run, checked before
 // anything is built.
 type runFlags struct {
-	system            string
-	nx, steps, grains int
-	boxL, tempK       float64
+	system                   string
+	nx, steps, grains, ranks int
+	boxL, tempK              float64
 }
 
 // check reports the first flag no run can start from.
 func (r runFlags) check() error {
 	if r.steps < 1 {
 		return fmt.Errorf("-steps %d: need at least one step", r.steps)
+	}
+	if r.ranks < 1 {
+		return fmt.Errorf("-ranks %d: need at least one rank", r.ranks)
 	}
 	if !(r.tempK >= 0) || math.IsInf(r.tempK, 1) {
 		return fmt.Errorf("-temp %g: need a finite temperature >= 0 K", r.tempK)

@@ -11,7 +11,7 @@ import (
 // temperature to give NaN velocities, zero steps to print +Inf ms/step and
 // a negative nanocrystal box to build no atoms.
 func TestRunFlagsCheck(t *testing.T) {
-	ok := runFlags{system: "water", nx: 4, steps: 10, grains: 4, boxL: 40, tempK: 330}
+	ok := runFlags{system: "water", nx: 4, steps: 10, grains: 4, ranks: 1, boxL: 40, tempK: 330}
 	if err := ok.check(); err != nil {
 		t.Fatalf("default flags rejected: %v", err)
 	}
@@ -26,6 +26,8 @@ func TestRunFlagsCheck(t *testing.T) {
 		{"nanocu ignores nx", func(r *runFlags) { r.system, r.nx = "nanocu", -1 }, ""},
 		{"steps=0", func(r *runFlags) { r.steps = 0 }, "-steps"},
 		{"steps=-3", func(r *runFlags) { r.steps = -3 }, "-steps"},
+		{"ranks=0", func(r *runFlags) { r.ranks = 0 }, "-ranks"},
+		{"ranks=-2", func(r *runFlags) { r.ranks = -2 }, "-ranks"},
 		{"temp=-5", func(r *runFlags) { r.tempK = -5 }, "-temp"},
 		{"temp=NaN", func(r *runFlags) { r.tempK = math.NaN() }, "-temp"},
 		{"temp=+Inf", func(r *runFlags) { r.tempK = math.Inf(1) }, "-temp"},

@@ -151,11 +151,11 @@ func WithPrecision(p Precision) Option { return func(pl *Plan) { pl.Precision = 
 // Compressed when the model ships tables, else Batched).
 func WithStrategy(s Strategy) Option { return func(pl *Plan) { pl.Strategy = s } }
 
-// WithWorkers sets the parallelism budget of one evaluation — chunk
-// fan-out over goroutines, falling back to intra-GEMM row blocks when the
-// chunk loop degenerates to serial (default: the model config's Workers).
-// The same budget feeds neighbor-list rebuilds of simulations driven by
-// the engine.
+// WithWorkers sets the parallelism budget of one evaluation — the size of
+// the force call's team, whose members share its stages and sweep its
+// atom chunks; every GEMM runs on one member (default: the model config's
+// Workers). The same budget feeds neighbor-list rebuilds of simulations
+// driven by the engine.
 func WithWorkers(n int) Option { return func(pl *Plan) { pl.Workers = n } }
 
 // WithMaxConcurrency bounds how many concurrent evaluations the engine

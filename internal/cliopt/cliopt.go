@@ -34,7 +34,7 @@ func Bind(fs *flag.FlagSet, defaultWorkers int) *Set {
 	s := &Set{}
 	fs.StringVar(&s.Precision, "precision", "double", "double | mixed network math")
 	fs.StringVar(&s.Strategy, "strategy", "auto", "descriptor execution strategy: auto | baseline | peratom | batched | compressed (auto picks the fastest legal one)")
-	fs.IntVar(&s.Workers, "workers", defaultWorkers, "goroutines per evaluation (chunk fan-out / intra-GEMM row blocks) and neighbor-list builds")
+	fs.IntVar(&s.Workers, "workers", defaultWorkers, "goroutines per evaluation (the force call's team), per training batch (its frames) and per neighbor-list build")
 	fs.IntVar(&s.MaxConcurrency, "concurrency", 0, "concurrent evaluations the engine serves from its evaluator pool (0: GOMAXPROCS)")
 	return s
 }

@@ -164,7 +164,7 @@ func TestFusedContractMatchesMaterialised(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000*m + n)))
 			fc64 := newFusedCase(tb64, n, rng)
 			fc32 := newFusedCase(tb32, n, rng)
-			for _, fam := range hornerFamilies() {
+			for _, fam := range fusedFamilies() {
 				if _, err := cpufeat.SetActive(fam); err != nil {
 					t.Fatal(err)
 				}
@@ -225,7 +225,7 @@ func FuzzFusedContract(f *testing.F) {
 	f.Add(math.Float64bits(5e-324), uint16(500), uint8(2))
 	f.Add(math.Float64bits(1e300), uint16(47), uint8(0))
 
-	fams := hornerFamilies()
+	fams := fusedFamilies()
 	f.Fuzz(func(t *testing.T, sBits uint64, count uint16, famSel uint8) {
 		prev := cpufeat.Active()
 		defer cpufeat.SetActive(prev)

@@ -26,21 +26,19 @@ type hornerArgs struct {
 
 // hornerCover runs the vectorized Horner sweep over the leading channels
 // of one segment row and returns how many channels it covered; the caller
-// finishes the remainder with the scalar recursion. The AVX-512 kernels
-// cover all m channels (the last chunk masked); the AVX2 kernels cover
-// the lane multiple (possibly 0). The kernels use plain mul/add — the same
-// two roundings per step as the scalar code — so covered lanes are
-// bit-identical to the scalar path for every input, u = 0 knot exactness
-// included.
+// finishes the remainder with the scalar recursion. On AVX2 and AVX-512
+// alike the AVX2 kernels cover the lane multiple (possibly 0): on AVX-512
+// only float64 tables and the out-of-domain rows of float32 tiles come
+// here, which no benchmark workload produces. The kernels use plain
+// mul/add — the same two roundings per step as the scalar code — so
+// covered lanes are bit-identical to the scalar path for every input,
+// u = 0 knot exactness included.
 func hornerCover[T tensor.Float](cs []T, u, invH T, g, dg []T, m int) int {
 	fam := cpufeat.Active()
 	if fam != cpufeat.AVX2 && fam != cpufeat.AVX512 {
 		return 0
 	}
-	cover := m
-	if fam == cpufeat.AVX2 {
-		cover = descriptor.LaneCover[T](m)
-	}
+	cover := descriptor.LaneCover[T](m)
 	if cover == 0 {
 		return 0
 	}
@@ -49,14 +47,9 @@ func hornerCover[T tensor.Float](cs []T, u, invH T, g, dg []T, m int) int {
 		cs: unsafe.Pointer(&cs[0]), g: unsafe.Pointer(&g[0]), dg: unsafe.Pointer(&dg[0]),
 		m: uintptr(m), u: float64(u), invH: float64(invH),
 	}
-	switch {
-	case fam == cpufeat.AVX512 && unsafe.Sizeof(z) == 8:
-		hornerRowF64AVX512(&args)
-	case fam == cpufeat.AVX512:
-		hornerRowF32AVX512(&args)
-	case unsafe.Sizeof(z) == 8:
+	if unsafe.Sizeof(z) == 8 {
 		hornerRowF64AVX2(&args)
-	default:
+	} else {
 		hornerRowF32AVX2(&args)
 	}
 	return cover
@@ -67,12 +60,6 @@ func hornerRowF64AVX2(args *hornerArgs)
 
 //go:noescape
 func hornerRowF32AVX2(args *hornerArgs)
-
-//go:noescape
-func hornerRowF64AVX512(args *hornerArgs)
-
-//go:noescape
-func hornerRowF32AVX512(args *hornerArgs)
 
 // tileArgs is the argument block of the tile kernels (fused_amd64.s). The
 // field offsets are hard-coded there (TA_* defines) and asserted by

@@ -10,14 +10,22 @@ import (
 	"deepmd-go/internal/tensor/cpufeat"
 )
 
-// hornerFamilies returns Generic plus every SIMD family the host can
-// execute, so the differential sweep covers all compiled code paths.
+// hornerFamilies returns Generic plus AVX2 where the host executes it:
+// the Horner row kernels are AVX2's, and AVX-512 dispatches to them too.
 func hornerFamilies() []cpufeat.Family {
 	fams := []cpufeat.Family{cpufeat.Generic}
-	for _, f := range []cpufeat.Family{cpufeat.AVX2, cpufeat.AVX512} {
-		if cpufeat.Available(f) {
-			fams = append(fams, f)
-		}
+	if cpufeat.Available(cpufeat.AVX2) {
+		fams = append(fams, cpufeat.AVX2)
+	}
+	return fams
+}
+
+// fusedFamilies adds AVX-512, whose float32 tile kernels the fused
+// operator runs, so its sweeps cover every compiled code path.
+func fusedFamilies() []cpufeat.Family {
+	fams := hornerFamilies()
+	if cpufeat.Available(cpufeat.AVX512) {
+		fams = append(fams, cpufeat.AVX512)
 	}
 	return fams
 }
@@ -39,9 +47,8 @@ func buildTestTable(t testing.TB, m int) *Table[float64] {
 // roundings per step, never FMA), so every family must produce the exact
 // bits of the Generic path — both precisions, channel counts on both
 // sides of every chunk width (the AVX2 kernels' 4/8 and 8/16, with the
-// scalar tail behind them; the AVX-512 kernels' 8/16 and 16/32, with the
-// masked last chunk), and inputs at knots (u = 0), segment interiors,
-// domain edges and out of domain.
+// scalar tail behind them), and inputs at knots (u = 0), segment
+// interiors, domain edges and out of domain.
 func TestHornerSIMDBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	inputs := []float64{0, 0.25, 1, 1.999, 2, 2.5, -0.5, 1.0 / 3.0}
@@ -80,8 +87,8 @@ func checkHornerFamilies[T tensor.Float](t *testing.T, tb *Table[T], inputs []fl
 		if _, err := cpufeat.SetActive(fam); err != nil {
 			t.Fatal(err)
 		}
-		// Guard elements behind both outputs: the masked last chunk
-		// writes nothing past the row.
+		// Guard elements behind both outputs: the kernels write nothing
+		// past the row.
 		const guard = 40
 		gotG := make([]T, n*m+guard)
 		gotD := make([]T, n*m+guard)

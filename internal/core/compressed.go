@@ -121,7 +121,7 @@ func convertTable[T tensor.Float](tb *compress.Table[float64]) *compress.Table[T
 //
 // The operator works on 4 x m channel-minor items, one per atom of the
 // chunk, and fitChunk turns them into their gradient in place.
-func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
+func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
 	m := cfg.M()
@@ -144,7 +144,7 @@ func (ev *Evaluator[T]) evalChunkCompressed(ctr *perf.Counter, opts tensor.Opts,
 	}
 	ctr.Observe(perf.CatCUSTOM, start, rows*int64(m)*compress.FusedForwardFLOPsPerChannel)
 
-	chunkE := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, items, atomEnergy)
+	chunkE := ev.fitChunk(ctr, ws, ar, ci, atoms, items, atomEnergy)
 
 	start = ctr.Now()
 	for a, atom := range atoms {

@@ -52,12 +52,12 @@ type Config struct {
 	// forces and virial do not depend on it (TestChunkSizeBitIdentical).
 	ChunkSize int
 	// Workers is the parallelism budget of one evaluation (the CPU
-	// stand-in for GPU parallelism). <= 1 means serial. With enough atom
-	// chunks the evaluator fans the chunks out over this many goroutines;
-	// when the chunk loop degenerates to serial (a system too small to
-	// fill the pool) the same budget moves inside the SIMD GEMM
-	// kernels, which partition output row strips across goroutines
-	// (tensor.Opts.Workers) with bit-identical results at any count. Pass
+	// stand-in for GPU parallelism): the force call's team of goroutines.
+	// <= 1 means serial. The team shares the Environment and force/virial
+	// stages block by block and sweeps the atom chunks, one chunk per
+	// member at a time; a GEMM never splits, so a frame with fewer chunks
+	// than Workers leaves members idle in the sweep. Results are
+	// bit-identical at any count. Pass
 	// the same value to neighbor.Build (md.Options.Workers /
 	// domain.Options.Workers thread it for the MD engines) so the list
 	// rebuild keeps pace with the parallel evaluator.

@@ -21,7 +21,7 @@ import (
 // did, and it works on full-sel matrices: each (atom, section) is gathered
 // from its ragged rows (env.Off) into Sel[t] rows, zero beyond the real
 // ones, and only the real rows of the network derivative are written back.
-func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
+func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
 	m := cfg.M()
@@ -53,7 +53,7 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 				sIn.Data[a*sel+k] = full[a*nt+tj].Data[k*4]
 			}
 		}
-		traces[tj] = ev.embed[ci][tj].Forward(ctr, opts, ar, sIn, true)
+		traces[tj] = ev.embed[ci][tj].Forward(ctr, tensor.Opts{}, ar, sIn, true)
 	}
 
 	// Per-atom descriptor contraction T_i = G^T R~ / N and
@@ -75,7 +75,7 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 	}
 
 	// Fitting net forward/backward over the chunk batch.
-	fitTr := ev.fit[ci].Forward(ctr, opts, ar, dChunk, true)
+	fitTr := ev.fit[ci].Forward(ctr, tensor.Opts{}, ar, dChunk, true)
 	eOut := fitTr.Out()
 	var chunkE float64
 	for a, atom := range atoms {
@@ -88,7 +88,7 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 		ones.Data[i] = 1
 	}
 	_, fitGr := ev.gradsFor(ci, 0)
-	dD := ev.fit[ci].Backward(ctr, opts, ar, fitTr, ones, fitGr)
+	dD := ev.fit[ci].Backward(ctr, tensor.Opts{}, ar, fitTr, ones, fitGr)
 
 	// Per-atom backward through the descriptor contraction, into full-sel
 	// network-derivative matrices.
@@ -123,7 +123,7 @@ func (ev *Evaluator[T]) evalChunkPerAtom(ctr *perf.Counter, opts tensor.Opts, ar
 	for tj := 0; tj < nt; tj++ {
 		sel := cfg.Sel[tj]
 		embGr, _ := ev.gradsFor(ci, tj)
-		ds := ev.embed[ci][tj].Backward(ctr, opts, ar, traces[tj], dGsec[tj], embGr)
+		ds := ev.embed[ci][tj].Backward(ctr, tensor.Opts{}, ar, traces[tj], dGsec[tj], embGr)
 		for a := range atoms {
 			for k := 0; k < sel; k++ {
 				nds[a*nt+tj].Data[k*4] += ds.Data[a*sel+k]

@@ -78,16 +78,15 @@ type Evaluator[T tensor.Float] struct {
 	batchJobs []batchJob
 
 	// The team of the call in flight: how many frames it serves, the
-	// members that sweep and their GEMM budget (splitBudget), one claim
-	// cursor per stage, the barrier between stages, whether stage 1
-	// failed, and the join of the spawned members.
-	nframes   int
-	sweepers  int
-	sweepOpts tensor.Opts
-	cursors   [numStages]atomic.Int64
-	bar       barrier
-	failed    atomic.Bool
-	wg        sync.WaitGroup
+	// members that sweep (splitBudget), one claim cursor per stage, the
+	// barrier between stages, whether stage 1 failed, and the join of the
+	// spawned members.
+	nframes  int
+	sweepers int
+	cursors  [numStages]atomic.Int64
+	bar      barrier
+	failed   atomic.Bool
+	wg       sync.WaitGroup
 }
 
 // chunkJob is one same-type atom chunk of an evaluation.
@@ -206,22 +205,21 @@ func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neig
 
 // evalChunk runs embedding, descriptor, fitting and their backward passes
 // for one chunk of same-type atoms, returning the chunk energy in double
-// precision and filling atomEnergy and ndT rows for those atoms. opts
-// carries the GEMM worker budget (serial when chunk-level parallelism is
-// already using the cores). rT and ndT are the environment matrix and
+// precision and filling atomEnergy and ndT rows for those atoms. rT and
+// ndT are the environment matrix and
 // network-derivative buffers of the frame the chunk belongs to, so chunks
 // of different frames share one worker sweep without sharing state.
 //
 //dp:noalloc
-func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
+func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	switch ev.strat {
 	case StrategyPerAtom:
 		//dp:allow noalloc the per-atom oracle keeps 2018 granularity and allocates by design
-		return ev.evalChunkPerAtom(ctr, opts, ar, env, rT, ndT, ci, atoms, atomEnergy)
+		return ev.evalChunkPerAtom(ctr, ar, env, rT, ndT, ci, atoms, atomEnergy)
 	case StrategyCompressed:
-		return ev.evalChunkCompressed(ctr, opts, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
+		return ev.evalChunkCompressed(ctr, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
 	}
-	return ev.evalChunkExact(ctr, opts, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
+	return ev.evalChunkExact(ctr, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
 }
 
 // embedTileRows is the height of the exact operator's row tiles. A tile
@@ -311,7 +309,7 @@ func (w *rowWalk[T]) next(rT, s []T, segs []tileSeg) (int, []tileSeg) {
 // a tile edge falls, and a row's path through the strip kernels does not
 // depend on the other rows of its tile, so results are bit-identical
 // across workers, batch sizes, ranks and coalesce sizes as before.
-func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
+func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
 	m := cfg.M()
@@ -321,20 +319,20 @@ func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, opts tensor.Opts, ws *
 	items := ar.Take(len(atoms) * 4 * m)
 	for tj := 0; tj < nt; tj++ {
 		walk.section(tj)
-		ev.embedForward(ctr, opts, ws, ar, &walk, ev.embed[ci][tj], rT, items)
+		ev.embedForward(ctr, ws, ar, &walk, ev.embed[ci][tj], rT, items)
 	}
-	chunkE := ev.fitChunk(ctr, opts, ws, ar, ci, atoms, items, atomEnergy)
+	chunkE := ev.fitChunk(ctr, ws, ar, ci, atoms, items, atomEnergy)
 	for tj := 0; tj < nt; tj++ {
 		walk.section(tj)
 		embGr, _ := ev.gradsFor(ci, tj)
-		ev.embedBackward(ctr, opts, ws, ar, &walk, ev.embed[ci][tj], embGr, rT, items, ndT)
+		ev.embedBackward(ctr, ws, ar, &walk, ev.embed[ci][tj], embGr, rT, items, ndT)
 	}
 	return chunkE
 }
 
 // embedForward pushes one section's rows through the embedding net tile by
 // tile and contracts each tile into the chunk's descriptor items.
-func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], rT, items []T) {
+func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], rT, items []T) {
 	m := ev.cfg.M()
 	section := ar.Mark()
 	s := ar.TakeUninit(embedTileRows)
@@ -345,7 +343,7 @@ func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, opts tensor.Opts, ws *ev
 			ar.Rewind(section)
 			return
 		}
-		g := net.ForwardInto(&ws.embTr, ctr, opts, ar, tensor.MatrixFrom(rows, 1, s[:rows]), false).Out().Data
+		g := net.ForwardInto(&ws.embTr, ctr, tensor.Opts{}, ar, tensor.MatrixFrom(rows, 1, s[:rows]), false).Out().Data
 		start := ctr.Now()
 		r := 0
 		for _, sg := range ws.segs {
@@ -361,7 +359,7 @@ func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, opts tensor.Opts, ws *ev
 // gradient from the chunk's dT items, runs the net's backward pass on it
 // (accumulating parameter gradients into grads when non-nil) and writes
 // the rows' environment gradient into ndT.
-func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], grads *nn.Grads[T], rT, items, ndT []T) {
+func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], grads *nn.Grads[T], rT, items, ndT []T) {
 	m := ev.cfg.M()
 	section := ar.Mark()
 	s := ar.TakeUninit(embedTileRows)
@@ -374,7 +372,7 @@ func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, opts tensor.Opts, ws *e
 			ar.Rewind(section)
 			return
 		}
-		tr := net.ForwardInto(&ws.embTr, ctr, opts, ar, tensor.MatrixFrom(rows, 1, s[:rows]), true)
+		tr := net.ForwardInto(&ws.embTr, ctr, tensor.Opts{}, ar, tensor.MatrixFrom(rows, 1, s[:rows]), true)
 		g := tr.Out().Data
 		start := ctr.Now()
 		r := 0
@@ -385,7 +383,7 @@ func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, opts tensor.Opts, ws *e
 			r += sg.n
 		}
 		ctr.Observe(perf.CatCUSTOM, start, int64(rows)*int64(m)*embedContractBackwardFLOPs)
-		ds := net.Backward(ctr, opts, ar, tr, tensor.MatrixFrom(rows, m, dG[:rows*m]), grads).Data
+		ds := net.Backward(ctr, tensor.Opts{}, ar, tr, tensor.MatrixFrom(rows, m, dG[:rows*m]), grads).Data
 		r = 0
 		for _, sg := range ws.segs {
 			nd := walk.rows(ndT, sg)
@@ -411,7 +409,7 @@ func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, opts tensor.Opts, ws *e
 // as register loops (masked zmm kernels with the loops' bits on AVX-512),
 // charged under CUSTOM with the FLOPs of the GEMMs they replaced. It fills atomEnergy for the chunk's atoms and returns the
 // chunk energy.
-func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalScratch[T], ar *tensor.Arena[T], ci int, atoms []int, items []T, atomEnergy []float64) float64 {
+func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], ci int, atoms []int, items []T, atomEnergy []float64) float64 {
 	cfg := &ev.cfg
 	m, ax, dim, nA := cfg.M(), cfg.MAxis, cfg.DescriptorDim(), len(atoms)
 	invN := T(1.0 / float64(cfg.Stride()))
@@ -429,7 +427,7 @@ func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalSc
 	ctr.Observe(perf.CatCUSTOM, start, flops)
 
 	// Fitting net forward/backward over the chunk batch.
-	fitTr := ev.fit[ci].ForwardInto(&ws.fitTr, ctr, opts, ar, dChunk, true)
+	fitTr := ev.fit[ci].ForwardInto(&ws.fitTr, ctr, tensor.Opts{}, ar, dChunk, true)
 	eOut := fitTr.Out()
 	var chunkE float64
 	for a, atom := range atoms {
@@ -442,7 +440,7 @@ func (ev *Evaluator[T]) fitChunk(ctr *perf.Counter, opts tensor.Opts, ws *evalSc
 		ones.Data[i] = 1
 	}
 	_, fitGr := ev.gradsFor(ci, 0)
-	dD := ev.fit[ci].Backward(ctr, opts, ar, fitTr, ones, fitGr)
+	dD := ev.fit[ci].Backward(ctr, tensor.Opts{}, ar, fitTr, ones, fitGr)
 
 	buf := ar.TakeUninit(8 * ax)
 	start = ctr.Now()

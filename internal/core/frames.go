@@ -172,7 +172,7 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 
 	// One fan-out: the calling goroutine is member 0 and coordinates.
 	ev.nframes = len(frames)
-	ev.sweepers, ev.sweepOpts = ev.splitBudget(len(ev.batchJobs))
+	ev.sweepers = ev.splitBudget(len(ev.batchJobs))
 	for st := range ev.cursors {
 		ev.cursors[st].Store(0)
 	}
@@ -250,7 +250,7 @@ func (ev *Evaluator[T]) member(w int) error {
 	// of small frames fill the team (and one evaluator's caches) the way
 	// one large system would.
 	if w < ev.sweepers {
-		ev.sweep(ev.sweepOpts, w)
+		ev.sweep(w)
 	}
 	ev.bar.wait()
 
@@ -470,35 +470,32 @@ func chunkJobs(jobs []chunkJob, byType [][]int, types []int, nloc, chunkSize int
 	return jobs, nil
 }
 
-// splitBudget divides the evaluator's one parallelism budget (Workers, one
-// arena each) for stage 2's sweep of njobs chunks: as many of the team's
-// members sweep as there are chunks to keep busy, and the remainder of the
-// budget goes to row-block goroutines inside each chunk's GEMMs — Workers=8
-// over 2 chunks runs 2 sweepers x 4 GEMM workers, and a sweep that
-// degenerates to serial hands the whole budget to the GEMM kernels.
-// Parameter gradients accumulate into one shared ModelGrads, so
-// ComputeWithGrads always sweeps serially. Stages 1, 3 and 4 share nothing
-// between jobs and always run on the whole team.
-func (ev *Evaluator[T]) splitBudget(njobs int) (sweepers int, opts tensor.Opts) {
-	budget := len(ev.arenas)
-	sweepers = max(1, min(budget, njobs))
+// splitBudget returns how many of the team's members (Workers, one arena
+// each) sweep stage 2's njobs chunks: as many as there are chunks to keep
+// busy. Every GEMM runs on the member that claimed its chunk, so the
+// members beyond njobs idle through the sweep — a frame with fewer chunks
+// than Workers leaves cores unused there. Parameter gradients accumulate
+// into one shared ModelGrads, so ComputeWithGrads always sweeps serially
+// (the trainer runs its frames in parallel instead). Stages 1, 3 and 4
+// share nothing between jobs and always run on the whole team.
+func (ev *Evaluator[T]) splitBudget(njobs int) int {
 	if ev.grads != nil {
-		sweepers = 1
+		return 1
 	}
-	return sweepers, tensor.Opts{Workers: budget / sweepers}
+	return max(1, min(len(ev.arenas), njobs))
 }
 
 // sweep is stage 2 on team member w: claim (frame, chunk) jobs from the
 // stage's cursor until none are left, evaluating each in member w's arena
 // and scratch. Every chunk's computation is self-contained and
 // deterministic, so results do not depend on which member claims it.
-func (ev *Evaluator[T]) sweep(opts tensor.Opts, w int) {
+func (ev *Evaluator[T]) sweep(w int) {
 	ws, ar := ev.scratch[w], ev.arenas[w]
 	for bi := ev.claim(stageSweep); bi < len(ev.batchJobs); bi = ev.claim(stageSweep) {
 		bj := ev.batchJobs[bi]
 		fs := ev.frames[bj.fi]
 		j := fs.jobs[bj.ji]
-		fs.chunkE[bj.ji] = ev.evalChunk(ev.Counter, opts, ws, ar, fs.env, fs.rT, fs.ndT, j.ci, j.atoms, fs.atomEnergy)
+		fs.chunkE[bj.ji] = ev.evalChunk(ev.Counter, ws, ar, fs.env, fs.rT, fs.ndT, j.ci, j.atoms, fs.atomEnergy)
 	}
 }
 

@@ -400,7 +400,7 @@ func materialisedChunk(ev *Evaluator[float64], nloc int, r []float64, ci int, at
 			}
 		}
 	}
-	chunkE := ev.fitChunk(nil, tensor.Opts{}, ws, ar, ci, atoms, items, make([]float64, nloc))
+	chunkE := ev.fitChunk(nil, ws, ar, ci, atoms, items, make([]float64, nloc))
 	ndT := make([]float64, nloc*stride*4)
 	for tj := 0; tj < nt; tj++ {
 		sel := cfg.Sel[tj]
@@ -519,7 +519,7 @@ func checkFusedChunk[T interface{ float32 | float64 }](t *testing.T, fc *fusedCh
 	for i := range ndT {
 		ndT[i] = sentinel
 	}
-	e := ev.evalChunk(nil, tensor.Opts{}, ev.scratch[0], ev.arenas[0], env, rT, ndT, 0, fc.atoms, make([]float64, nloc))
+	e := ev.evalChunk(nil, ev.scratch[0], ev.arenas[0], env, rT, ndT, 0, fc.atoms, make([]float64, nloc))
 
 	stride, nt := fc.cfg.Stride(), fc.cfg.NumTypes()
 	var scale float64

@@ -50,12 +50,11 @@ func (g *ModelGrads) Zero() {
 // accumulates dE/dtheta into grads (scaled by 1, i.e. the raw energy
 // gradient; the trainer chain-rules its loss factor on top). Only the
 // double-precision evaluator supports this. The gradients of every chunk
-// accumulate into the one grads, so the chunk sweep runs serially and the
-// evaluator's whole worker budget goes to the row blocks inside each GEMM
-// (splitBudget) — every output element is written by exactly one
-// goroutine, so results are bit-identical at any Workers. The Environment
-// and force/virial stages around the sweep run on the whole team as in any
-// other call.
+// accumulate into the one grads, so the chunk sweep runs serially
+// (splitBudget); the trainer gets its parallelism from running the frames
+// of a batch on separate single-worker evaluators. The Environment and
+// force/virial stages around the sweep run on the whole team as in any
+// other call, so results are bit-identical at any Workers.
 func (ev *Evaluator[T]) ComputeWithGrads(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result, grads *ModelGrads) error {
 	if _, ok := any(ev).(*Evaluator[float64]); !ok {
 		return fmt.Errorf("core: parameter gradients require the double-precision evaluator")

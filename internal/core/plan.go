@@ -108,9 +108,9 @@ type Plan struct {
 	// Strategy is Baseline, PerAtom, Batched or Compressed after
 	// resolution (Auto resolves to the fastest legal strategy).
 	Strategy Strategy
-	// Workers is the per-evaluation parallelism budget (chunk fan-out,
-	// falling back to intra-GEMM row blocks; core.Config.Workers). Zero
-	// defaults to the model's configured Workers.
+	// Workers is the per-evaluation parallelism budget: the force call's
+	// team size (core.Config.Workers). Zero defaults to the model's
+	// configured Workers.
 	Workers int
 	// MaxConcurrency bounds how many independent evaluations the Engine
 	// serves at once — the size of its evaluator pool. Zero defaults to

@@ -37,8 +37,9 @@ type Labeler interface {
 type Config struct {
 	// Model is the template model configuration. Each replica trains its
 	// own model from this template with a distinct weight seed derived
-	// from Seed; Workers is forced to 1 (the training contract) — the
-	// exploration engines take their parallelism from Plan instead.
+	// from Seed; its Workers is forced to 1 — training (the frames of a
+	// batch) and the exploration engines take their parallelism from Plan
+	// instead.
 	Model core.Config
 	// Plan is the requested execution plan of the replica serving engines
 	// (exploration MD + deviation evaluation): strategy, precision,
@@ -195,7 +196,8 @@ func (c *Config) validate() error {
 	if c.TrainSteps <= 0 {
 		c.TrainSteps = 100
 	}
-	// The training contract: parameter gradients need a serial evaluator.
+	// The parallelism is the plan's (training and the engines take
+	// Plan.Workers); a zero Plan.Workers falls back to this, serial.
 	c.Model.Workers = 1
 	return nil
 }

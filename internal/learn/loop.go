@@ -171,7 +171,7 @@ func (l *Loop) labelFrame(pos []float64, box neighbor.Box) (train.Frame, error) 
 // data covers the explored region, replicas can actually converge to
 // agreement, which is what the candidate fraction measures. Replicas
 // train sequentially (determinism; each trainer already spends the
-// plan's worker budget inside its GEMMs).
+// plan's worker budget on the frames of its batches).
 func (l *Loop) trainReplicas(round, steps int) error {
 	for r, m := range l.models {
 		view := l.data

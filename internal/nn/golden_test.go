@@ -23,7 +23,7 @@ import (
 // and Backward's dX. One table holds the SIMD families (AVX2 and AVX-512
 // agree bit for bit), the other the generic family (the purego contract and
 // DEEPMD_KERNEL=generic); every executable family is checked against its
-// table, at Workers 1 and 2.
+// table.
 
 // goldenRows are the row counts: one row, around a strip height and
 // around a full 128-row tile.
@@ -119,14 +119,13 @@ func hashBits[T tensor.Float](h hash.Hash64, v []T) {
 
 // netBitsHash runs one traced forward pass and one backward pass over rows
 // seeded inputs and hashes the trace and dX.
-func netBitsHash[T tensor.Float](n *Net[T], rows, workers int) uint64 {
+func netBitsHash[T tensor.Float](n *Net[T], rows int) uint64 {
 	x := goldenInput[T](int64(rows), rows, n.InDim())
 	dOut := goldenInput[T](int64(rows)+1000, rows, n.OutDim())
 	ar := tensor.NewArena[T](n.ArenaLen(rows))
-	o := tensor.Opts{Workers: workers}
 	var tr Trace[T]
-	n.ForwardInto(&tr, nil, o, ar, x, true)
-	dx := n.Backward(nil, o, ar, &tr, dOut, nil)
+	n.ForwardInto(&tr, nil, tensor.Opts{}, ar, x, true)
+	dx := n.Backward(nil, tensor.Opts{}, ar, &tr, dOut, nil)
 	h := fnv.New64a()
 	for i := range n.Layers {
 		hashBits(h, tr.Ys[i].Data)
@@ -147,12 +146,10 @@ func netBitsCases[T tensor.Float](t *testing.T, prec string, golden map[string]u
 	for _, nc := range nets {
 		for _, rows := range goldenRows {
 			key := fmt.Sprintf("%s/%s/rows=%d", nc.name, prec, rows)
-			for _, workers := range []int{1, 2} {
-				h := netBitsHash(nc.net, rows, workers)
-				got[key] = h
-				if want, ok := golden[key]; !ok || h != want {
-					t.Errorf("%s workers=%d: hash %#016x, want %#016x", key, workers, h, want)
-				}
+			h := netBitsHash(nc.net, rows)
+			got[key] = h
+			if want, ok := golden[key]; !ok || h != want {
+				t.Errorf("%s: hash %#016x, want %#016x", key, h, want)
 			}
 		}
 	}

@@ -71,19 +71,6 @@ func testFittingNetPaperGeometry[T tensor.Float](t *testing.T, rows int) {
 			}
 		}
 	}
-	for _, w := range []int{2, 7} {
-		e, dx := fitPass(n, &tr, tensor.Opts{Workers: w}, ar, x, ones)
-		for i := range gotE {
-			if e[i] != gotE[i] {
-				t.Fatalf("workers=%d: energy[%d] = %g, serial %g (must be bit-identical)", w, i, float64(e[i]), float64(gotE[i]))
-			}
-		}
-		for i := range gotDX {
-			if dx[i] != gotDX[i] {
-				t.Fatalf("workers=%d: dX[%d] = %g, serial %g (must be bit-identical)", w, i, float64(dx[i]), float64(gotDX[i]))
-			}
-		}
-	}
 	if raceEnabled {
 		return
 	}

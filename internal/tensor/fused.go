@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"sync"
-
-	"deepmd-go/internal/perf"
-)
+import "deepmd-go/internal/perf"
 
 // This file holds the *fused* operators of the optimized execution graph
 // (Sec. 5.3):
@@ -37,7 +33,7 @@ func GemmBiasOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, c
 	start := ctr.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
 	tier := perf.TierStrip
-	if o.Kernel == Naive || !gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, c.Data, n, bias, epiBias, nil, 0) {
+	if o.Kernel == Naive || !gemmSIMD(m, k, n, 1, a.Data, k, b.Data, n, 0, c.Data, n, bias, epiBias, nil, 0) {
 		tier = perf.TierNaive
 		gemmBiasNaive(a, b, bias, c)
 	}
@@ -63,9 +59,7 @@ func gemmBiasNaive[T Float](a, b Matrix[T], bias []T, c Matrix[T]) {
 
 // GemmBiasTanhGradOpt computes y = tanh(A*B + bias) and grad = 1 - y*y in
 // one fused kernel. grad may be a zero-sized matrix (Rows == 0) to skip the
-// gradient, in which case only the activation is produced. The elementwise
-// tanh pass is partitioned over the same workers as the GEMM when large
-// enough.
+// gradient, in which case only the activation is produced.
 func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bias []T, y, grad Matrix[T]) {
 	wantGrad := grad.Rows > 0
 	if wantGrad && (grad.Rows != y.Rows || grad.Cols != y.Cols) {
@@ -85,7 +79,7 @@ func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bia
 			mode, g, ldg = epiTanhGrad, grad.Data, n
 		}
 		start := ctr.Now()
-		if gemmSIMD(o.Workers, m, k, n, 1, a.Data, k, b.Data, n, 0, y.Data, n, bias, mode, g, ldg) {
+		if gemmSIMD(m, k, n, 1, a.Data, k, b.Data, n, 0, y.Data, n, bias, mode, g, ldg) {
 			ctr.ObserveGEMM(perf.TierStrip, start, 2*int64(m)*int64(n)*int64(k)+int64(m)*int64(n))
 			flops := tanhFLOPs * int64(len(y.Data))
 			if wantGrad {
@@ -97,42 +91,18 @@ func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bia
 	}
 	GemmBiasOpt(o, ctr, a, b, bias, y)
 	start := ctr.Now()
-	// The serial path must not touch the goroutine branch's closure: a
-	// shared func literal would escape to the heap on every call and break
-	// the allocation-free steady state.
-	if total := len(y.Data); o.Workers > 1 && total >= 1<<14 {
-		var wg sync.WaitGroup
-		per := (total + o.Workers - 1) / o.Workers
-		for lo := 0; lo < total; lo += per {
-			hi := min(total, lo+per)
-			wg.Add(1)
-			//dp:allow noalloc the parallel path trades per-call goroutines for cores; the zero-alloc contract is the serial path
-			go func(lo, hi int) {
-				defer wg.Done()
-				tanhGradRange(y.Data, grad.Data, lo, hi, wantGrad)
-			}(lo, hi)
+	for i, v := range y.Data {
+		t := tanhT(v)
+		y.Data[i] = t
+		if wantGrad {
+			grad.Data[i] = 1 - t*t
 		}
-		wg.Wait()
-	} else {
-		tanhGradRange(y.Data, grad.Data, 0, total, wantGrad)
 	}
 	flops := tanhFLOPs * int64(len(y.Data))
 	if wantGrad {
 		flops += 2 * int64(len(y.Data))
 	}
 	ctr.Observe(perf.CatTANH, start, flops)
-}
-
-// tanhGradRange applies the fused tanh / tanh-gradient pass over
-// [lo, hi) of the pre-activation in y, optionally filling grad.
-func tanhGradRange[T Float](y, grad []T, lo, hi int, wantGrad bool) {
-	for i, v := range y[lo:hi] {
-		t := tanhT(v)
-		y[lo+i] = t
-		if wantGrad {
-			grad[lo+i] = 1 - t*t
-		}
-	}
 }
 
 // AddSkipDouble adds the doubling skip connection y += (x, x) in place:

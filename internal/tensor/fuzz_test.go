@@ -13,9 +13,8 @@ import (
 // FuzzGemm is the differential fuzz harness for the whole GEMM family: the
 // fuzzer drives shape, alpha/beta, variant, precision and the forced SIMD
 // kernel family, and every case is checked against the naive reference /
-// float64 recomputation under the tolerance policy of differential_test.go
-// (plus bit-identity across worker counts). CI runs it for 30 s on every
-// PR:
+// float64 recomputation under the tolerance policy of differential_test.go.
+// CI runs it for 30 s on every PR:
 //
 //	go test -fuzz=FuzzGemm -fuzztime=30s ./internal/tensor/
 func FuzzGemm(f *testing.F) {
@@ -50,8 +49,7 @@ func FuzzGemm(f *testing.F) {
 		}
 		// Force one of the executable kernel families (Generic included) so
 		// the fuzzer exercises every compiled code path, not just the
-		// host's best. The worker sweep in runGemmVariantCase runs 1/2/7
-		// with the bit-identity contract under whichever family is active.
+		// host's best.
 		fams := simdTestFamilies()
 		prev := cpufeat.Active()
 		if _, err := cpufeat.SetActive(fams[int(famSel)%len(fams)]); err != nil {

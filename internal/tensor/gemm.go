@@ -18,12 +18,12 @@ const (
 	Naive
 )
 
-// Opts selects the kernel family and intra-op parallelism for one GEMM
-// call; the zero value is the SIMD family, serial. Workers partitions C
-// row strips across goroutines; results are bit-identical for every worker
-// count.
+// Opts selects the kernel family for one GEMM call; the zero value is the
+// SIMD family. Every call runs on the calling goroutine.
 type Opts struct {
-	Kernel  Kernel
+	Kernel Kernel
+	// Workers has no effect. It stays because the benchmark probes
+	// (bench/probes.go:178 and :201) set it to 1.
 	Workers int
 }
 
@@ -37,7 +37,7 @@ func GemmOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta T
 	start := ctr.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
 	tier := perf.TierStrip
-	if o.Kernel == Naive || !gemmSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, n, beta, c.Data, n, nil, epiNone, nil, 0) {
+	if o.Kernel == Naive || !gemmSIMD(m, k, n, alpha, a.Data, k, b.Data, n, beta, c.Data, n, nil, epiNone, nil, 0) {
 		tier = perf.TierNaive
 		gemmNaive(alpha, a, b, beta, c)
 	}
@@ -59,9 +59,9 @@ func GemmNTOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	m, k, n := a.Rows, a.Cols, b.Rows
 	tier := perf.TierDot
 	switch {
-	case o.Kernel != Naive && k == 1 && beta == 0 && gemmSIMD(o.Workers, m, 1, n, alpha, a.Data, 1, b.Data, n, 0, c.Data, n, nil, epiNone, nil, 0):
+	case o.Kernel != Naive && k == 1 && beta == 0 && gemmSIMD(m, 1, n, alpha, a.Data, 1, b.Data, n, 0, c.Data, n, nil, epiNone, nil, 0):
 		tier = perf.TierStrip
-	case o.Kernel == Naive || !gemmNTSIMD(o.Workers, m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n):
+	case o.Kernel == Naive || !gemmNTSIMD(m, k, n, alpha, a.Data, k, b.Data, k, beta, c.Data, n):
 		tier = perf.TierNaive
 		gemmNTNaive(alpha, a, b, beta, c)
 	}
@@ -78,7 +78,7 @@ func GemmTNOpt[T Float](o Opts, ctr *perf.Counter, alpha T, a, b Matrix[T], beta
 	start := ctr.Now()
 	m, k, n := a.Rows, a.Cols, b.Cols
 	tier := perf.TierStrip
-	if o.Kernel == Naive || !gemmTNSIMD(o.Workers, m, k, n, alpha, a.Data, b.Data, beta, c.Data) {
+	if o.Kernel == Naive || !gemmTNSIMD(m, k, n, alpha, a.Data, b.Data, beta, c.Data) {
 		tier = perf.TierNaive
 		gemmTNNaive(alpha, a, b, beta, c)
 	}

@@ -8,11 +8,11 @@ import (
 )
 
 // This file is the portable half of the SIMD microkernel engine: shape
-// eligibility, worker fan-out, the K-panel / tail-strip driver, the
-// staged transpose of the TN variant, the staged column tails of the AVX2
-// strips, the column-panel driver of the NT dot tile and the pooled
-// staging slabs. The amd64 half (simd_amd64.go + simd_*_amd64.s) provides
-// the register-tiled kernels; simd_off.go turns the whole path off under
+// eligibility, the K-panel / tail-strip driver, the staged transpose of
+// the TN variant, the staged column tails of the AVX2 strips, the
+// column-panel driver of the NT dot tile and the pooled staging slabs.
+// The amd64 half (simd_amd64.go + simd_*_amd64.s) provides the
+// register-tiled kernels; simd_off.go turns the whole path off under
 // `purego` or on any other architecture, which is the mandatory fallback
 // contract: with no kernels available every GEMM routes to the naive loops
 // of gemm.go.
@@ -49,14 +49,14 @@ import (
 // one-column head) and everything when no family is active (purego,
 // DEEPMD_KERNEL=generic, any GOARCH but amd64).
 //
-// Bit-exactness contract. Worker fan-out partitions rows in multiples of
-// the strip height from row 0, every row's K panels are visited in the
-// same order, and a lane's result does not depend on the other rows of
-// its strip, so every element is computed by the same instruction sequence
-// at any worker count. Every element of a SIMD call is computed by the
-// lanes, each edge on zero-padded staging: remainder rows (m mod R) as a
-// tail strip, the AVX2 strips' n mod cover tail columns as a sub-problem of
-// cover columns (simdColumnTail), so in both precisions an edge element is
+// Bit-exactness contract. A call runs on the calling goroutine; the
+// parallelism is the caller's (core's force-call team, the trainer's
+// frames), never a split of one GEMM. Every row's K panels are visited in
+// the same order and a lane's result does not depend on the other rows of
+// its strip. Every element of a SIMD call is computed by the lanes, each
+// edge on zero-padded staging: remainder rows (m mod R) as a tail strip,
+// the AVX2 strips' n mod cover tail columns as a sub-problem of cover
+// columns (simdColumnTail), so in both precisions an edge element is
 // bit-identical to an interior one holding the same data. The NT dot tile
 // computes its columns in panels of ntPanelCols B rows (a tile dot product
 // does not depend on where its panel starts), its n mod 4 tail columns on a
@@ -91,9 +91,6 @@ const (
 	// (simdColumnTail): a multiple of every strip height, its C and grad
 	// blocks 32 KB at the f64 cover.
 	colTailRows = 256
-	// simdParMin is the serial threshold: below this many FLOPs goroutine
-	// fan-out costs more than it saves.
-	simdParMin = 1 << 21
 )
 
 // tileArgs is the argument block passed to every tall-skinny kernel. The
@@ -200,23 +197,12 @@ func simdStrips[T Float](k, n int, alpha T, mode int) (cpufeat.Family, simdKerne
 // gemmSIMD attempts C = alpha*A*B + beta*C (epiNone) or one of the fused
 // epilogues on the active SIMD family, returning false when no kernel
 // applies so the caller can fall back to the naive loops.
-func gemmSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) bool {
+func gemmSIMD[T Float](m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) bool {
 	fam, caps, ok := simdStrips(k, n, alpha, mode)
 	if !ok {
 		return false
 	}
-	nStrips := m / caps.rows
-	if 2*m*n*k < simdParMin {
-		workers = 1
-	}
-	if workers > nStrips {
-		workers = nStrips
-	}
-	if workers <= 1 {
-		simdRowRange(fam, caps, 0, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
-		return true
-	}
-	simdRowsParallel(fam, caps, workers, nStrips, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
+	simdRowRange(fam, caps, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
 	return true
 }
 
@@ -224,7 +210,7 @@ func gemmSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb
 // — a depth-m product with k output rows — on the strips: Aᵀ is staged into
 // a pooled slab and gemmSIMD runs on it, so the TN variant needs no kernel
 // of its own. It declines before staging anything.
-func gemmTNSIMD[T Float](workers, m, k, n int, alpha T, a, b []T, beta T, c []T) bool {
+func gemmTNSIMD[T Float](m, k, n int, alpha T, a, b []T, beta T, c []T) bool {
 	if _, _, ok := simdStrips(m, n, alpha, epiNone); !ok {
 		return false
 	}
@@ -241,56 +227,35 @@ func gemmTNSIMD[T Float](workers, m, k, n int, alpha T, a, b []T, beta T, c []T)
 			}
 		}
 	}
-	gemmSIMD(workers, k, m, n, alpha, at, m, b, n, beta, c, n, nil, epiNone, nil, 0)
+	gemmSIMD(k, m, n, alpha, at, m, b, n, beta, c, n, nil, epiNone, nil, 0)
 	putSlab(slab)
 	return true
 }
 
-// simdRowsParallel fans row ranges out over a goroutine per worker. Ranges
-// are multiples of the strip height measured from row 0, so strip/tail
-// classification of every row is identical to the serial path — the
-// worker-count bit-identity contract. A separate function so the serial
-// path never allocates the closure.
-func simdRowsParallel[T Float](fam cpufeat.Family, caps simdKernelCaps, workers, nStrips, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
-	per := (nStrips + workers - 1) / workers * caps.rows
-	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += per {
-		hi := min(m, lo+per)
-		wg.Add(1)
-		//dp:allow noalloc the parallel path trades per-call goroutines for cores; the zero-alloc contract is the serial path
-		go func(lo, hi int) {
-			defer wg.Done()
-			simdRowRange(fam, caps, lo, hi, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// simdRowRange processes C rows [lo, hi), lo a multiple of caps.rows, in
-// three nested loops: column chunks of simdNC, K panels of simdMaxK, row
-// strips. With the panel loop outside the strip loop one
-// simdMaxK x simdNC slice of B stays cache-hot across every strip of the
-// range and an R-row A panel stays in L1; a strip accumulates into C
-// across panels — the caller's epilogue (bias seed, alpha/beta) on the
-// first panel, C += alpha*acc through the beta = 1 store on the rest — so
-// k <= simdMaxK is the one-panel case of the same loop. The fused tanh
+// simdRowRange processes the m rows of C in three nested loops: column
+// chunks of simdNC, K panels of simdMaxK, row strips. With the panel loop
+// outside the strip loop one simdMaxK x simdNC slice of B stays cache-hot
+// across every strip and an R-row A panel stays in L1; a strip accumulates
+// into C across panels — the caller's epilogue (bias seed, alpha/beta) on
+// the first panel, C += alpha*acc through the beta = 1 store on the rest —
+// so k <= simdMaxK is the one-panel case of the same loop. The fused tanh
 // epilogues need the finished sum and are single-panel only (gemmSIMD
 // declines them beyond simdMaxK).
 //
-// The (hi-lo) mod R remainder rows run through the same kernel as one
-// more strip: their A rows are staged zero-padded to R rows in a pooled
+// The m mod R remainder rows run through the same kernel as one more
+// strip: their A rows are staged zero-padded to R rows in a pooled
 // slab, with an R-row staging block for C and one for grad behind them.
 // The AVX-512 strips mask their last column chunk in-lane; the AVX2 strips
 // compute n &^ (cover-1) columns, and the n mod cover tail runs on staging
 // (simdColumnTail). Every element is computed by the lanes.
-func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
+func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
 	if fam != cpufeat.AVX512 && n%caps.cover != 0 {
-		simdColumnTail(fam, caps, lo, hi, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
+		simdColumnTail(fam, caps, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc, bias, mode, grad, ldg)
 		n &^= caps.cover - 1
 	}
 	R := caps.rows
-	full := lo + (hi-lo)/R*R
-	rem := hi - full
+	full := m / R * R
+	rem := m - full
 	var tail *packSlab[T]
 	var ta, tc, tg []T
 	if rem > 0 {
@@ -322,7 +287,7 @@ func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n
 			args.beta = float64(pBeta)
 			args.mode = uintptr(pMode)
 			args.lda, args.ldc, args.ldg = uintptr(lda), uintptr(ldc), uintptr(ldg)
-			for i := lo; i < full; i += R {
+			for i := 0; i < full; i += R {
 				args.a = unsafe.Pointer(&a[i*lda+p0])
 				args.c = unsafe.Pointer(&c[i*ldc+j0])
 				if pMode == epiTanhGrad {
@@ -350,7 +315,7 @@ func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n
 	}
 }
 
-// simdColumnTail computes the last n mod cover columns of rows [lo, hi) as
+// simdColumnTail computes the last n mod cover columns of the m rows as
 // a sub-problem of exactly cover columns on zero-padded staging in one
 // pooled slab: B's tail columns and the bias, staged once, and a block each
 // for C (seeded from C when beta != 0) and grad, reused over blocks of
@@ -359,11 +324,11 @@ func simdRowRange[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n
 // result depends only on its own column of B and bias, and the blocks start
 // at multiples of every strip height, so a staged column has the bits an
 // in-place one would.
-func simdColumnTail[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
+func simdColumnTail[T Float](fam cpufeat.Family, caps simdKernelCaps, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int, bias []T, mode int, grad []T, ldg int) {
 	w := caps.cover
 	j0 := n &^ (w - 1)
 	jt := n - j0
-	blk := min(colTailRows, hi-lo)
+	blk := min(colTailRows, m)
 	slab := getSlab[T](w * (k + 1 + 2*blk))
 	clear(slab.buf)
 	buf := slab.buf
@@ -376,14 +341,14 @@ func simdColumnTail[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k,
 	if mode != epiNone {
 		copy(tbias[:jt], bias[j0:])
 	}
-	for r0 := lo; r0 < hi; r0 += blk {
-		rows := min(blk, hi-r0)
+	for r0 := 0; r0 < m; r0 += blk {
+		rows := min(blk, m-r0)
 		if beta != 0 {
 			for i := 0; i < rows; i++ {
 				copy(tc[i*w:i*w+jt], c[(r0+i)*ldc+j0:])
 			}
 		}
-		simdRowRange(fam, caps, 0, rows, k, w, alpha, a[r0*lda:], lda, tb, w, beta, tc, w, tbias, mode, tg, w)
+		simdRowRange(fam, caps, rows, k, w, alpha, a[r0*lda:], lda, tb, w, beta, tc, w, tbias, mode, tg, w)
 		for i := 0; i < rows; i++ {
 			copy(c[(r0+i)*ldc+j0:(r0+i)*ldc+n], tc[i*w:])
 			if mode == epiTanhGrad {
@@ -397,7 +362,7 @@ func simdColumnTail[T Float](fam cpufeat.Family, caps simdKernelCaps, lo, hi, k,
 // gemmNTSIMD attempts C = alpha*A*B^T + beta*C on the family's NT dot
 // tile (caps.ntRows A rows x 4 B rows, lanes vectorized over K). Returns
 // false to fall back.
-func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) bool {
+func gemmNTSIMD[T Float](m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) bool {
 	var z T
 	fam, caps, ok := simdActive(sizeofT(z))
 	if !ok || alpha == 0 || m == 0 {
@@ -409,37 +374,8 @@ func gemmNTSIMD[T Float](workers, m, k, n int, alpha T, a []T, lda int, b []T, l
 	if k < 8 || max(n, 4)*k < 64 {
 		return false
 	}
-	R := caps.ntRows
-	nTiles := m / R
-	if 2*m*n*k < simdParMin {
-		workers = 1
-	}
-	if workers > nTiles {
-		workers = nTiles
-	}
-	if workers <= 1 {
-		ntRowRange(fam, R, 0, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
-		return true
-	}
-	ntRowsParallel(fam, R, workers, nTiles, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
+	ntRowRange(fam, caps.ntRows, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
 	return true
-}
-
-// ntRowsParallel fans row ranges out over a goroutine per worker, each a
-// multiple of the tile's R rows from row 0.
-func ntRowsParallel[T Float](fam cpufeat.Family, R, workers, nTiles, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
-	per := (nTiles + workers - 1) / workers * R
-	var wg sync.WaitGroup
-	for lo := 0; lo < m; lo += per {
-		hi := min(m, lo+per)
-		wg.Add(1)
-		//dp:allow noalloc the parallel path trades per-call goroutines for cores; the zero-alloc contract is the serial path
-		go func(lo, hi int) {
-			defer wg.Done()
-			ntRowRange(fam, R, lo, hi, k, n, alpha, a, lda, b, ldb, beta, c, ldc)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // ntPanelCols is the NT driver's panel width at reduction depth k: as many
@@ -450,11 +386,11 @@ func ntPanelCols[T Float](k int) int {
 	return max(4, ntPanelBytes/(k*sizeofT(z))) &^ 3
 }
 
-// ntRowRange processes C rows [lo, hi), lo a multiple of the tile's R rows,
-// panel-outer and tile-inner: the columns are cut into panels of
-// ntPanelCols B rows and every R-row tile of the range visits one panel
-// before any visits the next, so a panel comes from memory once and from
-// L1 for every tile after the first — where a tile that walks all n
+// ntRowRange processes the m rows of C panel-outer and tile-inner: the
+// columns are cut into panels of ntPanelCols B rows and every R-row tile
+// visits one panel before any visits the next, so a panel comes from
+// memory once and from L1 for every tile after the first — where a tile
+// that walks all n
 // columns re-streams the whole of B (3 MB for the backward of the
 // 1600→240 fitting layer) once per R rows. A B that fits one panel is the
 // one-panel case of the same loop. A panel is one call of the asm tile per
@@ -466,25 +402,25 @@ func ntPanelCols[T Float](k int) int {
 // last panel: their B rows staged to the tile's four, with a 4-column block
 // of C for every row behind them. The backward passes of the embedding net
 // live on those tails (dX = dpre·Wᵀ has n = 50, 25 and 1 columns at the
-// paper's widths). The (hi-lo) mod R last rows are a last tile: the rows
+// paper's widths). The m mod R last rows are a last tile: the rows
 // staged above zero rows, with an R-row block of C over all the columns.
 // Every element is computed by the lanes, and an edge element has the bits
 // a covered one would.
-func ntRowRange[T Float](fam cpufeat.Family, R, lo, hi, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
+func ntRowRange[T Float](fam cpufeat.Family, R, m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	jCov := n &^ 3
 	jt := n - jCov
 	n4 := (n + 3) &^ 3 // n padded to the tile's four
-	full := lo + (hi-lo)/R*R
-	rem := hi - full
+	full := m / R * R
+	rem := m - full
 
-	// tb, tc: the tail panel's B rows and its C block for rows [lo, full).
+	// tb, tc: the tail panel's B rows and its C block for rows [0, full).
 	// ra, rc: the last rows' A tile and C block, n4 columns wide.
 	var slab *packSlab[T]
 	var tb, tc, ra, rc []T
 	if jt > 0 || rem > 0 {
 		nTB, nTC, nRA, nRC := 0, 0, 0, 0
 		if jt > 0 {
-			nTB, nTC = 4*k, 4*(full-lo)
+			nTB, nTC = 4*k, 4*full
 		}
 		if rem > 0 {
 			nRA, nRC = R*k, R*n4
@@ -501,8 +437,8 @@ func ntRowRange[T Float](fam cpufeat.Family, R, lo, hi, k, n int, alpha T, a []T
 			clear(tb[jt*k:])
 			if beta != 0 {
 				clear(tc)
-				for i := lo; i < full; i++ {
-					copy(tc[(i-lo)*4:(i-lo)*4+jt], c[i*ldc+jCov:])
+				for i := 0; i < full; i++ {
+					copy(tc[i*4:i*4+jt], c[i*ldc+jCov:])
 				}
 			}
 		}
@@ -527,14 +463,14 @@ func ntRowRange[T Float](fam cpufeat.Family, R, lo, hi, k, n int, alpha T, a []T
 	nb := ntPanelCols[T](k)
 	var jb int
 	for j0 := 0; j0 < n; j0 += jb {
-		// pc is the panel's C at row lo, pldc its row stride.
+		// pc is the panel's C, pldc its row stride.
 		var pc []T
 		var pldc int
 		if j0 < jCov {
 			jb = min(nb, jCov-j0)
 			args.b = unsafe.Pointer(&b[j0*ldb])
 			args.ldb = uintptr(ldb)
-			pc, pldc = c[lo*ldc+j0:], ldc
+			pc, pldc = c[j0:], ldc
 		} else {
 			jb = 4
 			args.b = unsafe.Pointer(&tb[0])
@@ -544,9 +480,9 @@ func ntRowRange[T Float](fam cpufeat.Family, R, lo, hi, k, n int, alpha T, a []T
 		args.n = uintptr(jb)
 		args.lda = uintptr(lda)
 		args.ldc = uintptr(pldc)
-		for i := lo; i < full; i += R {
+		for i := 0; i < full; i += R {
 			args.a = unsafe.Pointer(&a[i*lda])
-			args.c = unsafe.Pointer(&pc[(i-lo)*pldc])
+			args.c = unsafe.Pointer(&pc[i*pldc])
 			ntTile[T](fam, &args)
 		}
 		if rem > 0 {
@@ -559,8 +495,8 @@ func ntRowRange[T Float](fam cpufeat.Family, R, lo, hi, k, n int, alpha T, a []T
 	}
 
 	if jt > 0 {
-		for i := lo; i < full; i++ {
-			copy(c[i*ldc+jCov:i*ldc+n], tc[(i-lo)*4:])
+		for i := 0; i < full; i++ {
+			copy(c[i*ldc+jCov:i*ldc+n], tc[i*4:])
 		}
 	}
 	for r := 0; r < rem; r++ {

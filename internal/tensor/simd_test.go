@@ -17,8 +17,7 @@ import (
 //     hard-code (TA_* defines).
 //  2. The per-family differential sweep forces every family the host can
 //     execute (Generic included) through the public GEMM dispatch and
-//     holds it to the differential tolerance policy plus worker-count
-//     bit-identity.
+//     holds it to the differential tolerance policy.
 //  3. The lane tests exploit the strip layout: with every A row
 //     identical, every output row must be bit-identical to every other —
 //     strip rows against the zero-padded tail strip, and a tail column
@@ -109,7 +108,6 @@ func sweepFamilies(t *testing.T, fn func(t *testing.T, fam cpufeat.Family)) {
 // unaligned M/N remainders below every tile width, reductions of two to
 // seven K panels up to the paper's 244 x 1600 x 240 first fitting layer,
 // and the TN variant's staged route), forced through every kernel family.
-// Each cell also sweeps worker counts 1/2/7 with the bit-identity contract.
 func TestGemmDifferentialPerFamily(t *testing.T) {
 	shapes := [][3]int{
 		{5, 1, 9}, {8, 3, 8}, {9, 25, 26}, {12, 50, 33},
@@ -409,7 +407,7 @@ func TestSIMDNTLaneVsScalarModel(t *testing.T) {
 				a := repeatedRows(randRow[float64](rng, k), m)
 				b := randMatT[float64](rng, n, k)
 				c := repeatedRows(randRow[float64](rng, n), m)
-				ntRowRange(fam, caps.ntRows, 0, m, k, n, 1.5, a.Data, k, b.Data, k, -0.5, c.Data, n)
+				ntRowRange(fam, caps.ntRows, m, k, n, 1.5, a.Data, k, b.Data, k, -0.5, c.Data, n)
 				checkRowsBitEqual(t, fmt.Sprintf("%s NT k=%d n=%d", fam, k, n), c)
 			}
 		}
@@ -596,8 +594,7 @@ func ntOnePanel[T Float](fam cpufeat.Family, R, m, k, n int, alpha T, a, b []T, 
 // shallow reduction whose panels are hundreds of columns wide. In float64
 // the result is also the scalar oracle's, odd row and tail columns
 // included. A NaN or an Inf in one B row reaches that output column and no
-// other, whichever panel or staging block the row is in; and the row ranges
-// of the goroutine fan-out give the bits of the serial call.
+// other, whichever panel or staging block the row is in.
 func TestNTPanelsBitIdentical(t *testing.T) {
 	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
 		if _, ok := simdCaps(fam, 8); fam == cpufeat.Generic || !ok {
@@ -623,7 +620,7 @@ func testNTPanels[T Float](t *testing.T, fam cpufeat.Family) {
 			label := fmt.Sprintf("%s %T %dx%d->%d (%d-column panels) alpha=%g beta=%g", fam, z, m, k, n, ntPanelCols[T](k), float64(alpha), float64(beta))
 			run := func(b Matrix[T]) []T {
 				got := append([]T(nil), c0.Data...)
-				ntRowRange(fam, R, 0, m, k, n, alpha, a.Data, k, b.Data, k, beta, got, n)
+				ntRowRange(fam, R, m, k, n, alpha, a.Data, k, b.Data, k, beta, got, n)
 				return got
 			}
 			got := run(b)
@@ -637,11 +634,6 @@ func testNTPanels[T Float](t *testing.T, fam cpufeat.Family) {
 					scalarNTRow64(any(a.Data).([]float64)[i*k:(i+1)*k], k, any(b.Data).([]float64), k, 0, n, model[i*n:], float64(alpha), float64(beta))
 				}
 				checkBitIdentical(t, label+": lanes vs scalar oracle", g64, model)
-			}
-
-			par := append([]T(nil), c0.Data...)
-			if gemmNTSIMD(3, m, k, n, alpha, a.Data, k, b.Data, k, beta, par, n) {
-				checkBitIdentical(t, label+": 3 workers vs serial", par, got)
 			}
 
 			// One non-finite B element per poisoned row: a first-panel
@@ -716,8 +708,8 @@ func testNTQuadTile[T Float](t *testing.T) {
 					for _, ab := range [][2]T{{1, 0}, {1.5, -0.5}, {0.5, 1}} {
 						pair := append([]T(nil), c0...)
 						quad := append([]T(nil), c0...)
-						ntRowRange(cpufeat.AVX2, pairCaps.ntRows, 0, m, k, n, ab[0], a, k, b, k, ab[1], pair, n)
-						ntRowRange(cpufeat.AVX512, quadCaps.ntRows, 0, m, k, n, ab[0], a, k, b, k, ab[1], quad, n)
+						ntRowRange(cpufeat.AVX2, pairCaps.ntRows, m, k, n, ab[0], a, k, b, k, ab[1], pair, n)
+						ntRowRange(cpufeat.AVX512, quadCaps.ntRows, m, k, n, ab[0], a, k, b, k, ab[1], quad, n)
 						for i := range pair {
 							if !sameBits(pair[i], quad[i]) {
 								t.Fatalf("%T %dx%d->%d alpha=%g beta=%g: C[%d][%d] quad %g (%#x), pair %g (%#x)",

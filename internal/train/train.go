@@ -18,6 +18,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 
 	"deepmd-go/internal/core"
 	"deepmd-go/internal/lattice"
@@ -225,12 +226,11 @@ type Config struct {
 	// gradients and Adam's bias correction restarts at t = 0. Only the LR
 	// schedule resumes.
 	StartStep int
-	// Workers is the trainer's one parallelism budget: the goroutine count
-	// for neighbor-list builds of uncached frames and for the row blocks
-	// inside each GEMM of the training evaluator (core.ComputeWithGrads
-	// sweeps chunks serially and hands its whole budget to the GEMMs).
-	// Results are bit-identical at any count. Zero defaults to the model's
-	// configured Workers; <= 1 runs serial.
+	// Workers is the trainer's one parallelism budget: how many frames of
+	// a batch are evaluated at once, each on its own single-worker
+	// evaluator, and the goroutine count for neighbor-list builds of
+	// uncached frames. Results are bit-identical at any count. Zero
+	// defaults to the model's configured Workers; <= 1 runs serial.
 	Workers int
 }
 
@@ -243,13 +243,22 @@ type Trainer struct {
 	Model *core.Model
 	Cfg   Config
 
-	ev      *core.Evaluator[float64]
-	grads   *core.ModelGrads
-	scratch *core.ModelGrads
-	adam    *adam
-	step    int
-	rng     *rand.Rand
-	spec    neighbor.Spec
+	slots []slot // one per frame in flight
+	batch []*Frame
+	grads *core.ModelGrads
+	adam  *adam
+	step  int
+	rng   *rand.Rand
+	spec  neighbor.Spec
+}
+
+// slot is one frame in flight: a single-worker evaluator, the frame's
+// scratch gradient, its result and its error.
+type slot struct {
+	ev    *core.Evaluator[float64]
+	grads *core.ModelGrads
+	res   core.Result
+	err   error
 }
 
 // NewTrainer prepares a trainer for the model.
@@ -272,21 +281,24 @@ func NewTrainer(model *core.Model, cfg Config) (*Trainer, error) {
 	if cfg.StartStep < 0 {
 		cfg.StartStep = 0
 	}
-	// The evaluator runs on a shallow snapshot carrying the trainer's
-	// budget; the float64 networks stay aliased with model, so weight
-	// updates are visible to it.
+	// The evaluators run on a shallow snapshot with one worker each; the
+	// float64 networks stay aliased with model, so weight updates are
+	// visible to them.
 	snap := *model
-	snap.Cfg.Workers = cfg.Workers
+	snap.Cfg.Workers = 1
+	slots := make([]slot, min(cfg.Workers, cfg.BatchSize))
+	for i := range slots {
+		slots[i] = slot{ev: core.NewEvaluator[float64](&snap), grads: core.NewModelGrads(model)}
+	}
 	return &Trainer{
-		step:    cfg.StartStep,
-		Model:   model,
-		Cfg:     cfg,
-		ev:      core.NewEvaluator[float64](&snap),
-		grads:   core.NewModelGrads(model),
-		scratch: core.NewModelGrads(model),
-		adam:    newAdam(model),
-		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
-		spec:    neighbor.Spec{Rcut: model.Cfg.Rcut, Skin: model.Cfg.Skin, Sel: model.Cfg.Sel},
+		step:  cfg.StartStep,
+		Model: model,
+		Cfg:   cfg,
+		slots: slots,
+		grads: core.NewModelGrads(model),
+		adam:  newAdam(model),
+		rng:   rand.New(rand.NewSource(cfg.Seed + 1)),
+		spec:  neighbor.Spec{Rcut: model.Cfg.Rcut, Skin: model.Cfg.Skin, Sel: model.Cfg.Sel},
 	}, nil
 }
 
@@ -304,38 +316,76 @@ func (t *Trainer) LR() float64 {
 // Step samples a batch, accumulates the energy-loss gradient and applies
 // one Adam update. It returns the batch loss (mean squared per-atom energy
 // error), or an error for an empty frame set.
+//
+// The batch is drawn first, each frame's neighbor list built as it is
+// drawn (a batch can draw a frame twice, and the list is cached on the
+// frame). The frames then run in waves of Workers, each on its own
+// evaluator into its own scratch gradient, and are folded into the loss
+// and the batch gradient in draw order — the sums of a serial loop.
 func (t *Trainer) Step(frames []Frame) (float64, error) {
 	if len(frames) == 0 {
 		return 0, errors.New("train: Step needs at least one frame")
 	}
-	t.grads.Zero()
-	var loss float64
-	var res core.Result
 	b := t.Cfg.BatchSize
+	t.batch = t.batch[:0]
 	for k := 0; k < b; k++ {
 		f := &frames[t.rng.Intn(len(frames))]
-		list, err := f.List(t.spec, t.Cfg.Workers)
-		if err != nil {
+		if _, err := f.List(t.spec, t.Cfg.Workers); err != nil {
 			return 0, err
 		}
-		n := float64(len(f.Types))
-		// Gradient of ((E - E*)/n)^2 / batch w.r.t. E is
-		// 2 (E - E*) / n^2 / batch; ComputeWithGrads gives dE/dtheta, so
-		// chain-rule the scale in while accumulating. Gradients from
-		// different frames need different scales, so each frame goes
-		// through a reusable scratch gradient.
-		t.scratch.Zero()
-		if err := t.ev.ComputeWithGrads(f.Pos, f.Types, len(f.Types), list, &f.Box, &res, t.scratch); err != nil {
+		t.batch = append(t.batch, f)
+	}
+	t.grads.Zero()
+	var loss float64
+	for k0 := 0; k0 < b; k0 += len(t.slots) {
+		wave := t.batch[k0:min(b, k0+len(t.slots))]
+		if err := t.evalWave(wave); err != nil {
 			return 0, err
 		}
-		diff := (res.Energy - f.Energy) / n
-		loss += diff * diff / float64(b)
-		scale := 2 * diff / n / float64(b)
-		addScaled(t.grads, t.scratch, scale)
+		for i, f := range wave {
+			n := float64(len(f.Types))
+			// Gradient of ((E - E*)/n)^2 / batch w.r.t. E is
+			// 2 (E - E*) / n^2 / batch; ComputeWithGrads gives dE/dtheta,
+			// so chain-rule the scale in while accumulating. Gradients
+			// from different frames need different scales, so each frame
+			// goes through its slot's scratch gradient.
+			diff := (t.slots[i].res.Energy - f.Energy) / n
+			loss += diff * diff / float64(b)
+			scale := 2 * diff / n / float64(b)
+			addScaled(t.grads, t.slots[i].grads, scale)
+		}
 	}
 	t.adam.apply(t.Model, t.grads, t.LR())
 	t.step++
 	return loss, nil
+}
+
+// evalWave evaluates frame i of the wave on slot i, slot 0 on the calling
+// goroutine, and returns the first error in draw order.
+func (t *Trainer) evalWave(wave []*Frame) error {
+	var wg sync.WaitGroup
+	for i := 1; i < len(wave); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.slots[i].eval(wave[i])
+		}()
+	}
+	t.slots[0].eval(wave[0])
+	wg.Wait()
+	for i := range wave {
+		if err := t.slots[i].err; err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// eval runs one frame's force call with parameter gradients into the
+// slot's zeroed scratch gradient, on the list Step built for it.
+func (s *slot) eval(f *Frame) {
+	s.grads.Zero()
+	s.err = s.ev.ComputeWithGrads(f.Pos, f.Types, len(f.Types), f.list, &f.Box, &s.res, s.grads)
 }
 
 // addScaled accumulates dst += scale * src over all gradient tensors.

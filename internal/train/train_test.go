@@ -1,7 +1,9 @@
 package train
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"deepmd-go/internal/neighbor"
 	"deepmd-go/internal/nn"
 	"deepmd-go/internal/refpot"
+	"deepmd-go/internal/tensor/cpufeat"
 )
 
 // tinyModelAndData builds a small LJ-labeled dataset and a tiny model.
@@ -255,50 +258,59 @@ func TestForceRMSEFinite(t *testing.T) {
 	}
 }
 
-// The trainer has one worker budget and every value of it executes the
-// same arithmetic: ComputeWithGrads sweeps chunks serially (the gradient
-// accumulators are shared) and spends the budget on GEMM row blocks, which
-// write every output element from exactly one goroutine. Loss trajectory
-// and final weights must be bit-identical at any Workers, on a model that
-// is itself configured parallel and split into several chunks per frame.
-func TestTrainerWorkersBitIdentical(t *testing.T) {
-	base, frames := tinyModelAndData(t, 6)
-	run := func(workers int) (losses []float64, weights []float64) {
-		cfg := base.Cfg
-		cfg.Workers = workers
-		cfg.ChunkSize = 8 // 32 atoms: four chunks per frame
-		model, err := core.New(cfg)
+// trainBits trains a fresh tiny model, split into four chunks per 32-atom
+// frame and configured with the given Workers, for steps steps of a
+// five-frame batch over a two-frame set — so every batch draws a frame
+// more than once and no budget above one divides the batch — and returns
+// the loss sequence and the final weights. Each run builds its own
+// neighbor lists.
+func trainBits(t *testing.T, workers, steps int) (losses, weights []float64) {
+	t.Helper()
+	base, frames := tinyModelAndData(t, 2)
+	for i := range frames {
+		frames[i].list = nil
+	}
+	cfg := base.Cfg
+	cfg.Workers = workers
+	cfg.ChunkSize = 8
+	model, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(model, Config{LR: 3e-3, BatchSize: 5, Seed: 5})
+	if err != nil {
+		t.Fatalf("Workers=%d: %v", workers, err)
+	}
+	if tr.Cfg.Workers != workers {
+		t.Fatalf("trainer budget %d, want the model's %d", tr.Cfg.Workers, workers)
+	}
+	for i := 0; i < steps; i++ {
+		loss, err := tr.Step(frames)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := NewTrainer(model, Config{LR: 3e-3, BatchSize: 3, Seed: 5})
-		if err != nil {
-			t.Fatalf("Workers=%d: %v", workers, err)
-		}
-		if tr.Cfg.Workers != workers {
-			t.Fatalf("trainer budget %d, want the model's %d", tr.Cfg.Workers, workers)
-		}
-		for i := 0; i < 12; i++ {
-			loss, err := tr.Step(frames)
-			if err != nil {
-				t.Fatal(err)
-			}
-			losses = append(losses, loss)
-		}
-		nets := append([]*nn.Net[float64]{}, model.Fit...)
-		for _, row := range model.Embed {
-			nets = append(nets, row...)
-		}
-		for _, n := range nets {
-			for _, l := range n.Layers {
-				weights = append(append(weights, l.W.Data...), l.B...)
-			}
-		}
-		return losses, weights
+		losses = append(losses, loss)
 	}
-	wantLoss, wantW := run(1)
-	for _, workers := range []int{2, 7} {
-		loss, w := run(workers)
+	nets := append([]*nn.Net[float64]{}, model.Fit...)
+	for _, row := range model.Embed {
+		nets = append(nets, row...)
+	}
+	for _, n := range nets {
+		for _, l := range n.Layers {
+			weights = append(append(weights, l.W.Data...), l.B...)
+		}
+	}
+	return losses, weights
+}
+
+// The trainer has one worker budget and every value of it executes the
+// same arithmetic: the frames of a batch run on single-worker evaluators,
+// one scratch gradient each, and are summed in draw order. Loss
+// trajectory and final weights must be bit-identical at any Workers.
+func TestTrainerWorkersBitIdentical(t *testing.T) {
+	wantLoss, wantW := trainBits(t, 1, 12)
+	for _, workers := range []int{2, 3} {
+		loss, w := trainBits(t, workers, 12)
 		for i := range wantLoss {
 			if math.Float64bits(loss[i]) != math.Float64bits(wantLoss[i]) {
 				t.Fatalf("Workers=%d: loss[%d] = %.17g, serial %.17g", workers, i, loss[i], wantLoss[i])
@@ -309,6 +321,52 @@ func TestTrainerWorkersBitIdentical(t *testing.T) {
 				t.Fatalf("Workers=%d: weight %d = %.17g, serial %.17g", workers, i, w[i], wantW[i])
 			}
 		}
+	}
+}
+
+// The bits of a short training run are pinned per kernel family, like the
+// nets' in internal/nn: FNV-64a over the loss sequence and then the final
+// weights. One table holds the SIMD families, the other the generic one.
+var (
+	trainBitsGoldenSIMD = map[string]uint64{
+		"tiny/w1": 0x0cea80f7b2b653e0,
+		"tiny/w2": 0x0cea80f7b2b653e0,
+	}
+	trainBitsGoldenGeneric = map[string]uint64{
+		"tiny/w1": 0xcfaf30fe741b50dd,
+		"tiny/w2": 0xcfaf30fe741b50dd,
+	}
+)
+
+func TestTrainerBitsGolden(t *testing.T) {
+	prev := cpufeat.Active()
+	defer cpufeat.SetActive(prev)
+	for _, fam := range []cpufeat.Family{cpufeat.Generic, cpufeat.AVX2, cpufeat.AVX512} {
+		if !cpufeat.Available(fam) {
+			continue
+		}
+		t.Run(fam.String(), func(t *testing.T) {
+			if _, err := cpufeat.SetActive(fam); err != nil {
+				t.Fatal(err)
+			}
+			golden := trainBitsGoldenSIMD
+			if fam == cpufeat.Generic {
+				golden = trainBitsGoldenGeneric
+			}
+			for _, workers := range []int{1, 2} {
+				key := fmt.Sprintf("tiny/w%d", workers)
+				losses, weights := trainBits(t, workers, 6)
+				h := fnv.New64a()
+				var buf [8]byte
+				for _, v := range append(losses, weights...) {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+					h.Write(buf[:])
+				}
+				if got, want := h.Sum64(), golden[key]; got != want {
+					t.Errorf("%s: hash %#016x, want %#016x", key, got, want)
+				}
+			}
+		})
 	}
 }
 
