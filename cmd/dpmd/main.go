@@ -41,6 +41,7 @@ import (
 	"deepmd-go/internal/cliopt"
 	"deepmd-go/internal/compress"
 	"deepmd-go/internal/core"
+	"deepmd-go/internal/domain"
 	"deepmd-go/internal/md"
 	"deepmd-go/internal/mpi"
 	"deepmd-go/internal/neighbor"
@@ -118,18 +119,6 @@ func main() {
 		return
 	}
 
-	// Open the thermo file before the run, so an unwritable path costs
-	// nothing. In a tcp world rank 0 writes it.
-	var thermoFile *os.File
-	if *thermoJSON != "" && *mpiRank <= 0 {
-		f, err := os.Create(*thermoJSON)
-		if err != nil {
-			usageExit(err)
-		}
-		defer f.Close()
-		thermoFile = f
-	}
-
 	var sys *deepmd.System
 	var cfg core.Config
 	dt := 0.0005
@@ -172,6 +161,29 @@ func main() {
 	}
 	mcfg := model.Cfg
 	spec := neighbor.Spec{Rcut: mcfg.Rcut, Skin: mcfg.Skin, Sel: mcfg.Sel}
+	popt := deepmd.ParallelOptions{
+		Ranks: *ranks, Dt: dt, Steps: *steps, Spec: spec,
+		RebuildEvery: 50, ThermoEvery: 20, UseIallreduce: true,
+	}
+	// The domain run's own grid rule, now that rcut + skin is known (for
+	// one rank it is the serial run's minimum-image rule): a box too small
+	// for the ranks or the cutoff is a usage error, caught before any file
+	// is written or table built.
+	if _, err := domain.ResolveGrid(popt, sys.Box); err != nil {
+		usageExit(err)
+	}
+
+	// Open the thermo file before the run, so an unwritable path costs
+	// nothing. In a tcp world rank 0 writes it.
+	var thermoFile *os.File
+	if *thermoJSON != "" && *mpiRank <= 0 {
+		f, err := os.Create(*thermoJSON)
+		if err != nil {
+			usageExit(err)
+		}
+		defer f.Close()
+		thermoFile = f
+	}
 
 	// Resolve the flag spellings first: a typo must not pay for the
 	// table build below.
@@ -205,10 +217,6 @@ func main() {
 	}
 
 	if *ranks > 1 || *mpiRank >= 0 || *thermoJSON != "" {
-		popt := deepmd.ParallelOptions{
-			Ranks: *ranks, Dt: dt, Steps: *steps, Spec: spec,
-			RebuildEvery: 50, ThermoEvery: 20, UseIallreduce: true,
-		}
 		var stats *deepmd.ParallelStats
 		if *transport == "tcp" {
 			cfg := mpi.TCPConfig{Rank: *mpiRank, Size: *ranks, Coordinator: *mpiCoord}
@@ -263,10 +271,9 @@ func main() {
 	for _, th := range sim.Log {
 		printThermo(th)
 	}
-	loop := sim.Timer.Elapsed("md_loop")
-	perStep := loop.Seconds() / float64(*steps)
+	perStep := sim.LoopTime.Seconds() / float64(*steps)
 	fmt.Printf("MD loop %.2f s | %.1f ms/step | %.3g s/step/atom\n",
-		loop.Seconds(), perStep*1000, perStep/float64(sys.N()))
+		sim.LoopTime.Seconds(), perStep*1000, perStep/float64(sys.N()))
 
 	if *dump != "" {
 		f, err := os.Create(*dump)

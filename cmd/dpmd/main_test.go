@@ -1,10 +1,29 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// runMainArg as the first argument makes the test binary run dpmd's main
+// on the arguments after it, so a test can check an exit status and the
+// files a whole run leaves behind.
+const runMainArg = "dpmd-main"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == runMainArg {
+		os.Args = os.Args[1:]
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // Every numeric flag that sizes a run is checked before anything is built:
 // a negative cell count used to panic in the lattice builders, a negative
@@ -49,5 +68,25 @@ func TestRunFlagsCheck(t *testing.T) {
 		case c.flag != "" && !strings.HasPrefix(err.Error(), c.flag+" "):
 			t.Errorf("%s: error %q does not name %s", c.name, err, c.flag)
 		}
+	}
+}
+
+// A box too small for the cutoff is a usage error once the model's
+// rcut + skin is known: paper-scale water (rcut 6 + skin 2) does not fit
+// twice in the 12.4 A edge of -nx 4. The run exits 2 before -thermo-json
+// is created, where it used to panic in rank 0 with an empty file left.
+func TestSmallBoxRejectedBeforeOutput(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "thermo.json")
+	cmd := exec.Command(os.Args[0], runMainArg, "-system", "water", "-netscale", "paper", "-nx", "4", "-steps", "1", "-thermo-json", out)
+	msg, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("exit %v, want status 2; output:\n%s", err, msg)
+	}
+	if !strings.Contains(string(msg), "ghost width") {
+		t.Errorf("output does not name the ghost-width rule:\n%s", msg)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("-thermo-json file exists after the usage error (stat: %v)", err)
 	}
 }

@@ -9,6 +9,7 @@
 //	dpserve                                  # tiny water model on 127.0.0.1:8100
 //	dpserve -model water.dpgo -addr :8100    # serve a trained checkpoint
 //	dpserve -system copper -max-batch 16
+//	dpserve -concurrency 4                   # 4 pooled evaluators, one batch loop each
 //
 // Endpoints:
 //
@@ -64,13 +65,12 @@ func run(args []string, stderr io.Writer) int {
 	system := fs.String("system", "water", "built-in tiny model when no -model: water | copper")
 	maxBatch := fs.Int("max-batch", 8, "max frames per coalesced batch (1 disables coalescing)")
 	queue := fs.Int("queue", 0, "pending-request bound before 429 backpressure (0: 4*max-batch)")
-	dispatchers := fs.Int("dispatchers", 0, "concurrent batch dispatch loops (0: engine concurrency)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "default per-request deadline")
 	eng := cliopt.Bind(fs, 1)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := checkFlags(*maxBatch, *queue, *dispatchers, *reqTimeout); err != nil {
+	if err := checkFlags(*maxBatch, *queue, *reqTimeout); err != nil {
 		logger.Print(err)
 		return 2
 	}
@@ -90,11 +90,7 @@ func run(args []string, stderr io.Writer) int {
 		logger.Print(err)
 		return 1
 	}
-	bat := serve.New(engine, serve.Options{
-		MaxBatch:    *maxBatch,
-		QueueLimit:  *queue,
-		Dispatchers: *dispatchers,
-	})
+	bat := serve.New(engine, serve.Options{MaxBatch: *maxBatch, QueueLimit: *queue})
 	srv := newServer(model.Cfg, bat, *reqTimeout, logger)
 
 	ln, err := net.Listen("tcp", *addr)
@@ -104,8 +100,8 @@ func run(args []string, stderr io.Writer) int {
 	}
 	hs := &http.Server{Handler: srv.handler()}
 	bo := bat.Options()
-	logger.Printf("serving %s model on http://%s (strategy %v, max-batch %d, queue %d, dispatchers %d)",
-		modelName(*modelPath, *system), ln.Addr(), engine.Plan().Strategy, bo.MaxBatch, bo.QueueLimit, bo.Dispatchers)
+	logger.Printf("serving %s model on http://%s (strategy %v, concurrency %d, max-batch %d, queue %d)",
+		modelName(*modelPath, *system), ln.Addr(), engine.Plan().Strategy, engine.MaxConcurrency(), bo.MaxBatch, bo.QueueLimit)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -137,16 +133,14 @@ func run(args []string, stderr io.Writer) int {
 
 // checkFlags rejects the batcher and deadline flags serve.New or the
 // server would otherwise replace with their defaults: a batch needs a
-// frame, the queue bound and dispatcher count cannot be negative (0 keeps
-// meaning "default"), and a deadline must lie in the future.
-func checkFlags(maxBatch, queue, dispatchers int, reqTimeout time.Duration) error {
+// frame, the queue bound cannot be negative (0 keeps meaning "default"),
+// and a deadline must lie in the future.
+func checkFlags(maxBatch, queue int, reqTimeout time.Duration) error {
 	switch {
 	case maxBatch < 1:
 		return fmt.Errorf("-max-batch %d: need at least one frame per batch", maxBatch)
 	case queue < 0:
 		return fmt.Errorf("-queue %d: must be >= 0 (0: 4*max-batch)", queue)
-	case dispatchers < 0:
-		return fmt.Errorf("-dispatchers %d: must be >= 0 (0: engine concurrency)", dispatchers)
 	case reqTimeout <= 0:
 		return fmt.Errorf("-request-timeout %v: must be positive", reqTimeout)
 	}

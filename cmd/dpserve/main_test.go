@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -11,22 +12,21 @@ import (
 // defaults are rejected with the offending flag named.
 func TestCheckFlags(t *testing.T) {
 	for _, c := range []struct {
-		name                  string
-		maxBatch, queue, disp int
-		timeout               time.Duration
-		flag                  string // "" when the flags must pass
+		name            string
+		maxBatch, queue int
+		timeout         time.Duration
+		flag            string // "" when the flags must pass
 	}{
-		{"defaults", 8, 0, 0, 30 * time.Second, ""},
-		{"max-batch=1", 1, 0, 0, time.Second, ""},
-		{"explicit queue and dispatchers", 4, 3, 2, time.Millisecond, ""},
-		{"max-batch=0", 0, 0, 0, time.Second, "-max-batch"},
-		{"max-batch=-3", -3, 0, 0, time.Second, "-max-batch"},
-		{"queue=-7", 8, -7, 0, time.Second, "-queue"},
-		{"dispatchers=-1", 8, 0, -1, time.Second, "-dispatchers"},
-		{"request-timeout=0", 8, 0, 0, 0, "-request-timeout"},
-		{"request-timeout=-5s", 8, 0, 0, -5 * time.Second, "-request-timeout"},
+		{"defaults", 8, 0, 30 * time.Second, ""},
+		{"max-batch=1", 1, 0, time.Second, ""},
+		{"explicit queue", 4, 3, time.Millisecond, ""},
+		{"max-batch=0", 0, 0, time.Second, "-max-batch"},
+		{"max-batch=-3", -3, 0, time.Second, "-max-batch"},
+		{"queue=-7", 8, -7, time.Second, "-queue"},
+		{"request-timeout=0", 8, 0, 0, "-request-timeout"},
+		{"request-timeout=-5s", 8, 0, -5 * time.Second, "-request-timeout"},
 	} {
-		err := checkFlags(c.maxBatch, c.queue, c.disp, c.timeout)
+		err := checkFlags(c.maxBatch, c.queue, c.timeout)
 		switch {
 		case c.flag == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)
@@ -35,5 +35,13 @@ func TestCheckFlags(t *testing.T) {
 		case c.flag != "" && !strings.HasPrefix(err.Error(), c.flag+" "):
 			t.Errorf("%s: error %q does not name %s", c.name, err, c.flag)
 		}
+	}
+}
+
+// The engine's -concurrency is the only dispatch bound: the removed
+// -dispatchers flag is a usage error.
+func TestDispatchersFlagRemoved(t *testing.T) {
+	if code := run([]string{"-dispatchers", "2"}, io.Discard); code != 2 {
+		t.Fatalf("dpserve -dispatchers 2 exited %d, want 2", code)
 	}
 }

@@ -332,7 +332,7 @@ func TestEvaluateEndpointBackpressure429(t *testing.T) {
 		t.Fatal(err)
 	}
 	be := &blockingEval{started: make(chan struct{}, 8), release: make(chan struct{})}
-	bat := serve.New(be, serve.Options{MaxBatch: 1, QueueLimit: 1, Dispatchers: 1})
+	bat := serve.New(be, serve.Options{MaxBatch: 1, QueueLimit: 1})
 	defer bat.Close(context.Background())
 	srv := newServer(model.Cfg, bat, 30*time.Second, log.New(io.Discard, "", 0))
 	hs := httptest.NewServer(srv.handler())

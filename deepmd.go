@@ -190,11 +190,12 @@ func Open(model *Model, opts ...Option) (*Engine, error) {
 }
 
 // Ensemble runs one replica simulation per system over this engine's
-// evaluator pool, at most Plan().MaxConcurrency replicas at a time, and
-// returns the finished simulations (with their thermo logs) in order.
-// Replica trajectories are bit-identical to running each serially.
+// evaluator pool, every replica at once with at most
+// Plan().MaxConcurrency force calls at a time, and returns the finished
+// simulations (with their thermo logs) in order. Replica trajectories are
+// bit-identical to running each serially.
 func (e *Engine) Ensemble(systems []*System, opt SimOptions, steps int) ([]*Simulation, error) {
-	return md.RunEnsemble(e, systems, opt, steps, e.Plan().MaxConcurrency)
+	return md.RunEnsemble(e, systems, opt, steps)
 }
 
 // MD engine.

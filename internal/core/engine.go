@@ -49,18 +49,11 @@ type Engine struct {
 	// mu guards built, the number of evaluators created so far.
 	mu    sync.Mutex
 	built int
-	// prewarmMu serializes Prewarm sweeps; overlapping sweeps would churn
-	// the pool without warming anything new.
-	prewarmMu sync.Mutex
 
 	// buildHook, when set, replaces newComputer for pool growth — a test
 	// seam for injecting construction failures (the acquire/release churn
 	// test) without reaching into the model.
 	buildHook func() (computer, error)
-	// prewarmHook, when set, runs after each Prewarm slot has been warmed
-	// and released — a test seam proving live traffic interleaves with
-	// the sweep.
-	prewarmHook func(slot int)
 }
 
 // NewEngine resolves the requested plan against the model (see
@@ -195,57 +188,6 @@ func (e *Engine) Compute(pos []float64, types []int, nloc int, list *neighbor.Li
 // one.
 func (e *Engine) EvaluateInto(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
 	return e.Compute(pos, types, nloc, list, box, out)
-}
-
-// Prewarm builds the engine's full evaluator pool and warms it with one
-// evaluation of the given system per pool slot, so subsequent calls at
-// any concurrency level hit warm arenas and allocate nothing — the
-// paper's init-time memory-trunk strategy applied to the whole pool, and
-// the cold-start control a serving deployment runs before taking traffic.
-//
-// Each slot is warmed acquire → compute → release, never holding more
-// than one evaluator, so live traffic interleaves with the sweep instead
-// of stalling on a fully held pool (the pre-ISSUE-7 behavior). Under
-// concurrent traffic a pool member may be warmed by a traffic call rather
-// than by the sweep itself; either way every member exists and has served
-// at least one evaluation by the time Prewarm returns. A mid-sweep build
-// failure returns its slot to the pool budget (see build), so a later
-// Prewarm or acquire retries construction rather than serving a
-// permanently partial pool.
-func (e *Engine) Prewarm(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box) error {
-	// Serialized so overlapping sweeps don't ping-pong the same members;
-	// regular traffic is free to interleave.
-	e.prewarmMu.Lock()
-	defer e.prewarmMu.Unlock()
-	var out Result
-	for i := 0; i < e.plan.MaxConcurrency; i++ {
-		// Prefer building a not-yet-existing member; once the pool is
-		// full, FIFO rotation through the free list reaches every idle
-		// member across the remaining iterations.
-		e.mu.Lock()
-		var c computer
-		var err error
-		if e.built < e.plan.MaxConcurrency {
-			e.built++
-			e.mu.Unlock()
-			c, err = e.build()
-		} else {
-			e.mu.Unlock()
-			c, err = e.acquire()
-		}
-		if err != nil {
-			return err
-		}
-		err = c.Compute(pos, types, nloc, list, box, &out)
-		e.release(c)
-		if err != nil {
-			return err
-		}
-		if e.prewarmHook != nil {
-			e.prewarmHook(i)
-		}
-	}
-	return nil
 }
 
 // Evaluate is Compute with a freshly allocated Result — the convenient

@@ -302,9 +302,8 @@ func TestSentinelErrors(t *testing.T) {
 // Pool members are built from the snapshot frozen at NewEngine:
 // attaching different tables to the model AFTER Open must not leak into
 // lazily built evaluators, or results would depend on which pool member
-// serves a call. Concurrent Prewarm calls must also not deadlock (each
-// holds the whole pool in turn).
-func TestEngineSnapshotAndPrewarm(t *testing.T) {
+// serves a call.
+func TestEngineSnapshotLazyBuilds(t *testing.T) {
 	cfg := batchTestConfig(true)
 	m, err := New(cfg)
 	if err != nil {
@@ -330,20 +329,39 @@ func TestEngineSnapshotAndPrewarm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Concurrent Prewarms (forcing the lazy builds) + evaluations.
+	// Force the two lazy builds: with the eager evaluator held, two
+	// concurrent Compute calls each build a pool member, and each build
+	// waits for the other to start, so neither call can reuse the
+	// other's evaluator.
+	held, err := e.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var started sync.WaitGroup
+	started.Add(2)
+	e.buildHook = func() (computer, error) {
+		started.Done()
+		started.Wait()
+		return e.newComputer()
+	}
 	var wg sync.WaitGroup
+	lazy := make([]Result, 2)
 	errs := make([]error, 2)
-	for g := range errs {
+	for g := range lazy {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = e.Prewarm(pos, types, n, list, box)
+			errs[g] = e.Compute(pos, types, n, list, box, &lazy[g])
 		}(g)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+	e.release(held)
+	for g := range lazy {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if lazy[g].Energy != ref.Energy {
+			t.Fatalf("lazily built member %d energy %.17g != pre-mutation reference %.17g: it picked up the re-attached tables", g, lazy[g].Energy, ref.Energy)
 		}
 	}
 	outs := make([]Result, 6)

@@ -269,66 +269,13 @@ func TestComputeBatchValidation(t *testing.T) {
 	}
 }
 
-// TestPrewarmInterleavesTraffic pins the ISSUE 7 Prewarm bugfix: the
-// sweep holds at most one evaluator at a time, so a live request issued
-// mid-sweep completes before the sweep does, instead of stalling on a
-// fully held pool (the old behavior held all MaxConcurrency evaluators to
-// the end).
-func TestPrewarmInterleavesTraffic(t *testing.T) {
-	cfg := batchTestConfig(true)
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos, types, list, box := latticeSystem(t, true, &cfg)
-	n := len(types)
-	e, err := NewEngine(m, Plan{MaxConcurrency: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	trafficCompleted := false
-	e.prewarmHook = func(slot int) {
-		if slot != 0 {
-			return
-		}
-		// Mid-sweep traffic: must complete while Prewarm is still running.
-		done := make(chan error, 1)
-		go func() {
-			var out Result
-			done <- e.Compute(pos, types, n, list, box, &out)
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("mid-sweep traffic failed: %v", err)
-			}
-			trafficCompleted = true
-		case <-time.After(60 * time.Second):
-			t.Error("traffic issued during Prewarm did not complete before the sweep: pool held")
-		}
-	}
-	if err := e.Prewarm(pos, types, n, list, box); err != nil {
-		t.Fatal(err)
-	}
-	if !trafficCompleted {
-		t.Fatal("prewarm hook never saw the traffic complete")
-	}
-	e.mu.Lock()
-	built := e.built
-	e.mu.Unlock()
-	if built != 3 {
-		t.Fatalf("Prewarm built %d evaluators, want the full pool of 3", built)
-	}
-}
-
-// A mid-sweep build failure must give the slot back so a later sweep (or
-// plain traffic) retries construction — not strand the engine with a
-// permanently partial pool.
-func TestPrewarmRetriesAfterBuildFailure(t *testing.T) {
+// A failed build must give its slot back: after one injected failure the
+// engine still holds MaxConcurrency evaluators at once. A leaked slot
+// would leave the last acquire blocked on an empty free-list.
+func TestEnginePoolRecoversAfterBuildFailure(t *testing.T) {
 	m := newTestModel(t, 1)
-	pos, types, list, box := testSystem(t, 5, 16, &m.Cfg)
-	e, err := NewEngine(m, Plan{MaxConcurrency: 3})
+	const bound = 3
+	e, err := NewEngine(m, Plan{MaxConcurrency: bound})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,17 +288,42 @@ func TestPrewarmRetriesAfterBuildFailure(t *testing.T) {
 		}
 		return e.newComputer()
 	}
-	if err := e.Prewarm(pos, types, 16, list, box); !errors.Is(err, injected) {
-		t.Fatalf("first Prewarm err = %v, want injected failure", err)
-	}
-	if err := e.Prewarm(pos, types, 16, list, box); err != nil {
-		t.Fatalf("second Prewarm did not recover: %v", err)
+	held := make(chan []computer, 1)
+	go func() {
+		var cs []computer
+		// The eager evaluator, then the failing build, then the rest of
+		// the pool, with no release in between.
+		c, err := e.acquire()
+		if err != nil {
+			t.Errorf("acquire eager evaluator: %v", err)
+		}
+		cs = append(cs, c)
+		if _, err := e.acquire(); !errors.Is(err, injected) {
+			t.Errorf("second acquire err = %v, want the injected failure", err)
+		}
+		for len(cs) < bound {
+			c, err := e.acquire()
+			if err != nil {
+				t.Errorf("acquire after the failure: %v", err)
+				break
+			}
+			cs = append(cs, c)
+		}
+		held <- cs
+	}()
+	select {
+	case cs := <-held:
+		for _, c := range cs {
+			e.release(c)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("could not hold %d evaluators after a failed build: its slot leaked", bound)
 	}
 	e.mu.Lock()
 	built := e.built
 	e.mu.Unlock()
-	if built != 3 {
-		t.Fatalf("pool built %d evaluators after retry, want 3", built)
+	if built != bound {
+		t.Fatalf("pool built %d evaluators after the failure, want %d", built, bound)
 	}
 }
 

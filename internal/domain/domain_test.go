@@ -295,6 +295,54 @@ func TestRunWrapsRankError(t *testing.T) {
 	}
 }
 
+// nanPot forwards to a potential and, on its call number bad (0 is the
+// warm-up evaluation before step 1, k the evaluation of step k), returns
+// a NaN force on its first local atom.
+type nanPot struct {
+	md.Potential
+	calls, bad int
+}
+
+func (p *nanPot) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *core.Result) error {
+	err := p.Potential.Compute(pos, types, nloc, list, box, out)
+	if p.calls == p.bad && nloc > 0 {
+		out.Force[0] = math.NaN()
+	}
+	p.calls++
+	return err
+}
+
+// The domain loop stops on a non-finite force before any kick, with the
+// same *md.PhysicsError a serial Sim returns: the step being taken, and
+// the atom by its global id (each rank's first local atom is the lowest
+// global id it owns until the first migration).
+func TestRunStopsOnNonFiniteForce(t *testing.T) {
+	const k = 3
+	sys, newPot, spec := ljFullSystem(19)
+	opt := Options{Ranks: 2, Dt: 0.001, Steps: 2 * k, Spec: spec}
+	grid, err := ResolveGrid(opt, sys.Box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowest := map[int]bool{}
+	seen := map[int]bool{}
+	for i := 0; i < sys.N(); i++ {
+		p := [3]float64{sys.Pos[3*i], sys.Pos[3*i+1], sys.Pos[3*i+2]}
+		sys.Box.Wrap(p[:])
+		if r := ownerOf(p, grid, sys.Box.L); !seen[r] {
+			seen[r], lowest[i] = true, true
+		}
+	}
+	_, err = Run(sys, func() md.Potential { return &nanPot{Potential: newPot(), bad: k} }, opt)
+	var pe *md.PhysicsError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Run error %v is not a *md.PhysicsError", err)
+	}
+	if pe.Step != k || pe.Quantity != "force" || !lowest[pe.Atom] {
+		t.Fatalf("PhysicsError %+v, want step %d, a force, and one of the global ids %v", *pe, k, lowest)
+	}
+}
+
 // Sec. 7.3: replicated local setup + broadcast model staging must beat the
 // rank-0-distributes + every-rank-reads baseline.
 func TestSetupOptimizationShape(t *testing.T) {

@@ -75,8 +75,12 @@ type Stats struct {
 	LoopTime time.Duration
 }
 
-// resolveGrid selects and validates the process grid for the options.
-func resolveGrid(opt Options, box neighbor.Box) ([3]int, error) {
+// ResolveGrid selects the process grid of a run (BestGrid when opt.Grid
+// is unset) and checks it against the box: it must hold opt.Ranks ranks,
+// and the ghost width opt.Spec.RcutBuild() must fit in every sub-box and
+// twice in the box (validateGrid). RunOn applies it to every run; a
+// command line calls it to reject a box before the run is set up.
+func ResolveGrid(opt Options, box neighbor.Box) ([3]int, error) {
 	grid := opt.Grid
 	if grid[0] == 0 || grid[1] == 0 || grid[2] == 0 {
 		grid = BestGrid(opt.Ranks, box.L)
@@ -155,12 +159,8 @@ func RunOn(c *mpi.Comm, sys *md.System, pot md.Potential, opt Options) (*Stats, 
 	if opt.ThermoEvery <= 0 {
 		opt.ThermoEvery = 20
 	}
-	if opt.Workers <= 0 {
-		if wh, ok := pot.(md.WorkerHinter); ok {
-			opt.Workers = wh.EvalWorkers()
-		}
-	}
-	grid, err := resolveGrid(opt, sys.Box)
+	opt.Workers = md.NeighborWorkers(opt.Workers, pot)
+	grid, err := ResolveGrid(opt, sys.Box)
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +240,19 @@ func runRank(c *mpi.Comm, full *md.System, pot md.Potential, opt Options, grid [
 		list = l
 		return nil
 	}
-	compute := func() error {
+	// compute evaluates the forces for step and stops the run, before any
+	// kick, when a local atom's energy or force is not finite.
+	compute := func(step int) error {
 		if err := pot.Compute(rs.pos, rs.typ, rs.nloc, list, nil, &res); err != nil {
 			return err
 		}
 		rs.reverse(res.Force)
+		if pe := md.CheckFinite(&res, rs.nloc, step); pe != nil {
+			if pe.Atom >= 0 {
+				pe.Atom = int(rs.gid[pe.Atom])
+			}
+			return pe
+		}
 		return nil
 	}
 
@@ -281,7 +289,7 @@ func runRank(c *mpi.Comm, full *md.System, pot md.Potential, opt Options, grid [
 	if err := rebuild(); err != nil {
 		return err
 	}
-	if err := compute(); err != nil {
+	if err := compute(1); err != nil {
 		return err
 	}
 
@@ -301,7 +309,7 @@ func runRank(c *mpi.Comm, full *md.System, pot md.Potential, opt Options, grid [
 		} else {
 			rs.forward()
 		}
-		if err := compute(); err != nil {
+		if err := compute(step); err != nil {
 			return err
 		}
 		for i := 0; i < rs.nloc; i++ {

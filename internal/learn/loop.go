@@ -264,7 +264,7 @@ func (l *Loop) explore(round int, engines []*core.Engine) ([]ScoredFrame, error)
 			SafetyCheck:  true,
 			Workers:      cfg.Plan.Workers,
 		}
-		sims, err := md.RunEnsemble(eng, systems, opt, cfg.ExploreSteps, cfg.Plan.MaxConcurrency)
+		sims, err := md.RunEnsemble(eng, systems, opt, cfg.ExploreSteps)
 		if err != nil {
 			return nil, fmt.Errorf("learn: round %d replica %d exploration: %w", round, r, err)
 		}

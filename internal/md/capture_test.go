@@ -84,7 +84,7 @@ func TestCaptureEnsembleMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sims, err := RunEnsemble(engine, systems, opt, steps, k)
+	sims, err := RunEnsemble(engine, systems, opt, steps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,12 @@ import (
 )
 
 // RunEnsemble runs one independent replica simulation per system over a
-// single shared potential, up to maxParallel replicas at a time
-// (<= 0: all at once). This is the serving shape the Engine API exists
-// for: k replicas — parameter sweeps, independent seeds, uncertainty
-// ensembles — borrow evaluators from one engine's pool instead of paying
-// k full evaluator footprints.
+// single shared potential, every replica at once. This is the serving
+// shape the Engine API exists for: k replicas — parameter sweeps,
+// independent seeds, uncertainty ensembles — borrow evaluators from one
+// engine's pool instead of paying k full evaluator footprints, and the
+// pool's bound (core.Engine.MaxConcurrency) is what limits how many force
+// calls run at a time.
 //
 // The shared potential MUST be goroutine-safe: a core.Engine or a
 // stateless reference potential. A raw core.Evaluator is single-goroutine
@@ -22,7 +23,7 @@ import (
 // sims always line up index-for-index with systems (with their thermo
 // logs up to wherever they stopped), and the first error encountered is
 // returned.
-func RunEnsemble(pot Potential, systems []*System, opt Options, steps int, maxParallel int) ([]*Sim, error) {
+func RunEnsemble(pot Potential, systems []*System, opt Options, steps int) ([]*Sim, error) {
 	if len(systems) == 0 {
 		return nil, fmt.Errorf("md: ensemble of zero systems")
 	}
@@ -34,20 +35,14 @@ func RunEnsemble(pot Potential, systems []*System, opt Options, steps int, maxPa
 		}
 		sims[i] = s
 	}
-	if maxParallel <= 0 || maxParallel > len(sims) {
-		maxParallel = len(sims)
-	}
 	errs := make([]error, len(sims))
-	sem := make(chan struct{}, maxParallel)
 	var wg sync.WaitGroup
 	for i, s := range sims {
 		wg.Add(1)
-		go func(i int, s *Sim) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			errs[i] = s.Run(steps)
-		}(i, s)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {

@@ -13,10 +13,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"deepmd-go/internal/core"
 	"deepmd-go/internal/neighbor"
-	"deepmd-go/internal/perf"
 	"deepmd-go/internal/units"
 )
 
@@ -41,6 +41,19 @@ type Potential interface {
 // the same number through every layer.
 type WorkerHinter interface {
 	EvalWorkers() int
+}
+
+// NeighborWorkers resolves the neighbor-build goroutine count of a run
+// over pot: workers when set, else the potential's own per-evaluation
+// budget when it reports one (WorkerHinter), else workers unchanged
+// (<= 1 builds serially). NewSim, Relax and the domain runs share it.
+func NeighborWorkers(workers int, pot Potential) int {
+	if workers <= 0 {
+		if wh, ok := pot.(WorkerHinter); ok {
+			return wh.EvalWorkers()
+		}
+	}
+	return workers
 }
 
 // System is the mutable atomic state of a serial (single-rank) simulation.
@@ -206,8 +219,9 @@ type Sim struct {
 	Pot Potential
 	Opt Options
 
-	// Timer separates setup from the MD loop as in Sec. 6.3.
-	Timer *perf.Timer
+	// LoopTime is the wall time spent in Run, summed over calls: the "MD
+	// loop time" of Sec. 6.3, as in domain.Stats.LoopTime.
+	LoopTime time.Duration
 	// Thermo log, one entry per sample.
 	Log []Thermo
 	// Traj holds the captured trajectory, one Snapshot every
@@ -234,16 +248,11 @@ func NewSim(sys *System, pot Potential, opt Options) (*Sim, error) {
 	if len(sys.Vel) != 3*sys.N() {
 		sys.Vel = make([]float64, 3*sys.N())
 	}
-	if opt.Workers <= 0 {
-		if wh, ok := pot.(WorkerHinter); ok {
-			opt.Workers = wh.EvalWorkers()
-		}
-	}
+	opt.Workers = NeighborWorkers(opt.Workers, pot)
 	return &Sim{
 		Sys:     sys,
 		Pot:     pot,
 		Opt:     opt,
-		Timer:   perf.NewTimer(),
 		tracker: neighbor.NewTracker(opt.Spec.Skin),
 	}, nil
 }
@@ -335,9 +344,9 @@ func (s *Sim) compute(step int) error {
 	if err := s.Pot.Compute(sys.Pos, sys.Types, sys.N(), s.list, &sys.Box, &s.res); err != nil {
 		return err
 	}
-	if err := checkFinite(&s.res, sys.N(), step); err != nil {
+	if pe := CheckFinite(&s.res, sys.N(), step); pe != nil {
 		s.list = nil
-		return err
+		return pe
 	}
 	return nil
 }
@@ -347,10 +356,11 @@ func (s *Sim) compute(step int) error {
 // from that evaluation. The state is the last finite one when the
 // evaluation was the step's first (the warm-up); otherwise the step is
 // partway done: velocities half-kicked, positions drifted, and
-// CurrentStep already counting it.
+// CurrentStep already counting it. A domain run returns it the same way
+// from the rank that evaluated the atom.
 type PhysicsError struct {
 	Step     int    // the step being taken: CurrentStep()+1 when it began
-	Atom     int    // the lowest atom with a non-finite quantity; -1: only the total energy
+	Atom     int    // the lowest atom with a non-finite quantity (its global id in a domain run); -1: only the total energy
 	Quantity string // "energy" or "force"
 }
 
@@ -361,10 +371,11 @@ func (e *PhysicsError) Error() string {
 	return fmt.Sprintf("md: step %d: non-finite %s on atom %d", e.Step, e.Quantity, e.Atom)
 }
 
-// checkFinite returns a *PhysicsError naming the lowest atom whose energy
-// (when the potential reports per-atom energies) or force is not finite,
-// or the total energy, and nil when everything is finite.
-func checkFinite(res *core.Result, n, step int) error {
+// CheckFinite returns a *PhysicsError naming the lowest of the first n
+// atoms whose energy (when the potential reports per-atom energies) or
+// force is not finite, or the total energy, and nil when everything is
+// finite. Sim.Step and the domain loop run it before every kick.
+func CheckFinite(res *core.Result, n, step int) *PhysicsError {
 	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 	for i := 0; i < n; i++ {
 		q := ""
@@ -386,10 +397,10 @@ func checkFinite(res *core.Result, n, step int) error {
 	return nil
 }
 
-// Run advances nsteps steps, timing the MD loop.
+// Run advances nsteps steps, adding their wall time to LoopTime.
 func (s *Sim) Run(nsteps int) error {
-	s.Timer.Start("md_loop")
-	defer s.Timer.Stop("md_loop")
+	start := time.Now()
+	defer func() { s.LoopTime += time.Since(start) }()
 	for i := 0; i < nsteps; i++ {
 		if err := s.Step(); err != nil {
 			if _, ok := err.(*PhysicsError); ok {

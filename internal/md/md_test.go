@@ -141,6 +141,17 @@ func TestThermoLogCadence(t *testing.T) {
 			t.Fatalf("bad thermo sample %+v", th)
 		}
 	}
+	// LoopTime sums the wall time of every Run.
+	first := sim.LoopTime
+	if first <= 0 {
+		t.Fatalf("LoopTime %v after 100 steps", first)
+	}
+	if err := sim.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if sim.LoopTime <= first {
+		t.Fatalf("LoopTime %v did not grow past %v over a second Run", sim.LoopTime, first)
+	}
 }
 
 func TestDeformStretchesBox(t *testing.T) {

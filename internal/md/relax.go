@@ -58,11 +58,7 @@ func Relax(sys *System, pot Potential, opt RelaxOptions) (*RelaxResult, error) {
 	if opt.StepMax <= 0 {
 		opt.StepMax = 0.1
 	}
-	if opt.Workers <= 0 {
-		if wh, ok := pot.(WorkerHinter); ok {
-			opt.Workers = wh.EvalWorkers()
-		}
-	}
+	opt.Workers = NeighborWorkers(opt.Workers, pot)
 	n := sys.N()
 	evaluate := func(out *core.Result) error {
 		for i := 0; i < n; i++ {

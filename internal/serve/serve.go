@@ -7,11 +7,13 @@
 // already queued. The serve_http_closed2 workload of `go run ./bench`
 // measures it.
 //
-// The batcher is a bounded queue in front of a set of dispatcher loops.
-// Each dispatcher takes the oldest pending request plus whatever is
-// already queued behind it (up to the batch cap) and evaluates the batch
-// in one engine call at once: no frame waits while an evaluator is idle,
-// and requests that queue behind busy dispatchers form the next batches.
+// The batcher is a bounded queue in front of one dispatcher loop per
+// slot of the engine's evaluator pool (core.Engine.MaxConcurrency), the
+// one concurrency bound of the serving path. Each dispatcher takes the
+// oldest pending request plus whatever is already queued behind it (up to
+// the batch cap) and evaluates the batch in one engine call at once: no
+// frame waits while an evaluator is idle, and requests that queue behind
+// busy dispatchers form the next batches.
 // Requests carry a context: a caller whose deadline expires before its
 // frame is claimed gets the context error and its slot is dropped from
 // the batch.
@@ -65,32 +67,22 @@ type Options struct {
 	// QueueLimit bounds pending requests; beyond it Submit rejects with
 	// ErrQueueFull (default 4*MaxBatch).
 	QueueLimit int
-	// Dispatchers is the number of concurrent dispatch loops, each
-	// borrowing one pooled evaluator per batch (default: the engine's
-	// MaxConcurrency when the evaluator reports one, else 1).
-	Dispatchers int
 }
 
-// concurrencyHinter lets Options default Dispatchers from the engine's
-// evaluator-pool bound.
+// concurrencyHinter reports the engine's evaluator-pool bound: New runs
+// one dispatch loop per pool slot, so every pooled evaluator can serve a
+// batch at once and no batch waits for a loop.
 type concurrencyHinter interface {
 	MaxConcurrency() int
 }
 
 // withDefaults resolves zero fields.
-func (o Options) withDefaults(eng BatchEvaluator) Options {
+func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
 	}
 	if o.QueueLimit <= 0 {
 		o.QueueLimit = 4 * o.MaxBatch
-	}
-	if o.Dispatchers <= 0 {
-		if h, ok := eng.(concurrencyHinter); ok {
-			o.Dispatchers = h.MaxConcurrency()
-		} else {
-			o.Dispatchers = 1
-		}
 	}
 	return o
 }
@@ -149,13 +141,17 @@ type Batcher struct {
 
 // New starts a batcher over the engine with opt's dispatch policy.
 func New(eng BatchEvaluator, opt Options) *Batcher {
-	opt = opt.withDefaults(eng)
+	opt = opt.withDefaults()
 	b := &Batcher{
 		eng:   eng,
 		opt:   opt,
 		queue: make(chan *request, opt.QueueLimit),
 	}
-	for i := 0; i < opt.Dispatchers; i++ {
+	loops := 1 // an evaluator that reports no pool bound
+	if h, ok := eng.(concurrencyHinter); ok {
+		loops = h.MaxConcurrency()
+	}
+	for range loops {
 		b.wg.Add(1)
 		go b.dispatch()
 	}

@@ -102,7 +102,7 @@ func TestBatcherBitIdenticalAcrossCoalesceSizes(t *testing.T) {
 	for _, maxBatch := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("max=%d", maxBatch), func(t *testing.T) {
 			gt := newGate(eng)
-			b := New(gt, Options{MaxBatch: maxBatch, QueueLimit: 64, Dispatchers: 1})
+			b := New(gt, Options{MaxBatch: maxBatch, QueueLimit: 64})
 			defer b.Close(context.Background())
 			const callers, evals = 8, 3
 			errs := make([]error, callers)
@@ -157,7 +157,7 @@ func TestBatcherCoalescesQueuedRequests(t *testing.T) {
 	stub := &stubEval{started: make(chan struct{}, 16), release: make(chan struct{})}
 	// Everything queued when the dispatcher frees up joins the next batch
 	// immediately.
-	b := New(stub, Options{MaxBatch: 8, QueueLimit: 16, Dispatchers: 1})
+	b := New(stub, Options{MaxBatch: 8, QueueLimit: 16})
 	defer b.Close(context.Background())
 
 	var wg sync.WaitGroup
@@ -199,7 +199,7 @@ func TestBatcherCoalescesQueuedRequests(t *testing.T) {
 // backpressure, not unbounded latency.
 func TestBatcherBackpressure(t *testing.T) {
 	stub := &stubEval{started: make(chan struct{}, 16), release: make(chan struct{})}
-	b := New(stub, Options{MaxBatch: 1, QueueLimit: 2, Dispatchers: 1})
+	b := New(stub, Options{MaxBatch: 1, QueueLimit: 2})
 	defer b.Close(context.Background())
 
 	var wg sync.WaitGroup
@@ -244,7 +244,7 @@ func TestBatcherBackpressure(t *testing.T) {
 // gets the context error and the frame is dropped before evaluation.
 func TestBatcherDeadlineWhileQueued(t *testing.T) {
 	stub := &stubEval{started: make(chan struct{}, 16), release: make(chan struct{})}
-	b := New(stub, Options{MaxBatch: 4, QueueLimit: 8, Dispatchers: 1})
+	b := New(stub, Options{MaxBatch: 4, QueueLimit: 8})
 	defer b.Close(context.Background())
 
 	var wg sync.WaitGroup
@@ -287,7 +287,7 @@ func TestBatcherDeadlineWhileQueued(t *testing.T) {
 // Close drains queued work, then refuses new requests with ErrClosed.
 func TestBatcherCloseDrains(t *testing.T) {
 	stub := &stubEval{}
-	b := New(stub, Options{MaxBatch: 2, QueueLimit: 8, Dispatchers: 1})
+	b := New(stub, Options{MaxBatch: 2, QueueLimit: 8})
 	const n = 6
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -332,7 +332,7 @@ func TestBatcherFailingFrameFailsAlone(t *testing.T) {
 	// A gate with a cap of four: the dispatcher is held until all four
 	// callers of a round have queued, so each round is one batch.
 	gt := newGate(stub)
-	b := New(gt, Options{MaxBatch: 4, QueueLimit: 16, Dispatchers: 1})
+	b := New(gt, Options{MaxBatch: 4, QueueLimit: 16})
 	defer b.Close(context.Background())
 
 	const rounds = 3
@@ -396,7 +396,7 @@ func TestBatcherFailingFrameRealEngine(t *testing.T) {
 	frames[bad].Pos, frames[bad].Box = pos, nil
 
 	gt := newGate(eng)
-	b := New(gt, Options{MaxBatch: len(frames), QueueLimit: 16, Dispatchers: 1})
+	b := New(gt, Options{MaxBatch: len(frames), QueueLimit: 16})
 	defer b.Close(context.Background())
 	outs := make([]core.Result, len(frames))
 	errs := make([]error, len(frames))
