@@ -8,6 +8,7 @@
 //	dpmd -system water -strategy compressed -model water.dp -dump traj.xyz
 //	dpmd -system water -ranks 4 -transport tcp               # 4 OS processes over sockets
 //	dpmd -system water -ranks 2 -transport tcp -mpi-rank 0 -hosts hostA:7001,hostB:7001
+//	dpmd -system water -netscale paper -nx 6 -steps 60 -cpuprofile water.prof   # go tool pprof water.prof
 //
 // With -transport tcp and no -mpi-rank, dpmd acts as a launcher: it
 // re-executes itself -ranks times with a shared rendezvous coordinator,
@@ -28,6 +29,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -35,6 +37,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -68,6 +71,7 @@ func main() {
 	mpiRank := flag.Int("mpi-rank", -1, "this process's rank in a tcp world; set by the launcher, or by hand with -hosts")
 	mpiCoord := flag.String("mpi-coord", "", "rendezvous coordinator address for a tcp world; set by the launcher")
 	thermoJSON := flag.String("thermo-json", "", "write the thermo log and comm summary as JSON to this file (rank 0)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the MD step loop to this file (rank 0)")
 	tempK := flag.Float64("temp", 330, "initial temperature (K)")
 	seed := flag.Int64("seed", 1, "random seed")
 	dump := flag.String("dump", "", "write final configuration as XYZ")
@@ -79,8 +83,9 @@ func main() {
 	}
 
 	// In a tcp world only rank 0 narrates; the other workers would print
-	// the identical banner and thermo log (SPMD: same inputs, same state).
-	if *mpiRank <= 0 {
+	// the identical banner and thermo log (SPMD: same inputs, same state),
+	// and the local launcher leaves it to its rank 0.
+	if *mpiRank == 0 || (*mpiRank < 0 && *transport != "tcp") {
 		fmt.Fprintf(os.Stderr, "dpmd: %s\n", tensor.KernelInfo())
 	}
 
@@ -93,7 +98,8 @@ func main() {
 	// Launcher mode: with -transport tcp and no assigned rank, re-execute
 	// this binary once per rank against a local rendezvous coordinator.
 	// Each child re-enters main with the same command line plus -mpi-rank
-	// and -mpi-coord, runs its rank, and the parent forwards failures.
+	// and -mpi-coord, runs its rank, and the parent exits with the status of
+	// the first rank to fail.
 	if *transport == "tcp" && *mpiRank < 0 {
 		if *hosts != "" {
 			log.Fatal("-hosts describes a static multi-machine world: start dpmd on each machine with its own -mpi-rank instead of relying on the local launcher")
@@ -114,7 +120,14 @@ func main() {
 			return cmd
 		})
 		if err != nil {
-			log.Fatal(err)
+			// Exit as the first rank to fail did: a usage error in the
+			// ranks is still status 2.
+			log.Print(err)
+			var ee *exec.ExitError
+			if errors.As(err, &ee) && ee.ExitCode() > 0 {
+				os.Exit(ee.ExitCode())
+			}
+			os.Exit(1)
 		}
 		return
 	}
@@ -173,9 +186,9 @@ func main() {
 		usageExit(err)
 	}
 
-	// Open the thermo file before the run, so an unwritable path costs
-	// nothing. In a tcp world rank 0 writes it.
-	var thermoFile *os.File
+	// Open the thermo and profile files before the run, so an unwritable
+	// path costs nothing. In a tcp world rank 0 writes them.
+	var thermoFile, profFile *os.File
 	if *thermoJSON != "" && *mpiRank <= 0 {
 		f, err := os.Create(*thermoJSON)
 		if err != nil {
@@ -183,6 +196,31 @@ func main() {
 		}
 		defer f.Close()
 		thermoFile = f
+	}
+	if *cpuProfile != "" && *mpiRank <= 0 {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			usageExit(err)
+		}
+		defer f.Close()
+		profFile = f
+	}
+	// profiled runs the step loop, under the CPU profile when one is asked
+	// for.
+	profiled := func(loop func() error) error {
+		if profFile == nil {
+			return loop()
+		}
+		if err := pprof.StartCPUProfile(profFile); err != nil {
+			return err
+		}
+		err := loop()
+		pprof.StopCPUProfile()
+		if err == nil {
+			err = profFile.Close()
+			fmt.Printf("wrote %s\n", *cpuProfile)
+		}
+		return err
 	}
 
 	// Resolve the flag spellings first: a typo must not pay for the
@@ -227,7 +265,10 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			stats, err = deepmd.RunParallelOn(w.Comm(), sys, engine, popt)
+			err = profiled(func() (err error) {
+				stats, err = deepmd.RunParallelOn(w.Comm(), sys, engine, popt)
+				return err
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -238,8 +279,10 @@ func main() {
 				return
 			}
 		} else {
-			var err error
-			stats, err = deepmd.RunParallel(sys, func() deepmd.Potential { return engine }, popt)
+			err := profiled(func() (err error) {
+				stats, err = deepmd.RunParallel(sys, func() deepmd.Potential { return engine }, popt)
+				return err
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -265,7 +308,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sim.Run(*steps); err != nil {
+	if err := profiled(func() error { return sim.Run(*steps) }); err != nil {
 		log.Fatal(err)
 	}
 	for _, th := range sim.Log {

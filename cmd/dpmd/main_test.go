@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -88,5 +91,42 @@ func TestSmallBoxRejectedBeforeOutput(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("-thermo-json file exists after the usage error (stat: %v)", err)
+	}
+}
+
+// -cpuprofile writes a pprof CPU profile of the step loop: a gzipped
+// protocol buffer, non-empty once decompressed.
+func TestCPUProfileWritten(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "md.prof")
+	cmd := exec.Command(os.Args[0], runMainArg, "-system", "water", "-nx", "4", "-steps", "5", "-workers", "1", "-cpuprofile", out)
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("dpmd: %v\n%s", err, msg)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("profile is not gzip (%d bytes): %v", len(data), err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil || len(raw) == 0 {
+		t.Fatalf("profile body: %d bytes, %v", len(raw), err)
+	}
+}
+
+// An unwritable -cpuprofile path is a usage error before the run, as an
+// unwritable -thermo-json is.
+func TestCPUProfileUnwritable(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "missing", "md.prof")
+	cmd := exec.Command(os.Args[0], runMainArg, "-system", "water", "-nx", "4", "-steps", "5", "-cpuprofile", out)
+	msg, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("exit %v, want status 2; output:\n%s", err, msg)
+	}
+	if strings.Contains(string(msg), "MD loop") {
+		t.Fatalf("the run started before the path was checked:\n%s", msg)
 	}
 }

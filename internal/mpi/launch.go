@@ -12,7 +12,9 @@ import (
 // the rank and the coordinator address to pass on the child's command
 // line or environment), and waits for all of them. On the first failure
 // the remaining children are killed — a dead rank must tear the world
-// down, not leave siblings waiting on a socket forever.
+// down, not leave siblings waiting on a socket forever — and that first
+// failure is the error returned, naming its rank and wrapping its
+// *exec.ExitError: the ranks killed after it report only the kill.
 func LaunchLocal(n int, build func(rank int, coord string) *exec.Cmd) error {
 	if n < 1 {
 		return fmt.Errorf("mpi: launch needs >= 1 rank, got %d", n)
@@ -38,7 +40,7 @@ func LaunchLocal(n int, build func(rank int, coord string) *exec.Cmd) error {
 		}
 	}
 
-	errs := make([]error, n)
+	var first error
 	var wg sync.WaitGroup
 	var once sync.Once
 	for rank, cmd := range cmds {
@@ -46,8 +48,8 @@ func LaunchLocal(n int, build func(rank int, coord string) *exec.Cmd) error {
 		go func(rank int, cmd *exec.Cmd) {
 			defer wg.Done()
 			if err := cmd.Wait(); err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
 				once.Do(func() {
+					first = fmt.Errorf("rank %d: %w", rank, err)
 					for other, c := range cmds {
 						if other != rank {
 							c.Process.Kill()
@@ -58,10 +60,5 @@ func LaunchLocal(n int, build func(rank int, coord string) *exec.Cmd) error {
 		}(rank, cmd)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return first
 }

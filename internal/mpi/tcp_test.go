@@ -23,6 +23,8 @@ func TestMain(m *testing.M) {
 		rankDeathHelper()
 	case "allreduce":
 		allreduceHelper()
+	case "launchexit":
+		launchExitHelper()
 	default:
 		fmt.Fprintln(os.Stderr, "unknown DPMPI_HELPER")
 		os.Exit(2)

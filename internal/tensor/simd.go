@@ -28,6 +28,11 @@ import (
 // SIMD kernels need no packing: an R-row strip of A is held as
 // broadcast scalars while B streams row by row through vector registers,
 // every (row, column-chunk) accumulator living in its own register chain.
+// How many chunks a kernel holds per row is its own business (the
+// AVX-512 strips take three zmm at a time while that many columns remain,
+// one after that; see simd_amd64.go): an element's chain — its bias or
+// zero, one FMA per k in ascending k, its epilogue — is the same either
+// way, so the driver below never sees the difference.
 // Up to simdMaxK the reduction stays resident in one loop, so each strip
 // makes exactly one pass over C: the epilogue — alpha/beta, bias add,
 // tanh, tanh gradient — is applied in the store loop, and

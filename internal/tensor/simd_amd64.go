@@ -15,12 +15,17 @@ import (
 //     row, 8 FMA chains). f32: 8-row strip x 8-column chunk (one ymm per
 //     row). The n mod 8 column tail runs on zero-padded staging
 //     (simdColumnTail). NT dot tile: 2 A rows x 4 B rows, lanes over K.
-//   - AVX-512: 8-row strip x one zmm chunk (8 f64 / 16 f32 lanes),
-//     embedded-broadcast FMA, and a k-masked final chunk so every column
-//     is covered in-lane. The f64 tanh epilogue runs the eight
-//     accumulators as two rounds of four interleaved chains. NT dot tile:
-//     4 A rows x 4 B rows, two of the AVX2 tile's dot products per zmm, so
-//     every element keeps the AVX2 tile's bits.
+//   - AVX-512: 8-row strip in groups of three zmm (24 f64 / 48 f32
+//     columns, 24 accumulators, each A element broadcast once per k into
+//     three FMAs) while a group's columns remain, then one-zmm chunks
+//     (8 f64 / 16 f32 lanes) with embedded-broadcast FMA and a k-masked
+//     final chunk, so every column is covered in-lane. Both loops give an
+//     element the same FMA chain and epilogue, so its bits do not depend
+//     on the loop (FuzzStripTileBits). The f64 tanh epilogue runs four
+//     interleaved chains: a group's 24 sums reloaded from C in six blocks
+//     of four, a chunk's eight accumulators in two. NT dot tile: 4 A rows
+//     x 4 B rows, two of the AVX2 tile's dot products per zmm, so every
+//     element keeps the AVX2 tile's bits.
 //
 // The nets' element-wise lane passes (below) are AVX2-encoded and serve
 // both families.

@@ -2,13 +2,15 @@
 
 #include "textflag.h"
 
-// AVX-512F tall-skinny kernels: one zmm column chunk per row, and a single
-// always-masked code path — K1 covers min(cover, n-j) lanes, so the final
-// partial chunk runs through exactly the same instructions as a full one
-// (inactive lanes read zeros, compute garbage, and are dropped by the
-// masked store). Constants are the tanhC64/tanhC32 tables of
-// simd_avx2_amd64.s, read through EVEX embedded broadcast (.BCST reads
-// one scalar from the 32-byte replicated entry).
+// AVX-512F tall-skinny kernels. Each strip first runs groups of three zmm
+// column chunks per row (24 f64 / 48 f32 columns) while a group's columns
+// remain, with unmasked loads and stores, then covers the rest one zmm
+// column chunk per row on a single always-masked code path: K1 covers
+// min(cover, n-j) lanes, so the final partial chunk runs through exactly
+// the same instructions as a full one (inactive lanes read zeros, compute
+// garbage, and are dropped by the masked store). Constants are the
+// tanhC64/tanhC32 tables of simd_avx2_amd64.s, read through EVEX embedded
+// broadcast (.BCST reads one scalar from the 32-byte replicated entry).
 
 #define TA_A 0
 #define TA_B 8
@@ -298,11 +300,66 @@ GLOBL kmaskTab<>(SB), RODATA, $34
 // ---------------------------------------------------------------------------
 // func tsTileF64AVX512(args *tileArgs)
 //
-// One 8-row strip over all n columns in masked chunks of 8. Accumulators
-// Z0..Z7 (one per row), B chunk Z8; the k-loop reads each A element as
-// the embedded-broadcast operand of its FMA. Epilogue: alpha Z9, beta
-// Z10, tanh temps Z11-Z30 and masks K2-K5 (TANH64Z4). A rows address
-// from three advancing bases (R8 = row 0, R9 = row 3, R10 = row 6).
+// One 8-row strip over all n columns in two loops over the same per-element
+// arithmetic. While 24 columns remain, a group of three zmm per row: 24
+// accumulators Z0-Z23 (row r, zmm c in Z(3r+c)), B row in Z24-Z26
+// (unmasked loads), each A element broadcast once per k into one of
+// Z27-Z31 and multiplied into its row's three accumulators — 11 loads per
+// 24 FMAs, two k per loop trip after an odd first one (G64KSTEP). The rest
+// in masked one-zmm chunks of 8 (z64jloop). Every element is seeded with
+// its bias or zero and gets one FMA per k in ascending k in either loop,
+// and the two loops' epilogues are the same operations, so an element's
+// bits do not depend on the loop that computes it. A rows address from
+// three advancing bases (R8 = row 0, R9 = row 3, R10 = row 6).
+//
+// The group's epilogue: modes 0 and 1 finish in registers (alpha Z24, beta
+// Z25, C row Z26). The tanh modes store the 24 raw sums to C and run
+// TANH64Z4 over six blocks of 4 rows x one zmm reloaded from C into Z0-Z3,
+// then GRAD64Z into grad. The one-zmm chunks: accumulators Z0..Z7 (one per
+// row), B chunk Z8, each A element the embedded-broadcast operand of its
+// FMA, alpha Z9, beta Z10, and the tanh runs the eight accumulators as two
+// TANH64Z4 rounds.
+
+// G64FMA3: row accumulators A0-A2 += broadcast(A element at MEM) * Z24-Z26.
+#define G64FMA3(MEM, BR, A0, A1, A2) \
+	VBROADCASTSD MEM, BR      \
+	VFMADD231PD Z24, BR, A0   \
+	VFMADD231PD Z25, BR, A1   \
+	VFMADD231PD Z26, BR, A2
+
+// G64KSTEP: one k of the group: B row (three zmm at B0-B2) into Z24-Z26,
+// then every row's three FMAs with its A element at displacement OFF.
+#define G64KSTEP(B0, B1, B2, OFF) \
+	VMOVUPD B0, Z24                              \
+	VMOVUPD B1, Z25                              \
+	VMOVUPD B2, Z26                              \
+	G64FMA3(OFF(R8), Z27, Z0, Z1, Z2)            \
+	G64FMA3(OFF(R8)(CX*1), Z28, Z3, Z4, Z5)      \
+	G64FMA3(OFF(R8)(CX*2), Z29, Z6, Z7, Z8)      \
+	G64FMA3(OFF(R9), Z30, Z9, Z10, Z11)          \
+	G64FMA3(OFF(R9)(CX*1), Z31, Z12, Z13, Z14)   \
+	G64FMA3(OFF(R9)(CX*2), Z27, Z15, Z16, Z17)   \
+	G64FMA3(OFF(R10), Z28, Z18, Z19, Z20)        \
+	G64FMA3(OFF(R10)(CX*1), Z29, Z21, Z22, Z23)
+
+// G64BETA3: row accumulators A0-A2 += beta (Z25) * C row at DX; DX steps
+// to the next row.
+#define G64BETA3(A0, A1, A2) \
+	VMOVUPD (DX), Z26            \
+	VFMADD231PD Z26, Z25, A0     \
+	VMOVUPD 64(DX), Z26          \
+	VFMADD231PD Z26, Z25, A1     \
+	VMOVUPD 128(DX), Z26         \
+	VFMADD231PD Z26, Z25, A2     \
+	ADDQ BX, DX
+
+// G64STORE3: C row at DX = A0-A2; DX steps to the next row.
+#define G64STORE3(A0, A1, A2) \
+	VMOVUPD A0, (DX)      \
+	VMOVUPD A1, 64(DX)    \
+	VMOVUPD A2, 128(DX)   \
+	ADDQ BX, DX
+
 TEXT ·tsTileF64AVX512(SB), NOSPLIT, $0-8
 	MOVQ args+0(FP), DI
 	MOVQ TA_LDA(DI), CX
@@ -313,6 +370,192 @@ TEXT ·tsTileF64AVX512(SB), NOSPLIT, $0-8
 	SHLQ $3, BX
 	XORQ R14, R14             // j
 
+g64loop:
+	MOVQ TA_N(DI), DX
+	SUBQ R14, DX
+	CMPQ DX, $24
+	JLT  z64jloop
+
+	MOVQ TA_MODE(DI), AX
+	TESTQ AX, AX
+	JNZ  g64initbias
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	JMP  g64initrows
+
+g64initbias:
+	MOVQ TA_BIAS(DI), DX
+	LEAQ (DX)(R14*8), DX
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+	VMOVUPD 128(DX), Z2
+
+g64initrows:
+	VMOVAPD Z0, Z3
+	VMOVAPD Z1, Z4
+	VMOVAPD Z2, Z5
+	VMOVAPD Z0, Z6
+	VMOVAPD Z1, Z7
+	VMOVAPD Z2, Z8
+	VMOVAPD Z0, Z9
+	VMOVAPD Z1, Z10
+	VMOVAPD Z2, Z11
+	VMOVAPD Z0, Z12
+	VMOVAPD Z1, Z13
+	VMOVAPD Z2, Z14
+	VMOVAPD Z0, Z15
+	VMOVAPD Z1, Z16
+	VMOVAPD Z2, Z17
+	VMOVAPD Z0, Z18
+	VMOVAPD Z1, Z19
+	VMOVAPD Z2, Z20
+	VMOVAPD Z0, Z21
+	VMOVAPD Z1, Z22
+	VMOVAPD Z2, Z23
+
+	MOVQ TA_A(DI), R8
+	LEAQ (R8)(CX*2), R9
+	ADDQ CX, R9               // row 3
+	LEAQ (R9)(CX*2), R10
+	ADDQ CX, R10              // row 6
+	MOVQ TA_B(DI), R12
+	LEAQ (R12)(R14*8), R12
+	MOVQ TA_K(DI), R13
+
+	TESTQ $1, R13
+	JZ   g64kpairs
+	G64KSTEP((R12), 64(R12), 128(R12), 0)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ R15, R12
+	DECQ R13
+	JZ   g64kdone
+
+g64kpairs:
+	G64KSTEP((R12), 64(R12), 128(R12), 0)
+	G64KSTEP((R12)(R15*1), 64(R12)(R15*1), 128(R12)(R15*1), 8)
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $16, R10
+	LEAQ (R12)(R15*2), R12
+	SUBQ $2, R13
+	JNZ  g64kpairs
+
+g64kdone:
+	MOVQ TA_C(DI), SI
+	LEAQ (SI)(R14*8), SI
+	CMPQ AX, $1
+	JGE  g64storeplain
+
+	// mode 0: C = alpha*acc + beta*C; beta = ±0 reads no C.
+	VBROADCASTSD TA_ALPHA(DI), Z24
+	VMULPD Z24, Z0, Z0
+	VMULPD Z24, Z1, Z1
+	VMULPD Z24, Z2, Z2
+	VMULPD Z24, Z3, Z3
+	VMULPD Z24, Z4, Z4
+	VMULPD Z24, Z5, Z5
+	VMULPD Z24, Z6, Z6
+	VMULPD Z24, Z7, Z7
+	VMULPD Z24, Z8, Z8
+	VMULPD Z24, Z9, Z9
+	VMULPD Z24, Z10, Z10
+	VMULPD Z24, Z11, Z11
+	VMULPD Z24, Z12, Z12
+	VMULPD Z24, Z13, Z13
+	VMULPD Z24, Z14, Z14
+	VMULPD Z24, Z15, Z15
+	VMULPD Z24, Z16, Z16
+	VMULPD Z24, Z17, Z17
+	VMULPD Z24, Z18, Z18
+	VMULPD Z24, Z19, Z19
+	VMULPD Z24, Z20, Z20
+	VMULPD Z24, Z21, Z21
+	VMULPD Z24, Z22, Z22
+	VMULPD Z24, Z23, Z23
+	MOVQ TA_BETA(DI), DX
+	SHLQ $1, DX               // drop the sign: zero iff beta is ±0
+	JZ   g64storeplain
+	VBROADCASTSD TA_BETA(DI), Z25
+	MOVQ SI, DX
+	G64BETA3(Z0, Z1, Z2)
+	G64BETA3(Z3, Z4, Z5)
+	G64BETA3(Z6, Z7, Z8)
+	G64BETA3(Z9, Z10, Z11)
+	G64BETA3(Z12, Z13, Z14)
+	G64BETA3(Z15, Z16, Z17)
+	G64BETA3(Z18, Z19, Z20)
+	G64BETA3(Z21, Z22, Z23)
+
+g64storeplain:
+	MOVQ SI, DX
+	G64STORE3(Z0, Z1, Z2)
+	G64STORE3(Z3, Z4, Z5)
+	G64STORE3(Z6, Z7, Z8)
+	G64STORE3(Z9, Z10, Z11)
+	G64STORE3(Z12, Z13, Z14)
+	G64STORE3(Z15, Z16, Z17)
+	G64STORE3(Z18, Z19, Z20)
+	G64STORE3(Z21, Z22, Z23)
+	CMPQ AX, $2
+	JL   g64next
+
+	// Tanh modes: the raw sums are in C. Six blocks of 4 rows x one zmm,
+	// rows 0-3 then rows 4-7, each over the group's three zmm columns:
+	// R8 walks C, R12 grad (ldg bytes in R13), R9 counts the blocks and
+	// R10 the blocks left in this row half.
+	MOVQ SI, R8
+	MOVQ TA_LDG(DI), R13
+	SHLQ $3, R13
+	MOVQ TA_GRAD(DI), R12
+	LEAQ (R12)(R14*8), R12
+	MOVQ $6, R9
+	MOVQ $3, R10
+
+g64tanh:
+	LEAQ (R8)(BX*2), DX       // row 2
+	VMOVUPD (R8), Z0
+	VMOVUPD (R8)(BX*1), Z1
+	VMOVUPD (DX), Z2
+	VMOVUPD (DX)(BX*1), Z3
+	TANH64Z4(Z0, Z1, Z2, Z3)
+	VMOVUPD Z0, (R8)
+	VMOVUPD Z1, (R8)(BX*1)
+	VMOVUPD Z2, (DX)
+	VMOVUPD Z3, (DX)(BX*1)
+	CMPQ AX, $3
+	JNE  g64tanhnext
+	LEAQ (R12)(R13*2), DX     // grad row 2
+	GRAD64Z(Z0, Z11)
+	VMOVUPD Z11, (R12)
+	GRAD64Z(Z1, Z11)
+	VMOVUPD Z11, (R12)(R13*1)
+	GRAD64Z(Z2, Z11)
+	VMOVUPD Z11, (DX)
+	GRAD64Z(Z3, Z11)
+	VMOVUPD Z11, (DX)(R13*1)
+
+g64tanhnext:
+	ADDQ $64, R8
+	ADDQ $64, R12
+	DECQ R10
+	JNZ  g64tanhsame
+	// Rows 4-7 of the group's first zmm.
+	LEAQ -192(R8)(BX*4), R8
+	LEAQ -192(R12)(R13*4), R12
+	MOVQ $3, R10
+
+g64tanhsame:
+	DECQ R9
+	JNZ  g64tanh
+
+g64next:
+	ADDQ $24, R14
+	JMP  g64loop
+
+	// One-zmm chunks: the columns past the last group.
 z64jloop:
 	CMPQ R14, TA_N(DI)
 	JGE  z64done
@@ -508,7 +751,68 @@ z64done:
 // ---------------------------------------------------------------------------
 // func tsTileF32AVX512(args *tileArgs)
 //
-// Float32 variant: 16-lane chunks, tanhf constants preloaded in Z16-Z25.
+// Float32 variant of the f64 strip: groups of three zmm (48 columns) while
+// 48 columns remain, two k per loop trip (G32KSTEP), then masked 16-lane
+// chunks. The group's registers are the f64 group's (accumulators
+// Z0-Z23, B row Z24-Z26, A broadcasts Z27-Z31; alpha Z24, beta Z25, C row
+// Z26). Its tanh modes store the raw sums to C, load the tanhf constants
+// into Z16-Z25 and run TANH32Z over the row's three zmm reloaded from C
+// into Z0-Z2, row by row. The chunks find the tanhf constants in Z16-Z25,
+// loaded once after the groups.
+
+// G32FMA3: row accumulators A0-A2 += broadcast(A element at MEM) * Z24-Z26.
+#define G32FMA3(MEM, BR, A0, A1, A2) \
+	VBROADCASTSS MEM, BR      \
+	VFMADD231PS Z24, BR, A0   \
+	VFMADD231PS Z25, BR, A1   \
+	VFMADD231PS Z26, BR, A2
+
+// G32KSTEP: one k of the group: B row (three zmm at B0-B2) into Z24-Z26,
+// then every row's three FMAs with its A element at displacement OFF.
+#define G32KSTEP(B0, B1, B2, OFF) \
+	VMOVUPS B0, Z24                              \
+	VMOVUPS B1, Z25                              \
+	VMOVUPS B2, Z26                              \
+	G32FMA3(OFF(R8), Z27, Z0, Z1, Z2)            \
+	G32FMA3(OFF(R8)(CX*1), Z28, Z3, Z4, Z5)      \
+	G32FMA3(OFF(R8)(CX*2), Z29, Z6, Z7, Z8)      \
+	G32FMA3(OFF(R9), Z30, Z9, Z10, Z11)          \
+	G32FMA3(OFF(R9)(CX*1), Z31, Z12, Z13, Z14)   \
+	G32FMA3(OFF(R9)(CX*2), Z27, Z15, Z16, Z17)   \
+	G32FMA3(OFF(R10), Z28, Z18, Z19, Z20)        \
+	G32FMA3(OFF(R10)(CX*1), Z29, Z21, Z22, Z23)
+
+// G32BETA3: row accumulators A0-A2 += beta (Z25) * C row at DX; DX steps
+// to the next row.
+#define G32BETA3(A0, A1, A2) \
+	VMOVUPS (DX), Z26            \
+	VFMADD231PS Z26, Z25, A0     \
+	VMOVUPS 64(DX), Z26          \
+	VFMADD231PS Z26, Z25, A1     \
+	VMOVUPS 128(DX), Z26         \
+	VFMADD231PS Z26, Z25, A2     \
+	ADDQ BX, DX
+
+// G32STORE3: C row at DX = A0-A2; DX steps to the next row.
+#define G32STORE3(A0, A1, A2) \
+	VMOVUPS A0, (DX)      \
+	VMOVUPS A1, 64(DX)    \
+	VMOVUPS A2, 128(DX)   \
+	ADDQ BX, DX
+
+// TANH32CONSTS: the tanhf constants TANH32Z and GRAD32Z read, in Z16-Z25.
+#define TANH32CONSTS \
+	VBROADCASTSS tanhC32z<>+TC32_P0(SB), Z16       \
+	VBROADCASTSS tanhC32z<>+TC32_P1(SB), Z17       \
+	VBROADCASTSS tanhC32z<>+TC32_P2(SB), Z18       \
+	VBROADCASTSS tanhC32z<>+TC32_Q1(SB), Z19       \
+	VBROADCASTSS tanhC32z<>+TC32_Q2(SB), Z20       \
+	VBROADCASTSS tanhC32z<>+TC32_Q3(SB), Z21       \
+	VBROADCASTSS tanhC32z<>+TC32_ONE(SB), Z22      \
+	VBROADCASTSS tanhC32z<>+TC32_NEG1(SB), Z23     \
+	VBROADCASTSS tanhC32z<>+TC32_CLAMP(SB), Z24    \
+	VBROADCASTSS tanhC32z<>+TC32_NEGCLAMP(SB), Z25
+
 TEXT ·tsTileF32AVX512(SB), NOSPLIT, $0-8
 	MOVQ args+0(FP), DI
 	MOVQ TA_LDA(DI), CX
@@ -517,17 +821,187 @@ TEXT ·tsTileF32AVX512(SB), NOSPLIT, $0-8
 	SHLQ $2, R15
 	MOVQ TA_LDC(DI), BX
 	SHLQ $2, BX
-	VBROADCASTSS tanhC32z<>+TC32_P0(SB), Z16
-	VBROADCASTSS tanhC32z<>+TC32_P1(SB), Z17
-	VBROADCASTSS tanhC32z<>+TC32_P2(SB), Z18
-	VBROADCASTSS tanhC32z<>+TC32_Q1(SB), Z19
-	VBROADCASTSS tanhC32z<>+TC32_Q2(SB), Z20
-	VBROADCASTSS tanhC32z<>+TC32_Q3(SB), Z21
-	VBROADCASTSS tanhC32z<>+TC32_ONE(SB), Z22
-	VBROADCASTSS tanhC32z<>+TC32_NEG1(SB), Z23
-	VBROADCASTSS tanhC32z<>+TC32_CLAMP(SB), Z24
-	VBROADCASTSS tanhC32z<>+TC32_NEGCLAMP(SB), Z25
-	XORQ R14, R14
+	XORQ R14, R14             // j
+
+g32loop:
+	MOVQ TA_N(DI), DX
+	SUBQ R14, DX
+	CMPQ DX, $48
+	JLT  g32done
+
+	MOVQ TA_MODE(DI), AX
+	TESTQ AX, AX
+	JNZ  g32initbias
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	JMP  g32initrows
+
+g32initbias:
+	MOVQ TA_BIAS(DI), DX
+	LEAQ (DX)(R14*4), DX
+	VMOVUPS (DX), Z0
+	VMOVUPS 64(DX), Z1
+	VMOVUPS 128(DX), Z2
+
+g32initrows:
+	VMOVAPS Z0, Z3
+	VMOVAPS Z1, Z4
+	VMOVAPS Z2, Z5
+	VMOVAPS Z0, Z6
+	VMOVAPS Z1, Z7
+	VMOVAPS Z2, Z8
+	VMOVAPS Z0, Z9
+	VMOVAPS Z1, Z10
+	VMOVAPS Z2, Z11
+	VMOVAPS Z0, Z12
+	VMOVAPS Z1, Z13
+	VMOVAPS Z2, Z14
+	VMOVAPS Z0, Z15
+	VMOVAPS Z1, Z16
+	VMOVAPS Z2, Z17
+	VMOVAPS Z0, Z18
+	VMOVAPS Z1, Z19
+	VMOVAPS Z2, Z20
+	VMOVAPS Z0, Z21
+	VMOVAPS Z1, Z22
+	VMOVAPS Z2, Z23
+
+	MOVQ TA_A(DI), R8
+	LEAQ (R8)(CX*2), R9
+	ADDQ CX, R9               // row 3
+	LEAQ (R9)(CX*2), R10
+	ADDQ CX, R10              // row 6
+	MOVQ TA_B(DI), R12
+	LEAQ (R12)(R14*4), R12
+	MOVQ TA_K(DI), R13
+
+	TESTQ $1, R13
+	JZ   g32kpairs
+	G32KSTEP((R12), 64(R12), 128(R12), 0)
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ $4, R10
+	ADDQ R15, R12
+	DECQ R13
+	JZ   g32kdone
+
+g32kpairs:
+	G32KSTEP((R12), 64(R12), 128(R12), 0)
+	G32KSTEP((R12)(R15*1), 64(R12)(R15*1), 128(R12)(R15*1), 4)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	LEAQ (R12)(R15*2), R12
+	SUBQ $2, R13
+	JNZ  g32kpairs
+
+g32kdone:
+	MOVQ TA_C(DI), SI
+	LEAQ (SI)(R14*4), SI
+	CMPQ AX, $1
+	JGE  g32storeplain
+
+	// mode 0: C = alpha*acc + beta*C, alpha and beta narrowed to f32;
+	// a beta that narrows to ±0 reads no C.
+	VMOVSD TA_ALPHA(DI), X24
+	VCVTSD2SS X24, X24, X24
+	VBROADCASTSS X24, Z24
+	VMULPS Z24, Z0, Z0
+	VMULPS Z24, Z1, Z1
+	VMULPS Z24, Z2, Z2
+	VMULPS Z24, Z3, Z3
+	VMULPS Z24, Z4, Z4
+	VMULPS Z24, Z5, Z5
+	VMULPS Z24, Z6, Z6
+	VMULPS Z24, Z7, Z7
+	VMULPS Z24, Z8, Z8
+	VMULPS Z24, Z9, Z9
+	VMULPS Z24, Z10, Z10
+	VMULPS Z24, Z11, Z11
+	VMULPS Z24, Z12, Z12
+	VMULPS Z24, Z13, Z13
+	VMULPS Z24, Z14, Z14
+	VMULPS Z24, Z15, Z15
+	VMULPS Z24, Z16, Z16
+	VMULPS Z24, Z17, Z17
+	VMULPS Z24, Z18, Z18
+	VMULPS Z24, Z19, Z19
+	VMULPS Z24, Z20, Z20
+	VMULPS Z24, Z21, Z21
+	VMULPS Z24, Z22, Z22
+	VMULPS Z24, Z23, Z23
+	VMOVSD TA_BETA(DI), X25
+	VCVTSD2SS X25, X25, X25
+	VMOVD X25, DX
+	SHLL $1, DX               // drop the sign: zero iff beta is ±0
+	JZ   g32storeplain
+	VBROADCASTSS X25, Z25
+	MOVQ SI, DX
+	G32BETA3(Z0, Z1, Z2)
+	G32BETA3(Z3, Z4, Z5)
+	G32BETA3(Z6, Z7, Z8)
+	G32BETA3(Z9, Z10, Z11)
+	G32BETA3(Z12, Z13, Z14)
+	G32BETA3(Z15, Z16, Z17)
+	G32BETA3(Z18, Z19, Z20)
+	G32BETA3(Z21, Z22, Z23)
+
+g32storeplain:
+	MOVQ SI, DX
+	G32STORE3(Z0, Z1, Z2)
+	G32STORE3(Z3, Z4, Z5)
+	G32STORE3(Z6, Z7, Z8)
+	G32STORE3(Z9, Z10, Z11)
+	G32STORE3(Z12, Z13, Z14)
+	G32STORE3(Z15, Z16, Z17)
+	G32STORE3(Z18, Z19, Z20)
+	G32STORE3(Z21, Z22, Z23)
+	CMPQ AX, $2
+	JL   g32next
+
+	// Tanh modes: the raw sums are in C. Row by row, its three zmm: R8
+	// walks C, R12 grad (ldg bytes in R13), R9 counts the rows.
+	TANH32CONSTS
+	MOVQ SI, R8
+	MOVQ TA_LDG(DI), R13
+	SHLQ $2, R13
+	MOVQ TA_GRAD(DI), R12
+	LEAQ (R12)(R14*4), R12
+	MOVQ $8, R9
+
+g32tanh:
+	VMOVUPS (R8), Z0
+	VMOVUPS 64(R8), Z1
+	VMOVUPS 128(R8), Z2
+	TANH32Z(Z0)
+	TANH32Z(Z1)
+	TANH32Z(Z2)
+	VMOVUPS Z0, (R8)
+	VMOVUPS Z1, 64(R8)
+	VMOVUPS Z2, 128(R8)
+	CMPQ AX, $3
+	JNE  g32tanhnext
+	GRAD32Z(Z0, Z11)
+	VMOVUPS Z11, (R12)
+	GRAD32Z(Z1, Z11)
+	VMOVUPS Z11, 64(R12)
+	GRAD32Z(Z2, Z11)
+	VMOVUPS Z11, 128(R12)
+
+g32tanhnext:
+	ADDQ BX, R8
+	ADDQ R13, R12
+	DECQ R9
+	JNZ  g32tanh
+
+g32next:
+	ADDQ $48, R14
+	JMP  g32loop
+
+	// One-zmm chunks: the columns past the last group.
+g32done:
+	TANH32CONSTS
 
 z32jloop:
 	CMPQ R14, TA_N(DI)
