@@ -175,45 +175,3 @@ func TestFCCCNACutoffBetweenShells(t *testing.T) {
 		t.Fatalf("cutoff %.3f not between shells %.3f and %.3f", rc, first, second)
 	}
 }
-
-func TestMSDBallisticGas(t *testing.T) {
-	// Atoms moving at constant velocity v for time t have MSD = |v|^2 t^2.
-	n := 20
-	pos := make([]float64, 3*n)
-	vel := make([]float64, 3*n)
-	for i := range vel {
-		vel[i] = 0.5
-	}
-	m := NewMSD(pos)
-	for _, tt := range []float64{1, 2, 4} {
-		cur := make([]float64, 3*n)
-		for i := range cur {
-			cur[i] = pos[i] + vel[i]*tt
-		}
-		m.Accumulate(tt, cur)
-	}
-	// |v|^2 = 3*0.25 = 0.75; MSD(t) = 0.75 t^2.
-	for k, tt := range m.Times {
-		want := 0.75 * tt * tt
-		if math.Abs(m.Value[k]-want) > 1e-9 {
-			t.Fatalf("MSD(%g) = %g, want %g", tt, m.Value[k], want)
-		}
-	}
-	// D = MSD/(6t) at the last point.
-	if d := m.Diffusion(); math.Abs(d-0.75*4/6) > 1e-9 {
-		t.Fatalf("D = %g", d)
-	}
-}
-
-func TestMSDStationary(t *testing.T) {
-	pos := []float64{1, 2, 3, 4, 5, 6}
-	m := NewMSD(pos)
-	m.Accumulate(1.0, pos)
-	if m.Value[0] != 0 {
-		t.Fatalf("stationary MSD = %g", m.Value[0])
-	}
-	empty := NewMSD(pos)
-	if empty.Diffusion() != 0 {
-		t.Fatal("empty MSD diffusion nonzero")
-	}
-}

@@ -67,8 +67,10 @@ func (bv *BaselineEvaluator) Compute(pos []float64, types []int, nloc int, list 
 		return err
 	}
 	cfg := &bv.cfg
-	// The baseline strategy predates the optimized kernels: every GEMM runs
-	// the naive reference family, exactly as the 2018 execution graph did.
+	// The baseline strategy predates the optimized kernels: every GEMM it
+	// calls itself runs the naive reference family. The nets' standard
+	// MATMUL operator (nn.ForwardBaseline) is the framework's GEMM and runs
+	// on the active family.
 	naive := tensor.Opts{Kernel: tensor.Naive}
 	stride := cfg.Stride()
 	m := cfg.M()

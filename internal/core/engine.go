@@ -85,9 +85,6 @@ func NewEngine(m *Model, req Plan) (*Engine, error) {
 // Plan returns the resolved execution plan.
 func (e *Engine) Plan() Plan { return e.plan }
 
-// Model returns the model the engine serves.
-func (e *Engine) Model() *Model { return e.model }
-
 // EvalWorkers reports the per-evaluation worker budget; the MD engines
 // use it to default their neighbor-build parallelism to the evaluator's
 // (md.WorkerHinter), dropping the ad-hoc Workers plumbing.

@@ -76,20 +76,3 @@ func (m *Model) Nets() []*nn.Net[float64] {
 	nets = append(nets, m.Fit...)
 	return nets
 }
-
-// Clone returns a deep copy (used for the trainer's best-model snapshot).
-// Attached compression tables are not cloned: they are a derived artifact
-// of the weights at tabulation time, and the snapshot's weights move on.
-func (m *Model) Clone() *Model {
-	out := &Model{Cfg: m.Cfg, Embed: make([][]*nn.Net[float64], len(m.Embed))}
-	for ci, row := range m.Embed {
-		out.Embed[ci] = make([]*nn.Net[float64], len(row))
-		for tj, n := range row {
-			out.Embed[ci][tj] = nn.Clone(n)
-		}
-	}
-	for _, n := range m.Fit {
-		out.Fit = append(out.Fit, nn.Clone(n))
-	}
-	return out
-}

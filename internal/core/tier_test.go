@@ -6,35 +6,37 @@ import (
 	"testing"
 
 	"deepmd-go/internal/compress"
+	"deepmd-go/internal/neighbor"
 	"deepmd-go/internal/perf"
+	"deepmd-go/internal/tensor"
 	"deepmd-go/internal/tensor/cpufeat"
 )
 
-// Kernel-family attribution, as a count: which internal/tensor tier served
-// the GEMM FLOPs of one copper evaluation at the paper's network geometry
-// (embedding 25-50-100, M_axis 16, fitting 1600-240-240-240-1). On the
-// compressed strategy every dense GEMM of the step belongs to the fitting
-// net — the embedding nets are tabulated, the descriptor contractions
-// fused and the descriptor products register loops — so the tier tallies
-// are the fitting net's alone.
-//
-// On an AVX family the strips serve the forward pass of all three tanh
-// layers, the 1600-deep first one included, and the dot tile their three
-// backward passes. The 240 -> 1 head's forward runs naive — one output
-// column is below every strip width — and its depth-1 backward, an outer
-// product, runs on the strips. Tier
-// choice reads the layer and never the row count, so the tallies are a
-// function of the atom count alone — the same at a ChunkSize of 100 (four
-// chunks of 64 rows) as at 256 (one chunk). Under the generic family — the
-// purego contract — every FLOP is naive.
+// Kernel-tier attribution, as a count of the GEMM FLOPs each
+// internal/tensor tier served in one evaluation. The rule: on an active SIMD
+// family every GEMM with k >= 1 and n >= 1 runs on that family's kernels —
+// the strips or the NT dot tile — whatever its width or depth, so the
+// optimized strategies serve no naive FLOP; under the generic family (the
+// purego contract) every FLOP is naive. Tier choice reads the layer and
+// never the row count, so the tallies are a function of the atom count
+// alone.
 func TestKernelTierAttribution(t *testing.T) {
-	t.Run("chunk=100", func(t *testing.T) { testKernelTierAttribution(t, 100) })
-	t.Run("chunk=256", func(t *testing.T) { testKernelTierAttribution(t, 256) })
+	t.Run("chunk=100", func(t *testing.T) { testCopperTierAttribution(t, 100) })
+	t.Run("chunk=256", func(t *testing.T) { testCopperTierAttribution(t, 256) })
+	t.Run("quickwater", testQuickWaterTierAttribution)
 }
 
-// testKernelTierAttribution evaluates 256 copper atoms at a ChunkSize of
-// chunkSize.
-func testKernelTierAttribution(t *testing.T, chunkSize int) {
+// testCopperTierAttribution evaluates 256 copper atoms at the paper's
+// network geometry (embedding 25-50-100, M_axis 16, fitting
+// 1600-240-240-240-1) on the compressed strategy at a ChunkSize of
+// chunkSize: four chunks of 64 rows at 100, one at 256. Every dense GEMM
+// of that step belongs to the fitting net — the embedding nets are
+// tabulated, the descriptor contractions fused and the descriptor products
+// register loops — so the split is exact: the strips serve every forward
+// pass, the 1600-deep first layer's in K panels and the one-column head's
+// included, and the head's depth-1 backward (an outer product); the dot
+// tile serves the other three backward passes.
+func testCopperTierAttribution(t *testing.T, chunkSize int) {
 	cfg := CopperConfig()
 	// Paper nets, smaller neighbourhood: 256 atoms fit the minimum-image
 	// box.
@@ -49,50 +51,90 @@ func testKernelTierAttribution(t *testing.T, chunkSize int) {
 	}
 	pos, types, list, box := latticeSystem(t, false, &cfg)
 	natoms := int64(len(types))
-	// GEMM FLOPs per atom by the tier an AVX family serves them on.
-	var strip, dot, naive int64
+	// GEMM FLOPs per atom by the tier a SIMD family serves them on.
+	var strip, dot int64
 	for _, l := range m.Fit[0].Layers {
-		fwd, bwd := int64(2*l.In()*l.Out()+l.Out()), int64(2*l.In()*l.Out())
+		strip += int64(2*l.In()*l.Out() + l.Out())
 		if l.Out() == 1 {
-			naive += fwd
-			strip += bwd
+			strip += int64(2 * l.In())
 		} else {
-			strip += fwd
-			dot += bwd
+			dot += int64(2 * l.In() * l.Out())
 		}
 	}
 	want := map[cpufeat.Family][3]int64{
-		cpufeat.Generic: {0, 0, natoms * (strip + dot + naive)},
-		cpufeat.AVX2:    {natoms * strip, natoms * dot, natoms * naive},
-		cpufeat.AVX512:  {natoms * strip, natoms * dot, natoms * naive},
+		cpufeat.Generic: {0, 0, natoms * (strip + dot)},
+		cpufeat.AVX2:    {natoms * strip, natoms * dot, 0},
+		cpufeat.AVX512:  {natoms * strip, natoms * dot, 0},
 	}
-
-	prev := cpufeat.Active()
-	defer cpufeat.SetActive(prev)
-	for _, fam := range []cpufeat.Family{cpufeat.Generic, cpufeat.AVX2, cpufeat.AVX512} {
-		if !cpufeat.Available(fam) {
-			continue
+	forEachFamily(t, func(t *testing.T) {
+		ev := NewEvaluator[float32](m)
+		if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(fam.String(), func(t *testing.T) {
-			if _, err := cpufeat.SetActive(fam); err != nil {
-				t.Fatal(err)
-			}
-			ev := NewEvaluator[float32](m)
-			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
-				t.Fatal(err)
-			}
-			ctr := perf.NewCounter()
-			ev.Counter = ctr
-			var out Result
-			if err := ev.Compute(pos, types, len(types), list, box, &out); err != nil {
-				t.Fatal(err)
-			}
-			got := [3]int64{ctr.TierFLOPs(perf.TierStrip), ctr.TierFLOPs(perf.TierDot), ctr.TierFLOPs(perf.TierNaive)}
-			if got != want[fam] {
-				t.Errorf("strip / dot / naive served %v GEMM FLOPs, want %v", got, want[fam])
-			}
-		})
+		if got, fam := tierFLOPs(t, ev, pos, types, list, box), cpufeat.Active(); got != want[fam] {
+			t.Errorf("strip / dot / naive served %v GEMM FLOPs, want %v", got, want[fam])
+		}
+	})
+}
+
+// testQuickWaterTierAttribution evaluates 192 water atoms on the quick-water
+// nets (the tiny config at rc 4 and sel {12, 24}: embedding 4-8-16, fitting
+// 24-24-24-1), under Batched and PerAtom in both precisions. Their narrow
+// layers — the 1→4 embedding input, the 8→4 and 4→1 backward passes, the
+// 24→1 head — are narrower than every column cover or shallower than the
+// dot tile's lanes. A SIMD family serves all of the generic family's FLOPs
+// and none of them naive.
+func testQuickWaterTierAttribution(t *testing.T) {
+	cfg := TinyConfig(2)
+	cfg.Sel = []int{12, 24}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	pos, types, list, box := latticeSystem(t, true, &cfg)
+	for _, perAtom := range []bool{false, true} {
+		for _, single := range []bool{false, true} {
+			name := fmt.Sprintf("peratom=%v/f32=%v", perAtom, single)
+			t.Run(name, func(t *testing.T) {
+				var total int64
+				forEachFamily(t, func(t *testing.T) {
+					var got [3]int64
+					if single {
+						ev := NewEvaluator[float32](m)
+						ev.SetPerAtomDescriptors(perAtom)
+						got = tierFLOPs(t, ev, pos, types, list, box)
+					} else {
+						ev := NewEvaluator[float64](m)
+						ev.SetPerAtomDescriptors(perAtom)
+						got = tierFLOPs(t, ev, pos, types, list, box)
+					}
+					if cpufeat.Active() == cpufeat.Generic {
+						if got[0] != 0 || got[1] != 0 || got[2] == 0 {
+							t.Fatalf("strip / dot / naive served %v GEMM FLOPs, want all naive", got)
+						}
+						total = got[2]
+						return
+					}
+					if got[2] != 0 || (total != 0 && got[0]+got[1] != total) {
+						t.Errorf("strip / dot / naive served %v GEMM FLOPs, want none naive of %d", got, total)
+					}
+				})
+			})
+		}
+	}
+}
+
+// tierFLOPs runs one evaluation and returns the strip, dot and naive GEMM
+// FLOPs it served.
+func tierFLOPs[T tensor.Float](t *testing.T, ev *Evaluator[T], pos []float64, types []int, list *neighbor.List, box *neighbor.Box) [3]int64 {
+	t.Helper()
+	ctr := perf.NewCounter()
+	ev.Counter = ctr
+	var out Result
+	if err := ev.Compute(pos, types, len(types), list, box, &out); err != nil {
+		t.Fatal(err)
+	}
+	return [3]int64{ctr.TierFLOPs(perf.TierStrip), ctr.TierFLOPs(perf.TierDot), ctr.TierFLOPs(perf.TierNaive)}
 }
 
 // An atom's bits are a function of the frame and the model, not of how the

@@ -115,12 +115,6 @@ func (l *Loop) SetSystemName(name string) {
 // Report returns the convergence report accumulated so far.
 func (l *Loop) Report() *Report { return l.report }
 
-// DatasetSize returns the current training-pool size.
-func (l *Loop) DatasetSize() int { return len(l.data) }
-
-// Models exposes the replica models (read-only use: serving, inspection).
-func (l *Loop) Models() []*core.Model { return l.models }
-
 // genFrames perturbs the base system n times with amplitudes in
 // [ampLo, ampHi] and labels each frame with the reference labeler —
 // train.GenData's scheme routed through the Labeler seam. The neighbor

@@ -142,8 +142,3 @@ func ConvertNet[Dst, Src tensor.Float](src *Net[Src]) *Net[Dst] {
 	}
 	return out
 }
-
-// Clone returns a deep copy of the network.
-func Clone[T tensor.Float](n *Net[T]) *Net[T] {
-	return ConvertNet[T](n)
-}

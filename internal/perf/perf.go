@@ -10,9 +10,6 @@
 package perf
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -63,8 +60,8 @@ const (
 	TierStrip Tier = iota
 	// TierDot is the SIMD dot-product tile of the A*B^T variant.
 	TierDot
-	// TierNaive is the reference loops: Kernel = Naive, or a layer no
-	// SIMD kernel covers.
+	// TierNaive is the reference loops: Kernel = Naive, no active SIMD
+	// family, or a degenerate call (alpha = 0, k = 0, an empty C).
 	TierNaive
 
 	numTiers
@@ -202,25 +199,6 @@ func (c *Counter) Breakdown() map[string]float64 {
 		out[i.String()] = p
 	}
 	return out
-}
-
-// BreakdownString formats the category breakdown as a single line, largest
-// first, e.g. "GEMM 63.1% TANH 12.0% ...".
-func (c *Counter) BreakdownString() string {
-	b := c.Breakdown()
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return b[keys[i]] > b[keys[j]] })
-	var sb strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%s %.1f%%", k, b[k])
-	}
-	return sb.String()
 }
 
 // Reset zeroes all counters.

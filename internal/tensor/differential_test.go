@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"deepmd-go/internal/tensor/cpufeat"
 )
 
 // Differential tests for the GEMM family: every variant's SIMD-family
@@ -40,8 +42,10 @@ var variantNames = [numVariants]string{"Gemm", "GemmNT", "GemmTN", "GemmBias", "
 // diffShapes is (m, k, n): output m x n with reduction depth k. Covers
 // empty and unit dims, odd remainders below every tile (strip heights 4
 // and 8, the NT row pair, column covers 4, 8 and 16), K panels past
-// simdMaxK (256), and the paper's layer shapes (46x25, 92x25 embedding
-// rows, 240-wide fitting layers).
+// simdMaxK (256), the paper's layer shapes (46x25, 92x25 embedding
+// rows, 240-wide fitting layers), and the narrow layers: widths 1, 2, 4, 7
+// and 15 below every column cover, and the NT tile's shallow depths 1, 2,
+// 4 and 7 at widths 1, 3 and 4 (the tiny nets' 8→4 and 4→1 backward passes).
 var diffShapes = [][3]int{
 	{0, 0, 0}, {0, 4, 5}, {4, 0, 5}, {5, 7, 0},
 	{1, 1, 1}, {1, 240, 1}, {2, 8, 4}, {3, 5, 7},
@@ -51,6 +55,9 @@ var diffShapes = [][3]int{
 	{100, 46, 4}, {127, 65, 33}, {129, 240, 5}, {130, 300, 9},
 	{40, 600, 7}, {240, 240, 3}, {257, 12, 31}, {10, 16, 520},
 	{256, 64, 128},
+	{9, 0, 3}, {33, 9, 1}, {21, 30, 2}, {19, 3, 4}, {12, 40, 7}, {37, 17, 15},
+	{128, 240, 1}, {13, 1, 1}, {9, 2, 3}, {17, 4, 4}, {6, 7, 1}, {128, 8, 4},
+	{128, 4, 1}, {131, 1, 4},
 }
 
 var diffAlphaBeta = [][2]float64{
@@ -137,10 +144,11 @@ func checkBitIdentical[T Float](t *testing.T, label string, got, want []T) {
 }
 
 // runGemmVariantCase exercises one (variant, shape, alpha/beta, precision)
-// cell: naive vs float64 reference and the SIMD-family dispatch vs
-// reference. Layers no kernel covers go through the same public dispatch —
-// there they assert the SIMD family's naive fallback equals the oracle —
-// while the covered ones reach the kernels.
+// cell: naive vs float64 reference and the active family's dispatch vs
+// reference, with C and grad between guard elements that must survive both.
+// On a SIMD family every shape with k >= 1 and n >= 1 reaches its kernels;
+// the degenerate calls (m, k or n zero, alpha zero) and the generic family
+// run the naive loops.
 func runGemmVariantCase[T Float](t *testing.T, variant, m, k, n int, alpha, beta float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	al, be := T(alpha), T(beta)
@@ -186,8 +194,10 @@ func runGemmVariantCase[T Float](t *testing.T, variant, m, k, n int, alpha, beta
 	ref, bnd := refLinear(m, n, k, alpha, beta, aAt, bAt, c064)
 
 	run := func(o Opts) (Matrix[T], Matrix[T]) {
-		c := c0.Clone()
-		grad := NewMatrix[T](m, n)
+		cBuf, c := guardedMatrix(m, n, c0.Data)
+		gBuf, grad := guardedMatrix[T](m, n, nil)
+		defer checkGuards(t, label+" C", cBuf)
+		defer checkGuards(t, label+" grad", gBuf)
 		switch variant {
 		case variantGemm:
 			GemmOpt(o, nil, al, a, b, be, c)
@@ -227,21 +237,56 @@ func runGemmVariantCase[T Float](t *testing.T, variant, m, k, n int, alpha, beta
 	}
 }
 
+// gemmGuard is the number of guard elements on each side of a guarded
+// matrix, gemmSentinel their value: a store past either end of the m x n
+// block changes one.
+const (
+	gemmGuard    = 9
+	gemmSentinel = -7.25
+)
+
+// guardedMatrix places a rows x cols matrix holding src (zeros for nil)
+// between gemmGuard sentinels on each side of buf.
+func guardedMatrix[T Float](rows, cols int, src []T) ([]T, Matrix[T]) {
+	buf := make([]T, rows*cols+2*gemmGuard)
+	for i := range buf {
+		buf[i] = gemmSentinel
+	}
+	data := buf[gemmGuard : gemmGuard+rows*cols]
+	clear(data)
+	copy(data, src)
+	return buf, Matrix[T]{Rows: rows, Cols: cols, Data: data}
+}
+
+// checkGuards fails the case if a guard of buf no longer holds the
+// sentinel.
+func checkGuards[T Float](t *testing.T, label string, buf []T) {
+	t.Helper()
+	for i, v := range buf {
+		if (i < gemmGuard || i >= len(buf)-gemmGuard) && v != gemmSentinel {
+			t.Fatalf("%s: guard element %d of %d written (%g)", label, i, len(buf), float64(v))
+		}
+	}
+}
+
+// testGemmDifferential runs every variant over the shape table under every
+// executable family.
 func testGemmDifferential[T Float](t *testing.T) {
 	for variant := 0; variant < numVariants; variant++ {
-		variant := variant
 		t.Run(variantNames[variant], func(t *testing.T) {
-			for si, shape := range diffShapes {
-				m, k, n := shape[0], shape[1], shape[2]
-				if variant >= variantGemmBias {
-					// Fused kernels take no alpha/beta; one cell per shape.
-					runGemmVariantCase[T](t, variant, m, k, n, 1, 1, int64(1000+si))
-					continue
+			sweepFamilies(t, func(t *testing.T, _ cpufeat.Family) {
+				for si, shape := range diffShapes {
+					m, k, n := shape[0], shape[1], shape[2]
+					if variant >= variantGemmBias {
+						// Fused kernels take no alpha/beta; one cell per shape.
+						runGemmVariantCase[T](t, variant, m, k, n, 1, 1, int64(1000+si))
+						continue
+					}
+					for ai, ab := range diffAlphaBeta {
+						runGemmVariantCase[T](t, variant, m, k, n, ab[0], ab[1], int64(100*si+ai))
+					}
 				}
-				for ai, ab := range diffAlphaBeta {
-					runGemmVariantCase[T](t, variant, m, k, n, ab[0], ab[1], int64(100*si+ai))
-				}
-			}
+			})
 		})
 	}
 }

@@ -13,8 +13,9 @@ import (
 // FuzzGemm is the differential fuzz harness for the whole GEMM family: the
 // fuzzer drives shape, alpha/beta, variant, precision and the forced SIMD
 // kernel family, and every case is checked against the naive reference /
-// float64 recomputation under the tolerance policy of differential_test.go.
-// CI runs it for 30 s on every PR:
+// float64 recomputation under the tolerance policy of differential_test.go,
+// with C and grad between guard elements that must survive the call. CI
+// runs it for 30 s on every PR:
 //
 //	go test -fuzz=FuzzGemm -fuzztime=30s ./internal/tensor/
 func FuzzGemm(f *testing.F) {
@@ -34,6 +35,22 @@ func FuzzGemm(f *testing.F) {
 	f.Add(int64(10), uint8(9), uint16(257), uint8(17), 1.0, 1.0, uint8(0), uint8(2), true)
 	// A GemmNT with no rows, deep and wide enough for the NT dot tile.
 	f.Add(int64(11), uint8(0), uint16(225), uint8(91), 1.0, 0.0, uint8(1), uint8(1), false)
+	// Narrow layers on the SIMD families: widths 1, 2, 4, 7 and 15 below
+	// every column cover (the AVX-512 masked chunk, the AVX2 staged tail),
+	// the paper's 240 -> 1 head, and GemmNT at depths 1, 2, 4, 7 and 8 with
+	// widths 1, 3 and 4 (the NT tile's staged edges), plus a k = 0 GemmNT.
+	f.Add(int64(12), uint8(33), uint16(9), uint8(1), 1.0, 0.0, uint8(0), uint8(1), false)
+	f.Add(int64(13), uint8(21), uint16(30), uint8(2), 2.5, -0.5, uint8(2), uint8(2), true)
+	f.Add(int64(14), uint8(19), uint16(3), uint8(4), 1.0, 1.0, uint8(3), uint8(1), true)
+	f.Add(int64(15), uint8(12), uint16(40), uint8(7), 1.0, 0.0, uint8(4), uint8(2), false)
+	f.Add(int64(16), uint8(37), uint16(17), uint8(15), -1.0, 0.3, uint8(1), uint8(1), false)
+	f.Add(int64(17), uint8(255), uint16(240), uint8(1), 1.0, 0.0, uint8(3), uint8(2), true)
+	f.Add(int64(18), uint8(128), uint16(1), uint8(4), 1.0, 0.0, uint8(1), uint8(2), false)
+	f.Add(int64(19), uint8(9), uint16(2), uint8(3), 0.5, 1.0, uint8(1), uint8(1), true)
+	f.Add(int64(20), uint8(128), uint16(4), uint8(1), 1.0, 0.0, uint8(1), uint8(2), true)
+	f.Add(int64(21), uint8(13), uint16(7), uint8(3), 2.5, -0.5, uint8(1), uint8(1), false)
+	f.Add(int64(22), uint8(128), uint16(8), uint8(4), 1.0, 0.0, uint8(1), uint8(2), false)
+	f.Add(int64(23), uint8(4), uint16(0), uint8(5), 1.0, 0.5, uint8(1), uint8(2), false)
 	f.Fuzz(func(t *testing.T, seed int64, um uint8, uk uint16, un uint8, alpha, beta float64, variant, famSel uint8, single bool) {
 		// k reaches 2047: eight K panels of the strip tier, well past
 		// 2*simdMaxK+1.

@@ -9,8 +9,9 @@ type Kernel int
 
 const (
 	// SIMD is the optimized family and the default (the zero Opts value):
-	// the runtime-dispatched SIMD kernels of simd.go wherever one covers
-	// the layer's (k, n, epilogue), the naive loops below everywhere else.
+	// the runtime-dispatched SIMD kernels of simd.go for every call with
+	// k >= 1 and n >= 1 on an active family, the naive loops below where no
+	// family is active and for degenerate calls.
 	SIMD Kernel = iota
 	// Naive is the reference family: the original serial i-k-j and
 	// dot-product loops. It survives as the differential-test oracle and

@@ -17,7 +17,7 @@ func naiveMul(a, b Matrix[float64]) Matrix[float64] {
 			for l := 0; l < a.Cols; l++ {
 				s += a.At(i, l) * b.At(l, j)
 			}
-			c.Set(i, j, s)
+			c.Data[i*c.Cols+j] = s
 		}
 	}
 	return c
@@ -76,7 +76,7 @@ func TestGemmNT(t *testing.T) {
 	b := NewMatrix[float64](6, 5)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 6; j++ {
-			b.Set(j, i, bT.At(i, j))
+			b.Data[j*b.Cols+i] = bT.At(i, j)
 		}
 	}
 	matsClose(t, c, naiveMul(a, b), 1e-12)
@@ -90,7 +90,7 @@ func TestGemmTN(t *testing.T) {
 	a := NewMatrix[float64](4, 6)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 4; j++ {
-			a.Set(j, i, aT.At(i, j))
+			a.Data[j*a.Cols+i] = aT.At(i, j)
 		}
 	}
 	matsClose(t, c, naiveMul(a, b), 1e-12)

@@ -90,30 +90,3 @@ func TanhGrad[T Float](ctr *perf.Counter, y Matrix[T]) Matrix[T] {
 	ctr.Observe(perf.CatTANH, start, 2*int64(len(y.Data)))
 	return out
 }
-
-// SliceCols allocates and returns columns [lo, hi) of x (the SLICE
-// operator; used to take the first M' axis columns of the embedding
-// matrix).
-func SliceCols[T Float](ctr *perf.Counter, x Matrix[T], lo, hi int) Matrix[T] {
-	start := ctr.Now()
-	w := hi - lo
-	out := NewMatrix[T](x.Rows, w)
-	for i := 0; i < x.Rows; i++ {
-		copy(out.Data[i*w:(i+1)*w], x.Data[i*x.Cols+lo:i*x.Cols+hi])
-	}
-	ctr.Observe(perf.CatSLICE, start, 0)
-	return out
-}
-
-// SliceColsInto writes columns [lo, hi) of x into dst without allocating.
-func SliceColsInto[T Float](ctr *perf.Counter, x Matrix[T], lo, hi int, dst Matrix[T]) {
-	start := ctr.Now()
-	w := hi - lo
-	if dst.Rows != x.Rows || dst.Cols != w {
-		panic("tensor: SliceColsInto dimension mismatch")
-	}
-	for i := 0; i < x.Rows; i++ {
-		copy(dst.Data[i*w:(i+1)*w], x.Data[i*x.Cols+lo:i*x.Cols+hi])
-	}
-	ctr.Observe(perf.CatSLICE, start, 0)
-}

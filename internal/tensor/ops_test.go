@@ -90,25 +90,6 @@ func TestAddSkipSameAndBackward(t *testing.T) {
 	}
 }
 
-func TestSliceCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	x := randMat(rng, 4, 10)
-	s := SliceCols(nil, x, 2, 6)
-	if s.Rows != 4 || s.Cols != 4 {
-		t.Fatalf("slice shape %dx%d", s.Rows, s.Cols)
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if s.At(i, j) != x.At(i, j+2) {
-				t.Fatalf("slice wrong at (%d,%d)", i, j)
-			}
-		}
-	}
-	into := NewMatrix[float64](4, 4)
-	SliceColsInto(nil, x, 2, 6, into)
-	matsClose(t, into, s, 0)
-}
-
 func TestTanhF32Accuracy(t *testing.T) {
 	// The float32 Pade tanh must stay within 2e-4 of the true tanh
 	// everywhere and within 2e-5 in the active region |x| <= 4.
@@ -193,24 +174,5 @@ func TestMulInto(t *testing.T) {
 		if v != want[i] {
 			t.Fatalf("MulInto[%d] = %v, want %v", i, v, want[i])
 		}
-	}
-}
-
-func TestConversions(t *testing.T) {
-	src := []float64{1.5, -2.25, 3.125}
-	dst32 := make([]float32, 3)
-	F64to32(nil, src, dst32)
-	back := make([]float64, 3)
-	F32to64(nil, dst32, back)
-	for i := range src {
-		if back[i] != src[i] { // exactly representable values
-			t.Fatalf("roundtrip[%d] = %v, want %v", i, back[i], src[i])
-		}
-	}
-	if got := ToF32(src); len(got) != 3 || got[1] != -2.25 {
-		t.Fatalf("ToF32 = %v", got)
-	}
-	if got := ToF64(dst32); len(got) != 3 || got[2] != 3.125 {
-		t.Fatalf("ToF64 = %v", got)
 	}
 }

@@ -17,11 +17,13 @@ import (
 // contract: with no kernels available every GEMM routes to the naive loops
 // of gemm.go.
 //
-// Two tiers, chosen by the layer. A call runs on a SIMD kernel when one
-// covers its (k, n, epilogue) on the active family and on the naive loops
-// otherwise; the row count never enters the choice (a short or ragged row
-// range is the tail strip's or the odd pair's business), so an output
-// row's bits do not depend on how many rows share its call.
+// One rule. On an active family every call with k >= 1 and n >= 1 runs on
+// that family's kernels, whatever its width, depth or row count: a short
+// or ragged row range is the tail strip's or the odd pair's business, a
+// narrow one the masked chunk's or the staged column tail's, so an output
+// row's bits do not depend on how many rows share its call. The naive loops
+// of gemm.go run only where they are named — Kernel = Naive, no active
+// family — and for the degenerate calls (alpha = 0, k = 0, an empty C).
 //
 // Kernel shape. The paper's embedding GEMMs are tall and skinny
 // (M = atoms*neighbors rows, K in {1, 25, 50}, N in {25, 50, 100}). The
@@ -49,10 +51,8 @@ import (
 // so that a panel is read from L1 (ntRowRange). The TN variant (training's
 // dW = XᵀdY) stages Aᵀ into a pooled slab and runs the strips
 // (gemmTNSIMD), and a depth-1 GemmNT with beta = 0 (the fitting net's head
-// backward) is an outer product on the strips (GemmNTOpt). What runs naive
-// is the shapes below the tiles' widths (the forward of the fitting net's
-// one-column head) and everything when no family is active (purego,
-// DEEPMD_KERNEL=generic, any GOARCH but amd64).
+// backward) is an outer product on the strips (GemmNTOpt), which beat the
+// dot tile at that depth.
 //
 // Bit-exactness contract. A call runs on the calling goroutine; the
 // parallelism is the caller's (core's force-call team, the trainer's
@@ -123,7 +123,7 @@ type tileArgs struct {
 // pair, reported by the per-arch simdCaps.
 type simdKernelCaps struct {
 	rows   int // asm strip height (rows per kernel call)
-	cover  int // column chunk width, and the narrowest layer the strips take
+	cover  int // column chunk width (AVX2 stages a narrower tail to it)
 	ntRows int // A rows per NT dot tile call
 }
 
@@ -185,12 +185,13 @@ func simdActive(es int) (cpufeat.Family, simdKernelCaps, bool) {
 }
 
 // simdStrips returns the family and caps the strip kernels run a depth-k,
-// n-column product with epilogue mode on, or ok = false where none covers
-// it. It reads the layer, never the row count.
+// n-column product with epilogue mode on, or ok = false for no active
+// family, a degenerate call, or a fused tanh deeper than one K panel. It
+// reads the layer, never the row count.
 func simdStrips[T Float](k, n int, alpha T, mode int) (cpufeat.Family, simdKernelCaps, bool) {
 	var z T
 	fam, caps, ok := simdActive(sizeofT(z))
-	if !ok || k < 1 || alpha == 0 || n < caps.cover {
+	if !ok || k < 1 || n < 1 || alpha == 0 {
 		return fam, caps, false
 	}
 	if mode >= epiTanh && k > simdMaxK {
@@ -365,18 +366,13 @@ func simdColumnTail[T Float](fam cpufeat.Family, caps simdKernelCaps, m, k, n in
 }
 
 // gemmNTSIMD attempts C = alpha*A*B^T + beta*C on the family's NT dot
-// tile (caps.ntRows A rows x 4 B rows, lanes vectorized over K). Returns
-// false to fall back.
+// tile (caps.ntRows A rows x 4 B rows, lanes vectorized over K, a k mod
+// lane-width tail in scalar lanes) at any depth and width. Returns false
+// for no active family or a degenerate call.
 func gemmNTSIMD[T Float](m, k, n int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) bool {
 	var z T
 	fam, caps, ok := simdActive(sizeofT(z))
-	if !ok || alpha == 0 || m == 0 {
-		return false
-	}
-	// The dot tile pays off only with enough reduction depth to vectorize and
-	// enough of it per row: the old m·max(n,4)·k ≥ 2¹³ cutoff at a full
-	// 128-row embedding tile, so no row count enters the choice.
-	if k < 8 || max(n, 4)*k < 64 {
+	if !ok || k < 1 || m < 1 || n < 1 || alpha == 0 {
 		return false
 	}
 	ntRowRange(fam, caps.ntRows, m, k, n, alpha, a, lda, b, ldb, beta, c, ldc)

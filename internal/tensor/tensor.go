@@ -42,12 +42,6 @@ func MatrixFrom[T Float](rows, cols int, data []T) Matrix[T] {
 // At returns the element at row i, column j.
 func (m Matrix[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
-// Set stores v at row i, column j.
-func (m Matrix[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
-
-// Row returns row i as a shared slice.
-func (m Matrix[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
 // Zero sets every element to zero.
 func (m Matrix[T]) Zero() {
 	clear(m.Data)

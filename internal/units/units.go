@@ -41,7 +41,3 @@ const (
 	MassO  = 15.9994
 	MassCu = 63.546
 )
-
-// FsToPs converts femtoseconds to picoseconds; MD time steps in the paper
-// are quoted in fs (0.5 fs water, 1.0 fs copper).
-const FsToPs = 1e-3
