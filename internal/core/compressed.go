@@ -57,7 +57,7 @@ func (ev *Evaluator[T]) SetCompressedEmbedding(spec compress.Spec) error {
 		}
 	}
 	ev.comp = comp
-	ev.strat = StrategyCompressed
+	ev.setStrategy(StrategyCompressed)
 	return nil
 }
 

@@ -44,12 +44,21 @@ type Config struct {
 	RepA, RepRcut float64
 	// ChunkSize is the most atoms batched through the network at once;
 	// it bounds peak memory independent of system size (the arenas are
-	// sized by it). It is an upper bound, not the height of every chunk: a
-	// type with more atoms than this is cut into equal, aligned chunks for
-	// the worker sweep's balance (chunkJobs in frames.go) — 432 hydrogens
-	// at the default 256 run as 112, 112, 112, 96. The cut reads nothing
-	// but the frame and this value, never Workers; per-atom energies,
-	// forces and virial do not depend on it (TestChunkSizeBitIdentical).
+	// sized by it). The exact strategy keeps a chunk's embedding trace, so
+	// one worker's arena is, in elements,
+	//
+	//	ChunkSize·(4m + m·M' + 1) + fit.ArenaLen(ChunkSize)   fitChunk
+	//	+ ChunkSize·Σsel·Σ(out + tanh out) + one s per row tile   trace
+	//	+ one row tile's backward scratch
+	//
+	// — 14.1 MB in float64 for the paper's water model at the default 32
+	// (m = 100, M' = 16, Σsel = 138, 350 elements a row). It is an upper
+	// bound, not the height of every chunk: a type with more atoms than
+	// this is cut into equal, aligned chunks for the worker sweep's balance
+	// (chunkJobs in frames.go) — 432 hydrogens at the default 32 run as 13
+	// chunks of 32 and one of 16. The cut reads nothing but the frame and
+	// this value, never Workers; per-atom energies, forces and virial do
+	// not depend on it (TestChunkSizeBitIdentical).
 	ChunkSize int
 	// Workers is the parallelism budget of one evaluation (the CPU
 	// stand-in for GPU parallelism): the force call's team of goroutines.
@@ -109,7 +118,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: %d energy biases for %d types", len(c.AtomEnerBias), nt)
 	}
 	if c.ChunkSize <= 0 {
-		c.ChunkSize = 256
+		c.ChunkSize = 32
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1

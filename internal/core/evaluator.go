@@ -31,9 +31,10 @@ type Result struct {
 // atoms (evalChunkExact): the chunk's real neighbor rows go through the
 // embedding nets in cache-resident row tiles that span atoms, and every
 // tile is contracted with its environment rows into the per-atom
-// descriptor items before the next tile overwrites it — no embedding
-// matrix exists in memory, the backward pass recomputes the tiles (the
-// operator fusion of Sec. 5.3, taken as far as its successors take it).
+// descriptor items while it is cache-resident — no embedding matrix is
+// assembled; each tile's traced pass (outputs and tanh gradients) stays in
+// the worker arena until the backward pass reads it back (the operator
+// fusion of Sec. 5.3, with TANHGrad kept for back-propagation).
 // Only the fitting net still runs as one chunk-tall GEMM batch (Sec.
 // 5.3.1). SetPerAtomDescriptors restores the per-atom loops over
 // materialised full-sel matrices — the differential oracle and the
@@ -101,7 +102,10 @@ type chunkJob struct {
 // heap allocation (the paper's init-time memory-trunk strategy, Sec.
 // 5.2.2; asserted by TestComputeZeroAllocSteadyState).
 type evalScratch[T tensor.Float] struct {
-	embTr nn.Trace[T] // the current row tile's embedding pass
+	// tiles are the traced embedding passes of the current chunk's row
+	// tiles in walk order, s inputs included (X); their buffers stay in the
+	// worker arena from the forward walk until the chunk ends.
+	tiles []nn.Trace[T]
 	fitTr nn.Trace[T]
 	segs  []tileSeg             // at most one per tile row
 	rows  descriptor.RowScratch // stage 1: the current atom's refreshed row and sort keys
@@ -130,23 +134,25 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 		}
 		ev.fit[ci] = shareOrConvert[T](m.Fit[ci])
 	}
+	ev.strat = StrategyBatched
 	for w := 0; w < max(1, cfg.Workers); w++ {
 		ev.arenas = append(ev.arenas, tensor.NewArena[T](ev.arenaLen()))
 		ev.scratch = append(ev.scratch, &evalScratch[T]{segs: make([]tileSeg, 0, embedTileRows)})
 	}
-	ev.strat = StrategyBatched
 	ev.bar.cond.L, ev.bar.n = &ev.bar.mu, len(ev.arenas)
 	return ev
 }
 
-// arenaLen is one worker's arena demand, a closed form of the Config now
-// that no operand scales with the neighbor count: a ChunkSize-row chunk's
-// descriptor items and fitting-net passes (fitChunk) plus the larger of
-// the two fused operators' scratch — the exact one's row tile or the
-// tabulated one's Horner tile. Sized at construction, the first force call
-// already runs inside the slab (TestArenaSizedAtConstruction); growArenas
-// stays as the guard for the per-atom oracle, which materialises full-sel
-// matrices.
+// arenaLen is one worker's arena demand under the evaluator's strategy, a
+// closed form of the Config: a ChunkSize-row chunk's descriptor items and
+// fitting-net passes (fitChunk) plus the strategy's own. The exact
+// operator keeps the chunk's embedding trace — at most ChunkSize x Σsel
+// rows, each with every layer's output and tanh gradient, and one s tile
+// per row tile — plus one tile's backward scratch; the tabulated one needs
+// its Horner tile only. Sized at construction and on every strategy
+// switch, the first force call already runs inside the slab
+// (TestArenaSizedAtConstruction). The per-atom oracle materialises
+// full-sel matrices and is left to growArenas.
 func (ev *Evaluator[T]) arenaLen() int {
 	cfg := &ev.cfg
 	nA, m, ax, dim := cfg.ChunkSize, cfg.M(), cfg.MAxis, cfg.DescriptorDim()
@@ -154,13 +160,51 @@ func (ev *Evaluator[T]) arenaLen() int {
 	// products' scratch and the fitting net's traced pass.
 	fit := nA*(4*m+dim+1) + 8*ax
 	fit += ev.fit[0].ArenaLen(nA)
-	// evalChunkExact: per tile s, dG, the contraction scratch and the
-	// embedding net's traced pass.
-	exact := embedTileRows*(1+m) + max(4*m, embedTileRows/2*8)
-	exact += ev.embed[0][0].ArenaLen(embedTileRows)
-	// evalChunkCompressed: the Horner tile.
-	tabulated := compress.FusedScratchLen(m)
-	return fit + max(exact, tabulated)
+	switch ev.strat {
+	case StrategyBatched:
+		net := ev.embed[0][0]
+		tiles := 0
+		for _, n := range cfg.Sel {
+			tiles += (nA*n + embedTileRows - 1) / embedTileRows
+		}
+		trace := nA*cfg.Stride()*traceRowLen(net) + tiles*embedTileRows
+		// Per tile of the backward walk: s, dG, the contraction scratch
+		// and the net's backward pass (ArenaLen bounds it).
+		tile := embedTileRows*(1+m) + max(4*m, embedTileRows/2*8) + net.ArenaLen(embedTileRows)
+		return fit + trace + tile
+	case StrategyCompressed:
+		return fit + compress.FusedScratchLen(m)
+	}
+	return fit
+}
+
+// traceRowLen is the arena elements one row of a traced forward pass
+// keeps: every layer's output and, behind a tanh, its gradient.
+func traceRowLen[T tensor.Float](net *nn.Net[T]) int {
+	n := 0
+	for _, l := range net.Layers {
+		n += l.Out()
+		if l.Kind != nn.Linear {
+			n += l.Out()
+		}
+	}
+	return n
+}
+
+// setStrategy switches the chunk body and re-slabs every arena whose size
+// is not the new strategy's demand: only the exact operator reserves a
+// chunk's embedding trace, and a tabulated evaluator does not carry it.
+func (ev *Evaluator[T]) setStrategy(s Strategy) {
+	if s == ev.strat {
+		return
+	}
+	ev.strat = s
+	n := ev.arenaLen()
+	for i, a := range ev.arenas {
+		if a.Cap() != n {
+			ev.arenas[i] = tensor.NewArena[T](n)
+		}
+	}
 }
 
 // SetPerAtomDescriptors switches the descriptor stage between the default
@@ -172,9 +216,9 @@ func (ev *Evaluator[T]) arenaLen() int {
 // previously compressed.
 func (ev *Evaluator[T]) SetPerAtomDescriptors(on bool) {
 	if on {
-		ev.strat = StrategyPerAtom
+		ev.setStrategy(StrategyPerAtom)
 	} else {
-		ev.strat = StrategyBatched
+		ev.setStrategy(StrategyBatched)
 	}
 }
 
@@ -222,14 +266,13 @@ func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, ws *evalScratch[T], ar *ten
 	return ev.evalChunkExact(ctr, ws, ar, env, rT, ndT, ci, atoms, atomEnergy)
 }
 
-// embedTileRows is the height of the exact operator's row tiles. A tile
-// holds every layer's output and activation gradient plus the backward
-// pass's gradients, about 4·Σwidths elements a row — 0.7 MB in float64 at
-// the paper's 25-50-100, inside L2 — and has to be tall enough to keep the
-// strip kernels' per-call costs small on narrow nets. One constant serves
-// both: the sweep in DESIGN.md ("Fused exact operator") is flat from 64 to
-// 256 rows at paper widths and still falling at 64 on the 4-8-16 nets of
-// the rank and serving workloads.
+// embedTileRows is the height of the exact operator's row tiles. A tile's
+// forward pass and contraction, and later its backward pass, each run
+// while the tile is cache-resident, and the tile has to be tall enough to
+// keep the strip kernels' per-call costs small on narrow nets. One
+// constant serves both: the sweep in DESIGN.md ("Fused exact operator") is
+// flat from 64 to 256 rows at paper widths and still falling at 64 on the
+// 4-8-16 nets of the rank and serving workloads.
 const embedTileRows = 128
 
 // tileSeg is one atom's share of a row tile: n consecutive real rows of
@@ -288,17 +331,18 @@ func (w *rowWalk[T]) next(rT, s []T, segs []tileSeg) (int, []tileSeg) {
 // the paper's successors apply it to the embedding output — arXiv
 // 2004.11658 Sec. 3.2-3.3). Per neighbor-type section the chunk's real
 // rows are walked in atom-major slot order in tiles of embedTileRows that
-// span atoms; each tile runs the three embedding layers while it is
-// cache-resident and is contracted with its environment rows before the
-// next tile overwrites it. No embedding matrix, no gathered copy of R~ and
-// no padding row exists at any point; the backward pass recomputes the
-// tiles instead of reading a stored trace back (FLOPs for bytes):
+// span atoms; each tile runs the three embedding layers, traced, and is
+// contracted with its environment rows while it is cache-resident. The
+// tiles' traces stay in the worker arena, and the backward walk replays
+// the same tiles and reads them back instead of running the net again
+// (bytes for FLOPs: the paper keeps TANHGrad for back-propagation, Sec.
+// 5.3.3). No embedding matrix is assembled, and no gathered copy of R~ and
+// no padding row exists at any point:
 //
-//	forward, per tile    G = embed(s)                  tile x m, no tanh gradient kept
+//	forward, per tile    G = embed(s)                  tile x m, traced and kept
 //	                     T_a += Σ_k G_k (x) R~_k       ContractForward per atom segment
 //	D_a, E, dT_a                                       fitChunk, one ChunkSize-row batch
-//	backward, per tile   G = embed(s)                  recomputed, traced
-//	                     dG_k = R~_k dT_a              ContractOuter
+//	backward, per tile   dG_k = R~_k dT_a              ContractOuter, G read from the trace
 //	                     ds = embed'(dG)               nn.Net.Backward; with parameter
 //	                                                   gradients under ComputeWithGrads
 //	                     ndT_k = (G_k dT_a, + ds_k on column 0)   ContractRows
@@ -308,7 +352,8 @@ func (w *rowWalk[T]) next(rT, s []T, segs []tileSeg) (int, []tileSeg) {
 // atom's rows accumulate in section-then-slot order wherever
 // a tile edge falls, and a row's path through the strip kernels does not
 // depend on the other rows of its tile, so results are bit-identical
-// across workers, batch sizes, ranks and coalesce sizes as before.
+// across workers, batch sizes, ranks and coalesce sizes as before. The
+// trace bounds the chunk: ChunkSize x Σsel rows at most (arenaLen).
 func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()
 	cfg := &ev.cfg
@@ -317,33 +362,39 @@ func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, ws *evalScratch[T], ar
 	walk := rowWalk[T]{env: env, atoms: atoms}
 
 	items := ar.Take(len(atoms) * 4 * m)
+	tile := 0
 	for tj := 0; tj < nt; tj++ {
 		walk.section(tj)
-		ev.embedForward(ctr, ws, ar, &walk, ev.embed[ci][tj], rT, items)
+		tile = ev.embedForward(ctr, ws, ar, &walk, ev.embed[ci][tj], rT, items, tile)
 	}
 	chunkE := ev.fitChunk(ctr, ws, ar, ci, atoms, items, atomEnergy)
+	tile = 0
 	for tj := 0; tj < nt; tj++ {
 		walk.section(tj)
 		embGr, _ := ev.gradsFor(ci, tj)
-		ev.embedBackward(ctr, ws, ar, &walk, ev.embed[ci][tj], embGr, rT, items, ndT)
+		tile = ev.embedBackward(ctr, ws, ar, &walk, ev.embed[ci][tj], embGr, rT, items, ndT, tile)
 	}
 	return chunkE
 }
 
 // embedForward pushes one section's rows through the embedding net tile by
-// tile and contracts each tile into the chunk's descriptor items.
-func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], rT, items []T) {
+// tile, keeping each tile's trace in ws.tiles from index tile on, and
+// contracts each tile into the chunk's descriptor items. It returns the
+// index after the section's last tile.
+func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], rT, items []T, tile int) int {
 	m := ev.cfg.M()
-	section := ar.Mark()
-	s := ar.TakeUninit(embedTileRows)
-	tile := ar.Mark()
-	for {
+	for ; ; tile++ {
+		probe := ar.Mark()
+		s := ar.TakeUninit(embedTileRows)
 		var rows int
 		if rows, ws.segs = walk.next(rT, s, ws.segs); rows == 0 {
-			ar.Rewind(section)
-			return
+			ar.Rewind(probe)
+			return tile
 		}
-		g := net.ForwardInto(&ws.embTr, ctr, tensor.Opts{}, ar, tensor.MatrixFrom(rows, 1, s[:rows]), false).Out().Data
+		if tile == len(ws.tiles) {
+			ws.tiles = append(ws.tiles, nn.Trace[T]{})
+		}
+		g := net.ForwardInto(&ws.tiles[tile], ctr, tensor.Opts{}, ar, tensor.MatrixFrom(rows, 1, s[:rows]), true).Out().Data
 		start := ctr.Now()
 		r := 0
 		for _, sg := range ws.segs {
@@ -351,28 +402,31 @@ func (ev *Evaluator[T]) embedForward(ctr *perf.Counter, ws *evalScratch[T], ar *
 			r += sg.n
 		}
 		ctr.Observe(perf.CatCUSTOM, start, int64(rows)*int64(m)*embedContractForwardFLOPs)
-		ar.Rewind(tile)
 	}
 }
 
-// embedBackward recomputes one section's tiles, forms each tile's output
-// gradient from the chunk's dT items, runs the net's backward pass on it
+// embedBackward replays one section's walk over the tiles kept from index
+// tile on: per tile it forms the output gradient from the chunk's dT items
+// and the kept output, runs the net's backward pass on the kept trace
 // (accumulating parameter gradients into grads when non-nil) and writes
-// the rows' environment gradient into ndT.
-func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], grads *nn.Grads[T], rT, items, ndT []T) {
+// the rows' environment gradient into ndT. It returns the index after the
+// section's last tile.
+func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], walk *rowWalk[T], net *nn.Net[T], grads *nn.Grads[T], rT, items, ndT []T, tile int) int {
 	m := ev.cfg.M()
 	section := ar.Mark()
+	// s only paces the replay: the walk gathers into it the inputs the
+	// tile's trace already holds as X.
 	s := ar.TakeUninit(embedTileRows)
 	dG := ar.TakeUninit(embedTileRows * m)
 	buf := ar.TakeUninit(max(4*m, embedTileRows/2*8))
-	tile := ar.Mark()
-	for {
+	scratch := ar.Mark()
+	for ; ; tile++ {
 		var rows int
 		if rows, ws.segs = walk.next(rT, s, ws.segs); rows == 0 {
 			ar.Rewind(section)
-			return
+			return tile
 		}
-		tr := net.ForwardInto(&ws.embTr, ctr, tensor.Opts{}, ar, tensor.MatrixFrom(rows, 1, s[:rows]), true)
+		tr := &ws.tiles[tile]
 		g := tr.Out().Data
 		start := ctr.Now()
 		r := 0
@@ -392,7 +446,7 @@ func (ev *Evaluator[T]) embedBackward(ctr *perf.Counter, ws *evalScratch[T], ar 
 			}
 			r += sg.n
 		}
-		ar.Rewind(tile)
+		ar.Rewind(scratch)
 	}
 }
 

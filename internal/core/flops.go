@@ -25,8 +25,8 @@ import (
 // measured the branch-free padded layout, where every one of the Stride()
 // slots is computed, once forward and once backward. It is NOT what the
 // evaluator executes any more: the fused operators of the exact and the
-// compressed path visit real neighbors only and recompute their tiles in
-// the backward pass, and perf.Counter charges that executed work —
+// compressed path visit real neighbors only, and perf.Counter charges
+// that executed work —
 // ExecutedFLOPs is the model of it (TestFig3Shape holds the counter to
 // it).
 func (c *Config) FLOPsPerAtomStep(typeFrac []float64) float64 {
@@ -97,11 +97,10 @@ const (
 )
 
 // fused charges the exact operator for the real neighbor rows it visits:
-// the embedding forward pass twice — once untraced for the descriptor,
-// once traced when the backward pass recomputes the tile — the net's
-// backward pass, and the contractions.
+// one traced embedding forward pass, whose trace the backward pass reads
+// back, the net's backward pass, and the contractions.
 func (fm flopModel) fused(rows int) float64 {
-	per := float64(fm.emb.ForwardFLOPs(rows, false)) + float64(fm.emb.ForwardFLOPs(rows, true)) + float64(fm.emb.BackwardFLOPs(rows))
+	per := float64(fm.emb.ForwardFLOPs(rows, true)) + float64(fm.emb.BackwardFLOPs(rows))
 	return per + float64(rows)*float64(fm.c.M())*(embedContractForwardFLOPs+embedContractBackwardFLOPs)
 }
 
@@ -109,10 +108,9 @@ func (fm flopModel) fused(rows int) float64 {
 // at the shapes the exact strategy executes — the number perf.Counter
 // accumulates, where FLOPsPerAtomStep is the paper's padded convention.
 // env is the frame's Environment output. The fused operator visits the
-// real neighbor rows only (the rows of env.Off) and runs the embedding
-// forward pass a second time in its backward half, so against the padded
-// model the count drops with the fill of the neighbor sections and rises
-// by the recomputation (about a fifth at the paper's widths). The
+// real neighbor rows only (the rows of env.Off), once forward and once
+// backward, so against the padded model the count drops with the fill of
+// the neighbor sections. The
 // customized operators are charged the way they charge themselves:
 // Environment per padded slot plus the distance refresh per list entry,
 // the force and virial products per real row too. (The compressed strategy replaces the embedding and contraction

@@ -203,11 +203,13 @@ func TestFusedExactEdges(t *testing.T) {
 	})
 }
 
-// Parameter gradients accumulate tile by tile through the one chunk body.
-// They must agree with the per-atom path's — both analytic, so far inside
-// the finite-difference budget of train.TestEnergyParameterGradient — and
-// with a central difference on one embedding weight, on a system whose
-// sections span several tiles.
+// Parameter gradients accumulate tile by tile through the one chunk body,
+// from the traces each chunk keeps. They must agree with the per-atom
+// path's — both analytic, so far inside the finite-difference budget of
+// train.TestEnergyParameterGradient — and with a central difference on one
+// embedding weight, on a system whose sections span several tiles at
+// ChunkSize 256, and again at ChunkSize 7, where the traces are rebuilt
+// chunk by chunk.
 func TestComputeWithGradsTiledMatchesPerAtom(t *testing.T) {
 	cfg := batchTestConfig(false)
 	cfg.ChunkSize = 256
@@ -219,8 +221,10 @@ func TestComputeWithGradsTiledMatchesPerAtom(t *testing.T) {
 	if totals, _ := sectionRows(t, cfg, len(types), pos, types, list, box); totals[0] <= 2*embedTileRows {
 		t.Fatalf("section runs %d rows, want more than two tiles", totals[0])
 	}
-	grads := func(perAtom bool) *ModelGrads {
-		ev := NewEvaluator[float64](m)
+	grads := func(chunk int, perAtom bool) *ModelGrads {
+		mv := *m
+		mv.Cfg.ChunkSize = chunk
+		ev := NewEvaluator[float64](&mv)
 		ev.SetPerAtomDescriptors(perAtom)
 		g := NewModelGrads(m)
 		var out Result
@@ -229,7 +233,7 @@ func TestComputeWithGradsTiledMatchesPerAtom(t *testing.T) {
 		}
 		return g
 	}
-	tiled, ref := grads(false), grads(true)
+	ref := grads(cfg.ChunkSize, true)
 	same := func(label string, got, want []float64) {
 		t.Helper()
 		for i := range want {
@@ -238,13 +242,17 @@ func TestComputeWithGradsTiledMatchesPerAtom(t *testing.T) {
 			}
 		}
 	}
-	for l := range ref.Embed[0][0].DW {
-		same(fmt.Sprintf("embed.L%d.W", l), tiled.Embed[0][0].DW[l].Data, ref.Embed[0][0].DW[l].Data)
-		same(fmt.Sprintf("embed.L%d.B", l), tiled.Embed[0][0].DB[l], ref.Embed[0][0].DB[l])
-	}
-	for l := range ref.Fit[0].DW {
-		same(fmt.Sprintf("fit.L%d.W", l), tiled.Fit[0].DW[l].Data, ref.Fit[0].DW[l].Data)
-		same(fmt.Sprintf("fit.L%d.B", l), tiled.Fit[0].DB[l], ref.Fit[0].DB[l])
+	var tiled *ModelGrads
+	for _, chunk := range []int{7, cfg.ChunkSize} {
+		tiled = grads(chunk, false)
+		for l := range ref.Embed[0][0].DW {
+			same(fmt.Sprintf("chunk %d: embed.L%d.W", chunk, l), tiled.Embed[0][0].DW[l].Data, ref.Embed[0][0].DW[l].Data)
+			same(fmt.Sprintf("chunk %d: embed.L%d.B", chunk, l), tiled.Embed[0][0].DB[l], ref.Embed[0][0].DB[l])
+		}
+		for l := range ref.Fit[0].DW {
+			same(fmt.Sprintf("chunk %d: fit.L%d.W", chunk, l), tiled.Fit[0].DW[l].Data, ref.Fit[0].DW[l].Data)
+			same(fmt.Sprintf("chunk %d: fit.L%d.B", chunk, l), tiled.Fit[0].DB[l], ref.Fit[0].DB[l])
+		}
 	}
 
 	ev := NewEvaluator[float64](m)
@@ -328,15 +336,15 @@ func TestArenaSizedAtConstruction(t *testing.T) {
 }
 
 // The fused exact path keeps no embedding matrix: on the paper's water
-// model at the benchmark's size (6x6x6 molecules, double precision, chunk
-// 256) every worker's arena stays below 16 MB — the chunk's descriptors,
-// the fitting traces, the per-atom accumulators and one row tile. The
+// model at the benchmark's size (6x6x6 molecules, double precision, the
+// default ChunkSize) every worker's arena stays below 16 MB — the chunk's
+// descriptors, the fitting traces, the per-atom accumulators, the chunk's
+// kept embedding trace and one row tile's backward scratch. The
 // materialise-then-contract pipeline this replaced held 185 MB per worker
 // for a 256-atom chunk's three layers of traces. Twin of
 // TestCompressedArenaFootprint.
 func TestBatchedArenaFootprint(t *testing.T) {
 	cfg := WaterConfig()
-	cfg.ChunkSize = 256
 	cfg.Workers = 2
 	m, err := New(cfg)
 	if err != nil {

@@ -73,8 +73,8 @@ const (
 	StrategyPerAtom
 	// StrategyBatched is the exact embedding nets run chunk by chunk as one
 	// fused operator: cache-resident row tiles over real neighbors,
-	// contracted on the spot and recomputed in the backward pass, with the
-	// fitting net as one chunk-tall GEMM batch (Sec. 5.3), the default.
+	// contracted on the spot, their traces kept for the backward pass, with
+	// the fitting net as one chunk-tall GEMM batch (Sec. 5.3), the default.
 	StrategyBatched
 	// StrategyCompressed is the batched pipeline with the embedding nets
 	// replaced by tabulated quintics (the 86-PFLOPS/149-ns-day

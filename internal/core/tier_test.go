@@ -142,8 +142,8 @@ func tierFLOPs[T tensor.Float](t *testing.T, ev *Evaluator[T], pos []float64, ty
 // count, and a row's path through every tier depends on no other row of its
 // call. One water and one copper frame at the paper's nets (a smaller
 // neighbourhood, so 192 and 256 atoms fit the minimum-image box), both
-// precisions, both fused strategies, ChunkSize 16, 100 and 256 — chunks of
-// 16 to 256 rows — at Workers 1 and 2: per-atom energies, forces and virial
+// precisions, both fused strategies, ChunkSize 16, 32, 100 and 256 — chunks
+// of 16 to 256 rows — at Workers 1 and 2: per-atom energies, forces and virial
 // bitwise equal. The total energy sums chunk energies in chunk order, so it
 // is not part of the claim.
 func TestChunkSizeBitIdentical(t *testing.T) {
@@ -168,7 +168,7 @@ func TestChunkSizeBitIdentical(t *testing.T) {
 			for _, strat := range []Strategy{StrategyBatched, StrategyCompressed} {
 				t.Run(fmt.Sprintf("%s/%v/%v", sys.name, prec, strat), func(t *testing.T) {
 					var ref Result
-					for _, chunk := range []int{256, 100, 16} {
+					for _, chunk := range []int{256, 100, 32, 16} {
 						for _, workers := range []int{1, 2} {
 							mv := *m
 							mv.Cfg.ChunkSize = chunk

@@ -37,9 +37,7 @@ const (
 // waterModelConfig returns a water-like two-type model at the given scale.
 func waterModelConfig(sc Scale) core.Config {
 	if sc == Full {
-		cfg := core.WaterConfig()
-		cfg.ChunkSize = 128
-		return cfg
+		return core.WaterConfig()
 	}
 	cfg := core.TinyConfig(2)
 	cfg.TypeNames = []string{"O", "H"}
@@ -55,9 +53,7 @@ func waterModelConfig(sc Scale) core.Config {
 // scale.
 func copperModelConfig(sc Scale) core.Config {
 	if sc == Full {
-		cfg := core.CopperConfig()
-		cfg.ChunkSize = 64
-		return cfg
+		return core.CopperConfig()
 	}
 	cfg := core.TinyConfig(1)
 	cfg.TypeNames = []string{"Cu"}
