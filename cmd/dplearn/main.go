@@ -118,8 +118,8 @@ func main() {
 	}
 
 	// Resolve and validate the exploration plan up front — a flag typo
-	// must not cost a full training round before surfacing. Compressed
-	// probes as batched: its tables are tabulated from each round's
+	// must not cost a full training round before surfacing. A compressed
+	// plan resolves without tables: they are tabulated from each round's
 	// retrained weights inside the loop.
 	opts, err := eng.Options()
 	if err != nil {
@@ -129,11 +129,7 @@ func main() {
 	for _, o := range opts {
 		o(&req)
 	}
-	probeReq := req
-	if probeReq.Strategy == deepmd.Compressed {
-		probeReq.Strategy = deepmd.Batched
-	}
-	if _, err := core.ResolvePlan(&core.Model{Cfg: cfg.Model}, probeReq); err != nil {
+	if _, err := core.ResolvePlan(&core.Model{Cfg: cfg.Model}, req); err != nil {
 		log.Fatal(err)
 	}
 	cfg.Plan = req

@@ -430,12 +430,7 @@ func waterCfg(scale string) core.Config {
 	if scale == "paper" {
 		return core.WaterConfig()
 	}
-	cfg := core.TinyConfig(2)
-	cfg.TypeNames = []string{"O", "H"}
-	cfg.Masses = []float64{units.MassO, units.MassH}
-	cfg.Rcut, cfg.RcutSmth, cfg.Skin = 4.0, 0.5, 1.0
-	cfg.Sel = []int{12, 24}
-	return cfg
+	return core.QuickWaterConfig()
 }
 
 func copperCfg(scale string) core.Config {

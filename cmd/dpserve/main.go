@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"deepmd-go/internal/cliopt"
+	"deepmd-go/internal/core"
 	"deepmd-go/internal/serve"
 	"deepmd-go/internal/units"
 
@@ -157,11 +158,7 @@ func buildModel(path, system string) (*deepmd.Model, error) {
 	var cfg deepmd.Config
 	switch system {
 	case "water":
-		cfg = deepmd.TinyConfig(2)
-		cfg.TypeNames = []string{"O", "H"}
-		cfg.Masses = []float64{units.MassO, units.MassH}
-		cfg.Rcut, cfg.RcutSmth, cfg.Skin = 4.0, 0.5, 1.0
-		cfg.Sel = []int{12, 24}
+		cfg = core.QuickWaterConfig()
 	case "copper":
 		cfg = deepmd.TinyConfig(1)
 		cfg.TypeNames = []string{"Cu"}

@@ -73,11 +73,7 @@ func main() {
 		oracle = sc
 		base = lattice.FCC(4, 4, 4, lattice.CuLatticeConst)
 	case "water":
-		cfg = core.TinyConfig(2)
-		cfg.TypeNames = []string{"O", "H"}
-		cfg.Masses = []float64{units.MassO, units.MassH}
-		cfg.Rcut, cfg.RcutSmth, cfg.Skin = 4.0, 0.5, 1.0
-		cfg.Sel = []int{12, 24}
+		cfg = core.QuickWaterConfig()
 		cfg.RepA, cfg.RepRcut = 25, 0.8
 		if *netscale == "paper" {
 			cfg.EmbedWidths = []int{25, 50, 100}
@@ -94,8 +90,8 @@ func main() {
 	// Resolve and validate the serving plan UP FRONT: a flag typo or an
 	// illegal combination (e.g. -precision mixed -strategy baseline)
 	// must not cost a full data-generation + training run before
-	// surfacing. The compressed strategy is validated as batched here —
-	// its tables are tabulated from the trained weights at the end.
+	// surfacing. A compressed plan resolves without tables; they are
+	// tabulated from the trained weights at the end.
 	opts, err := eng.Options()
 	if err != nil {
 		log.Fatal(err)
@@ -104,11 +100,7 @@ func main() {
 	for _, o := range opts {
 		o(&req)
 	}
-	probeReq := req
-	if probeReq.Strategy == deepmd.Compressed {
-		probeReq.Strategy = deepmd.Batched
-	}
-	plan, err := core.ResolvePlan(&core.Model{Cfg: cfg}, probeReq)
+	plan, err := core.ResolvePlan(&core.Model{Cfg: cfg}, req)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,11 +59,12 @@ func requireBitIdentical(t *testing.T, label string, got, want *Result) {
 }
 
 // TestOpenMatchesRawEvaluator is the facade differential suite: every
-// Open(...) option combination must produce bit-identical energies,
-// per-atom energies, forces and virials to the raw single-goroutine
-// evaluator configured the same way through core's constructors and
-// setters, across all strategy x precision combinations — the Engine adds
-// pooling and validation, never arithmetic.
+// Open(...) option combination a raw single-goroutine evaluator reaches
+// from outside core must produce bit-identical energies, per-atom
+// energies, forces and virials to that evaluator — the Engine adds
+// pooling and validation, never arithmetic. The per-atom strategy is
+// built by core's constructor alone, so its rows live in core
+// (TestEngineMatchesRawEvaluator).
 func TestOpenMatchesRawEvaluator(t *testing.T) {
 	model, sys, list := waterTestSetup(t)
 	n := sys.N()
@@ -83,11 +84,6 @@ func TestOpenMatchesRawEvaluator(t *testing.T) {
 	}{
 		{"double-batched", func() Potential { return core.NewEvaluator[float64](model) },
 			[]Option{WithPrecision(Double), WithStrategy(Batched)}},
-		{"double-peratom", func() Potential {
-			ev := core.NewEvaluator[float64](model)
-			ev.SetPerAtomDescriptors(true)
-			return ev
-		}, []Option{WithStrategy(PerAtom)}},
 		{"double-compressed", func() Potential {
 			ev := core.NewEvaluator[float64](model)
 			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
@@ -97,11 +93,6 @@ func TestOpenMatchesRawEvaluator(t *testing.T) {
 		}, []Option{WithStrategy(Compressed)}},
 		{"mixed-batched", func() Potential { return core.NewEvaluator[float32](model) },
 			[]Option{WithPrecision(Mixed), WithStrategy(Batched)}},
-		{"mixed-peratom", func() Potential {
-			ev := core.NewEvaluator[float32](model)
-			ev.SetPerAtomDescriptors(true)
-			return ev
-		}, []Option{WithPrecision(Mixed), WithStrategy(PerAtom)}},
 		{"mixed-compressed", func() Potential {
 			ev := core.NewEvaluator[float32](model)
 			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
@@ -111,16 +102,6 @@ func TestOpenMatchesRawEvaluator(t *testing.T) {
 		}, []Option{WithPrecision(Mixed), WithStrategy(Compressed)}},
 		{"baseline", func() Potential { return core.NewBaselineEvaluator(model) },
 			[]Option{WithStrategy(Baseline)}},
-		{"double-setter-roundtrip", func() Potential {
-			// Toggling strategies post hoc must land back on batched.
-			ev := core.NewEvaluator[float64](model)
-			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
-				t.Fatal(err)
-			}
-			ev.SetPerAtomDescriptors(true)
-			ev.SetPerAtomDescriptors(false)
-			return ev
-		}, []Option{WithStrategy(Batched)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	deepmd "deepmd-go"
 	"deepmd-go/internal/core"
 	"deepmd-go/internal/experiments"
-	"deepmd-go/internal/units"
 )
 
 func main() {
@@ -35,11 +34,7 @@ func main() {
 	fmt.Println(local)
 
 	fmt.Println("== one shared Engine serving all ranks' force calls ==")
-	cfg := core.TinyConfig(2)
-	cfg.TypeNames = []string{"O", "H"}
-	cfg.Masses = []float64{units.MassO, units.MassH}
-	cfg.Rcut, cfg.RcutSmth, cfg.Skin = 4.0, 0.5, 1.0
-	cfg.Sel = []int{12, 24}
+	cfg := core.QuickWaterConfig()
 	model, err := deepmd.NewModel(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"deepmd-go/internal/lattice"
 	"deepmd-go/internal/refpot"
 	"deepmd-go/internal/train"
-	"deepmd-go/internal/units"
 )
 
 func main() {
@@ -31,11 +30,7 @@ func main() {
 	mdSteps := flag.Int("mdsteps", 200, "MD steps per replica")
 	flag.Parse()
 
-	cfg := core.TinyConfig(2)
-	cfg.TypeNames = []string{"O", "H"}
-	cfg.Masses = []float64{units.MassO, units.MassH}
-	cfg.Rcut, cfg.RcutSmth, cfg.Skin = 4.0, 0.5, 1.0
-	cfg.Sel = []int{12, 24}
+	cfg := core.QuickWaterConfig()
 	cfg.RepA, cfg.RepRcut = 25, 0.8
 	cfg.Seed = 3
 	spec := deepmd.SpecFor(cfg)

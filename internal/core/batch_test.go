@@ -79,8 +79,7 @@ func compareBatchedToPerAtom[T interface{ float32 | float64 }](t *testing.T, m *
 	mv.Cfg = cfg
 
 	evB := NewEvaluator[T](&mv)
-	evR := NewEvaluator[T](&mv)
-	evR.SetPerAtomDescriptors(true)
+	evR := mustEvaluator[T](t, &mv, StrategyPerAtom)
 
 	nloc := len(types)
 	var rb, rr Result
@@ -116,8 +115,8 @@ func requireResultsClose(t *testing.T, what string, got, want *Result, relTol fl
 	}
 }
 
-// The per-atom reference path must stay wired through the public knob at
-// every parallelism setting (it shares Compute's chunk fan-out).
+// The per-atom reference path must stay bit-identical at every
+// parallelism setting (it shares Compute's chunk fan-out).
 func TestPerAtomPathParallelMatchesSerial(t *testing.T) {
 	cfg := batchTestConfig(true)
 	cfg.ChunkSize = 4
@@ -131,10 +130,8 @@ func TestPerAtomPathParallelMatchesSerial(t *testing.T) {
 	mPv.Cfg.Workers = 4
 	mP := &mPv
 
-	serial := NewEvaluator[float64](m)
-	serial.SetPerAtomDescriptors(true)
-	par := NewEvaluator[float64](mP)
-	par.SetPerAtomDescriptors(true)
+	serial := mustEvaluator[float64](t, m, StrategyPerAtom)
+	par := mustEvaluator[float64](t, mP, StrategyPerAtom)
 
 	var rs, rp Result
 	if err := serial.Compute(pos, types, 40, list, box, &rs); err != nil {

@@ -87,10 +87,7 @@ func compareCompressedToBatched[T interface{ float32 | float64 }](t *testing.T, 
 	mv := *m
 	mv.Cfg = cfg
 
-	evC := NewEvaluator[T](&mv)
-	if err := evC.SetCompressedEmbedding(compress.Spec{}); err != nil {
-		t.Fatal(err)
-	}
+	evC := mustEvaluator[T](t, &mv, StrategyCompressed)
 	evX := NewEvaluator[T](&mv)
 
 	nloc := len(types)
@@ -139,10 +136,10 @@ func TestComputeZeroAllocCompressed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev := NewEvaluator[float64](m)
-			if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
+			if err := m.AttachCompressedTables(compress.Spec{}); err != nil {
 				t.Fatal(err)
 			}
+			ev := mustEvaluator[float64](t, m, StrategyCompressed)
 			pos, types, list, box := latticeSystem(t, water, &cfg)
 			n := len(types)
 			var out Result
@@ -203,14 +200,8 @@ func TestCompressedModelRoundTrip(t *testing.T) {
 
 	pos, types, list, box := latticeSystem(t, true, &cfg)
 	n := len(types)
-	evA := NewEvaluator[float64](m)
-	if err := evA.SetCompressedEmbedding(compress.Spec{}); err != nil {
-		t.Fatal(err)
-	}
-	evB := NewEvaluator[float64](got)
-	if err := evB.SetCompressedEmbedding(compress.Spec{}); err != nil {
-		t.Fatal(err)
-	}
+	evA := mustEvaluator[float64](t, m, StrategyCompressed)
+	evB := mustEvaluator[float64](t, got, StrategyCompressed)
 	var ra, rb Result
 	if err := evA.Compute(pos, types, n, list, box, &ra); err != nil {
 		t.Fatal(err)
@@ -259,10 +250,10 @@ func TestComputeWithGradsRejectsCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator[float64](m)
-	if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
+	if err := m.AttachCompressedTables(compress.Spec{}); err != nil {
 		t.Fatal(err)
 	}
+	ev := mustEvaluator[float64](t, m, StrategyCompressed)
 	pos, types, list, box := testSystem(t, 3, 8, &cfg)
 	var out Result
 	err = ev.ComputeWithGrads(pos, types, 8, list, box, &out, NewModelGrads(m))
@@ -285,12 +276,12 @@ func TestCompressedArenaFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvaluator[float32](m)
-	ctr := perf.NewCounter()
-	ev.Counter = ctr
-	if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
+	if err := m.AttachCompressedTables(compress.Spec{}); err != nil {
 		t.Fatal(err)
 	}
+	ev := mustEvaluator[float32](t, m, StrategyCompressed)
+	ctr := perf.NewCounter()
+	ev.Counter = ctr
 	cell := lattice.FCC(5, 5, 5, 3.615)
 	lattice.Perturb(cell, 0.05, 3)
 	n := cell.N()

@@ -25,20 +25,25 @@ import (
 // table's value, forces stay exact gradients of the (tabulated) energy
 // surface and NVE conservation is preserved under compression.
 
-// SetCompressedEmbedding switches the evaluator to the tabulated
+// SetCompressedEmbedding switches a raw evaluator to the tabulated
 // embedding path. Tables come from, in order of preference: the model's
 // attached tables (a compressed checkpoint round-trips through
 // Save/Load), or a fresh build from the master double-precision nets
 // using spec (a zero Spec selects the default domain and resolution for
 // the model's cutoff). The float32 evaluator derives its tables from the
-// float64 build, mirroring how its network weights are derived.
+// float64 build, mirroring how its network weights are derived. Attached
+// tables that do not fit the model wrap ErrStrategyUnavailable, as they
+// do at NewEngine.
+//
+// It is the raw-evaluator form of newEvaluator's compressed case, kept for
+// callers that hold an evaluator already; an Engine builds its evaluators
+// on the compressed strategy directly and sizes their arenas once.
 //
 // Compression is an inference-time strategy: parameter gradients are not
 // representable (the embedding weights no longer appear in the graph), so
 // ComputeWithGrads rejects a compressed evaluator. Training always runs
 // on the exact nets; AttachCompressedTables re-tabulates afterwards.
 func (ev *Evaluator[T]) SetCompressedEmbedding(spec compress.Spec) error {
-	nt := ev.cfg.NumTypes()
 	src := ev.master.Compressed
 	if src == nil {
 		var err error
@@ -46,19 +51,40 @@ func (ev *Evaluator[T]) SetCompressedEmbedding(spec compress.Spec) error {
 			return err
 		}
 	}
+	comp, err := convertTables[T](&ev.cfg, src)
+	if err != nil {
+		return err
+	}
+	ev.comp, ev.strat = comp, StrategyCompressed
+	ev.sizeArenas()
+	return nil
+}
+
+// convertTables checks that src holds one table of the model's channel
+// count per (center, neighbor) type pair and converts each to precision T;
+// missing tables or a misfit wrap ErrStrategyUnavailable.
+func convertTables[T tensor.Float](cfg *Config, src [][]*compress.Table[float64]) ([][]*compress.Table[T], error) {
+	nt := cfg.NumTypes()
+	if src == nil {
+		return nil, fmt.Errorf("%w: compressed strategy requires attached tables (Model.AttachCompressedTables)", ErrStrategyUnavailable)
+	}
+	if len(src) != nt {
+		return nil, fmt.Errorf("%w: %d compressed table rows for %d types", ErrStrategyUnavailable, len(src), nt)
+	}
 	comp := make([][]*compress.Table[T], nt)
-	for ci := 0; ci < nt; ci++ {
+	for ci, row := range src {
+		if len(row) != nt {
+			return nil, fmt.Errorf("%w: %d compressed tables in row %d for %d types", ErrStrategyUnavailable, len(row), ci, nt)
+		}
 		comp[ci] = make([]*compress.Table[T], nt)
-		for tj := 0; tj < nt; tj++ {
-			if m := src[ci][tj].M; m != ev.cfg.M() {
-				return fmt.Errorf("core: compressed table (%d,%d) has %d channels, model has %d", ci, tj, m, ev.cfg.M())
+		for tj, tb := range row {
+			if tb == nil || tb.M != cfg.M() {
+				return nil, fmt.Errorf("%w: compressed table (%d,%d) does not match the model's %d channels", ErrStrategyUnavailable, ci, tj, cfg.M())
 			}
-			comp[ci][tj] = convertTable[T](src[ci][tj])
+			comp[ci][tj] = convertTable[T](tb)
 		}
 	}
-	ev.comp = comp
-	ev.setStrategy(StrategyCompressed)
-	return nil
+	return comp, nil
 }
 
 // AttachCompressedTables tabulates every embedding net of the model and

@@ -186,3 +186,16 @@ func TinyConfig(ntypes int) Config {
 		Seed:        7,
 	}
 }
+
+// QuickWaterConfig returns the quick-scale water model every tool builds
+// in: the TinyConfig(2) networks with O/H names and masses, rc 4.0/0.5 A,
+// skin 1.0 A and sel {12, 24}. Callers that want a repulsion prior or a
+// seed set those fields on the result.
+func QuickWaterConfig() Config {
+	cfg := TinyConfig(2)
+	cfg.TypeNames = []string{"O", "H"}
+	cfg.Masses = []float64{units.MassO, units.MassH}
+	cfg.Rcut, cfg.RcutSmth, cfg.Skin = 4.0, 0.5, 1.0
+	cfg.Sel = []int{12, 24}
+	return cfg
+}

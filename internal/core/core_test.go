@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"deepmd-go/internal/descriptor"
 	"deepmd-go/internal/neighbor"
 	"deepmd-go/internal/perf"
+	"deepmd-go/internal/tensor"
+	"deepmd-go/internal/units"
 )
 
 // testSystem builds a random two-type configuration with a periodic box
@@ -42,6 +45,17 @@ func newTestModel(t *testing.T, ntypes int) *Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// mustEvaluator builds an evaluator for strategy s through the one
+// constructor; the compressed strategy needs tables attached to m.
+func mustEvaluator[T tensor.Float](t testing.TB, m *Model, s Strategy) *Evaluator[T] {
+	t.Helper()
+	ev, err := newEvaluator[T](m, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
 }
 
 // The critical correctness test of the whole library: the analytic force
@@ -417,6 +431,27 @@ func TestPaperConfigs(t *testing.T) {
 	}
 	if c.Stride() != 500 {
 		t.Fatalf("copper stride = %d, want 500", c.Stride())
+	}
+}
+
+// QuickWaterConfig is the quick-water geometry the benchmark harness
+// builds on its own (bench/ranks.go, quickWaterModel); the two must not
+// drift, so the preset is pinned field by field to that construction.
+func TestQuickWaterConfig(t *testing.T) {
+	want := TinyConfig(2)
+	want.TypeNames = []string{"O", "H"}
+	want.Masses = []float64{units.MassO, units.MassH}
+	want.Rcut, want.RcutSmth, want.Skin = 4.0, 0.5, 1.0
+	want.Sel = []int{12, 24}
+	got := QuickWaterConfig()
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		if !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("%s = %v, want %v", gv.Type().Field(i).Name, gv.Field(i).Interface(), wv.Field(i).Interface())
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

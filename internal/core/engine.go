@@ -3,9 +3,7 @@ package core
 import (
 	"sync"
 
-	"deepmd-go/internal/compress"
 	"deepmd-go/internal/neighbor"
-	"deepmd-go/internal/tensor"
 )
 
 // computer is the single-goroutine evaluation contract every execution
@@ -59,8 +57,9 @@ type Engine struct {
 // NewEngine resolves the requested plan against the model (see
 // ResolvePlan for the validation rules) and returns an engine ready to
 // serve MaxConcurrency concurrent evaluations. The first evaluator is
-// built eagerly so construction-time failures surface here rather than on
-// the first call.
+// built eagerly, so construction-time failures — a compressed plan over
+// tables that are missing or do not fit the model, which wraps
+// ErrStrategyUnavailable — surface here rather than on the first call.
 func NewEngine(m *Model, req Plan) (*Engine, error) {
 	plan, err := ResolvePlan(m, req)
 	if err != nil {
@@ -94,34 +93,28 @@ func (e *Engine) EvalWorkers() int { return e.plan.Workers }
 func (e *Engine) MaxConcurrency() int { return e.plan.MaxConcurrency }
 
 // newComputer builds one pooled evaluator executing the resolved plan,
-// from the snapshot frozen at NewEngine. Networks and tables stay shared
-// with the original model (weights are read-only during serving); only
-// the Cfg — with the plan's worker budget — is the engine's own.
+// from the snapshot frozen at NewEngine: the optimized evaluator is built
+// once, for the plan's strategy, its arenas sized for it. Networks and
+// tables stay shared with the original model (weights are read-only
+// during serving); only the Cfg — with the plan's worker budget — is the
+// engine's own.
 func (e *Engine) newComputer() (computer, error) {
 	if e.plan.Strategy == StrategyBaseline {
 		return NewBaselineEvaluator(&e.snap), nil
 	}
+	var (
+		c   computer
+		err error
+	)
 	if e.plan.Precision == Mixed {
-		return buildEvaluator[float32](&e.snap, e.plan)
+		c, err = newEvaluator[float32](&e.snap, e.plan.Strategy)
+	} else {
+		c, err = newEvaluator[float64](&e.snap, e.plan.Strategy)
 	}
-	return buildEvaluator[float64](&e.snap, e.plan)
-}
-
-// buildEvaluator constructs and configures one optimized evaluator in
-// precision T per the plan.
-func buildEvaluator[T tensor.Float](m *Model, plan Plan) (computer, error) {
-	ev := NewEvaluator[T](m)
-	switch plan.Strategy {
-	case StrategyPerAtom:
-		ev.SetPerAtomDescriptors(true)
-	case StrategyCompressed:
-		// ResolvePlan guaranteed attached, matching tables; a zero Spec
-		// converts them as shipped.
-		if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
-	return ev, nil
+	return c, nil
 }
 
 // build grows the pool by one computer, through the test hook when set.

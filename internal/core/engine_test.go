@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // TestResolvePlan pins the validation and defaulting rules of the unified
 // options layer: every combination is judged once, invalid ones wrap
 // ErrStrategyUnavailable, and Auto resolves to the fastest legal strategy
-// for the model.
+// for the model. An explicit compressed plan resolves without tables:
+// they are checked where they are read (TestNewEngineChecksTables).
 func TestResolvePlan(t *testing.T) {
 	plain := newTestModel(t, 2)
 	tabled := newTestModel(t, 2)
@@ -34,8 +36,8 @@ func TestResolvePlan(t *testing.T) {
 			want: Plan{Precision: Double, Strategy: StrategyCompressed}},
 		{name: "explicit-mixed-peratom", model: plain, req: Plan{Precision: Mixed, Strategy: StrategyPerAtom},
 			want: Plan{Precision: Mixed, Strategy: StrategyPerAtom}},
-		{name: "compressed-needs-tables", model: plain, req: Plan{Strategy: StrategyCompressed},
-			wantErr: ErrStrategyUnavailable},
+		{name: "compressed-resolves-without-tables", model: plain, req: Plan{Strategy: StrategyCompressed},
+			want: Plan{Precision: Double, Strategy: StrategyCompressed}},
 		{name: "baseline-is-double-only", model: plain, req: Plan{Precision: Mixed, Strategy: StrategyBaseline},
 			wantErr: ErrStrategyUnavailable},
 		{name: "baseline-double-ok", model: plain, req: Plan{Strategy: StrategyBaseline, Workers: 8},
@@ -182,6 +184,157 @@ func TestEngineConcurrentBitIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A compressed plan's tables are checked where they are read: NewEngine
+// builds its first evaluator eagerly, so tables that are missing or do not
+// fit the model fail there, in either precision, and wrap
+// ErrStrategyUnavailable.
+func TestNewEngineChecksTables(t *testing.T) {
+	m := newTestModel(t, 2)
+	if err := m.AttachCompressedTables(compress.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	good := m.Compressed
+	narrow := *good[1][1]
+	narrow.M--
+	for _, tc := range []struct {
+		name   string
+		tables [][]*compress.Table[float64]
+	}{
+		{"missing-tables", nil},
+		{"missing-row", good[:1]},
+		{"short-row", [][]*compress.Table[float64]{good[0], good[1][:1]}},
+		{"nil-table", [][]*compress.Table[float64]{good[0], {good[1][0], nil}}},
+		{"wrong-channels", [][]*compress.Table[float64]{good[0], {good[1][0], &narrow}}},
+	} {
+		for _, prec := range []Precision{Double, Mixed} {
+			t.Run(tc.name+"/"+prec.String(), func(t *testing.T) {
+				mv := *m
+				mv.Compressed = tc.tables
+				if _, err := NewEngine(&mv, Plan{Precision: prec, Strategy: StrategyCompressed}); !errors.Is(err, ErrStrategyUnavailable) {
+					t.Fatalf("NewEngine err = %v, want ErrStrategyUnavailable", err)
+				}
+			})
+		}
+	}
+	if _, err := NewEngine(m, Plan{Strategy: StrategyCompressed}); err != nil {
+		t.Fatalf("intact tables: %v", err)
+	}
+}
+
+// NewEngine builds each evaluator once, for its plan's strategy: on the
+// paper's copper model (mixed, compressed, 2 workers) constructing the
+// engine allocates less than one worker arena of the exact strategy
+// (22.6 MB), the trace-sized slab that building on the exact strategy and
+// then switching would allocate and drop for every worker.
+func TestNewEngineAllocatesOnce(t *testing.T) {
+	m, err := New(CopperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AttachCompressedTables(compress.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	m.Cfg.Workers = 1
+	exact := uint64(NewEvaluator[float32](m).ArenaBytes())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := NewEngine(m, Plan{Precision: Mixed, Strategy: StrategyCompressed, Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= exact {
+		t.Fatalf("NewEngine allocated %d bytes, want < %d (one exact worker arena)", got, exact)
+	}
+	runtime.KeepAlive(e)
+}
+
+// The Engine adds pooling and validation, never arithmetic: a per-atom
+// plan in either precision is bit-identical to the raw evaluator the
+// constructor builds for that strategy. The facade suite
+// (TestOpenMatchesRawEvaluator) covers the strategies a raw evaluator
+// reaches from outside the package.
+func TestEngineMatchesRawEvaluator(t *testing.T) {
+	cfg := QuickWaterConfig()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, types, list, box := latticeSystem(t, true, &cfg)
+	n := len(types)
+	for _, tc := range []struct {
+		name string
+		raw  computer
+		plan Plan
+	}{
+		{"double-peratom", mustEvaluator[float64](t, m, StrategyPerAtom), Plan{Strategy: StrategyPerAtom}},
+		{"mixed-peratom", mustEvaluator[float32](t, m, StrategyPerAtom), Plan{Precision: Mixed, Strategy: StrategyPerAtom}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(m, tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want, got Result
+			if err := tc.raw.Compute(pos, types, n, list, box, &want); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Compute(pos, types, n, list, box, &got); err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, tc.name, &got, &want)
+		})
+	}
+}
+
+// SetCompressedEmbedding, the raw form of the constructor's compressed
+// case, lands on the same evaluator: on a table-less model it tabulates
+// the master nets and matches, bit for bit and arena for arena, an
+// evaluator built compressed over the same tables attached to the model.
+func TestSetCompressedEmbeddingMatchesConstructor(t *testing.T) {
+	cfg := batchTestConfig(true)
+	cfg.Workers = 2
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, types, list, box := latticeSystem(t, true, &cfg)
+	n := len(types)
+	raw := NewEvaluator[float32](m)
+	if err := raw.SetCompressedEmbedding(compress.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	tabled := *m
+	if err := tabled.AttachCompressedTables(compress.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	built := mustEvaluator[float32](t, &tabled, StrategyCompressed)
+	if raw.ArenaBytes() != built.ArenaBytes() {
+		t.Fatalf("raw compressed arenas %d bytes, constructor's %d", raw.ArenaBytes(), built.ArenaBytes())
+	}
+	var want, got Result
+	if err := built.Compute(pos, types, n, list, box, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Compute(pos, types, n, list, box, &got); err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "raw compressed", &got, &want)
+}
+
+// The raw path checks attached tables as NewEngine does: a nil table is
+// an ErrStrategyUnavailable error, not a panic.
+func TestSetCompressedEmbeddingRejectsNilTable(t *testing.T) {
+	m := newTestModel(t, 2)
+	if err := m.AttachCompressedTables(compress.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	m.Compressed[1][0] = nil
+	if err := NewEvaluator[float64](m).SetCompressedEmbedding(compress.Spec{}); !errors.Is(err, ErrStrategyUnavailable) {
+		t.Fatalf("SetCompressedEmbedding err = %v, want ErrStrategyUnavailable", err)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // draw against merging the matrices of many atoms into batched GEMMs —
 // and it survives as the differential oracle for the batched path
 // (TestBatchedEvaluatorMatchesPerAtom) and as `dpmd -strategy peratom`,
-// the side to A/B against under `go run ./bench`. Enable with
-// SetPerAtomDescriptors(true). Unlike the batched path it allocates its
+// the side to A/B against under `go run ./bench`. An evaluator built for
+// StrategyPerAtom runs it. Unlike the batched path it allocates its
 // small bookkeeping slices per chunk, as the per-call-allocation baseline
 // did, and it works on full-sel matrices: each (atom, section) is gathered
 // from its ragged rows (env.Off) into Sel[t] rows, zero beyond the real

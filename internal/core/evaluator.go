@@ -36,11 +36,12 @@ type Result struct {
 // the worker arena until the backward pass reads it back (the operator
 // fusion of Sec. 5.3, with TANHGrad kept for back-propagation).
 // Only the fitting net still runs as one chunk-tall GEMM batch (Sec.
-// 5.3.1). SetPerAtomDescriptors restores the per-atom loops over
-// materialised full-sel matrices — the differential oracle and the
-// 2018-granularity reference — and SetCompressedEmbedding replaces the
-// embedding networks with tabulated piecewise quintics behind the same
-// contractions (internal/compress), the third execution strategy.
+// 5.3.1). StrategyPerAtom restores the per-atom loops over materialised
+// full-sel matrices — the differential oracle and the 2018-granularity
+// reference — and StrategyCompressed replaces the embedding networks with
+// tabulated piecewise quintics behind the same contractions
+// (internal/compress), the third execution strategy. The strategy is
+// chosen once, at construction (newEvaluator).
 //
 // Concurrency contract: a raw Evaluator is SINGLE-GOROUTINE. It owns
 // persistent arenas, traces and result staging buffers (the zero-alloc
@@ -68,7 +69,7 @@ type Evaluator[T tensor.Float] struct {
 	// Baseline here; the BaselineEvaluator is a separate type).
 	strat Strategy
 	// comp[ci][tj] is the tabulated embedding net for (center, neighbor)
-	// type pair, populated by SetCompressedEmbedding.
+	// type pair, converted at construction for the compressed strategy.
 	comp [][]*compress.Table[T]
 
 	// frames and batchJobs are the persistent state of the force call
@@ -111,9 +112,21 @@ type evalScratch[T tensor.Float] struct {
 	rows  descriptor.RowScratch // stage 1: the current atom's refreshed row and sort keys
 }
 
-// NewEvaluator builds an evaluator for the model in precision T, converting
-// the master weights once at construction.
+// NewEvaluator builds an evaluator for the model in precision T on the
+// default fused exact strategy (StrategyBatched): the one constructor's
+// case that cannot fail, since it reads no tables.
 func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
+	ev, _ := newEvaluator[T](m, StrategyBatched)
+	return ev
+}
+
+// newEvaluator is the one constructor of the optimized evaluator: it
+// converts the master weights to precision T, for StrategyCompressed the
+// model's attached tables too (convertTables; a model without valid tables
+// wraps ErrStrategyUnavailable), and sizes every worker's arena once for
+// strategy s (PerAtom, Batched or Compressed). The strategy is fixed for
+// the evaluator's life.
+func newEvaluator[T tensor.Float](m *Model, s Strategy) (*Evaluator[T], error) {
 	cfg := m.Cfg
 	nt := cfg.NumTypes()
 	ev := &Evaluator[T]{
@@ -126,6 +139,13 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 		master: m,
 		embed:  make([][]*nn.Net[T], nt),
 		fit:    make([]*nn.Net[T], nt),
+		strat:  s,
+	}
+	if s == StrategyCompressed {
+		var err error
+		if ev.comp, err = convertTables[T](&cfg, m.Compressed); err != nil {
+			return nil, err
+		}
 	}
 	for ci := 0; ci < nt; ci++ {
 		ev.embed[ci] = make([]*nn.Net[T], nt)
@@ -134,13 +154,23 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 		}
 		ev.fit[ci] = shareOrConvert[T](m.Fit[ci])
 	}
-	ev.strat = StrategyBatched
-	for w := 0; w < max(1, cfg.Workers); w++ {
-		ev.arenas = append(ev.arenas, tensor.NewArena[T](ev.arenaLen()))
+	workers := max(1, cfg.Workers)
+	ev.arenas = make([]*tensor.Arena[T], workers)
+	ev.sizeArenas()
+	for range workers {
 		ev.scratch = append(ev.scratch, &evalScratch[T]{segs: make([]tileSeg, 0, embedTileRows)})
 	}
-	ev.bar.cond.L, ev.bar.n = &ev.bar.mu, len(ev.arenas)
-	return ev
+	ev.bar.cond.L, ev.bar.n = &ev.bar.mu, workers
+	return ev, nil
+}
+
+// sizeArenas gives every worker a fresh arena of the strategy's demand
+// (arenaLen).
+func (ev *Evaluator[T]) sizeArenas() {
+	n := ev.arenaLen()
+	for i := range ev.arenas {
+		ev.arenas[i] = tensor.NewArena[T](n)
+	}
 }
 
 // arenaLen is one worker's arena demand under the evaluator's strategy, a
@@ -149,8 +179,8 @@ func NewEvaluator[T tensor.Float](m *Model) *Evaluator[T] {
 // operator keeps the chunk's embedding trace — at most ChunkSize x Σsel
 // rows, each with every layer's output and tanh gradient, and one s tile
 // per row tile — plus one tile's backward scratch; the tabulated one needs
-// its Horner tile only. Sized at construction and on every strategy
-// switch, the first force call already runs inside the slab
+// its Horner tile only. Sized once, at construction, for the evaluator's
+// strategy, the first force call already runs inside the slab
 // (TestArenaSizedAtConstruction). The per-atom oracle materialises
 // full-sel matrices and is left to growArenas.
 func (ev *Evaluator[T]) arenaLen() int {
@@ -189,37 +219,6 @@ func traceRowLen[T tensor.Float](net *nn.Net[T]) int {
 		}
 	}
 	return n
-}
-
-// setStrategy switches the chunk body and re-slabs every arena whose size
-// is not the new strategy's demand: only the exact operator reserves a
-// chunk's embedding trace, and a tabulated evaluator does not carry it.
-func (ev *Evaluator[T]) setStrategy(s Strategy) {
-	if s == ev.strat {
-		return
-	}
-	ev.strat = s
-	n := ev.arenaLen()
-	for i, a := range ev.arenas {
-		if a.Cap() != n {
-			ev.arenas[i] = tensor.NewArena[T](n)
-		}
-	}
-}
-
-// SetPerAtomDescriptors switches the descriptor stage between the default
-// fused exact operator and the retained per-atom reference loops (the
-// computational granularity the 2018 DeePMD-kit used, and the differential
-// oracle the equivalence tests compare against). The mathematics is
-// identical; only the execution strategy changes. Turning the per-atom
-// path off restores the exact operator, also when the evaluator was
-// previously compressed.
-func (ev *Evaluator[T]) SetPerAtomDescriptors(on bool) {
-	if on {
-		ev.setStrategy(StrategyPerAtom)
-	} else {
-		ev.setStrategy(StrategyBatched)
-	}
 }
 
 // ArenaBytes reports the total arena slab size; the mixed-precision

@@ -57,8 +57,7 @@ func compareExactToOracle[T interface{ float32 | float64 }](t *testing.T, m *Mod
 	mv := *m
 	mv.Cfg = cfg
 	evB := NewEvaluator[T](&mv)
-	evR := NewEvaluator[float64](&mv)
-	evR.SetPerAtomDescriptors(true)
+	evR := mustEvaluator[float64](t, &mv, StrategyPerAtom)
 	var rb, rr Result
 	if err := evB.Compute(pos, types, nloc, list, box, &rb); err != nil {
 		t.Fatal(err)
@@ -221,11 +220,10 @@ func TestComputeWithGradsTiledMatchesPerAtom(t *testing.T) {
 	if totals, _ := sectionRows(t, cfg, len(types), pos, types, list, box); totals[0] <= 2*embedTileRows {
 		t.Fatalf("section runs %d rows, want more than two tiles", totals[0])
 	}
-	grads := func(chunk int, perAtom bool) *ModelGrads {
+	grads := func(chunk int, s Strategy) *ModelGrads {
 		mv := *m
 		mv.Cfg.ChunkSize = chunk
-		ev := NewEvaluator[float64](&mv)
-		ev.SetPerAtomDescriptors(perAtom)
+		ev := mustEvaluator[float64](t, &mv, s)
 		g := NewModelGrads(m)
 		var out Result
 		if err := ev.ComputeWithGrads(pos, types, len(types), list, box, &out, g); err != nil {
@@ -233,7 +231,7 @@ func TestComputeWithGradsTiledMatchesPerAtom(t *testing.T) {
 		}
 		return g
 	}
-	ref := grads(cfg.ChunkSize, true)
+	ref := grads(cfg.ChunkSize, StrategyPerAtom)
 	same := func(label string, got, want []float64) {
 		t.Helper()
 		for i := range want {
@@ -244,7 +242,7 @@ func TestComputeWithGradsTiledMatchesPerAtom(t *testing.T) {
 	}
 	var tiled *ModelGrads
 	for _, chunk := range []int{7, cfg.ChunkSize} {
-		tiled = grads(chunk, false)
+		tiled = grads(chunk, StrategyBatched)
 		for l := range ref.Embed[0][0].DW {
 			same(fmt.Sprintf("chunk %d: embed.L%d.W", chunk, l), tiled.Embed[0][0].DW[l].Data, ref.Embed[0][0].DW[l].Data)
 			same(fmt.Sprintf("chunk %d: embed.L%d.B", chunk, l), tiled.Embed[0][0].DB[l], ref.Embed[0][0].DB[l])
@@ -278,7 +276,8 @@ func TestComputeWithGradsTiledMatchesPerAtom(t *testing.T) {
 }
 
 // A worker's arena demand is a closed form of the Config (arenaLen), so
-// the slab allocated at construction already holds the first force call:
+// the slab the constructor allocates for the strategy already holds the
+// first force call:
 // nothing overflows to the heap and growArenas re-slabs nothing, on either
 // fused strategy, for the test-sized and both paper-sized models.
 func TestArenaSizedAtConstruction(t *testing.T) {
@@ -311,12 +310,14 @@ func TestArenaSizedAtConstruction(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev := NewEvaluator[float32](m)
+				strat := StrategyBatched
 				if compressed {
-					if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
+					if err := m.AttachCompressedTables(compress.Spec{}); err != nil {
 						t.Fatal(err)
 					}
+					strat = StrategyCompressed
 				}
+				ev := mustEvaluator[float32](t, m, strat)
 				before := ev.ArenaBytes()
 				var out Result
 				if err := ev.Compute(tc.sys.Pos, tc.sys.Types, tc.sys.N(), list, &tc.sys.Box, &out); err != nil {

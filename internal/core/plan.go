@@ -119,10 +119,12 @@ type Plan struct {
 }
 
 // ResolvePlan validates the requested plan against the model and fills
-// defaults, returning the concrete plan an Engine will execute. All
-// combination errors surface here, once, instead of step by step through
-// post-hoc setters; invalid combinations wrap ErrStrategyUnavailable so
-// errors.Is works.
+// defaults, returning the concrete plan an Engine will execute. Every
+// precision x strategy error surfaces here, once; invalid combinations
+// wrap ErrStrategyUnavailable so errors.Is works. The compressed
+// strategy's tables are checked where they are read, when NewEngine
+// builds its first evaluator, so a plan resolves before the tables of a
+// model still to be trained exist.
 func ResolvePlan(m *Model, req Plan) (Plan, error) {
 	p := req
 	switch p.Precision {
@@ -152,26 +154,6 @@ func ResolvePlan(m *Model, req Plan) (Plan, error) {
 	if p.Strategy == StrategyBaseline && p.Precision == Mixed {
 		return Plan{}, fmt.Errorf("%w: the baseline evaluator is double-precision only (Sec. 4)", ErrStrategyUnavailable)
 	}
-	if p.Strategy == StrategyCompressed {
-		if m.Compressed == nil {
-			return Plan{}, fmt.Errorf("%w: compressed strategy requires attached tables (Model.AttachCompressedTables)", ErrStrategyUnavailable)
-		}
-		nt := m.Cfg.NumTypes()
-		if len(m.Compressed) != nt {
-			return Plan{}, fmt.Errorf("%w: %d compressed table rows for %d types", ErrStrategyUnavailable, len(m.Compressed), nt)
-		}
-		for ci, row := range m.Compressed {
-			if len(row) != nt {
-				return Plan{}, fmt.Errorf("%w: %d compressed tables in row %d for %d types", ErrStrategyUnavailable, len(row), ci, nt)
-			}
-			for tj, tb := range row {
-				if tb == nil || tb.M != m.Cfg.M() {
-					return Plan{}, fmt.Errorf("%w: compressed table (%d,%d) does not match the model's %d channels", ErrStrategyUnavailable, ci, tj, m.Cfg.M())
-				}
-			}
-		}
-	}
-
 	if p.Workers <= 0 {
 		p.Workers = max(1, m.Cfg.Workers)
 	}

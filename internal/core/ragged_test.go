@@ -124,15 +124,7 @@ func TestRaggedEdgesMatchAcrossStrategies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, strat := range []Strategy{StrategyBatched, StrategyCompressed, StrategyPerAtom} {
-			ev := NewEvaluator[float64](m)
-			switch strat {
-			case StrategyPerAtom:
-				ev.SetPerAtomDescriptors(true)
-			case StrategyCompressed:
-				if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
-					t.Fatal(err)
-				}
-			}
+			ev := mustEvaluator[float64](t, m, strat)
 			out := new(Result)
 			if err := ev.Compute(f.pos, f.types, f.nloc, f.list, f.box, out); err != nil {
 				t.Fatal(err)

@@ -67,10 +67,7 @@ func testCopperTierAttribution(t *testing.T, chunkSize int) {
 		cpufeat.AVX512:  {natoms * strip, natoms * dot, 0},
 	}
 	forEachFamily(t, func(t *testing.T) {
-		ev := NewEvaluator[float32](m)
-		if err := ev.SetCompressedEmbedding(compress.Spec{}); err != nil {
-			t.Fatal(err)
-		}
+		ev := mustEvaluator[float32](t, m, StrategyCompressed)
 		if got, fam := tierFLOPs(t, ev, pos, types, list, box), cpufeat.Active(); got != want[fam] {
 			t.Errorf("strip / dot / naive served %v GEMM FLOPs, want %v", got, want[fam])
 		}
@@ -93,6 +90,10 @@ func testQuickWaterTierAttribution(t *testing.T) {
 	}
 	pos, types, list, box := latticeSystem(t, true, &cfg)
 	for _, perAtom := range []bool{false, true} {
+		strat := StrategyBatched
+		if perAtom {
+			strat = StrategyPerAtom
+		}
 		for _, single := range []bool{false, true} {
 			name := fmt.Sprintf("peratom=%v/f32=%v", perAtom, single)
 			t.Run(name, func(t *testing.T) {
@@ -100,13 +101,9 @@ func testQuickWaterTierAttribution(t *testing.T) {
 				forEachFamily(t, func(t *testing.T) {
 					var got [3]int64
 					if single {
-						ev := NewEvaluator[float32](m)
-						ev.SetPerAtomDescriptors(perAtom)
-						got = tierFLOPs(t, ev, pos, types, list, box)
+						got = tierFLOPs(t, mustEvaluator[float32](t, m, strat), pos, types, list, box)
 					} else {
-						ev := NewEvaluator[float64](m)
-						ev.SetPerAtomDescriptors(perAtom)
-						got = tierFLOPs(t, ev, pos, types, list, box)
+						got = tierFLOPs(t, mustEvaluator[float64](t, m, strat), pos, types, list, box)
 					}
 					if cpufeat.Active() == cpufeat.Generic {
 						if got[0] != 0 || got[1] != 0 || got[2] == 0 {

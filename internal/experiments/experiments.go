@@ -39,14 +39,7 @@ func waterModelConfig(sc Scale) core.Config {
 	if sc == Full {
 		return core.WaterConfig()
 	}
-	cfg := core.TinyConfig(2)
-	cfg.TypeNames = []string{"O", "H"}
-	cfg.Masses = []float64{units.MassO, units.MassH}
-	cfg.Rcut = 4.0
-	cfg.RcutSmth = 0.5
-	cfg.Skin = 1.0
-	cfg.Sel = []int{12, 24}
-	return cfg
+	return core.QuickWaterConfig()
 }
 
 // copperModelConfig returns a copper-like one-type model at the given
