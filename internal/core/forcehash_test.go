@@ -64,66 +64,73 @@ func simdFamilies() []cpufeat.Family {
 // both tables were re-recorded once more when the default ChunkSize fell
 // from 256 to 32: the total energy sums chunk energies in chunk order, so
 // its last bits moved, while every AtomEnergy, Force and Virial bit stayed.
+// Every Batched, Compressed and PerAtom row of both tables was re-recorded
+// once more when neighbor rows took the (type, index) order and the
+// per-step format its split at the cutoff: each section's contributions
+// now sum in index order. The SIMD rows also carry the tanh after the
+// 1600-deep first fitting layer moving onto the lanes (the strips'
+// epilogue as a pass of its own). The Baseline rows, which sort their own
+// AoS records by distance, did not move.
 var forceHashSIMD = map[string][2]uint64{
 	"copper/double/baseline/w1":   {0x798663431801d832, 0x2130da64105badbc},
 	"copper/double/baseline/w2":   {0x798663431801d832, 0x2130da64105badbc},
-	"copper/double/batched/w1":    {0xdf124bf80fa67c4c, 0x4c47c1482be9605d},
-	"copper/double/batched/w2":    {0xdf124bf80fa67c4c, 0x4c47c1482be9605d},
-	"copper/double/compressed/w1": {0x484acc713252cceb, 0xdc0e3adf152a54a2},
-	"copper/double/compressed/w2": {0x484acc713252cceb, 0xdc0e3adf152a54a2},
-	"copper/double/peratom/w1":    {0xdd587642c1a62d31, 0x5b8bcd33e93ec43d},
-	"copper/double/peratom/w2":    {0xdd587642c1a62d31, 0x5b8bcd33e93ec43d},
-	"copper/mixed/batched/w1":     {0x951928413c6dbd47, 0x0be3f50e425484f2},
-	"copper/mixed/batched/w2":     {0x951928413c6dbd47, 0x0be3f50e425484f2},
-	"copper/mixed/compressed/w1":  {0xbee17fb2e3e0e994, 0xc4ab7c25a362c062},
-	"copper/mixed/compressed/w2":  {0xbee17fb2e3e0e994, 0xc4ab7c25a362c062},
-	"copper/mixed/peratom/w1":     {0x578070335ba6afed, 0x3b7f8df378a525cb},
-	"copper/mixed/peratom/w2":     {0x578070335ba6afed, 0x3b7f8df378a525cb},
+	"copper/double/batched/w1":    {0x81fcbe031c64887e, 0xab6f89cbb94633b6},
+	"copper/double/batched/w2":    {0x81fcbe031c64887e, 0xab6f89cbb94633b6},
+	"copper/double/compressed/w1": {0x2b4314b247d5c8c9, 0x31259a4c89af19bd},
+	"copper/double/compressed/w2": {0x2b4314b247d5c8c9, 0x31259a4c89af19bd},
+	"copper/double/peratom/w1":    {0x7ce7f510b6bc0274, 0x44fbd56359ec7712},
+	"copper/double/peratom/w2":    {0x7ce7f510b6bc0274, 0x44fbd56359ec7712},
+	"copper/mixed/batched/w1":     {0x76369e1528d50016, 0x972bf70ab7ffeda1},
+	"copper/mixed/batched/w2":     {0x76369e1528d50016, 0x972bf70ab7ffeda1},
+	"copper/mixed/compressed/w1":  {0x44d8cbf19391f6f3, 0x18bf1231b276ee34},
+	"copper/mixed/compressed/w2":  {0x44d8cbf19391f6f3, 0x18bf1231b276ee34},
+	"copper/mixed/peratom/w1":     {0xc7e879ede2b4cb5b, 0x8107e0ce49310b43},
+	"copper/mixed/peratom/w2":     {0xc7e879ede2b4cb5b, 0x8107e0ce49310b43},
 	"water/double/baseline/w1":    {0x7f887ba3eb3181fe, 0x7bca76f4078d04b6},
 	"water/double/baseline/w2":    {0x7f887ba3eb3181fe, 0x7bca76f4078d04b6},
-	"water/double/batched/w1":     {0x8450813c359f6666, 0x1d4ddb2f7e055779},
-	"water/double/batched/w2":     {0x8450813c359f6666, 0x1d4ddb2f7e055779},
-	"water/double/compressed/w1":  {0xd31968e1894bc5ae, 0xbe61c3233d74da93},
-	"water/double/compressed/w2":  {0xd31968e1894bc5ae, 0xbe61c3233d74da93},
-	"water/double/peratom/w1":     {0xb2fdac3f10267917, 0xdd4f81b6b1708432},
-	"water/double/peratom/w2":     {0xb2fdac3f10267917, 0xdd4f81b6b1708432},
-	"water/mixed/batched/w1":      {0xa5911f1000546579, 0xb1f5bbb834c4a7f8},
-	"water/mixed/batched/w2":      {0xa5911f1000546579, 0xb1f5bbb834c4a7f8},
-	"water/mixed/compressed/w1":   {0x05e296e41f5f8da5, 0xd9a032873e0c21d5},
-	"water/mixed/compressed/w2":   {0x05e296e41f5f8da5, 0xd9a032873e0c21d5},
-	"water/mixed/peratom/w1":      {0x970b202c286a6e00, 0xf6805c71bfdb0933},
-	"water/mixed/peratom/w2":      {0x970b202c286a6e00, 0xf6805c71bfdb0933},
+	"water/double/batched/w1":     {0xd36a44162d7b05cf, 0x6bd499a176ffb5c6},
+	"water/double/batched/w2":     {0xd36a44162d7b05cf, 0x6bd499a176ffb5c6},
+	"water/double/compressed/w1":  {0x4d32b65a36d72f4a, 0x0870c9b37d9bfb84},
+	"water/double/compressed/w2":  {0x4d32b65a36d72f4a, 0x0870c9b37d9bfb84},
+	"water/double/peratom/w1":     {0x35e61aca063460c1, 0x801f89d33c945596},
+	"water/double/peratom/w2":     {0x35e61aca063460c1, 0x801f89d33c945596},
+	"water/mixed/batched/w1":      {0xde189d1437656df0, 0x1ca7c9b8554a46e9},
+	"water/mixed/batched/w2":      {0xde189d1437656df0, 0x1ca7c9b8554a46e9},
+	"water/mixed/compressed/w1":   {0x767f5fd84ccbfb28, 0xf455bdeb1b0d5775},
+	"water/mixed/compressed/w2":   {0x767f5fd84ccbfb28, 0xf455bdeb1b0d5775},
+	"water/mixed/peratom/w1":      {0x937218b7f4342fdb, 0x80200964aac66268},
+	"water/mixed/peratom/w2":      {0x937218b7f4342fdb, 0x80200964aac66268},
 }
 
 var forceHashGeneric = map[string][2]uint64{
 	"copper/double/baseline/w1":   {0x320070ef30bdfcbc, 0x536e1d2dbe7071b7},
 	"copper/double/baseline/w2":   {0x320070ef30bdfcbc, 0x536e1d2dbe7071b7},
-	"copper/double/batched/w1":    {0x7040b1a1989cd978, 0xe24923ae08747a0d},
-	"copper/double/batched/w2":    {0x7040b1a1989cd978, 0xe24923ae08747a0d},
-	"copper/double/compressed/w1": {0x97560f1b67c38c07, 0x9dfe9a5a71ac3528},
-	"copper/double/compressed/w2": {0x97560f1b67c38c07, 0x9dfe9a5a71ac3528},
-	"copper/double/peratom/w1":    {0x5fd9984528e6002b, 0x6b1b79110a011fb4},
-	"copper/double/peratom/w2":    {0x5fd9984528e6002b, 0x6b1b79110a011fb4},
-	"copper/mixed/batched/w1":     {0x98d859635ca29452, 0x41a8c0412f33f287},
-	"copper/mixed/batched/w2":     {0x98d859635ca29452, 0x41a8c0412f33f287},
-	"copper/mixed/compressed/w1":  {0x5ee3317dbd82b566, 0xf26a6c45bd849097},
-	"copper/mixed/compressed/w2":  {0x5ee3317dbd82b566, 0xf26a6c45bd849097},
-	"copper/mixed/peratom/w1":     {0xcd573c003e9b2c35, 0xb80eed69f99b82bb},
-	"copper/mixed/peratom/w2":     {0xcd573c003e9b2c35, 0xb80eed69f99b82bb},
+	"copper/double/batched/w1":    {0x8b10125fa4734f3b, 0x9162b92cd9bff366},
+	"copper/double/batched/w2":    {0x8b10125fa4734f3b, 0x9162b92cd9bff366},
+	"copper/double/compressed/w1": {0x197e707c14d37aaa, 0xc3d7373d07b21c87},
+	"copper/double/compressed/w2": {0x197e707c14d37aaa, 0xc3d7373d07b21c87},
+	"copper/double/peratom/w1":    {0xcf2da383f7f03815, 0xddd72fdb98ba07cf},
+	"copper/double/peratom/w2":    {0xcf2da383f7f03815, 0xddd72fdb98ba07cf},
+	"copper/mixed/batched/w1":     {0x937bc9a8ca193c85, 0x4b39933bbab18b67},
+	"copper/mixed/batched/w2":     {0x937bc9a8ca193c85, 0x4b39933bbab18b67},
+	"copper/mixed/compressed/w1":  {0xac86f44db0a0b05e, 0x560903ecf980d2eb},
+	"copper/mixed/compressed/w2":  {0xac86f44db0a0b05e, 0x560903ecf980d2eb},
+	"copper/mixed/peratom/w1":     {0x721d33a211a894d5, 0x499e2bdede1d0e38},
+	"copper/mixed/peratom/w2":     {0x721d33a211a894d5, 0x499e2bdede1d0e38},
 	"water/double/baseline/w1":    {0x5f0d78209cafcaed, 0x29417f263aab504b},
 	"water/double/baseline/w2":    {0x5f0d78209cafcaed, 0x29417f263aab504b},
-	"water/double/batched/w1":     {0xc08e6f913daa4ea0, 0x69f2ecdded53db42},
-	"water/double/batched/w2":     {0xc08e6f913daa4ea0, 0x69f2ecdded53db42},
-	"water/double/compressed/w1":  {0xe6fa9320632d84b1, 0x9e525417543b243e},
-	"water/double/compressed/w2":  {0xe6fa9320632d84b1, 0x9e525417543b243e},
-	"water/double/peratom/w1":     {0x53160e782a819bbe, 0x63e0f672279686f1},
-	"water/double/peratom/w2":     {0x53160e782a819bbe, 0x63e0f672279686f1},
-	"water/mixed/batched/w1":      {0x404b915e39425a67, 0xaa8b2b1ed1d9492e},
-	"water/mixed/batched/w2":      {0x404b915e39425a67, 0xaa8b2b1ed1d9492e},
-	"water/mixed/compressed/w1":   {0x668dfbd53f6581da, 0x66bbab0681128348},
-	"water/mixed/compressed/w2":   {0x668dfbd53f6581da, 0x66bbab0681128348},
-	"water/mixed/peratom/w1":      {0x4c71cbfddeca0d8b, 0x81150c00ebc57d2d},
-	"water/mixed/peratom/w2":      {0x4c71cbfddeca0d8b, 0x81150c00ebc57d2d},
+	"water/double/batched/w1":     {0x059abaf51b2671c6, 0xdb97e67f83bcfc44},
+	"water/double/batched/w2":     {0x059abaf51b2671c6, 0xdb97e67f83bcfc44},
+	"water/double/compressed/w1":  {0x907d1a09342402cb, 0x88540a0e1635301c},
+	"water/double/compressed/w2":  {0x907d1a09342402cb, 0x88540a0e1635301c},
+	"water/double/peratom/w1":     {0x840f551896b1da52, 0x2805b6ab38198fed},
+	"water/double/peratom/w2":     {0x840f551896b1da52, 0x2805b6ab38198fed},
+	"water/mixed/batched/w1":      {0x67f2b1fdbf368a23, 0x8855b7dd24acbbb7},
+	"water/mixed/batched/w2":      {0x67f2b1fdbf368a23, 0x8855b7dd24acbbb7},
+	"water/mixed/compressed/w1":   {0xc43b62e8e4dcf93c, 0x8c24689d7219b134},
+	"water/mixed/compressed/w2":   {0xc43b62e8e4dcf93c, 0x8c24689d7219b134},
+	"water/mixed/peratom/w1":      {0x971339187507e2f5, 0x124fd940091dd266},
+	"water/mixed/peratom/w2":      {0x971339187507e2f5, 0x124fd940091dd266},
 }
 
 // forceHashSystem is one hashed system: its model (compressed tables

@@ -82,7 +82,7 @@ func raggedEdgesFrame(t *testing.T, cfg *Config) teamFrame {
 
 // Overflowing sections, empty sections and a coincident neighbor, at
 // Workers 1 and 2: the rows stage 1 builds in blocks are the baseline
-// operator's bit for bit; each strategy gives the same bits at both
+// operator's bit for bit, neighbor by neighbor; each strategy gives the same bits at both
 // budgets; and Batched, Compressed (at its tabulation error), PerAtom and
 // the Baseline evaluator agree within the oracle budgets of the strategy
 // suites (their GEMMs sum in different orders, so they are not bitwise
@@ -149,20 +149,38 @@ func TestRaggedEdgesMatchAcrossStrategies(t *testing.T) {
 	requireResultsClose(t, "compressed", results[StrategyCompressed.String()], ref, 1e-6)
 }
 
-// requireSameRows asserts the environment a force call built equals want
-// bit for bit: offsets, formatted sections, R and Geo.
+// requireSameRows asserts the environment a force call built holds the
+// baseline operator's rows bit for bit: the same offsets and overflow
+// count, as many kept neighbors per section, the same neighbors with a
+// row, and each row's R and Geo the baseline's row for that neighbor. The
+// baseline orders a section by distance, the optimized format by index
+// inside the cutoff, so rows are matched by neighbor.
 func requireSameRows(t *testing.T, label string, got, want *descriptor.EnvOut) {
 	t.Helper()
-	bits := func(a, b []float64) bool {
-		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-	}
-	if !slices.Equal(got.Off, want.Off) || !bits(got.R, want.R) || !bits(got.Geo, want.Geo) {
-		t.Fatalf("%s: rows differ from the baseline operator's", label)
+	if !slices.Equal(got.Off, want.Off) || got.Fmt.Overflow != want.Fmt.Overflow {
+		t.Fatalf("%s: offsets or overflow differ from the baseline operator's", label)
 	}
 	nt := len(want.Fmt.Sel)
 	for k := 0; k < want.Nloc*nt; k++ {
-		if !slices.Equal(got.Fmt.Section(k/nt, k%nt), want.Fmt.Section(k/nt, k%nt)) {
-			t.Fatalf("%s: atom %d section %d: formatted %v, baseline %v", label, k/nt, k%nt, got.Fmt.Section(k/nt, k%nt), want.Fmt.Section(k/nt, k%nt))
+		gs, ws := got.Fmt.Section(k/nt, k%nt), want.Fmt.Section(k/nt, k%nt)
+		lo, n := want.Off[k], want.Off[k+1]-want.Off[k]
+		if len(gs) != len(ws) {
+			t.Fatalf("%s: atom %d section %d: formatted %v, baseline %v", label, k/nt, k%nt, gs, ws)
+		}
+		row := map[int32]int{}
+		for x, j := range ws[:n] {
+			row[j] = lo + x
+		}
+		for x, j := range gs[:n] {
+			y, ok := row[j]
+			if !ok {
+				t.Fatalf("%s: atom %d section %d: neighbor %d has a row, not in the baseline's %v", label, k/nt, k%nt, j, ws[:n])
+			}
+			for c := 0; c < 4; c++ {
+				if math.Float64bits(got.R[4*(lo+x)+c]) != math.Float64bits(want.R[4*y+c]) || math.Float64bits(got.Geo[4*(lo+x)+c]) != math.Float64bits(want.Geo[4*y+c]) {
+					t.Fatalf("%s: atom %d section %d: neighbor %d's row differs from the baseline operator's", label, k/nt, k%nt, j)
+				}
+			}
 		}
 	}
 }

@@ -100,7 +100,7 @@ func TestEnvironmentMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameEnv(t, "optimized vs baseline", opt, base)
+	requireBaselineRows(t, "optimized vs baseline", opt, base)
 }
 
 // checkCountInvariant asserts what the ragged layout promises for every
@@ -411,11 +411,7 @@ func TestScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range again.R {
-		if again.R[i] != fresh.R[i] {
-			t.Fatalf("scratch reuse diverged at R[%d]", i)
-		}
-	}
+	requireBaselineRows(t, "scratch reuse", again, fresh)
 }
 
 func TestConvertR(t *testing.T) {

@@ -21,8 +21,9 @@ import (
 // real rows, and nothing is padded to Sel.
 type EnvOut struct {
 	Nloc int
-	// Fmt is the current-step formatted neighbor table (sorted by type
-	// then by *current* distance).
+	// Fmt is the current-step formatted neighbor table: each type section
+	// holds its neighbors inside the cutoff at the *current* distances
+	// first (neighbor.Formatted).
 	Fmt *neighbor.Formatted
 	// Off addresses the rows: Nloc*len(Sel)+1 offsets, and section t of
 	// atom i (k = i*len(Sel)+t) holds rows Off[k] to Off[k+1]. Its
@@ -65,7 +66,8 @@ type RowStats struct {
 
 // Environment is the optimized customized operator: it computes
 // current-step distances for the raw list's indices, formats the
-// neighbors by sorting their 64-bit keys, and fills the
+// neighbors by partitioning each type section at the cutoff (sorting
+// 64-bit keys only where a section would drop one inside it), and fills the
 // environment matrix with a branch-free loop over the real rows of every
 // section. The returned EnvOut aliases Scratch buffers and is valid until
 // the next call. It is Begin, Rows over every atom, Pack and Fill over
@@ -113,11 +115,12 @@ func (sc *Scratch) Begin(cfg Config, list *neighbor.List) *EnvOut {
 }
 
 // Rows runs the first pass for center atoms [lo, hi) of the frame Begin
-// prepared: per atom, the distance refresh (Build ordered the raw list at
-// rebuild-time distances, but a full section must keep the *currently*
-// nearest neighbors, Sec. 5.2.1), the key format of its table row — whose
-// sort meets only the inversions drift made since Build sorted the row —
-// and each section's row count, which it leaves in Off[k+1] for Pack. A
+// prepared: per atom, the distance refresh (which neighbors lie inside the
+// cutoff changes between rebuilds, and a section with more of them than
+// Sel must keep the *currently* nearest, Sec. 5.2.1), the format of its
+// table row — Build's (type, index) order split at the cutoff, a keyed
+// sort only where a section would drop a neighbor inside it — and each
+// section's row count, which it leaves in Off[k+1] for Pack. A
 // neighbor index outside the frame, or a non-finite distance, is an error;
 // an error names the lowest failing atom of the range. The refresh runs on
 // the AVX-512 kernel up to the first group of eight it declines; the Go
@@ -161,8 +164,9 @@ func (sc *Scratch) Rows(ws *RowScratch, cfg Config, pos []float64, list *neighbo
 
 // sectionRows is the number of rows a formatted section needs: the index
 // after its last neighbor inside the cutoff, given the section's distances
-// r in kept order (nearest first). The search runs from the far end and
-// stops there; the skin entries it passes get no row.
+// r in kept order (those inside the cutoff first, coincident ones leading).
+// The search runs from the far end and stops there; the skin entries it
+// passes get no row.
 func sectionRows(cfg Config, r []float64) int {
 	for k := len(r) - 1; k >= 0; k-- {
 		if r[k] < cfg.Rcut && r[k] != 0 {

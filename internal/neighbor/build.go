@@ -37,10 +37,10 @@ var ErrNonFinite = errors.New("non-finite geometry")
 //
 // Build makes three passes over the rows. The scan finds each row's
 // neighbors and keeps only their indices; the fill copies them into one
-// arena of exactly the list's size; the sort computes each distance again
-// and puts each row in the order List documents. In the all-pairs regime
-// the scan visits each pair i < j once and the fill writes it to both
-// rows.
+// arena of exactly the list's size; the order pass puts each row in the
+// (type, index) order List documents, with integer compares only: no
+// distance is computed twice. In the all-pairs regime the scan visits each
+// pair i < j once and the fill writes it to both rows.
 func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers int) (*List, error) {
 	nall := len(pos) / 3
 	if len(types) != nall {
@@ -77,12 +77,28 @@ func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers in
 		}
 	}
 	b := &builder{pos: pos, types: types32, nloc: nloc, box: box, rc: rc}
+	if box != nil {
+		for k, l := range box.L {
+			b.inv[k] = 1 / l
+		}
+	}
 	if useCells(pos, nall, box, rc) {
 		b.g = binAtoms(pos, nall, box, rc)
 	} else {
+		// The local atoms, then the ghosts, each in (type, index) order.
+		// A one-worker scan then fills every row of a frame without ghosts
+		// in table order, and each local row still meets every ghost.
+		keys := make([]uint64, nall)
+		for j, t := range types32 {
+			keys[j] = uint64(b2i(j >= nloc))<<63 | rowKey(t, int32(j))
+		}
+		slices.Sort(keys)
 		b.all = make([]int32, nall)
-		for j := range b.all {
-			b.all[j] = int32(j)
+		b.allPos = make([]float64, 3*nall)
+		for s, key := range keys {
+			j := int32(key & indexMask)
+			b.all[s] = j
+			copy(b.allPos[3*s:3*s+3], pos[3*j:])
 		}
 	}
 	return b.build(max(1, min(workers, (nloc+minBlock-1)/minBlock))), nil
@@ -90,29 +106,31 @@ func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers in
 
 // builder is one Build call. With a grid, row i's scan visits every atom
 // of the 3x3x3 cells around atom i; without one (the all-pairs regime:
-// boxes too small for three cells a side) it visits all[i+1:], and each
-// pair found counts for row j too when j is local.
+// boxes too small for three cells a side) the rows are scanned in the
+// order of all, the row of all[s] visits all[s+1:], and each pair found
+// counts for row j too when j is local.
 type builder struct {
 	pos   []float64
 	types []int32
 	nloc  int
 	box   *Box
+	inv   [3]float64 // 1/L per axis, for scanAtoms' fold
 	rc    float64
 	g     *grid
-	all   []int32 // 0, 1, ..., nall-1 when g is nil
+	all   []int32 // locals, then ghosts, each in (type, index) order, when g is nil
+	// allPos holds the positions of all, in its order, so the scan reads
+	// its candidates' coordinates sequentially.
+	allPos []float64
 }
 
 // rowScan is one worker's state. hits holds a record per scanned row i: i,
 // the number n of neighbors found, then their n indices. cnt[r] is how
 // many entries the worker's pairs put in row r; after the scan it becomes
-// the worker's write cursor into the arena. items, dealt and next are
-// sortRow's scratch: the only place Build keeps distances.
+// the worker's write cursor into the arena. keys is orderRow's scratch.
 type rowScan struct {
-	hits  []int32
-	cnt   []int
-	items []item
-	dealt []item
-	next  []int
+	hits []int32
+	cnt  []int
+	keys []uint64
 }
 
 func (b *builder) build(workers int) *List {
@@ -152,7 +170,7 @@ func (b *builder) build(workers int) *List {
 
 	claimed.Store(0)
 	parallel(workers, func(w int) {
-		eachRow(w, func(sc *rowScan, i int) { sc.sortRow(b, i, l.Entries[i]) })
+		eachRow(w, func(sc *rowScan, i int) { sc.orderRow(b.types, l.Entries[i]) })
 	})
 	return l
 }
@@ -172,13 +190,18 @@ func parallel(workers int, f func(w int)) {
 	wg.Wait()
 }
 
-// scanRow records row i's neighbors and counts them.
-func (sc *rowScan) scanRow(b *builder, i int) {
-	at := len(sc.hits)
-	sc.add(int32(i))
-	sc.add(0)
+// scanRow records the neighbors of the s-th row in scan order, atom s's
+// with a grid and atom all[s]'s without, and counts them.
+func (sc *rowScan) scanRow(b *builder, s int) {
+	i := s
 	if b.g == nil {
-		sc.scanAtoms(b, i, b.all[i+1:])
+		i = int(b.all[s])
+	}
+	at := len(sc.hits)
+	sc.reserve(2)
+	sc.hits = append(sc.hits, int32(i), 0)
+	if b.g == nil {
+		sc.scanAtoms(b, i, b.all[s+1:], b.allPos[3*(s+1):])
 	} else {
 		sc.scanCells(b, i)
 	}
@@ -192,14 +215,13 @@ func (sc *rowScan) scanRow(b *builder, i int) {
 	}
 }
 
-// add appends one word to hits, doubling the buffer when it is full: append
-// grows a large slice by a quarter at a time, which allocates about five
-// times the final size on the way.
-func (sc *rowScan) add(v int32) {
-	if len(sc.hits) == cap(sc.hits) {
-		sc.hits = append(make([]int32, 0, 2*cap(sc.hits)+1024), sc.hits...)
+// reserve makes room in hits for n more words, doubling the buffer when
+// they do not fit: append grows a large slice by a quarter at a time,
+// which allocates about five times the final size on the way.
+func (sc *rowScan) reserve(n int) {
+	if len(sc.hits)+n > cap(sc.hits) {
+		sc.hits = append(make([]int32, 0, max(2*cap(sc.hits)+1024, len(sc.hits)+n)), sc.hits...)
 	}
-	sc.hits = append(sc.hits, v)
 }
 
 // scanCells records the neighbors of atom i found in the 3x3x3 cell
@@ -223,27 +245,77 @@ func (sc *rowScan) scanCells(b *builder, i int) {
 					continue
 				}
 				id := (nx*nc[1]+ny)*nc[2] + nz
-				sc.scanAtoms(b, i, g.order[g.count[id]:g.count[id+1]])
+				lo, hi := g.count[id], g.count[id+1]
+				sc.scanAtoms(b, i, g.order[lo:hi], g.orderPos[3*lo:3*hi])
 			}
 		}
 	}
 }
 
-// scanAtoms records the atoms of cand other than i that lie inside atom
-// i's build cutoff. It is Displacement written out with atom i's position
-// held in registers, the hottest loop of Build.
-func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32) {
+// scanAtoms records the atoms of cand, at positions cpos, other than i
+// that lie inside atom i's build cutoff. It is Displacement written out
+// with atom i's position held in registers, the hottest loop of Build.
+// The periodic fold picks each component's multiple of L from d·(1/L)
+// (see nearTie), and every candidate is written to the next free word
+// with the cursor advancing only past a hit, so the loop has no branch on
+// the geometry.
+func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32, cpos []float64) {
 	p, rc2 := b.pos, b.rc*b.rc
 	xi, yi, zi := p[3*i], p[3*i+1], p[3*i+2]
-	for _, j := range cand {
-		d := [3]float64{p[3*j] - xi, p[3*j+1] - yi, p[3*j+2] - zi}
-		if b.box != nil {
-			b.box.MinImage(&d)
-		}
-		if d[0]*d[0]+d[1]*d[1]+d[2]*d[2] < rc2 && int(j) != i {
-			sc.add(j)
-		}
+	cpos = cpos[:3*len(cand)]
+	var l, inv [3]float64
+	if b.box != nil {
+		l, inv = b.box.L, b.inv
 	}
+	sc.reserve(len(cand))
+	n := len(sc.hits)
+	hits := sc.hits[:n+len(cand)]
+	self := int32(i)
+	for k, j := range cand {
+		c := cpos[3*k : 3*k+3]
+		dx, dy, dz := c[0]-xi, c[1]-yi, c[2]-zi
+		if b.box != nil {
+			qx, qy, qz := dx*inv[0], dy*inv[1], dz*inv[2]
+			if nearTie(qx)|nearTie(qy)|nearTie(qz) != 0 {
+				d := [3]float64{dx, dy, dz}
+				b.box.MinImage(&d)
+				dx, dy, dz = d[0], d[1], d[2]
+			} else {
+				// int(q+1.5)-1 is -1, 0 or 1 as MinImage's compares
+				// pick, and the subtraction is MinImage's.
+				dx -= l[0] * float64(int(qx+1.5)-1)
+				dy -= l[1] * float64(int(qy+1.5)-1)
+				dz -= l[2] * float64(int(qz+1.5)-1)
+			}
+		}
+		hits[n] = j
+		n += b2i(dx*dx+dy*dy+dz*dz < rc2) & b2i(j != self)
+	}
+	sc.hits = hits[:n]
+}
+
+// b2i is 1 for true and 0 for false, which the compiler emits as a flag
+// set, not a branch.
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// foldTol bounds how far q = d·(1/L) lies from MinImage's quotient d/L
+// when |d/L| < 1.5: the three roundings between them move a value below
+// 1.5 by under 5e-16, and 1e-15 is four and a half ulps of 1.
+const foldTol = 1e-15
+
+// nearTie is 1 when q = d·(1/L) cannot stand in for d/L in MinImage's
+// choice of multiple: when q lies within foldTol of ±0.5 or ±1.5, where
+// the two could fall on different sides of a rounding boundary, beyond
+// ±1.5 (far images), or is NaN. Elsewhere both pick the same multiple, so
+// the folded component is bitwise MinImage's, and so is list membership.
+func nearTie(q float64) int {
+	a := math.Abs(q)
+	return b2i(!(a < 1.5-foldTol)) | b2i(math.Abs(a-0.5) <= foldTol)
 }
 
 // fill replays the worker's scan records into the arena at its cursors.
@@ -263,64 +335,29 @@ func (sc *rowScan) fill(b *builder, arena []int32) {
 	}
 }
 
-// sortRow puts row i in rowOrder at the build positions. A counting pass
-// deals the entries into buckets by type and by (r/rc)³, which the key
-// never decreases with within a type and which spreads neighbors that fill
-// the cutoff sphere evenly over the buckets; an insertion sort then
-// repairs what is left, the order inside each bucket. Rows whose types
-// are spread wider than their length take a comparison sort. The order is
-// total (indices are unique within a row), so a sorted row does not
-// depend on the order it was filled in.
-func (sc *rowScan) sortRow(b *builder, i int, row []int32) {
-	n := len(row)
-	if n < 2 {
-		return
-	}
-	sc.items = tensor.Resize(sc.items, n)
-	items := sc.items
-	p := b.pos
-	xi, yi, zi := p[3*i], p[3*i+1], p[3*i+2]
-	tmin, tmax := b.types[row[0]], b.types[row[0]]
-	for k, j := range row {
-		// Displacement written out, as scanAtoms does.
-		d := [3]float64{p[3*j] - xi, p[3*j+1] - yi, p[3*j+2] - zi}
-		if b.box != nil {
-			b.box.MinImage(&d)
-		}
-		r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
-		items[k] = item{key(r, j), r, b.types[j]}
-		tmin, tmax = min(tmin, items[k].t), max(tmax, items[k].t)
-	}
-	if span := int(tmax) - int(tmin) + 1; span > n {
-		slices.SortFunc(items, rowOrder)
-	} else {
-		bands := n / span
-		bucket := func(it item) int {
-			x := it.r / b.rc
-			return int(it.t-tmin)*bands + min(int(x*x*x*float64(bands)), bands-1)
-		}
-		sc.next = tensor.Resize(sc.next, span*bands+1)
-		clear(sc.next)
-		for _, it := range items {
-			sc.next[bucket(it)+1]++
-		}
-		for k := 1; k < len(sc.next); k++ {
-			sc.next[k] += sc.next[k-1]
-		}
-		sc.dealt = tensor.Resize(sc.dealt, n)
-		for _, it := range items {
-			k := bucket(it)
-			sc.dealt[sc.next[k]] = it
-			sc.next[k]++
-		}
-		for a, it := range sc.dealt {
-			for ; a > 0 && rowOrder(items[a-1], it) > 0; a-- {
-				items[a] = items[a-1]
+// rowKey orders neighbors by type, then index: the signed type, shifted
+// to unsigned order, above the 31-bit index.
+func rowKey(t, j int32) uint64 {
+	return uint64(uint32(t)^1<<31)<<31 | uint64(j)
+}
+
+// orderRow puts row in (type, index) order. Its indices are unique, so the
+// order is total and a row does not depend on the order it was filled in.
+// A one-worker all-pairs scan of a frame without ghosts fills every row in
+// that order already, which one pass checks; the others (cell scans, rows
+// filled by several workers or holding ghosts) take an integer sort.
+func (sc *rowScan) orderRow(types []int32, row []int32) {
+	for k := 1; k < len(row); k++ {
+		if rowKey(types[row[k-1]], row[k-1]) > rowKey(types[row[k]], row[k]) {
+			sc.keys = tensor.Resize(sc.keys, len(row))
+			for k, j := range row {
+				sc.keys[k] = rowKey(types[j], j)
 			}
-			items[a] = it
+			slices.Sort(sc.keys)
+			for k, key := range sc.keys {
+				row[k] = int32(key & indexMask)
+			}
+			return
 		}
-	}
-	for k, it := range items {
-		row[k] = int32(it.key & indexMask)
 	}
 }

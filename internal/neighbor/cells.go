@@ -17,6 +17,8 @@ type grid struct {
 	// of cell c are order[count[c]:count[c+1]], in ascending atom index.
 	count []int32
 	order []int32
+	// orderPos holds the positions of order, in its order.
+	orderPos []float64
 }
 
 func (g *grid) ncells() int { return g.nc[0] * g.nc[1] * g.nc[2] }
@@ -140,9 +142,11 @@ func binAtoms(pos []float64, nall int, box *Box, rc float64) *grid {
 	}
 	next := make([]int32, ncells)
 	copy(next, g.count[:ncells])
+	g.orderPos = make([]float64, 3*nall)
 	for a := 0; a < nall; a++ {
 		id := g.cellOf[a]
 		g.order[next[id]] = int32(a)
+		copy(g.orderPos[3*next[id]:3*next[id]+3], pos[3*a:])
 		next[id]++
 	}
 	return g

@@ -7,23 +7,24 @@
 //     entry; the baseline path rebuilds the paper's array-of-structures
 //     {type, distance, index} records from it, and the embedding
 //     computation must branch on the type of every neighbor.
-//   - The optimized layout sorts each atom's neighbors by (type, distance)
-//     and cuts every type section at its cutoff number sel[t], producing a
-//     branch-free index table. Rows are dealt by type, and one 64-bit key,
-//     ⌊r·1e8⌋ << 31 | index, orders each type section with plain integer
-//     compares (Sec. 5.2.2). The paper's decimal key,
-//     type·1e15 + ⌊r·1e8⌋·1e5 + index, indexes the atoms of one MPI rank
-//     and stops at index 99,999; here one process indexes all the atoms
-//     it holds, so the index gets 31 bits. Where the decimal key exists
-//     both keys order a row alike.
+//   - The optimized layout deals each atom's neighbors into type sections
+//     and cuts every section at its cutoff number sel[t], producing a
+//     branch-free index table. Build leaves every row in (type, index)
+//     order, which integer compares alone produce. Each step the format
+//     puts a section's neighbors inside the cutoff first; only a section
+//     with more than sel[t] of them inside is ordered by distance, through
+//     one 64-bit key, ⌊r·1e8⌋ << 31 | index, that orders it with plain
+//     integer compares (Sec. 5.2.2) and keeps its nearest sel[t]. The
+//     paper's decimal key, type·1e15 + ⌊r·1e8⌋·1e5 + index, indexes the
+//     atoms of one MPI rank and stops at index 99,999; here one process
+//     indexes all the atoms it holds, so the index gets 31 bits. Where the
+//     decimal key exists both keys order a type section alike.
 //
 // Construction itself uses a linked-cell search: O(N) in the number of
 // atoms, with an all-pairs fallback for boxes too small to hold 3x3x3
 // cells that visits each pair once. Both are parallel and write one index
-// arena of exactly the list's size (see build.go). Build leaves every row
-// in key order, so the per-step format only repairs the few inversions
-// drift has made since. The output is bit-identical for every worker
-// count.
+// arena of exactly the list's size (see build.go). The output is
+// bit-identical for every worker count.
 package neighbor
 
 import "math"
@@ -98,8 +99,8 @@ func (s Spec) Stride() int {
 
 // List is a raw neighbor list for the first Nloc atoms of a configuration:
 // row i holds the indices of atom i's neighbors inside the build cutoff.
-// Build orders each row by type, then by key at its own distances;
-// consumers that only need the set may ignore the order. Rows are views
+// Build orders each row by type, then by index; consumers that only need
+// the set may ignore the order. Rows are views
 // into one int32 arena (built by Build), so the whole list is a few
 // allocations regardless of atom count; rows must not be appended to in
 // place.

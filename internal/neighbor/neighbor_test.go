@@ -29,8 +29,22 @@ type entry struct {
 	j, t int32
 }
 
-// item is e as Build's sort compares it.
-func (e entry) item() item { return item{key(e.r, e.j), e.r, e.t} }
+// entryOrder orders entries by type, then by key: the order of an
+// overflowing section, and the decimal key's wherever that key exists.
+func entryOrder(a, b entry) int {
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
+	}
+	return cmp.Compare(key(a.r, a.j), key(b.r, b.j))
+}
+
+// indexOrder orders entries by type, then by index: Build's row order.
+func indexOrder(a, b entry) int {
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
+	}
+	return cmp.Compare(a.j, b.j)
+}
 
 // reference builds a neighbor list by brute force for validation.
 func reference(spec Spec, pos []float64, types []int, nloc int, box *Box) [][]entry {
@@ -85,7 +99,7 @@ func sameNeighborSets(t *testing.T, got [][]int32, want [][]entry) {
 }
 
 // formatAt is the per-step format of l at pos: every row's distances
-// refreshed and its sections sorted by key through FormatRow.
+// refreshed and its sections partitioned at the cutoff through FormatRow.
 func formatAt(t *testing.T, spec Spec, l *List, pos []float64, box *Box) *Formatted {
 	t.Helper()
 	var fm Formatter
@@ -205,7 +219,7 @@ func TestCompressedSortOrderProperty(t *testing.T) {
 			entries[i] = entry{rng.Float64() * 10, int32(rng.Intn(1000)), int32(rng.Intn(4))}
 		}
 		byKey := slices.Clone(entries)
-		slices.SortStableFunc(byKey, func(a, b entry) int { return rowOrder(a.item(), b.item()) })
+		slices.SortStableFunc(byKey, func(a, b entry) int { return entryOrder(a, b) })
 		slices.SortStableFunc(entries, func(a, b entry) int {
 			ka, _ := decimalKey(a.t, a.r, a.j)
 			kb, _ := decimalKey(b.t, b.r, b.j)
@@ -240,7 +254,7 @@ func FuzzKeyOrder(f *testing.F) {
 		if !okA || !okB {
 			t.Fatalf("%+v, %+v: outside the decimal key", a, b)
 		}
-		if got, want := cmp.Compare(rowOrder(a.item(), b.item()), 0), cmp.Compare(ka, kb); got != want {
+		if got, want := entryOrder(a, b), cmp.Compare(ka, kb); got != want {
 			t.Fatalf("%+v vs %+v: binary key orders %d, decimal key %d", a, b, got, want)
 		}
 	})
@@ -256,36 +270,48 @@ func TestFormatInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fm Formatter
-	f, err := fm.Format(spec, l)
+	dealt, err := fm.Format(spec, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < f.Nloc; i++ {
+	dealt = &Formatted{Nloc: dealt.Nloc, Sel: dealt.Sel, Idx: slices.Clone(dealt.Idx), SecOff: slices.Clone(dealt.SecOff)}
+	stepped := formatAt(t, spec, l, pos, box)
+	for i := 0; i < stepped.Nloc; i++ {
 		for t0 := 0; t0 < 2; t0++ {
-			sec := f.Section(i, t0)
-			// Within a section: at most Sel[t] neighbors, types all match,
-			// distances non-decreasing.
-			if len(sec) > spec.Sel[t0] {
-				t.Fatalf("atom %d type %d: %d neighbors, sel %d", i, t0, len(sec), spec.Sel[t0])
+			// Within a section: at most Sel[t] neighbors, types all match;
+			// with distances, the neighbors inside the cutoff first, each
+			// run in ascending index; without, ascending index throughout.
+			sec, plain := stepped.Section(i, t0), dealt.Section(i, t0)
+			if len(sec) > spec.Sel[t0] || len(plain) != len(sec) {
+				t.Fatalf("atom %d type %d: %d and %d neighbors, sel %d", i, t0, len(sec), len(plain), spec.Sel[t0])
 			}
-			var prev float64 = -1
-			for _, j := range sec {
-				if types[j] != t0 {
+			if !slices.IsSorted(plain) {
+				t.Fatalf("atom %d type %d: dealt section %v not in index order", i, t0, plain)
+			}
+			inside := true
+			for k, j := range sec {
+				if types[j] != t0 || int(l.Types[plain[k]]) != t0 {
 					t.Fatalf("atom %d: slot type %d holds atom of type %d", i, t0, types[j])
 				}
 				d := Displacement(pos, i, int(j), box)
-				r := math.Sqrt(d[0]*d[0] + d[1]*d[1] + d[2]*d[2])
-				if r < prev-1e-7 {
-					t.Fatalf("atom %d type %d: distances not sorted (%g after %g)", i, t0, r, prev)
+				in := math.Sqrt(d[0]*d[0]+d[1]*d[1]+d[2]*d[2]) < spec.Rcut
+				if in && !inside {
+					t.Fatalf("atom %d type %d: neighbor %d inside the cutoff after one past it", i, t0, j)
 				}
-				prev = r
+				if k > 0 && in == inside && sec[k-1] >= j {
+					t.Fatalf("atom %d type %d: %d after %d in one run", i, t0, j, sec[k-1])
+				}
+				inside = in
 			}
 		}
 	}
 }
 
-// Optimized formatting must produce exactly the same table as the baseline
-// struct sort.
+// Where no section overflows, the optimized formats keep exactly the
+// baseline struct sort's sets: Format deals each baseline section in index
+// order, the per-step format puts its neighbors inside the cutoff first,
+// each run in index order, and both have the baseline's section bounds and
+// Overflow.
 func TestFormatMatchesBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	box := &Box{L: [3]float64{15, 15, 15}}
@@ -300,22 +326,38 @@ func TestFormatMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stepped := formatAt(t, spec, l, pos, box)
 	base, err := FormatBaseline(spec, l, pos, box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opt.Idx) != len(base.Idx) || !slices.Equal(opt.SecOff, base.SecOff) {
-		t.Fatal("size mismatch")
+	for _, f := range []*Formatted{opt, stepped} {
+		if len(f.Idx) != len(base.Idx) || !slices.Equal(f.SecOff, base.SecOff) {
+			t.Fatal("size mismatch")
+		}
+		if f.Overflow != base.Overflow {
+			t.Fatalf("overflow mismatch: %d vs %d", f.Overflow, base.Overflow)
+		}
 	}
 	for i := 0; i < opt.Nloc; i++ {
 		for t0 := range spec.Sel {
-			if !slices.Equal(opt.Section(i, t0), base.Section(i, t0)) {
-				t.Fatalf("atom %d type %d: optimized %v, baseline %v", i, t0, opt.Section(i, t0), base.Section(i, t0))
+			byIndex := slices.Sorted(slices.Values(base.Section(i, t0)))
+			if !slices.Equal(opt.Section(i, t0), byIndex) {
+				t.Fatalf("atom %d type %d: dealt %v, baseline by index %v", i, t0, opt.Section(i, t0), byIndex)
+			}
+			var in, past []int32
+			for _, j := range byIndex {
+				d := Displacement(pos, i, int(j), box)
+				if math.Sqrt(d[0]*d[0]+d[1]*d[1]+d[2]*d[2]) < spec.Rcut {
+					in = append(in, j)
+				} else {
+					past = append(past, j)
+				}
+			}
+			if want := append(in, past...); !slices.Equal(stepped.Section(i, t0), want) {
+				t.Fatalf("atom %d type %d: per-step %v, baseline partitioned %v", i, t0, stepped.Section(i, t0), want)
 			}
 		}
-	}
-	if opt.Overflow != base.Overflow {
-		t.Fatalf("overflow mismatch: %d vs %d", opt.Overflow, base.Overflow)
 	}
 }
 
@@ -338,11 +380,7 @@ func TestFormatOverflowKeepsNearest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fm Formatter
-	f, err := fm.Format(spec, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := formatAt(t, spec, l, pos, nil)
 	if f.Overflow != 3 {
 		t.Fatalf("overflow = %d, want 3", f.Overflow)
 	}

@@ -10,8 +10,7 @@ import (
 
 // checkRows asserts that l is the brute-force list exactly — the same
 // neighbors with the types Build was given — with every row strictly in
-// (type, key) order, which is the decimal key's order wherever that key
-// exists.
+// (type, index) order.
 func checkRows(t *testing.T, l *List, spec Spec, pos []float64, types []int, nloc int, box *Box) {
 	t.Helper()
 	for j, typ := range types {
@@ -21,7 +20,7 @@ func checkRows(t *testing.T, l *List, spec Spec, pos []float64, types []int, nlo
 	}
 	want := reference(spec, pos, types, nloc, box)
 	for i := range want {
-		slices.SortFunc(want[i], func(a, b entry) int { return rowOrder(a.item(), b.item()) })
+		slices.SortFunc(want[i], indexOrder)
 		got := l.Entries[i]
 		if len(got) != len(want[i]) {
 			t.Fatalf("atom %d: %d neighbors, want %d", i, len(got), len(want[i]))
@@ -30,23 +29,16 @@ func checkRows(t *testing.T, l *List, spec Spec, pos []float64, types []int, nlo
 			if got[k] != e.j {
 				t.Fatalf("atom %d: slot %d holds %d, want %d\ngot  %v\nwant %v", i, k, got[k], e.j, got, want[i])
 			}
-			if k == 0 {
-				continue
-			}
-			p := want[i][k-1]
-			a, okA := decimalKey(p.t, p.r, p.j)
-			b, okB := decimalKey(e.t, e.r, e.j)
-			if rowOrder(p.item(), e.item()) >= 0 || okA && okB && a >= b {
-				t.Fatalf("atom %d: entries %d and %d out of key order: %+v, %+v", i, k-1, k, p, e)
+			if k > 0 && indexOrder(want[i][k-1], e) >= 0 {
+				t.Fatalf("atom %d: entries %d and %d out of (type, index) order: %+v, %+v", i, k-1, k, want[i][k-1], e)
 			}
 		}
 	}
 }
 
-// Rows come out of Build in key order and hold exactly the brute-force
-// neighbors, bit-identically at every worker count, in all three regimes
-// (and through the comparison sort that rows with widely spread types
-// take).
+// Rows come out of Build in (type, index) order and hold exactly the
+// brute-force neighbors, bit-identically at every worker count, in all
+// three regimes, with ghosts and with types spread over the int32 range.
 func TestBuildRowsSortedAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	type frame struct {
@@ -93,9 +85,8 @@ func TestBuildRowsSortedAndComplete(t *testing.T) {
 
 // Given distances, the formatted table depends on a row's entries, not on
 // their order: reversed and shuffled rows give bitwise the same Idx and
-// Overflow as the rows Build sorted, which Format only deals into
-// sections, on a lattice whose equal distances make the index break ties
-// and with sections narrow enough to overflow.
+// Overflow as the rows Build ordered, on a lattice whose equal distances
+// make the index break ties and with sections narrow enough to overflow.
 func TestFormatIndependentOfRowOrder(t *testing.T) {
 	var pos []float64
 	var types []int
@@ -113,11 +104,7 @@ func TestFormatIndependentOfRowOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fm Formatter
-	want, err := fm.Format(spec, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := formatAt(t, spec, l, pos, box)
 	wantIdx, wantOverflow := slices.Clone(want.Idx), want.Overflow
 	if wantOverflow == 0 {
 		t.Fatal("premise: no section overflows")
@@ -193,8 +180,8 @@ func TestMinImageMatchesRound(t *testing.T) {
 
 // FuzzBuild drives Build with arbitrary finite positions (folded into a
 // few box lengths), boxes, cutoffs, local counts, types and worker counts:
-// rows must equal brute force, in key order, and agree across worker
-// counts. Positions are 8 bytes each and every atom's last byte
+// rows must equal brute force, in (type, index) order, and agree across
+// worker counts. Positions are 8 bytes each and every atom's last byte
 // picks its type; a type byte of 255 gives a type far from the rest. Up to
 // 400 seeded random atoms follow the fuzzed ones, so that more than one
 // worker gets rows to claim.
@@ -203,6 +190,26 @@ func FuzzBuild(f *testing.F) {
 	f.Add(make([]byte, 24*70), uint16(0), int64(2), 9.0, 9.0, 9.0, 1.0, uint16(40), uint8(3), false)
 	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"), uint16(350), int64(3), 12.0, 14.0, 16.0, 3.5, uint16(300), uint8(7), true)
 	f.Add(make([]byte, 24*10), uint16(390), int64(4), 1.0, 2.0, 3.0, 2.5, uint16(280), uint8(4), false)
+	// Boxes of exactly 2·(rc+skin) (lx = ly = lz = 0), where 1/L is inexact
+	// (L = 3 and 3.6), with atoms at L/2 and one ulp either side on every
+	// axis, at ±L/2 on two axes at once, and at far images up to 2.5·L: the
+	// scan's reciprocal fold must decide each component as MinImage does.
+	for _, rc := range []float64{1, 1.3} {
+		l := 2 * (0.5 + rc)
+		h := l / 2
+		var atoms [][3]float64
+		for _, x := range []float64{h, math.Nextafter(h, 0), math.Nextafter(h, 4), -h, math.Nextafter(-h, 0), math.Nextafter(-h, -4)} {
+			atoms = append(atoms, [3]float64{x, 0, 0}, [3]float64{0, x, 0}, [3]float64{0, 0, x}, [3]float64{x, x, 0})
+		}
+		atoms = append(atoms, [3]float64{0, 0, 0}, [3]float64{2.5 * l, 0, 0}, [3]float64{-2.5*l + h, h, -h}, [3]float64{1.5 * l, -1.5 * l, 0.25})
+		data := make([]byte, 24*len(atoms))
+		for a, at := range atoms {
+			for k, v := range at {
+				binary.LittleEndian.PutUint64(data[24*a+8*k:], math.Float64bits(v))
+			}
+		}
+		f.Add(data, uint16(0), int64(5), 0.0, 0.0, 0.0, rc, uint16(len(atoms)), uint8(1), true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, extra uint16, seed int64, lx, ly, lz, rc float64, nloc uint16, workers uint8, periodic bool) {
 		for _, v := range []float64{lx, ly, lz, rc} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -16,8 +16,9 @@ import "deepmd-go/internal/perf"
 //     concatenated (x, x) never materializes; the skip connection is an
 //     in-place strided add into the activation output.
 //
-// The element-wise passes — the skip adds, SkipDoubleBackward and MulInto —
-// run as one lane-kernel call over every row on an active SIMD family
+// The element-wise passes — the skip adds, SkipDoubleBackward, MulInto and
+// the tanh after a product deeper than one K panel — run as one
+// lane-kernel call over every row on an active SIMD family
 // (laneSkipDouble and friends in simd_amd64.go), computing each element
 // with the IEEE operation of the Go loop below it, in its order. The Go
 // loops are the path where no family exists.
@@ -89,13 +90,23 @@ func GemmBiasTanhGradOpt[T Float](o Opts, ctr *perf.Counter, a, b Matrix[T], bia
 			return
 		}
 	}
+	// Deeper than one K panel (the fitting net's 1600-deep first layer),
+	// the strips accumulate over panels and the same epilogue runs after
+	// the last one, as a lane pass; Kernel Naive and the generic family
+	// keep the Go loop.
 	GemmBiasOpt(o, ctr, a, b, bias, y)
 	start := ctr.Now()
-	for i, v := range y.Data {
-		t := tanhT(v)
-		y.Data[i] = t
-		if wantGrad {
-			grad.Data[i] = 1 - t*t
+	var g []T
+	if wantGrad {
+		g = grad.Data
+	}
+	if o.Kernel == Naive || !laneTanh(y.Data, g) {
+		for i, v := range y.Data {
+			t := tanhT(v)
+			y.Data[i] = t
+			if wantGrad {
+				grad.Data[i] = 1 - t*t
+			}
 		}
 	}
 	flops := tanhFLOPs * int64(len(y.Data))

@@ -45,7 +45,8 @@ import (
 // simdMaxK-deep K panels (see simdRowRange): bias seeded on the first
 // panel, the rest accumulated through the beta = 1 store. Only the fused
 // tanh epilogues stay single-panel; GemmBiasTanhGradOpt beyond simdMaxK is
-// the panelled GemmBias plus the separate tanh pass. The backward passes'
+// the panelled GemmBias plus the same epilogue as a lane pass over the
+// finished sums (laneTanh), so every tanh layer runs one tanh. The backward passes'
 // GemmNT (dX = dY·Wᵀ) runs on an R x 4 dot-product tile with the lanes over
 // K (R = 2 on AVX2, 4 on AVX-512), column panels of B outside the row tiles
 // so that a panel is read from L1 (ntRowRange). The TN variant (training's

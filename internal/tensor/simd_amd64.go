@@ -190,6 +190,31 @@ func laneSkipFold[T Float](dx, dy []T, rows, n int) bool {
 	return true
 }
 
+// laneTanh computes y = tanh(y) in place and, when grad is not nil,
+// grad = 1 - y*y, all of len(y), with the strip epilogue's operations: the
+// tanh of a product the strips accumulated over several K panels.
+func laneTanh[T Float](y, grad []T) bool {
+	if cpufeat.Active() == cpufeat.Generic {
+		return false
+	}
+	n := len(y)
+	if grad != nil && len(grad) < n {
+		panic("tensor: lane pass out of range")
+	}
+	if n > 0 {
+		var pg unsafe.Pointer
+		if grad != nil {
+			pg = unsafe.Pointer(&grad[0])
+		}
+		if isF64[T]() {
+			tanhF64AVX2(unsafe.Pointer(&y[0]), pg, uintptr(n))
+		} else {
+			tanhF32AVX2(unsafe.Pointer(&y[0]), pg, uintptr(n))
+		}
+	}
+	return true
+}
+
 func isF64[T Float]() bool {
 	var z T
 	return sizeofT(z) == 8
@@ -218,3 +243,9 @@ func skipFoldF64AVX2(dx, dy unsafe.Pointer, rows, n uintptr)
 
 //go:noescape
 func skipFoldF32AVX2(dx, dy unsafe.Pointer, rows, n uintptr)
+
+//go:noescape
+func tanhF64AVX2(y, grad unsafe.Pointer, n uintptr)
+
+//go:noescape
+func tanhF32AVX2(y, grad unsafe.Pointer, n uintptr)

@@ -1450,3 +1450,90 @@ sf32next:
 sf32done:
 	VZEROUPPER
 	RET
+
+// func tanhF64AVX2(y, grad unsafe.Pointer, n uintptr)
+//
+// y[i] = tanh(y[i]) by the strips' TANH64 and, when grad is not nil,
+// grad[i] = 1 - y[i]*y[i] by their GRAD64: the fused tanh epilogue as a pass
+// of its own, for a product the strips accumulate over several K panels.
+// The tail mask moves to Y10, since TANH64 takes Y11-Y15 as temps.
+TEXT ·tanhF64AVX2(SB), NOSPLIT, $0-24
+	MOVQ y+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ n+16(FP), CX
+	EWTAIL64(CX, BX)
+	VMOVDQU Y15, Y10
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  tanh64tail
+
+tanh64loop:
+	VMOVUPD (DI)(AX*8), Y0
+	TANH64(Y0)
+	VMOVUPD Y0, (DI)(AX*8)
+	TESTQ SI, SI
+	JZ   tanh64next
+	GRAD64(Y0, Y1)
+	VMOVUPD Y1, (SI)(AX*8)
+
+tanh64next:
+	ADDQ $4, AX
+	CMPQ AX, BX
+	JB   tanh64loop
+
+tanh64tail:
+	CMPQ AX, CX
+	JE   tanh64done
+	VMASKMOVPD (DI)(AX*8), Y10, Y0
+	TANH64(Y0)
+	VMASKMOVPD Y0, Y10, (DI)(AX*8)
+	TESTQ SI, SI
+	JZ   tanh64done
+	GRAD64(Y0, Y1)
+	VMASKMOVPD Y1, Y10, (SI)(AX*8)
+
+tanh64done:
+	VZEROUPPER
+	RET
+
+// func tanhF32AVX2(y, grad unsafe.Pointer, n uintptr)
+//
+// The float32 twin of tanhF64AVX2, by TANH32 and GRAD32.
+TEXT ·tanhF32AVX2(SB), NOSPLIT, $0-24
+	MOVQ y+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ n+16(FP), CX
+	EWTAIL32(CX, BX)
+	VMOVDQU Y15, Y10
+	XORQ AX, AX
+	CMPQ AX, BX
+	JAE  tanh32tail
+
+tanh32loop:
+	VMOVUPS (DI)(AX*4), Y0
+	TANH32(Y0)
+	VMOVUPS Y0, (DI)(AX*4)
+	TESTQ SI, SI
+	JZ   tanh32next
+	GRAD32(Y0, Y1)
+	VMOVUPS Y1, (SI)(AX*4)
+
+tanh32next:
+	ADDQ $8, AX
+	CMPQ AX, BX
+	JB   tanh32loop
+
+tanh32tail:
+	CMPQ AX, CX
+	JE   tanh32done
+	VMASKMOVPS (DI)(AX*4), Y10, Y0
+	TANH32(Y0)
+	VMASKMOVPS Y0, Y10, (DI)(AX*4)
+	TESTQ SI, SI
+	JZ   tanh32done
+	GRAD32(Y0, Y1)
+	VMASKMOVPS Y1, Y10, (SI)(AX*4)
+
+tanh32done:
+	VZEROUPPER
+	RET

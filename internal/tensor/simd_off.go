@@ -23,3 +23,5 @@ func laneAdd[T Float](_, _ []T) bool { return false }
 func laneSkipDouble[T Float](_, _ []T, _, _ int) bool { return false }
 
 func laneSkipFold[T Float](_, _ []T, _, _ int) bool { return false }
+
+func laneTanh[T Float](_, _ []T) bool { return false }

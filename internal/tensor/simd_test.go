@@ -775,3 +775,52 @@ func floatBits[T Float](v T) uint64 {
 	}
 	return math.Float64bits(any(v).(float64))
 }
+
+// Every tanh layer on a SIMD family runs one tanh: the lane pass that
+// follows a product deeper than one K panel (laneTanh) gives the bits of
+// the strips' fused epilogue for the same pre-activation, activation and
+// gradient, over widths with and without a lane tail and inputs that
+// reach the saturated tail, signed zeros, infinities and NaN.
+func TestTanhLaneMatchesEpilogue(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { checkTanhLane[float64](t) })
+	t.Run("f32", func(t *testing.T) { checkTanhLane[float32](t) })
+}
+
+func checkTanhLane[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	specials := []float64{0, math.Copysign(0, -1), 1e-300, 19.999, 20, 25, 4.97, 4.9700003, math.Inf(1), math.Inf(-1), math.NaN()}
+	sweepFamilies(t, func(t *testing.T, fam cpufeat.Family) {
+		if fam == cpufeat.Generic {
+			return
+		}
+		for _, n := range []int{1, 3, 8, 13, 100, 240} {
+			m := 19
+			a := NewMatrix[T](m, 1)
+			for i := range a.Data {
+				a.Data[i] = T(rng.NormFloat64() * 3)
+				if rng.Intn(4) == 0 {
+					a.Data[i] = T(specials[rng.Intn(len(specials))])
+				}
+			}
+			b, bias := NewMatrix[T](1, n), make([]T, n)
+			for j := range bias {
+				b.Data[j], bias[j] = T(rng.NormFloat64()), T(rng.NormFloat64())
+			}
+			y, grad := NewMatrix[T](m, n), NewMatrix[T](m, n)
+			GemmBiasTanhGradOpt(Opts{}, nil, a, b, bias, y, grad)
+			pre, g := NewMatrix[T](m, n), NewMatrix[T](m, n)
+			GemmBiasOpt(Opts{}, nil, a, b, bias, pre)
+			if !laneTanh(pre.Data, g.Data) {
+				t.Fatal("no lane pass on a SIMD family")
+			}
+			act := NewMatrix[T](m, n)
+			GemmBiasOpt(Opts{}, nil, a, b, bias, act)
+			laneTanh(act.Data, nil)
+			for i := range y.Data {
+				if !sameBits(pre.Data[i], y.Data[i]) || !sameBits(g.Data[i], grad.Data[i]) || !sameBits(act.Data[i], y.Data[i]) {
+					t.Fatalf("n=%d element %d: lane pass (%v, %v), activation only %v; epilogue (%v, %v)", n, i, pre.Data[i], g.Data[i], act.Data[i], y.Data[i], grad.Data[i])
+				}
+			}
+		}
+	})
+}
