@@ -1,15 +1,14 @@
 // Command dpserve is the HTTP serving daemon over deepmd.Open: evaluate,
 // relax and short-trajectory endpoints whose force calls all flow through
-// a cross-request micro-batcher (internal/serve): a request is computed as
-// soon as an evaluator is free, and requests that queue behind busy ones
-// share the next batch evaluation.
+// one bounded request queue (internal/serve): a request is computed as
+// soon as an evaluator is free, one frame per force call.
 //
 // Usage:
 //
 //	dpserve                                  # tiny water model on 127.0.0.1:8100
 //	dpserve -model water.dpgo -addr :8100    # serve a trained checkpoint
-//	dpserve -system copper -max-batch 16
-//	dpserve -concurrency 4                   # 4 pooled evaluators, one batch loop each
+//	dpserve -system copper -queue 64
+//	dpserve -concurrency 4                   # 4 pooled evaluators, one dispatch loop each
 //
 // Endpoints:
 //
@@ -18,7 +17,7 @@
 //	POST /v1/relax       frame + {"max_steps":..,"ftol":..,"step_max":..}
 //	POST /v1/trajectory  frame + {"steps":..,"dt":..,"temp":..,"seed":..}
 //	GET  /healthz        liveness
-//	GET  /metrics        Prometheus text (batcher counters)
+//	GET  /metrics        Prometheus text (queue counters)
 //
 // Backpressure is explicit: a full request queue answers 429 with
 // Retry-After instead of queueing unboundedly. Per-request deadlines
@@ -64,14 +63,13 @@ func run(args []string, stderr io.Writer) int {
 	addr := fs.String("addr", "127.0.0.1:8100", "listen address (host:port; port 0 picks a free one)")
 	modelPath := fs.String("model", "", "serve this model checkpoint (overrides -system)")
 	system := fs.String("system", "water", "built-in tiny model when no -model: water | copper")
-	maxBatch := fs.Int("max-batch", 8, "max frames per coalesced batch (1 disables coalescing)")
-	queue := fs.Int("queue", 0, "pending-request bound before 429 backpressure (0: 4*max-batch)")
+	queue := fs.Int("queue", 0, fmt.Sprintf("pending-request bound before 429 backpressure (0: %d)", serve.DefaultQueueLimit))
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second, "default per-request deadline")
 	eng := cliopt.Bind(fs, 1)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if err := checkFlags(*maxBatch, *queue, *reqTimeout); err != nil {
+	if err := checkFlags(*queue, *reqTimeout); err != nil {
 		logger.Print(err)
 		return 2
 	}
@@ -91,7 +89,7 @@ func run(args []string, stderr io.Writer) int {
 		logger.Print(err)
 		return 1
 	}
-	bat := serve.New(engine, serve.Options{MaxBatch: *maxBatch, QueueLimit: *queue})
+	bat := serve.New(engine, serve.Options{QueueLimit: *queue})
 	srv := newServer(model.Cfg, bat, *reqTimeout, logger)
 
 	ln, err := net.Listen("tcp", *addr)
@@ -100,9 +98,8 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	hs := &http.Server{Handler: srv.handler()}
-	bo := bat.Options()
-	logger.Printf("serving %s model on http://%s (strategy %v, concurrency %d, max-batch %d, queue %d)",
-		modelName(*modelPath, *system), ln.Addr(), engine.Plan().Strategy, engine.MaxConcurrency(), bo.MaxBatch, bo.QueueLimit)
+	logger.Printf("serving %s model on http://%s (strategy %v, concurrency %d, queue %d)",
+		modelName(*modelPath, *system), ln.Addr(), engine.Plan().Strategy, engine.MaxConcurrency(), bat.Options().QueueLimit)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -128,20 +125,18 @@ func run(args []string, stderr io.Writer) int {
 		return 1
 	}
 	st := bat.Stats()
-	logger.Printf("served %d requests in %d batches (max coalesce %d)", st.Completed, st.Batches, st.MaxBatch)
+	logger.Printf("served %d requests", st.Completed)
 	return 0
 }
 
-// checkFlags rejects the batcher and deadline flags serve.New or the
-// server would otherwise replace with their defaults: a batch needs a
-// frame, the queue bound cannot be negative (0 keeps meaning "default"),
-// and a deadline must lie in the future.
-func checkFlags(maxBatch, queue int, reqTimeout time.Duration) error {
+// checkFlags rejects the queue and deadline flags serve.New or the server
+// would otherwise replace with their defaults: the queue bound cannot be
+// negative (0 keeps meaning "default"), and a deadline must lie in the
+// future.
+func checkFlags(queue int, reqTimeout time.Duration) error {
 	switch {
-	case maxBatch < 1:
-		return fmt.Errorf("-max-batch %d: need at least one frame per batch", maxBatch)
 	case queue < 0:
-		return fmt.Errorf("-queue %d: must be >= 0 (0: 4*max-batch)", queue)
+		return fmt.Errorf("-queue %d: must be >= 0 (0: %d)", queue, serve.DefaultQueueLimit)
 	case reqTimeout <= 0:
 		return fmt.Errorf("-request-timeout %v: must be positive", reqTimeout)
 	}

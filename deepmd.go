@@ -29,9 +29,9 @@
 //		deepmd.WithWorkers(8),                  // goroutines per evaluation
 //		deepmd.WithMaxConcurrency(16))          // concurrent evaluations served
 //
-// One Engine serves any number of goroutines: concurrent Compute /
-// ComputeBatch calls each borrow a pooled evaluator (zero steady-state
-// allocation), and Ensemble runs k replica simulations over the shared
+// One Engine serves any number of goroutines: concurrent Compute calls
+// each borrow a pooled evaluator (zero steady-state allocation), and
+// Ensemble runs k replica simulations over the shared
 // pool. See examples/ for complete programs and DESIGN.md ("Engine & plan
 // resolution") / EXPERIMENTS.md for the reproduction map.
 package deepmd

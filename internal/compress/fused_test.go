@@ -178,7 +178,7 @@ func TestFusedContractMatchesMaterialised(t *testing.T) {
 // The operator is a pure function of its section: evaluating the same
 // rows again — after other sections went through the same scratch — gives
 // the same bits, which is what makes an atom's result independent of the
-// chunk, worker or coalesced frame that evaluates it.
+// chunk or worker that evaluates it.
 func TestFusedContractDeterministic(t *testing.T) {
 	m := 100
 	tb := Convert[float32](buildTestTable(t, m))

@@ -42,22 +42,6 @@ func NewBaselineEvaluator(m *Model) *BaselineEvaluator {
 	}
 }
 
-// ComputeBatch evaluates the frames one after another: the baseline
-// strategy predates batching, and a per-frame loop is the same thing by
-// definition.
-func (bv *BaselineEvaluator) ComputeBatch(frames []Frame) error {
-	for i := range frames {
-		f := &frames[i]
-		if f.Out == nil {
-			return fmt.Errorf("core: batch frame %d has no Result", i)
-		}
-		if err := bv.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, f.Out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Compute evaluates energy, force and virial with the baseline strategy.
 func (bv *BaselineEvaluator) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
 	ctr := bv.Counter

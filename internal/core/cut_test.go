@@ -224,21 +224,21 @@ func makespan(rows []int, workers int) int {
 	return end
 }
 
-// claimRows plans the frames on a fresh evaluator and returns the claim
-// list's heights, with the evaluator for its frame slots.
-func claimRows(t *testing.T, cfg Config, frames []Frame) (*Evaluator[float64], []int) {
+// claimRows plans one frame on a fresh evaluator and returns the claim
+// list's heights, with the evaluator for its jobs.
+func claimRows(t *testing.T, cfg Config, types []int, nloc int) (*Evaluator[float64], []int) {
 	t.Helper()
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev := NewEvaluator[float64](m)
-	if err := ev.planSweep(frames); err != nil {
+	if err := ev.planSweep(types, nloc); err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]int, len(ev.batchJobs))
-	for i, bj := range ev.batchJobs {
-		rows[i] = bj.rows
+	rows := make([]int, len(ev.frame.order))
+	for i, ji := range ev.frame.order {
+		rows[i] = len(ev.frame.jobs[ji].atoms)
 	}
 	return ev, rows
 }
@@ -256,7 +256,7 @@ func TestSweepScheduleBalance(t *testing.T) {
 		{"copper", CopperConfig(), []int{500}, []int{2, 4}},
 	} {
 		types := typesOf(tc.counts...)
-		ev, rows := claimRows(t, tc.cfg, []Frame{{Types: types, Nloc: len(types), Out: new(Result)}})
+		ev, rows := claimRows(t, tc.cfg, types, len(types))
 		head := headCut(tc.counts, ev.cfg.ChunkSize)
 		for workers := 2; workers <= 8; workers++ {
 			got, was := makespan(rows, workers), makespan(head, workers)
@@ -274,41 +274,47 @@ func TestSweepScheduleBalance(t *testing.T) {
 		t.Errorf("the whole-chunk cut of water on 2 workers replays at %.3f of the mean, expected the 1.21 this cut removes", r)
 	}
 
-	// Four unequal frames in one batch: the claim list is non-increasing in
-	// height and stable on (frame, job); each frame's own jobs stay in
-	// type-then-index order with one chunkE slot each.
+	// Unequal frames, planned in turn on one evaluator: the claim list is
+	// non-increasing in height, stable on job order and a permutation of
+	// the jobs, which stay in type-then-index order with one chunkE slot
+	// each.
 	cfg := TinyConfig(3)
 	cfg.ChunkSize = 16
-	var frames []Frame
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator[float64](m)
 	for _, counts := range [][]int{{10, 30, 70}, {16, 0, 17}, {3, 3, 3}, {40, 40, 9}} {
 		types := typesOf(counts...)
-		frames = append(frames, Frame{Types: types, Nloc: len(types) - 2, Out: new(Result)})
-	}
-	ev, rows := claimRows(t, cfg, frames)
-	total := 0
-	for fi := range frames {
-		fs := ev.frames[fi]
-		if err := checkCut(fs.jobs, frames[fi].Types, frames[fi].Nloc, 3, cfg.ChunkSize); err != nil {
-			t.Errorf("frame %d: %v", fi, err)
+		nloc := len(types) - 2
+		if err := ev.planSweep(types, nloc); err != nil {
+			t.Fatal(err)
 		}
-		total += len(fs.jobs)
-	}
-	if len(rows) != total {
-		t.Fatalf("claim list has %d entries for %d chunks", len(rows), total)
-	}
-	for i, bj := range ev.batchJobs {
-		if got := len(ev.frames[bj.fi].jobs[bj.ji].atoms); got != bj.rows {
-			t.Fatalf("claim %d: rows %d, its chunk has %d", i, bj.rows, got)
+		fs := &ev.frame
+		if err := checkCut(fs.jobs, types, nloc, 3, cfg.ChunkSize); err != nil {
+			t.Errorf("counts %v: %v", counts, err)
 		}
-		if i == 0 {
-			continue
+		if len(fs.order) != len(fs.jobs) {
+			t.Fatalf("counts %v: claim list has %d entries for %d chunks", counts, len(fs.order), len(fs.jobs))
 		}
-		prev := ev.batchJobs[i-1]
-		if bj.rows > prev.rows {
-			t.Fatalf("claim %d is taller than claim %d: %v", i, i-1, rows)
-		}
-		if bj.rows == prev.rows && (bj.fi < prev.fi || bj.fi == prev.fi && bj.ji <= prev.ji) {
-			t.Fatalf("claims %d and %d (both %d rows) are out of (frame, job) order: %+v then %+v", i-1, i, bj.rows, prev, bj)
+		seen := make([]bool, len(fs.jobs))
+		for i, ji := range fs.order {
+			if seen[ji] {
+				t.Fatalf("counts %v: job %d claimed twice: %v", counts, ji, fs.order)
+			}
+			seen[ji] = true
+			if i == 0 {
+				continue
+			}
+			prev := fs.order[i-1]
+			rows, prevRows := len(fs.jobs[ji].atoms), len(fs.jobs[prev].atoms)
+			if rows > prevRows {
+				t.Fatalf("counts %v: claim %d is taller than claim %d: %v", counts, i, i-1, fs.order)
+			}
+			if rows == prevRows && ji <= prev {
+				t.Fatalf("counts %v: claims %d and %d (both %d rows) are out of job order: %v", counts, i-1, i, rows, fs.order)
+			}
 		}
 	}
 }

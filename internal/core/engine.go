@@ -9,16 +9,14 @@ import (
 // computer is the single-goroutine evaluation contract every execution
 // strategy satisfies: the optimized Evaluator in either precision and the
 // BaselineEvaluator. The Engine pools computers so concurrent callers
-// never share one. Compute is kept beside ComputeBatch so that a
-// one-frame call builds no frame slice.
+// never share one.
 type computer interface {
 	Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error
-	ComputeBatch(frames []Frame) error
 }
 
 // Engine is the goroutine-safe serving entry point over one model: a
 // resolved execution Plan plus a pool of per-goroutine evaluators with
-// their arenas. Every concurrent Compute/ComputeBatch call borrows one
+// their arenas. Every concurrent Compute call borrows one
 // evaluator for its duration, so N independent systems or replicas
 // evaluate in parallel with zero steady-state heap allocation — the
 // paper's init-time memory-trunk strategy (Sec. 5.2.2) extended across a

@@ -6,7 +6,6 @@ import (
 
 	"deepmd-go/internal/compress"
 	"deepmd-go/internal/descriptor"
-	"deepmd-go/internal/neighbor"
 	"deepmd-go/internal/nn"
 	"deepmd-go/internal/perf"
 	"deepmd-go/internal/tensor"
@@ -72,18 +71,12 @@ type Evaluator[T tensor.Float] struct {
 	// type pair, converted at construction for the compressed strategy.
 	comp [][]*compress.Table[T]
 
-	// frames and batchJobs are the persistent state of the force call
-	// (frames.go): one buffer slot per frame of the largest batch served so
-	// far — a plain Compute call lives in slot 0 — plus the flattened
-	// (frame, chunk) job list of the sweep.
-	frames    []*frameState[T]
-	batchJobs []batchJob
+	// frame is the persistent state of the force call (frames.go).
+	frame frameState[T]
 
-	// The team of the call in flight: how many frames it serves, the
-	// members that sweep (splitBudget), one claim cursor per stage, the
-	// barrier between stages, whether stage 1 failed, and the join of the
-	// spawned members.
-	nframes  int
+	// The team of the call in flight: the members that sweep
+	// (splitBudget), one claim cursor per stage, the barrier between
+	// stages, whether stage 1 failed, and the join of the spawned members.
 	sweepers int
 	cursors  [numStages]atomic.Int64
 	bar      barrier
@@ -141,6 +134,7 @@ func newEvaluator[T tensor.Float](m *Model, s Strategy) (*Evaluator[T], error) {
 		fit:    make([]*nn.Net[T], nt),
 		strat:  s,
 	}
+	ev.frame.byType = make([][]int, nt)
 	if s == StrategyCompressed {
 		var err error
 		if ev.comp, err = convertTables[T](&cfg, m.Compressed); err != nil {
@@ -231,27 +225,10 @@ func (ev *Evaluator[T]) ArenaBytes() int {
 	return total
 }
 
-// Compute evaluates energy, forces and virial. pos holds 3*nall positions
-// (locals first, then ghosts), types their types, nloc the number of local
-// atoms owned by this rank, list the raw neighbor list built at the last
-// rebuild, and box the periodic box (nil in domain-decomposed mode where
-// ghosts carry the periodic images). The result buffers are reused if
-// adequately sized; after the first call has warmed the arenas and
-// scratch, a steady-state serial Compute performs no heap allocation.
-//
-// It is the one-frame case of ComputeBatch — the same team run, in frame
-// slot 0.
-func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
-	frame := [1]Frame{{Pos: pos, Types: types, Nloc: nloc, List: list, Box: box, Out: out}}
-	return ev.ComputeBatch(frame[:])
-}
-
 // evalChunk runs embedding, descriptor, fitting and their backward passes
 // for one chunk of same-type atoms, returning the chunk energy in double
 // precision and filling atomEnergy and ndT rows for those atoms. rT and
-// ndT are the environment matrix and
-// network-derivative buffers of the frame the chunk belongs to, so chunks
-// of different frames share one worker sweep without sharing state.
+// ndT are the frame's environment matrix and network-derivative buffers.
 //
 //dp:noalloc
 func (ev *Evaluator[T]) evalChunk(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
@@ -351,7 +328,7 @@ func (w *rowWalk[T]) next(rT, s []T, segs []tileSeg) (int, []tileSeg) {
 // atom's rows accumulate in section-then-slot order wherever
 // a tile edge falls, and a row's path through the strip kernels does not
 // depend on the other rows of its tile, so results are bit-identical
-// across workers, batch sizes, ranks and coalesce sizes as before. The
+// across workers, chunk sizes and ranks as before. The
 // trace bounds the chunk: ChunkSize x Σsel rows at most (arenaLen).
 func (ev *Evaluator[T]) evalChunkExact(ctr *perf.Counter, ws *evalScratch[T], ar *tensor.Arena[T], env *descriptor.EnvOut, rT, ndT []T, ci int, atoms []int, atomEnergy []float64) float64 {
 	defer ar.Reset()

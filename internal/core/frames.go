@@ -12,9 +12,9 @@ import (
 	"deepmd-go/internal/tensor"
 )
 
-// Frame describes one independent system of an evaluation: the arguments
-// of one Compute call, plus the Result the frame's energies, forces and
-// virial land in. Frames in one batch share nothing but the model.
+// Frame describes one independent system: the arguments of one Compute
+// call, plus the Result its energies, forces and virial land in. It is
+// Engine.ComputeBatch's input.
 type Frame struct {
 	Pos   []float64
 	Types []int
@@ -24,12 +24,11 @@ type Frame struct {
 	Out   *Result
 }
 
-// frameState is the persistent per-frame-slot state of the force call:
-// every frame of a batch keeps its environment, precision-converted rows,
-// network derivative, chunk list and block partials alive through the
-// stages. Slots are reused across calls (slot i serves frame i; a plain
-// Compute is frame 0), so a steady stream of equally-shaped batches
-// allocates nothing after warmup.
+// frameState is the persistent state of the force call: the frame's
+// environment, precision-converted rows, network derivative, chunk list
+// and block partials stay alive through the stages, and are reused across
+// calls, so a steady stream of equally-shaped frames allocates nothing
+// after warmup.
 type frameState[T tensor.Float] struct {
 	// The caller's inputs and output buffers, for the team: positions,
 	// list and box feed the stage-1 blocks, atomEnergy the sweep, force the
@@ -48,6 +47,8 @@ type frameState[T tensor.Float] struct {
 	ndT    []T
 	byType [][]int
 	jobs   []chunkJob
+	// order is the sweep's claim list: indices into jobs, tallest first.
+	order  []int
 	chunkE []float64
 	// partials holds the descriptor.ProdBlocks private force buffers of
 	// 3*nall the products scatter into; blocks what each block reports.
@@ -55,10 +56,10 @@ type frameState[T tensor.Float] struct {
 	blocks   [descriptor.ProdBlocks]blockOut
 }
 
-// blockOut is what one atom block of a frame hands the coordinating
-// goroutine: stage 1's statistics, error and (when a counter is attached)
-// how its time divided between the operator's two passes and the
-// conversion; stage 3's visited slots and partial virial.
+// blockOut is what one atom block hands the coordinating goroutine: stage
+// 1's statistics, error and (when a counter is attached) how its time
+// divided between the operator's two passes and the conversion; stage 3's
+// visited slots and partial virial.
 type blockOut struct {
 	env               descriptor.RowStats
 	err               error
@@ -67,18 +68,8 @@ type blockOut struct {
 	virial            [9]float64
 }
 
-func newFrameState[T tensor.Float](nt int) *frameState[T] {
-	return &frameState[T]{byType: make([][]int, nt)}
-}
-
-// batchJob addresses one chunk of one frame in the cross-frame sweep; rows
-// is the chunk's height, the key of the claim order.
-type batchJob struct {
-	fi, ji, rows int
-}
-
 // The stages of one force call, each with its own claim cursor. Block
-// stages have ProdBlocks jobs per frame, the sweep one per chunk.
+// stages have ProdBlocks jobs, the sweep one per chunk.
 const (
 	stageEnv    = iota // Environment rows formatted and counted on a block's atoms
 	stageFill          // Environment rows filled + ConvertRows on a block's atoms
@@ -118,61 +109,57 @@ func (b *barrier) wait() {
 	b.mu.Unlock()
 }
 
-// ComputeBatch evaluates every frame in one call — the one evaluation path:
-// Compute is its one-frame case, and the serving path coalesces concurrent
-// small requests into it (ISSUE 7) so they share one worker sweep instead
-// of each paying its own under-filled one.
+// Compute evaluates energy, forces and virial. pos holds 3*nall positions
+// (locals first, then ghosts), types their types, nloc the number of local
+// atoms owned by this rank, list the raw neighbor list built at the last
+// rebuild, and box the periodic box (nil in domain-decomposed mode where
+// ghosts carry the periodic images). The result buffers are reused if
+// adequately sized; after the first call has warmed the arenas and
+// scratch, a steady-state serial Compute performs no heap allocation.
 //
 // The whole call runs on the evaluator's worker budget inside ONE goroutine
 // fan-out (team): every member claims jobs of each stage from that stage's
 // atomic cursor and meets the others at a barrier before the next,
 //
-//	stage 1a (frame, atom block)   format rows, count real rows  row-independent
-//	         (member 0)            row counts -> offsets         buffers grown to the frame's rows
-//	stage 1b (frame, atom block)   fill rows + ConvertRows       row-independent
-//	stage 2  (frame, chunk)        embedding, fitting, backward  self-contained per chunk, tallest first
-//	stage 3  (frame, atom block)   force/virial products         into the block's own partials
-//	stage 4  (frame, coord block)  partials summed               in block order
+//	stage 1a (atom block)    format rows, count real rows  row-independent
+//	         (member 0)      row counts -> offsets         buffers grown to the frame's rows
+//	stage 1b (atom block)    fill rows + ConvertRows       row-independent
+//	stage 2  (chunk)         embedding, fitting, backward  self-contained per chunk, tallest first
+//	stage 3  (atom block)    force/virial products         into the block's own partials
+//	stage 4  (coord block)   partials summed               in block order
 //
-// Results are bit-identical at every batch size and worker count: chunks
-// never straddle frames and are cut by the frame alone (chunkJobs), stages
-// 1, 2 and 4 write every output element from exactly one job whose
-// computation does not depend on who runs it or when (the claim order of
-// planSweep only schedules), and the one order-dependent reduction — the
-// force/virial scatter of stage 3 — is cut into descriptor.ProdBlocks
-// blocks, a constant, so how its sums associate is a function of the frame
-// alone. Workers = 1 runs the same jobs in the same cut on the calling
-// goroutine. The environment rows are stored ragged, so where a block's
-// rows land is known only once every block has counted its own: stage 1
-// is two block stages around member 0's prefix sum.
+// Results are bit-identical at every worker count: chunks are cut by the
+// frame alone (chunkJobs), stages 1, 2 and 4 write every output element
+// from exactly one job whose computation does not depend on who runs it
+// or when (the claim order of planSweep only schedules), and the one
+// order-dependent reduction — the force/virial scatter of stage 3 — is
+// cut into descriptor.ProdBlocks blocks, a constant, so how its sums
+// associate is a function of the frame alone. Workers = 1 runs the same
+// jobs in the same cut on the calling goroutine. The environment rows are
+// stored ragged, so where a block's rows land is known only once every
+// block has counted its own: stage 1 is two block stages around member
+// 0's prefix sum.
 //
-// On error, the frames' Result buffers are in an unspecified intermediate
-// state. ComputeBatch is single-goroutine; concurrent batches go through
-// an Engine.
-func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
-	ctr := ev.Counter
-
-	// Serial preamble: whatever can refuse a frame first, so that no
-	// Scratch is left between Begin and Rows; then the buffers of every
-	// frame slot sized for the team.
-	if err := ev.planSweep(frames); err != nil {
+// On error, out is in an unspecified intermediate state. Compute is
+// single-goroutine; concurrent calls go through an Engine.
+func (ev *Evaluator[T]) Compute(pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *Result) error {
+	// Serial preamble: whatever can refuse the frame first, so that no
+	// Scratch is left between Begin and Rows; then the buffers sized for
+	// the team.
+	if err := ev.planSweep(types, nloc); err != nil {
 		return err
 	}
-	for fi := range frames {
-		f := &frames[fi]
-		fs := ev.frames[fi]
-		fs.pos, fs.list, fs.box = f.Pos, f.List, f.Box
-		fs.env = fs.sc.Begin(ev.dcfg, f.List)
-		fs.chunkE = tensor.Resize(fs.chunkE, len(fs.jobs))
-		fs.partials = tensor.Resize(fs.partials, descriptor.ProdBlocks*len(f.Pos))
-		f.Out.AtomEnergy = tensor.Resize(f.Out.AtomEnergy, f.Nloc)
-		f.Out.Force = tensor.Resize(f.Out.Force, len(f.Pos))
-		fs.atomEnergy, fs.force = f.Out.AtomEnergy, f.Out.Force
-	}
+	fs := &ev.frame
+	fs.pos, fs.list, fs.box = pos, list, box
+	fs.env = fs.sc.Begin(ev.dcfg, list)
+	fs.chunkE = tensor.Resize(fs.chunkE, len(fs.jobs))
+	fs.partials = tensor.Resize(fs.partials, descriptor.ProdBlocks*len(pos))
+	out.AtomEnergy = tensor.Resize(out.AtomEnergy, nloc)
+	out.Force = tensor.Resize(out.Force, len(pos))
+	fs.atomEnergy, fs.force = out.AtomEnergy, out.Force
 
 	// One fan-out: the calling goroutine is member 0 and coordinates.
-	ev.nframes = len(frames)
-	ev.sweepers = ev.splitBudget(len(ev.batchJobs))
+	ev.sweepers = ev.splitBudget(len(fs.jobs))
 	for st := range ev.cursors {
 		ev.cursors[st].Store(0)
 	}
@@ -187,24 +174,19 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 		return err
 	}
 
-	// Per-frame reductions in fixed orders: the chunk energies, the blocks'
-	// virials, then the repulsion prior on top.
-	for fi := range frames {
-		f := &frames[fi]
-		fs := ev.frames[fi]
-		out := f.Out
-		out.Energy = 0
-		for _, e := range fs.chunkE {
-			out.Energy += e
-		}
-		out.Virial = [9]float64{}
-		for b := range fs.blocks {
-			for x, v := range fs.blocks[b].virial {
-				out.Virial[x] += v
-			}
-		}
-		repulsionEnergy(ctr, ev.cfg.RepA, ev.cfg.RepRcut, f.Pos, f.Nloc, f.List, f.Box, out)
+	// Reductions in fixed orders: the chunk energies, the blocks' virials,
+	// then the repulsion prior on top.
+	out.Energy = 0
+	for _, e := range fs.chunkE {
+		out.Energy += e
 	}
+	out.Virial = [9]float64{}
+	for b := range fs.blocks {
+		for x, v := range fs.blocks[b].virial {
+			out.Virial[x] += v
+		}
+	}
+	repulsionEnergy(ev.Counter, ev.cfg.RepA, ev.cfg.RepRcut, pos, nloc, list, box, out)
 	ev.growArenas()
 	return nil
 }
@@ -212,7 +194,7 @@ func (ev *Evaluator[T]) ComputeBatch(frames []Frame) error {
 // member is the body of team member w: the five stages in order, jobs
 // claimed from each stage's cursor, a barrier between stages. Member 0 runs
 // on the calling goroutine and coordinates: it turns stage 1a's block
-// results into the call's error and the frames' row offsets, and makes the
+// results into the call's error and the row offsets, and makes the
 // customized operators' two perf observations — the wall time of the stage
 // and the FLOPs summed over the blocks, so the category times keep their
 // meaning and the FLOP count repeats exactly at every worker count.
@@ -223,11 +205,11 @@ func (ev *Evaluator[T]) member(w int) error {
 		defer ev.wg.Done()
 	}
 	ws := ev.scratch[w]
-	nblk := ev.nframes * descriptor.ProdBlocks
+	fs := &ev.frame
 
 	start := ev.Counter.Now()
-	for bi := ev.claim(stageEnv); bi < nblk; bi = ev.claim(stageEnv) {
-		ev.envBlock(ws, bi/descriptor.ProdBlocks, bi%descriptor.ProdBlocks)
+	for b := ev.claim(stageEnv); b < descriptor.ProdBlocks; b = ev.claim(stageEnv) {
+		ev.envBlock(ws, b)
 	}
 	ev.bar.wait()
 	if w == 0 {
@@ -238,38 +220,32 @@ func (ev *Evaluator[T]) member(w int) error {
 		return nil
 	}
 	ev.bar.wait()
-	for bi := ev.claim(stageFill); bi < nblk; bi = ev.claim(stageFill) {
-		ev.fillBlock(bi/descriptor.ProdBlocks, bi%descriptor.ProdBlocks)
+	for b := ev.claim(stageFill); b < descriptor.ProdBlocks; b = ev.claim(stageFill) {
+		ev.fillBlock(b)
 	}
 	ev.bar.wait()
 	if w == 0 {
 		ev.observeEnv(start)
 	}
 
-	// The sweep is where the cross-request amortization happens: a handful
-	// of small frames fill the team (and one evaluator's caches) the way
-	// one large system would.
 	if w < ev.sweepers {
 		ev.sweep(w)
 	}
 	ev.bar.wait()
 
 	start = ev.Counter.Now()
-	for bi := ev.claim(stageProd); bi < nblk; bi = ev.claim(stageProd) {
-		ev.prodBlock(bi/descriptor.ProdBlocks, bi%descriptor.ProdBlocks)
+	for b := ev.claim(stageProd); b < descriptor.ProdBlocks; b = ev.claim(stageProd) {
+		ev.prodBlock(b)
 	}
 	ev.bar.wait()
-	for bi := ev.claim(stageReduce); bi < nblk; bi = ev.claim(stageReduce) {
-		fs := ev.frames[bi/descriptor.ProdBlocks]
-		lo, hi := descriptor.BlockRange(len(fs.force), bi%descriptor.ProdBlocks)
+	for b := ev.claim(stageReduce); b < descriptor.ProdBlocks; b = ev.claim(stageReduce) {
+		lo, hi := descriptor.BlockRange(len(fs.force), b)
 		descriptor.SumPartials(fs.partials, fs.force, lo, hi)
 	}
 	if w == 0 {
 		var slots int64
-		for _, fs := range ev.frames[:ev.nframes] {
-			for b := range fs.blocks {
-				slots += fs.blocks[b].slots
-			}
+		for b := range fs.blocks {
+			slots += fs.blocks[b].slots
 		}
 		ev.Counter.Observe(perf.CatCUSTOM, start, slots*(descriptor.ProdForceFLOPsPerEntry+descriptor.ProdVirialFLOPsPerEntry))
 	}
@@ -282,11 +258,11 @@ func (ev *Evaluator[T]) claim(stage int) int {
 }
 
 // envBlock is one stage-1a job: the Environment operator's first pass on
-// block b's atoms of frame fi — rows formatted, real rows counted.
+// block b's atoms — rows formatted, real rows counted.
 //
 //dp:noalloc
-func (ev *Evaluator[T]) envBlock(ws *evalScratch[T], fi, b int) {
-	fs := ev.frames[fi]
+func (ev *Evaluator[T]) envBlock(ws *evalScratch[T], b int) {
+	fs := &ev.frame
 	out := &fs.blocks[b]
 	lo, hi := descriptor.BlockRange(fs.env.Nloc, b)
 	start := ev.Counter.Now()
@@ -300,35 +276,33 @@ func (ev *Evaluator[T]) envBlock(ws *evalScratch[T], fi, b int) {
 	}
 }
 
-// collectEnv closes stage 1a on the coordinator: the lowest failing
-// (frame, atom) is the error at every worker count — blocks are ascending
-// atom ranges and each stops at its first failure — and otherwise the
-// blocks' dropped neighbors become the table's overflow count, the row
-// counts become offsets, and every frame buffer laid out like the rows is
-// grown to them.
+// collectEnv closes stage 1a on the coordinator: the lowest failing atom
+// is the error at every worker count — blocks are ascending atom ranges
+// and each stops at its first failure — and otherwise the blocks' dropped
+// neighbors become the table's overflow count, the row counts become
+// offsets, and every buffer laid out like the rows is grown to them.
 func (ev *Evaluator[T]) collectEnv() error {
-	for fi, fs := range ev.frames[:ev.nframes] {
-		for b := range fs.blocks {
-			out := &fs.blocks[b]
-			if out.err != nil {
-				return fmt.Errorf("core: frame %d: %w", fi, out.err)
-			}
-			fs.env.Fmt.Overflow += out.env.Dropped
+	fs := &ev.frame
+	for b := range fs.blocks {
+		out := &fs.blocks[b]
+		if out.err != nil {
+			return fmt.Errorf("core: %w", out.err)
 		}
-		rows := fs.sc.Pack()
-		fs.rT = tensor.Grow(fs.rT, 4*rows)
-		fs.ndT = tensor.Grow(fs.ndT, 4*rows)
+		fs.env.Fmt.Overflow += out.env.Dropped
 	}
+	rows := fs.sc.Pack()
+	fs.rT = tensor.Grow(fs.rT, 4*rows)
+	fs.ndT = tensor.Grow(fs.ndT, 4*rows)
 	return nil
 }
 
 // fillBlock is one stage-1b job: the Environment operator's second pass
-// and the precision conversion on block b's atoms of frame fi, into the
-// block's own rows of the frame's shared buffers.
+// and the precision conversion on block b's atoms, into the block's own
+// rows of the shared buffers.
 //
 //dp:noalloc
-func (ev *Evaluator[T]) fillBlock(fi, b int) {
-	fs := ev.frames[fi]
+func (ev *Evaluator[T]) fillBlock(b int) {
+	fs := &ev.frame
 	out := &fs.blocks[b]
 	lo, hi := descriptor.BlockRange(fs.env.Nloc, b)
 	start := ev.Counter.Now()
@@ -349,31 +323,28 @@ func (ev *Evaluator[T]) observeEnv(start time.Time) {
 	if ctr == nil {
 		return
 	}
-	var flops int64
+	fs := &ev.frame
+	var entries int64
 	var envTime, convTime time.Duration
-	for _, fs := range ev.frames[:ev.nframes] {
-		var entries int64
-		for b := range fs.blocks {
-			out := &fs.blocks[b]
-			entries += out.env.Entries
-			envTime += out.envTime
-			convTime += out.convTime
-		}
-		flops += descriptor.EnvFLOPs(fs.env, entries)
+	for b := range fs.blocks {
+		out := &fs.blocks[b]
+		entries += out.env.Entries
+		envTime += out.envTime
+		convTime += out.convTime
 	}
 	wall := time.Since(start)
 	conv := time.Duration(float64(wall) * float64(convTime) / float64(max(1, envTime+convTime)))
 	ctr.AddTime(perf.CatSLICE, conv)
 	ctr.AddTime(perf.CatCUSTOM, wall-conv)
-	ctr.AddFLOPs(flops)
+	ctr.AddFLOPs(descriptor.EnvFLOPs(fs.env, entries))
 }
 
-// prodBlock is one stage-3 job: block b's center atoms of frame fi
-// scattered into the block's private force buffer and virial.
+// prodBlock is one stage-3 job: block b's center atoms scattered into the
+// block's private force buffer and virial.
 //
 //dp:noalloc
-func (ev *Evaluator[T]) prodBlock(fi, b int) {
-	fs := ev.frames[fi]
+func (ev *Evaluator[T]) prodBlock(b int) {
+	fs := &ev.frame
 	out := &fs.blocks[b]
 	n3 := len(fs.force)
 	part := fs.partials[b*n3 : (b+1)*n3]
@@ -384,33 +355,24 @@ func (ev *Evaluator[T]) prodBlock(fi, b int) {
 }
 
 // planSweep is the part of the force call's preamble that can refuse a
-// frame: it cuts every frame into its chunks (the frame slot's jobs, in
-// type-then-index order — the order chunkE is summed in) and flattens them
-// into the sweep's claim list, tallest chunk first. The cursor then hands
-// out the longest-processing-time schedule: the short chunks fill in behind
-// whichever member finishes early, where frame order would leave one member
-// holding the last tall chunk. Ties keep (frame, job) order, and nothing
-// here reads the worker budget.
-func (ev *Evaluator[T]) planSweep(frames []Frame) error {
-	for len(ev.frames) < len(frames) {
-		ev.frames = append(ev.frames, newFrameState[T](ev.cfg.NumTypes()))
+// frame: it cuts the frame into its chunks (the jobs, in type-then-index
+// order — the order chunkE is summed in) and orders the sweep's claim
+// list tallest chunk first. The cursor then hands out the
+// longest-processing-time schedule: the short chunks fill in behind
+// whichever member finishes early, where job order would leave one member
+// holding the last tall chunk. Ties keep job order, and nothing here reads
+// the worker budget.
+func (ev *Evaluator[T]) planSweep(types []int, nloc int) error {
+	fs := &ev.frame
+	var err error
+	if fs.jobs, err = chunkJobs(fs.jobs[:0], fs.byType, types, nloc, ev.cfg.ChunkSize); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	ev.batchJobs = ev.batchJobs[:0]
-	for fi := range frames {
-		f := &frames[fi]
-		if f.Out == nil {
-			return fmt.Errorf("core: frame %d has no Result", fi)
-		}
-		fs := ev.frames[fi]
-		var err error
-		if fs.jobs, err = chunkJobs(fs.jobs[:0], fs.byType, f.Types, f.Nloc, ev.cfg.ChunkSize); err != nil {
-			return fmt.Errorf("core: frame %d: %w", fi, err)
-		}
-		for ji, j := range fs.jobs {
-			ev.batchJobs = append(ev.batchJobs, batchJob{fi, ji, len(j.atoms)})
-		}
+	fs.order = fs.order[:0]
+	for ji := range fs.jobs {
+		fs.order = append(fs.order, ji)
 	}
-	slices.SortStableFunc(ev.batchJobs, func(a, b batchJob) int { return b.rows - a.rows })
+	slices.SortStableFunc(fs.order, func(a, b int) int { return len(fs.jobs[b].atoms) - len(fs.jobs[a].atoms) })
 	return nil
 }
 
@@ -485,34 +447,41 @@ func (ev *Evaluator[T]) splitBudget(njobs int) int {
 	return max(1, min(len(ev.arenas), njobs))
 }
 
-// sweep is stage 2 on team member w: claim (frame, chunk) jobs from the
-// stage's cursor until none are left, evaluating each in member w's arena
-// and scratch. Every chunk's computation is self-contained and
+// sweep is stage 2 on team member w: claim chunks from the stage's cursor
+// in the claim list's order until none are left, evaluating each in member
+// w's arena and scratch. Every chunk's computation is self-contained and
 // deterministic, so results do not depend on which member claims it.
 func (ev *Evaluator[T]) sweep(w int) {
 	ws, ar := ev.scratch[w], ev.arenas[w]
-	for bi := ev.claim(stageSweep); bi < len(ev.batchJobs); bi = ev.claim(stageSweep) {
-		bj := ev.batchJobs[bi]
-		fs := ev.frames[bj.fi]
-		j := fs.jobs[bj.ji]
-		fs.chunkE[bj.ji] = ev.evalChunk(ev.Counter, ws, ar, fs.env, fs.rT, fs.ndT, j.ci, j.atoms, fs.atomEnergy)
+	fs := &ev.frame
+	for k := ev.claim(stageSweep); k < len(fs.order); k = ev.claim(stageSweep) {
+		ji := fs.order[k]
+		j := fs.jobs[ji]
+		fs.chunkE[ji] = ev.evalChunk(ev.Counter, ws, ar, fs.env, fs.rT, fs.ndT, j.ci, j.atoms, fs.atomEnergy)
 	}
 }
 
-// ComputeBatch evaluates a batch of independent frames on ONE borrowed
-// evaluator — the engine-level seam the cross-request micro-batcher
-// (internal/serve) coalesces concurrent small requests through.
-// Goroutine-safe like Compute; results are bit-identical to per-frame
-// Compute calls at every batch size (see Evaluator.ComputeBatch and
-// BaselineEvaluator.ComputeBatch).
+// ComputeBatch evaluates independent frames one after another on ONE
+// borrowed evaluator: each frame is one Compute call, so its results are
+// bitwise a per-frame Compute's. It is kept because the benchmark harness
+// (bench/serve.go) times it; new code calls Compute. A frame without a
+// Result is an error, found before any frame is evaluated.
 func (e *Engine) ComputeBatch(frames []Frame) error {
-	if len(frames) == 0 {
-		return nil
+	for i := range frames {
+		if frames[i].Out == nil {
+			return fmt.Errorf("core: frame %d has no Result", i)
+		}
 	}
 	c, err := e.acquire()
 	if err != nil {
 		return err
 	}
 	defer e.release(c)
-	return c.ComputeBatch(frames)
+	for i := range frames {
+		f := &frames[i]
+		if err := c.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, f.Out); err != nil {
+			return fmt.Errorf("frame %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -59,12 +59,12 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestComputeBatchBitIdentical is the serving-path contract of ISSUE 7:
-// frames coalesced from different callers into one ComputeBatch sweep must
-// be bit-identical to evaluating each frame with its own serial
-// per-request Compute, at EVERY batch size, across systems, strategies and
-// precisions. This is what lets the micro-batcher (internal/serve) batch
-// across callers without changing anyone's physics.
+// TestComputeBatchBitIdentical is the contract of Engine.ComputeBatch, the
+// entry the benchmark harness times: the frames of a batch are evaluated
+// one after another on one borrowed evaluator, so every result is bitwise
+// a per-frame Compute's at every batch size, for every strategy and
+// precision; and a batch holding a frame without a Result is refused
+// before any frame is evaluated.
 func TestComputeBatchBitIdentical(t *testing.T) {
 	for _, sys := range []struct {
 		name  string
@@ -129,6 +129,18 @@ func TestComputeBatchBitIdentical(t *testing.T) {
 					}
 				}
 
+				var untouched Result
+				refused := []Frame{
+					{Pos: systems[0].pos, Types: systems[0].types, Nloc: len(systems[0].types), List: systems[0].list, Box: systems[0].box, Out: &untouched},
+					{Pos: systems[1].pos, Types: systems[1].types, Nloc: len(systems[1].types), List: systems[1].list, Box: systems[1].box},
+				}
+				if err := e.ComputeBatch(refused); err == nil {
+					t.Fatal("a frame without a Result was accepted")
+				}
+				if untouched.Force != nil {
+					t.Fatal("a refused batch evaluated its first frame")
+				}
+
 				for _, batch := range []int{1, 2, 3, 4} {
 					frames := make([]Frame, batch)
 					outs := make([]Result, batch)
@@ -149,10 +161,9 @@ func TestComputeBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// Compute is the one-frame case of ComputeBatch and lives in frame slot 0
-// of the same evaluator: interleaving plain calls with batches of 1, 3 and
-// 1 frames of differently-sized systems must leave no state behind in the
-// shared slot. Every result is compared with a fresh evaluator's.
+// One evaluator keeps one frame's state across calls: alternating
+// differently-sized systems through Compute must leave nothing behind in
+// it. Every result is compared with a fresh evaluator's.
 func TestComputeInterleavedWithBatchesBitIdentical(t *testing.T) {
 	cfg := batchTestConfig(true)
 	cfg.ChunkSize = 16
@@ -177,43 +188,19 @@ func TestComputeInterleavedWithBatchesBitIdentical(t *testing.T) {
 	}
 
 	ev := NewEvaluator[float64](m)
-	// Each step lists the systems it evaluates; plain marks a Compute call.
-	for step, tc := range []struct {
-		plain   bool
-		systems []int
-	}{
-		{true, []int{1}},
-		{false, []int{0}},
-		{true, []int{2}},
-		{false, []int{2, 0, 1}},
-		{true, []int{0}},
-		{false, []int{1}},
-		{true, []int{1}},
-	} {
-		outs := make([]Result, len(tc.systems))
-		if tc.plain {
-			f := frames[tc.systems[0]]
-			err = ev.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, &outs[0])
-		} else {
-			batch := make([]Frame, len(tc.systems))
-			for k, si := range tc.systems {
-				batch[k] = frames[si]
-				batch[k].Out = &outs[k]
-			}
-			err = ev.ComputeBatch(batch)
-		}
-		if err != nil {
+	for step, si := range []int{1, 0, 2, 2, 0, 1, 0, 1} {
+		f := frames[si]
+		var out Result
+		if err := ev.Compute(f.Pos, f.Types, f.Nloc, f.List, f.Box, &out); err != nil {
 			t.Fatal(err)
 		}
-		for k, si := range tc.systems {
-			requireSameResult(t, fmt.Sprintf("step %d frame %d (system %d)", step, k, si), &outs[k], &refs[si])
-		}
+		requireSameResult(t, fmt.Sprintf("step %d (system %d)", step, si), &out, &refs[si])
 	}
 }
 
-// A baseline-strategy engine has no batched sweep; ComputeBatch must fall
-// back to evaluating the frames sequentially on the one borrowed
-// evaluator, matching per-frame calls exactly.
+// A baseline-strategy engine serves ComputeBatch like any other: the
+// frames evaluated one after another on the one borrowed evaluator,
+// matching per-frame calls exactly.
 func TestEngineComputeBatchBaselineFallback(t *testing.T) {
 	m := newTestModel(t, 2)
 	e, err := NewEngine(m, Plan{Strategy: StrategyBaseline})

@@ -41,7 +41,7 @@ func checkRaggedStorage[T tensor.Float](t *testing.T, m *Model, cu *lattice.Syst
 	if err := ev.Compute(cu.Pos, cu.Types, cu.N(), list, &cu.Box, &out); err != nil {
 		t.Fatal(err)
 	}
-	fs := ev.frames[0]
+	fs := &ev.frame
 	env := fs.env
 	rows := env.Off[len(env.Off)-1]
 	if perAtom := float64(rows) / float64(cu.N()); perAtom < 170 || perAtom > 180 {
@@ -130,7 +130,7 @@ func TestRaggedEdgesMatchAcrossStrategies(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%v/workers=%d", strat, workers)
-			requireSameRows(t, label, ev.frames[0].env, base)
+			requireSameRows(t, label, ev.frame.env, base)
 			if prev, ok := results[strat.String()]; ok {
 				requireSameResult(t, label, out, prev)
 			}

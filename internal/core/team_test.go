@@ -101,7 +101,6 @@ func TestTeamWorkersBitIdentical(t *testing.T) {
 		for _, strat := range []Strategy{StrategyBatched, StrategyCompressed, StrategyPerAtom} {
 			t.Run(fmt.Sprintf("%v/%v", prec, strat), func(t *testing.T) {
 				var ref []Result
-				var refBatch []Result
 				for _, workers := range []int{1, 2, 3, 7} {
 					e, err := NewEngine(m, Plan{Precision: prec, Strategy: strat, Workers: workers, MaxConcurrency: 1})
 					if err != nil {
@@ -136,23 +135,6 @@ func TestTeamWorkersBitIdentical(t *testing.T) {
 							}
 							requireSameResult(t, fmt.Sprintf("%s workers=%d pass=%d", f.name, workers, pass), &out, &ref[fi])
 						}
-					}
-
-					// All frames as one batch of unequal frames.
-					batch := make([]Frame, len(frames))
-					outs := make([]Result, len(frames))
-					for fi, f := range frames {
-						batch[fi] = Frame{Pos: f.pos, Types: f.types, Nloc: f.nloc, List: f.list, Box: f.box, Out: &outs[fi]}
-					}
-					if err := c.ComputeBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					if workers == 1 {
-						refBatch = outs
-					}
-					for fi, f := range frames {
-						requireSameResult(t, fmt.Sprintf("%s batched workers=%d vs Compute", f.name, workers), &outs[fi], &ref[fi])
-						requireSameResult(t, fmt.Sprintf("%s batched workers=%d", f.name, workers), &outs[fi], &refBatch[fi])
 					}
 				}
 			})
@@ -253,8 +235,8 @@ func TestTeamNonFiniteCoordinateError(t *testing.T) {
 			ev := NewEvaluator[float64](&Model{Cfg: cfg, Embed: m.Embed, Fit: m.Fit})
 			var out Result
 			err := ev.Compute(bad, types, n, list, box, &out)
-			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "frame 0") {
-				t.Fatalf("%s workers=%d: error %v, want one naming frame 0 and %q", tc.name, workers, err, want)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s workers=%d: error %v, want one naming %q", tc.name, workers, err, want)
 			}
 			// The evaluator is usable again, with the bits of a fresh one.
 			var again, fresh Result
@@ -304,9 +286,9 @@ func TestComputeWorkers2Allocs(t *testing.T) {
 // The same contract where the balanced cut and the claim order do their
 // work: at ChunkSize 16 a frame whose three types need one, two and five
 // whole chunks is cut into 1, 4 and 5 (its second type into a multiple of
-// sweepCut, its third into eight parts of 16 rows, which five hold), and a
-// batch of it with a smaller frame is claimed tallest first across both.
-// The bits are those of one worker at every budget, alone and batched.
+// sweepCut, its third into eight parts of 16 rows, which five hold), and
+// its chunks are claimed tallest first. The bits are those of one worker
+// at every budget.
 func TestTeamWorkersBitIdenticalSplitTypes(t *testing.T) {
 	cfg := TinyConfig(3)
 	cfg.ChunkSize = 16
@@ -369,17 +351,6 @@ func TestTeamWorkersBitIdenticalSplitTypes(t *testing.T) {
 							continue
 						}
 						requireSameResult(t, fmt.Sprintf("%s workers=%d", f.name, workers), &out, &ref[fi])
-					}
-					batch := make([]Frame, len(frames))
-					outs := make([]Result, len(frames))
-					for fi, f := range frames {
-						batch[fi] = Frame{Pos: f.pos, Types: f.types, Nloc: f.nloc, List: f.list, Box: f.box, Out: &outs[fi]}
-					}
-					if err := c.ComputeBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					for fi, f := range frames {
-						requireSameResult(t, fmt.Sprintf("%s batched workers=%d vs Compute", f.name, workers), &outs[fi], &ref[fi])
 					}
 				}
 			})

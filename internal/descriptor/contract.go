@@ -30,8 +30,8 @@ import (
 // descriptor items — which makes the channel index the unit-stride SIMD
 // axis of every inner loop. Rows accumulate in slot order whatever
 // the tile boundaries are, and a caller adds sections in section order, so
-// the result for one atom does not depend on which chunk, tile, worker or
-// coalesced frame evaluates it.
+// the result for one atom does not depend on which chunk, tile or worker
+// evaluates it.
 //
 // The generic loops below are the reference. The amd64 contraction
 // kernels (contract_amd64.s, picked through cpufeat: one AVX2-encoded set

@@ -127,10 +127,12 @@ type builder struct {
 // the number n of neighbors found, then their n indices. cnt[r] is how
 // many entries the worker's pairs put in row r; after the scan it becomes
 // the worker's write cursor into the arena. keys is orderRow's scratch.
+// coincident is 1 once the worker has met a pair at zero distance.
 type rowScan struct {
-	hits []int32
-	cnt  []int
-	keys []uint64
+	hits       []int32
+	cnt        []int
+	keys       []uint64
+	coincident int
 }
 
 func (b *builder) build(workers int) *List {
@@ -172,7 +174,33 @@ func (b *builder) build(workers int) *List {
 	parallel(workers, func(w int) {
 		eachRow(w, func(sc *rowScan, i int) { sc.orderRow(b.types, l.Entries[i]) })
 	})
+	for w := range scans {
+		if scans[w].coincident != 0 {
+			l.Coincident = b.lowestCoincident(l)
+			break
+		}
+	}
 	return l
+}
+
+// lowestCoincident walks the list for its lowest pair at zero distance,
+// which the scan has seen: the lowest row, then the lowest index in it.
+// Its distances are the scan's, bit for bit (scanAtoms' fold is
+// MinImage's), so the walk finds what the scan flagged.
+func (b *builder) lowestCoincident(l *List) [2]int {
+	for i, row := range l.Entries {
+		lowest := -1
+		for _, j := range row {
+			d := Displacement(b.pos, i, int(j), b.box)
+			if d[0]*d[0]+d[1]*d[1]+d[2]*d[2] == 0 && (lowest < 0 || int(j) < lowest) {
+				lowest = int(j)
+			}
+		}
+		if lowest >= 0 {
+			return [2]int{i, lowest}
+		}
+	}
+	return [2]int{}
 }
 
 // parallel runs f(0), ..., f(workers-1) at once, f(0) on the calling
@@ -258,7 +286,8 @@ func (sc *rowScan) scanCells(b *builder, i int) {
 // The periodic fold picks each component's multiple of L from d·(1/L)
 // (see nearTie), and every candidate is written to the next free word
 // with the cursor advancing only past a hit, so the loop has no branch on
-// the geometry.
+// the geometry. A candidate at zero distance sets the worker's coincident
+// flag, also without a branch.
 func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32, cpos []float64) {
 	p, rc2 := b.pos, b.rc*b.rc
 	xi, yi, zi := p[3*i], p[3*i+1], p[3*i+2]
@@ -271,6 +300,7 @@ func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32, cpos []float64) {
 	n := len(sc.hits)
 	hits := sc.hits[:n+len(cand)]
 	self := int32(i)
+	zero := 0
 	for k, j := range cand {
 		c := cpos[3*k : 3*k+3]
 		dx, dy, dz := c[0]-xi, c[1]-yi, c[2]-zi
@@ -289,9 +319,12 @@ func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32, cpos []float64) {
 			}
 		}
 		hits[n] = j
-		n += b2i(dx*dx+dy*dy+dz*dz < rc2) & b2i(j != self)
+		d2, other := dx*dx+dy*dy+dz*dz, b2i(j != self)
+		n += b2i(d2 < rc2) & other
+		zero |= b2i(d2 == 0) & other
 	}
 	sc.hits = hits[:n]
+	sc.coincident |= zero
 }
 
 // b2i is 1 for true and 0 for false, which the compiler emits as a flag

@@ -110,6 +110,12 @@ type List struct {
 	// Types holds the type of every atom Build was given, ghosts included;
 	// the formatter reads a neighbor's type here.
 	Types []int32
+	// Coincident is the lowest pair (i, j) — lowest row i, then lowest
+	// index j in it — of an atom and a listed neighbor at zero distance,
+	// through a periodic image or not; {0, 0} (i == j) when Build found
+	// none. The descriptor leaves such a pair's row zero; a caller that
+	// must refuse the frame reads it here.
+	Coincident [2]int
 }
 
 // MaxNeighbors returns the largest per-atom neighbor count in the list.

@@ -209,3 +209,52 @@ func TestParallelBuildEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// Build flags atoms at zero distance during the scan and records the
+// lowest such pair on the List: the same pair at one and two workers, in
+// the all-pairs and cell regimes, for a pair on one spot and for one that
+// coincides only through a periodic image.
+func TestBuildRecordsLowestCoincidentPair(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		box   *Box
+		cells bool
+	}{
+		{"all-pairs", 300, &Box{L: [3]float64{8, 8, 8}}, false},
+		{"cells", 900, &Box{L: [3]float64{22, 20, 24}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{Rcut: 2.5, Skin: 0.5, Sel: []int{64, 64}}
+			pos, types := randomConfig(rand.New(rand.NewSource(12)), tc.n, tc.box, 2)
+			if got := useCells(pos, tc.n, tc.box, spec.RcutBuild()); got != tc.cells {
+				t.Fatalf("premise: useCells %v, want %v", got, tc.cells)
+			}
+			check := func(label string, want [2]int) {
+				t.Helper()
+				for _, workers := range []int{1, 2} {
+					l, err := Build(spec, pos, types, tc.n, tc.box, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if l.Coincident != want {
+						t.Fatalf("%s, workers=%d: Coincident %v, want %v", label, workers, l.Coincident, want)
+					}
+				}
+			}
+			check("no pair", [2]int{})
+
+			// Atom 250 on atom 180's spot.
+			copy(pos[3*250:3*250+3], pos[3*180:3*180+3])
+			check("one spot", [2]int{180, 250})
+
+			// Atom 90 one box edge from atom 40 along x, at values that make
+			// the edge exact: the pair coincides only through the image, and
+			// it is the lower pair.
+			pos[3*40] = 1.5
+			copy(pos[3*90:3*90+3], pos[3*40:3*40+3])
+			pos[3*90] += tc.box.L[0]
+			check("periodic image", [2]int{40, 90})
+		})
+	}
+}
