@@ -176,7 +176,7 @@ func main() {
 	spec := neighbor.Spec{Rcut: mcfg.Rcut, Skin: mcfg.Skin, Sel: mcfg.Sel}
 	popt := deepmd.ParallelOptions{
 		Ranks: *ranks, Dt: dt, Steps: *steps, Spec: spec,
-		RebuildEvery: 50, ThermoEvery: 20, UseIallreduce: true,
+		RebuildEvery: 50, ThermoEvery: 20,
 	}
 	// The domain run's own grid rule, now that rcut + skin is known (for
 	// one rank it is the serial run's minimum-image rule): a box too small

@@ -1,14 +1,14 @@
 // Command dpserve is the HTTP serving daemon over deepmd.Open: evaluate,
-// relax and short-trajectory endpoints whose force calls all flow through
-// one bounded request queue (internal/serve): a request is computed as
-// soon as an evaluator is free, one frame per force call.
+// relax and short-trajectory endpoints whose force calls all pass one
+// admission gate (internal/serve): a request is computed on its handler's
+// goroutine as soon as an evaluator is free, one frame per force call.
 //
 // Usage:
 //
 //	dpserve                                  # tiny water model on 127.0.0.1:8100
 //	dpserve -model water.dpgo -addr :8100    # serve a trained checkpoint
 //	dpserve -system copper -queue 64
-//	dpserve -concurrency 4                   # 4 pooled evaluators, one dispatch loop each
+//	dpserve -concurrency 4                   # 4 pooled evaluators, 4 requests computed at once
 //
 // Endpoints:
 //
@@ -112,8 +112,9 @@ func run(args []string, stderr io.Writer) int {
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: stop accepting, finish in-flight handlers, then
-	// drain the batcher queue.
+	// Graceful drain: stop accepting and finish in-flight handlers, whose
+	// force calls run on their own goroutines; then close the gate, which
+	// waits for any call still admitted.
 	logger.Print("shutting down: draining in-flight and queued requests")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

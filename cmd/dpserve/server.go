@@ -142,7 +142,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the batcher counters in Prometheus text format.
 // dpserve_batches_total and dpserve_batched_frames_total both count the
-// requests dispatched and answered, one frame per force call, so their
+// requests evaluated and answered, one frame per force call, so their
 // ratio reads 1; the names stay because the benchmark harness divides them
 // (serve.coalesce_factor).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {

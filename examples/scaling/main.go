@@ -48,7 +48,7 @@ func main() {
 		}
 		stats, err := deepmd.RunParallel(sys, func() deepmd.Potential { return eng }, deepmd.ParallelOptions{
 			Ranks: r, Dt: 0.0005, Steps: 20, Spec: deepmd.SpecFor(cfg),
-			RebuildEvery: 10, ThermoEvery: 10, UseIallreduce: true,
+			RebuildEvery: 10, ThermoEvery: 10,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -224,32 +224,6 @@ func TestParallelTrajectoryMatchesSerial(t *testing.T) {
 	}
 }
 
-// Iallreduce must produce the same thermo log as blocking Allreduce.
-func TestIallreduceMatchesAllreduce(t *testing.T) {
-	run := func(useI bool) []md.Thermo {
-		sys, newPot, spec := ljFullSystem(9)
-		sys.InitVelocities(30, 11)
-		stats, err := Run(sys, newPot, Options{
-			Ranks: 4, Grid: [3]int{2, 2, 1}, Dt: 0.002, Steps: 40, Spec: spec,
-			RebuildEvery: 10, ThermoEvery: 10, UseIallreduce: useI,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.Thermo
-	}
-	a := run(false)
-	b := run(true)
-	if len(a) != len(b) {
-		t.Fatalf("sample counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Step != b[i].Step || math.Abs(a[i].Potential-b[i].Potential) > 1e-12 {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestRunRejectsTooManyRanks(t *testing.T) {
 	sys, newPot, spec := ljFullSystem(13)
 	if _, err := Run(sys, newPot, Options{Ranks: 512, Dt: 0.001, Steps: 1, Spec: spec}); err == nil {

@@ -14,7 +14,6 @@ const (
 	tagBorder  = 200 // +stage offset
 	tagForward = 300 // +stage offset
 	tagReverse = 400 // +stage offset
-	tagThermo  = 500
 	tagGather  = 600 // +0 gid, +1 force, +2 pos
 	tagStats   = 700
 )

@@ -27,9 +27,9 @@ type Options struct {
 	RebuildEvery int
 	// ThermoEvery is the reduction cadence (paper: 20).
 	ThermoEvery int
-	// UseIallreduce switches the thermo reduction to the non-blocking
-	// collective (Sec. 5.4); results are then consumed one sample late,
-	// mirroring the paper's pipelining.
+	// UseIallreduce has no effect: the thermo reduction is always the
+	// non-blocking collective (Sec. 5.4), consumed one sample late. The
+	// field stays for callers that set it.
 	UseIallreduce bool
 	// GatherForces collects final per-atom forces by global id on rank 0
 	// (used by verification tests; costs one gather).
@@ -273,17 +273,13 @@ func runRank(c *mpi.Comm, full *md.System, pot md.Potential, opt Options, grid [
 	sample := func(step int) {
 		// Local contributions: KE, PE, virial trace, W_zz, atom count.
 		local := []float64{kinetic(), res.Energy, res.Virial[0] + res.Virial[4] + res.Virial[8], res.Virial[8], float64(rs.nloc)}
-		if opt.UseIallreduce {
-			// Consume the previous pending reduction first (one sample
-			// of pipeline latency, as in Sec. 5.4).
-			if pending != nil {
-				record(pendingStep, pending.Wait())
-			}
-			pending = c.Iallreduce(local)
-			pendingStep = step
-		} else {
-			record(step, c.Allreduce(tagThermo, local))
+		// Consume the previous pending reduction first (one sample of
+		// pipeline latency, as in Sec. 5.4).
+		if pending != nil {
+			record(pendingStep, pending.Wait())
 		}
+		pending = c.Iallreduce(local)
+		pendingStep = step
 	}
 
 	if err := rebuild(); err != nil {

@@ -96,7 +96,7 @@ func TestTCPMatchesInProcessWater(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4, 8} {
 		opt := Options{
 			Ranks: ranks, Dt: 0.0005, Steps: 6, Spec: spec,
-			RebuildEvery: 3, ThermoEvery: 2, UseIallreduce: true, GatherForces: true,
+			RebuildEvery: 3, ThermoEvery: 2, GatherForces: true,
 		}
 		want, err := Run(sys, newPot, opt)
 		if err != nil {

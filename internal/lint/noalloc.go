@@ -238,7 +238,10 @@ func (c *noallocChecker) allowlisted(fn *types.Func) *allocInfo {
 
 // coldRanges returns the position intervals of blocks that end by
 // returning a non-nil error or panicking: the bail-out paths a
-// steady-state allocation check must not charge.
+// steady-state allocation check must not charge. A nested block ending in
+// `return err` is a bail-out branch (`if err != nil { ... }`); the body
+// block itself is cold only when its error cannot be nil, or a function
+// ending in `return err` would have its whole steady state exempt.
 func coldRanges(pass *Pass, body *ast.BlockStmt) [][2]token.Pos {
 	var ranges [][2]token.Pos
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -248,7 +251,7 @@ func coldRanges(pass *Pass, body *ast.BlockStmt) [][2]token.Pos {
 		}
 		switch last := blk.List[len(blk.List)-1].(type) {
 		case *ast.ReturnStmt:
-			if returnsError(pass, last) {
+			if returnsError(pass, last) && (blk != body || errorNeverNil(pass, last)) {
 				ranges = append(ranges, [2]token.Pos{blk.Pos(), blk.End()})
 			}
 		case *ast.ExprStmt:
@@ -274,6 +277,24 @@ func returnsError(pass *Pass, ret *ast.ReturnStmt) bool {
 	}
 	named, ok := tv.Type.(*types.Named)
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
+}
+
+// errorNeverNil reports whether ret's final result cannot be nil: a call
+// to errors.New or fmt.Errorf, or a package-level (sentinel) error
+// variable.
+func errorNeverNil(pass *Pass, ret *ast.ReturnStmt) bool {
+	var id *ast.Ident
+	switch e := ast.Unparen(ret.Results[len(ret.Results)-1]).(type) {
+	case *ast.CallExpr:
+		fn := calleeOf(pass.TypesInfo, e)
+		return fn != nil && (fn.FullName() == "errors.New" || fn.FullName() == "fmt.Errorf")
+	case *ast.SelectorExpr:
+		id = e.Sel
+	case *ast.Ident:
+		id = e
+	}
+	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // checkBody walks one function body and invokes report for every

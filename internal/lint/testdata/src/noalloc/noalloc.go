@@ -3,6 +3,7 @@
 package noalloc
 
 import (
+	"errors"
 	"fmt"
 	"unsafe"
 )
@@ -95,6 +96,33 @@ func ColdPath(n int) error {
 		return fmt.Errorf("noalloc: bad n %d", n)
 	}
 	return nil
+}
+
+var errBad = errors.New("noalloc: bad n")
+
+func check(n int) error {
+	if n < 0 {
+		return errBad
+	}
+	return nil
+}
+
+// A body that ends in `return err` still has a steady state: err may be
+// nil.
+//
+//dp:noalloc
+func TrailingErr(a, b string, n int) (string, error) {
+	s := a + b // want `string concatenation allocates`
+	err := check(n)
+	return s, err
+}
+
+// A body that ends in an error that cannot be nil has none.
+//
+//dp:noalloc
+func TrailingSentinel(a, b string) (string, error) {
+	s := a + b
+	return s, errBad
 }
 
 //dp:noalloc

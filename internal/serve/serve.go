@@ -1,19 +1,18 @@
-// Package serve is the bounded request queue in front of an engine's
-// evaluator pool, the serving path of cmd/dpserve. Every request is one
-// frame, and every force call evaluates one request: the batching that
-// pays is inside a frame (its chunk sweep), and across callers a batch
-// would share an evaluator's workers, not its FLOPs. The
+// Package serve is the admission gate in front of an engine's evaluator
+// pool, the serving path of cmd/dpserve. Every request is one frame, and
+// every force call evaluates one request, on the caller's goroutine: the
+// batching that pays is inside a frame (its chunk sweep), and across
+// callers a batch would share an evaluator's workers, not its FLOPs. The
 // serve_http_closed2 workload of `go run ./bench` measures the path.
 //
-// The queue is drained by one dispatcher loop per slot of the engine's
-// evaluator pool (core.Engine.MaxConcurrency), the one concurrency bound
-// of the serving path: no request waits while an evaluator is idle, and
-// each dispatcher evaluates exactly the request it dequeued.
-// Requests carry a context: a caller whose deadline expires before its
-// request is dequeued gets the context error and the request is dropped.
-// Backpressure is explicit — a full queue rejects immediately with
-// ErrQueueFull (HTTP 429 in cmd/dpserve) instead of absorbing unbounded
-// latency. Close drains: queued requests complete, new ones are refused.
+// The gate has one slot per evaluator of the engine's pool
+// (core.Engine.MaxConcurrency), the one concurrency bound of the serving
+// path: a caller that finds a slot free computes at once, the others wait
+// for one in arrival order, each under its context. Backpressure is
+// explicit — with QueueLimit callers waiting, the next is rejected at once
+// with ErrQueueFull (HTTP 429 in cmd/dpserve) instead of absorbing
+// unbounded latency. Close drains: admitted calls complete, new ones are
+// refused.
 package serve
 
 import (
@@ -28,8 +27,8 @@ import (
 )
 
 var (
-	// ErrQueueFull reports a request rejected by backpressure: the
-	// pending queue is at QueueLimit. Serving layers map it to 429.
+	// ErrQueueFull reports a request rejected by backpressure: QueueLimit
+	// callers already wait for a slot. Serving layers map it to 429.
 	ErrQueueFull = errors.New("serve: request queue full")
 	// ErrClosed reports a request after Close began draining.
 	ErrClosed = errors.New("serve: batcher closed")
@@ -41,134 +40,121 @@ const DefaultQueueLimit = 32
 
 // Options tunes the batcher. The zero value asks for defaults.
 type Options struct {
-	// QueueLimit bounds pending requests; beyond it Evaluate rejects with
-	// ErrQueueFull (default DefaultQueueLimit).
+	// QueueLimit bounds the callers waiting for a slot; beyond it Evaluate
+	// rejects with ErrQueueFull (default DefaultQueueLimit).
 	QueueLimit int
 }
 
-// concurrencyHinter reports the engine's evaluator-pool bound: New runs
-// one dispatch loop per pool slot, so every pooled evaluator can serve a
-// request at once and no request waits for a loop.
+// concurrencyHinter reports the engine's evaluator-pool bound, the
+// number of slots New opens.
 type concurrencyHinter interface {
 	MaxConcurrency() int
-}
-
-// claim states of a request. A request is computed exactly when a
-// dispatcher wins the pending→dispatched transition; a caller whose
-// context expires first wins pending→abandoned instead, and its request is
-// dropped before evaluation.
-const (
-	claimPending int32 = iota
-	claimDispatched
-	claimAbandoned
-)
-
-type request struct {
-	pos     []float64
-	types   []int
-	nloc    int
-	list    *neighbor.List
-	box     *neighbor.Box
-	out     *core.Result
-	claimed atomic.Int32
-	done    chan error
 }
 
 // Stats is a point-in-time snapshot of the batcher's counters — the
 // /metrics surface of cmd/dpserve.
 type Stats struct {
-	// Accepted counts requests admitted to the queue; Rejected the ones
-	// refused by backpressure; Expired the ones whose context ended
-	// before dispatch; Completed the ones evaluated and answered.
+	// Accepted counts requests admitted past the closed and queue checks;
+	// Rejected the ones refused by backpressure; Expired the admitted ones
+	// whose context ended before they held a slot; Completed the ones
+	// evaluated and answered.
 	Accepted, Rejected, Expired, Completed uint64
-	// QueueDepth is the current number of queued requests.
+	// QueueDepth is the current number of callers waiting for a slot.
 	QueueDepth int
 }
 
-// Batcher is the bounded queue in front of an engine's evaluator pool.
+// Batcher is the admission gate in front of an engine's evaluator pool.
 // All methods are goroutine-safe.
 type Batcher struct {
-	eng md.Potential
-	opt Options
+	eng   md.Potential
+	opt   Options
+	slots chan struct{} // one buffer place per evaluator: a send takes a slot
 
-	mu     sync.RWMutex // guards closed vs queue sends
+	mu     sync.RWMutex // orders admissions against Close's wait
 	closed bool
-	queue  chan *request
-	wg     sync.WaitGroup
+	calls  sync.WaitGroup // admitted calls not yet returned
 
+	waiting                                atomic.Int64
 	accepted, rejected, expired, completed atomic.Uint64
 }
 
-// New starts a batcher over the engine with opt's queue bound. The engine
-// is called from one dispatcher per slot its MaxConcurrency reports (one
-// when it reports none), so an engine that reports more than one must be
-// goroutine-safe, as core.Engine is.
+// New opens a gate over the engine with opt's queue bound. The engine is
+// called from up to as many goroutines at once as its MaxConcurrency
+// reports (one when it reports none), so an engine that reports more than
+// one must be goroutine-safe, as core.Engine is.
 func New(eng md.Potential, opt Options) *Batcher {
 	if opt.QueueLimit <= 0 {
 		opt.QueueLimit = DefaultQueueLimit
 	}
-	b := &Batcher{
-		eng:   eng,
-		opt:   opt,
-		queue: make(chan *request, opt.QueueLimit),
-	}
-	loops := 1 // an evaluator that reports no pool bound
+	slots := 1 // an evaluator that reports no pool bound
 	if h, ok := eng.(concurrencyHinter); ok {
-		loops = h.MaxConcurrency()
+		slots = h.MaxConcurrency()
 	}
-	for range loops {
-		b.wg.Add(1)
-		go b.dispatch()
-	}
-	return b
+	return &Batcher{eng: eng, opt: opt, slots: make(chan struct{}, slots)}
 }
 
 // Options reports the resolved queue bound.
 func (b *Batcher) Options() Options { return b.opt }
 
-// Evaluate submits one frame and blocks until it is evaluated, the
-// context ends, or backpressure rejects it. Results land in out, reusing
-// its buffers when adequately sized; they are bit-identical to a direct
-// engine evaluation.
+// Evaluate evaluates one frame on the calling goroutine once an evaluator
+// slot is free, unless the context ends first or backpressure rejects it.
+// Results land in out, reusing its buffers when adequately sized; they are
+// bit-identical to a direct engine evaluation.
 func (b *Batcher) Evaluate(ctx context.Context, pos []float64, types []int, nloc int, list *neighbor.List, box *neighbor.Box, out *core.Result) error {
-	r := &request{pos: pos, types: types, nloc: nloc, list: list, box: box, out: out, done: make(chan error, 1)}
-	// The read lock orders the send against Close's channel close: Close
-	// flips closed under the write lock before closing the queue, so no
-	// send can race the close.
+	// The read lock orders the admission against Close, which flips closed
+	// under the write lock before it waits for every admitted call.
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
 		return ErrClosed
 	}
+	b.calls.Add(1)
+	b.mu.RUnlock()
+	defer b.calls.Done()
+
+	if err := b.acquire(ctx); err != nil {
+		return err
+	}
+	defer func() { <-b.slots }() // released even if the engine panics
+	err := b.eng.Compute(pos, types, nloc, list, box, out)
+	b.completed.Add(1) // before returning: the caller's Stats see it
+	return err
+}
+
+// acquire takes a slot: at once when one is free, else after the callers
+// already waiting. A context that has ended is refused before it can take
+// a free slot.
+func (b *Batcher) acquire(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		b.accepted.Add(1)
+		b.expired.Add(1)
+		return err
+	}
 	select {
-	case b.queue <- r:
-		b.mu.RUnlock()
+	case b.slots <- struct{}{}:
+		b.accepted.Add(1)
+		return nil
 	default:
-		b.mu.RUnlock()
+	}
+	if b.waiting.Add(1) > int64(b.opt.QueueLimit) {
+		b.waiting.Add(-1)
 		b.rejected.Add(1)
 		return ErrQueueFull
 	}
+	defer b.waiting.Add(-1)
 	b.accepted.Add(1)
-
 	select {
-	case err := <-r.done:
-		return err
+	case b.slots <- struct{}{}:
+		return nil
 	case <-ctx.Done():
-		if r.claimed.CompareAndSwap(claimPending, claimAbandoned) {
-			b.expired.Add(1)
-			return ctx.Err()
-		}
-		// A dispatcher claimed the request first; the evaluation is already
-		// on an evaluator and completes within one force call. Return its
-		// result — out is being written, so the caller must not bail out.
-		return <-r.done
+		b.expired.Add(1)
+		return ctx.Err()
 	}
 }
 
-// Close stops admissions and drains: queued requests are evaluated and
-// answered, dispatchers exit, then Close returns. The context bounds the
-// drain; on expiry the batcher keeps draining in the background but Close
-// returns the context error. Close is idempotent.
+// Close stops admissions and drains: admitted calls complete, then Close
+// returns. The context bounds the drain; on expiry the calls still
+// complete, but Close returns the context error. Close is idempotent.
 func (b *Batcher) Close(ctx context.Context) error {
 	b.mu.Lock()
 	if b.closed {
@@ -176,12 +162,11 @@ func (b *Batcher) Close(ctx context.Context) error {
 		return nil
 	}
 	b.closed = true
-	close(b.queue)
 	b.mu.Unlock()
 
 	done := make(chan struct{})
 	go func() {
-		b.wg.Wait()
+		b.calls.Wait()
 		close(done)
 	}()
 	select {
@@ -199,28 +184,6 @@ func (b *Batcher) Stats() Stats {
 		Rejected:   b.rejected.Load(),
 		Expired:    b.expired.Load(),
 		Completed:  b.completed.Load(),
-		QueueDepth: len(b.queue),
-	}
-}
-
-// dispatch is one dispatcher loop: dequeue → claim → one engine call →
-// delivery to the request's caller, who alone sees its result or error.
-// The loop body is allocation-free, so a saturated server's dispatch path
-// produces no garbage.
-//
-//dp:noalloc
-func (b *Batcher) dispatch() {
-	defer b.wg.Done()
-	for r := range b.queue {
-		// A request whose caller already abandoned it (deadline) is
-		// dropped before the evaluation, not after.
-		if !r.claimed.CompareAndSwap(claimPending, claimDispatched) {
-			continue
-		}
-		err := b.eng.Compute(r.pos, r.types, r.nloc, r.list, r.box, r.out)
-		// Count before waking the caller, so a caller that reads Stats
-		// right after its Evaluate returns sees itself completed.
-		b.completed.Add(1)
-		r.done <- err
+		QueueDepth: int(b.waiting.Load()),
 	}
 }

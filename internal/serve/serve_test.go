@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -94,9 +95,9 @@ func waterEngine(t *testing.T, maxConc int) (*core.Engine, []core.Frame, []core.
 	return eng, frames, refs
 }
 
-// One dispatcher per pool slot: with two slots, two requests evaluate at
-// once and a third waits in the queue until one of them is answered.
-func TestBatcherOneDispatcherPerPoolSlot(t *testing.T) {
+// One call per pool slot: with two slots, two requests evaluate at once
+// and a third waits in the queue until one of them is answered.
+func TestBatcherOneCallPerPoolSlot(t *testing.T) {
 	stub := &stubEval{started: make(chan struct{}, 16), release: make(chan struct{})}
 	b := New(pooledStub{stub, 2}, Options{})
 	defer b.Close(context.Background())
@@ -130,6 +131,48 @@ func TestBatcherOneDispatcherPerPoolSlot(t *testing.T) {
 	wg.Wait()
 	if st := b.Stats(); st.Completed != 3 || stub.count() != 3 {
 		t.Fatalf("stats %+v, served %d, want 3 requests completed", st, stub.count())
+	}
+}
+
+// A caller that finds a slot free evaluates on its own goroutine: New
+// starts no goroutine, and Evaluate allocates nothing.
+func TestBatcherNoGoroutineNoAlloc(t *testing.T) {
+	before := runtime.NumGoroutine()
+	stub := &stubEval{}
+	b := New(pooledStub{stub, 4}, Options{})
+	defer b.Close(context.Background())
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
+	}
+	var out core.Result
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := b.Evaluate(context.Background(), nil, nil, 1, nil, nil, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Evaluate allocates %v times per call, want 0", allocs)
+	}
+}
+
+// A request whose context has already ended is refused before it takes a
+// free slot: the caller gets the context error, the request is counted
+// Expired, and the engine never sees it.
+func TestBatcherEndedContextNotEvaluated(t *testing.T) {
+	stub := &stubEval{}
+	b := New(pooledStub{stub, 2}, Options{})
+	defer b.Close(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const n = 100
+	for i := 0; i < n; i++ {
+		var out core.Result
+		if err := b.Evaluate(ctx, nil, nil, 1, nil, nil, &out); !errors.Is(err, context.Canceled) {
+			t.Fatalf("request %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	if st := b.Stats(); st.Expired != n || st.Completed != 0 || stub.count() != 0 {
+		t.Fatalf("stats %+v, served %d: want %d expired and none evaluated", st, stub.count(), n)
 	}
 }
 
