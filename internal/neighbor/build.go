@@ -94,19 +94,17 @@ func Build(spec Spec, pos []float64, types []int, nloc int, box *Box, workers in
 		}
 		slices.Sort(keys)
 		b.all = make([]int32, nall)
-		b.allPos = make([]float64, 3*nall)
 		for s, key := range keys {
-			j := int32(key & indexMask)
-			b.all[s] = j
-			copy(b.allPos[3*s:3*s+3], pos[3*j:])
+			b.all[s] = int32(key & indexMask)
 		}
+		b.allPos = gather(pos, b.all)
 	}
 	return b.build(max(1, min(workers, (nloc+minBlock-1)/minBlock))), nil
 }
 
 // builder is one Build call. With a grid, row i's scan visits every atom
 // of the 3x3x3 cells around atom i; without one (the all-pairs regime:
-// boxes too small for three cells a side) the rows are scanned in the
+// boxes too small for minCells cells a side) the rows are scanned in the
 // order of all, the row of all[s] visits all[s+1:], and each pair found
 // counts for row j too when j is local.
 type builder struct {
@@ -120,7 +118,28 @@ type builder struct {
 	all   []int32 // locals, then ghosts, each in (type, index) order, when g is nil
 	// allPos holds the positions of all, in its order, so the scan reads
 	// its candidates' coordinates sequentially.
-	allPos []float64
+	allPos coords
+}
+
+// coords holds the positions of a list of atoms one axis at a time: x[k],
+// y[k] and z[k] are the k-th atom's, so the scan kernel loads eight
+// candidates' x with one instruction.
+type coords [3][]float64
+
+// gather returns the positions (xyz per atom in pos) of the atoms of
+// order, in its order.
+func gather(pos []float64, order []int32) coords {
+	buf := make([]float64, 3*len(order))
+	c := coords{buf[:len(order)], buf[len(order) : 2*len(order)], buf[2*len(order):]}
+	for s, j := range order {
+		c[0][s], c[1][s], c[2][s] = pos[3*j], pos[3*j+1], pos[3*j+2]
+	}
+	return c
+}
+
+// slice returns the positions of atoms lo to hi-1.
+func (c coords) slice(lo, hi int) coords {
+	return coords{c[0][lo:hi], c[1][lo:hi], c[2][lo:hi]}
 }
 
 // rowScan is one worker's state. hits holds a record per scanned row i: i,
@@ -229,7 +248,7 @@ func (sc *rowScan) scanRow(b *builder, s int) {
 	sc.reserve(2)
 	sc.hits = append(sc.hits, int32(i), 0)
 	if b.g == nil {
-		sc.scanAtoms(b, i, b.all[s+1:], b.allPos[3*(s+1):])
+		sc.scanAtoms(b, i, b.all[s+1:], b.allPos.slice(s+1, len(b.all)))
 	} else {
 		sc.scanCells(b, i)
 	}
@@ -274,36 +293,40 @@ func (sc *rowScan) scanCells(b *builder, i int) {
 				}
 				id := (nx*nc[1]+ny)*nc[2] + nz
 				lo, hi := g.count[id], g.count[id+1]
-				sc.scanAtoms(b, i, g.order[lo:hi], g.orderPos[3*lo:3*hi])
+				sc.scanAtoms(b, i, g.order[lo:hi], g.orderPos.slice(int(lo), int(hi)))
 			}
 		}
 	}
 }
 
-// scanAtoms records the atoms of cand, at positions cpos, other than i
-// that lie inside atom i's build cutoff. It is Displacement written out
-// with atom i's position held in registers, the hottest loop of Build.
-// The periodic fold picks each component's multiple of L from d·(1/L)
-// (see nearTie), and every candidate is written to the next free word
-// with the cursor advancing only past a hit, so the loop has no branch on
-// the geometry. A candidate at zero distance sets the worker's coincident
+// scanAtoms records the atoms of cand, at positions c, other than i that
+// lie inside atom i's build cutoff. It is Displacement written out with
+// atom i's position held in registers, the hottest loop of Build. On
+// AVX-512 the kernel of scan_amd64.s tests eight candidates at a time,
+// with this loop's bits, and this loop finishes what it leaves. The
+// periodic fold picks each component's multiple of L from d·(1/L) (see
+// nearTie), and every candidate is written to the next free word with the
+// cursor advancing only past a hit, so the loop has no branch on the
+// geometry. A candidate at zero distance sets the worker's coincident
 // flag, also without a branch.
-func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32, cpos []float64) {
-	p, rc2 := b.pos, b.rc*b.rc
+func (sc *rowScan) scanAtoms(b *builder, i int, cand []int32, c coords) {
+	rc2 := b.rc * b.rc
+	sc.reserve(len(cand))
+	n := len(sc.hits)
+	hits := sc.hits[:n+len(cand)]
+	done, found, zero := scanKernel(b, i, cand, c, hits[n:])
+	n += found
+	p := b.pos
 	xi, yi, zi := p[3*i], p[3*i+1], p[3*i+2]
-	cpos = cpos[:3*len(cand)]
+	cx, cy, cz := c[0][:len(cand)], c[1][:len(cand)], c[2][:len(cand)]
 	var l, inv [3]float64
 	if b.box != nil {
 		l, inv = b.box.L, b.inv
 	}
-	sc.reserve(len(cand))
-	n := len(sc.hits)
-	hits := sc.hits[:n+len(cand)]
 	self := int32(i)
-	zero := 0
-	for k, j := range cand {
-		c := cpos[3*k : 3*k+3]
-		dx, dy, dz := c[0]-xi, c[1]-yi, c[2]-zi
+	for k := done; k < len(cand); k++ {
+		j := cand[k]
+		dx, dy, dz := cx[k]-xi, cy[k]-yi, cz[k]-zi
 		if b.box != nil {
 			qx, qy, qz := dx*inv[0], dy*inv[1], dz*inv[2]
 			if nearTie(qx)|nearTie(qy)|nearTie(qz) != 0 {
@@ -380,8 +403,10 @@ func rowKey(t, j int32) uint64 {
 // that order already, which one pass checks; the others (cell scans, rows
 // filled by several workers or holding ghosts) take an integer sort.
 func (sc *rowScan) orderRow(types []int32, row []int32) {
-	for k := 1; k < len(row); k++ {
-		if rowKey(types[row[k-1]], row[k-1]) > rowKey(types[row[k]], row[k]) {
+	prev := uint64(0)
+	for _, j := range row {
+		key := rowKey(types[j], j)
+		if prev > key {
 			sc.keys = tensor.Resize(sc.keys, len(row))
 			for k, j := range row {
 				sc.keys[k] = rowKey(types[j], j)
@@ -392,5 +417,6 @@ func (sc *rowScan) orderRow(types []int32, row []int32) {
 			}
 			return
 		}
+		prev = key
 	}
 }

@@ -18,7 +18,7 @@ type grid struct {
 	count []int32
 	order []int32
 	// orderPos holds the positions of order, in its order.
-	orderPos []float64
+	orderPos coords
 }
 
 func (g *grid) ncells() int { return g.nc[0] * g.nc[1] * g.nc[2] }
@@ -43,11 +43,18 @@ func (g *grid) cellIndex(pos []float64, a int) int32 {
 	return int32((c[0]*g.nc[1]+c[1])*g.nc[2] + c[2])
 }
 
+// minCells is the fewest cells per dimension the grid is built with. Three
+// is the least that keeps the periodic 27-cell stencil from visiting a
+// cell twice, but at three a side that stencil covers every cell and tests
+// each pair twice, once from either atom, where the all-pairs scan tests
+// it once.
+const minCells = 4
+
 // useCells decides whether a linked-cell search is worthwhile: the domain
-// must hold at least 3 cells per dimension, otherwise the all-pairs scan is
-// both simpler and as fast.
+// must hold at least minCells cells per dimension, otherwise the all-pairs
+// scan is both simpler and faster.
 func useCells(pos []float64, nall int, box *Box, rc float64) bool {
-	if nall < 64 {
+	if nall < minCells*minCells*minCells {
 		return false
 	}
 	var ext [3]float64
@@ -60,7 +67,7 @@ func useCells(pos []float64, nall int, box *Box, rc float64) bool {
 		}
 	}
 	for k := 0; k < 3; k++ {
-		if int(ext[k]/rc) < 3 {
+		if int(ext[k]/rc) < minCells {
 			return false
 		}
 	}
@@ -85,17 +92,17 @@ func bounds(pos []float64) (lo, hi [3]float64) {
 }
 
 // cellCounts picks ⌊ext/rc⌋ cells per dimension, then coarsens the
-// largest dimension until the grid holds at most max(27, nall) cells: the
-// grid's memory and prefix-sum work scale with the atom count, not with
-// the volume of a sparse box (one stray atom, or a huge client-supplied
-// box). Coarser cells only widen the search, and no dimension drops below
-// the 3 cells that keep the periodic stencil from visiting a cell twice.
+// largest dimension until the grid holds at most max(minCells³, nall)
+// cells: the grid's memory and prefix-sum work scale with the atom count,
+// not with the volume of a sparse box (one stray atom, or a huge
+// client-supplied box). Coarser cells only widen the search, and no
+// dimension drops below minCells.
 func cellCounts(ext [3]float64, rc float64, nall int) [3]int {
 	var nc [3]int
 	for k := range nc {
 		nc[k] = max(1, int(ext[k]/rc))
 	}
-	limit := float64(max(27, nall))
+	limit := float64(max(minCells*minCells*minCells, nall))
 	for float64(nc[0])*float64(nc[1])*float64(nc[2]) > limit {
 		k := 0
 		for j := 1; j < 3; j++ {
@@ -104,7 +111,7 @@ func cellCounts(ext [3]float64, rc float64, nall int) [3]int {
 			}
 		}
 		others := float64(nc[(k+1)%3]) * float64(nc[(k+2)%3])
-		nc[k] = max(3, int(limit/others))
+		nc[k] = max(minCells, int(limit/others))
 	}
 	return nc
 }
@@ -142,12 +149,11 @@ func binAtoms(pos []float64, nall int, box *Box, rc float64) *grid {
 	}
 	next := make([]int32, ncells)
 	copy(next, g.count[:ncells])
-	g.orderPos = make([]float64, 3*nall)
 	for a := 0; a < nall; a++ {
 		id := g.cellOf[a]
 		g.order[next[id]] = int32(a)
-		copy(g.orderPos[3*next[id]:3*next[id]+3], pos[3*a:])
 		next[id]++
 	}
+	g.orderPos = gather(pos, g.order)
 	return g
 }

@@ -21,7 +21,7 @@
 //     decimal key exists both keys order a type section alike.
 //
 // Construction itself uses a linked-cell search: O(N) in the number of
-// atoms, with an all-pairs fallback for boxes too small to hold 3x3x3
+// atoms, with an all-pairs fallback for boxes too small to hold 4x4x4
 // cells that visits each pair once. Both are parallel and write one index
 // arena of exactly the list's size (see build.go). The output is
 // bit-identical for every worker count.

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"deepmd-go/internal/tensor/cpufeat"
 )
 
 // checkRows asserts that l is the brute-force list exactly — the same
@@ -181,7 +183,8 @@ func TestMinImageMatchesRound(t *testing.T) {
 // FuzzBuild drives Build with arbitrary finite positions (folded into a
 // few box lengths), boxes, cutoffs, local counts, types and worker counts:
 // rows must equal brute force, in (type, index) order, and agree across
-// worker counts. Positions are 8 bytes each and every atom's last byte
+// worker counts and with a build under the generic family, whose scan has
+// no kernel. Positions are 8 bytes each and every atom's last byte
 // picks its type; a type byte of 255 gives a type far from the rest. Up to
 // 400 seeded random atoms follow the fuzzed ones, so that more than one
 // worker gets rows to claim.
@@ -258,5 +261,16 @@ func FuzzBuild(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireIdentical(t, serial, par)
+		// The scan kernel of the active family against the Go loop alone.
+		prev, err := cpufeat.SetActive(cpufeat.Generic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		generic, err := Build(spec, pos, types, nl, b, 1)
+		cpufeat.SetActive(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, serial, generic)
 	})
 }

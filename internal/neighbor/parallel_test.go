@@ -8,13 +8,16 @@ import (
 )
 
 // requireIdentical asserts two lists are bit-identical: same rows, same
-// entry order, same distances — stronger than the set comparison of
+// entry order, same coincident pair — stronger than the set comparison of
 // sameNeighborSets, as required for the parallel build to be a drop-in
 // replacement.
 func requireIdentical(t *testing.T, serial, parallel *List) {
 	t.Helper()
 	if serial.Nloc != parallel.Nloc {
 		t.Fatalf("nloc %d != %d", serial.Nloc, parallel.Nloc)
+	}
+	if serial.Coincident != parallel.Coincident {
+		t.Fatalf("coincident pair %v != %v", serial.Coincident, parallel.Coincident)
 	}
 	for i := range serial.Entries {
 		if len(serial.Entries[i]) == 0 && len(parallel.Entries[i]) == 0 {

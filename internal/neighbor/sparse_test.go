@@ -9,7 +9,7 @@ import (
 // A sparse box must not cost memory in proportion to its volume: 64 atoms
 // in a 2000 Å box would ask for ⌊2000/7⌋³ ≈ 23M cells if the grid followed
 // the box, and a single evaluate request can name any box. Build allocates
-// under 1 MB because the grid holds at most max(27, nall) cells.
+// under 1 MB because the grid holds at most max(64, nall) cells.
 func TestBuildSparseBoxMemoryBounded(t *testing.T) {
 	box := &Box{L: [3]float64{2000, 2000, 2000}}
 	spec := Spec{Rcut: 6, Skin: 1, Sel: []int{64}}
