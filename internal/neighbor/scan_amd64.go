@@ -16,7 +16,6 @@ type scanArgs struct {
 	idx     unsafe.Pointer // their n indices (int32)
 	hits    unsafe.Pointer // room for n hit words
 	box     unsafe.Pointer // the three box edges, nil for open boundaries
-	inv     unsafe.Pointer // 1/L per axis, with a box
 	n       uintptr        // candidates, >= 1
 	self    uintptr        // the row's atom, never its own hit
 	ctr     [3]float64     // the row atom's coordinates
@@ -44,7 +43,7 @@ func scanKernel(b *builder, i int, cand []int32, c coords, hits []int32) (done, 
 		rc2: b.rc * b.rc,
 	}
 	if b.box != nil {
-		a.box, a.inv = unsafe.Pointer(&b.box.L[0]), unsafe.Pointer(&b.inv[0])
+		a.box = unsafe.Pointer(&b.box.L[0])
 	}
 	done, found, zeros := scanAVX512(&a)
 	return done, found, b2i(zeros != 0)

@@ -3,25 +3,21 @@
 #include "textflag.h"
 
 // The scan kernel (scan_amd64.go): scanAtoms' pair test, eight candidates
-// per zmm. Every lane takes the IEEE operations of the Go loop in
-// build.go, in the same order and with no FMA (the Go compiler fuses
-// nothing on amd64):
+// per zmm. Every lane takes the IEEE operations of MinImage and of the Go
+// loop in build.go, in the same order and with no FMA (the Go compiler
+// fuses nothing on amd64):
 //
 //   d = c - r_i
-//   q = d*(1/L), d -= L*float64(int(q+1.5)-1)    with a box
+//   q = d/L, d -= L*n, n = 1 (q >= 0.5), -1 (q <= -0.5) or 0    with a box
 //   d2 = (dx*dx + dy*dy) + dz*dz
 //   hit = d2 < rc2 and j != i, coincident = d2 == 0 and j != i
 //
-// int(q+1.5)-1 is the truncation of q+1.5 less one, exact in doubles. A
-// group holding a lane where nearTie hands the Go loop to MinImage (|q|
-// not below 1.5-foldTol, within foldTol of 0.5, or NaN) folds the whole
-// group as MinImage does, division included, which gives the other lanes
-// their reciprocal fold's bits; so a lattice's exact half-box
-// displacements need no stop. A group holding a far image (|d/L| not below
-// 1.5, or NaN) stops the kernel before the group, and the Go loop finishes
-// the row. The indices of a group's hits are compressed (VPCOMPRESSD) to
-// the next free hit words. FuzzScanKernelBits holds the kernel to the Go
-// loop bit for bit.
+// The fold is MinImage's, division included, which is the Go loop's fold
+// bit for bit. A group holding a far image (|d/L| not below 1.5, or NaN)
+// stops the kernel before the group, and the Go loop finishes the row. The
+// indices of a group's hits are compressed (VPCOMPRESSD) to the next free
+// hit words. FuzzScanKernelBits holds the kernel to the Go loop bit for
+// bit.
 
 #define SA_X 0
 #define SA_Y 8
@@ -29,55 +25,25 @@
 #define SA_IDX 24
 #define SA_HITS 32
 #define SA_BOX 40
-#define SA_INV 48
-#define SA_N 56
-#define SA_SELF 64
-#define SA_CTR 72
-#define SA_RC2 96
+#define SA_N 48
+#define SA_SELF 56
+#define SA_CTR 64
+#define SA_RC2 88
 
 #define C_ABS 0
-#define C_EDGE 8
-#define C_HALF 16
-#define C_NHALF 24
-#define C_TOL 32
-#define C_1P5 40
-#define C_ONE 48
-#define C_NONE 56
+#define C_HALF 8
+#define C_NHALF 16
+#define C_1P5 24
+#define C_ONE 32
+#define C_NONE 40
 
 DATA scanc<>+0(SB)/8, $0x7fffffffffffffff  // all but the sign bit
-DATA scanc<>+8(SB)/8, $0x3ff7fffffffffffb  // 1.5-foldTol
-DATA scanc<>+16(SB)/8, $0x3fe0000000000000 // 0.5
-DATA scanc<>+24(SB)/8, $0xbfe0000000000000 // -0.5
-DATA scanc<>+32(SB)/8, $0x3cd203af9ee75616 // foldTol
-DATA scanc<>+40(SB)/8, $0x3ff8000000000000 // 1.5
-DATA scanc<>+48(SB)/8, $0x3ff0000000000000 // 1
-DATA scanc<>+56(SB)/8, $0xbff0000000000000 // -1
-GLOBL scanc<>(SB), RODATA, $64
-
-// LOADD: d = c - r_i for the group's lanes K1, in Z4-Z6.
-#define LOADD \
-	VMOVUPD.Z (R8)(BX*8), K1, Z4  \
-	VMOVUPD.Z (R9)(BX*8), K1, Z5  \
-	VMOVUPD.Z (R10)(BX*8), K1, Z6 \
-	VSUBPD Z21, Z4, Z4            \
-	VSUBPD Z22, Z5, Z5            \
-	VSUBPD Z23, Z6, Z6
-
-// FOLD(D, L, INV): the Go loop's fold of one axis, D -= L*n with n =
-// float64(int(q+1.5)-1), q = D*INV; K3 keeps only the lanes where nearTie
-// is 0. Clobbers Z7, Z8.
-#define FOLD(D, L, INV) \
-	VMULPD INV, D, Z7                                 \
-	VPANDQ.BCST scanc<>+C_ABS(SB), Z7, Z8             \
-	VCMPPD.BCST $0x11, scanc<>+C_EDGE(SB), Z8, K3, K3 \
-	VSUBPD.BCST scanc<>+C_HALF(SB), Z8, Z8            \
-	VPANDQ.BCST scanc<>+C_ABS(SB), Z8, Z8             \
-	VCMPPD.BCST $0x1e, scanc<>+C_TOL(SB), Z8, K3, K3  \
-	VADDPD.BCST scanc<>+C_1P5(SB), Z7, Z7             \
-	VRNDSCALEPD $3, Z7, Z7                            \
-	VSUBPD.BCST scanc<>+C_ONE(SB), Z7, Z7             \
-	VMULPD Z7, L, Z7                                  \
-	VSUBPD Z7, D, D
+DATA scanc<>+8(SB)/8, $0x3fe0000000000000  // 0.5
+DATA scanc<>+16(SB)/8, $0xbfe0000000000000 // -0.5
+DATA scanc<>+24(SB)/8, $0x3ff8000000000000 // 1.5
+DATA scanc<>+32(SB)/8, $0x3ff0000000000000 // 1
+DATA scanc<>+40(SB)/8, $0xbff0000000000000 // -1
+GLOBL scanc<>(SB), RODATA, $48
 
 // MINIMAGE(D, L): MinImage on one axis, D -= L*n with n = 1 (q >= 0.5),
 // -1 (q <= -0.5) or 0, q = D/L; K3 keeps only the lanes where |q| < 1.5.
@@ -97,8 +63,8 @@ GLOBL scanc<>(SB), RODATA, $64
 //
 // R8-R10 = x, y, z, SI = idx, R11 = hits, R12 = box (0 without one), R13
 // = n, BX = candidates done, DX = hits written, K6 = the zero-distance
-// lanes met. Z21-Z23 = r_i, Z24-Z26 = L and Z27-Z29 = 1/L with a box,
-// Z20 = rc2, Z18 = 0, Z30 = 1, Y19 = i on every dword lane.
+// lanes met. Z21-Z23 = r_i, Z24-Z26 = L with a box, Z20 = rc2,
+// Z18 = 0, Z30 = 1, Y19 = i on every dword lane.
 TEXT ·scanAVX512(SB), NOSPLIT, $0-32
 	MOVQ args+0(FP), DI
 	MOVQ SA_X(DI), R8
@@ -118,13 +84,9 @@ TEXT ·scanAVX512(SB), NOSPLIT, $0-32
 	VBROADCASTSD scanc<>+C_ONE(SB), Z30
 	TESTQ R12, R12
 	JZ   start
-	MOVQ SA_INV(DI), R14
 	VBROADCASTSD (R12), Z24
 	VBROADCASTSD 8(R12), Z25
 	VBROADCASTSD 16(R12), Z26
-	VBROADCASTSD (R14), Z27
-	VBROADCASTSD 8(R14), Z28
-	VBROADCASTSD 16(R14), Z29
 
 start:
 	XORQ BX, BX
@@ -144,18 +106,15 @@ loop:
 	SHLL CX, AX
 	DECL AX
 	KMOVW AX, K1
-	LOADD
+	// Z4-Z6 = d = c - r_i on those lanes.
+	VMOVUPD.Z (R8)(BX*8), K1, Z4
+	VMOVUPD.Z (R9)(BX*8), K1, Z5
+	VMOVUPD.Z (R10)(BX*8), K1, Z6
+	VSUBPD Z21, Z4, Z4
+	VSUBPD Z22, Z5, Z5
+	VSUBPD Z23, Z6, Z6
 	TESTQ R12, R12
 	JZ   norm
-	KMOVW K1, K3
-	FOLD(Z4, Z24, Z27)
-	FOLD(Z5, Z25, Z28)
-	FOLD(Z6, Z26, Z29)
-	KXORW K1, K3, K3
-	KORTESTW K3, K3
-	JZ   norm
-	// A lane near a tie: the group again, through MinImage.
-	LOADD
 	KMOVW K1, K3
 	MINIMAGE(Z4, Z24)
 	MINIMAGE(Z5, Z25)

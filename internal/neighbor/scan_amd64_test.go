@@ -28,12 +28,11 @@ func TestScanArgsLayout(t *testing.T) {
 		{"idx", unsafe.Offsetof(a.idx), 24},
 		{"hits", unsafe.Offsetof(a.hits), 32},
 		{"box", unsafe.Offsetof(a.box), 40},
-		{"inv", unsafe.Offsetof(a.inv), 48},
-		{"n", unsafe.Offsetof(a.n), 56},
-		{"self", unsafe.Offsetof(a.self), 64},
-		{"ctr", unsafe.Offsetof(a.ctr), 72},
-		{"rc2", unsafe.Offsetof(a.rc2), 96},
-		{"sizeof", unsafe.Sizeof(a), 104},
+		{"n", unsafe.Offsetof(a.n), 48},
+		{"self", unsafe.Offsetof(a.self), 56},
+		{"ctr", unsafe.Offsetof(a.ctr), 64},
+		{"rc2", unsafe.Offsetof(a.rc2), 88},
+		{"sizeof", unsafe.Sizeof(a), 96},
 	} {
 		if c.got != c.want {
 			t.Errorf("scanArgs %s offset %d, asm expects %d", c.name, c.got, c.want)
